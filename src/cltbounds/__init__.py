@@ -28,6 +28,7 @@ from .samplers import (  # noqa: F401
     Kind,
     SampleBatch,
     calibrate_isotropic,
+    exact_moments,
     sample,
     sample_ball_uniform,
     sample_generalized_gaussian,

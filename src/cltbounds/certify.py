@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import subprocess
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,6 @@ from .bounds import (
     bound_unconditional,
     bound_unconditional_bounded,
 )
-from .core import MomentSummary, summarize
 from .empirical import (
     DEFAULT_DELTA,
     DistanceEstimate,
@@ -43,6 +43,7 @@ from .samplers import (
     Kind,
     SPHERICAL_KINDS,
     SampleBatch,
+    exact_moments,
     sample,
 )
 
@@ -64,11 +65,6 @@ TV_ESTIMATOR_ALLOWANCE = 0.02
 ROUTE_UNCONDITIONAL = "unconditional"
 ROUTE_SIMPLEX = "simplex"
 ROUTE_SPHERICAL = "spherical"
-
-# exact moments of a coordinate uniform on [-sqrt(3), sqrt(3)]
-CUBE_FOURTH = 9.0 / 5.0
-CUBE_THIRD_ABS = 3.0 * math.sqrt(3.0) / 4.0
-CUBE_SUP = math.sqrt(3.0)
 
 
 class InapplicableBoundError(ValueError):
@@ -159,27 +155,14 @@ class BoundReport:
         }
 
 
-def _exact_norm_sq_std(spec: DistributionSpec) -> float | None:
+def _exact_norm_sq_std(spec: DistributionSpec) -> float:
     """Closed-form sqrt(Var ||X||^2) for the spherically symmetric kinds."""
     n = spec.n
     if spec.kind is Kind.SPHERE_SHELL:
         return 0.0
     if spec.kind is Kind.BALL_UNIFORM:
         return math.sqrt(4.0 * n / (n + 4))
-    if spec.kind is Kind.SPHERICAL_EXPONENTIAL:
-        return math.sqrt(n * (4.0 * n + 6.0) / (n + 1))
-    return None
-
-
-def _moment_inputs(
-    spec: DistributionSpec, summary: MomentSummary | None
-) -> tuple[float, float, float, str]:
-    """(max fourth, max square covariance, max third abs, provenance)."""
-    if spec.kind is Kind.LP_BALL and spec.p is not None and math.isinf(spec.p):
-        return CUBE_FOURTH, 0.0, CUBE_THIRD_ABS, "exact"
-    if summary is None:
-        raise ValueError("Monte Carlo moments required but no summary supplied")
-    return summary.max_fourth, summary.max_sq_cov, summary.max_third_abs, "monte-carlo"
+    return math.sqrt(n * (4.0 * n + 6.0) / (n + 1))  # spherical exponential
 
 
 def _coordinate_sup(spec: DistributionSpec) -> float | None:
@@ -197,12 +180,11 @@ def certify_cell(
     delta: float = DEFAULT_DELTA,
     constants: dict | None = None,
     batch: SampleBatch | None = None,
-    summary: MomentSummary | None = None,
 ) -> BoundReport:
     """Evaluate the certification predicate for one (spec, theta) cell.
 
-    A pre-sampled batch (and its moment summary) may be passed in so a grid
-    over many thetas reuses the same samples.
+    A pre-sampled batch may be passed in so a grid over many thetas reuses
+    the same samples.  Every bound input is exact.
     """
     route = applicable_route(spec)
     constants = constants or {}
@@ -215,15 +197,8 @@ def certify_cell(
     informational: list[tuple[str, BoundValue]] = []
 
     if route == ROUTE_SPHERICAL:
-        exact_std = _exact_norm_sq_std(spec)
-        if exact_std is not None:
-            statistic, prov = exact_std, "exact"
-        else:
-            if summary is None:
-                summary = summarize(batch)
-            statistic, prov = math.sqrt(summary.norm_sq_var), "monte-carlo"
-        bound = bound_sph_symm(n, VARIANT_STD_DEV, statistic)
-        bound_name = f"spherical-std-dev[{prov}]"
+        bound = bound_sph_symm(n, VARIANT_STD_DEV, _exact_norm_sq_std(spec))
+        bound_name = "spherical-std-dev[exact]"
         paper_a = 8.0 if spec.kind is Kind.SPHERE_SHELL else 16.0
         informational.append(
             (
@@ -253,12 +228,9 @@ def certify_cell(
             bound = bound_simplex(theta, geometry, c1=constants.get("c1"))
             bound_name = "simplex-assembled" if constants.get("c1") is None else "simplex-configured"
         else:
-            if spec.kind is not Kind.LP_BALL or not math.isinf(spec.p or 0):
-                if summary is None:
-                    summary = summarize(batch)
-            fourth, sq_cov, third_abs, prov = _moment_inputs(spec, summary)
+            fourth, sq_cov, third_abs = exact_moments(spec)
             bound = bound_unconditional(theta, fourth, sq_cov, third_abs)
-            bound_name = f"unconditional[{prov}]"
+            bound_name = "unconditional[exact]"
             a = _coordinate_sup(spec)
             if a is not None:
                 informational.append(
@@ -311,34 +283,32 @@ def certify_grid(
     seed: int,
     delta: float = DEFAULT_DELTA,
     constants: dict | None = None,
+    workers: int = 1,
 ) -> list[BoundReport]:
     """Certify every (spec, theta) cell, sampling each spec once.
 
     Cell seeds derive deterministically from the master seed and the spec's
-    position, so the grid is reproducible regardless of evaluation order.
+    position, so the grid is reproducible regardless of evaluation order;
+    with ``workers > 1`` specs are certified on a thread pool and the
+    reports are bit for bit those of the serial run.
     """
-    reports = []
-    for pos, spec in enumerate(specs):
+
+    def certify_spec(pos: int, spec: DistributionSpec) -> list[BoundReport]:
         cell_seed = seed + 1_000_003 * pos
         batch = sample(spec, N, cell_seed)
-        needs_moments = applicable_route(spec) == ROUTE_UNCONDITIONAL and not (
-            spec.kind is Kind.LP_BALL and spec.p is not None and math.isinf(spec.p)
-        )
-        summary = summarize(batch) if needs_moments else None
-        for theta_spec in theta_specs:
-            reports.append(
-                certify_cell(
-                    spec,
-                    theta_spec,
-                    N=N,
-                    seed=cell_seed,
-                    delta=delta,
-                    constants=constants,
-                    batch=batch,
-                    summary=summary,
-                )
-            )
-    return reports
+        return [
+            certify_cell(spec, theta_spec, N=N, seed=cell_seed, delta=delta,
+                         constants=constants, batch=batch)
+            for theta_spec in theta_specs
+        ]
+
+    specs = list(specs)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            per_spec = list(pool.map(certify_spec, range(len(specs)), specs))
+    else:
+        per_spec = [certify_spec(pos, spec) for pos, spec in enumerate(specs)]
+    return [report for group in per_spec for report in group]
 
 
 def version_string() -> str:

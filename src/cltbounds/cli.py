@@ -10,18 +10,15 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .bounds import exact_tv_vs_normal
 from .certify import (
-    BoundReport,
     InapplicableBoundError,
     applicable_route,
-    certify_cell,
+    certify_grid,
     reports_to_csv,
     reports_to_json,
     resolve_theta,
@@ -30,7 +27,7 @@ from .certify import (
 from .core import summarize
 from .empirical import DEFAULT_DELTA, streaming_pair_square_covariance
 from .frames import simplex_geometry, standard_frame
-from .samplers import DistributionSpec, Kind, sample
+from .samplers import DistributionSpec, sample
 from .subspaces import (
     ank_to_csv,
     estimate_Ank,
@@ -134,23 +131,6 @@ def _expand_distributions(cfg: dict) -> list[DistributionSpec]:
     return specs
 
 
-def _certify_one_spec(args):
-    spec, thetas, n_samples, cell_seed, delta, constants = args
-    batch = sample(spec, n_samples, cell_seed)
-    route = applicable_route(spec)
-    needs_moments = route == "unconditional" and not (
-        spec.kind is Kind.LP_BALL and spec.p is not None and math.isinf(spec.p)
-    )
-    summary = summarize(batch) if needs_moments else None
-    return [
-        certify_cell(
-            spec, t, N=n_samples, seed=cell_seed, delta=delta,
-            constants=constants, batch=batch, summary=summary,
-        )
-        for t in thetas
-    ]
-
-
 def _cmd_certify(cfg: dict) -> int:
     specs = _expand_distributions(cfg)
     thetas = cfg.get("theta", ["diagonal"])
@@ -160,22 +140,20 @@ def _cmd_certify(cfg: dict) -> int:
     seed = int(cfg.get("seed", 0))
     delta = float(cfg.get("delta", DEFAULT_DELTA))
     constants = cfg.get("constants", {})
-    out = _out_dir(cfg)
 
     for spec in specs:  # fail fast, before any sampling
         applicable_route(spec)
+        for theta in thetas:
+            try:
+                resolve_theta(theta, spec.n)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"invalid theta for n={spec.n}: {exc}") from exc
 
-    jobs = [
-        (spec, thetas, n_samples, seed + 1_000_003 * pos, delta, constants)
-        for pos, spec in enumerate(specs)
-    ]
-    workers = _workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_spec = list(pool.map(_certify_one_spec, jobs))
-    else:
-        per_spec = [_certify_one_spec(job) for job in jobs]
-    reports: list[BoundReport] = [r for group in per_spec for r in group]
+    out = _out_dir(cfg)
+    reports = certify_grid(
+        specs, thetas, N=n_samples, seed=seed, delta=delta, constants=constants,
+        workers=_workers(),
+    )
 
     reports_to_json(reports, out / "certify.json", config=cfg)
     reports_to_csv(reports, out / "certify.csv")

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import KOLMOGOROV, TOTAL_VARIATION
 from .core import InsufficientDataError, as_unit_vector, normal_cdf
 from .samplers import SPHERICAL_KINDS, SampleBatch
 
@@ -31,9 +32,6 @@ DEFAULT_DELTA = 1e-3
 
 QUALIFIER_HISTOGRAM = "histogram-lower-bound"
 QUALIFIER_WEIGHTED = "weighted-ecdf-dkw-inapplicable"
-
-KOLMOGOROV = "kolmogorov"
-TOTAL_VARIATION = "total-variation"
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
-"""Seeded samplers for every distribution under study, each scaled to (or
-Monte Carlo calibrated toward) isotropic position.
+"""Seeded samplers for every distribution under study, each scaled to its
+exact isotropic position, plus the closed-form moments of the coordinatewise
+symmetric laws.
 
 Sampling is a pure function of (spec, N, seed).  Rows are generated in
 fixed blocks of ``BLOCK_ROWS``; block b draws from an independent substream
@@ -27,10 +28,10 @@ __all__ = [
     "Kind",
     "SPHERICAL_KINDS",
     "UNCONDITIONAL_KINDS",
-    "CalibrationError",
     "SampleBatch",
     "block_seed",
     "calibrate_isotropic",
+    "exact_moments",
     "iter_sample_blocks",
     "sample",
     "sample_ball_uniform",
@@ -45,13 +46,6 @@ __all__ = [
 ]
 
 BLOCK_ROWS = 1 << 16
-
-DEFAULT_CALIBRATION_N = 250_000
-DEFAULT_CALIBRATION_SEED = 0x5CA1E
-
-
-class CalibrationError(RuntimeError):
-    """Raised when isotropic calibration produces a degenerate estimate."""
 
 
 class Kind(str, Enum):
@@ -73,25 +67,52 @@ UNCONDITIONAL_KINDS = {Kind.LP_BALL, Kind.LP_CONE, Kind.LP_SURFACE, Kind.LINF_EX
 SPHERICAL_KINDS = {Kind.SPHERE_SHELL, Kind.BALL_UNIFORM, Kind.SPHERICAL_EXPONENTIAL}
 
 
-def _exact_scale(kind: Kind, n: int, p: float | None) -> float | None:
-    """Isotropic scale known in closed form, or None when calibration is needed."""
+def _linf_rate(n: int) -> float:
+    """b_n = sqrt((n+1)(n+2)/3): the rate that gives the sup-norm exponential
+    unit-variance coordinates."""
+    return math.sqrt((n + 1) * (n + 2) / 3.0)
+
+
+def _body_moment(kind: Kind, n: int, p: float | None, powers: tuple[int, ...]) -> float:
+    """E prod_i |X_i|^(a_i) over distinct coordinates of the unit-scale body.
+
+    lp ball and cone (Barthe, Guedon, Mendelson, Naor 2005): X = G / S^(1/p)
+    with G_i i.i.d. of density ~ exp(-|t|^p) and X independent of
+    S ~ Gamma(b), b = n/p + 1 (ball) or n/p (cone), so the moment is
+    prod G((a_i+1)/p)/G(1/p) * G(b)/G(b + sum a_i/p).  Its p -> inf limit is
+    the cube (uniform coordinates) and the cube boundary (one coordinate
+    pinned to +-1).  The sup-norm exponential is R U with R ~ Gamma(n)/b_n
+    independent of U on the cube boundary.
+    """
+    total = sum(powers)
+    if kind is Kind.LINF_EXPONENTIAL:
+        radial = math.exp(math.lgamma(n + total) - math.lgamma(n)) / _linf_rate(n) ** total
+        return radial * _body_moment(Kind.LP_CONE, n, math.inf, powers)
+    cone = kind is not Kind.LP_BALL
+    if math.isinf(p):
+        return math.prod(1.0 / (a + 1) for a in powers) * ((n + total) / n if cone else 1.0)
+    b = n / p + (0.0 if cone else 1.0)
+    log = sum(math.lgamma((a + 1) / p) - math.lgamma(1 / p) for a in powers)
+    return math.exp(log + math.lgamma(b) - math.lgamma(b + total / p))
+
+
+def _exact_scale(kind: Kind, n: int, p: float | None) -> float:
+    """Closed-form isotropic scale; surface measure takes the cone's."""
     if kind is Kind.SPHERE_SHELL:
         return math.sqrt(n)
     if kind is Kind.BALL_UNIFORM:
         return math.sqrt(n + 2)
     if kind in (Kind.SIMPLEX, Kind.SPHERICAL_EXPONENTIAL, Kind.LINF_EXPONENTIAL):
         return 1.0  # isotropic by construction
-    if kind is Kind.LP_BALL and p is not None and math.isinf(p):
-        return math.sqrt(3.0)  # cube with coordinates uniform on [-sqrt(3), sqrt(3)]
-    return None
+    return math.sqrt(1.0 / _body_moment(kind, n, p, (2,)))
 
 
 @dataclass(frozen=True)
 class DistributionSpec:
     """Which isotropic symmetric law to sample.
 
-    ``scale`` multiplies the unit-parameterized body; None means "not yet
-    calibrated" (exactly known scales are filled in automatically).
+    ``scale`` multiplies the unit-parameterized body; None fills in the
+    exact isotropic scale.
     """
 
     kind: Kind
@@ -114,16 +135,11 @@ class DistributionSpec:
         elif self.scale <= 0.0:
             raise ValueError(f"scale must be positive, got {self.scale}")
 
-    @property
-    def calibrated(self) -> bool:
-        return self.scale is not None
-
     def to_dict(self) -> dict:
         out = {"kind": self.kind.value, "n": self.n}
         if self.p is not None:
             out["p"] = self.p if math.isfinite(self.p) else "inf"
-        if self.scale is not None:
-            out["scale"] = self.scale
+        out["scale"] = self.scale
         return out
 
     @staticmethod
@@ -283,7 +299,7 @@ def _filler(spec: DistributionSpec) -> Callable[[np.random.Generator, int], np.n
             return scale * dirs * radii[:, None]
 
     elif kind is Kind.LINF_EXPONENTIAL:
-        b_n = math.sqrt((n + 1) * (n + 2) / 3.0)
+        b_n = _linf_rate(n)
 
         def fill(rng, count):
             radii = rng.standard_gamma(float(n), count) / b_n
@@ -295,17 +311,10 @@ def _filler(spec: DistributionSpec) -> Callable[[np.random.Generator, int], np.n
     return fill
 
 
-def _resolved(spec: DistributionSpec) -> DistributionSpec:
-    if spec.calibrated:
-        return spec
-    return calibrate_isotropic(spec)
-
-
 def iter_sample_blocks(spec: DistributionSpec, N: int, seed: int) -> Iterator[np.ndarray]:
     """Yield the sample rows block by block (the memory-bounded path)."""
     if N < 1:
         raise ValueError(f"sample count must be positive, got {N}")
-    spec = _resolved(spec)
     fill = _filler(spec)
     for block, lo in enumerate(range(0, N, BLOCK_ROWS)):
         count = min(BLOCK_ROWS, N - lo)
@@ -331,7 +340,6 @@ def _surface_weights(spec: DistributionSpec, data: np.ndarray) -> np.ndarray:
 
 def sample(spec: DistributionSpec, N: int, seed: int) -> SampleBatch:
     """Materialize N samples of the law described by spec."""
-    spec = _resolved(spec)
     out = np.empty((N, spec.n), dtype=float)
     lo = 0
     for block in iter_sample_blocks(spec, N, seed):
@@ -341,41 +349,26 @@ def sample(spec: DistributionSpec, N: int, seed: int) -> SampleBatch:
     return SampleBatch(data=out, seed=seed, spec=spec, weights=weights)
 
 
-_calibration_cache: dict[tuple, float] = {}
+def calibrate_isotropic(spec: DistributionSpec) -> DistributionSpec:
+    """spec at its exact isotropic scale (surface measure: the cone's)."""
+    return replace(spec, scale=_exact_scale(spec.kind, spec.n, spec.p))
 
 
-def calibrate_isotropic(
-    spec: DistributionSpec,
-    n_cal: int = DEFAULT_CALIBRATION_N,
-    seed: int = DEFAULT_CALIBRATION_SEED,
-) -> DistributionSpec:
-    """Rescale spec so the mean per-coordinate second moment is 1.
+def exact_moments(spec: DistributionSpec) -> tuple[float, float, float]:
+    """(E X_i^4, Cov(X_i^2, X_j^2), E|X_i|^3) of an isotropic lp ball or cone
+    (any p, including the cube and its boundary) or sup-norm exponential.
 
-    Kinds with exactly known scales are returned unchanged.  Results are
-    cached by (kind, p, n, n_cal, seed); surface measure is scaled so that
-    the underlying cone measure is isotropic (and is itself left alone).
+    Coordinates are exchangeable, so these are also the maxima over i and
+    over pairs i != j that the unconditional bound takes.
     """
-    if spec.kind is Kind.LP_SURFACE:
-        cone = calibrate_isotropic(
-            DistributionSpec(kind=Kind.LP_CONE, n=spec.n, p=spec.p, scale=spec.scale),
-            n_cal=n_cal,
-            seed=seed,
-        )
-        return replace(spec, scale=cone.scale)
-    if _exact_scale(spec.kind, spec.n, spec.p) is not None:
-        return spec if spec.calibrated else replace(spec, scale=_exact_scale(spec.kind, spec.n, spec.p))
+    if spec.kind not in (Kind.LP_BALL, Kind.LP_CONE, Kind.LINF_EXPONENTIAL):
+        raise ValueError(f"no closed-form moments for kind {spec.kind.value!r}")
+    m2 = _body_moment(spec.kind, spec.n, spec.p, (2,))
 
-    key = (spec.kind, spec.p, spec.n, n_cal, seed)
-    if key not in _calibration_cache:
-        base = spec if spec.calibrated else replace(spec, scale=1.0)
-        total = 0.0
-        for block in iter_sample_blocks(base, n_cal, seed):
-            total += float((block * block).sum())
-        mean_second = total / (n_cal * spec.n)
-        if not (mean_second > 0.0) or not math.isfinite(mean_second):
-            raise CalibrationError(f"degenerate second-moment estimate {mean_second!r}")
-        _calibration_cache[key] = base.scale / math.sqrt(mean_second)
-    return replace(spec, scale=_calibration_cache[key])
+    def normalized(*powers) -> float:
+        return _body_moment(spec.kind, spec.n, spec.p, powers) / m2 ** (sum(powers) / 2)
+
+    return normalized(4), normalized(2, 2) - 1.0, normalized(3)
 
 
 def sample_sphere_shell(n: int, N: int, seed: int) -> SampleBatch:
@@ -405,12 +398,12 @@ def sample_generalized_gaussian(p: float, N: int, seed: int) -> np.ndarray:
 
 
 def sample_lp_cone(p: float, n: int, N: int, seed: int, scale: float | None = None) -> SampleBatch:
-    """Cone measure on the lp sphere, Monte Carlo scaled to isotropic."""
+    """Cone measure on the lp sphere, scaled to isotropic."""
     return sample(DistributionSpec(kind=Kind.LP_CONE, n=n, p=p, scale=scale), N, seed)
 
 
 def sample_lp_ball(p: float, n: int, N: int, seed: int, scale: float | None = None) -> SampleBatch:
-    """Uniform on the lp ball, Monte Carlo scaled to isotropic (cube is exact)."""
+    """Uniform on the lp ball, scaled to isotropic."""
     return sample(DistributionSpec(kind=Kind.LP_BALL, n=n, p=p, scale=scale), N, seed)
 
 

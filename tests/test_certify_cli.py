@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from cltbounds.bounds import bound_unconditional
 from cltbounds.certify import (
     InapplicableBoundError,
     applicable_route,
@@ -21,7 +22,7 @@ from cltbounds.cli import (
     EXIT_OK,
     main,
 )
-from cltbounds.samplers import DistributionSpec, Kind
+from cltbounds.samplers import DistributionSpec, Kind, exact_moments
 
 
 def write_config(tmp_path, name, payload):
@@ -115,11 +116,20 @@ class TestCertifyCell:
         assert report.bound.constants_used["mode"] == "assembled"
         assert report.passed
 
-    def test_mc_moment_route(self):
-        spec = DistributionSpec(Kind.LP_CONE, 10, p=1.0)
-        report = certify_cell(spec, "diagonal", N=50_000, seed=6)
-        assert report.bound_name == "unconditional[monte-carlo]"
-        assert report.passed
+    def test_exact_moment_route(self):
+        theta, _ = resolve_theta("diagonal", 10)
+        for kind, p in (
+            (Kind.LP_BALL, 1.0),
+            (Kind.LP_BALL, math.inf),
+            (Kind.LP_CONE, 1.0),
+            (Kind.LP_CONE, math.inf),
+            (Kind.LINF_EXPONENTIAL, None),
+        ):
+            spec = DistributionSpec(kind, 10, p=p)
+            report = certify_cell(spec, "diagonal", N=50_000, seed=6)
+            assert report.bound_name == "unconditional[exact]"
+            assert report.bound.value == bound_unconditional(theta, *exact_moments(spec)).value
+            assert report.passed
 
     def test_forced_failure_with_zero_constant(self):
         spec = DistributionSpec(Kind.SIMPLEX, 2)
@@ -143,6 +153,17 @@ class TestCertifyGrid:
         assert reports[0].seed == reports[1].seed
         assert reports[0].seed != reports[2].seed
         assert all(r.passed for r in reports)
+
+    def test_workers_do_not_change_reports(self):
+        specs = [
+            DistributionSpec(Kind.LP_BALL, 6, p=1.0),
+            DistributionSpec(Kind.LP_CONE, 6, p=math.inf),
+            DistributionSpec(Kind.SPHERE_SHELL, 6),
+            DistributionSpec(Kind.SIMPLEX, 6),
+        ]
+        serial = certify_grid(specs, ["e1", "diagonal"], N=10_000, seed=12)
+        pooled = certify_grid(specs, ["e1", "diagonal"], N=10_000, seed=12, workers=2)
+        assert [r.to_dict() for r in serial] == [r.to_dict() for r in pooled]
 
     def test_serialization(self, tmp_path):
         specs = [DistributionSpec(Kind.LP_BALL, 6, p=math.inf)]
@@ -271,6 +292,29 @@ class TestCliCertify:
             },
         )
         assert main(["certify", "--config", cfg]) == EXIT_INAPPLICABLE
+
+    def test_bad_theta_exits_2_before_sampling(self, tmp_path, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the thetas were validated")
+
+        monkeypatch.setattr("cltbounds.certify.sample", no_sampling)
+        monkeypatch.setattr("cltbounds.cli.sample", no_sampling)
+        for theta in ("diagonl", [1.0, 2.0]):
+            cfg = write_config(
+                tmp_path,
+                "bad_theta.json",
+                {
+                    "command": "certify",
+                    "distributions": [{"kind": "lp_ball", "p": 2.0, "n": [6, 8]}],
+                    "theta": ["e1", theta],
+                    "N": 1000,
+                    "seed": 1,
+                },
+            )
+            assert main(["certify", "--config", cfg, "--out", str(tmp_path / "out")]) == (
+                EXIT_CONFIG_ERROR
+            )
+        assert not (tmp_path / "out").exists()
 
     def test_thread_count_does_not_change_results(self, tmp_path, monkeypatch):
         payload = {

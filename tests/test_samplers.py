@@ -13,6 +13,7 @@ from cltbounds.samplers import (
     SampleBatch,
     block_seed,
     calibrate_isotropic,
+    exact_moments,
     iter_sample_blocks,
     sample,
     sample_ball_uniform,
@@ -231,8 +232,7 @@ class TestLpCone:
         theta[0] = 1.0
         slack = math.sqrt(math.log(2 / 0.01) / (2 * n_samples))
         d = two_sample_ks(cone.data @ theta, shell.data @ theta)
-        # calibration noise adds a small scale mismatch on top of both bands
-        assert d <= 2 * slack + 0.004
+        assert d <= 2 * slack
 
     def test_p1_normalized_abs_is_flat_dirichlet(self):
         # |X|/||X||_1 has the flat Dirichlet law; its first coordinate is
@@ -257,7 +257,7 @@ class TestLpBall:
         theta = np.full(n, n**-0.5)
         slack = math.sqrt(math.log(2 / 0.01) / (2 * n_samples))
         d = two_sample_ks(lp.data @ theta, ball.data @ theta)
-        assert d <= 2 * slack + 0.004
+        assert d <= 2 * slack
 
     def test_cube_fourth_moment(self):
         batch = sample_lp_ball(math.inf, 2, 10**6, 28)
@@ -389,31 +389,29 @@ class TestCalibration:
         assert calibrate_isotropic(spec) == spec
 
     def test_lp2_ball_recovers_exact_scale(self):
-        n, n_cal = 6, 10**6
-        spec = DistributionSpec(Kind.LP_BALL, n, p=2.0)
-        calibrated = calibrate_isotropic(spec, n_cal=n_cal, seed=45)
         # exact isotropic scale of the unit l2 ball is sqrt(n+2)
-        assert calibrated.scale == pytest.approx(math.sqrt(n + 2), rel=0.01)
+        for n in (6, 100):
+            spec = DistributionSpec(Kind.LP_BALL, n, p=2.0, scale=1.0)
+            assert calibrate_isotropic(spec).scale == pytest.approx(math.sqrt(n + 2), rel=1e-12)
+
+    def test_lp2_cone_exact_scale(self):
+        # the cone measure of the l2 sphere is uniform on it: scale sqrt(n)
+        for n in (6, 100):
+            spec = DistributionSpec(Kind.LP_CONE, n, p=2.0)
+            assert spec.scale == pytest.approx(math.sqrt(n), rel=1e-12)
 
     def test_cube_cone_recovers_exact_scale(self):
         # exact cube-boundary scale: E X_i^2 = (n+2)/(3n) on the unit cube shell
-        n = 8
-        spec = DistributionSpec(Kind.LP_CONE, n, p=math.inf)
-        calibrated = calibrate_isotropic(spec, n_cal=4 * 10**5, seed=46)
-        assert calibrated.scale == pytest.approx(math.sqrt(3.0 * n / (n + 2)), rel=0.01)
+        for n in (8, 20):
+            spec = DistributionSpec(Kind.LP_CONE, n, p=math.inf, scale=1.0)
+            assert calibrate_isotropic(spec).scale == pytest.approx(
+                math.sqrt(3.0 * n / (n + 2)), rel=1e-12
+            )
 
-    def test_seed_stability(self):
-        spec = DistributionSpec(Kind.LP_BALL, 5, p=3.0)
-        a = calibrate_isotropic(spec, n_cal=2 * 10**5, seed=1).scale
-        b = calibrate_isotropic(spec, n_cal=2 * 10**5, seed=2).scale
-        assert a != b  # different seed really recalibrates
-        assert abs(a - b) / a < 0.01
-
-    def test_cache_hit_is_identical(self):
-        spec = DistributionSpec(Kind.LP_CONE, 5, p=1.5)
-        a = calibrate_isotropic(spec, n_cal=10**5, seed=3).scale
-        b = calibrate_isotropic(spec, n_cal=10**5, seed=3).scale
-        assert a == b
+    def test_surface_takes_cone_scale(self):
+        for p in (1.5, 4.0, math.inf):
+            surface = DistributionSpec(Kind.LP_SURFACE, 7, p=p)
+            assert surface.scale == DistributionSpec(Kind.LP_CONE, 7, p=p).scale
 
     def test_calibrated_samplers_isotropic(self):
         n_samples = 10**6
@@ -428,6 +426,80 @@ class TestCalibration:
                 assert_within_se(mean, 0.0, se)
                 msq, se_sq = mean_and_se(col**2)
                 assert_within_se(msq, 1.0, se_sq, k=4.0)
+
+
+def _mc_moments(spec, n_samples, seed):
+    """Monte Carlo (fourth, sq_cov, third_abs) from coordinates 1 and 2, each
+    with its standard error."""
+    cols = [block[:, :2] for block in iter_sample_blocks(spec, n_samples, seed)]
+    x = np.concatenate(cols)
+    a, b = x[:, 0] ** 2, x[:, 1] ** 2
+    centered = (a - a.mean()) * (b - b.mean())
+    return [
+        mean_and_se(a * a),
+        (float(centered.mean()), float(centered.std() / math.sqrt(n_samples))),
+        mean_and_se(np.abs(x[:, 0]) ** 3),
+    ]
+
+
+class TestExactMoments:
+    def test_l2_ball_fourth_moment(self):
+        for n in (5, 20):
+            fourth, _, _ = exact_moments(DistributionSpec(Kind.LP_BALL, n, p=2.0))
+            assert fourth == pytest.approx(3.0 * (n + 2) / (n + 4), rel=1e-12)
+
+    def test_cube(self):
+        fourth, sq_cov, third = exact_moments(DistributionSpec(Kind.LP_BALL, 9, p=math.inf))
+        assert fourth == pytest.approx(9.0 / 5.0, rel=1e-15)
+        assert sq_cov == 0.0
+        assert third == pytest.approx(3.0 * math.sqrt(3.0) / 4.0, rel=1e-15)
+
+    def test_cube_boundary(self):
+        n = 20
+        e2 = (n + 2) / (3.0 * n)
+        fourth, sq_cov, third = exact_moments(DistributionSpec(Kind.LP_CONE, n, p=math.inf))
+        assert fourth == pytest.approx((n + 4) / (5.0 * n) / e2**2, rel=1e-12)
+        assert sq_cov == pytest.approx(-4.0 / (n + 2) ** 2, rel=1e-12)
+        assert third == pytest.approx((n + 3) / (4.0 * n) / e2**1.5, rel=1e-12)
+
+    def test_linf_exponential(self):
+        n = 20
+        b_n = math.sqrt((n + 1) * (n + 2) / 3.0)
+        fourth, sq_cov, third = exact_moments(DistributionSpec(Kind.LINF_EXPONENTIAL, n))
+        expected_fourth = 9.0 * (n + 3) * (n + 4) / (5.0 * (n + 1) * (n + 2))
+        assert fourth == pytest.approx(expected_fourth, rel=1e-12)
+        assert sq_cov == pytest.approx((4.0 * n + 10.0) / ((n + 1) * (n + 2)), rel=1e-12)
+        assert third == pytest.approx((n + 1) * (n + 2) * (n + 3) / (4.0 * b_n**3), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [DistributionSpec(kind, 20, p=p)
+         for kind in (Kind.LP_BALL, Kind.LP_CONE)
+         for p in (1.0, 1.5, 3.0, 4.0, math.inf)]
+        + [DistributionSpec(Kind.LINF_EXPONENTIAL, 20)],
+        ids=lambda spec: f"{spec.kind.value}-{spec.p}",
+    )
+    def test_matches_monte_carlo(self, spec):
+        for exact, (estimate, se) in zip(exact_moments(spec), _mc_moments(spec, 10**6, 52)):
+            assert_within_se(estimate, exact, se, k=4.0)
+
+    def test_square_covariance_negative_for_lp(self):
+        for kind in (Kind.LP_BALL, Kind.LP_CONE):
+            for p in (1.0, 1.5, 2.0, 3.0, 4.0, 8.0, math.inf):
+                for n in (2, 20, 100):
+                    _, sq_cov, _ = exact_moments(DistributionSpec(kind, n, p=p))
+                    if kind is Kind.LP_BALL and math.isinf(p):
+                        assert sq_cov == 0.0  # independent cube coordinates
+                    else:
+                        assert sq_cov < 0.0, (kind, p, n)
+
+    def test_rejects_kinds_without_closed_form(self):
+        for spec in (
+            DistributionSpec(Kind.SIMPLEX, 5),
+            DistributionSpec(Kind.LP_SURFACE, 5, p=2.0),
+        ):
+            with pytest.raises(ValueError):
+                exact_moments(spec)
 
 
 class TestSymmetries:
@@ -489,9 +561,10 @@ class TestErrors:
             sample_sphere_shell(3, 0, 1)
 
     def test_auto_calibration_is_deterministic(self):
-        # an uncalibrated spec resolves to the same default calibration every time
+        # an unscaled spec resolves to its closed-form isotropic scale
         spec = DistributionSpec(Kind.LP_CONE, 4, p=2.5)
-        assert spec.scale is None
+        unit = DistributionSpec(Kind.LP_CONE, 4, p=2.5, scale=1.0)
+        assert spec.scale == calibrate_isotropic(unit).scale
         a = sample(spec, 500, 7)
         b = sample(spec, 500, 7)
         assert a.spec.scale == b.spec.scale
