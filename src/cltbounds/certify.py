@@ -1,6 +1,9 @@
 """The certification predicate: pair each distribution with its applicable
 theoretical bound, measure the empirical distance, and record a verdict.
 
+Each spec's samples are drawn once, block by block, and only their
+projections onto the grid's thetas are kept; the (N, n) batch is never held.
+
 Kolmogorov routes pass when (point estimate - DKW slack) <= bound; total
 variation routes compare the histogram estimate against bound + a fixed
 estimator allowance.  Bounds whose leading constants the source analysis
@@ -33,8 +36,8 @@ from .bounds import (
 from .empirical import (
     DEFAULT_DELTA,
     DistanceEstimate,
+    ProjectionSample,
     kolmogorov_vs_normal,
-    project,
     tv_vs_normal_histogram,
 )
 from .frames import simplex_geometry
@@ -42,9 +45,8 @@ from .samplers import (
     DistributionSpec,
     Kind,
     SPHERICAL_KINDS,
-    SampleBatch,
     exact_moments,
-    sample,
+    iter_sample_blocks,
 )
 
 __all__ = [
@@ -172,27 +174,33 @@ def _coordinate_sup(spec: DistributionSpec) -> float | None:
     return None
 
 
-def certify_cell(
-    spec: DistributionSpec,
-    theta_spec,
-    N: int,
-    seed: int,
-    delta: float = DEFAULT_DELTA,
-    constants: dict | None = None,
-    batch: SampleBatch | None = None,
-) -> BoundReport:
-    """Evaluate the certification predicate for one (spec, theta) cell.
+def _project_blocks(spec: DistributionSpec, thetas: np.ndarray, N: int, seed: int) -> np.ndarray:
+    """(T, N) projections <X_k, theta_t> for the (n, T) direction matrix,
+    filled in one pass over the sample blocks; the (N, n) batch is never held.
+    Each row is contiguous for the Kolmogorov sort."""
+    out = np.empty((thetas.shape[1], N))
+    lo = 0
+    for block in iter_sample_blocks(spec, N, seed):
+        out[:, lo : lo + len(block)] = (block @ thetas).T
+        lo += len(block)
+        del block  # free it before the next block is filled
+    return out
 
-    A pre-sampled batch may be passed in so a grid over many thetas reuses
-    the same samples.  Every bound input is exact.
-    """
-    route = applicable_route(spec)
-    constants = constants or {}
-    if batch is None:
-        batch = sample(spec, N, seed)
-    spec = batch.spec
-    n = batch.n
-    theta, theta_label = resolve_theta(theta_spec, n)
+
+def _evaluate_cell(
+    spec: DistributionSpec,
+    route: str,
+    theta: np.ndarray,
+    theta_label: str,
+    values: np.ndarray,
+    seed: int,
+    delta: float,
+    constants: dict,
+) -> BoundReport:
+    """The certification predicate for one cell, given its projections.
+    Every bound input is exact."""
+    ps = ProjectionSample(values=values, theta=theta, source=spec)
+    n = spec.n
     notes: list[str] = []
     informational: list[tuple[str, BoundValue]] = []
 
@@ -218,7 +226,7 @@ def certify_cell(
                     ),
                 )
             )
-        empirical = tv_vs_normal_histogram(project(batch, theta))
+        empirical = tv_vs_normal_histogram(ps)
         adjusted = empirical.point_estimate - TV_ESTIMATOR_ALLOWANCE
         vacuous = bound.value >= 2.0
         notes.append(f"tv-allowance={TV_ESTIMATOR_ALLOWANCE}")
@@ -251,7 +259,7 @@ def certify_cell(
                         ),
                     )
                 )
-        empirical = kolmogorov_vs_normal(project(batch, theta), delta=delta)
+        empirical = kolmogorov_vs_normal(ps, delta=delta)
         adjusted = empirical.point_estimate - empirical.dkw_slack
         vacuous = bound.value >= 1.0
         if vacuous:
@@ -262,7 +270,7 @@ def certify_cell(
         spec=spec,
         theta_label=theta_label,
         n=n,
-        N=batch.N,
+        N=ps.N,
         seed=seed,
         delta=delta,
         bound_name=bound_name,
@@ -276,6 +284,19 @@ def certify_cell(
     )
 
 
+def certify_cell(
+    spec: DistributionSpec,
+    theta_spec,
+    N: int,
+    seed: int,
+    delta: float = DEFAULT_DELTA,
+    constants: dict | None = None,
+) -> BoundReport:
+    """Evaluate the certification predicate for one (spec, theta) cell: the
+    one-cell grid, sampled with ``seed`` itself."""
+    return certify_grid([spec], [theta_spec], N, seed, delta, constants)[0]
+
+
 def certify_grid(
     specs,
     theta_specs,
@@ -285,21 +306,25 @@ def certify_grid(
     constants: dict | None = None,
     workers: int = 1,
 ) -> list[BoundReport]:
-    """Certify every (spec, theta) cell, sampling each spec once.
+    """Certify every (spec, theta) cell from one streamed pass over each
+    spec's samples.
 
     Cell seeds derive deterministically from the master seed and the spec's
     position, so the grid is reproducible regardless of evaluation order;
     with ``workers > 1`` specs are certified on a thread pool and the
     reports are bit for bit those of the serial run.
     """
+    constants = constants or {}
 
     def certify_spec(pos: int, spec: DistributionSpec) -> list[BoundReport]:
         cell_seed = seed + 1_000_003 * pos
-        batch = sample(spec, N, cell_seed)
+        route = applicable_route(spec)
+        resolved = [resolve_theta(theta_spec, spec.n) for theta_spec in theta_specs]
+        thetas = np.column_stack([theta for theta, _ in resolved])
+        projections = _project_blocks(spec, thetas, N, cell_seed)
         return [
-            certify_cell(spec, theta_spec, N=N, seed=cell_seed, delta=delta,
-                         constants=constants, batch=batch)
-            for theta_spec in theta_specs
+            _evaluate_cell(spec, route, theta, label, values, cell_seed, delta, constants)
+            for (theta, label), values in zip(resolved, projections)
         ]
 
     specs = list(specs)

@@ -2,7 +2,8 @@
 
 One JSON config document describes a run; command-line flags only override
 config fields.  Exit codes are a stable contract: 0 pass, 1 certification
-failure, 2 config error, 3 no applicable bound.
+failure, 2 config error, 3 no applicable bound, 4 internal error (a bug:
+the traceback is printed, and the config is not to blame).
 """
 
 from __future__ import annotations
@@ -10,11 +11,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
+import traceback
 from pathlib import Path
 
-from .bounds import exact_tv_vs_normal
+from .bounds import KIND_BALL_MARGINAL, KIND_SPHERE_MARGINAL, exact_tv_vs_normal
 from .certify import (
     InapplicableBoundError,
     applicable_route,
@@ -24,11 +27,12 @@ from .certify import (
     resolve_theta,
     version_string,
 )
-from .core import summarize
+from .core import InsufficientDataError, summarize
 from .empirical import DEFAULT_DELTA, streaming_pair_square_covariance
 from .frames import simplex_geometry, standard_frame
 from .samplers import DistributionSpec, sample
 from .subspaces import (
+    SymmetryError,
     ank_to_csv,
     estimate_Ank,
     reflection_pair_diagnostics,
@@ -39,6 +43,7 @@ EXIT_OK = 0
 EXIT_CERTIFICATION_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_INAPPLICABLE = 3
+EXIT_INTERNAL_ERROR = 4
 
 
 class ConfigError(ValueError):
@@ -80,6 +85,31 @@ def _positive_int(cfg: dict, key: str) -> int:
     return value
 
 
+def _number(value, name: str, lo: float, hi: float) -> float:
+    """A config number strictly between lo and hi."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
+    if not lo < number < hi:
+        raise ConfigError(f"{name} must lie in ({lo}, {hi}), got {value!r}")
+    return number
+
+
+def _seed(cfg: dict) -> int:
+    try:
+        return int(cfg.get("seed", 0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"'seed' must be an integer, got {cfg['seed']!r}") from exc
+
+
+def _theta(theta_spec, n: int):
+    try:
+        return resolve_theta(theta_spec, n)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid theta for n={n}: {exc}") from exc
+
+
 def _out_dir(cfg: dict) -> Path:
     out = Path(cfg.get("out", "."))
     out.mkdir(parents=True, exist_ok=True)
@@ -96,7 +126,7 @@ def _workers() -> int:
 def _cmd_sample(cfg: dict) -> int:
     spec = _spec_from_config(_require(cfg, "distribution"))
     n_samples = _positive_int(cfg, "N")
-    seed = int(cfg.get("seed", 0))
+    seed = _seed(cfg)
     out = _out_dir(cfg)
     batch = sample(spec, n_samples, seed)
     stem = f"{spec.kind.value}_n{spec.n}_N{n_samples}_seed{seed}"
@@ -122,6 +152,8 @@ def _expand_distributions(cfg: dict) -> list[DistributionSpec]:
         raise ConfigError("'distributions' must be a non-empty list")
     specs = []
     for entry in entries:
+        if not isinstance(entry, dict):
+            raise ConfigError(f"distribution entry must be a JSON object, got {entry!r}")
         ns = entry.get("n")
         n_values = ns if isinstance(ns, list) else [ns]
         if not n_values or any(not isinstance(v, int) for v in n_values):
@@ -137,17 +169,19 @@ def _cmd_certify(cfg: dict) -> int:
     if not isinstance(thetas, list) or not thetas:
         raise ConfigError("'theta' must be a non-empty list")
     n_samples = _positive_int(cfg, "N")
-    seed = int(cfg.get("seed", 0))
-    delta = float(cfg.get("delta", DEFAULT_DELTA))
+    seed = _seed(cfg)
+    delta = _number(cfg.get("delta", DEFAULT_DELTA), "'delta'", 0.0, 1.0)
     constants = cfg.get("constants", {})
+    if not isinstance(constants, dict):
+        raise ConfigError("'constants' must be a JSON object")
+    for key, value in constants.items():
+        if _number(value, f"constant {key!r}", -math.inf, math.inf) < 0.0:
+            raise ConfigError(f"constant {key!r} must be nonnegative, got {value!r}")
 
     for spec in specs:  # fail fast, before any sampling
         applicable_route(spec)
         for theta in thetas:
-            try:
-                resolve_theta(theta, spec.n)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"invalid theta for n={spec.n}: {exc}") from exc
+            _theta(theta, spec.n)
 
     out = _out_dir(cfg)
     reports = certify_grid(
@@ -177,15 +211,17 @@ def _cmd_scan_ank(cfg: dict) -> int:
         raise ConfigError("'n_list' must be a non-empty list")
     template = _require(cfg, "distribution")
     k = _positive_int(cfg, "k")
-    eps = float(_require(cfg, "eps"))
+    eps = _number(_require(cfg, "eps"), "'eps'", 0.0, math.inf)
     n_subspaces = _positive_int(cfg, "n_subspaces")
     n_samples = _positive_int(cfg, "N")
-    n_dirs = cfg.get("n_dirs")
-    seed = int(cfg.get("seed", 0))
+    n_dirs = None if cfg.get("n_dirs") is None else _positive_int(cfg, "n_dirs")
+    seed = _seed(cfg)
     out = _out_dir(cfg)
     results = []
     for n in n_list:
         spec = _spec_from_config({**template, "n": n})
+        if k > spec.n:
+            raise ConfigError(f"'k' must not exceed n, got k={k}, n={spec.n}")
         est = estimate_Ank(
             spec, k=k, eps=eps, n_subspaces=n_subspaces, N=n_samples,
             seed=seed, n_dirs=n_dirs,
@@ -202,7 +238,7 @@ def _cmd_scan_ank(cfg: dict) -> int:
 
 def _cmd_diagnose(cfg: dict) -> int:
     experiment = cfg.get("experiment", "reflection")
-    seed = int(cfg.get("seed", 0))
+    seed = _seed(cfg)
     out = _out_dir(cfg)
     if experiment == "reflection":
         spec = _spec_from_config(_require(cfg, "distribution"))
@@ -217,8 +253,11 @@ def _cmd_diagnose(cfg: dict) -> int:
             raise ConfigError(f"unknown frame {frame_name!r}")
         rows = []
         for theta_spec in cfg.get("theta", ["e1"]):
-            theta, label = resolve_theta(theta_spec, spec.n)
-            diag = reflection_pair_diagnostics(batch, frame, theta, seed=seed + 1)
+            theta, label = _theta(theta_spec, spec.n)
+            try:
+                diag = reflection_pair_diagnostics(batch, frame, theta, seed=seed + 1)
+            except SymmetryError as exc:
+                raise ConfigError(f"frame {frame_name!r}: {exc}") from exc
             rows.append(
                 {
                     "theta": label,
@@ -244,9 +283,15 @@ def _cmd_diagnose(cfg: dict) -> int:
     elif experiment == "rotation":
         spec = _spec_from_config(_require(cfg, "distribution"))
         n_samples = _positive_int(cfg, "N")
-        batch = sample(spec, n_samples, seed)
         eps_list = cfg.get("eps_list", [0.2, 0.1, 0.05])
-        diags = rotation_pair_diagnostics(batch, eps_list, seed=seed + 1)
+        if not isinstance(eps_list, list) or not eps_list:
+            raise ConfigError("'eps_list' must be a non-empty list")
+        eps_list = [_number(eps, "'eps_list' entry", 0.0, 0.5) for eps in eps_list]
+        batch = sample(spec, n_samples, seed)
+        try:
+            diags = rotation_pair_diagnostics(batch, eps_list, seed=seed + 1)
+        except SymmetryError as exc:
+            raise ConfigError(f"invalid distribution for rotation: {exc}") from exc
         path = out / "rotation_diagnostics.csv"
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -286,23 +331,33 @@ def _cmd_report(cfg: dict) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read report: {exc}") from exc
     print(f"report from {payload.get('version', 'unknown version')}")
-    for r in payload.get("reports", []):
-        spec = r["spec"]
-        state = "PASS" if r["passed"] else "FAIL"
-        extra = " (vacuous)" if r.get("vacuous") else ""
-        print(
-            f"{state}{extra} {spec['kind']} n={r['n']} theta={r['theta']}: "
-            f"empirical={r['empirical']['point_estimate']:.5f} "
-            f"bound={r['bound']['value']:.5f} [{r['bound_name']}]"
-        )
+    try:
+        for r in payload.get("reports", []):
+            spec = r["spec"]
+            state = "PASS" if r["passed"] else "FAIL"
+            extra = " (vacuous)" if r.get("vacuous") else ""
+            print(
+                f"{state}{extra} {spec['kind']} n={r['n']} theta={r['theta']}: "
+                f"empirical={r['empirical']['point_estimate']:.5f} "
+                f"bound={r['bound']['value']:.5f} [{r['bound_name']}]"
+            )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed report: {exc!r}") from exc
     print("all passed" if payload.get("all_passed") else "FAILURES PRESENT")
     return EXIT_OK
 
 
 def _cmd_tv_exact(cfg: dict) -> int:
     """Convenience: quadrature-exact TV table for the closed-form marginals."""
-    kind = cfg.get("kind", "sphere_shell")
+    kind = cfg.get("kind", KIND_SPHERE_MARGINAL)
+    if kind not in (KIND_SPHERE_MARGINAL, KIND_BALL_MARGINAL):
+        raise ConfigError(f"no closed-form marginal for kind {kind!r}")
     n_list = _require(cfg, "n_list")
+    min_n = 3 if kind == KIND_SPHERE_MARGINAL else 2
+    if not isinstance(n_list, list) or not n_list or any(
+        not isinstance(n, int) or n < min_n for n in n_list
+    ):
+        raise ConfigError(f"'n_list' must be a non-empty list of integers >= {min_n}")
     out = _out_dir(cfg)
     path = out / "tv_exact.csv"
     with open(path, "w", newline="") as fh:
@@ -353,13 +408,20 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"config is for command {cfg_command!r} but {args.command!r} was requested"
             )
-        return _COMMANDS[args.command](cfg)
-    except (ConfigError, ValueError) as exc:
-        if isinstance(exc, InapplicableBoundError):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INAPPLICABLE
+        try:
+            return _COMMANDS[args.command](cfg)
+        except InsufficientDataError as exc:  # the configured N is too small
+            raise ConfigError(str(exc)) from exc
+    except InapplicableBoundError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INAPPLICABLE
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    except Exception:
+        traceback.print_exc()
+        print("internal error: this is a bug in cltbounds, not a config problem", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

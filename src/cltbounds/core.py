@@ -26,7 +26,8 @@ __all__ = [
     "summarize",
 ]
 
-_BLOCK_ROWS = 1 << 16
+# rows per block: the sampler substream unit and every blockwise accumulation
+BLOCK_ROWS = 1 << 16
 
 
 class InsufficientDataError(ValueError):
@@ -218,8 +219,8 @@ def summarize(batch, pair_subsample: int | None = None, subsample_seed: int = 0)
     norm_sq_sum = 0.0
     norm_sq_sq_sum = 0.0
     abs_dev_sum = 0.0
-    for lo in range(0, count, _BLOCK_ROWS):
-        blk = data[lo : lo + _BLOCK_ROWS]
+    for lo in range(0, count, BLOCK_ROWS):
+        blk = data[lo : lo + BLOCK_ROWS]
         sq = blk * blk
         s2 += sq.sum(axis=0)
         s3 += (sq * np.abs(blk)).sum(axis=0)

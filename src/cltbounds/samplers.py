@@ -19,7 +19,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .core import lp_norms
+from .core import BLOCK_ROWS
 from .frames import simplex_geometry
 
 __all__ = [
@@ -44,8 +44,6 @@ __all__ = [
     "sample_sphere_shell",
     "sample_spherical_exponential",
 ]
-
-BLOCK_ROWS = 1 << 16
 
 
 class Kind(str, Enum):
@@ -184,8 +182,17 @@ class SampleBatch:
             magic = fh.read(8)
             if magic != _MAGIC:
                 raise ValueError(f"not a sample-batch file (magic {magic!r})")
-            n, count, seed = struct.unpack("<QQQ", fh.read(24))
-            data = np.frombuffer(fh.read(8 * n * count), dtype="<f8").reshape(count, n)
+            header = fh.read(24)
+            if len(header) != 24:
+                raise ValueError(f"sample-batch header truncated: {8 + len(header)} of 32 bytes")
+            n, count, seed = struct.unpack("<QQQ", header)
+            payload = fh.read()
+        if len(payload) != 8 * n * count:
+            raise ValueError(
+                f"sample-batch payload holds {len(payload)} bytes; its header "
+                f"(n={n}, N={count}) requires {8 * n * count}"
+            )
+        data = np.frombuffer(payload, dtype="<f8").reshape(count, n)
         return SampleBatch(data=np.array(data, dtype=float), seed=seed)
 
     def to_csv(self, path) -> None:
@@ -209,24 +216,41 @@ def block_seed(seed: int, block_index: int) -> int:
     return (int(seed) & 0xFFFFFFFFFFFFFFFF) ^ _mix64(int(block_index))
 
 
-def _unit_directions(rng, count: int, n: int) -> np.ndarray:
+def _sphere_block(rng, count: int, n: int, radius: float) -> np.ndarray:
+    """Rows uniform on the sphere of the given radius (normalized normals)."""
     g = rng.standard_normal((count, n))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
+    g *= radius
     return g
 
 
-def _generalized_gaussian_block(rng, p: float, shape) -> np.ndarray:
-    """i.i.d. draws with density proportional to exp(-|t|^p).
+def _generalized_gaussian_block(rng, p: float, shape) -> tuple[np.ndarray, np.ndarray]:
+    """i.i.d. draws g with density proportional to exp(-|t|^p), and the sums
+    of |g|^p along the last axis.
 
-    sign * G^(1/p) with G ~ Gamma(1/p, 1); draw order: gamma then signs.
+    p = 2 is the law N(0, 1/2): sqrt(1/2) times standard normals.  Any other
+    p is sign * G^(1/p) with G ~ Gamma(1/p, 1), so the sums are those of the
+    Gamma draws; draw order: gamma then signs, a sign draw of 0 negating.
     """
-    g = rng.standard_gamma(1.0 / p, size=shape)
-    signs = rng.integers(0, 2, size=shape) * 2.0 - 1.0
-    return signs * g ** (1.0 / p)
+    if p == 2.0:
+        g = rng.standard_normal(shape)
+        g *= math.sqrt(0.5)
+        return g, np.einsum("...i,...i->...", g, g)
+    # numpy draws Gamma(1) as exactly its standard exponential, only slower
+    g = rng.standard_exponential(shape) if p == 1.0 else rng.standard_gamma(1.0 / p, shape)
+    sums = g.sum(axis=-1)
+    g **= 1.0 / p
+    # negate by flipping the IEEE sign bit in place: no float temporary
+    flips = rng.integers(0, 2, size=shape).view(np.uint64)
+    flips ^= 1
+    flips <<= 63
+    bits = g.view(np.uint64)
+    bits ^= flips
+    return g, sums
 
 
-def _cube_boundary_block(rng, count: int, n: int, radius) -> np.ndarray:
-    """Cone (= surface) measure on the boundary of the cube [-radius, radius]^n.
+def _cube_boundary_block(rng, count: int, n: int) -> np.ndarray:
+    """Cone (= surface) measure on the boundary of the cube [-1, 1]^n.
 
     Draw order: interior uniforms, facet index, facet sign.
     """
@@ -234,25 +258,29 @@ def _cube_boundary_block(rng, count: int, n: int, radius) -> np.ndarray:
     face = rng.integers(0, n, count)
     sign = rng.integers(0, 2, count) * 2.0 - 1.0
     x[np.arange(count), face] = sign
-    return x * np.reshape(radius, (-1, 1)) if np.ndim(radius) else x * radius
+    return x
 
 
 def _filler(spec: DistributionSpec) -> Callable[[np.random.Generator, int], np.ndarray]:
-    """Per-kind block generator; scale must already be resolved."""
+    """Per-kind block generator; scale must already be resolved.
+
+    Blocks are scaled in place, so a fill holds at most about two
+    block-sized arrays at once.
+    """
     n, p, scale = spec.n, spec.p, spec.scale
     kind = spec.kind
 
     if kind is Kind.SPHERE_SHELL:
 
         def fill(rng, count):
-            return scale * _unit_directions(rng, count, n)
+            return _sphere_block(rng, count, n, scale)
 
     elif kind is Kind.BALL_UNIFORM:
 
         def fill(rng, count):
-            dirs = _unit_directions(rng, count, n)
-            radii = rng.random(count) ** (1.0 / n)
-            return scale * dirs * radii[:, None]
+            x = _sphere_block(rng, count, n, scale)
+            x *= (rng.random(count) ** (1.0 / n))[:, None]
+            return x
 
     elif kind is Kind.LP_BALL:
         if math.isinf(p):
@@ -263,22 +291,25 @@ def _filler(spec: DistributionSpec) -> Callable[[np.random.Generator, int], np.n
         else:
 
             def fill(rng, count):
-                g = _generalized_gaussian_block(rng, p, (count, n))
-                y = rng.standard_exponential(count)
-                denom = (np.sum(np.abs(g) ** p, axis=1) + y) ** (1.0 / p)
-                return scale * g / denom[:, None]
+                g, sums = _generalized_gaussian_block(rng, p, (count, n))
+                sums += rng.standard_exponential(count)
+                g *= (scale * sums ** (-1.0 / p))[:, None]
+                return g
 
     elif kind in (Kind.LP_CONE, Kind.LP_SURFACE):
         if math.isinf(p):
 
             def fill(rng, count):
-                return scale * _cube_boundary_block(rng, count, n, 1.0)
+                x = _cube_boundary_block(rng, count, n)
+                x *= scale
+                return x
 
         else:
 
             def fill(rng, count):
-                g = _generalized_gaussian_block(rng, p, (count, n))
-                return scale * g / lp_norms(g, p)[:, None]
+                g, sums = _generalized_gaussian_block(rng, p, (count, n))
+                g *= (scale * sums ** (-1.0 / p))[:, None]
+                return g
 
     elif kind is Kind.SIMPLEX:
         vertices = simplex_geometry(n).vertices
@@ -287,23 +318,30 @@ def _filler(spec: DistributionSpec) -> Callable[[np.random.Generator, int], np.n
 
         def fill(rng, count):
             e = rng.standard_exponential((count, n + 1))
-            y = (y_scale * e) / e.sum(axis=1, keepdims=True)
-            return back * (y @ vertices)
+            sums = e.sum(axis=1, keepdims=True)
+            e *= y_scale
+            e /= sums
+            x = e @ vertices
+            x *= back
+            return x
 
     elif kind is Kind.SPHERICAL_EXPONENTIAL:
         b_n = math.sqrt(n + 1)
 
         def fill(rng, count):
-            dirs = _unit_directions(rng, count, n)
-            radii = rng.standard_gamma(float(n), count) / b_n
-            return scale * dirs * radii[:, None]
+            x = _sphere_block(rng, count, n, scale)
+            x *= (rng.standard_gamma(float(n), count) / b_n)[:, None]
+            return x
 
     elif kind is Kind.LINF_EXPONENTIAL:
         b_n = _linf_rate(n)
 
         def fill(rng, count):
             radii = rng.standard_gamma(float(n), count) / b_n
-            return scale * _cube_boundary_block(rng, count, n, radii)
+            x = _cube_boundary_block(rng, count, n)
+            x *= radii[:, None]
+            x *= scale
+            return x
 
     else:  # pragma: no cover
         raise ValueError(f"unknown kind {kind!r}")
@@ -393,7 +431,7 @@ def sample_generalized_gaussian(p: float, N: int, seed: int) -> np.ndarray:
     for block, lo in enumerate(range(0, N, BLOCK_ROWS)):
         count = min(BLOCK_ROWS, N - lo)
         rng = np.random.default_rng(block_seed(seed, block))
-        out[lo : lo + count] = _generalized_gaussian_block(rng, p, count)
+        out[lo : lo + count] = _generalized_gaussian_block(rng, p, count)[0]
     return out
 
 

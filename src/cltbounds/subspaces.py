@@ -16,7 +16,7 @@ from .bounds import (
     KOLMOGOROV,
     SimplexPairMoments,
 )
-from .core import as_unit_vector
+from .core import BLOCK_ROWS, as_unit_vector
 from .empirical import _ks_statistic, _ks_statistic_both_signs
 from .frames import TightFrame, frame_coeffs
 from .samplers import SPHERICAL_KINDS, SampleBatch, sample
@@ -27,6 +27,7 @@ __all__ = [
     "PairDiagnostics",
     "RotationDiagnostics",
     "Subspace",
+    "SymmetryError",
     "ank_to_csv",
     "estimate_Ank",
     "haar_orthogonal",
@@ -37,11 +38,14 @@ __all__ = [
     "stein_rr_assemble",
 ]
 
-_BLOCK = 1 << 16
 
 STEIN_THIRD_COEFF = (2.0 * math.pi) ** -0.25
 STEIN_BOUNDED_SQRT_COEFF = 12.0
 STEIN_BOUNDED_SUP_COEFF = 43.0
+
+
+class SymmetryError(ValueError):
+    """The batch lacks the symmetry an exchangeable-pair diagnostic needs."""
 
 
 @dataclass(frozen=True)
@@ -255,7 +259,7 @@ def _reflection_symmetry_check(batch: SampleBatch, frame: TightFrame, theta: np.
     scale = max(float(np.abs(w).mean()), 1e-12)
     se = w.std() / math.sqrt(take)
     if abs(float(w_ref.mean() - w.mean())) > 8.0 * se + 1e-9 * scale:
-        raise ValueError(
+        raise SymmetryError(
             "batch does not look reflection-symmetric for this frame "
             "(projected mean shifts under reflection)"
         )
@@ -289,8 +293,8 @@ def reflection_pair_diagnostics(
     rng = np.random.default_rng(seed)
     w = np.empty(n_total)
     diff = np.empty(n_total)
-    for lo in range(0, n_total, _BLOCK):
-        blk = batch.data[lo : lo + _BLOCK]
+    for lo in range(0, n_total, BLOCK_ROWS):
+        blk = batch.data[lo : lo + BLOCK_ROWS]
         idx = rng.integers(0, m, len(blk))
         sel = frame.vectors[idx]
         coeff = np.einsum("ij,ij->i", blk, sel)
@@ -372,7 +376,7 @@ def rotation_pair_diagnostics(
     """
     spec = batch.spec
     if not assume_spherical and (spec is None or spec.kind not in SPHERICAL_KINDS):
-        raise ValueError(
+        raise SymmetryError(
             "rotation diagnostics need a spherically symmetric batch "
             "(pass assume_spherical=True to override)"
         )
@@ -391,8 +395,8 @@ def rotation_pair_diagnostics(
         shrink = 1.0 - math.sqrt(1.0 - eps * eps)
         sums = np.zeros(6)  # D, DW, D^2, |D|^3, D^4, |D|^6
         rng = np.random.default_rng(block_seed_rotation(seed, pos))
-        for lo in range(0, n_total, _BLOCK):
-            blk = batch.data[lo : lo + _BLOCK]
+        for lo in range(0, n_total, BLOCK_ROWS):
+            blk = batch.data[lo : lo + BLOCK_ROWS]
             cnt = len(blk)
             g1 = rng.standard_normal((cnt, batch.n))
             g2 = rng.standard_normal((cnt, batch.n))

@@ -1,11 +1,13 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cltbounds.bounds import bound_unconditional
+from cltbounds.bounds import KOLMOGOROV, bound_unconditional
 from cltbounds.certify import (
+    TV_ESTIMATOR_ALLOWANCE,
     InapplicableBoundError,
     applicable_route,
     certify_cell,
@@ -19,10 +21,12 @@ from cltbounds.cli import (
     EXIT_CERTIFICATION_FAILED,
     EXIT_CONFIG_ERROR,
     EXIT_INAPPLICABLE,
+    EXIT_INTERNAL_ERROR,
     EXIT_OK,
     main,
 )
-from cltbounds.samplers import DistributionSpec, Kind, exact_moments
+from cltbounds.empirical import kolmogorov_vs_normal, project, tv_vs_normal_histogram
+from cltbounds.samplers import BLOCK_ROWS, DistributionSpec, Kind, exact_moments, sample
 
 
 def write_config(tmp_path, name, payload):
@@ -185,6 +189,61 @@ class TestCertifyGrid:
         assert "cltbounds" in version_string()
 
 
+class TestStreaming:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            DistributionSpec(Kind.LP_BALL, 12, p=4.0),
+            DistributionSpec(Kind.SIMPLEX, 12),
+            DistributionSpec(Kind.BALL_UNIFORM, 12),
+        ],
+        ids=lambda spec: spec.kind.value,
+    )
+    def test_streamed_equals_materialized(self, spec):
+        thetas = ["diagonal", "e1", "random(3)"]
+        n_samples, seed = BLOCK_ROWS + 4321, 17  # crosses a block boundary
+        reports = certify_grid([spec], thetas, N=n_samples, seed=seed)
+        batch = sample(spec, n_samples, seed)
+        for report, theta_spec in zip(reports, thetas):
+            theta, label = resolve_theta(theta_spec, spec.n)
+            ps = project(batch, theta)
+            if report.bound.kind == KOLMOGOROV:
+                expected = kolmogorov_vs_normal(ps, delta=report.delta)
+                adjusted = expected.point_estimate - expected.dkw_slack
+            else:
+                expected = tv_vs_normal_histogram(ps)
+                adjusted = expected.point_estimate - TV_ESTIMATOR_ALLOWANCE
+            assert report.theta_label == label and report.N == n_samples
+            assert report.empirical.point_estimate == pytest.approx(
+                expected.point_estimate, rel=0.0, abs=1e-12
+            )
+            assert report.empirical.dkw_slack == expected.dkw_slack
+            assert report.bound == certify_cell(spec, theta_spec, N=10_000, seed=0).bound
+            assert report.passed == (adjusted <= report.bound.value)
+            assert report.margin == pytest.approx(report.bound.value - adjusted, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            DistributionSpec(Kind.LP_BALL, 100, p=4.0),
+            DistributionSpec(Kind.LP_CONE, 100, p=2.0),
+            DistributionSpec(Kind.SIMPLEX, 100),
+            DistributionSpec(Kind.BALL_UNIFORM, 100),
+        ],
+        ids=lambda spec: f"{spec.kind.value}-{spec.p}",
+    )
+    def test_grid_never_holds_the_batch(self, spec):
+        n_samples = 200_000
+        thetas = ["diagonal", "random(1)", "random(2)", "random(3)"]
+        tracemalloc.start()
+        try:
+            certify_grid([spec], thetas, N=n_samples, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n_samples * spec.n, f"peak {peak / 1e6:.1f} MB"
+
+
 class TestCliSample:
     def test_writes_batch_and_summary(self, tmp_path):
         cfg = write_config(
@@ -297,7 +356,7 @@ class TestCliCertify:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before the thetas were validated")
 
-        monkeypatch.setattr("cltbounds.certify.sample", no_sampling)
+        monkeypatch.setattr("cltbounds.certify.iter_sample_blocks", no_sampling)
         monkeypatch.setattr("cltbounds.cli.sample", no_sampling)
         for theta in ("diagonl", [1.0, 2.0]):
             cfg = write_config(
@@ -348,6 +407,54 @@ class TestCliCertify:
         main(["certify", "--config", cfg, "--out", str(tmp_path / "a"), "--seed", "99"])
         report = json.loads((tmp_path / "a" / "certify.json").read_text())["reports"][0]
         assert report["seed"] == 99
+
+
+_CUBE_GRID = {
+    "distributions": [{"kind": "lp_ball", "p": "inf", "n": 6}],
+    "theta": ["e1"],
+    "N": 2000,
+    "seed": 1,
+}
+
+
+class TestExitCodes:
+    def test_internal_error_exits_4(self, tmp_path, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise ValueError("bound value must be finite and nonnegative, got nan")
+
+        monkeypatch.setattr("cltbounds.cli.certify_grid", broken)
+        cfg = write_config(tmp_path, "c.json", {"command": "certify", **_CUBE_GRID})
+        code = main(["certify", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == EXIT_INTERNAL_ERROR
+        err = capsys.readouterr().err
+        assert "internal error" in err and "config error" not in err
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("certify", {**_CUBE_GRID, "delta": 2.0}),
+            ("certify", {**_CUBE_GRID, "seed": "abc"}),
+            ("certify", {**_CUBE_GRID, "N": 50}),  # below the Kolmogorov estimator's minimum
+            ("certify", {**_CUBE_GRID, "constants": {"c1": -1.0}}),
+            ("scan-ank", {"distribution": {"kind": "sphere_shell"}, "n_list": [4], "k": 5,
+                          "eps": 0.2, "n_subspaces": 1, "N": 1000}),
+            ("scan-ank", {"distribution": {"kind": "sphere_shell"}, "n_list": [4], "k": 1,
+                          "eps": -0.1, "n_subspaces": 1, "N": 1000}),
+            ("diagnose", {"experiment": "rotation", "N": 1000,
+                          "distribution": {"kind": "lp_ball", "p": "inf", "n": 6}}),
+            ("diagnose", {"experiment": "rotation", "N": 1000, "eps_list": [0.7],
+                          "distribution": {"kind": "sphere_shell", "n": 6}}),
+            ("diagnose", {"experiment": "reflection", "N": 1000, "theta": ["sideways"],
+                          "distribution": {"kind": "lp_ball", "p": "inf", "n": 6}}),
+            ("tv-exact", {"kind": "cube", "n_list": [5]}),
+            ("tv-exact", {"n_list": [2]}),
+        ],
+    )
+    def test_invalid_config_exits_2(self, tmp_path, command, payload):
+        cfg = write_config(tmp_path, "bad.json", {"command": command, **payload})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == (
+            EXIT_CONFIG_ERROR
+        )
 
 
 class TestCliReport:

@@ -119,6 +119,18 @@ class TestSerialization:
         np.testing.assert_array_equal(loaded.data, batch.data)
         assert path.stat().st_size == 32 + 8 * 5 * 137
 
+    def test_rejects_wrong_payload_length(self, tmp_path):
+        batch = sample_sphere_shell(5, 137, 3)
+        path = tmp_path / "batch.bin"
+        batch.save(path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[: -8 * 5])  # one row short
+        with pytest.raises(ValueError, match=f"holds {8 * 5 * 136} bytes.*requires {8 * 5 * 137}"):
+            SampleBatch.load(path)
+        path.write_bytes(raw + bytes(8))
+        with pytest.raises(ValueError, match=f"holds {8 * 5 * 137 + 8} bytes"):
+            SampleBatch.load(path)
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"not a batch file at all")
@@ -131,6 +143,32 @@ class TestSerialization:
         batch.to_csv(path)
         rows = np.loadtxt(path, delimiter=",")
         assert rows.shape == (50, 4)
+
+
+class TestDrawOrder:
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0])
+    @pytest.mark.parametrize("kind", [Kind.LP_BALL, Kind.LP_CONE])
+    def test_lp_blocks_follow_documented_draws(self, kind, p):
+        # per block substream: Gamma(1/p) magnitudes then integers(0, 2)
+        # signs (sqrt(1/2) standard normals at p = 2), then the ball's
+        # exponential; rows are normalized by (sum |g|^p [+ y])^(1/p)
+        n, n_samples, seed = 7, BLOCK_ROWS + 300, 61
+        spec = DistributionSpec(kind, n, p=p)
+        blocks = []
+        for block, lo in enumerate(range(0, n_samples, BLOCK_ROWS)):
+            count = min(BLOCK_ROWS, n_samples - lo)
+            rng = np.random.default_rng(block_seed(seed, block))
+            if p == 2.0:
+                g = math.sqrt(0.5) * rng.standard_normal((count, n))
+            else:
+                g = rng.standard_gamma(1.0 / p, (count, n)) ** (1.0 / p)
+                g *= rng.integers(0, 2, (count, n)) * 2.0 - 1.0
+            denom = np.sum(np.abs(g) ** p, axis=1)
+            if kind is Kind.LP_BALL:
+                denom += rng.standard_exponential(count)
+            blocks.append(spec.scale * g / denom[:, None] ** (1.0 / p))
+        np.testing.assert_allclose(sample(spec, n_samples, seed).data, np.vstack(blocks),
+                                   rtol=1e-14, atol=0.0)
 
 
 class TestSphereShell:
