@@ -133,6 +133,11 @@ class SimplexPairMoments:
         return float(self.kappa * (total * total + 2.0 * (s @ s) + 2.0 * (q @ q)))
 
 
+def _as_pair_moments(pm):
+    """A dense (m, m) table as DensePairMoments; either pair-moment class as is."""
+    return pm if isinstance(pm, (DensePairMoments, SimplexPairMoments)) else DensePairMoments(pm)
+
+
 @dataclass(frozen=True)
 class BoundInputs:
     """Everything the frame-reflection bound consumes.
@@ -162,16 +167,10 @@ class BoundInputs:
             )
         object.__setattr__(self, "theta_coeffs", coeffs)
 
-    def _moments(self):
-        pm = self.pair_moments
-        if isinstance(pm, (DensePairMoments, SimplexPairMoments)):
-            return pm
-        return DensePairMoments(pm)
-
 
 def _radicand(inputs: BoundInputs) -> tuple[float, tuple[str, ...]]:
     q = inputs.theta_coeffs**2
-    s = inputs._moments().quadratic_form(q)
+    s = _as_pair_moments(inputs.pair_moments).quadratic_form(q)
     radicand = (inputs.n / inputs.m) ** 2 * s - 1.0
     if radicand < 0.0:
         return 0.0, (FLAG_RADICAND_CLAMPED,)

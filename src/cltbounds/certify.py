@@ -45,6 +45,7 @@ from .samplers import (
     DistributionSpec,
     Kind,
     SPHERICAL_KINDS,
+    derive_seed,
     exact_moments,
     iter_sample_blocks,
 )
@@ -111,6 +112,8 @@ def resolve_theta(theta_spec, n: int) -> tuple[np.ndarray, str]:
     theta = np.asarray(theta_spec, dtype=float)
     if theta.shape != (n,):
         raise ValueError(f"explicit theta must have length {n}, got shape {theta.shape}")
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("explicit theta entries must be finite")
     nrm = float(np.linalg.norm(theta))
     if nrm <= 0.0:
         raise ValueError("explicit theta must be nonzero")
@@ -199,7 +202,7 @@ def _evaluate_cell(
 ) -> BoundReport:
     """The certification predicate for one cell, given its projections.
     Every bound input is exact."""
-    ps = ProjectionSample(values=values, theta=theta, source=spec)
+    ps = ProjectionSample(values=values, theta=theta)
     n = spec.n
     notes: list[str] = []
     informational: list[tuple[str, BoundValue]] = []
@@ -293,7 +296,7 @@ def certify_cell(
     constants: dict | None = None,
 ) -> BoundReport:
     """Evaluate the certification predicate for one (spec, theta) cell: the
-    one-cell grid, sampled with ``seed`` itself."""
+    one-cell grid."""
     return certify_grid([spec], [theta_spec], N, seed, delta, constants)[0]
 
 
@@ -309,15 +312,16 @@ def certify_grid(
     """Certify every (spec, theta) cell from one streamed pass over each
     spec's samples.
 
-    Cell seeds derive deterministically from the master seed and the spec's
-    position, so the grid is reproducible regardless of evaluation order;
-    with ``workers > 1`` specs are certified on a thread pool and the
-    reports are bit for bit those of the serial run.
+    The cells of the spec at position ``pos`` sample with
+    ``derive_seed(seed, pos)``, the ``seed`` their reports carry, so the grid
+    is reproducible regardless of evaluation order; with ``workers > 1``
+    specs are certified on a thread pool and the reports are bit for bit
+    those of the serial run.
     """
     constants = constants or {}
 
     def certify_spec(pos: int, spec: DistributionSpec) -> list[BoundReport]:
-        cell_seed = seed + 1_000_003 * pos
+        cell_seed = derive_seed(seed, pos)
         route = applicable_route(spec)
         resolved = [resolve_theta(theta_spec, spec.n) for theta_spec in theta_specs]
         thetas = np.column_stack([theta for theta, _ in resolved])

@@ -30,7 +30,7 @@ from .certify import (
 from .core import InsufficientDataError, summarize
 from .empirical import DEFAULT_DELTA, streaming_pair_square_covariance
 from .frames import simplex_geometry, standard_frame
-from .samplers import DistributionSpec, sample
+from .samplers import DistributionSpec, derive_seed, sample
 from .subspaces import (
     SymmetryError,
     ank_to_csv,
@@ -117,10 +117,14 @@ def _out_dir(cfg: dict) -> Path:
 
 
 def _workers() -> int:
+    value = os.environ.get("CLTBOUNDS_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("CLTBOUNDS_THREADS", "1")))
+        workers = int(value)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"CLTBOUNDS_THREADS must be a positive integer, got {value!r}")
+    return workers
 
 
 def _cmd_sample(cfg: dict) -> int:
@@ -177,6 +181,7 @@ def _cmd_certify(cfg: dict) -> int:
     for key, value in constants.items():
         if _number(value, f"constant {key!r}", -math.inf, math.inf) < 0.0:
             raise ConfigError(f"constant {key!r} must be nonnegative, got {value!r}")
+    workers = _workers()
 
     for spec in specs:  # fail fast, before any sampling
         applicable_route(spec)
@@ -185,8 +190,7 @@ def _cmd_certify(cfg: dict) -> int:
 
     out = _out_dir(cfg)
     reports = certify_grid(
-        specs, thetas, N=n_samples, seed=seed, delta=delta, constants=constants,
-        workers=_workers(),
+        specs, thetas, N=n_samples, seed=seed, delta=delta, constants=constants, workers=workers
     )
 
     reports_to_json(reports, out / "certify.json", config=cfg)
@@ -255,7 +259,7 @@ def _cmd_diagnose(cfg: dict) -> int:
         for theta_spec in cfg.get("theta", ["e1"]):
             theta, label = _theta(theta_spec, spec.n)
             try:
-                diag = reflection_pair_diagnostics(batch, frame, theta, seed=seed + 1)
+                diag = reflection_pair_diagnostics(batch, frame, theta, derive_seed(seed, 1))
             except SymmetryError as exc:
                 raise ConfigError(f"frame {frame_name!r}: {exc}") from exc
             rows.append(
@@ -289,7 +293,7 @@ def _cmd_diagnose(cfg: dict) -> int:
         eps_list = [_number(eps, "'eps_list' entry", 0.0, 0.5) for eps in eps_list]
         batch = sample(spec, n_samples, seed)
         try:
-            diags = rotation_pair_diagnostics(batch, eps_list, seed=seed + 1)
+            diags = rotation_pair_diagnostics(batch, eps_list, seed=derive_seed(seed, 1))
         except SymmetryError as exc:
             raise ConfigError(f"invalid distribution for rotation: {exc}") from exc
         path = out / "rotation_diagnostics.csv"

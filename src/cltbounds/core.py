@@ -109,11 +109,10 @@ class MomentSummary:
     """Mergeable sample moments of an (N, n) batch.
 
     Per-coordinate moments are raw sample means; ``sq_pair`` holds the
-    sample means E[X_i^2 X_j^2], either as the full (n, n) table or, in
-    subsampled mode, only for ``pair_indices``.  Keeping the table (rather
-    than just its off-diagonal max) is what makes ``merge`` exact; consumers
-    should read ``max_sq_cov`` / ``max_sq_cov_pair``, which is all the bound
-    formulas use.
+    (n, n) table of sample means E[X_i^2 X_j^2].  Keeping the table (rather
+    than just its off-diagonal max) is what makes ``merge_summaries`` exact;
+    consumers should read ``max_sq_cov`` / ``max_sq_cov_pair``, which is all
+    the bound formulas use.
     """
 
     n: int
@@ -122,7 +121,6 @@ class MomentSummary:
     third_abs: np.ndarray
     fourth: np.ndarray
     sq_pair: np.ndarray
-    pair_indices: np.ndarray | None
     norm_sq_mean: float
     norm_sq_sq_mean: float
     abs_norm_dev_mean: float
@@ -140,29 +138,21 @@ class MomentSummary:
     def max_third_abs(self) -> float:
         return float(self.third_abs.max())
 
-    def _pair_covs(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.pair_indices is None:
-            cov = self.sq_pair - np.outer(self.second, self.second)
-            np.fill_diagonal(cov, -np.inf)
-            i, j = np.unravel_index(int(np.argmax(cov)), cov.shape)
-            return cov, np.array([i, j])
-        i, j = self.pair_indices[:, 0], self.pair_indices[:, 1]
-        cov = self.sq_pair - self.second[i] * self.second[j]
-        return cov, self.pair_indices[int(np.argmax(cov))]
+    def _pair_covs(self) -> np.ndarray:
+        cov = self.sq_pair - np.outer(self.second, self.second)
+        np.fill_diagonal(cov, -np.inf)
+        return cov
 
     @property
     def max_sq_cov(self) -> float:
-        """max over tracked i != j of sample Cov(X_i^2, X_j^2)."""
-        cov, _ = self._pair_covs()
-        return float(cov.max())
+        """max over i != j of sample Cov(X_i^2, X_j^2)."""
+        return float(self._pair_covs().max())
 
     @property
     def max_sq_cov_pair(self) -> tuple[int, int]:
-        _, pair = self._pair_covs()
-        return int(pair[0]), int(pair[1])
-
-    def merge(self, other: "MomentSummary") -> "MomentSummary":
-        return merge_summaries(self, other)
+        cov = self._pair_covs()
+        i, j = np.unravel_index(int(np.argmax(cov)), cov.shape)
+        return int(i), int(j)
 
     def to_dict(self) -> dict:
         i, j = self.max_sq_cov_pair
@@ -188,34 +178,18 @@ def _batch_data(batch) -> np.ndarray:
     return data
 
 
-def summarize(batch, pair_subsample: int | None = None, subsample_seed: int = 0) -> MomentSummary:
-    """Exact sample moments of a batch.
-
-    The full O(n^2 N) pairwise square-moment table is computed by default;
-    pass ``pair_subsample`` to track only that many random pairs instead
-    (meant for n > 500, but honored for any n).
-    """
+def summarize(batch) -> MomentSummary:
+    """Exact sample moments of a batch, with the full O(n^2 N) pairwise
+    square-moment table."""
     data = _batch_data(batch)
     count, n = data.shape
     if count < 2:
         raise InsufficientDataError("need at least 2 samples for covariance fields")
 
-    pair_indices = None
-    if pair_subsample is not None:
-        total = n * (n - 1) // 2
-        take = min(pair_subsample, total)
-        rng = np.random.default_rng(subsample_seed)
-        flat = rng.choice(total, size=take, replace=False)
-        flat.sort()
-        # unrank upper-triangle positions
-        i = (n - 2 - np.floor(np.sqrt(-8 * flat + 4 * n * (n - 1) - 7) / 2 - 0.5)).astype(int)
-        j = (flat + i + 1 - i * (2 * n - i - 1) // 2).astype(int)
-        pair_indices = np.column_stack([i, j])
-
     s2 = np.zeros(n)
     s3 = np.zeros(n)
     s4 = np.zeros(n)
-    cross = np.zeros((n, n)) if pair_indices is None else np.zeros(len(pair_indices))
+    cross = np.zeros((n, n))
     norm_sq_sum = 0.0
     norm_sq_sq_sum = 0.0
     abs_dev_sum = 0.0
@@ -225,10 +199,7 @@ def summarize(batch, pair_subsample: int | None = None, subsample_seed: int = 0)
         s2 += sq.sum(axis=0)
         s3 += (sq * np.abs(blk)).sum(axis=0)
         s4 += (sq * sq).sum(axis=0)
-        if pair_indices is None:
-            cross += sq.T @ sq
-        else:
-            cross += (sq[:, pair_indices[:, 0]] * sq[:, pair_indices[:, 1]]).sum(axis=0)
+        cross += sq.T @ sq
         rowsq = sq.sum(axis=1)
         norm_sq_sum += rowsq.sum()
         norm_sq_sq_sum += (rowsq * rowsq).sum()
@@ -241,7 +212,6 @@ def summarize(batch, pair_subsample: int | None = None, subsample_seed: int = 0)
         third_abs=s3 / count,
         fourth=s4 / count,
         sq_pair=cross / count,
-        pair_indices=pair_indices,
         norm_sq_mean=norm_sq_sum / count,
         norm_sq_sq_mean=norm_sq_sq_sum / count,
         abs_norm_dev_mean=abs_dev_sum / count,
@@ -252,11 +222,6 @@ def merge_summaries(a: MomentSummary, b: MomentSummary) -> MomentSummary:
     """Combine two summaries into the summary of the concatenated batches."""
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    same_pairs = (a.pair_indices is None) == (b.pair_indices is None) and (
-        a.pair_indices is None or np.array_equal(a.pair_indices, b.pair_indices)
-    )
-    if not same_pairs:
-        raise ValueError("summaries track different pair subsets; cannot merge")
     ca, cb = a.count, b.count
     tot = ca + cb
 
@@ -270,7 +235,6 @@ def merge_summaries(a: MomentSummary, b: MomentSummary) -> MomentSummary:
         third_abs=avg(a.third_abs, b.third_abs),
         fourth=avg(a.fourth, b.fourth),
         sq_pair=avg(a.sq_pair, b.sq_pair),
-        pair_indices=a.pair_indices,
         norm_sq_mean=avg(a.norm_sq_mean, b.norm_sq_mean),
         norm_sq_sq_mean=avg(a.norm_sq_sq_mean, b.norm_sq_sq_mean),
         abs_norm_dev_mean=avg(a.abs_norm_dev_mean, b.abs_norm_dev_mean),

@@ -41,7 +41,6 @@ class ProjectionSample:
     values: np.ndarray
     theta: np.ndarray | None = None
     weights: np.ndarray | None = None
-    source: object | None = None  # DistributionSpec of the batch, if known
 
     def __post_init__(self):
         if self.weights is not None:
@@ -94,21 +93,19 @@ def dkw_slack(n_samples: int, delta: float) -> float:
 def project(batch: SampleBatch, theta) -> ProjectionSample:
     """W = <X, theta> for every row of the batch; weights pass through."""
     theta = as_unit_vector(theta, batch.n)
-    return ProjectionSample(
-        values=batch.data @ theta,
-        theta=theta,
-        weights=batch.weights,
-        source=batch.spec,
-    )
+    return ProjectionSample(values=batch.data @ theta, theta=theta, weights=batch.weights)
+
+
+def _sup_gap(cdf: np.ndarray, cum: np.ndarray, jump) -> float:
+    """sup_t |F_N(t) - Phi(t)| from Phi at the order statistics, F_N just
+    after each of them and its jumps there: both one-sided gaps."""
+    return float(np.maximum(cum - cdf, cdf - (cum - jump)).max())
 
 
 def _ks_statistic(values: np.ndarray) -> float:
     """Exact sup_t |F_N(t) - Phi(t)| over the sorted sample."""
-    xs = np.sort(values)
-    n = xs.shape[0]
-    cdf = normal_cdf(xs)
-    steps = np.arange(1, n + 1) / n
-    return float(np.maximum(steps - cdf, cdf - (steps - 1.0 / n)).max())
+    n = values.shape[0]
+    return _sup_gap(normal_cdf(np.sort(values)), np.arange(1, n + 1) / n, 1.0 / n)
 
 
 def _ks_statistic_both_signs(values: np.ndarray) -> tuple[float, float]:
@@ -118,21 +115,16 @@ def _ks_statistic_both_signs(values: np.ndarray) -> tuple[float, float]:
     W, and Phi(-t) = 1 - Phi(t), so both statistics come from a single
     sorted pass.
     """
-    xs = np.sort(values)
-    n = xs.shape[0]
-    cdf = normal_cdf(xs)
+    n = values.shape[0]
+    cdf = normal_cdf(np.sort(values))
     steps = np.arange(1, n + 1) / n
-    d_plus = float(np.maximum(steps - cdf, cdf - (steps - 1.0 / n)).max())
-    cdf_neg = 1.0 - cdf[::-1]
-    d_minus = float(np.maximum(steps - cdf_neg, cdf_neg - (steps - 1.0 / n)).max())
-    return d_plus, d_minus
+    return _sup_gap(cdf, steps, 1.0 / n), _sup_gap(1.0 - cdf[::-1], steps, 1.0 / n)
 
 
 def _weighted_ks_statistic(values: np.ndarray, weights: np.ndarray) -> float:
     order = np.argsort(values)
-    cdf = normal_cdf(values[order])
-    cum = np.cumsum(weights[order])
-    return float(np.maximum(cum - cdf, cdf - (cum - weights[order])).max())
+    jumps = weights[order]
+    return _sup_gap(normal_cdf(values[order]), np.cumsum(jumps), jumps)
 
 
 def kolmogorov_vs_normal(
@@ -217,12 +209,16 @@ def conditional_second_moment(batch: SampleBatch, assume_spherical: bool = False
     x1 = batch.data[:, 0]
     rowsq = np.einsum("ij,ij->i", batch.data, batch.data)
     y = (rowsq - x1 * x1) / (n - 1)
-    order = np.argsort(x1)
-    n_bins = math.ceil(batch.N ** (1.0 / 3.0))
-    estimate = 0.0
-    for idx in np.array_split(order, n_bins):
-        estimate += len(idx) * abs(1.0 - float(y[idx].mean()))
-    return estimate / batch.N
+    means, sizes = _equal_count_bin_means(x1, y)
+    return float(sizes @ np.abs(1.0 - means)) / batch.N
+
+
+def _equal_count_bin_means(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Means of y over ceil(N^(1/3)) equal-count bins of x, and the bin sizes:
+    the binned estimate of E[y | x]."""
+    bins = np.array_split(np.argsort(x), math.ceil(len(x) ** (1.0 / 3.0)))
+    means = np.array([float(y[idx].mean()) for idx in bins])
+    return means, np.array([len(idx) for idx in bins], dtype=float)
 
 
 def streaming_pair_square_covariance(spec, n_samples: int, seed: int) -> tuple[float, float]:

@@ -31,6 +31,7 @@ __all__ = [
     "SampleBatch",
     "block_seed",
     "calibrate_isotropic",
+    "derive_seed",
     "exact_moments",
     "iter_sample_blocks",
     "sample",
@@ -204,7 +205,8 @@ _MAGIC = b"ISOSAMP1"
 
 
 def _mix64(z: int) -> int:
-    """splitmix64 finalizer; the block-index hash of the substream scheme."""
+    """splitmix64 finalizer (Steele, Lea and Flood 2014): the hash behind
+    every derived seed."""
     z = (z + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
@@ -214,6 +216,26 @@ def _mix64(z: int) -> int:
 def block_seed(seed: int, block_index: int) -> int:
     """Substream seed of block k: master seed XOR mix64(k)."""
     return (int(seed) & 0xFFFFFFFFFFFFFFFF) ^ _mix64(int(block_index))
+
+
+def derive_seed(seed: int, *path: int) -> int:
+    """Seed of the substream at ``path`` below ``seed``: z = mix64(z XOR mix64(k))
+    for each index k in turn.  Unlike seed + c*k, a shifted master seed does
+    not replay another path's stream."""
+    z = int(seed) & 0xFFFFFFFFFFFFFFFF
+    for k in path:
+        z = _mix64(z ^ _mix64(int(k)))
+    return z
+
+
+def _block_rngs(N: int, seed: int) -> Iterator[tuple[int, int, np.random.Generator]]:
+    """(first row, row count, substream) of every block of an N-row draw."""
+    if N < 1:
+        raise ValueError(f"sample count must be positive, got {N}")
+    return (
+        (lo, min(BLOCK_ROWS, N - lo), np.random.default_rng(block_seed(seed, block)))
+        for block, lo in enumerate(range(0, N, BLOCK_ROWS))
+    )
 
 
 def _sphere_block(rng, count: int, n: int, radius: float) -> np.ndarray:
@@ -351,12 +373,8 @@ def _filler(spec: DistributionSpec) -> Callable[[np.random.Generator, int], np.n
 
 def iter_sample_blocks(spec: DistributionSpec, N: int, seed: int) -> Iterator[np.ndarray]:
     """Yield the sample rows block by block (the memory-bounded path)."""
-    if N < 1:
-        raise ValueError(f"sample count must be positive, got {N}")
     fill = _filler(spec)
-    for block, lo in enumerate(range(0, N, BLOCK_ROWS)):
-        count = min(BLOCK_ROWS, N - lo)
-        rng = np.random.default_rng(block_seed(seed, block))
+    for _, count, rng in _block_rngs(N, seed):
         yield fill(rng, count)
 
 
@@ -425,12 +443,9 @@ def sample_generalized_gaussian(p: float, N: int, seed: int) -> np.ndarray:
         raise ValueError("p = inf is unsupported here; draw uniforms directly")
     if math.isnan(p) or p < 1.0:
         raise ValueError(f"p must satisfy 1 <= p < inf, got {p}")
-    if N < 1:
-        raise ValueError(f"sample count must be positive, got {N}")
+    blocks = _block_rngs(N, seed)
     out = np.empty(N, dtype=float)
-    for block, lo in enumerate(range(0, N, BLOCK_ROWS)):
-        count = min(BLOCK_ROWS, N - lo)
-        rng = np.random.default_rng(block_seed(seed, block))
+    for lo, count, rng in blocks:
         out[lo : lo + count] = _generalized_gaussian_block(rng, p, count)[0]
     return out
 

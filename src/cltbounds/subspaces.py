@@ -10,16 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import (
-    BoundValue,
-    DensePairMoments,
-    KOLMOGOROV,
-    SimplexPairMoments,
-)
+from .bounds import KOLMOGOROV, BoundValue, _as_pair_moments
 from .core import BLOCK_ROWS, as_unit_vector
-from .empirical import _ks_statistic, _ks_statistic_both_signs
+from .empirical import _equal_count_bin_means, _ks_statistic, _ks_statistic_both_signs
 from .frames import TightFrame, frame_coeffs
-from .samplers import SPHERICAL_KINDS, SampleBatch, sample
+from .samplers import SPHERICAL_KINDS, SampleBatch, derive_seed, sample
 
 __all__ = [
     "AnkEstimate",
@@ -170,17 +165,18 @@ def estimate_Ank(
         raise ValueError("need at least one subspace")
     if n_dirs is None:
         n_dirs = 50 * k
+    if n_dirs < 1:
+        raise ValueError(f"need at least one direction per subspace, got n_dirs={n_dirs}")
     if batch is None:
         batch = sample(spec, N, seed)
     n = batch.n
     sups = np.empty(n_subspaces)
     for s in range(n_subspaces):
-        sub_seed = (seed + 0x9E37) * 0x10001 + s  # distinct per subspace, deterministic
-        subspace = random_subspace(n, k, sub_seed)
+        subspace = random_subspace(n, k, derive_seed(seed, s))
         if k == 1:
             sups[s] = max(_ks_statistic_both_signs(batch.data @ subspace.basis[0]))
             continue
-        rng = np.random.default_rng(sub_seed ^ 0xD1CE)
+        rng = np.random.default_rng(derive_seed(seed, s, 1))
         dirs = uniform_directions(subspace, n_dirs, rng)
         worst = 0.0
         for lo in range(0, n_dirs, 16):
@@ -231,20 +227,6 @@ class PairDiagnostics:
     sup_abs: float
     var_conditional_exact: float | None = None
     third_abs_exact: float | None = None
-
-
-def _binned_conditional_variance(w: np.ndarray, dsq: np.ndarray) -> float:
-    order = np.argsort(w)
-    n_bins = math.ceil(len(w) ** (1.0 / 3.0))
-    total = len(w)
-    means, weights = [], []
-    for idx in np.array_split(order, n_bins):
-        means.append(float(dsq[idx].mean()))
-        weights.append(len(idx) / total)
-    means = np.asarray(means)
-    weights = np.asarray(weights)
-    overall = float(weights @ means)
-    return float(weights @ (means - overall) ** 2)
 
 
 def _reflection_symmetry_check(batch: SampleBatch, frame: TightFrame, theta: np.ndarray) -> None:
@@ -308,19 +290,15 @@ def reflection_pair_diagnostics(
     resid = diff - slope * w - intercept
     slope_se = float(resid.std()) / (math.sqrt(n_total) * math.sqrt(w_var))
 
-    dsq = diff * diff
-    var_conditional = _binned_conditional_variance(w, dsq)
+    means, sizes = _equal_count_bin_means(w, diff * diff)
+    weights = sizes / n_total
+    var_conditional = float(weights @ (means - float(weights @ means)) ** 2)
     third_abs = float(np.mean(np.abs(diff) ** 3))
     sup_abs = float(np.abs(diff).max())
 
     var_exact = None
     if pair_moments is not None:
-        pm = (
-            pair_moments
-            if isinstance(pair_moments, (DensePairMoments, SimplexPairMoments))
-            else DensePairMoments(pair_moments)
-        )
-        s = pm.quadratic_form(theta_coeffs**2)
+        s = _as_pair_moments(pair_moments).quadratic_form(theta_coeffs**2)
         var_exact = (16.0 / m**2) * s - (4.0 / n) ** 2
 
     third_exact = None
@@ -394,7 +372,7 @@ def rotation_pair_diagnostics(
     for pos, eps in enumerate(eps_list):
         shrink = 1.0 - math.sqrt(1.0 - eps * eps)
         sums = np.zeros(6)  # D, DW, D^2, |D|^3, D^4, |D|^6
-        rng = np.random.default_rng(block_seed_rotation(seed, pos))
+        rng = np.random.default_rng(derive_seed(seed, pos))
         for lo in range(0, n_total, BLOCK_ROWS):
             blk = batch.data[lo : lo + BLOCK_ROWS]
             cnt = len(blk)
@@ -434,11 +412,6 @@ def rotation_pair_diagnostics(
             )
         )
     return out
-
-
-def block_seed_rotation(seed: int, eps_position: int) -> int:
-    """Distinct deterministic substream per angle in the rotation scan."""
-    return (seed ^ 0xA5A5_5A5A) + 7919 * eps_position
 
 
 def stein_rr_assemble(

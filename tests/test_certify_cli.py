@@ -26,7 +26,14 @@ from cltbounds.cli import (
     main,
 )
 from cltbounds.empirical import kolmogorov_vs_normal, project, tv_vs_normal_histogram
-from cltbounds.samplers import BLOCK_ROWS, DistributionSpec, Kind, exact_moments, sample
+from cltbounds.samplers import (
+    BLOCK_ROWS,
+    DistributionSpec,
+    Kind,
+    derive_seed,
+    exact_moments,
+    sample,
+)
 
 
 def write_config(tmp_path, name, payload):
@@ -158,6 +165,15 @@ class TestCertifyGrid:
         assert reports[0].seed != reports[2].seed
         assert all(r.passed for r in reports)
 
+    def test_shifted_seed_does_not_replay_next_spec(self):
+        # spec 1 at seed s once sampled exactly as spec 0 at seed s + 1_000_003
+        first = DistributionSpec(Kind.LP_BALL, 6, p=1.0)
+        second = DistributionSpec(Kind.LP_CONE, 6, p=3.0)
+        grid = certify_grid([first, second], ["diagonal"], N=5_000, seed=21)
+        shifted = certify_grid([second], ["diagonal"], N=5_000, seed=21 + 1_000_003)
+        assert grid[1].seed != shifted[0].seed
+        assert grid[1].empirical.point_estimate != shifted[0].empirical.point_estimate
+
     def test_workers_do_not_change_reports(self):
         specs = [
             DistributionSpec(Kind.LP_BALL, 6, p=1.0),
@@ -203,7 +219,7 @@ class TestStreaming:
         thetas = ["diagonal", "e1", "random(3)"]
         n_samples, seed = BLOCK_ROWS + 4321, 17  # crosses a block boundary
         reports = certify_grid([spec], thetas, N=n_samples, seed=seed)
-        batch = sample(spec, n_samples, seed)
+        batch = sample(spec, n_samples, reports[0].seed)
         for report, theta_spec in zip(reports, thetas):
             theta, label = resolve_theta(theta_spec, spec.n)
             ps = project(batch, theta)
@@ -358,7 +374,7 @@ class TestCliCertify:
 
         monkeypatch.setattr("cltbounds.certify.iter_sample_blocks", no_sampling)
         monkeypatch.setattr("cltbounds.cli.sample", no_sampling)
-        for theta in ("diagonl", [1.0, 2.0]):
+        for theta in ("diagonl", [1.0, 2.0], [math.nan, 1.0, 0.0, 0.0, 0.0, 0.0]):
             cfg = write_config(
                 tmp_path,
                 "bad_theta.json",
@@ -406,7 +422,7 @@ class TestCliCertify:
         cfg = write_config(tmp_path, "c.json", payload)
         main(["certify", "--config", cfg, "--out", str(tmp_path / "a"), "--seed", "99"])
         report = json.loads((tmp_path / "a" / "certify.json").read_text())["reports"][0]
-        assert report["seed"] == 99
+        assert report["seed"] == derive_seed(99, 0)
 
 
 _CUBE_GRID = {
@@ -436,6 +452,7 @@ class TestExitCodes:
             ("certify", {**_CUBE_GRID, "seed": "abc"}),
             ("certify", {**_CUBE_GRID, "N": 50}),  # below the Kolmogorov estimator's minimum
             ("certify", {**_CUBE_GRID, "constants": {"c1": -1.0}}),
+            ("certify", {**_CUBE_GRID, "theta": [[float("nan")] + [1.0] * 5]}),
             ("scan-ank", {"distribution": {"kind": "sphere_shell"}, "n_list": [4], "k": 5,
                           "eps": 0.2, "n_subspaces": 1, "N": 1000}),
             ("scan-ank", {"distribution": {"kind": "sphere_shell"}, "n_list": [4], "k": 1,
@@ -455,6 +472,16 @@ class TestExitCodes:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == (
             EXIT_CONFIG_ERROR
         )
+
+    @pytest.mark.parametrize("threads", ["abc", "0", "-3"])
+    def test_bad_thread_count_exits_2(self, tmp_path, monkeypatch, capsys, threads):
+        monkeypatch.setenv("CLTBOUNDS_THREADS", threads)
+        cfg = write_config(tmp_path, "c.json", {"command": "certify", **_CUBE_GRID})
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path / "out")]) == (
+            EXIT_CONFIG_ERROR
+        )
+        assert "CLTBOUNDS_THREADS" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestCliReport:

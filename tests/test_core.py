@@ -180,16 +180,3 @@ class TestSummarize:
         np.testing.assert_allclose(left.fourth, right.fourth, rtol=1e-9)
         np.testing.assert_allclose(left.sq_pair, right.sq_pair, rtol=1e-9)
         assert left.norm_sq_mean == pytest.approx(right.norm_sq_mean, rel=1e-12)
-
-    def test_pair_subsample_mode(self):
-        rng = np.random.default_rng(9)
-        data = rng.standard_normal((2000, 12))
-        s = summarize(data, pair_subsample=10, subsample_seed=1)
-        assert s.pair_indices is not None
-        assert len(s.pair_indices) == 10
-        assert len(set(map(tuple, s.pair_indices))) == 10
-        i, j = s.pair_indices.T
-        assert np.all(i < j)
-        full = summarize(data)
-        # subsampled max is a max over fewer pairs
-        assert s.max_sq_cov <= full.max_sq_cov + 1e-12

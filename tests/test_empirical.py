@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 from cltbounds.core import InsufficientDataError, normal_cdf
 from cltbounds.empirical import (
     DistanceEstimate,
+    _ks_statistic,
+    _ks_statistic_both_signs,
+    _weighted_ks_statistic,
     ProjectionSample,
     conditional_second_moment,
     dkw_slack,
@@ -37,7 +40,6 @@ class TestProject:
         theta = np.array([1.0, 0.0, 0.0, 0.0])
         ps = project(batch, theta)
         np.testing.assert_array_equal(ps.values, batch.data[:, 0])
-        assert ps.source is batch.spec
 
     def test_unit_variance_for_isotropic_source(self):
         batch = sample_sphere_shell(10, 10**5, 2)
@@ -126,6 +128,16 @@ class TestKolmogorov:
             ProjectionSample(values=values, weights=np.full(4000, 1.0)), weighted=True
         )
         assert weighted.point_estimate == pytest.approx(plain.point_estimate, abs=1e-12)
+
+    def test_kernels_agree(self):
+        values = np.random.default_rng(12).standard_normal(3001) * 1.1 + 0.05
+        d_plus, d_minus = _ks_statistic_both_signs(values)
+        assert d_plus == _ks_statistic(values)
+        assert d_minus == pytest.approx(_ks_statistic(-values), rel=0.0, abs=1e-15)
+        equal = np.full(len(values), 1.0 / len(values))
+        assert _weighted_ks_statistic(values, equal) == pytest.approx(
+            _ks_statistic(values), rel=0.0, abs=1e-12
+        )
 
     def test_exact_supremum_against_brute_force(self):
         rng = np.random.default_rng(11)

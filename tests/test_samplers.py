@@ -12,6 +12,7 @@ from cltbounds.samplers import (
     Kind,
     SampleBatch,
     block_seed,
+    derive_seed,
     calibrate_isotropic,
     exact_moments,
     iter_sample_blocks,
@@ -107,6 +108,12 @@ class TestDeterminism:
     def test_block_seeds_differ(self):
         seeds = {block_seed(12345, k) for k in range(100)}
         assert len(seeds) == 100
+
+    def test_derived_seeds_differ(self):
+        # a linear rule seed + c*k would repeat along every diagonal
+        seeds = {derive_seed(s, k) for s in range(100) for k in range(100)}
+        assert len(seeds) == 100 * 100
+        assert len({derive_seed(7), derive_seed(7, 1), derive_seed(7, 1, 0)}) == 3
 
 
 class TestSerialization:

@@ -280,6 +280,13 @@ class TestEstimateAnk:
         est = estimate_Ank(spec, k=2, eps=2.0, n_subspaces=1, N=200, seed=32)
         assert est.n_dirs == 100
 
+    @pytest.mark.parametrize("n_dirs", [0, -1])
+    def test_rejects_no_directions(self, n_dirs):
+        # with no direction every sup would read 0 and every subspace pass
+        spec = DistributionSpec(Kind.LP_BALL, 6, p=math.inf)
+        with pytest.raises(ValueError, match="n_dirs"):
+            estimate_Ank(spec, k=2, eps=1e-6, n_subspaces=2, N=2000, seed=34, n_dirs=n_dirs)
+
     def test_deterministic(self):
         spec = DistributionSpec(Kind.SPHERE_SHELL, 10)
         a = estimate_Ank(spec, k=1, eps=0.05, n_subspaces=4, N=5000, seed=33, n_dirs=3)
