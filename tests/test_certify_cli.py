@@ -452,7 +452,6 @@ class TestExitCodes:
             ("certify", {**_CUBE_GRID, "seed": "abc"}),
             ("certify", {**_CUBE_GRID, "N": 50}),  # below the Kolmogorov estimator's minimum
             ("certify", {**_CUBE_GRID, "constants": {"c1": -1.0}}),
-            ("certify", {**_CUBE_GRID, "theta": [[float("nan")] + [1.0] * 5]}),
             ("scan-ank", {"distribution": {"kind": "sphere_shell"}, "n_list": [4], "k": 5,
                           "eps": 0.2, "n_subspaces": 1, "N": 1000}),
             ("scan-ank", {"distribution": {"kind": "sphere_shell"}, "n_list": [4], "k": 1,
@@ -465,6 +464,7 @@ class TestExitCodes:
                           "distribution": {"kind": "lp_ball", "p": "inf", "n": 6}}),
             ("tv-exact", {"kind": "cube", "n_list": [5]}),
             ("tv-exact", {"n_list": [2]}),
+            ("certify", {**_CUBE_GRID, "theta": [[float("nan")] + [1.0] * 5]}),
         ],
     )
     def test_invalid_config_exits_2(self, tmp_path, command, payload):
