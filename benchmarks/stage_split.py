@@ -1,15 +1,30 @@
-"""Per-stage time of certifying one spec: block fill, projection, Kolmogorov
-sort and histogram, for the cltbounds checkout on PYTHONPATH.
+"""Per-stage time of the certification and subspace pipelines, for the
+cltbounds checkout on PYTHONPATH.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 benchmarks/stage_split.py \
         --kind lp_ball --p 2 --n 100 --N 200000 --repeats 5
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 benchmarks/stage_split.py \
+        --mode subspace --kind lp_ball --p inf --n 100 --N 200000 --repeats 5
 
-One streamed pass over ``iter_sample_blocks`` times each block's fill (the
-generator step) apart from its projection onto the grid's four thetas; then
-every projection row goes through ``kolmogorov_vs_normal`` and
-``tv_vs_normal_histogram``.  Prints one JSON object with the median and
-quartiles of each stage over the repeats, in seconds.  It uses only names
-that predate streaming certification, so it times older checkouts as well.
+``--mode certify`` (the default) makes one streamed pass over
+``iter_sample_blocks`` that times each block's fill (the generator step)
+apart from its projection onto the grid's four thetas; then every
+projection row goes through ``kolmogorov_vs_normal`` and
+``tv_vs_normal_histogram``.  It uses only names that predate streaming
+certification, so it times older checkouts as well.
+
+``--mode subspace`` times scan-ank at k = 1 the same way: the fill, the
+projection onto the 32 stacked subspace lines and the both-signs Kolmogorov
+sort of every line (``ank_*_s``), then the whole ``estimate_Ank`` call
+(``ank_total_s``).  For the rotation diagnostics it times the two-frame
+draw of three angles over a sphere-shell batch of the same n and N
+(``rotation_frames_s``: ``subspaces._rotation_frames`` where the checkout
+has it, else Gram-Schmidt on two Gaussian vectors of R^n, as older
+checkouts drew them) and the whole ``rotation_pair_diagnostics`` call
+(``rotation_total_s``).
+
+Prints one JSON object with the median and quartiles of each stage over the
+repeats, in seconds.
 """
 
 from __future__ import annotations
@@ -21,31 +36,53 @@ import time
 
 import numpy as np
 
+from cltbounds import subspaces
 from cltbounds.certify import resolve_theta
-from cltbounds.empirical import ProjectionSample, kolmogorov_vs_normal, tv_vs_normal_histogram
-from cltbounds.samplers import DistributionSpec, Kind, iter_sample_blocks
+from cltbounds.empirical import (
+    ProjectionSample,
+    _ks_statistic_both_signs,
+    kolmogorov_vs_normal,
+    tv_vs_normal_histogram,
+)
+from cltbounds.samplers import (
+    BLOCK_ROWS,
+    DistributionSpec,
+    Kind,
+    derive_seed,
+    iter_sample_blocks,
+    sample_sphere_shell,
+)
 
 THETAS = ["diagonal", "random(101)", "random(102)", "random(103)"]
+N_SUBSPACES = 32
+ANGLES = [0.2, 0.1, 0.05]
 
 
-def one_pass(spec: DistributionSpec, n_samples: int, seed: int) -> dict[str, float]:
-    thetas = np.column_stack([resolve_theta(t, spec.n)[0] for t in THETAS])
-    out = np.empty((thetas.shape[1], n_samples))
-    times = dict.fromkeys(("fill_s", "project_s", "ks_s", "hist_s"), 0.0)
+def stream(spec: DistributionSpec, n_samples: int, seed: int, directions: np.ndarray,
+           times: dict[str, float], prefix: str = "") -> np.ndarray:
+    """(D, N) projections onto the (n, D) directions; adds the fill and the
+    projection time to ``times``."""
+    out = np.empty((directions.shape[1], n_samples))
     blocks = iter_sample_blocks(spec, n_samples, seed)
     lo = 0
     while True:
         start = time.perf_counter()
         block = next(blocks, None)
-        times["fill_s"] += time.perf_counter() - start
+        times[prefix + "fill_s"] += time.perf_counter() - start
         if block is None:
             break
         start = time.perf_counter()
-        out[:, lo : lo + len(block)] = (block @ thetas).T
-        times["project_s"] += time.perf_counter() - start
+        out[:, lo : lo + len(block)] = (block @ directions).T
+        times[prefix + "project_s"] += time.perf_counter() - start
         lo += len(block)
         del block
-    for row in out:
+    return out
+
+
+def certify_pass(spec: DistributionSpec, n_samples: int, seed: int) -> dict[str, float]:
+    thetas = np.column_stack([resolve_theta(t, spec.n)[0] for t in THETAS])
+    times = dict.fromkeys(("fill_s", "project_s", "ks_s", "hist_s"), 0.0)
+    for row in stream(spec, n_samples, seed, thetas, times):
         ps = ProjectionSample(values=row)
         start = time.perf_counter()
         kolmogorov_vs_normal(ps)
@@ -56,8 +93,52 @@ def one_pass(spec: DistributionSpec, n_samples: int, seed: int) -> dict[str, flo
     return times
 
 
+def gram_schmidt_frames(rng, rows: np.ndarray):
+    """(q1_0, s1, q2_0, s2) from two Gaussian vectors of R^n per row."""
+    g1 = rng.standard_normal(rows.shape)
+    g2 = rng.standard_normal(rows.shape)
+    q1 = g1 / np.linalg.norm(g1, axis=1, keepdims=True)
+    g2 -= np.einsum("ij,ij->i", q1, g2)[:, None] * q1
+    q2 = g2 / np.linalg.norm(g2, axis=1, keepdims=True)
+    return q1[:, 0], np.einsum("ij,ij->i", q1, rows), q2[:, 0], np.einsum("ij,ij->i", q2, rows)
+
+
+def subspace_pass(spec: DistributionSpec, n_samples: int, seed: int) -> dict[str, float]:
+    times = dict.fromkeys(("ank_fill_s", "ank_project_s", "ank_ks_s"), 0.0)
+    lines = np.column_stack([
+        subspaces.random_subspace(spec.n, 1, derive_seed(seed, s)).basis[0]
+        for s in range(N_SUBSPACES)
+    ])
+    for row in stream(spec, n_samples, seed, lines, times, prefix="ank_"):
+        start = time.perf_counter()
+        _ks_statistic_both_signs(row)
+        times["ank_ks_s"] += time.perf_counter() - start
+    start = time.perf_counter()
+    subspaces.estimate_Ank(spec, k=1, eps=0.1, n_subspaces=N_SUBSPACES, N=n_samples, seed=seed)
+    times["ank_total_s"] = time.perf_counter() - start
+
+    batch = sample_sphere_shell(spec.n, n_samples, seed)
+    data = batch.data
+    draw = getattr(subspaces, "_rotation_frames", None)
+    r_perp = np.sqrt(np.einsum("ij,ij->i", data[:, 1:], data[:, 1:]))
+    start = time.perf_counter()
+    for pos in range(len(ANGLES)):
+        rng = np.random.default_rng(derive_seed(seed, pos))
+        for lo in range(0, n_samples, BLOCK_ROWS):
+            if draw is None:
+                gram_schmidt_frames(rng, data[lo : lo + BLOCK_ROWS])
+            else:
+                draw(rng, data[lo : lo + BLOCK_ROWS, 0], r_perp[lo : lo + BLOCK_ROWS], spec.n)
+    times["rotation_frames_s"] = time.perf_counter() - start
+    start = time.perf_counter()
+    subspaces.rotation_pair_diagnostics(batch, ANGLES, seed=seed)
+    times["rotation_total_s"] = time.perf_counter() - start
+    return times
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--mode", default="certify", choices=["certify", "subspace"])
     parser.add_argument("--kind", default="lp_ball", choices=[k.value for k in Kind])
     parser.add_argument("--p", type=float, default=None)
     parser.add_argument("--n", type=int, default=100)
@@ -66,13 +147,16 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
     spec = DistributionSpec(kind=Kind(args.kind), n=args.n, p=args.p)
+    one_pass = certify_pass if args.mode == "certify" else subspace_pass
     runs = [one_pass(spec, args.N, args.seed + r) for r in range(args.repeats)]
     stages = {}
     for key in runs[0]:
         values = sorted(run[key] for run in runs)
         q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
         stages[key] = {"median": statistics.median(values), "q1": q1, "q3": q3}
-    print(json.dumps({"spec": spec.to_dict(), "N": args.N, "thetas": THETAS,
+    setup = {"thetas": THETAS} if args.mode == "certify" else {
+        "n_subspaces": N_SUBSPACES, "angles": ANGLES, "rotation_kind": "sphere_shell"}
+    print(json.dumps({"mode": args.mode, "spec": spec.to_dict(), "N": args.N, **setup,
                       "repeats": args.repeats, "stages": stages}))
 
 

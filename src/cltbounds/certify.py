@@ -37,6 +37,7 @@ from .empirical import (
     DEFAULT_DELTA,
     DistanceEstimate,
     ProjectionSample,
+    _project_blocks,
     kolmogorov_vs_normal,
     tv_vs_normal_histogram,
 )
@@ -177,19 +178,6 @@ def _coordinate_sup(spec: DistributionSpec) -> float | None:
     return None
 
 
-def _project_blocks(spec: DistributionSpec, thetas: np.ndarray, N: int, seed: int) -> np.ndarray:
-    """(T, N) projections <X_k, theta_t> for the (n, T) direction matrix,
-    filled in one pass over the sample blocks; the (N, n) batch is never held.
-    Each row is contiguous for the Kolmogorov sort."""
-    out = np.empty((thetas.shape[1], N))
-    lo = 0
-    for block in iter_sample_blocks(spec, N, seed):
-        out[:, lo : lo + len(block)] = (block @ thetas).T
-        lo += len(block)
-        del block  # free it before the next block is filled
-    return out
-
-
 def _evaluate_cell(
     spec: DistributionSpec,
     route: str,
@@ -325,7 +313,7 @@ def certify_grid(
         route = applicable_route(spec)
         resolved = [resolve_theta(theta_spec, spec.n) for theta_spec in theta_specs]
         thetas = np.column_stack([theta for theta, _ in resolved])
-        projections = _project_blocks(spec, thetas, N, cell_seed)
+        projections = _project_blocks(iter_sample_blocks(spec, N, cell_seed), thetas, N)
         return [
             _evaluate_cell(spec, route, theta, label, values, cell_seed, delta, constants)
             for (theta, label), values in zip(resolved, projections)

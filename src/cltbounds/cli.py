@@ -220,19 +220,20 @@ def _cmd_scan_ank(cfg: dict) -> int:
     n_samples = _positive_int(cfg, "N")
     n_dirs = None if cfg.get("n_dirs") is None else _positive_int(cfg, "n_dirs")
     seed = _seed(cfg)
-    out = _out_dir(cfg)
-    results = []
-    for n in n_list:
-        spec = _spec_from_config({**template, "n": n})
+    specs = [_spec_from_config({**template, "n": n}) for n in n_list]
+    for spec in specs:
         if k > spec.n:
             raise ConfigError(f"'k' must not exceed n, got k={k}, n={spec.n}")
+    out = _out_dir(cfg)
+    results = []
+    for spec in specs:
         est = estimate_Ank(
             spec, k=k, eps=eps, n_subspaces=n_subspaces, N=n_samples,
             seed=seed, n_dirs=n_dirs,
         )
         results.append(est)
         print(
-            f"n={n} k={k} eps={eps}: fraction={est.fraction:.3f} "
+            f"n={spec.n} k={k} eps={eps}: fraction={est.fraction:.3f} "
             f"(max sampled sup={est.sup_distances.max():.4f}) [{est.label}]"
         )
     ank_to_csv(results, out / "ank_scan.csv")
@@ -247,7 +248,6 @@ def _cmd_diagnose(cfg: dict) -> int:
     if experiment == "reflection":
         spec = _spec_from_config(_require(cfg, "distribution"))
         n_samples = _positive_int(cfg, "N")
-        batch = sample(spec, n_samples, seed)
         frame_name = cfg.get("frame", "standard")
         if frame_name == "standard":
             frame = standard_frame(spec.n)
@@ -255,9 +255,13 @@ def _cmd_diagnose(cfg: dict) -> int:
             frame = simplex_geometry(spec.n).edge_frame
         else:
             raise ConfigError(f"unknown frame {frame_name!r}")
+        theta_specs = cfg.get("theta", ["e1"])
+        if not isinstance(theta_specs, list) or not theta_specs:
+            raise ConfigError("'theta' must be a non-empty list")
+        thetas = [_theta(theta_spec, spec.n) for theta_spec in theta_specs]
+        batch = sample(spec, n_samples, seed)
         rows = []
-        for theta_spec in cfg.get("theta", ["e1"]):
-            theta, label = _theta(theta_spec, spec.n)
+        for theta, label in thetas:
             try:
                 diag = reflection_pair_diagnostics(batch, frame, theta, derive_seed(seed, 1))
             except SymmetryError as exc:

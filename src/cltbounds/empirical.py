@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,6 +95,20 @@ def project(batch: SampleBatch, theta) -> ProjectionSample:
     """W = <X, theta> for every row of the batch; weights pass through."""
     theta = as_unit_vector(theta, batch.n)
     return ProjectionSample(values=batch.data @ theta, theta=theta, weights=batch.weights)
+
+
+def _project_blocks(blocks: Iterable[np.ndarray], directions: np.ndarray, N: int) -> np.ndarray:
+    """(D, N) projections of N rows, arriving in blocks, onto the columns of
+    the (n, D) direction matrix, filled in one pass: each block is dropped
+    before the next arrives, so a streamed (N, n) batch is never held.  Each
+    row is contiguous for the Kolmogorov sort."""
+    out = np.empty((directions.shape[1], N))
+    lo = 0
+    for block in blocks:
+        out[:, lo : lo + len(block)] = (block @ directions).T
+        lo += len(block)
+        del block  # free it before the next block is filled
+    return out
 
 
 def _sup_gap(cdf: np.ndarray, cum: np.ndarray, jump) -> float:

@@ -396,11 +396,11 @@ def _surface_weights(spec: DistributionSpec, data: np.ndarray) -> np.ndarray:
 
 def sample(spec: DistributionSpec, N: int, seed: int) -> SampleBatch:
     """Materialize N samples of the law described by spec."""
+    blocks = _block_rngs(N, seed)  # checks N before the batch is allocated
+    fill = _filler(spec)
     out = np.empty((N, spec.n), dtype=float)
-    lo = 0
-    for block in iter_sample_blocks(spec, N, seed):
-        out[lo : lo + len(block)] = block
-        lo += len(block)
+    for lo, count, rng in blocks:
+        out[lo : lo + count] = fill(rng, count)
     weights = _surface_weights(spec, out) if spec.kind is Kind.LP_SURFACE else None
     return SampleBatch(data=out, seed=seed, spec=spec, weights=weights)
 

@@ -12,9 +12,14 @@ import numpy as np
 
 from .bounds import KOLMOGOROV, BoundValue, _as_pair_moments
 from .core import BLOCK_ROWS, as_unit_vector
-from .empirical import _equal_count_bin_means, _ks_statistic, _ks_statistic_both_signs
+from .empirical import (
+    _equal_count_bin_means,
+    _ks_statistic,
+    _ks_statistic_both_signs,
+    _project_blocks,
+)
 from .frames import TightFrame, frame_coeffs
-from .samplers import SPHERICAL_KINDS, SampleBatch, derive_seed, sample
+from .samplers import SPHERICAL_KINDS, SampleBatch, derive_seed, iter_sample_blocks
 
 __all__ = [
     "AnkEstimate",
@@ -112,10 +117,11 @@ def random_subspace(n: int, k: int, seed: int) -> Subspace:
 
 
 def uniform_directions(subspace: Subspace, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Unit vectors uniform on the sphere of the subspace, as rows in R^n."""
+    """Unit vectors uniform on the sphere of the subspace, as (count, k) rows
+    of coefficients in its basis (the directions are ``coeffs @ basis``)."""
     coeffs = rng.standard_normal((count, subspace.k))
     coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
-    return coeffs @ subspace.basis
+    return coeffs
 
 
 @dataclass(frozen=True)
@@ -152,12 +158,18 @@ def estimate_Ank(
 ) -> AnkEstimate:
     """Randomized-subspace experiment for the projection law of spec.
 
-    One shared batch of N samples is projected onto ``n_dirs`` uniform
-    directions (default 50 k) in each of ``n_subspaces`` random subspaces;
-    a subspace counts as good when the max Kolmogorov distance over its
-    sampled directions is at most eps.  For k = 1 the unit sphere of the
-    subspace has exactly two elements, so direction sampling is replaced by
-    exact enumeration of both signs (from a single sorted pass).
+    N samples are projected onto ``n_dirs`` uniform directions (default
+    50 k) in each of ``n_subspaces`` random subspaces; a subspace counts as
+    good when the max Kolmogorov distance over its sampled directions is at
+    most eps.  For k = 1 the unit sphere of the subspace has exactly two
+    elements, so direction sampling is replaced by exact enumeration of both
+    signs (from a single sorted pass).
+
+    One pass over the sample blocks (or over the rows of ``batch``, which
+    then stands in for spec and N) writes the projections
+    Y = X L onto the stacked (n, n_subspaces k) basis matrix L; a direction
+    with coefficients c in subspace s is then Y_s c.  Memory: Y takes
+    N n_subspaces k 8 bytes, and a streamed (N, n) batch is never held.
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -167,23 +179,27 @@ def estimate_Ank(
         n_dirs = 50 * k
     if n_dirs < 1:
         raise ValueError(f"need at least one direction per subspace, got n_dirs={n_dirs}")
+    n = spec.n if batch is None else batch.n
+    subspaces = [random_subspace(n, k, derive_seed(seed, s)) for s in range(n_subspaces)]
     if batch is None:
-        batch = sample(spec, N, seed)
-    n = batch.n
+        blocks = iter_sample_blocks(spec, N, seed)
+    else:
+        N = batch.N
+        blocks = (batch.data[lo : lo + BLOCK_ROWS] for lo in range(0, N, BLOCK_ROWS))
+    proj = _project_blocks(blocks, np.concatenate([sub.basis for sub in subspaces]).T, N)
     sups = np.empty(n_subspaces)
-    for s in range(n_subspaces):
-        subspace = random_subspace(n, k, derive_seed(seed, s))
+    for s, subspace in enumerate(subspaces):
         if k == 1:
-            sups[s] = max(_ks_statistic_both_signs(batch.data @ subspace.basis[0]))
+            sups[s] = max(_ks_statistic_both_signs(proj[s]))
             continue
         rng = np.random.default_rng(derive_seed(seed, s, 1))
-        dirs = uniform_directions(subspace, n_dirs, rng)
-        worst = 0.0
-        for lo in range(0, n_dirs, 16):
-            proj = batch.data @ dirs[lo : lo + 16].T
-            for col in range(proj.shape[1]):
-                worst = max(worst, _ks_statistic(proj[:, col]))
-        sups[s] = worst
+        coeffs = uniform_directions(subspace, n_dirs, rng)
+        y_s = proj[s * k : (s + 1) * k]
+        sups[s] = max(
+            _ks_statistic(values)
+            for lo in range(0, n_dirs, 16)
+            for values in coeffs[lo : lo + 16] @ y_s
+        )
     return AnkEstimate(
         fraction=float(np.mean(sups <= eps)),
         sup_distances=sups,
@@ -192,7 +208,7 @@ def estimate_Ank(
         eps=eps,
         n_subspaces=n_subspaces,
         n_dirs=n_dirs,
-        N=batch.N,
+        N=N,
         seed=seed,
     )
 
@@ -341,6 +357,35 @@ class RotationDiagnostics:
     r3_se: float
 
 
+def _rotation_frames(
+    rng: np.random.Generator, x0: np.ndarray, r_perp: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(q1_0, s1, q2_0, s2) for a fresh Haar two-frame (q1, q2) per row, with
+    s_i = <q_i, X>, from the first coordinate x0 of each row X and the norm
+    r_perp of the rest.
+
+    Gram-Schmidt on two Gaussian vectors g1, g2 of R^n, written in the basis
+    (e1, u, complement) with u the unit part of X orthogonal to e1:
+    g1 = a1 e1 + b1 u + r1 and g2 = a2 e1 + b2 u + r2, where |r1|^2 = c1 is
+    chi^2(n-2), <r1, r2> = sqrt(c1) z and |r2|^2 = z^2 + c2 with c2 chi^2(n-3),
+    and a1, b1, a2, b2, z are iid N(0, 1).  Five normals and two chi-squares
+    per row give the same law as the n-dimensional construction, for every X.
+    """
+    a1, b1, a2, b2, z = rng.standard_normal((5, len(x0)))
+    c1 = 2.0 * rng.standard_gamma((n - 2) / 2.0, len(x0))  # chi^2(0) is 0
+    c2 = 2.0 * rng.standard_gamma(max(n - 3, 0) / 2.0, len(x0))
+    if n == 2:  # no complement: r1 = r2 = 0
+        z[:] = 0.0
+    norm1 = np.sqrt(a1 * a1 + b1 * b1 + c1)
+    q1_0 = a1 / norm1
+    s1 = (a1 * x0 + b1 * r_perp) / norm1
+    t = (a1 * a2 + b1 * b2 + np.sqrt(c1) * z) / norm1  # <q1, g2>
+    norm2 = np.sqrt(a2 * a2 + b2 * b2 + z * z + c2 - t * t)
+    q2_0 = (a2 - t * q1_0) / norm2
+    s2 = (a2 * x0 + b2 * r_perp - t * s1) / norm2
+    return q1_0, s1, q2_0, s2
+
+
 def rotation_pair_diagnostics(
     batch: SampleBatch, eps_list, seed: int, assume_spherical: bool = False
 ) -> list[RotationDiagnostics]:
@@ -349,8 +394,10 @@ def rotation_pair_diagnostics(
     For each eps, every sample gets a fresh Haar two-frame (q1, q2) and
     W_eps = <R X, e_1> for the rotation by angle arcsin(eps) in that plane;
     only the first components and the two frame projections of X enter, so
-    the two-frame is drawn directly by Gram-Schmidt on two Gaussian vectors
-    (which matches the sign-fixed QR convention).
+    each row draws them from their exact law under Gram-Schmidt on two
+    Gaussian vectors, with five normals and two chi-squares
+    (``_rotation_frames``).  Angle i draws from the stream
+    ``derive_seed(seed, i)``.
     """
     spec = batch.spec
     if not assume_spherical and (spec is None or spec.kind not in SPHERICAL_KINDS):
@@ -363,9 +410,11 @@ def rotation_pair_diagnostics(
         if not (0.0 < eps < 0.5):
             raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
 
-    n_total = batch.N
+    n_total, n = batch.N, batch.n
+    rest = batch.data[:, 1:]
     w = batch.data[:, 0]
-    x2_sq_mean = float(np.mean(batch.data[:, 1] ** 2))
+    r_perp = np.sqrt(np.einsum("ij,ij->i", rest, rest))
+    x2_sq_mean = float(np.mean(rest[:, 0] ** 2))
     w_mean, w_var = float(w.mean()), float(w.var())
 
     out = []
@@ -374,22 +423,15 @@ def rotation_pair_diagnostics(
         sums = np.zeros(6)  # D, DW, D^2, |D|^3, D^4, |D|^6
         rng = np.random.default_rng(derive_seed(seed, pos))
         for lo in range(0, n_total, BLOCK_ROWS):
-            blk = batch.data[lo : lo + BLOCK_ROWS]
-            cnt = len(blk)
-            g1 = rng.standard_normal((cnt, batch.n))
-            g2 = rng.standard_normal((cnt, batch.n))
-            q1 = g1 / np.linalg.norm(g1, axis=1, keepdims=True)
-            g2 -= np.einsum("ij,ij->i", q1, g2)[:, None] * q1
-            q2 = g2 / np.linalg.norm(g2, axis=1, keepdims=True)
-            s1 = np.einsum("ij,ij->i", q1, blk)
-            s2 = np.einsum("ij,ij->i", q2, blk)
-            rotational = q1[:, 0] * s2 - q2[:, 0] * s1
-            radial = q1[:, 0] * s1 + q2[:, 0] * s2
+            x0 = w[lo : lo + BLOCK_ROWS]
+            q1_0, s1, q2_0, s2 = _rotation_frames(rng, x0, r_perp[lo : lo + BLOCK_ROWS], n)
+            rotational = q1_0 * s2 - q2_0 * s1
+            radial = q1_0 * s1 + q2_0 * s2
             d = -eps * rotational + shrink * radial
             a = np.abs(d)
             sums += [
                 d.sum(),
-                (d * blk[:, 0]).sum(),
+                (d * x0).sum(),
                 (d * d).sum(),
                 (a**3).sum(),
                 (d**4).sum(),
@@ -399,7 +441,7 @@ def rotation_pair_diagnostics(
         slope = (dw_mean - d_mean * w_mean) / w_var
         resid_var = max((dsq_mean - d_mean**2) - slope**2 * w_var, 0.0)
         slope_se = math.sqrt(resid_var / (n_total * w_var))
-        unit = eps * eps / batch.n
+        unit = eps * eps / n
         r1, r1_se = slope / unit, slope_se / unit
         r2_denom = 2.0 * unit * x2_sq_mean
         r2 = dsq_mean / r2_denom

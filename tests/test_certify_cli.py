@@ -542,6 +542,33 @@ class TestCliScanAnk:
         )
         assert main(["scan-ank", "--config", cfg]) == EXIT_CONFIG_ERROR
 
+    @pytest.mark.parametrize(
+        "k, n_list",
+        [(1, [10, 20, 1]), (3, [10, 20, 2]), (1, [10, 20, "ten"])],
+    )
+    def test_bad_late_entry_exits_2_before_any_estimate(self, tmp_path, monkeypatch, k, n_list):
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("estimated before every n was validated")
+
+        monkeypatch.setattr("cltbounds.cli.estimate_Ank", no_estimate)
+        cfg = write_config(
+            tmp_path,
+            "ank.json",
+            {
+                "command": "scan-ank",
+                "distribution": {"kind": "sphere_shell"},
+                "n_list": n_list,
+                "k": k,
+                "eps": 0.2,
+                "n_subspaces": 2,
+                "N": 5000,
+            },
+        )
+        assert main(["scan-ank", "--config", cfg, "--out", str(tmp_path / "out")]) == (
+            EXIT_CONFIG_ERROR
+        )
+        assert not (tmp_path / "out").exists()
+
 
 class TestShippedConfigs:
     def test_all_configs_parse_and_route(self):
@@ -624,6 +651,27 @@ class TestCliDiagnose:
         # covariance positive for this law even at modest N
         cov = float(rows[1].split(",")[1])
         assert cov > 0
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"theta": ["e1", "sideways"]}, {"frame": "hexagonal"}, {"theta": []}, {"theta": "e1"}],
+    )
+    def test_bad_reflection_config_exits_2_before_sampling(self, tmp_path, monkeypatch, change):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the frame and thetas were validated")
+
+        monkeypatch.setattr("cltbounds.cli.sample", no_sampling)
+        payload = {
+            "command": "diagnose",
+            "experiment": "reflection",
+            "distribution": {"kind": "lp_ball", "p": "inf", "n": 6},
+            "frame": "standard",
+            "theta": ["e1"],
+            "N": 1000,
+            **change,
+        }
+        cfg = write_config(tmp_path, "diag.json", payload)
+        assert main(["diagnose", "--config", cfg]) == EXIT_CONFIG_ERROR
 
     def test_unknown_experiment_exits_2(self, tmp_path):
         cfg = write_config(

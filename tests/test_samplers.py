@@ -605,6 +605,12 @@ class TestErrors:
         with pytest.raises(ValueError):
             sample_sphere_shell(3, 0, 1)
 
+    @pytest.mark.parametrize("n_samples", [0, -1])
+    def test_sample_checks_count_before_allocating(self, n_samples):
+        spec = DistributionSpec(Kind.SPHERE_SHELL, 3)
+        with pytest.raises(ValueError, match="sample count must be positive"):
+            sample(spec, n_samples, 1)
+
     def test_auto_calibration_is_deterministic(self):
         # an unscaled spec resolves to its closed-form isotropic scale
         spec = DistributionSpec(Kind.LP_CONE, 4, p=2.5)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from cltbounds.subspaces import (
     random_subspace,
     reflection_pair_diagnostics,
     rotation_pair_diagnostics,
+    _rotation_frames,
     stein_rr_assemble,
     uniform_directions,
 )
@@ -208,6 +210,54 @@ class TestRotationPair:
             rotation_pair_diagnostics(batch, [0.1], seed=29)
 
 
+def explicit_rotation_frames(rng, x, draws):
+    """(q1_0, <q1, x>, q2_0, <q2, x>) by Gram-Schmidt on two Gaussian vectors of R^n."""
+    g1 = rng.standard_normal((draws, len(x)))
+    g2 = rng.standard_normal((draws, len(x)))
+    q1 = g1 / np.linalg.norm(g1, axis=1, keepdims=True)
+    g2 -= np.einsum("ij,ij->i", q1, g2)[:, None] * q1
+    q2 = g2 / np.linalg.norm(g2, axis=1, keepdims=True)
+    return q1[:, 0], q1 @ x, q2[:, 0], q2 @ x
+
+
+class TestRotationFrames:
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_reduced_law_matches_gram_schmidt(self, n):
+        draws = 2 * 10**5
+        rows = [
+            2.0 * np.eye(n)[0],  # X along e1: u is arbitrary
+            np.random.default_rng(n).standard_normal(n),
+            np.r_[0.0, np.full(n - 1, 1.5)],
+        ]
+        for x in rows:
+            explicit = explicit_rotation_frames(np.random.default_rng(40 + n), x, draws)
+            reduced = _rotation_frames(
+                np.random.default_rng(50 + n),
+                np.full(draws, x[0]),
+                np.full(draws, np.linalg.norm(x[1:])),
+                n,
+            )
+            for a, b in zip(explicit, reduced):
+                assert np.isfinite(b).all()
+                for f in (lambda v: v, lambda v: (v - v.mean()) ** 2):
+                    fa, fb = f(a), f(b)
+                    se = math.sqrt((fa.var() + fb.var()) / draws)
+                    assert abs(fa.mean() - fb.mean()) <= 4.0 * se + 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_low_dimensions_give_finite_ratios(self, n):
+        batch = sample_sphere_shell(n, 10**4, 60 + n)
+        for d in rotation_pair_diagnostics(batch, [0.2, 0.05], seed=61):
+            values = [d.r1, d.r1_se, d.r2, d.r2_se, d.r3, d.r3_se]
+            assert all(math.isfinite(v) for v in values)
+
+    def test_same_seed_same_diagnostics(self):
+        batch = sample_sphere_shell(20, 10**5, 62)
+        a = rotation_pair_diagnostics(batch, [0.2, 0.1], seed=63)
+        b = rotation_pair_diagnostics(batch, [0.2, 0.1], seed=63)
+        assert a == b
+
+
 class TestSteinAssembly:
     def test_zero_inputs_give_zero(self):
         diag = PairDiagnostics(
@@ -292,6 +342,37 @@ class TestEstimateAnk:
         a = estimate_Ank(spec, k=1, eps=0.05, n_subspaces=4, N=5000, seed=33, n_dirs=3)
         b = estimate_Ank(spec, k=1, eps=0.05, n_subspaces=4, N=5000, seed=33, n_dirs=3)
         np.testing.assert_array_equal(a.sup_distances, b.sup_distances)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_streamed_equals_given_batch(self, k):
+        # 70000 rows cross the first block boundary
+        spec = DistributionSpec(Kind.LP_BALL, 9, p=4.0)
+        n_samples, seed = 70_000, 35
+        args = dict(k=k, eps=0.05, n_subspaces=3, N=n_samples, seed=seed, n_dirs=20)
+        streamed = estimate_Ank(spec, **args)
+        given = estimate_Ank(spec, **args, batch=sample(spec, n_samples, seed))
+        np.testing.assert_allclose(streamed.sup_distances, given.sup_distances, rtol=0, atol=1e-12)
+        assert streamed.N == given.N == n_samples
+
+    def test_never_holds_the_batch(self):
+        spec = DistributionSpec(Kind.LP_BALL, 100, p=math.inf)
+        n_samples = 200_000
+        tracemalloc.start()
+        try:
+            estimate_Ank(spec, k=1, eps=0.1, n_subspaces=4, N=n_samples, seed=36)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n_samples * spec.n, f"peak {peak / 1e6:.1f} MB"
+
+    def test_rejects_k_above_n_before_sampling(self, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before k was checked")
+
+        monkeypatch.setattr("cltbounds.subspaces.iter_sample_blocks", no_sampling)
+        spec = DistributionSpec(Kind.SPHERE_SHELL, 4)
+        with pytest.raises(ValueError, match="k <= n"):
+            estimate_Ank(spec, k=5, eps=0.1, n_subspaces=2, N=1000, seed=37)
 
     def test_csv_export(self, shell_result, tmp_path):
         path = tmp_path / "ank.csv"
