@@ -5,6 +5,8 @@ cltbounds checkout on PYTHONPATH.
         --kind lp_ball --p 2 --n 100 --N 200000 --repeats 5
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 benchmarks/stage_split.py \
         --mode subspace --kind lp_ball --p inf --n 100 --N 200000 --repeats 5
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 benchmarks/stage_split.py \
+        --mode spherical --kind sphere_shell --n 100 --N 1000000 --repeats 5
 
 ``--mode certify`` (the default) makes one streamed pass over
 ``iter_sample_blocks`` that times each block's fill (the generator step)
@@ -23,6 +25,13 @@ has it, else Gram-Schmidt on two Gaussian vectors of R^n, as older
 checkouts drew them) and the whole ``rotation_pair_diagnostics`` call
 (``rotation_total_s``).
 
+``--mode spherical`` takes a spherically symmetric kind and the spherical
+workload's two thetas (e1 and diagonal): it times the full fill of every
+n-dimensional row and its projection, as above, then the reduced-law draw
+of the same projections through ``samplers.iter_projection_blocks``
+(``reduced_draw_s``, where the checkout has it) and
+``tv_vs_normal_histogram`` on each projection row (``hist_s``).
+
 Prints one JSON object with the median and quartiles of each stage over the
 repeats, in seconds.
 """
@@ -36,7 +45,7 @@ import time
 
 import numpy as np
 
-from cltbounds import subspaces
+from cltbounds import samplers, subspaces
 from cltbounds.certify import resolve_theta
 from cltbounds.empirical import (
     ProjectionSample,
@@ -46,6 +55,7 @@ from cltbounds.empirical import (
 )
 from cltbounds.samplers import (
     BLOCK_ROWS,
+    SPHERICAL_KINDS,
     DistributionSpec,
     Kind,
     derive_seed,
@@ -54,6 +64,7 @@ from cltbounds.samplers import (
 )
 
 THETAS = ["diagonal", "random(101)", "random(102)", "random(103)"]
+SPHERICAL_THETAS = ["e1", "diagonal"]
 N_SUBSPACES = 32
 ANGLES = [0.2, 0.1, 0.05]
 
@@ -89,6 +100,23 @@ def certify_pass(spec: DistributionSpec, n_samples: int, seed: int) -> dict[str,
         times["ks_s"] += time.perf_counter() - start
         start = time.perf_counter()
         tv_vs_normal_histogram(ps)
+        times["hist_s"] += time.perf_counter() - start
+    return times
+
+
+def spherical_pass(spec: DistributionSpec, n_samples: int, seed: int) -> dict[str, float]:
+    thetas = np.column_stack([resolve_theta(t, spec.n)[0] for t in SPHERICAL_THETAS])
+    times = dict.fromkeys(("fill_s", "project_s", "hist_s"), 0.0)
+    rows = stream(spec, n_samples, seed, thetas, times)
+    draw = getattr(samplers, "iter_projection_blocks", None)
+    if draw is not None:
+        start = time.perf_counter()
+        for _ in draw(spec, thetas, n_samples, seed):
+            pass
+        times["reduced_draw_s"] = time.perf_counter() - start
+    for row in rows:
+        start = time.perf_counter()
+        tv_vs_normal_histogram(ProjectionSample(values=row))
         times["hist_s"] += time.perf_counter() - start
     return times
 
@@ -138,7 +166,7 @@ def subspace_pass(spec: DistributionSpec, n_samples: int, seed: int) -> dict[str
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--mode", default="certify", choices=["certify", "subspace"])
+    parser.add_argument("--mode", default="certify", choices=["certify", "subspace", "spherical"])
     parser.add_argument("--kind", default="lp_ball", choices=[k.value for k in Kind])
     parser.add_argument("--p", type=float, default=None)
     parser.add_argument("--n", type=int, default=100)
@@ -147,15 +175,22 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
     spec = DistributionSpec(kind=Kind(args.kind), n=args.n, p=args.p)
-    one_pass = certify_pass if args.mode == "certify" else subspace_pass
+    if args.mode == "spherical" and spec.kind not in SPHERICAL_KINDS:
+        parser.error(f"--mode spherical needs a spherically symmetric kind, got {args.kind}")
+    one_pass = {"certify": certify_pass, "subspace": subspace_pass,
+                "spherical": spherical_pass}[args.mode]
     runs = [one_pass(spec, args.N, args.seed + r) for r in range(args.repeats)]
     stages = {}
     for key in runs[0]:
         values = sorted(run[key] for run in runs)
         q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
         stages[key] = {"median": statistics.median(values), "q1": q1, "q3": q3}
-    setup = {"thetas": THETAS} if args.mode == "certify" else {
-        "n_subspaces": N_SUBSPACES, "angles": ANGLES, "rotation_kind": "sphere_shell"}
+    setup = {
+        "certify": {"thetas": THETAS},
+        "subspace": {"n_subspaces": N_SUBSPACES, "angles": ANGLES,
+                     "rotation_kind": "sphere_shell"},
+        "spherical": {"thetas": SPHERICAL_THETAS},
+    }[args.mode]
     print(json.dumps({"mode": args.mode, "spec": spec.to_dict(), "N": args.N, **setup,
                       "repeats": args.repeats, "stages": stages}))
 

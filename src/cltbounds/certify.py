@@ -1,8 +1,12 @@
 """The certification predicate: pair each distribution with its applicable
 theoretical bound, measure the empirical distance, and record a verdict.
 
-Each spec's samples are drawn once, block by block, and only their
-projections onto the grid's thetas are kept; the (N, n) batch is never held.
+Each spec's projections onto the grid's thetas are drawn once, block by
+block, through ``samplers.iter_projection_blocks``; the (N, n) batch is
+never held.  Spherically symmetric specs draw the projections from their
+exact reduced law (r = min(n, T) normals, a chi-square and a radius per
+row) and never fill an n-dimensional row; every other spec projects its
+sample blocks.
 
 Kolmogorov routes pass when (point estimate - DKW slack) <= bound; total
 variation routes compare the histogram estimate against bound + a fixed
@@ -37,7 +41,7 @@ from .empirical import (
     DEFAULT_DELTA,
     DistanceEstimate,
     ProjectionSample,
-    _project_blocks,
+    _stack_projections,
     kolmogorov_vs_normal,
     tv_vs_normal_histogram,
 )
@@ -48,7 +52,7 @@ from .samplers import (
     SPHERICAL_KINDS,
     derive_seed,
     exact_moments,
-    iter_sample_blocks,
+    iter_projection_blocks,
 )
 
 __all__ = [
@@ -313,7 +317,9 @@ def certify_grid(
         route = applicable_route(spec)
         resolved = [resolve_theta(theta_spec, spec.n) for theta_spec in theta_specs]
         thetas = np.column_stack([theta for theta, _ in resolved])
-        projections = _project_blocks(iter_sample_blocks(spec, N, cell_seed), thetas, N)
+        projections = _stack_projections(
+            iter_projection_blocks(spec, thetas, N, cell_seed), len(resolved), N
+        )
         return [
             _evaluate_cell(spec, route, theta, label, values, cell_seed, delta, constants)
             for (theta, label), values in zip(resolved, projections)

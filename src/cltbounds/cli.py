@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .bounds import KIND_BALL_MARGINAL, KIND_SPHERE_MARGINAL, exact_tv_vs_normal
 from .certify import (
+    ROUTE_SPHERICAL,
     InapplicableBoundError,
     applicable_route,
     certify_grid,
@@ -28,7 +29,12 @@ from .certify import (
     version_string,
 )
 from .core import InsufficientDataError, summarize
-from .empirical import DEFAULT_DELTA, streaming_pair_square_covariance
+from .empirical import (
+    DEFAULT_DELTA,
+    HISTOGRAM_MIN_SAMPLES,
+    KS_MIN_SAMPLES,
+    streaming_pair_square_covariance,
+)
 from .frames import simplex_geometry, standard_frame
 from .samplers import DistributionSpec, derive_seed, sample
 from .subspaces import (
@@ -184,9 +190,14 @@ def _cmd_certify(cfg: dict) -> int:
     workers = _workers()
 
     for spec in specs:  # fail fast, before any sampling
-        applicable_route(spec)
+        route = applicable_route(spec)
         for theta in thetas:
             _theta(theta, spec.n)
+        least = HISTOGRAM_MIN_SAMPLES if route == ROUTE_SPHERICAL else KS_MIN_SAMPLES
+        if n_samples < least:
+            raise ConfigError(
+                f"{spec.kind.value} cells need at least {least} samples, got N={n_samples}"
+            )
 
     out = _out_dir(cfg)
     reports = certify_grid(
@@ -244,7 +255,6 @@ def _cmd_scan_ank(cfg: dict) -> int:
 def _cmd_diagnose(cfg: dict) -> int:
     experiment = cfg.get("experiment", "reflection")
     seed = _seed(cfg)
-    out = _out_dir(cfg)
     if experiment == "reflection":
         spec = _spec_from_config(_require(cfg, "distribution"))
         n_samples = _positive_int(cfg, "N")
@@ -259,6 +269,7 @@ def _cmd_diagnose(cfg: dict) -> int:
         if not isinstance(theta_specs, list) or not theta_specs:
             raise ConfigError("'theta' must be a non-empty list")
         thetas = [_theta(theta_spec, spec.n) for theta_spec in theta_specs]
+        out = _out_dir(cfg)
         batch = sample(spec, n_samples, seed)
         rows = []
         for theta, label in thetas:
@@ -295,6 +306,7 @@ def _cmd_diagnose(cfg: dict) -> int:
         if not isinstance(eps_list, list) or not eps_list:
             raise ConfigError("'eps_list' must be a non-empty list")
         eps_list = [_number(eps, "'eps_list' entry", 0.0, 0.5) for eps in eps_list]
+        out = _out_dir(cfg)
         batch = sample(spec, n_samples, seed)
         try:
             diags = rotation_pair_diagnostics(batch, eps_list, seed=derive_seed(seed, 1))
@@ -315,16 +327,16 @@ def _cmd_diagnose(cfg: dict) -> int:
         if not isinstance(n_list, list) or not n_list:
             raise ConfigError("'n_list' must be a non-empty list")
         template = cfg.get("distribution", {"kind": "linf_exponential"})
+        specs = [_spec_from_config({**template, "n": n}) for n in n_list]
         n_samples = _positive_int(cfg, "N")
-        path = out / "square_correlation.csv"
+        path = _out_dir(cfg) / "square_correlation.csv"
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["n", "cov_x1sq_x2sq", "se", "N", "seed"])
-            for n in n_list:
-                spec = _spec_from_config({**template, "n": n})
+            for spec in specs:
                 cov, se = streaming_pair_square_covariance(spec, n_samples, seed)
-                writer.writerow([n, cov, se, n_samples, seed])
-                print(f"n={n}: Cov(X1^2, X2^2) = {cov:.6f} (se {se:.2g})")
+                writer.writerow([spec.n, cov, se, n_samples, seed])
+                print(f"n={spec.n}: Cov(X1^2, X2^2) = {cov:.6f} (se {se:.2g})")
     else:
         raise ConfigError(f"unknown experiment {experiment!r}")
     print(f"wrote {path}")

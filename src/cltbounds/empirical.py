@@ -18,6 +18,8 @@ from .samplers import SPHERICAL_KINDS, SampleBatch
 __all__ = [
     "DEFAULT_DELTA",
     "DistanceEstimate",
+    "HISTOGRAM_MIN_SAMPLES",
+    "KS_MIN_SAMPLES",
     "ProjectionSample",
     "conditional_second_moment",
     "dkw_slack",
@@ -30,6 +32,10 @@ __all__ = [
 
 # small per-test failure probability: certification suites run 100+ cells
 DEFAULT_DELTA = 1e-3
+
+# fewest samples each estimator accepts
+KS_MIN_SAMPLES = 100
+HISTOGRAM_MIN_SAMPLES = 10_000
 
 QUALIFIER_HISTOGRAM = "histogram-lower-bound"
 QUALIFIER_WEIGHTED = "weighted-ecdf-dkw-inapplicable"
@@ -83,7 +89,12 @@ class DistanceEstimate:
 
 
 def dkw_slack(n_samples: int, delta: float) -> float:
-    """DKW band half-width: sup|F_N - F| <= slack with probability >= 1 - delta."""
+    """DKW band half-width: sup|F_N - F| <= slack with probability >= 1 - delta.
+
+    sqrt(ln(2/delta) / (2N)) carries the tight constant 2 of Massart, "The
+    tight constant in the Dvoretzky-Kiefer-Wolfowitz inequality", Ann.
+    Probab. 1990.
+    """
     if n_samples < 1:
         raise ValueError("need at least one sample")
     if not (0.0 < delta < 1.0):
@@ -97,17 +108,14 @@ def project(batch: SampleBatch, theta) -> ProjectionSample:
     return ProjectionSample(values=batch.data @ theta, theta=theta, weights=batch.weights)
 
 
-def _project_blocks(blocks: Iterable[np.ndarray], directions: np.ndarray, N: int) -> np.ndarray:
-    """(D, N) projections of N rows, arriving in blocks, onto the columns of
-    the (n, D) direction matrix, filled in one pass: each block is dropped
-    before the next arrives, so a streamed (N, n) batch is never held.  Each
-    row is contiguous for the Kolmogorov sort."""
-    out = np.empty((directions.shape[1], N))
+def _stack_projections(blocks: Iterable[np.ndarray], D: int, N: int) -> np.ndarray:
+    """The (D, N) array of N projections onto D directions, arriving as
+    (count, D) blocks; each row is contiguous for the Kolmogorov sort."""
+    out = np.empty((D, N))
     lo = 0
     for block in blocks:
-        out[:, lo : lo + len(block)] = (block @ directions).T
+        out[:, lo : lo + len(block)] = block.T
         lo += len(block)
-        del block  # free it before the next block is filled
     return out
 
 
@@ -151,8 +159,8 @@ def kolmogorov_vs_normal(
     so there is no grid error.  Weighted samples must be announced with
     weighted=True; the DKW slack then does not apply and is omitted.
     """
-    if ps.N < 100:
-        raise InsufficientDataError(f"need at least 100 samples, got {ps.N}")
+    if ps.N < KS_MIN_SAMPLES:
+        raise InsufficientDataError(f"need at least {KS_MIN_SAMPLES} samples, got {ps.N}")
     if ps.weights is not None and not weighted:
         raise ValueError("sample carries weights; call with weighted=True")
     if ps.weights is not None:
@@ -183,8 +191,10 @@ def tv_vs_normal_histogram(
     partition and the estimate is a genuine lower bound of the true total
     variation (coarsening never increases L1), hence the qualifier.
     """
-    if ps.N < 10_000:
-        raise InsufficientDataError(f"need at least 1e4 samples, got {ps.N}")
+    if ps.N < HISTOGRAM_MIN_SAMPLES:
+        raise InsufficientDataError(
+            f"need at least {HISTOGRAM_MIN_SAMPLES} samples, got {ps.N}"
+        )
     if bins is None:
         bins = math.ceil(ps.N ** (1.0 / 3.0))
     edges = np.linspace(-support, support, bins + 1)

@@ -33,6 +33,7 @@ __all__ = [
     "calibrate_isotropic",
     "derive_seed",
     "exact_moments",
+    "iter_projection_blocks",
     "iter_sample_blocks",
     "sample",
     "sample_ball_uniform",
@@ -376,6 +377,51 @@ def iter_sample_blocks(spec: DistributionSpec, N: int, seed: int) -> Iterator[np
     fill = _filler(spec)
     for _, count, rng in _block_rngs(N, seed):
         yield fill(rng, count)
+
+
+def iter_projection_blocks(
+    spec: DistributionSpec, directions: np.ndarray, N: int, seed: int
+) -> Iterator[np.ndarray]:
+    """Yield, block by block, the (count, D) projections X @ directions of
+    N draws of spec onto the columns of the (n, D) direction matrix.
+
+    A spherically symmetric X = scale R U, with U uniform on the sphere and
+    independent of R, needs no n-dimensional row: for the reduced QR
+    directions = Q Rq, with Q of r = min(n, D) orthonormal columns, Q^T U has
+    the law of g / sqrt(|g|^2 + chi^2(n - r)), g ~ N(0, I_r) independent of
+    the chi-square (Diaconis and Freedman, "A dozen de Finetti-style results
+    in search of a theory", Ann. IHP 1987).  Draw order per block: the
+    (count, r) standard normals, then 2 standard_gamma((n - r)/2) (0 at
+    r = n), then the radial variate: none for the sphere shell,
+    random()^(1/n) for the ball, standard_gamma(n)/sqrt(n + 1) for the
+    spherical exponential.  These streams therefore differ from the
+    projections of ``iter_sample_blocks`` for the same seed, with the same
+    law.  Every other kind yields exactly ``fill @ directions`` of the
+    sample blocks.
+    """
+    directions = np.asarray(directions, dtype=float)
+    if directions.ndim != 2 or directions.shape[0] != spec.n:
+        raise ValueError(f"directions must be an (n={spec.n}, D) matrix, got {directions.shape}")
+    if spec.kind not in SPHERICAL_KINDS:
+        fill = _filler(spec)
+        for _, count, rng in _block_rngs(N, seed):
+            # no name holds the block, so it is freed before the next fill
+            yield fill(rng, count) @ directions
+        return
+    n = spec.n
+    _, r_factor = np.linalg.qr(directions)
+    r = r_factor.shape[0]
+    for _, count, rng in _block_rngs(N, seed):
+        g = rng.standard_normal((count, r))
+        norm_sq = np.einsum("ij,ij->i", g, g)
+        norm_sq += 2.0 * rng.standard_gamma((n - r) / 2.0, count)
+        factor = spec.scale / np.sqrt(norm_sq)
+        if spec.kind is Kind.BALL_UNIFORM:
+            factor *= rng.random(count) ** (1.0 / n)
+        elif spec.kind is Kind.SPHERICAL_EXPONENTIAL:
+            factor *= rng.standard_gamma(float(n), count) / math.sqrt(n + 1)
+        g *= factor[:, None]
+        yield g @ r_factor
 
 
 def _surface_weights(spec: DistributionSpec, data: np.ndarray) -> np.ndarray:

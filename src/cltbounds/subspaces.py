@@ -16,10 +16,10 @@ from .empirical import (
     _equal_count_bin_means,
     _ks_statistic,
     _ks_statistic_both_signs,
-    _project_blocks,
+    _stack_projections,
 )
 from .frames import TightFrame, frame_coeffs
-from .samplers import SPHERICAL_KINDS, SampleBatch, derive_seed, iter_sample_blocks
+from .samplers import SPHERICAL_KINDS, SampleBatch, derive_seed, iter_projection_blocks
 
 __all__ = [
     "AnkEstimate",
@@ -165,11 +165,12 @@ def estimate_Ank(
     elements, so direction sampling is replaced by exact enumeration of both
     signs (from a single sorted pass).
 
-    One pass over the sample blocks (or over the rows of ``batch``, which
-    then stands in for spec and N) writes the projections
+    One pass over ``iter_projection_blocks`` (or over the rows of ``batch``,
+    which then stands in for spec and N) writes the projections
     Y = X L onto the stacked (n, n_subspaces k) basis matrix L; a direction
     with coefficients c in subspace s is then Y_s c.  Memory: Y takes
-    N n_subspaces k 8 bytes, and a streamed (N, n) batch is never held.
+    N n_subspaces k 8 bytes, and a streamed (N, n) batch is never held
+    (spherically symmetric specs draw Y from its exact reduced law).
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -181,12 +182,13 @@ def estimate_Ank(
         raise ValueError(f"need at least one direction per subspace, got n_dirs={n_dirs}")
     n = spec.n if batch is None else batch.n
     subspaces = [random_subspace(n, k, derive_seed(seed, s)) for s in range(n_subspaces)]
+    bases = np.concatenate([sub.basis for sub in subspaces]).T
     if batch is None:
-        blocks = iter_sample_blocks(spec, N, seed)
+        blocks = iter_projection_blocks(spec, bases, N, seed)
     else:
         N = batch.N
-        blocks = (batch.data[lo : lo + BLOCK_ROWS] for lo in range(0, N, BLOCK_ROWS))
-    proj = _project_blocks(blocks, np.concatenate([sub.basis for sub in subspaces]).T, N)
+        blocks = (batch.data[lo : lo + BLOCK_ROWS] @ bases for lo in range(0, N, BLOCK_ROWS))
+    proj = _stack_projections(blocks, bases.shape[1], N)
     sups = np.empty(n_subspaces)
     for s, subspace in enumerate(subspaces):
         if k == 1:

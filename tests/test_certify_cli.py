@@ -25,11 +25,19 @@ from cltbounds.cli import (
     EXIT_OK,
     main,
 )
-from cltbounds.empirical import kolmogorov_vs_normal, project, tv_vs_normal_histogram
+from cltbounds.empirical import (
+    HISTOGRAM_MIN_SAMPLES,
+    KS_MIN_SAMPLES,
+    ProjectionSample,
+    kolmogorov_vs_normal,
+    tv_vs_normal_histogram,
+)
 from cltbounds.samplers import (
     BLOCK_ROWS,
+    SPHERICAL_KINDS,
     DistributionSpec,
     Kind,
+    block_seed,
     derive_seed,
     exact_moments,
     sample,
@@ -40,6 +48,29 @@ def write_config(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def reduced_law_projections(spec, thetas, n_samples, seed):
+    """(T, N) projections of a spherically symmetric spec onto the (n, T)
+    thetas, rebuilt block by block from the documented reduced-law draws:
+    r = min(n, T) normals, 2 standard_gamma((n - r)/2), then the radius."""
+    n = spec.n
+    _, r_factor = np.linalg.qr(thetas)
+    r = r_factor.shape[0]
+    blocks = []
+    for block, lo in enumerate(range(0, n_samples, BLOCK_ROWS)):
+        count = min(BLOCK_ROWS, n_samples - lo)
+        rng = np.random.default_rng(block_seed(seed, block))
+        g = rng.standard_normal((count, r))
+        chi2 = 2.0 * rng.standard_gamma((n - r) / 2.0, count)
+        radius = np.ones(count)
+        if spec.kind is Kind.BALL_UNIFORM:
+            radius = rng.random(count) ** (1.0 / n)
+        elif spec.kind is Kind.SPHERICAL_EXPONENTIAL:
+            radius = rng.standard_gamma(float(n), count) / math.sqrt(n + 1)
+        u = g / np.sqrt(np.sum(g * g, axis=1) + chi2)[:, None]
+        blocks.append((spec.scale * radius[:, None] * u) @ r_factor)
+    return np.vstack(blocks).T
 
 
 class TestRouting:
@@ -212,17 +243,25 @@ class TestStreaming:
             DistributionSpec(Kind.LP_BALL, 12, p=4.0),
             DistributionSpec(Kind.SIMPLEX, 12),
             DistributionSpec(Kind.BALL_UNIFORM, 12),
+            DistributionSpec(Kind.SPHERE_SHELL, 12),
+            DistributionSpec(Kind.SPHERICAL_EXPONENTIAL, 12),
         ],
         ids=lambda spec: spec.kind.value,
     )
     def test_streamed_equals_materialized(self, spec):
+        # spherically symmetric specs stream their reduced law, which the
+        # per-block reconstruction materializes; other specs project sample()
         thetas = ["diagonal", "e1", "random(3)"]
         n_samples, seed = BLOCK_ROWS + 4321, 17  # crosses a block boundary
         reports = certify_grid([spec], thetas, N=n_samples, seed=seed)
-        batch = sample(spec, n_samples, reports[0].seed)
-        for report, theta_spec in zip(reports, thetas):
-            theta, label = resolve_theta(theta_spec, spec.n)
-            ps = project(batch, theta)
+        resolved = [resolve_theta(theta_spec, spec.n) for theta_spec in thetas]
+        directions = np.column_stack([theta for theta, _ in resolved])
+        if spec.kind in SPHERICAL_KINDS:
+            values = reduced_law_projections(spec, directions, n_samples, reports[0].seed)
+        else:
+            values = (sample(spec, n_samples, reports[0].seed).data @ directions).T
+        for report, theta_spec, (theta, label), row in zip(reports, thetas, resolved, values):
+            ps = ProjectionSample(values=row, theta=theta)
             if report.bound.kind == KOLMOGOROV:
                 expected = kolmogorov_vs_normal(ps, delta=report.delta)
                 adjusted = expected.point_estimate - expected.dkw_slack
@@ -372,7 +411,7 @@ class TestCliCertify:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before the thetas were validated")
 
-        monkeypatch.setattr("cltbounds.certify.iter_sample_blocks", no_sampling)
+        monkeypatch.setattr("cltbounds.certify.iter_projection_blocks", no_sampling)
         monkeypatch.setattr("cltbounds.cli.sample", no_sampling)
         for theta in ("diagonl", [1.0, 2.0], [math.nan, 1.0, 0.0, 0.0, 0.0, 0.0]):
             cfg = write_config(
@@ -389,6 +428,37 @@ class TestCliCertify:
             assert main(["certify", "--config", cfg, "--out", str(tmp_path / "out")]) == (
                 EXIT_CONFIG_ERROR
             )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "distribution, n_samples",
+        [
+            ({"kind": "sphere_shell", "n": 6}, HISTOGRAM_MIN_SAMPLES - 1),
+            ({"kind": "lp_ball", "p": 2.0, "n": 6}, KS_MIN_SAMPLES - 1),
+        ],
+        ids=["histogram", "kolmogorov"],
+    )
+    def test_too_small_N_exits_2_before_sampling(
+        self, tmp_path, monkeypatch, distribution, n_samples
+    ):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before N was checked")
+
+        monkeypatch.setattr("cltbounds.certify.iter_projection_blocks", no_sampling)
+        cfg = write_config(
+            tmp_path,
+            "small.json",
+            {
+                "command": "certify",
+                "distributions": [{"kind": "lp_ball", "p": "inf", "n": 6}, distribution],
+                "theta": ["e1"],
+                "N": n_samples,
+                "seed": 1,
+            },
+        )
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path / "out")]) == (
+            EXIT_CONFIG_ERROR
+        )
         assert not (tmp_path / "out").exists()
 
     def test_thread_count_does_not_change_results(self, tmp_path, monkeypatch):
@@ -671,7 +741,29 @@ class TestCliDiagnose:
             **change,
         }
         cfg = write_config(tmp_path, "diag.json", payload)
-        assert main(["diagnose", "--config", cfg]) == EXIT_CONFIG_ERROR
+        assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "out")]) == (
+            EXIT_CONFIG_ERROR
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("eps_list", [[0.7], [], [0.2, "wide"]])
+    def test_bad_rotation_config_exits_2_before_sampling(self, tmp_path, monkeypatch, eps_list):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before eps_list was validated")
+
+        monkeypatch.setattr("cltbounds.cli.sample", no_sampling)
+        payload = {
+            "command": "diagnose",
+            "experiment": "rotation",
+            "distribution": {"kind": "sphere_shell", "n": 10},
+            "eps_list": eps_list,
+            "N": 1000,
+        }
+        cfg = write_config(tmp_path, "rot.json", payload)
+        assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "out")]) == (
+            EXIT_CONFIG_ERROR
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_experiment_exits_2(self, tmp_path):
         cfg = write_config(

@@ -15,6 +15,7 @@ from cltbounds.samplers import (
     derive_seed,
     calibrate_isotropic,
     exact_moments,
+    iter_projection_blocks,
     iter_sample_blocks,
     sample,
     sample_ball_uniform,
@@ -176,6 +177,70 @@ class TestDrawOrder:
             blocks.append(spec.scale * g / denom[:, None] ** (1.0 / p))
         np.testing.assert_allclose(sample(spec, n_samples, seed).data, np.vstack(blocks),
                                    rtol=1e-14, atol=0.0)
+
+
+# E W^4 of a projection onto a unit direction, by spherically symmetric kind
+SPHERICAL_FOURTH = {
+    Kind.SPHERE_SHELL: lambda n: 3.0 * n / (n + 2),
+    Kind.BALL_UNIFORM: lambda n: 3.0 * (n + 2) / (n + 4),
+    Kind.SPHERICAL_EXPONENTIAL: lambda n: 3.0 * (n + 3) / (n + 1),
+}
+
+
+class TestProjectionBlocks:
+    @pytest.mark.parametrize("T", ["1", "2", "n+1"])
+    @pytest.mark.parametrize("kind", list(SPHERICAL_FOURTH), ids=lambda kind: kind.value)
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_reduced_law_matches_exact_moments(self, n, kind, T):
+        # projections W = X theta_i of an isotropic spherically symmetric law:
+        # E W_i = 0, E W_i W_j = theta_i . theta_j, E W_i^4 = fourth |theta_i|^4;
+        # n+1 directions in R^n, one of them a duplicate, make r = n and the
+        # direction matrix rank-deficient
+        count = {"1": 1, "2": 2, "n+1": n + 1}[T]
+        rng = np.random.default_rng(100 * n + count)
+        thetas = rng.standard_normal((n, count))
+        thetas /= np.linalg.norm(thetas, axis=0)
+        if count > 2:
+            thetas[:, 1] = thetas[:, 0]
+        spec = DistributionSpec(kind, n)
+        w = np.vstack(list(iter_projection_blocks(spec, thetas, 200_000, 71 + n)))
+        moments = [(w[:, i], 0.0) for i in range(count)]
+        moments += [(w[:, i] ** 4, SPHERICAL_FOURTH[kind](n)) for i in range(count)]
+        moments += [
+            (w[:, i] * w[:, j], thetas[:, i] @ thetas[:, j])
+            for i in range(count)
+            for j in range(i, count)
+        ]
+        for values, expected in moments:
+            mean, se = mean_and_se(values)
+            assert_within_se(mean, expected, se, k=4.0)
+
+    @pytest.mark.parametrize("kind", [Kind.SPHERE_SHELL, Kind.LP_BALL])
+    def test_rejects_directions_of_another_dimension(self, kind):
+        spec = DistributionSpec(kind, 5, p=2.0 if kind is Kind.LP_BALL else None)
+        for directions in (np.ones((4, 2)), np.ones(5)):
+            with pytest.raises(ValueError, match="directions"):
+                next(iter_projection_blocks(spec, directions, 1000, 1))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            DistributionSpec(Kind.LP_BALL, 7, p=3.0),
+            DistributionSpec(Kind.LP_CONE, 7, p=math.inf),
+            DistributionSpec(Kind.LP_SURFACE, 7, p=1.5),
+            DistributionSpec(Kind.SIMPLEX, 7),
+            DistributionSpec(Kind.LINF_EXPONENTIAL, 7),
+        ],
+        ids=lambda spec: spec.kind.value,
+    )
+    def test_other_kinds_project_their_sample_blocks(self, spec):
+        n_samples, seed = BLOCK_ROWS + 300, 72
+        directions = np.random.default_rng(0).standard_normal((spec.n, 3))
+        data = sample(spec, n_samples, seed).data
+        blocks = list(iter_projection_blocks(spec, directions, n_samples, seed))
+        assert len(blocks) == 2
+        for block, lo in zip(blocks, range(0, n_samples, BLOCK_ROWS)):
+            np.testing.assert_array_equal(block, data[lo : lo + BLOCK_ROWS] @ directions)
 
 
 class TestSphereShell:
