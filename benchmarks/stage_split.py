@@ -18,12 +18,16 @@ certification, so it times older checkouts as well.
 ``--mode subspace`` times scan-ank at k = 1 the same way: the fill, the
 projection onto the 32 stacked subspace lines and the both-signs Kolmogorov
 sort of every line (``ank_*_s``), then the whole ``estimate_Ank`` call
-(``ank_total_s``).  For the rotation diagnostics it times the two-frame
+(``ank_total_s``).  It times the whole reflection step of ``diagnose``
+(``reflection_total_s``: the three thetas e1, diagonal and random(42) of
+criterion 05 on the given spec, with the standard frame, or the edge frame
+for the simplex).  For the rotation diagnostics it times the two-frame
 draw of three angles over a sphere-shell batch of the same n and N
 (``rotation_frames_s``: ``subspaces._rotation_frames`` where the checkout
 has it, else Gram-Schmidt on two Gaussian vectors of R^n, as older
-checkouts drew them) and the whole ``rotation_pair_diagnostics`` call
-(``rotation_total_s``).
+checkouts drew them) and the whole rotation step (``rotation_total_s``).
+Checkouts whose diagnostics take ``(spec, N, seed)`` stream the sample;
+older ones take a batch from ``sample()``, which the two totals include.
 
 ``--mode spherical`` takes a spherically symmetric kind and the spherical
 workload's two thetas (e1 and diagonal): it times the full fill of every
@@ -39,6 +43,7 @@ repeats, in seconds.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import statistics
 import time
@@ -53,6 +58,7 @@ from cltbounds.empirical import (
     kolmogorov_vs_normal,
     tv_vs_normal_histogram,
 )
+from cltbounds.frames import simplex_geometry, standard_frame
 from cltbounds.samplers import (
     BLOCK_ROWS,
     SPHERICAL_KINDS,
@@ -60,6 +66,7 @@ from cltbounds.samplers import (
     Kind,
     derive_seed,
     iter_sample_blocks,
+    sample,
     sample_sphere_shell,
 )
 
@@ -67,6 +74,7 @@ THETAS = ["diagonal", "random(101)", "random(102)", "random(103)"]
 SPHERICAL_THETAS = ["e1", "diagonal"]
 N_SUBSPACES = 32
 ANGLES = [0.2, 0.1, 0.05]
+REFLECTION_THETAS = ["e1", "diagonal", "random(42)"]
 
 
 def stream(spec: DistributionSpec, n_samples: int, seed: int, directions: np.ndarray,
@@ -145,6 +153,22 @@ def subspace_pass(spec: DistributionSpec, n_samples: int, seed: int) -> dict[str
     subspaces.estimate_Ank(spec, k=1, eps=0.1, n_subspaces=N_SUBSPACES, N=n_samples, seed=seed)
     times["ank_total_s"] = time.perf_counter() - start
 
+    streamed = "pair_seed" in inspect.signature(subspaces.reflection_pair_diagnostics).parameters
+    if spec.kind is Kind.SIMPLEX:
+        frame = simplex_geometry(spec.n).edge_frame
+    else:
+        frame = standard_frame(spec.n)
+    thetas = [resolve_theta(t, spec.n)[0] for t in REFLECTION_THETAS]
+    start = time.perf_counter()
+    if streamed:
+        subspaces.reflection_pair_diagnostics(spec, frame, thetas, n_samples, seed, seed)
+    else:
+        batch = sample(spec, n_samples, seed)
+        for theta in thetas:
+            subspaces.reflection_pair_diagnostics(batch, frame, theta, seed)
+        del batch
+    times["reflection_total_s"] = time.perf_counter() - start
+
     batch = sample_sphere_shell(spec.n, n_samples, seed)
     data = batch.data
     draw = getattr(subspaces, "_rotation_frames", None)
@@ -158,8 +182,14 @@ def subspace_pass(spec: DistributionSpec, n_samples: int, seed: int) -> dict[str
             else:
                 draw(rng, data[lo : lo + BLOCK_ROWS, 0], r_perp[lo : lo + BLOCK_ROWS], spec.n)
     times["rotation_frames_s"] = time.perf_counter() - start
+    del batch, data
     start = time.perf_counter()
-    subspaces.rotation_pair_diagnostics(batch, ANGLES, seed=seed)
+    if streamed:
+        shell = DistributionSpec(kind=Kind.SPHERE_SHELL, n=spec.n)
+        subspaces.rotation_pair_diagnostics(shell, ANGLES, n_samples, seed, seed)
+    else:
+        subspaces.rotation_pair_diagnostics(sample_sphere_shell(spec.n, n_samples, seed),
+                                            ANGLES, seed=seed)
     times["rotation_total_s"] = time.perf_counter() - start
     return times
 
@@ -187,8 +217,8 @@ def main() -> None:
         stages[key] = {"median": statistics.median(values), "q1": q1, "q3": q3}
     setup = {
         "certify": {"thetas": THETAS},
-        "subspace": {"n_subspaces": N_SUBSPACES, "angles": ANGLES,
-                     "rotation_kind": "sphere_shell"},
+        "subspace": {"n_subspaces": N_SUBSPACES, "reflection_thetas": REFLECTION_THETAS,
+                     "angles": ANGLES, "rotation_kind": "sphere_shell"},
         "spherical": {"thetas": SPHERICAL_THETAS},
     }[args.mode]
     print(json.dumps({"mode": args.mode, "spec": spec.to_dict(), "N": args.N, **setup,

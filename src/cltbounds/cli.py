@@ -36,7 +36,7 @@ from .empirical import (
     streaming_pair_square_covariance,
 )
 from .frames import simplex_geometry, standard_frame
-from .samplers import DistributionSpec, derive_seed, sample
+from .samplers import DistributionSpec, Kind, derive_seed, sample
 from .subspaces import (
     SymmetryError,
     ank_to_csv,
@@ -269,36 +269,22 @@ def _cmd_diagnose(cfg: dict) -> int:
         if not isinstance(theta_specs, list) or not theta_specs:
             raise ConfigError("'theta' must be a non-empty list")
         thetas = [_theta(theta_spec, spec.n) for theta_spec in theta_specs]
-        out = _out_dir(cfg)
-        batch = sample(spec, n_samples, seed)
+        diags = reflection_pair_diagnostics(
+            spec, frame, [theta for theta, _ in thetas], n_samples, seed, derive_seed(seed, 1)
+        )
+        name = "reflection_diagnostics.csv"
+        header = ["theta", "slope", "expected_slope", "slope_over_expected", "slope_se",
+                  "intercept", "var_conditional", "third_abs", "sup_abs"]
         rows = []
-        for theta, label in thetas:
-            try:
-                diag = reflection_pair_diagnostics(batch, frame, theta, derive_seed(seed, 1))
-            except SymmetryError as exc:
-                raise ConfigError(f"frame {frame_name!r}: {exc}") from exc
+        for (_, label), diag in zip(thetas, diags):
             rows.append(
-                {
-                    "theta": label,
-                    "slope": diag.slope,
-                    "expected_slope": 2.0 / spec.n,
-                    "slope_over_expected": diag.slope * spec.n / 2.0,
-                    "slope_se": diag.slope_se,
-                    "intercept": diag.intercept,
-                    "var_conditional": diag.var_conditional,
-                    "third_abs": diag.third_abs,
-                    "sup_abs": diag.sup_abs,
-                }
+                [label, diag.slope, 2.0 / spec.n, diag.slope * spec.n / 2.0, diag.slope_se,
+                 diag.intercept, diag.var_conditional, diag.third_abs, diag.sup_abs]
             )
             print(
                 f"theta={label}: slope={diag.slope:.6f} expected={2.0 / spec.n:.6f} "
                 f"ratio={diag.slope * spec.n / 2.0:.4f} (se {diag.slope_se * spec.n / 2.0:.4f})"
             )
-        path = out / "reflection_diagnostics.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
     elif experiment == "rotation":
         spec = _spec_from_config(_require(cfg, "distribution"))
         n_samples = _positive_int(cfg, "N")
@@ -306,39 +292,38 @@ def _cmd_diagnose(cfg: dict) -> int:
         if not isinstance(eps_list, list) or not eps_list:
             raise ConfigError("'eps_list' must be a non-empty list")
         eps_list = [_number(eps, "'eps_list' entry", 0.0, 0.5) for eps in eps_list]
-        out = _out_dir(cfg)
-        batch = sample(spec, n_samples, seed)
-        try:
-            diags = rotation_pair_diagnostics(batch, eps_list, seed=derive_seed(seed, 1))
-        except SymmetryError as exc:
-            raise ConfigError(f"invalid distribution for rotation: {exc}") from exc
-        path = out / "rotation_diagnostics.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["eps", "r1", "r1_se", "r2", "r2_se", "r3", "r3_se"])
-            for d in diags:
-                writer.writerow([d.eps, d.r1, d.r1_se, d.r2, d.r2_se, d.r3, d.r3_se])
-                print(
-                    f"eps={d.eps}: r1={d.r1:.4f}(se {d.r1_se:.4f}) "
-                    f"r2={d.r2:.4f}(se {d.r2_se:.4f}) r3={d.r3:.5f}"
-                )
+        diags = rotation_pair_diagnostics(spec, eps_list, n_samples, seed, derive_seed(seed, 1))
+        name = "rotation_diagnostics.csv"
+        header = ["eps", "r1", "r1_se", "r2", "r2_se", "r3", "r3_se"]
+        rows = [[d.eps, d.r1, d.r1_se, d.r2, d.r2_se, d.r3, d.r3_se] for d in diags]
+        for d in diags:
+            print(
+                f"eps={d.eps}: r1={d.r1:.4f}(se {d.r1_se:.4f}) "
+                f"r2={d.r2:.4f}(se {d.r2_se:.4f}) r3={d.r3:.5f}"
+            )
     elif experiment == "square-correlation":
         n_list = _require(cfg, "n_list")
         if not isinstance(n_list, list) or not n_list:
             raise ConfigError("'n_list' must be a non-empty list")
         template = cfg.get("distribution", {"kind": "linf_exponential"})
         specs = [_spec_from_config({**template, "n": n}) for n in n_list]
+        if specs[0].kind is Kind.LP_SURFACE:
+            raise ConfigError("square-correlation does not apply the lp_surface weights")
         n_samples = _positive_int(cfg, "N")
-        path = _out_dir(cfg) / "square_correlation.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "cov_x1sq_x2sq", "se", "N", "seed"])
-            for spec in specs:
-                cov, se = streaming_pair_square_covariance(spec, n_samples, seed)
-                writer.writerow([spec.n, cov, se, n_samples, seed])
-                print(f"n={spec.n}: Cov(X1^2, X2^2) = {cov:.6f} (se {se:.2g})")
+        name = "square_correlation.csv"
+        header = ["n", "cov_x1sq_x2sq", "se", "N", "seed"]
+        rows = []
+        for spec in specs:
+            cov, se = streaming_pair_square_covariance(spec, n_samples, seed)
+            rows.append([spec.n, cov, se, n_samples, seed])
+            print(f"n={spec.n}: Cov(X1^2, X2^2) = {cov:.6f} (se {se:.2g})")
     else:
         raise ConfigError(f"unknown experiment {experiment!r}")
+    path = _out_dir(cfg) / name  # only now, so a config error leaves no directory behind
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -430,7 +415,7 @@ def main(argv=None) -> int:
             )
         try:
             return _COMMANDS[args.command](cfg)
-        except InsufficientDataError as exc:  # the configured N is too small
+        except (InsufficientDataError, SymmetryError) as exc:  # N too small, or law unsuited
             raise ConfigError(str(exc)) from exc
     except InapplicableBoundError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -263,6 +263,7 @@ def streaming_pair_square_covariance(spec, n_samples: int, seed: int) -> tuple[f
         s2 += b.sum()
         s12 += (a * b).sum()
         block_covs.append(float((a * b).mean() - a.mean() * b.mean()))
+        del block  # let the generator fill the next block without this one alive
     cov = s12 / n_samples - (s1 / n_samples) * (s2 / n_samples)
     if len(block_covs) > 1:
         spread = np.asarray(block_covs)

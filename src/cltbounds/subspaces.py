@@ -18,8 +18,10 @@ from .empirical import (
     _ks_statistic_both_signs,
     _stack_projections,
 )
-from .frames import TightFrame, frame_coeffs
-from .samplers import SPHERICAL_KINDS, SampleBatch, derive_seed, iter_projection_blocks
+from .frames import TightFrame, frame_coeffs, simplex_geometry
+from .samplers import (
+    SPHERICAL_KINDS, Kind, derive_seed, iter_projection_blocks, iter_sample_blocks
+)
 
 __all__ = [
     "AnkEstimate",
@@ -45,7 +47,31 @@ STEIN_BOUNDED_SUP_COEFF = 43.0
 
 
 class SymmetryError(ValueError):
-    """The batch lacks the symmetry an exchangeable-pair diagnostic needs."""
+    """The law lacks the symmetry an exchangeable-pair diagnostic needs."""
+
+
+def _require_pair_symmetry(spec, frame: TightFrame | None = None) -> None:
+    """Raise SymmetryError unless reflecting in every vector of frame (with no
+    frame: every rotation) maps the law of spec onto itself, as the pair needs.
+
+    Spherical laws admit every orthogonal map; the lp balls and cones and the
+    sup-norm exponential the coordinate sign flips (the standard frame); the
+    simplex the reflections in its edges, which permute its vertices.  No
+    diagnostic applies the lp surface weights, so no pair suits that law.
+    """
+    kind, n = spec.kind, spec.n
+    if kind in SPHERICAL_KINDS:
+        return
+    if frame is None:
+        raise SymmetryError(f"the rotation pair needs a spherical law, got {kind.value}")
+    if kind in (Kind.LP_BALL, Kind.LP_CONE, Kind.LINF_EXPONENTIAL):
+        suited = np.array_equal(frame.vectors, np.eye(n))
+    else:
+        suited = kind is Kind.SIMPLEX and np.array_equal(
+            frame.vectors, simplex_geometry(n).edge_frame.vectors
+        )
+    if not suited:
+        raise SymmetryError(f"reflecting in the {frame.label} frame changes the {kind.value} law")
 
 
 @dataclass(frozen=True)
@@ -154,7 +180,6 @@ def estimate_Ank(
     N: int,
     seed: int,
     n_dirs: int | None = None,
-    batch: SampleBatch | None = None,
 ) -> AnkEstimate:
     """Randomized-subspace experiment for the projection law of spec.
 
@@ -165,12 +190,11 @@ def estimate_Ank(
     elements, so direction sampling is replaced by exact enumeration of both
     signs (from a single sorted pass).
 
-    One pass over ``iter_projection_blocks`` (or over the rows of ``batch``,
-    which then stands in for spec and N) writes the projections
-    Y = X L onto the stacked (n, n_subspaces k) basis matrix L; a direction
-    with coefficients c in subspace s is then Y_s c.  Memory: Y takes
-    N n_subspaces k 8 bytes, and a streamed (N, n) batch is never held
-    (spherically symmetric specs draw Y from its exact reduced law).
+    One pass over ``iter_projection_blocks`` writes the projections Y = X L
+    onto the stacked (n, n_subspaces k) basis matrix L; a direction with
+    coefficients c in subspace s is then Y_s c.  Memory: Y takes
+    N n_subspaces k 8 bytes, and the (N, n) batch is never held (spherically
+    symmetric specs draw Y from its exact reduced law).
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -180,15 +204,10 @@ def estimate_Ank(
         n_dirs = 50 * k
     if n_dirs < 1:
         raise ValueError(f"need at least one direction per subspace, got n_dirs={n_dirs}")
-    n = spec.n if batch is None else batch.n
+    n = spec.n
     subspaces = [random_subspace(n, k, derive_seed(seed, s)) for s in range(n_subspaces)]
     bases = np.concatenate([sub.basis for sub in subspaces]).T
-    if batch is None:
-        blocks = iter_projection_blocks(spec, bases, N, seed)
-    else:
-        N = batch.N
-        blocks = (batch.data[lo : lo + BLOCK_ROWS] @ bases for lo in range(0, N, BLOCK_ROWS))
-    proj = _stack_projections(blocks, bases.shape[1], N)
+    proj = _stack_projections(iter_projection_blocks(spec, bases, N, seed), bases.shape[1], N)
     sups = np.empty(n_subspaces)
     for s, subspace in enumerate(subspaces):
         if k == 1:
@@ -247,100 +266,89 @@ class PairDiagnostics:
     third_abs_exact: float | None = None
 
 
-def _reflection_symmetry_check(batch: SampleBatch, frame: TightFrame, theta: np.ndarray) -> None:
-    """Cheap empirical check that reflecting in a frame hyperplane leaves the
-    projected law unchanged (necessary for the exchangeable pair to be valid)."""
-    take = min(batch.N, 100_000)
-    data = batch.data[:take]
-    w = data @ theta
-    coeffs = frame_coeffs(frame, theta)
-    u = frame.vectors[int(np.argmax(np.abs(coeffs)))]
-    w_ref = w - 2.0 * (data @ u) * float(u @ theta)
-    scale = max(float(np.abs(w).mean()), 1e-12)
-    se = w.std() / math.sqrt(take)
-    if abs(float(w_ref.mean() - w.mean())) > 8.0 * se + 1e-9 * scale:
-        raise SymmetryError(
-            "batch does not look reflection-symmetric for this frame "
-            "(projected mean shifts under reflection)"
-        )
-
-
 def reflection_pair_diagnostics(
-    batch: SampleBatch,
+    spec,
     frame: TightFrame,
-    theta,
+    thetas,
+    N: int,
     seed: int,
+    pair_seed: int,
     pair_moments=None,
     coeff_third_moments=None,
-    check_symmetry: bool = True,
-) -> PairDiagnostics:
-    """Diagnostics for the random-reflection exchangeable pair.
+) -> list[PairDiagnostics]:
+    """Diagnostics for the random-reflection exchangeable pair, one per theta.
 
-    For each sample an index I is drawn uniformly over the frame and
-    W' = W - 2 X_(I) theta_(I) is formed.  ``pair_moments`` (dense table or
+    For each of N samples of spec (drawn with ``seed``) an index I is drawn
+    uniformly over the frame (from ``pair_seed``) and W' = W - 2 X_(I) theta_(I)
+    is formed; all thetas share the rows and I.  ``pair_moments`` (dense table or
     SimplexPairMoments) and ``coeff_third_moments`` (scalar max or length-m
     array of E|X_(i)|^3) unlock the exact conditional-variance proxy and the
-    exact third moment alongside the sampled estimates.
+    exact third moment.  Checks run before any draw; one pass over
+    ``iter_sample_blocks`` keeps W and W - W' per theta, never the batch.
     """
-    if frame.n != batch.n:
-        raise ValueError(f"dimension mismatch: frame n={frame.n}, batch n={batch.n}")
-    theta = as_unit_vector(theta, batch.n)
-    if check_symmetry:
-        _reflection_symmetry_check(batch, frame, theta)
-    n_total, n, m = batch.N, batch.n, frame.m
-    theta_coeffs = frame_coeffs(frame, theta)
+    if frame.n != spec.n:
+        raise ValueError(f"dimension mismatch: frame n={frame.n}, spec n={spec.n}")
+    _require_pair_symmetry(spec, frame)
+    n, m = spec.n, frame.m
+    thetas = [as_unit_vector(theta, n) for theta in thetas]
+    theta_coeffs = [frame_coeffs(frame, theta) for theta in thetas]
+    if coeff_third_moments is not None and np.ndim(coeff_third_moments) != 0:
+        coeff_third_moments = np.asarray(coeff_third_moments, dtype=float)
+        if coeff_third_moments.shape != (m,):
+            raise ValueError(f"expected {m} third moments, got shape {coeff_third_moments.shape}")
 
-    rng = np.random.default_rng(seed)
-    w = np.empty(n_total)
-    diff = np.empty(n_total)
-    for lo in range(0, n_total, BLOCK_ROWS):
-        blk = batch.data[lo : lo + BLOCK_ROWS]
+    rng = np.random.default_rng(pair_seed)
+    w, diff = np.empty((2, len(thetas), N))
+    lo = 0
+    for blk in iter_sample_blocks(spec, N, seed):
+        at = slice(lo, lo + len(blk))
+        lo = at.stop
         idx = rng.integers(0, m, len(blk))
-        sel = frame.vectors[idx]
-        coeff = np.einsum("ij,ij->i", blk, sel)
-        w[lo : lo + len(blk)] = blk @ theta
-        diff[lo : lo + len(blk)] = 2.0 * coeff * theta_coeffs[idx]
+        coeff = np.einsum("ij,ij->i", blk, frame.vectors[idx])
+        for t, theta in enumerate(thetas):
+            w[t, at] = blk @ theta
+            diff[t, at] = 2.0 * coeff * theta_coeffs[t][idx]
+        del blk  # free the block before the generator fills the next
 
-    w_mean, d_mean = float(w.mean()), float(diff.mean())
-    w_var = float(w.var())
-    slope = float(np.mean((diff - d_mean) * (w - w_mean))) / w_var
-    intercept = d_mean - slope * w_mean
-    resid = diff - slope * w - intercept
-    slope_se = float(resid.std()) / (math.sqrt(n_total) * math.sqrt(w_var))
+    out = []
+    for w_t, diff_t, coeffs in zip(w, diff, theta_coeffs):
+        w_mean, d_mean = float(w_t.mean()), float(diff_t.mean())
+        w_var = float(w_t.var())
+        slope = float(np.mean((diff_t - d_mean) * (w_t - w_mean))) / w_var
+        intercept = d_mean - slope * w_mean
+        resid = diff_t - slope * w_t - intercept
+        slope_se = float(resid.std()) / (math.sqrt(N) * math.sqrt(w_var))
 
-    means, sizes = _equal_count_bin_means(w, diff * diff)
-    weights = sizes / n_total
-    var_conditional = float(weights @ (means - float(weights @ means)) ** 2)
-    third_abs = float(np.mean(np.abs(diff) ** 3))
-    sup_abs = float(np.abs(diff).max())
+        means, sizes = _equal_count_bin_means(w_t, diff_t * diff_t)
+        weights = sizes / N
+        var_conditional = float(weights @ (means - float(weights @ means)) ** 2)
 
-    var_exact = None
-    if pair_moments is not None:
-        s = _as_pair_moments(pair_moments).quadratic_form(theta_coeffs**2)
-        var_exact = (16.0 / m**2) * s - (4.0 / n) ** 2
+        var_exact = None
+        if pair_moments is not None:
+            s = _as_pair_moments(pair_moments).quadratic_form(coeffs**2)
+            var_exact = (16.0 / m**2) * s - (4.0 / n) ** 2
+        third_exact = None
+        if coeff_third_moments is not None:
+            abs3 = np.abs(coeffs) ** 3
+            if np.ndim(coeff_third_moments) == 0:
+                third_exact = (8.0 / m) * float(coeff_third_moments) * float(abs3.sum())
+            else:
+                third_exact = (8.0 / m) * float(abs3 @ coeff_third_moments)
 
-    third_exact = None
-    if coeff_third_moments is not None:
-        abs3 = np.abs(theta_coeffs) ** 3
-        if np.ndim(coeff_third_moments) == 0:
-            third_exact = (8.0 / m) * float(coeff_third_moments) * float(abs3.sum())
-        else:
-            moments = np.asarray(coeff_third_moments, dtype=float)
-            if moments.shape != (m,):
-                raise ValueError(f"expected {m} third moments, got shape {moments.shape}")
-            third_exact = (8.0 / m) * float(abs3 @ moments)
-
-    return PairDiagnostics(
-        lam=2.0 / n,
-        slope=slope,
-        intercept=intercept,
-        slope_se=slope_se,
-        var_conditional=var_conditional,
-        third_abs=third_abs,
-        sup_abs=sup_abs,
-        var_conditional_exact=var_exact,
-        third_abs_exact=third_exact,
-    )
+        out.append(
+            PairDiagnostics(
+                lam=2.0 / n,
+                slope=slope,
+                intercept=intercept,
+                slope_se=slope_se,
+                var_conditional=var_conditional,
+                third_abs=float(np.mean(np.abs(diff_t) ** 3)),
+                sup_abs=float(np.abs(diff_t).max()),
+                var_conditional_exact=var_exact,
+                third_abs_exact=third_exact,
+            )
+        )
+    return out
 
 
 @dataclass(frozen=True)
@@ -389,42 +397,43 @@ def _rotation_frames(
 
 
 def rotation_pair_diagnostics(
-    batch: SampleBatch, eps_list, seed: int, assume_spherical: bool = False
+    spec, eps_list, N: int, seed: int, pair_seed: int
 ) -> list[RotationDiagnostics]:
     """Diagnostics for the random two-plane rotation pair.
 
-    For each eps, every sample gets a fresh Haar two-frame (q1, q2) and
-    W_eps = <R X, e_1> for the rotation by angle arcsin(eps) in that plane;
-    only the first components and the two frame projections of X enter, so
-    each row draws them from their exact law under Gram-Schmidt on two
-    Gaussian vectors, with five normals and two chi-squares
-    (``_rotation_frames``).  Angle i draws from the stream
-    ``derive_seed(seed, i)``.
+    For each eps, each of N samples of spec (drawn with ``seed``) gets a
+    fresh Haar two-frame (q1, q2) and W_eps = <R X, e_1> for the rotation by
+    angle arcsin(eps) in that plane; only the first components and the two
+    frame projections of X enter, so each row draws them from their exact
+    law under Gram-Schmidt on two Gaussian vectors, with five normals and two
+    chi-squares (``_rotation_frames``); angle i uses ``derive_seed(pair_seed, i)``.
+    Checks run before any draw; one pass over ``iter_sample_blocks`` keeps
+    X_0, X_1 and |X - X_0 e_1| per row, never the batch.
     """
-    spec = batch.spec
-    if not assume_spherical and (spec is None or spec.kind not in SPHERICAL_KINDS):
-        raise SymmetryError(
-            "rotation diagnostics need a spherically symmetric batch "
-            "(pass assume_spherical=True to override)"
-        )
+    _require_pair_symmetry(spec)
     eps_list = list(eps_list)
     for eps in eps_list:
         if not (0.0 < eps < 0.5):
             raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
 
-    n_total, n = batch.N, batch.n
-    rest = batch.data[:, 1:]
-    w = batch.data[:, 0]
-    r_perp = np.sqrt(np.einsum("ij,ij->i", rest, rest))
-    x2_sq_mean = float(np.mean(rest[:, 0] ** 2))
+    n = spec.n
+    w, x1, r_perp = np.empty((3, N))
+    lo = 0
+    for blk in iter_sample_blocks(spec, N, seed):
+        at, rest = slice(lo, lo + len(blk)), blk[:, 1:]
+        lo = at.stop
+        w[at], x1[at] = blk[:, 0], rest[:, 0]
+        r_perp[at] = np.sqrt(np.einsum("ij,ij->i", rest, rest))
+        del blk, rest  # free the block before the generator fills the next
+    x2_sq_mean = float(np.mean(x1**2))
     w_mean, w_var = float(w.mean()), float(w.var())
 
     out = []
     for pos, eps in enumerate(eps_list):
         shrink = 1.0 - math.sqrt(1.0 - eps * eps)
         sums = np.zeros(6)  # D, DW, D^2, |D|^3, D^4, |D|^6
-        rng = np.random.default_rng(derive_seed(seed, pos))
-        for lo in range(0, n_total, BLOCK_ROWS):
+        rng = np.random.default_rng(derive_seed(pair_seed, pos))
+        for lo in range(0, N, BLOCK_ROWS):
             x0 = w[lo : lo + BLOCK_ROWS]
             q1_0, s1, q2_0, s2 = _rotation_frames(rng, x0, r_perp[lo : lo + BLOCK_ROWS], n)
             rotational = q1_0 * s2 - q2_0 * s1
@@ -439,17 +448,17 @@ def rotation_pair_diagnostics(
                 (d**4).sum(),
                 (a**6).sum(),
             ]
-        d_mean, dw_mean, dsq_mean, a3_mean, d4_mean, a6_mean = sums / n_total
+        d_mean, dw_mean, dsq_mean, a3_mean, d4_mean, a6_mean = sums / N
         slope = (dw_mean - d_mean * w_mean) / w_var
         resid_var = max((dsq_mean - d_mean**2) - slope**2 * w_var, 0.0)
-        slope_se = math.sqrt(resid_var / (n_total * w_var))
+        slope_se = math.sqrt(resid_var / (N * w_var))
         unit = eps * eps / n
         r1, r1_se = slope / unit, slope_se / unit
         r2_denom = 2.0 * unit * x2_sq_mean
         r2 = dsq_mean / r2_denom
-        r2_se = math.sqrt(max(d4_mean - dsq_mean**2, 0.0) / n_total) / r2_denom
+        r2_se = math.sqrt(max(d4_mean - dsq_mean**2, 0.0) / N) / r2_denom
         r3 = a3_mean / eps**3
-        r3_se = math.sqrt(max(a6_mean - a3_mean**2, 0.0) / n_total) / eps**3
+        r3_se = math.sqrt(max(a6_mean - a3_mean**2, 0.0) / N) / eps**3
         out.append(
             RotationDiagnostics(
                 eps=eps, r1=r1, r1_se=r1_se, r2=r2, r2_se=r2_se, r3=r3, r3_se=r3_se

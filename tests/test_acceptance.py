@@ -35,10 +35,7 @@ from cltbounds.samplers import (
     Kind,
     SampleBatch,
     iter_sample_blocks,
-    sample,
     sample_ball_uniform,
-    sample_simplex,
-    sample_sphere_shell,
     sample_spherical_exponential,
 )
 from cltbounds.subspaces import (
@@ -210,23 +207,24 @@ def test_criterion_05_reflection_pair_linearity():
     seed = 50_000
     for n in (10, 50):
         cases = [
-            (sample(DistributionSpec(Kind.LP_BALL, n, p=math.inf), n_samples, seed + n),
-             standard_frame(n), None),
-            (sample(DistributionSpec(Kind.LP_BALL, n, p=1.0), n_samples, seed + n + 1),
-             standard_frame(n), None),
-            (sample_simplex(n, n_samples, seed + n + 2),
+            (DistributionSpec(Kind.LP_BALL, n, p=math.inf), seed + n, standard_frame(n), None),
+            (DistributionSpec(Kind.LP_BALL, n, p=1.0), seed + n + 1, standard_frame(n), None),
+            (DistributionSpec(Kind.SIMPLEX, n), seed + n + 2,
              simplex_geometry(n).edge_frame, simplex_geometry(n)),
         ]
         rng = np.random.default_rng(seed + n + 3)
-        for batch, frame, geom in cases:
+        for spec, sample_seed, frame, geom in cases:
             e1_analog = np.zeros(n)
             e1_analog[0] = 1.0
             if geom is not None:
                 e1_analog = geom.vertices[0]
             random_theta = rng.standard_normal(n)
             random_theta /= np.linalg.norm(random_theta)
-            for theta in (e1_analog, np.full(n, n**-0.5), random_theta):
-                diag = reflection_pair_diagnostics(batch, frame, theta, seed=seed + n + 4)
+            diags = reflection_pair_diagnostics(
+                spec, frame, (e1_analog, np.full(n, n**-0.5), random_theta),
+                n_samples, sample_seed, pair_seed=seed + n + 4,
+            )
+            for diag in diags:
                 ratio = diag.slope * n / 2.0
                 ratio_se = diag.slope_se * n / 2.0
                 z = abs(ratio - 1.0) / ratio_se
@@ -298,9 +296,10 @@ def test_criterion_07_spherically_symmetric_family():
 
 
 def test_criterion_08_infinitesimal_rotation_limits():
-    batch = sample_sphere_shell(50, 10**6, 80_000)
     eps_list = [0.2, 0.1, 0.05]
-    diags = rotation_pair_diagnostics(batch, eps_list, seed=80_001)
+    diags = rotation_pair_diagnostics(
+        DistributionSpec(Kind.SPHERE_SHELL, 50), eps_list, 10**6, 80_000, pair_seed=80_001
+    )
     ok = True
     for d in diags:
         ok &= abs(d.r1 - 1.0) <= max(3.0 * d.r1_se, 0.05)

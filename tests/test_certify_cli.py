@@ -724,13 +724,22 @@ class TestCliDiagnose:
 
     @pytest.mark.parametrize(
         "change",
-        [{"theta": ["e1", "sideways"]}, {"frame": "hexagonal"}, {"theta": []}, {"theta": "e1"}],
+        [
+            {"theta": ["e1", "sideways"]},
+            {"frame": "hexagonal"},
+            {"theta": []},
+            {"theta": "e1"},
+            # frames whose reflections do not map the law onto itself
+            {"distribution": {"kind": "simplex", "n": 6}},
+            {"distribution": {"kind": "lp_ball", "p": 1.0, "n": 6}, "frame": "simplex-edges"},
+            {"distribution": {"kind": "lp_surface", "p": 3.0, "n": 6}},
+        ],
     )
     def test_bad_reflection_config_exits_2_before_sampling(self, tmp_path, monkeypatch, change):
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before the frame and thetas were validated")
 
-        monkeypatch.setattr("cltbounds.cli.sample", no_sampling)
+        monkeypatch.setattr("cltbounds.subspaces.iter_sample_blocks", no_sampling)
         payload = {
             "command": "diagnose",
             "experiment": "reflection",
@@ -751,7 +760,7 @@ class TestCliDiagnose:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before eps_list was validated")
 
-        monkeypatch.setattr("cltbounds.cli.sample", no_sampling)
+        monkeypatch.setattr("cltbounds.subspaces.iter_sample_blocks", no_sampling)
         payload = {
             "command": "diagnose",
             "experiment": "rotation",
@@ -764,6 +773,36 @@ class TestCliDiagnose:
             EXIT_CONFIG_ERROR
         )
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "experiment, distribution",
+        [
+            ("rotation", {"kind": "lp_ball", "p": "inf", "n": 50}),
+            ("rotation", {"kind": "lp_surface", "p": 3.0, "n": 10}),
+            ("square-correlation", {"kind": "lp_surface", "p": 3.0}),
+        ],
+    )
+    def test_law_the_experiment_cannot_use_exits_2_before_sampling(
+        self, tmp_path, monkeypatch, capsys, experiment, distribution
+    ):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the law was validated")
+
+        monkeypatch.setattr("cltbounds.subspaces.iter_sample_blocks", no_sampling)
+        monkeypatch.setattr("cltbounds.cli.streaming_pair_square_covariance", no_sampling)
+        payload = {
+            "command": "diagnose",
+            "experiment": experiment,
+            "distribution": distribution,
+            "n_list": [10, 20],
+            "N": 10**6,
+        }
+        cfg = write_config(tmp_path, "diag.json", payload)
+        assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "out")]) == (
+            EXIT_CONFIG_ERROR
+        )
+        assert not (tmp_path / "out").exists()
+        assert "config error" in capsys.readouterr().err
 
     def test_unknown_experiment_exits_2(self, tmp_path):
         cfg = write_config(

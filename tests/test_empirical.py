@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,9 +18,11 @@ from cltbounds.empirical import (
     ecdf_to_csv,
     kolmogorov_vs_normal,
     project,
+    streaming_pair_square_covariance,
     tv_vs_normal_histogram,
 )
 from cltbounds.samplers import (
+    BLOCK_ROWS,
     DistributionSpec,
     Kind,
     SampleBatch,
@@ -252,6 +255,21 @@ class TestConditionalSecondMoment:
         batch = sample_sphere_shell(4, 10**4, 19)
         with pytest.raises(InsufficientDataError):
             conditional_second_moment(batch)
+
+
+class TestStreamingPairSquareCovariance:
+    def test_holds_one_block_at_a_time(self):
+        # a sample block is 52 MB here; keeping the previous block alive while
+        # the generator fills the next one would double the peak
+        spec = DistributionSpec(Kind.LINF_EXPONENTIAL, 100)
+        n_samples = 200_000
+        tracemalloc.start()
+        try:
+            streaming_pair_square_covariance(spec, n_samples, 44)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * BLOCK_ROWS * spec.n, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestSerializationHelpers:

@@ -5,17 +5,12 @@ import numpy as np
 import pytest
 
 from cltbounds.bounds import BoundInputs, bound_frame_general
-from cltbounds.frames import simplex_geometry, standard_frame
-from cltbounds.samplers import (
-    DistributionSpec,
-    Kind,
-    SampleBatch,
-    sample,
-    sample_simplex,
-    sample_sphere_shell,
-)
+from cltbounds.empirical import _ks_statistic
+from cltbounds.frames import custom_frame, simplex_geometry, standard_frame
+from cltbounds.samplers import DistributionSpec, Kind, derive_seed, sample
 from cltbounds.subspaces import (
     PairDiagnostics,
+    SymmetryError,
     ank_to_csv,
     estimate_Ank,
     haar_orthogonal,
@@ -32,8 +27,16 @@ CUBE_THIRD_ABS = 1.29903810567665797
 CUBE_FOURTH = 1.8
 
 
-def cube_batch(n, n_samples, seed):
-    return sample(DistributionSpec(Kind.LP_BALL, n, p=math.inf), n_samples, seed)
+def cube(n):
+    return DistributionSpec(Kind.LP_BALL, n, p=math.inf)
+
+
+def named_frame(name, n):
+    if name == "standard":
+        return standard_frame(n)
+    if name == "simplex-edges":
+        return simplex_geometry(n).edge_frame
+    return custom_frame(haar_orthogonal(n, 21).entries)  # "rotated"
 
 
 def iid_pair_table(n, fourth):
@@ -105,29 +108,31 @@ class TestRandomSubspace:
 class TestReflectionPair:
     def test_cube_slope(self):
         n, n_samples = 10, 10**6
-        batch = cube_batch(n, n_samples, 10)
         theta = np.full(n, n**-0.5)
-        diag = reflection_pair_diagnostics(batch, standard_frame(n), theta, seed=11)
+        [diag] = reflection_pair_diagnostics(
+            cube(n), standard_frame(n), [theta], n_samples, 10, pair_seed=11
+        )
         ratio = diag.slope * n / 2.0
         ratio_se = diag.slope_se * n / 2.0
         assert abs(ratio - 1.0) <= 3 * ratio_se
         assert diag.lam == pytest.approx(2.0 / n)
 
     def test_intercept_zero(self):
-        n = 8
-        batch = cube_batch(n, 4 * 10**5, 12)
+        n, n_samples = 8, 4 * 10**5
         theta = np.zeros(n)
         theta[0] = 1.0
-        diag = reflection_pair_diagnostics(batch, standard_frame(n), theta, seed=13)
-        d_se = math.sqrt(4.0 / n / batch.N)  # sd(W - W') ~ 2/sqrt(n)
+        [diag] = reflection_pair_diagnostics(
+            cube(n), standard_frame(n), [theta], n_samples, 12, pair_seed=13
+        )
+        d_se = math.sqrt(4.0 / n / n_samples)  # sd(W - W') ~ 2/sqrt(n)
         assert abs(diag.intercept) <= 4 * d_se
 
     def test_third_moment_matches_exact_for_cube(self):
         n, n_samples = 10, 10**6
-        batch = cube_batch(n, n_samples, 14)
         theta = np.full(n, n**-0.5)
-        diag = reflection_pair_diagnostics(
-            batch, standard_frame(n), theta, seed=15, coeff_third_moments=CUBE_THIRD_ABS
+        [diag] = reflection_pair_diagnostics(
+            cube(n), standard_frame(n), [theta], n_samples, 14, pair_seed=15,
+            coeff_third_moments=CUBE_THIRD_ABS,
         )
         # E|W-W'|^3 = (8/m) sum |theta_i|^3 E|X_i|^3 with equality for
         # exchangeable symmetric coordinates
@@ -139,22 +144,20 @@ class TestReflectionPair:
 
     def test_simplex_edge_frame_slope(self):
         n, n_samples = 5, 4 * 10**5
-        batch = sample_simplex(n, n_samples, 16)
         geom = simplex_geometry(n)
         theta = geom.vertices[0]
-        diag = reflection_pair_diagnostics(batch, geom.edge_frame, theta, seed=17)
+        [diag] = reflection_pair_diagnostics(
+            DistributionSpec(Kind.SIMPLEX, n), geom.edge_frame, [theta], n_samples, 16,
+            pair_seed=17,
+        )
         ratio = diag.slope * n / 2.0
         assert abs(ratio - 1.0) <= 3 * diag.slope_se * n / 2.0
 
     def test_exact_variance_proxy(self):
         n = 6
-        batch = cube_batch(n, 10**5, 18)
         theta = np.full(n, n**-0.5)
-        diag = reflection_pair_diagnostics(
-            batch,
-            standard_frame(n),
-            theta,
-            seed=19,
+        [diag] = reflection_pair_diagnostics(
+            cube(n), standard_frame(n), [theta], 10**5, 18, pair_seed=19,
             pair_moments=iid_pair_table(n, CUBE_FOURTH),
         )
         # (16/m^2) S - 16/n^2 with S = sum qq E[X^2 X^2]; radicand = 0.8/n
@@ -163,24 +166,84 @@ class TestReflectionPair:
         # the binned estimate must not exceed the condition-on-X proxy by much
         assert diag.var_conditional <= expected + 5e-4
 
-    def test_symmetry_check_rejects_shifted_batch(self):
-        rng = np.random.default_rng(20)
-        data = rng.standard_normal((2 * 10**5, 4)) + 2.0  # not reflection symmetric
-        batch = SampleBatch(data=data, seed=20)
-        with pytest.raises(ValueError):
+    def test_thetas_share_one_pass(self):
+        # one sample and one index stream serve every theta: the diagnostics
+        # of a list equal those of each theta alone
+        n = 7
+        spec = DistributionSpec(Kind.LP_CONE, n, p=3.0)
+        ramp = np.arange(1.0, n + 1)
+        thetas = [np.eye(n)[0], np.full(n, n**-0.5), ramp / np.linalg.norm(ramp)]
+        together = reflection_pair_diagnostics(
+            spec, standard_frame(n), thetas, 70_000, 38, pair_seed=39
+        )
+        alone = [
+            reflection_pair_diagnostics(spec, standard_frame(n), [t], 70_000, 38, pair_seed=39)[0]
+            for t in thetas
+        ]
+        assert together == alone
+
+    @pytest.mark.parametrize(
+        "kind, p, frame",
+        [
+            (Kind.SIMPLEX, None, "standard"),
+            (Kind.LP_BALL, 1.0, "simplex-edges"),
+            (Kind.LINF_EXPONENTIAL, None, "simplex-edges"),
+            (Kind.LP_SURFACE, 3.0, "standard"),
+            (Kind.LP_CONE, 2.0, "rotated"),
+        ],
+    )
+    def test_frame_must_preserve_the_law(self, monkeypatch, kind, p, frame):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the frame was checked")
+
+        monkeypatch.setattr("cltbounds.subspaces.iter_sample_blocks", no_sampling)
+        n = 4
+        with pytest.raises(SymmetryError):
             reflection_pair_diagnostics(
-                batch, standard_frame(4), np.eye(4)[0], seed=21
+                DistributionSpec(kind, n, p=p), named_frame(frame, n), [np.eye(n)[0]], 1000, 20,
+                pair_seed=21,
             )
 
+    @pytest.mark.parametrize(
+        "kind, p, frame",
+        [
+            (Kind.LP_BALL, 1.0, "standard"),
+            (Kind.LP_CONE, math.inf, "standard"),
+            (Kind.LINF_EXPONENTIAL, None, "standard"),
+            (Kind.SIMPLEX, None, "simplex-edges"),
+            (Kind.SPHERE_SHELL, None, "simplex-edges"),
+            (Kind.BALL_UNIFORM, None, "rotated"),
+        ],
+    )
+    def test_frame_that_preserves_the_law_is_accepted(self, kind, p, frame):
+        n = 4
+        [diag] = reflection_pair_diagnostics(
+            DistributionSpec(kind, n, p=p), named_frame(frame, n), [np.eye(n)[0]], 1000, 20,
+            pair_seed=21,
+        )
+        assert math.isfinite(diag.slope)
+
     def test_dimension_mismatch(self):
-        batch = cube_batch(4, 1000, 22)
         with pytest.raises(ValueError):
-            reflection_pair_diagnostics(batch, standard_frame(5), np.eye(5)[0], seed=23)
+            reflection_pair_diagnostics(
+                cube(4), standard_frame(5), [np.eye(5)[0]], 1000, 22, pair_seed=23
+            )
+
+    def test_never_holds_the_batch(self):
+        n, n_samples = 100, 200_000
+        thetas = [np.eye(n)[0], np.full(n, n**-0.5), np.eye(n)[1]]
+        tracemalloc.start()
+        try:
+            reflection_pair_diagnostics(
+                cube(n), standard_frame(n), thetas, n_samples, 40, pair_seed=41
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n_samples * n, f"peak {peak / 1e6:.1f} MB"
 
 
-@pytest.fixture(scope="module")
-def shell_batch():
-    return sample_sphere_shell(50, 4 * 10**5, 24)
+SHELL = DistributionSpec(Kind.SPHERE_SHELL, 50)
 
 
 @pytest.fixture(scope="module")
@@ -190,24 +253,55 @@ def shell_result():
 
 
 class TestRotationPair:
-    def test_ratios_near_one(self, shell_batch):
-        diags = rotation_pair_diagnostics(shell_batch, [0.2, 0.05], seed=25)
+    def test_ratios_near_one(self):
+        diags = rotation_pair_diagnostics(SHELL, [0.2, 0.05], 4 * 10**5, 24, pair_seed=25)
         for d in diags:
             assert abs(d.r1 - 1.0) <= max(3 * d.r1_se, 0.05)
             assert abs(d.r2 - 1.0) <= max(3 * d.r2_se, 0.1)
 
-    def test_r3_bounded_across_eps(self, shell_batch):
-        diags = rotation_pair_diagnostics(shell_batch, [0.1, 0.05], seed=26)
+    def test_r3_bounded_across_eps(self):
+        diags = rotation_pair_diagnostics(SHELL, [0.1, 0.05], 4 * 10**5, 24, pair_seed=26)
         assert 0.5 <= diags[0].r3 / diags[1].r3 <= 2.0
 
-    def test_rejects_bad_eps(self, shell_batch):
-        with pytest.raises(ValueError):
-            rotation_pair_diagnostics(shell_batch, [0.6], seed=27)
+    def test_rejects_bad_eps(self, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before eps was checked")
 
-    def test_rejects_non_spherical(self):
-        batch = cube_batch(5, 10**4, 28)
+        monkeypatch.setattr("cltbounds.subspaces.iter_sample_blocks", no_sampling)
         with pytest.raises(ValueError):
-            rotation_pair_diagnostics(batch, [0.1], seed=29)
+            rotation_pair_diagnostics(SHELL, [0.6], 4 * 10**5, 24, pair_seed=27)
+
+    def test_rejects_non_spherical(self, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the law was checked")
+
+        monkeypatch.setattr("cltbounds.subspaces.iter_sample_blocks", no_sampling)
+        for spec in (cube(5), DistributionSpec(Kind.LP_SURFACE, 5, p=2.0),
+                     DistributionSpec(Kind.SIMPLEX, 5)):
+            with pytest.raises(SymmetryError):
+                rotation_pair_diagnostics(spec, [0.1], 10**4, 28, pair_seed=29)
+
+    def test_never_holds_the_batch(self):
+        n, n_samples = 100, 200_000
+        tracemalloc.start()
+        try:
+            rotation_pair_diagnostics(
+                DistributionSpec(Kind.SPHERE_SHELL, n), [0.2, 0.05], n_samples, 42, pair_seed=43
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n_samples * n, f"peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("n_samples", [0, -1])
+def test_pair_diagnostics_reject_nonpositive_count(n_samples):
+    with pytest.raises(ValueError):
+        reflection_pair_diagnostics(
+            cube(4), standard_frame(4), [np.eye(4)[0]], n_samples, 44, pair_seed=45
+        )
+    with pytest.raises(ValueError):
+        rotation_pair_diagnostics(SHELL, [0.1], n_samples, 44, pair_seed=45)
 
 
 def explicit_rotation_frames(rng, x, draws):
@@ -246,15 +340,15 @@ class TestRotationFrames:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_low_dimensions_give_finite_ratios(self, n):
-        batch = sample_sphere_shell(n, 10**4, 60 + n)
-        for d in rotation_pair_diagnostics(batch, [0.2, 0.05], seed=61):
+        spec = DistributionSpec(Kind.SPHERE_SHELL, n)
+        for d in rotation_pair_diagnostics(spec, [0.2, 0.05], 10**4, 60 + n, pair_seed=61):
             values = [d.r1, d.r1_se, d.r2, d.r2_se, d.r3, d.r3_se]
             assert all(math.isfinite(v) for v in values)
 
     def test_same_seed_same_diagnostics(self):
-        batch = sample_sphere_shell(20, 10**5, 62)
-        a = rotation_pair_diagnostics(batch, [0.2, 0.1], seed=63)
-        b = rotation_pair_diagnostics(batch, [0.2, 0.1], seed=63)
+        spec = DistributionSpec(Kind.SPHERE_SHELL, 20)
+        a = rotation_pair_diagnostics(spec, [0.2, 0.1], 10**5, 62, pair_seed=63)
+        b = rotation_pair_diagnostics(spec, [0.2, 0.1], 10**5, 62, pair_seed=63)
         assert a == b
 
 
@@ -314,12 +408,8 @@ class TestEstimateAnk:
 
     def test_monotone_in_eps(self):
         spec = DistributionSpec(Kind.LP_BALL, 12, p=math.inf)
-        batch = sample(spec, 20000, 31)
         fracs = [
-            estimate_Ank(
-                spec, k=1, eps=eps, n_subspaces=8, N=20000, seed=31, n_dirs=4,
-                batch=batch,
-            ).fraction
+            estimate_Ank(spec, k=1, eps=eps, n_subspaces=8, N=20000, seed=31, n_dirs=4).fraction
             for eps in (0.005, 0.02, 0.1, 2.0)
         ]
         assert fracs == sorted(fracs)
@@ -345,14 +435,24 @@ class TestEstimateAnk:
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_streamed_equals_given_batch(self, k):
-        # 70000 rows cross the first block boundary
+        # 70000 rows cross the first block boundary; the reference projects
+        # the materialized batch onto each subspace and its sampled directions
         spec = DistributionSpec(Kind.LP_BALL, 9, p=4.0)
-        n_samples, seed = 70_000, 35
-        args = dict(k=k, eps=0.05, n_subspaces=3, N=n_samples, seed=seed, n_dirs=20)
-        streamed = estimate_Ank(spec, **args)
-        given = estimate_Ank(spec, **args, batch=sample(spec, n_samples, seed))
-        np.testing.assert_allclose(streamed.sup_distances, given.sup_distances, rtol=0, atol=1e-12)
-        assert streamed.N == given.N == n_samples
+        n_samples, seed, n_subspaces, n_dirs = 70_000, 35, 3, 20
+        streamed = estimate_Ank(
+            spec, k=k, eps=0.05, n_subspaces=n_subspaces, N=n_samples, seed=seed, n_dirs=n_dirs
+        )
+        data = sample(spec, n_samples, seed).data
+        given = []
+        for s in range(n_subspaces):
+            sub = random_subspace(spec.n, k, derive_seed(seed, s))
+            if k == 1:
+                coeffs = np.array([[1.0], [-1.0]])
+            else:
+                coeffs = uniform_directions(sub, n_dirs, np.random.default_rng(derive_seed(seed, s, 1)))
+            given.append(max(_ks_statistic(data @ (c @ sub.basis)) for c in coeffs))
+        np.testing.assert_allclose(streamed.sup_distances, given, rtol=0, atol=1e-12)
+        assert streamed.N == n_samples
 
     def test_never_holds_the_batch(self):
         spec = DistributionSpec(Kind.LP_BALL, 100, p=math.inf)
