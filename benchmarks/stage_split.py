@@ -16,12 +16,14 @@ projection row goes through ``kolmogorov_vs_normal`` and
 certification, so it times older checkouts as well.
 
 ``--mode subspace`` times scan-ank at k = 1 the same way: the fill, the
-projection onto the 32 stacked subspace lines and the both-signs Kolmogorov
-sort of every line (``ank_*_s``), then the whole ``estimate_Ank`` call
-(``ank_total_s``).  It times the whole reflection step of ``diagnose``
-(``reflection_total_s``: the three thetas e1, diagonal and random(42) of
-criterion 05 on the given spec, with the standard frame, or the edge frame
-for the simplex).  For the rotation diagnostics it times the two-frame
+projection onto the 32 stacked subspace lines and ``_ks_statistic`` of every
+line, one after another (``ank_*_s``) and again on ``CLTBOUNDS_THREADS``
+threads (``ank_ks_threaded_s``), then the whole ``estimate_Ank`` call
+(``ank_total_s``).  Every ``*_total_s`` passes ``CLTBOUNDS_THREADS`` as
+``workers`` where the checkout takes it.  It times the whole reflection
+step of ``diagnose`` (``reflection_total_s``: the three thetas e1, diagonal
+and random(42) of criterion 05 on the given spec, with the standard frame,
+or the edge frame for the simplex).  For the rotation diagnostics it times the two-frame
 draw of three angles over a sphere-shell batch of the same n and N
 (``rotation_frames_s``: ``subspaces._rotation_frames`` where the checkout
 has it, else Gram-Schmidt on two Gaussian vectors of R^n, as older
@@ -45,8 +47,10 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import os
 import statistics
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -54,7 +58,7 @@ from cltbounds import samplers, subspaces
 from cltbounds.certify import resolve_theta
 from cltbounds.empirical import (
     ProjectionSample,
-    _ks_statistic_both_signs,
+    _ks_statistic,
     kolmogorov_vs_normal,
     tv_vs_normal_histogram,
 )
@@ -75,6 +79,14 @@ SPHERICAL_THETAS = ["e1", "diagonal"]
 N_SUBSPACES = 32
 ANGLES = [0.2, 0.1, 0.05]
 REFLECTION_THETAS = ["e1", "diagonal", "random(42)"]
+WORKERS = int(os.environ.get("CLTBOUNDS_THREADS", "1"))
+
+
+def with_workers(fn, *args, **kwargs):
+    """fn(*args, **kwargs), passing WORKERS where fn takes ``workers``."""
+    if "workers" in inspect.signature(fn).parameters:
+        kwargs["workers"] = WORKERS
+    return fn(*args, **kwargs)
 
 
 def stream(spec: DistributionSpec, n_samples: int, seed: int, directions: np.ndarray,
@@ -145,12 +157,19 @@ def subspace_pass(spec: DistributionSpec, n_samples: int, seed: int) -> dict[str
         subspaces.random_subspace(spec.n, 1, derive_seed(seed, s)).basis[0]
         for s in range(N_SUBSPACES)
     ])
-    for row in stream(spec, n_samples, seed, lines, times, prefix="ank_"):
+    rows = stream(spec, n_samples, seed, lines, times, prefix="ank_")
+    for row in rows:
         start = time.perf_counter()
-        _ks_statistic_both_signs(row)
+        _ks_statistic(row)
         times["ank_ks_s"] += time.perf_counter() - start
     start = time.perf_counter()
-    subspaces.estimate_Ank(spec, k=1, eps=0.1, n_subspaces=N_SUBSPACES, N=n_samples, seed=seed)
+    with ThreadPoolExecutor(max_workers=WORKERS) as pool:
+        list(pool.map(_ks_statistic, rows))
+    times["ank_ks_threaded_s"] = time.perf_counter() - start
+    del rows
+    start = time.perf_counter()
+    with_workers(subspaces.estimate_Ank, spec, k=1, eps=0.1, n_subspaces=N_SUBSPACES,
+                 N=n_samples, seed=seed)
     times["ank_total_s"] = time.perf_counter() - start
 
     streamed = "pair_seed" in inspect.signature(subspaces.reflection_pair_diagnostics).parameters
@@ -161,7 +180,8 @@ def subspace_pass(spec: DistributionSpec, n_samples: int, seed: int) -> dict[str
     thetas = [resolve_theta(t, spec.n)[0] for t in REFLECTION_THETAS]
     start = time.perf_counter()
     if streamed:
-        subspaces.reflection_pair_diagnostics(spec, frame, thetas, n_samples, seed, seed)
+        with_workers(subspaces.reflection_pair_diagnostics, spec, frame, thetas, n_samples,
+                     seed, seed)
     else:
         batch = sample(spec, n_samples, seed)
         for theta in thetas:
@@ -186,7 +206,7 @@ def subspace_pass(spec: DistributionSpec, n_samples: int, seed: int) -> dict[str
     start = time.perf_counter()
     if streamed:
         shell = DistributionSpec(kind=Kind.SPHERE_SHELL, n=spec.n)
-        subspaces.rotation_pair_diagnostics(shell, ANGLES, n_samples, seed, seed)
+        with_workers(subspaces.rotation_pair_diagnostics, shell, ANGLES, n_samples, seed, seed)
     else:
         subspaces.rotation_pair_diagnostics(sample_sphere_shell(spec.n, n_samples, seed),
                                             ANGLES, seed=seed)
@@ -218,7 +238,7 @@ def main() -> None:
     setup = {
         "certify": {"thetas": THETAS},
         "subspace": {"n_subspaces": N_SUBSPACES, "reflection_thetas": REFLECTION_THETAS,
-                     "angles": ANGLES, "rotation_kind": "sphere_shell"},
+                     "angles": ANGLES, "rotation_kind": "sphere_shell", "workers": WORKERS},
         "spherical": {"thetas": SPHERICAL_THETAS},
     }[args.mode]
     print(json.dumps({"mode": args.mode, "spec": spec.to_dict(), "N": args.N, **setup,

@@ -20,7 +20,6 @@ import csv
 import json
 import math
 import subprocess
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +36,7 @@ from .bounds import (
     bound_unconditional,
     bound_unconditional_bounded,
 )
+from .core import thread_map
 from .empirical import (
     DEFAULT_DELTA,
     DistanceEstimate,
@@ -325,12 +325,7 @@ def certify_grid(
             for (theta, label), values in zip(resolved, projections)
         ]
 
-    specs = list(specs)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_spec = list(pool.map(certify_spec, range(len(specs)), specs))
-    else:
-        per_spec = [certify_spec(pos, spec) for pos, spec in enumerate(specs)]
+    per_spec = thread_map(lambda job: certify_spec(*job), enumerate(specs), workers)
     return [report for group in per_spec for report in group]
 
 

@@ -116,9 +116,23 @@ def _theta(theta_spec, n: int):
         raise ConfigError(f"invalid theta for n={n}: {exc}") from exc
 
 
+def _check_out_dir(cfg: dict) -> None:
+    """Fail before computing if the output directory cannot be made: it, or
+    else its nearest existing ancestor, must be a writable directory."""
+    out = base = Path(cfg.get("out", "."))
+    while not base.exists() and base != base.parent:
+        base = base.parent
+    if not base.is_dir() or not os.access(base, os.W_OK | os.X_OK):
+        raise ConfigError(f"cannot make output directory {str(out)!r}: "
+                          f"{str(base)!r} is not a writable directory")
+
+
 def _out_dir(cfg: dict) -> Path:
     out = Path(cfg.get("out", "."))
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {str(out)!r}: {exc}") from exc
     return out
 
 
@@ -235,12 +249,13 @@ def _cmd_scan_ank(cfg: dict) -> int:
     for spec in specs:
         if k > spec.n:
             raise ConfigError(f"'k' must not exceed n, got k={k}, n={spec.n}")
+    workers = _workers()
     out = _out_dir(cfg)
     results = []
     for spec in specs:
         est = estimate_Ank(
             spec, k=k, eps=eps, n_subspaces=n_subspaces, N=n_samples,
-            seed=seed, n_dirs=n_dirs,
+            seed=seed, n_dirs=n_dirs, workers=workers,
         )
         results.append(est)
         print(
@@ -255,6 +270,8 @@ def _cmd_scan_ank(cfg: dict) -> int:
 def _cmd_diagnose(cfg: dict) -> int:
     experiment = cfg.get("experiment", "reflection")
     seed = _seed(cfg)
+    workers = _workers()
+    _check_out_dir(cfg)
     if experiment == "reflection":
         spec = _spec_from_config(_require(cfg, "distribution"))
         n_samples = _positive_int(cfg, "N")
@@ -270,7 +287,8 @@ def _cmd_diagnose(cfg: dict) -> int:
             raise ConfigError("'theta' must be a non-empty list")
         thetas = [_theta(theta_spec, spec.n) for theta_spec in theta_specs]
         diags = reflection_pair_diagnostics(
-            spec, frame, [theta for theta, _ in thetas], n_samples, seed, derive_seed(seed, 1)
+            spec, frame, [theta for theta, _ in thetas], n_samples, seed, derive_seed(seed, 1),
+            workers=workers,
         )
         name = "reflection_diagnostics.csv"
         header = ["theta", "slope", "expected_slope", "slope_over_expected", "slope_se",
@@ -292,7 +310,9 @@ def _cmd_diagnose(cfg: dict) -> int:
         if not isinstance(eps_list, list) or not eps_list:
             raise ConfigError("'eps_list' must be a non-empty list")
         eps_list = [_number(eps, "'eps_list' entry", 0.0, 0.5) for eps in eps_list]
-        diags = rotation_pair_diagnostics(spec, eps_list, n_samples, seed, derive_seed(seed, 1))
+        diags = rotation_pair_diagnostics(
+            spec, eps_list, n_samples, seed, derive_seed(seed, 1), workers=workers
+        )
         name = "rotation_diagnostics.csv"
         header = ["eps", "r1", "r1_se", "r2", "r2_se", "r3", "r3_se"]
         rows = [[d.eps, d.r1, d.r1_se, d.r2, d.r2_se, d.r3, d.r3_se] for d in diags]

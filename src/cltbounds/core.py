@@ -8,6 +8,8 @@ fixed-size row blocks, so fourth moments of 1e7 samples keep their digits.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +26,7 @@ __all__ = [
     "normal_cdf",
     "normal_pdf",
     "summarize",
+    "thread_map",
 ]
 
 # rows per block: the sampler substream unit and every blockwise accumulation
@@ -32,6 +35,19 @@ BLOCK_ROWS = 1 << 16
 
 class InsufficientDataError(ValueError):
     """Raised when an estimator needs more samples than were provided."""
+
+
+def thread_map(fn: Callable, items: Iterable, workers: int = 1) -> list:
+    """[fn(item) for item in items], on ``workers`` threads when workers > 1.
+
+    The results keep the order of items, so a task that writes only its own
+    output and draws only its own substream gives the same result at every
+    worker count; numpy's sorts, fills and reductions release the GIL.
+    """
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def as_vector(x, n: int | None = None) -> np.ndarray:

@@ -19,7 +19,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .core import BLOCK_ROWS
+from .core import BLOCK_ROWS, thread_map
 from .frames import simplex_geometry
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
     "exact_moments",
     "iter_projection_blocks",
     "iter_sample_blocks",
+    "map_sample_blocks",
     "sample",
     "sample_ball_uniform",
     "sample_generalized_gaussian",
@@ -377,6 +378,26 @@ def iter_sample_blocks(spec: DistributionSpec, N: int, seed: int) -> Iterator[np
     fill = _filler(spec)
     for _, count, rng in _block_rngs(N, seed):
         yield fill(rng, count)
+
+
+def map_sample_blocks(
+    spec: DistributionSpec, N: int, seed: int, fn: Callable[[slice, np.ndarray], None],
+    workers: int = 1,
+) -> None:
+    """Call fn(rows, block) for every block of the N-row draw of spec, rows
+    being the block's slice of the whole draw.
+
+    Each block is filled on the thread that hands it to fn and freed when fn
+    returns; the blocks are those of ``iter_sample_blocks`` at every worker
+    count, since each draws from its own substream.
+    """
+    fill = _filler(spec)
+
+    def run(job: tuple[int, int, np.random.Generator]) -> None:
+        lo, count, rng = job
+        fn(slice(lo, lo + count), fill(rng, count))
+
+    thread_map(run, _block_rngs(N, seed), workers)
 
 
 def iter_projection_blocks(

@@ -11,16 +11,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import KOLMOGOROV, BoundValue, _as_pair_moments
-from .core import BLOCK_ROWS, as_unit_vector
-from .empirical import (
-    _equal_count_bin_means,
-    _ks_statistic,
-    _ks_statistic_both_signs,
-    _stack_projections,
-)
+from .core import BLOCK_ROWS, as_unit_vector, thread_map
+from .empirical import _equal_count_bin_means, _ks_statistic, _stack_projections
 from .frames import TightFrame, frame_coeffs, simplex_geometry
 from .samplers import (
-    SPHERICAL_KINDS, Kind, derive_seed, iter_projection_blocks, iter_sample_blocks
+    SPHERICAL_KINDS, Kind, derive_seed, iter_projection_blocks, map_sample_blocks
 )
 
 __all__ = [
@@ -180,21 +175,24 @@ def estimate_Ank(
     N: int,
     seed: int,
     n_dirs: int | None = None,
+    workers: int = 1,
 ) -> AnkEstimate:
     """Randomized-subspace experiment for the projection law of spec.
 
     N samples are projected onto ``n_dirs`` uniform directions (default
     50 k) in each of ``n_subspaces`` random subspaces; a subspace counts as
     good when the max Kolmogorov distance over its sampled directions is at
-    most eps.  For k = 1 the unit sphere of the subspace has exactly two
-    elements, so direction sampling is replaced by exact enumeration of both
-    signs (from a single sorted pass).
+    most eps.  For k = 1 the unit sphere of the subspace is the two signs of
+    its line, and the Kolmogorov distance of -W equals that of W, so one
+    statistic per line is exact and no direction is sampled.
 
     One pass over ``iter_projection_blocks`` writes the projections Y = X L
     onto the stacked (n, n_subspaces k) basis matrix L; a direction with
     coefficients c in subspace s is then Y_s c.  Memory: Y takes
     N n_subspaces k 8 bytes, and the (N, n) batch is never held (spherically
-    symmetric specs draw Y from its exact reduced law).
+    symmetric specs draw Y from its exact reduced law).  The fill is serial;
+    the subspaces' statistics run on ``workers`` threads, each subspace with
+    its own direction stream, so the result does not depend on ``workers``.
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -208,19 +206,20 @@ def estimate_Ank(
     subspaces = [random_subspace(n, k, derive_seed(seed, s)) for s in range(n_subspaces)]
     bases = np.concatenate([sub.basis for sub in subspaces]).T
     proj = _stack_projections(iter_projection_blocks(spec, bases, N, seed), bases.shape[1], N)
-    sups = np.empty(n_subspaces)
-    for s, subspace in enumerate(subspaces):
+
+    def sup_distance(s: int) -> float:
         if k == 1:
-            sups[s] = max(_ks_statistic_both_signs(proj[s]))
-            continue
+            return _ks_statistic(proj[s], overwrite=True)  # proj[s] is not read again
         rng = np.random.default_rng(derive_seed(seed, s, 1))
-        coeffs = uniform_directions(subspace, n_dirs, rng)
+        coeffs = uniform_directions(subspaces[s], n_dirs, rng)
         y_s = proj[s * k : (s + 1) * k]
-        sups[s] = max(
-            _ks_statistic(values)
+        return max(
+            _ks_statistic(values, overwrite=True)
             for lo in range(0, n_dirs, 16)
             for values in coeffs[lo : lo + 16] @ y_s
         )
+
+    sups = np.array(thread_map(sup_distance, range(n_subspaces), workers))
     return AnkEstimate(
         fraction=float(np.mean(sups <= eps)),
         sup_distances=sups,
@@ -275,6 +274,7 @@ def reflection_pair_diagnostics(
     pair_seed: int,
     pair_moments=None,
     coeff_third_moments=None,
+    workers: int = 1,
 ) -> list[PairDiagnostics]:
     """Diagnostics for the random-reflection exchangeable pair, one per theta.
 
@@ -283,8 +283,11 @@ def reflection_pair_diagnostics(
     is formed; all thetas share the rows and I.  ``pair_moments`` (dense table or
     SimplexPairMoments) and ``coeff_third_moments`` (scalar max or length-m
     array of E|X_(i)|^3) unlock the exact conditional-variance proxy and the
-    exact third moment.  Checks run before any draw; one pass over
-    ``iter_sample_blocks`` keeps W and W - W' per theta, never the batch.
+    exact third moment.  Checks run before any draw; one pass over the
+    sample blocks keeps W and W - W' per theta, never the batch.  The indices
+    are drawn first, in block order; the block fills and then the per-theta
+    reductions run on ``workers`` threads, with results independent of
+    ``workers``.
     """
     if frame.n != spec.n:
         raise ValueError(f"dimension mismatch: frame n={frame.n}, spec n={spec.n}")
@@ -297,21 +300,25 @@ def reflection_pair_diagnostics(
         if coeff_third_moments.shape != (m,):
             raise ValueError(f"expected {m} third moments, got shape {coeff_third_moments.shape}")
 
+    # one pair_seed stream feeds every block's frame indices: draw them in order
     rng = np.random.default_rng(pair_seed)
+    index = np.empty(N, dtype=np.int64)
+    for lo in range(0, N, BLOCK_ROWS):
+        index[lo : lo + BLOCK_ROWS] = rng.integers(0, m, min(BLOCK_ROWS, N - lo))
     w, diff = np.empty((2, len(thetas), N))
-    lo = 0
-    for blk in iter_sample_blocks(spec, N, seed):
-        at = slice(lo, lo + len(blk))
-        lo = at.stop
-        idx = rng.integers(0, m, len(blk))
+
+    def take(rows: slice, blk: np.ndarray) -> None:
+        idx = index[rows]
         coeff = np.einsum("ij,ij->i", blk, frame.vectors[idx])
         for t, theta in enumerate(thetas):
-            w[t, at] = blk @ theta
-            diff[t, at] = 2.0 * coeff * theta_coeffs[t][idx]
-        del blk  # free the block before the generator fills the next
+            w[t, rows] = blk @ theta
+            diff[t, rows] = 2.0 * coeff * theta_coeffs[t][idx]
 
-    out = []
-    for w_t, diff_t, coeffs in zip(w, diff, theta_coeffs):
+    map_sample_blocks(spec, N, seed, take, workers)
+    del index
+
+    def diagnose(t: int) -> PairDiagnostics:
+        w_t, diff_t, coeffs = w[t], diff[t], theta_coeffs[t]
         w_mean, d_mean = float(w_t.mean()), float(diff_t.mean())
         w_var = float(w_t.var())
         slope = float(np.mean((diff_t - d_mean) * (w_t - w_mean))) / w_var
@@ -335,20 +342,19 @@ def reflection_pair_diagnostics(
             else:
                 third_exact = (8.0 / m) * float(abs3 @ coeff_third_moments)
 
-        out.append(
-            PairDiagnostics(
-                lam=2.0 / n,
-                slope=slope,
-                intercept=intercept,
-                slope_se=slope_se,
-                var_conditional=var_conditional,
-                third_abs=float(np.mean(np.abs(diff_t) ** 3)),
-                sup_abs=float(np.abs(diff_t).max()),
-                var_conditional_exact=var_exact,
-                third_abs_exact=third_exact,
-            )
+        return PairDiagnostics(
+            lam=2.0 / n,
+            slope=slope,
+            intercept=intercept,
+            slope_se=slope_se,
+            var_conditional=var_conditional,
+            third_abs=float(np.mean(np.abs(diff_t) ** 3)),
+            sup_abs=float(np.abs(diff_t).max()),
+            var_conditional_exact=var_exact,
+            third_abs_exact=third_exact,
         )
-    return out
+
+    return thread_map(diagnose, range(len(thetas)), workers)
 
 
 @dataclass(frozen=True)
@@ -397,7 +403,7 @@ def _rotation_frames(
 
 
 def rotation_pair_diagnostics(
-    spec, eps_list, N: int, seed: int, pair_seed: int
+    spec, eps_list, N: int, seed: int, pair_seed: int, workers: int = 1
 ) -> list[RotationDiagnostics]:
     """Diagnostics for the random two-plane rotation pair.
 
@@ -407,8 +413,10 @@ def rotation_pair_diagnostics(
     frame projections of X enter, so each row draws them from their exact
     law under Gram-Schmidt on two Gaussian vectors, with five normals and two
     chi-squares (``_rotation_frames``); angle i uses ``derive_seed(pair_seed, i)``.
-    Checks run before any draw; one pass over ``iter_sample_blocks`` keeps
-    X_0, X_1 and |X - X_0 e_1| per row, never the batch.
+    Checks run before any draw; one pass over the sample blocks keeps X_0,
+    X_1 and |X - X_0 e_1| per row, never the batch.  The block fills, then
+    the angles (each summing its blocks in order), run on ``workers``
+    threads, with results independent of ``workers``.
     """
     _require_pair_symmetry(spec)
     eps_list = list(eps_list)
@@ -418,18 +426,18 @@ def rotation_pair_diagnostics(
 
     n = spec.n
     w, x1, r_perp = np.empty((3, N))
-    lo = 0
-    for blk in iter_sample_blocks(spec, N, seed):
-        at, rest = slice(lo, lo + len(blk)), blk[:, 1:]
-        lo = at.stop
-        w[at], x1[at] = blk[:, 0], rest[:, 0]
-        r_perp[at] = np.sqrt(np.einsum("ij,ij->i", rest, rest))
-        del blk, rest  # free the block before the generator fills the next
+
+    def take(rows: slice, blk: np.ndarray) -> None:
+        rest = blk[:, 1:]
+        w[rows], x1[rows] = blk[:, 0], rest[:, 0]
+        r_perp[rows] = np.sqrt(np.einsum("ij,ij->i", rest, rest))
+
+    map_sample_blocks(spec, N, seed, take, workers)
     x2_sq_mean = float(np.mean(x1**2))
     w_mean, w_var = float(w.mean()), float(w.var())
 
-    out = []
-    for pos, eps in enumerate(eps_list):
+    def diagnose(pos: int) -> RotationDiagnostics:
+        eps = eps_list[pos]
         shrink = 1.0 - math.sqrt(1.0 - eps * eps)
         sums = np.zeros(6)  # D, DW, D^2, |D|^3, D^4, |D|^6
         rng = np.random.default_rng(derive_seed(pair_seed, pos))
@@ -459,12 +467,11 @@ def rotation_pair_diagnostics(
         r2_se = math.sqrt(max(d4_mean - dsq_mean**2, 0.0) / N) / r2_denom
         r3 = a3_mean / eps**3
         r3_se = math.sqrt(max(a6_mean - a3_mean**2, 0.0) / N) / eps**3
-        out.append(
-            RotationDiagnostics(
-                eps=eps, r1=r1, r1_se=r1_se, r2=r2, r2_se=r2_se, r3=r3, r3_se=r3_se
-            )
+        return RotationDiagnostics(
+            eps=eps, r1=r1, r1_se=r1_se, r2=r2, r2_se=r2_se, r3=r3, r3_se=r3_se
         )
-    return out
+
+    return thread_map(diagnose, range(len(eps_list)), workers)
 
 
 def stein_rr_assemble(

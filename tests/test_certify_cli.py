@@ -503,6 +503,28 @@ _CUBE_GRID = {
 }
 
 
+_SMALL_SCAN = {
+    "distribution": {"kind": "lp_ball", "p": "inf"},
+    "n_list": [6],
+    "k": 1,
+    "eps": 0.1,
+    "n_subspaces": 2,
+    "N": 2000,
+}
+_SMALL_REFLECTION = {
+    "experiment": "reflection",
+    "distribution": {"kind": "lp_ball", "p": "inf", "n": 6},
+    "theta": ["e1", "diagonal"],
+    "N": 2000,
+}
+_SMALL_ROTATION = {
+    "experiment": "rotation",
+    "distribution": {"kind": "sphere_shell", "n": 6},
+    "eps_list": [0.2, 0.1],
+    "N": 2000,
+}
+
+
 class TestExitCodes:
     def test_internal_error_exits_4(self, tmp_path, monkeypatch, capsys):
         def broken(*args, **kwargs):
@@ -543,15 +565,86 @@ class TestExitCodes:
             EXIT_CONFIG_ERROR
         )
 
-    @pytest.mark.parametrize("threads", ["abc", "0", "-3"])
-    def test_bad_thread_count_exits_2(self, tmp_path, monkeypatch, capsys, threads):
+    @pytest.mark.parametrize(
+        "threads, command, payload",
+        [
+            pytest.param("abc", "certify", _CUBE_GRID, id="abc"),
+            pytest.param("0", "certify", _CUBE_GRID, id="0"),
+            pytest.param("-3", "certify", _CUBE_GRID, id="-3"),
+            pytest.param("0", "scan-ank", _SMALL_SCAN, id="scan-ank-0"),
+            pytest.param("abc", "diagnose", _SMALL_REFLECTION, id="reflection-abc"),
+            pytest.param("-3", "diagnose", _SMALL_ROTATION, id="rotation--3"),
+        ],
+    )
+    def test_bad_thread_count_exits_2(
+        self, tmp_path, monkeypatch, capsys, threads, command, payload
+    ):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the thread count was read")
+
+        monkeypatch.setattr("cltbounds.samplers._block_rngs", no_sampling)
         monkeypatch.setenv("CLTBOUNDS_THREADS", threads)
-        cfg = write_config(tmp_path, "c.json", {"command": "certify", **_CUBE_GRID})
-        assert main(["certify", "--config", cfg, "--out", str(tmp_path / "out")]) == (
+        cfg = write_config(tmp_path, "c.json", {"command": command, **payload})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == (
             EXIT_CONFIG_ERROR
         )
         assert "CLTBOUNDS_THREADS" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("sample", {"distribution": {"kind": "sphere_shell", "n": 4}, "N": 100}),
+            ("certify", _CUBE_GRID),
+            ("scan-ank", _SMALL_SCAN),
+            ("diagnose", _SMALL_REFLECTION),
+            ("diagnose", _SMALL_ROTATION),
+            ("diagnose", {"experiment": "square-correlation", "n_list": [5], "N": 1000}),
+            ("tv-exact", {"n_list": [5]}),
+        ],
+    )
+    def test_unusable_out_path_exits_2_before_sampling(
+        self, tmp_path, monkeypatch, capsys, command, payload
+    ):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the output path was checked")
+
+        monkeypatch.setattr("cltbounds.samplers._block_rngs", no_sampling)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "sub"
+        cfg = write_config(tmp_path, "c.json", {"command": command, **payload})
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert "config error" in err and str(out) in err
+        assert "Traceback" not in err
+
+
+class TestCliWorkerCount:
+    # 70000 rows cross the first block boundary
+    @pytest.mark.parametrize(
+        "command, payload, name",
+        [
+            ("scan-ank", {**_SMALL_SCAN, "n_list": [6, 9], "eps": 0.02, "n_subspaces": 4},
+             "ank_scan.csv"),
+            ("diagnose", {**_SMALL_REFLECTION, "theta": ["e1", "diagonal", "random(42)"]},
+             "reflection_diagnostics.csv"),
+            ("diagnose", {**_SMALL_ROTATION, "eps_list": [0.2, 0.1, 0.05]},
+             "rotation_diagnostics.csv"),
+        ],
+    )
+    def test_outputs_do_not_depend_on_thread_count(
+        self, tmp_path, monkeypatch, command, payload, name
+    ):
+        cfg = write_config(tmp_path, "c.json",
+                           {"command": command, **payload, "N": 70_000, "seed": 17})
+        written = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("CLTBOUNDS_THREADS", threads)
+            out = tmp_path / f"threads{threads}"
+            assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_OK
+            written.append((out / name).read_bytes())
+        assert written[0] == written[1]
 
 
 class TestCliReport:
@@ -739,7 +832,7 @@ class TestCliDiagnose:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before the frame and thetas were validated")
 
-        monkeypatch.setattr("cltbounds.subspaces.iter_sample_blocks", no_sampling)
+        monkeypatch.setattr("cltbounds.subspaces.map_sample_blocks", no_sampling)
         payload = {
             "command": "diagnose",
             "experiment": "reflection",
@@ -760,7 +853,7 @@ class TestCliDiagnose:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before eps_list was validated")
 
-        monkeypatch.setattr("cltbounds.subspaces.iter_sample_blocks", no_sampling)
+        monkeypatch.setattr("cltbounds.subspaces.map_sample_blocks", no_sampling)
         payload = {
             "command": "diagnose",
             "experiment": "rotation",
@@ -788,7 +881,7 @@ class TestCliDiagnose:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before the law was validated")
 
-        monkeypatch.setattr("cltbounds.subspaces.iter_sample_blocks", no_sampling)
+        monkeypatch.setattr("cltbounds.subspaces.map_sample_blocks", no_sampling)
         monkeypatch.setattr("cltbounds.cli.streaming_pair_square_covariance", no_sampling)
         payload = {
             "command": "diagnose",

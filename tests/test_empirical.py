@@ -10,7 +10,7 @@ from cltbounds.core import InsufficientDataError, normal_cdf
 from cltbounds.empirical import (
     DistanceEstimate,
     _ks_statistic,
-    _ks_statistic_both_signs,
+    _sup_gap,
     _weighted_ks_statistic,
     ProjectionSample,
     conditional_second_moment,
@@ -134,13 +134,30 @@ class TestKolmogorov:
 
     def test_kernels_agree(self):
         values = np.random.default_rng(12).standard_normal(3001) * 1.1 + 0.05
-        d_plus, d_minus = _ks_statistic_both_signs(values)
-        assert d_plus == _ks_statistic(values)
-        assert d_minus == pytest.approx(_ks_statistic(-values), rel=0.0, abs=1e-15)
         equal = np.full(len(values), 1.0 / len(values))
         assert _weighted_ks_statistic(values, equal) == pytest.approx(
             _ks_statistic(values), rel=0.0, abs=1e-12
         )
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_sign_invariant(self, ties):
+        # the gaps of -W at order statistic n + 1 - i are those of W at i
+        values = np.random.default_rng(13).standard_normal(3001) * 1.1 + 0.05
+        if ties:
+            values = np.round(values, 1)  # about 60 distinct values
+        assert _ks_statistic(-values) == pytest.approx(
+            _ks_statistic(values), rel=0.0, abs=1e-15
+        )
+
+    @pytest.mark.parametrize("n_samples", [100, 3001, 70_000])
+    def test_fused_equals_two_sided_gap(self, n_samples):
+        values = np.random.default_rng(n_samples).standard_normal(n_samples) * 0.9
+        steps = np.arange(1, n_samples + 1) / n_samples
+        reference = _sup_gap(normal_cdf(np.sort(values)), steps, 1.0 / n_samples)
+        kept = values.copy()
+        assert _ks_statistic(values) == reference
+        np.testing.assert_array_equal(values, kept)  # a copy was sorted
+        assert _ks_statistic(values, overwrite=True) == reference
 
     def test_exact_supremum_against_brute_force(self):
         rng = np.random.default_rng(11)

@@ -17,6 +17,7 @@ from cltbounds.samplers import (
     exact_moments,
     iter_projection_blocks,
     iter_sample_blocks,
+    map_sample_blocks,
     sample,
     sample_ball_uniform,
     sample_generalized_gaussian,
@@ -105,6 +106,18 @@ class TestDeterminism:
         serial = sample(spec, total, 5).data
         stacked = np.vstack(list(iter_sample_blocks(spec, total, 5)))
         assert serial.tobytes() == stacked.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_mapped_blocks_agree_with_serial(self, workers):
+        spec = DistributionSpec(Kind.LP_BALL, 4, p=4.0)
+        total = 2 * BLOCK_ROWS + 1234
+        out = np.full((total, spec.n), np.nan)
+
+        def take(rows, block):
+            out[rows] = block
+
+        map_sample_blocks(spec, total, 5, take, workers)
+        assert out.tobytes() == sample(spec, total, 5).data.tobytes()
 
     def test_block_seeds_differ(self):
         seeds = {block_seed(12345, k) for k in range(100)}

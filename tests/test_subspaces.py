@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -196,7 +197,7 @@ class TestReflectionPair:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before the frame was checked")
 
-        monkeypatch.setattr("cltbounds.subspaces.iter_sample_blocks", no_sampling)
+        monkeypatch.setattr("cltbounds.subspaces.map_sample_blocks", no_sampling)
         n = 4
         with pytest.raises(SymmetryError):
             reflection_pair_diagnostics(
@@ -267,7 +268,7 @@ class TestRotationPair:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before eps was checked")
 
-        monkeypatch.setattr("cltbounds.subspaces.iter_sample_blocks", no_sampling)
+        monkeypatch.setattr("cltbounds.subspaces.map_sample_blocks", no_sampling)
         with pytest.raises(ValueError):
             rotation_pair_diagnostics(SHELL, [0.6], 4 * 10**5, 24, pair_seed=27)
 
@@ -275,7 +276,7 @@ class TestRotationPair:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before the law was checked")
 
-        monkeypatch.setattr("cltbounds.subspaces.iter_sample_blocks", no_sampling)
+        monkeypatch.setattr("cltbounds.subspaces.map_sample_blocks", no_sampling)
         for spec in (cube(5), DistributionSpec(Kind.LP_SURFACE, 5, p=2.0),
                      DistributionSpec(Kind.SIMPLEX, 5)):
             with pytest.raises(SymmetryError):
@@ -480,3 +481,65 @@ class TestEstimateAnk:
         text = path.read_text().splitlines()
         assert text[0].startswith("n,k,eps,fraction")
         assert len(text) == 2
+
+
+class TestWorkerCount:
+    """1 and 2 workers give bit-identical results; 70000 rows cross the first
+    block boundary."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_estimate_Ank(self, k):
+        spec = DistributionSpec(Kind.LP_BALL, 9, p=4.0)
+        serial, threaded = (
+            estimate_Ank(spec, k=k, eps=0.05, n_subspaces=3, N=70_000, seed=35, n_dirs=20,
+                         workers=workers)
+            for workers in (1, 2)
+        )
+        np.testing.assert_array_equal(serial.sup_distances, threaded.sup_distances)
+        assert serial.fraction == threaded.fraction
+
+    def test_reflection(self):
+        n = 9
+        thetas = [np.eye(n)[0], np.full(n, n**-0.5), haar_orthogonal(n, 46).entries[0]]
+        serial, threaded = (
+            reflection_pair_diagnostics(
+                cube(n), standard_frame(n), thetas, 70_000, 47, pair_seed=48,
+                coeff_third_moments=CUBE_THIRD_ABS, workers=workers,
+            )
+            for workers in (1, 2)
+        )
+        assert serial == threaded
+
+    def test_rotation(self):
+        serial, threaded = (
+            rotation_pair_diagnostics(SHELL, [0.2, 0.1, 0.05], 70_000, 49, pair_seed=50,
+                                      workers=workers)
+            for workers in (1, 2)
+        )
+        assert serial == threaded
+
+    def test_more_workers_than_cores_with_fast_switching(self):
+        # tasks write disjoint slices of shared arrays; a lost or misplaced
+        # write would change the statistics
+        spec = DistributionSpec(Kind.LP_BALL, 9, p=4.0)
+        n = 9
+        thetas = [np.eye(n)[0], np.full(n, n**-0.5)]
+
+        def run(workers):
+            return (
+                estimate_Ank(spec, k=1, eps=0.05, n_subspaces=6, N=70_000, seed=51,
+                             workers=workers).sup_distances.tolist(),
+                reflection_pair_diagnostics(cube(n), standard_frame(n), thetas, 70_000, 52,
+                                            pair_seed=53, workers=workers),
+                rotation_pair_diagnostics(SHELL, [0.2, 0.1, 0.05], 70_000, 54, pair_seed=55,
+                                          workers=workers),
+            )
+
+        serial = run(1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threaded = run(5)
+        finally:
+            sys.setswitchinterval(interval)
+        assert serial == threaded
