@@ -38,6 +38,19 @@ of the same projections through ``samplers.iter_projection_blocks``
 (``reduced_draw_s``, where the checkout has it) and
 ``tv_vs_normal_histogram`` on each projection row (``hist_s``).
 
+``--mode startup`` measures what each command pays before its work: the
+wall time of a fresh interpreter that imports ``cltbounds.cli``
+(``import_s``), runs ``cltbounds --version`` (``version_s``), or runs one
+command on a tiny config (``certify_s``, ``scan-ank_s``,
+``diagnose-reflection_s``, ``diagnose-rotation_s``, ``tv-exact_s``), each
+with the thread pins and ``PYTHONDONTWRITEBYTECODE`` of ``perfbench/run.py``;
+and, in this process, ``exact_tv_vs_normal`` over the tv-exact workload's
+``n_list`` (``tv_exact_inprocess_s``, after one warm-up call).  It also lists
+the scipy packages each fresh process loaded.  The spec options are unused.
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 benchmarks/stage_split.py \
+        --mode startup --repeats 10
+
 Prints one JSON object with the median and quartiles of each stage over the
 repeats, in seconds.
 """
@@ -49,12 +62,18 @@ import inspect
 import json
 import os
 import statistics
+import subprocess
+import sys
+import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 
+import cltbounds
 from cltbounds import samplers, subspaces
+from cltbounds.bounds import exact_tv_vs_normal
 from cltbounds.certify import resolve_theta
 from cltbounds.empirical import (
     ProjectionSample,
@@ -68,11 +87,15 @@ from cltbounds.samplers import (
     SPHERICAL_KINDS,
     DistributionSpec,
     Kind,
-    derive_seed,
     iter_sample_blocks,
     sample,
     sample_sphere_shell,
 )
+
+try:
+    from cltbounds.samplers import derive_seed
+except ImportError:  # checkouts before the one seed derivation: no subspace mode
+    derive_seed = None
 
 THETAS = ["diagonal", "random(101)", "random(102)", "random(103)"]
 SPHERICAL_THETAS = ["e1", "diagonal"]
@@ -80,6 +103,35 @@ N_SUBSPACES = 32
 ANGLES = [0.2, 0.1, 0.05]
 REFLECTION_THETAS = ["e1", "diagonal", "random(42)"]
 WORKERS = int(os.environ.get("CLTBOUNDS_THREADS", "1"))
+TV_N_LIST = [10, 20, 25, 50, 100, 200, 400, 500, 1000]  # the tv-exact workload's
+STARTUP_CONFIGS = {
+    "certify": ("certify", {
+        "distributions": [{"kind": "lp_ball", "p": "inf", "n": 6},
+                          {"kind": "sphere_shell", "n": 6}],
+        "theta": ["e1"], "N": 10_000}),
+    "scan-ank": ("scan-ank", {
+        "distribution": {"kind": "lp_ball", "p": "inf"}, "n_list": [6], "k": 1, "eps": 0.1,
+        "n_subspaces": 2, "N": 10_000}),
+    "diagnose-reflection": ("diagnose", {
+        "experiment": "reflection", "distribution": {"kind": "lp_ball", "p": "inf", "n": 6},
+        "theta": ["e1"], "N": 10_000}),
+    "diagnose-rotation": ("diagnose", {
+        "experiment": "rotation", "distribution": {"kind": "sphere_shell", "n": 6},
+        "eps_list": [0.1], "N": 10_000}),
+    "tv-exact": ("tv-exact", {"kind": "sphere_shell", "n_list": [10]}),
+}
+# runs CODE in a fresh interpreter, then prints the loaded scipy modules
+PROBE = """import json, sys
+{code}
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+CLI_PROBE = """from cltbounds.cli import main
+try:
+    code = main({argv!r})
+except SystemExit as exc:
+    code = exc.code
+assert code == 0, code
+"""
 
 
 def with_workers(fn, *args, **kwargs):
@@ -214,9 +266,64 @@ def subspace_pass(spec: DistributionSpec, n_samples: int, seed: int) -> dict[str
     return times
 
 
+def probe(code: str, root: Path, env: dict) -> tuple[float, list[str]]:
+    """Wall time of a fresh interpreter running ``code`` in ``root``, and the
+    scipy modules it loaded."""
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", PROBE.format(code=code)], cwd=root, env=env,
+                          capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    if proc.returncode != 0:
+        raise SystemExit(f"probe failed:\n{code}\n{proc.stderr[-2000:]}")
+    return wall, json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def startup_pass(root: Path, env: dict, out: Path) -> tuple[dict[str, float], dict[str, list]]:
+    """Fresh-process wall times and scipy packages per probe, plus the
+    in-process tv-exact time."""
+    probes = {"import": "import cltbounds.cli", "version": CLI_PROBE.format(argv=["--version"])}
+    for name, (command, cfg) in STARTUP_CONFIGS.items():
+        path = out / f"{name}.json"
+        path.write_text(json.dumps({**cfg, "out": str(out / name)}))
+        probes[name] = CLI_PROBE.format(argv=[command, "--config", str(path)])
+    times, packages = {}, {}
+    for name, code in probes.items():
+        times[f"{name}_s"], loaded = probe(code, root, env)
+        packages[name] = sorted({m.split(".")[1] for m in loaded if m.count(".") == 1
+                                 and not m.split(".")[1].startswith("_")})
+    exact_tv_vs_normal("sphere_shell", 3)  # loads the quadrature modules where they are lazy
+    start = time.perf_counter()
+    for n in TV_N_LIST:
+        exact_tv_vs_normal("sphere_shell", n)
+    times["tv_exact_inprocess_s"] = time.perf_counter() - start
+    return times, packages
+
+
+def quartiles(runs: list[dict[str, float]]) -> dict[str, dict[str, float]]:
+    stages = {}
+    for key in runs[0]:
+        values = sorted(run[key] for run in runs)
+        q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+        stages[key] = {"median": statistics.median(values), "q1": q1, "q3": q3}
+    return stages
+
+
+def startup(repeats: int) -> dict:
+    root = Path(cltbounds.__file__).resolve().parents[2]
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1",
+           "GIT_CEILING_DIRECTORIES": str(root.parent), "CLTBOUNDS_THREADS": str(WORKERS)}
+    env.update({f"{lib}_NUM_THREADS": "1" for lib in ("OPENBLAS", "OMP", "MKL")})
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = [startup_pass(root, env, Path(tmp)) for _ in range(repeats)]
+    return {"mode": "startup", "workers": WORKERS, "tv_n_list": TV_N_LIST,
+            "repeats": repeats, "stages": quartiles([times for times, _ in runs]),
+            "scipy_packages": runs[-1][1]}
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--mode", default="certify", choices=["certify", "subspace", "spherical"])
+    parser.add_argument("--mode", default="certify",
+                        choices=["certify", "subspace", "spherical", "startup"])
     parser.add_argument("--kind", default="lp_ball", choices=[k.value for k in Kind])
     parser.add_argument("--p", type=float, default=None)
     parser.add_argument("--n", type=int, default=100)
@@ -224,17 +331,17 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
+    if args.mode == "startup":
+        print(json.dumps(startup(args.repeats)))
+        return
+    if args.mode == "subspace" and derive_seed is None:
+        parser.error("--mode subspace needs a checkout with samplers.derive_seed")
     spec = DistributionSpec(kind=Kind(args.kind), n=args.n, p=args.p)
     if args.mode == "spherical" and spec.kind not in SPHERICAL_KINDS:
         parser.error(f"--mode spherical needs a spherically symmetric kind, got {args.kind}")
     one_pass = {"certify": certify_pass, "subspace": subspace_pass,
                 "spherical": spherical_pass}[args.mode]
-    runs = [one_pass(spec, args.N, args.seed + r) for r in range(args.repeats)]
-    stages = {}
-    for key in runs[0]:
-        values = sorted(run[key] for run in runs)
-        q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
-        stages[key] = {"median": statistics.median(values), "q1": q1, "q3": q3}
+    stages = quartiles([one_pass(spec, args.N, args.seed + r) for r in range(args.repeats)])
     setup = {
         "certify": {"thetas": THETAS},
         "subspace": {"n_subspaces": N_SUBSPACES, "reflection_thetas": REFLECTION_THETAS,

@@ -15,10 +15,8 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import integrate, optimize
-from scipy.special import gammaln, ndtr
 
-from .core import as_unit_vector, lp_norm
+from .core import as_unit_vector, lp_norm, normal_cdf, normal_pdf
 
 __all__ = [
     "BoundInputs",
@@ -287,6 +285,8 @@ def simplex_Y_moment(n: int, r: Sequence[int]) -> float:
     n+1 nonnegative integer exponents (trailing zeros omitted).  Evaluated
     in log-Gamma space so large n and r do not overflow.
     """
+    from scipy.special import gammaln
+
     r = np.asarray(r, dtype=int)
     if r.ndim != 1 or len(r) > n + 1:
         raise ValueError(f"need at most {n + 1} exponents, got shape {r.shape}")
@@ -420,6 +420,8 @@ KIND_BALL_MARGINAL = "ball_uniform"
 
 def _marginal_params(kind: str, n: int) -> tuple[float, float, float]:
     """(support radius^2, exponent, log normalizer) of the projection density."""
+    from scipy.special import gammaln  # not math.lgamma: it differs in the last bit
+
     if kind == KIND_SPHERE_MARGINAL:
         if n < 3:
             raise ValueError("the sphere marginal density formula needs n >= 3")
@@ -462,6 +464,8 @@ def exact_tv_vs_normal(kind: str, n: int) -> float:
     Crossings of the two densities are bracketed on a fine grid and refined,
     so each quadrature piece has one sign; absolute error is far below 1e-8.
     """
+    from scipy import integrate, optimize
+
     r_sq, _, _ = _marginal_params(kind, n)
     radius = math.sqrt(r_sq)
 
@@ -470,7 +474,7 @@ def exact_tv_vs_normal(kind: str, n: int) -> float:
         return float(f) - math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
 
     grid = np.linspace(0.0, radius, 4097)
-    vals = np.array([diff(t) for t in grid])
+    vals = exact_projection_density(kind, n, grid) - normal_pdf(grid)
     roots = []
     for a, b, va, vb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
         if va == 0.0:
@@ -482,5 +486,5 @@ def exact_tv_vs_normal(kind: str, n: int) -> float:
     for a, b in zip(pieces[:-1], pieces[1:]):
         piece, _ = integrate.quad(diff, a, b, epsabs=1e-12, limit=200)
         half_l1 += abs(piece)
-    tail = float(ndtr(-radius))  # all normal mass outside the support
+    tail = normal_cdf(-radius)  # all normal mass outside the support
     return 2.0 * (half_l1 + tail)

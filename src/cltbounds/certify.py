@@ -17,6 +17,7 @@ leaves non-explicit never gate a verdict; they are attached informationally.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import subprocess
@@ -329,8 +330,10 @@ def certify_grid(
     return [report for group in per_spec for report in group]
 
 
+@functools.cache
 def version_string() -> str:
-    """git-describe when available, else the package version."""
+    """git-describe when available, else the package version; the ``git``
+    child runs once per process, at the first call."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],

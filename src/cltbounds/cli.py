@@ -406,6 +406,18 @@ _COMMANDS = {
 }
 
 
+class _VersionAction(argparse.Action):
+    """``--version``: print the version string, built only when asked for."""
+
+    def __init__(self, option_strings, dest):
+        super().__init__(option_strings, dest, nargs=0, default=argparse.SUPPRESS,
+                         help="show program's version number and exit")
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        print(version_string())
+        parser.exit()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="cltbounds",
@@ -417,7 +429,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, help="override config seed")
     parser.add_argument("--out", help="override output directory")
     parser.add_argument("--input", help="override report input path")
-    parser.add_argument("--version", action="version", version=version_string())
+    parser.add_argument("--version", action=_VersionAction)
     args = parser.parse_args(argv)
 
     try:

@@ -10,10 +10,9 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .bounds import KOLMOGOROV, TOTAL_VARIATION
-from .core import InsufficientDataError, as_unit_vector, normal_cdf
+from .core import InsufficientDataError, _ndtr, as_unit_vector, normal_cdf
 from .samplers import SPHERICAL_KINDS, SampleBatch
 
 __all__ = [
@@ -144,7 +143,7 @@ def _ks_statistic(values: np.ndarray, overwrite: bool = False) -> float:
     """
     x = values if overwrite else np.array(values, dtype=float)
     x.sort()
-    ndtr(x, out=x)
+    _ndtr()(x, out=x)
     n, maxima = x.shape[0], []
     for lo in range(0, n, _GAP_ROWS):
         cdf = x[lo : lo + _GAP_ROWS]

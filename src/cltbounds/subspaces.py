@@ -40,6 +40,11 @@ STEIN_THIRD_COEFF = (2.0 * math.pi) ** -0.25
 STEIN_BOUNDED_SQRT_COEFF = 12.0
 STEIN_BOUNDED_SUP_COEFF = 43.0
 
+# directions per product in estimate_Ank at k >= 2: each worker holds one
+# (DIRECTION_CHUNK, N) product.  Four rows give the same bits as sixteen,
+# one row (a matrix-vector product) does not
+DIRECTION_CHUNK = 4
+
 
 class SymmetryError(ValueError):
     """The law lacks the symmetry an exchangeable-pair diagnostic needs."""
@@ -189,7 +194,8 @@ def estimate_Ank(
     One pass over ``iter_projection_blocks`` writes the projections Y = X L
     onto the stacked (n, n_subspaces k) basis matrix L; a direction with
     coefficients c in subspace s is then Y_s c.  Memory: Y takes
-    N n_subspaces k 8 bytes, and the (N, n) batch is never held (spherically
+    N n_subspaces k 8 bytes, plus one (DIRECTION_CHUNK, N) product per worker
+    at k >= 2, and the (N, n) batch is never held (spherically
     symmetric specs draw Y from its exact reduced law).  The fill is serial;
     the subspaces' statistics run on ``workers`` threads, each subspace with
     its own direction stream, so the result does not depend on ``workers``.
@@ -213,10 +219,11 @@ def estimate_Ank(
         rng = np.random.default_rng(derive_seed(seed, s, 1))
         coeffs = uniform_directions(subspaces[s], n_dirs, rng)
         y_s = proj[s * k : (s + 1) * k]
+        # the inner generator drops each product before the next is formed
         return max(
-            _ks_statistic(values, overwrite=True)
-            for lo in range(0, n_dirs, 16)
-            for values in coeffs[lo : lo + 16] @ y_s
+            max(_ks_statistic(values, overwrite=True)
+                for values in coeffs[lo : lo + DIRECTION_CHUNK] @ y_s)
+            for lo in range(0, n_dirs, DIRECTION_CHUNK)
         )
 
     sups = np.array(thread_map(sup_distance, range(n_subspaces), workers))

@@ -3,7 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, optimize
+from scipy.special import ndtr
 
 from cltbounds.bounds import (
     BoundInputs,
@@ -492,7 +493,40 @@ class TestExactDensity:
             exact_projection_density("sphere_shell", 2, 0.0)
 
 
+def scalar_crossing_tv(kind, n):
+    """exact_tv_vs_normal with its crossing grid evaluated one point at a
+    time, as it was before the grid became one array evaluation."""
+    radius = math.sqrt(n if kind == "sphere_shell" else n + 2)
+
+    def diff(t):
+        f = exact_projection_density(kind, n, t)
+        return float(f) - math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+
+    grid = np.linspace(0.0, radius, 4097)
+    vals = np.array([diff(t) for t in grid])
+    roots = []
+    for a, b, va, vb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
+        if va == 0.0:
+            roots.append(float(a))
+        elif va * vb < 0.0:
+            roots.append(float(optimize.brentq(diff, a, b, xtol=1e-14)))
+    pieces = [0.0, *roots, radius]
+    half_l1 = 0.0
+    for a, b in zip(pieces[:-1], pieces[1:]):
+        piece, _ = integrate.quad(diff, a, b, epsabs=1e-12, limit=200)
+        half_l1 += abs(piece)
+    return 2.0 * (half_l1 + float(ndtr(-radius)))
+
+
 class TestExactTv:
+    @pytest.mark.parametrize(
+        "kind, n",
+        [("sphere_shell", n) for n in (3, 4, 5, 10, 25, 100, 1000)]
+        + [("ball_uniform", n) for n in (2, 3, 10, 100, 1000)],
+    )
+    def test_equals_scalar_crossing_loop(self, kind, n):
+        assert exact_tv_vs_normal(kind, n) == scalar_crossing_tv(kind, n)
+
     def test_riemann_oracle(self):
         # independent oracle: trapezoidal integration of |f - phi| on a dense grid
         n = 100

@@ -10,6 +10,7 @@ from cltbounds.empirical import _ks_statistic
 from cltbounds.frames import custom_frame, simplex_geometry, standard_frame
 from cltbounds.samplers import DistributionSpec, Kind, derive_seed, sample
 from cltbounds.subspaces import (
+    DIRECTION_CHUNK,
     PairDiagnostics,
     SymmetryError,
     ank_to_csv,
@@ -497,6 +498,22 @@ class TestWorkerCount:
         )
         np.testing.assert_array_equal(serial.sup_distances, threaded.sup_distances)
         assert serial.fraction == threaded.fraction
+
+    def test_estimate_Ank_memory_level(self):
+        # k >= 2: each worker holds one (DIRECTION_CHUNK, N) direction product
+        spec = DistributionSpec(Kind.LP_BALL, 30, p=4.0)
+        n_samples = 200_000
+        peaks = []
+        for workers in (1, 2):
+            tracemalloc.start()
+            try:
+                estimate_Ank(spec, k=2, eps=0.1, n_subspaces=4, N=n_samples, seed=51,
+                             n_dirs=2 * DIRECTION_CHUNK, workers=workers)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        chunk = 8 * DIRECTION_CHUNK * n_samples
+        assert peaks[1] <= peaks[0] + chunk, f"peaks {[p / 1e6 for p in peaks]} MB"
 
     def test_reflection(self):
         n = 9
