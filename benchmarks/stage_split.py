@@ -8,12 +8,12 @@ cltbounds checkout on PYTHONPATH.
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 benchmarks/stage_split.py \
         --mode spherical --kind sphere_shell --n 100 --N 1000000 --repeats 5
 
-``--mode certify`` (the default) makes one streamed pass over
-``iter_sample_blocks`` that times each block's fill (the generator step)
-apart from its projection onto the grid's four thetas; then every
-projection row goes through ``kolmogorov_vs_normal`` and
-``tv_vs_normal_histogram``.  It uses only names that predate streaming
-certification, so it times older checkouts as well.
+``--mode certify`` (the default) makes one streamed pass over the sample
+blocks (``samplers.map_sample_blocks`` at one worker, or
+``iter_sample_blocks`` in checkouts that predate it) that times each
+block's fill (the time between two blocks) apart from its projection onto
+the grid's four thetas; then every projection row goes through
+``kolmogorov_vs_normal`` and ``tv_vs_normal_histogram``.
 
 ``--mode subspace`` times scan-ank at k = 1 the same way: the fill, the
 projection onto the 32 stacked subspace lines and ``_ks_statistic`` of every
@@ -34,8 +34,9 @@ older ones take a batch from ``sample()``, which the two totals include.
 ``--mode spherical`` takes a spherically symmetric kind and the spherical
 workload's two thetas (e1 and diagonal): it times the full fill of every
 n-dimensional row and its projection, as above, then the reduced-law draw
-of the same projections through ``samplers.iter_projection_blocks``
-(``reduced_draw_s``, where the checkout has it) and
+of the same projections through ``samplers.sample_projections`` (or
+``iter_projection_blocks`` in older checkouts; ``reduced_draw_s``, where the
+checkout has either) and
 ``tv_vs_normal_histogram`` on each projection row (``hist_s``).
 
 ``--mode startup`` measures what each command pays before its work: the
@@ -87,9 +88,7 @@ from cltbounds.samplers import (
     SPHERICAL_KINDS,
     DistributionSpec,
     Kind,
-    iter_sample_blocks,
     sample,
-    sample_sphere_shell,
 )
 
 try:
@@ -141,24 +140,34 @@ def with_workers(fn, *args, **kwargs):
     return fn(*args, **kwargs)
 
 
+def each_block(spec: DistributionSpec, n_samples: int, seed: int, fn) -> None:
+    """fn(rows, block) for every sample block, in order, through the block
+    API the checkout has."""
+    if hasattr(samplers, "map_sample_blocks"):
+        samplers.map_sample_blocks(spec, n_samples, seed, fn)
+        return
+    lo = 0
+    for block in samplers.iter_sample_blocks(spec, n_samples, seed):  # older checkouts
+        fn(slice(lo, lo + len(block)), block)
+        lo += len(block)
+
+
 def stream(spec: DistributionSpec, n_samples: int, seed: int, directions: np.ndarray,
            times: dict[str, float], prefix: str = "") -> np.ndarray:
-    """(D, N) projections onto the (n, D) directions; adds the fill and the
+    """(D, N) projections onto the (n, D) directions; adds the fill time (from
+    the end of one block's projection to the arrival of the next) and the
     projection time to ``times``."""
     out = np.empty((directions.shape[1], n_samples))
-    blocks = iter_sample_blocks(spec, n_samples, seed)
-    lo = 0
-    while True:
+    mark = [time.perf_counter()]
+
+    def take(rows: slice, block: np.ndarray) -> None:
         start = time.perf_counter()
-        block = next(blocks, None)
-        times[prefix + "fill_s"] += time.perf_counter() - start
-        if block is None:
-            break
-        start = time.perf_counter()
-        out[:, lo : lo + len(block)] = (block @ directions).T
-        times[prefix + "project_s"] += time.perf_counter() - start
-        lo += len(block)
-        del block
+        times[prefix + "fill_s"] += start - mark[0]
+        out[:, rows] = (block @ directions).T
+        mark[0] = time.perf_counter()
+        times[prefix + "project_s"] += mark[0] - start
+
+    each_block(spec, n_samples, seed, take)
     return out
 
 
@@ -180,10 +189,12 @@ def spherical_pass(spec: DistributionSpec, n_samples: int, seed: int) -> dict[st
     thetas = np.column_stack([resolve_theta(t, spec.n)[0] for t in SPHERICAL_THETAS])
     times = dict.fromkeys(("fill_s", "project_s", "hist_s"), 0.0)
     rows = stream(spec, n_samples, seed, thetas, times)
-    draw = getattr(samplers, "iter_projection_blocks", None)
-    if draw is not None:
-        start = time.perf_counter()
-        for _ in draw(spec, thetas, n_samples, seed):
+    start = time.perf_counter()
+    if hasattr(samplers, "sample_projections"):
+        samplers.sample_projections(spec, thetas, n_samples, seed)
+        times["reduced_draw_s"] = time.perf_counter() - start
+    elif hasattr(samplers, "iter_projection_blocks"):  # checkouts before sample_projections
+        for _ in samplers.iter_projection_blocks(spec, thetas, n_samples, seed):
             pass
         times["reduced_draw_s"] = time.perf_counter() - start
     for row in rows:
@@ -241,7 +252,8 @@ def subspace_pass(spec: DistributionSpec, n_samples: int, seed: int) -> dict[str
         del batch
     times["reflection_total_s"] = time.perf_counter() - start
 
-    batch = sample_sphere_shell(spec.n, n_samples, seed)
+    shell = DistributionSpec(kind=Kind.SPHERE_SHELL, n=spec.n)
+    batch = sample(shell, n_samples, seed)
     data = batch.data
     draw = getattr(subspaces, "_rotation_frames", None)
     r_perp = np.sqrt(np.einsum("ij,ij->i", data[:, 1:], data[:, 1:]))
@@ -257,11 +269,9 @@ def subspace_pass(spec: DistributionSpec, n_samples: int, seed: int) -> dict[str
     del batch, data
     start = time.perf_counter()
     if streamed:
-        shell = DistributionSpec(kind=Kind.SPHERE_SHELL, n=spec.n)
         with_workers(subspaces.rotation_pair_diagnostics, shell, ANGLES, n_samples, seed, seed)
     else:
-        subspaces.rotation_pair_diagnostics(sample_sphere_shell(spec.n, n_samples, seed),
-                                            ANGLES, seed=seed)
+        subspaces.rotation_pair_diagnostics(sample(shell, n_samples, seed), ANGLES, seed=seed)
     times["rotation_total_s"] = time.perf_counter() - start
     return times
 

@@ -30,15 +30,8 @@ from .samplers import (  # noqa: F401
     calibrate_isotropic,
     exact_moments,
     sample,
-    sample_ball_uniform,
     sample_generalized_gaussian,
-    sample_linf_exponential,
-    sample_lp_ball,
-    sample_lp_cone,
-    sample_lp_surface,
-    sample_simplex,
-    sample_sphere_shell,
-    sample_spherical_exponential,
+    sample_projections,
 )
 from .bounds import (  # noqa: F401
     BoundInputs,

@@ -2,8 +2,8 @@
 theoretical bound, measure the empirical distance, and record a verdict.
 
 Each spec's projections onto the grid's thetas are drawn once, block by
-block, through ``samplers.iter_projection_blocks``; the (N, n) batch is
-never held.  Spherically symmetric specs draw the projections from their
+block, through ``samplers.sample_projections``; the (N, n) batch is never
+held.  Spherically symmetric specs draw the projections from their
 exact reduced law (r = min(n, T) normals, a chi-square and a radius per
 row) and never fill an n-dimensional row; every other spec projects its
 sample blocks.
@@ -42,7 +42,6 @@ from .empirical import (
     DEFAULT_DELTA,
     DistanceEstimate,
     ProjectionSample,
-    _stack_projections,
     kolmogorov_vs_normal,
     tv_vs_normal_histogram,
 )
@@ -51,9 +50,11 @@ from .samplers import (
     DistributionSpec,
     Kind,
     SPHERICAL_KINDS,
+    UNCONDITIONAL_KINDS,
+    _exact_norm_sq_std,
     derive_seed,
     exact_moments,
-    iter_projection_blocks,
+    sample_projections,
 )
 
 __all__ = [
@@ -85,7 +86,7 @@ def applicable_route(spec: DistributionSpec) -> str:
         return ROUTE_SIMPLEX
     if spec.kind in SPHERICAL_KINDS:
         return ROUTE_SPHERICAL
-    if spec.kind in (Kind.LP_BALL, Kind.LP_CONE, Kind.LINF_EXPONENTIAL):
+    if spec.kind in UNCONDITIONAL_KINDS:
         return ROUTE_UNCONDITIONAL
     raise InapplicableBoundError(
         f"no explicit-constant bound applies to kind {spec.kind.value!r} "
@@ -166,23 +167,6 @@ class BoundReport:
         }
 
 
-def _exact_norm_sq_std(spec: DistributionSpec) -> float:
-    """Closed-form sqrt(Var ||X||^2) for the spherically symmetric kinds."""
-    n = spec.n
-    if spec.kind is Kind.SPHERE_SHELL:
-        return 0.0
-    if spec.kind is Kind.BALL_UNIFORM:
-        return math.sqrt(4.0 * n / (n + 4))
-    return math.sqrt(n * (4.0 * n + 6.0) / (n + 1))  # spherical exponential
-
-
-def _coordinate_sup(spec: DistributionSpec) -> float | None:
-    """Almost-sure bound on |X_i|, when the support is bounded."""
-    if spec.kind in (Kind.LP_BALL, Kind.LP_CONE, Kind.LP_SURFACE):
-        return spec.scale  # |x_i| <= ||x||_p <= scale on the scaled body
-    return None
-
-
 def _evaluate_cell(
     spec: DistributionSpec,
     route: str,
@@ -235,14 +219,13 @@ def _evaluate_cell(
             fourth, sq_cov, third_abs = exact_moments(spec)
             bound = bound_unconditional(theta, fourth, sq_cov, third_abs)
             bound_name = "unconditional[exact]"
-            a = _coordinate_sup(spec)
-            if a is not None:
+            if spec.p is not None:  # the lp ball or cone: |x_i| <= ||x||_p <= scale
+                a = spec.scale
                 informational.append(
                     ("unconditional-bounded", bound_unconditional_bounded(theta, fourth, sq_cov, a))
                 )
                 if a >= 1.0:
                     informational.append(("sncp-bounded", bound_sncp_bounded(theta, a)))
-            if spec.p is not None:
                 informational.append(
                     (
                         "lp-two-branch",
@@ -318,9 +301,7 @@ def certify_grid(
         route = applicable_route(spec)
         resolved = [resolve_theta(theta_spec, spec.n) for theta_spec in theta_specs]
         thetas = np.column_stack([theta for theta, _ in resolved])
-        projections = _stack_projections(
-            iter_projection_blocks(spec, thetas, N, cell_seed), len(resolved), N
-        )
+        projections = sample_projections(spec, thetas, N, cell_seed)
         return [
             _evaluate_cell(spec, route, theta, label, values, cell_seed, delta, constants)
             for (theta, label), values in zip(resolved, projections)

@@ -77,6 +77,12 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+def _nonempty_list(value, key: str) -> list:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{key!r} must be a non-empty list")
+    return value
+
+
 def _spec_from_config(d: dict) -> DistributionSpec:
     try:
         return DistributionSpec.from_dict(d)
@@ -171,9 +177,7 @@ def _cmd_sample(cfg: dict) -> int:
 
 
 def _expand_distributions(cfg: dict) -> list[DistributionSpec]:
-    entries = _require(cfg, "distributions")
-    if not isinstance(entries, list) or not entries:
-        raise ConfigError("'distributions' must be a non-empty list")
+    entries = _nonempty_list(_require(cfg, "distributions"), "distributions")
     specs = []
     for entry in entries:
         if not isinstance(entry, dict):
@@ -189,9 +193,7 @@ def _expand_distributions(cfg: dict) -> list[DistributionSpec]:
 
 def _cmd_certify(cfg: dict) -> int:
     specs = _expand_distributions(cfg)
-    thetas = cfg.get("theta", ["diagonal"])
-    if not isinstance(thetas, list) or not thetas:
-        raise ConfigError("'theta' must be a non-empty list")
+    thetas = _nonempty_list(cfg.get("theta", ["diagonal"]), "theta")
     n_samples = _positive_int(cfg, "N")
     seed = _seed(cfg)
     delta = _number(cfg.get("delta", DEFAULT_DELTA), "'delta'", 0.0, 1.0)
@@ -235,9 +237,7 @@ def _cmd_certify(cfg: dict) -> int:
 
 
 def _cmd_scan_ank(cfg: dict) -> int:
-    n_list = _require(cfg, "n_list")
-    if not isinstance(n_list, list) or not n_list:
-        raise ConfigError("'n_list' must be a non-empty list")
+    n_list = _nonempty_list(_require(cfg, "n_list"), "n_list")
     template = _require(cfg, "distribution")
     k = _positive_int(cfg, "k")
     eps = _number(_require(cfg, "eps"), "'eps'", 0.0, math.inf)
@@ -282,9 +282,7 @@ def _cmd_diagnose(cfg: dict) -> int:
             frame = simplex_geometry(spec.n).edge_frame
         else:
             raise ConfigError(f"unknown frame {frame_name!r}")
-        theta_specs = cfg.get("theta", ["e1"])
-        if not isinstance(theta_specs, list) or not theta_specs:
-            raise ConfigError("'theta' must be a non-empty list")
+        theta_specs = _nonempty_list(cfg.get("theta", ["e1"]), "theta")
         thetas = [_theta(theta_spec, spec.n) for theta_spec in theta_specs]
         diags = reflection_pair_diagnostics(
             spec, frame, [theta for theta, _ in thetas], n_samples, seed, derive_seed(seed, 1),
@@ -306,9 +304,7 @@ def _cmd_diagnose(cfg: dict) -> int:
     elif experiment == "rotation":
         spec = _spec_from_config(_require(cfg, "distribution"))
         n_samples = _positive_int(cfg, "N")
-        eps_list = cfg.get("eps_list", [0.2, 0.1, 0.05])
-        if not isinstance(eps_list, list) or not eps_list:
-            raise ConfigError("'eps_list' must be a non-empty list")
+        eps_list = _nonempty_list(cfg.get("eps_list", [0.2, 0.1, 0.05]), "eps_list")
         eps_list = [_number(eps, "'eps_list' entry", 0.0, 0.5) for eps in eps_list]
         diags = rotation_pair_diagnostics(
             spec, eps_list, n_samples, seed, derive_seed(seed, 1), workers=workers
@@ -322,9 +318,7 @@ def _cmd_diagnose(cfg: dict) -> int:
                 f"r2={d.r2:.4f}(se {d.r2_se:.4f}) r3={d.r3:.5f}"
             )
     elif experiment == "square-correlation":
-        n_list = _require(cfg, "n_list")
-        if not isinstance(n_list, list) or not n_list:
-            raise ConfigError("'n_list' must be a non-empty list")
+        n_list = _nonempty_list(_require(cfg, "n_list"), "n_list")
         template = cfg.get("distribution", {"kind": "linf_exponential"})
         specs = [_spec_from_config({**template, "n": n}) for n in n_list]
         if specs[0].kind is Kind.LP_SURFACE:

@@ -205,11 +205,16 @@ def _batch_data(batch) -> np.ndarray:
 
 def summarize(batch) -> MomentSummary:
     """Exact sample moments of a batch, with the full O(n^2 N) pairwise
-    square-moment table."""
+    square-moment table; a batch that carries ``weights`` (lp surface
+    measure) gives its weighted means."""
     data = _batch_data(batch)
+    weights = getattr(batch, "weights", None)
     count, n = data.shape
     if count < 2:
         raise InsufficientDataError("need at least 2 samples for covariance fields")
+
+    def total(x: np.ndarray, w: np.ndarray | None) -> np.ndarray:
+        return x.sum(axis=0) if w is None else w @ x
 
     s2 = np.zeros(n)
     s3 = np.zeros(n)
@@ -220,26 +225,28 @@ def summarize(batch) -> MomentSummary:
     abs_dev_sum = 0.0
     for lo in range(0, count, BLOCK_ROWS):
         blk = data[lo : lo + BLOCK_ROWS]
+        w = None if weights is None else weights[lo : lo + BLOCK_ROWS]
         sq = blk * blk
-        s2 += sq.sum(axis=0)
-        s3 += (sq * np.abs(blk)).sum(axis=0)
-        s4 += (sq * sq).sum(axis=0)
-        cross += sq.T @ sq
+        s2 += total(sq, w)
+        s3 += total(sq * np.abs(blk), w)
+        s4 += total(sq * sq, w)
+        cross += sq.T @ (sq if w is None else sq * w[:, None])
         rowsq = sq.sum(axis=1)
-        norm_sq_sum += rowsq.sum()
-        norm_sq_sq_sum += (rowsq * rowsq).sum()
-        abs_dev_sum += np.abs(rowsq - n).sum()
+        norm_sq_sum += total(rowsq, w)
+        norm_sq_sq_sum += total(rowsq * rowsq, w)
+        abs_dev_sum += total(np.abs(rowsq - n), w)
 
+    mass = count if weights is None else float(np.sum(weights))
     return MomentSummary(
         n=n,
         count=count,
-        second=s2 / count,
-        third_abs=s3 / count,
-        fourth=s4 / count,
-        sq_pair=cross / count,
-        norm_sq_mean=norm_sq_sum / count,
-        norm_sq_sq_mean=norm_sq_sq_sum / count,
-        abs_norm_dev_mean=abs_dev_sum / count,
+        second=s2 / mass,
+        third_abs=s3 / mass,
+        fourth=s4 / mass,
+        sq_pair=cross / mass,
+        norm_sq_mean=norm_sq_sum / mass,
+        norm_sq_sq_mean=norm_sq_sq_sum / mass,
+        abs_norm_dev_mean=abs_dev_sum / mass,
     )
 
 

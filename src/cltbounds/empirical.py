@@ -6,14 +6,13 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import KOLMOGOROV, TOTAL_VARIATION
 from .core import InsufficientDataError, _ndtr, as_unit_vector, normal_cdf
-from .samplers import SPHERICAL_KINDS, SampleBatch
+from .samplers import SPHERICAL_KINDS, SampleBatch, map_sample_blocks
 
 __all__ = [
     "DEFAULT_DELTA",
@@ -106,17 +105,6 @@ def project(batch: SampleBatch, theta) -> ProjectionSample:
     """W = <X, theta> for every row of the batch; weights pass through."""
     theta = as_unit_vector(theta, batch.n)
     return ProjectionSample(values=batch.data @ theta, theta=theta, weights=batch.weights)
-
-
-def _stack_projections(blocks: Iterable[np.ndarray], D: int, N: int) -> np.ndarray:
-    """The (D, N) array of N projections onto D directions, arriving as
-    (count, D) blocks; each row is contiguous for the Kolmogorov sort."""
-    out = np.empty((D, N))
-    lo = 0
-    for block in blocks:
-        out[:, lo : lo + len(block)] = block.T
-        lo += len(block)
-    return out
 
 
 def _sup_gap(cdf: np.ndarray, cum: np.ndarray, jump) -> float:
@@ -260,19 +248,17 @@ def streaming_pair_square_covariance(spec, n_samples: int, seed: int) -> tuple[f
     Returns (covariance, standard error); the standard error comes from the
     spread of per-block covariance estimates.
     """
-    from .samplers import iter_sample_blocks
+    per_block = []  # (sum a, sum b, sum ab, covariance) of each block, in order
 
-    s1 = s2 = s12 = 0.0
-    block_covs = []
-    for block in iter_sample_blocks(spec, n_samples, seed):
+    def take(rows: slice, block: np.ndarray) -> None:
         a = block[:, 0] ** 2
         b = block[:, 1] ** 2
-        s1 += a.sum()
-        s2 += b.sum()
-        s12 += (a * b).sum()
-        block_covs.append(float((a * b).mean() - a.mean() * b.mean()))
-        del block  # let the generator fill the next block without this one alive
-    cov = s12 / n_samples - (s1 / n_samples) * (s2 / n_samples)
+        ab = a * b
+        per_block.append((a.sum(), b.sum(), ab.sum(), float(ab.mean() - a.mean() * b.mean())))
+
+    map_sample_blocks(spec, n_samples, seed, take)  # one worker: blocks in order
+    s1, s2, s12, block_covs = zip(*per_block)
+    cov = sum(s12) / n_samples - (sum(s1) / n_samples) * (sum(s2) / n_samples)
     if len(block_covs) > 1:
         spread = np.asarray(block_covs)
         se = float(spread.std(ddof=1) / math.sqrt(len(spread)))

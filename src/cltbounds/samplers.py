@@ -12,6 +12,7 @@ every sampler draws its variates in a fixed documented order.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -33,19 +34,10 @@ __all__ = [
     "calibrate_isotropic",
     "derive_seed",
     "exact_moments",
-    "iter_projection_blocks",
-    "iter_sample_blocks",
     "map_sample_blocks",
     "sample",
-    "sample_ball_uniform",
     "sample_generalized_gaussian",
-    "sample_linf_exponential",
-    "sample_lp_ball",
-    "sample_lp_cone",
-    "sample_lp_surface",
-    "sample_simplex",
-    "sample_sphere_shell",
-    "sample_spherical_exponential",
+    "sample_projections",
 ]
 
 
@@ -62,8 +54,10 @@ class Kind(str, Enum):
 
 _LP_KINDS = {Kind.LP_BALL, Kind.LP_CONE, Kind.LP_SURFACE}
 
-# invariant under sign flips of individual coordinates
-UNCONDITIONAL_KINDS = {Kind.LP_BALL, Kind.LP_CONE, Kind.LP_SURFACE, Kind.LINF_EXPONENTIAL}
+# invariant under sign flips of individual coordinates: the kinds of the
+# unconditional route, exact_moments and the standard-frame reflection pair
+# (lp_surface is too, but none of them applies its weights)
+UNCONDITIONAL_KINDS = {Kind.LP_BALL, Kind.LP_CONE, Kind.LINF_EXPONENTIAL}
 # invariant under every rotation
 SPHERICAL_KINDS = {Kind.SPHERE_SHELL, Kind.BALL_UNIFORM, Kind.SPHERICAL_EXPONENTIAL}
 
@@ -177,7 +171,8 @@ class SampleBatch:
         with open(path, "wb") as fh:
             fh.write(_MAGIC)
             fh.write(struct.pack("<QQQ", self.n, self.N, self.seed & 0xFFFFFFFFFFFFFFFF))
-            fh.write(np.ascontiguousarray(self.data, dtype="<f8").tobytes())
+            # written from the array's own buffer: no bytes copy of the batch
+            fh.write(np.ascontiguousarray(self.data, dtype="<f8").reshape(-1).view(np.uint8))
 
     @staticmethod
     def load(path) -> "SampleBatch":
@@ -189,14 +184,17 @@ class SampleBatch:
             if len(header) != 24:
                 raise ValueError(f"sample-batch header truncated: {8 + len(header)} of 32 bytes")
             n, count, seed = struct.unpack("<QQQ", header)
-            payload = fh.read()
-        if len(payload) != 8 * n * count:
+            # the length is checked before the array is allocated, then read into it
+            payload = os.fstat(fh.fileno()).st_size - fh.tell()
+            if payload == 8 * n * count:
+                data = np.empty((count, n), dtype="<f8")
+                payload = fh.readinto(data.reshape(-1).view(np.uint8))
+        if payload != 8 * n * count:
             raise ValueError(
-                f"sample-batch payload holds {len(payload)} bytes; its header "
+                f"sample-batch payload holds {payload} bytes; its header "
                 f"(n={n}, N={count}) requires {8 * n * count}"
             )
-        data = np.frombuffer(payload, dtype="<f8").reshape(count, n)
-        return SampleBatch(data=np.array(data, dtype=float), seed=seed)
+        return SampleBatch(data=data.astype(float, copy=False), seed=seed)
 
     def to_csv(self, path) -> None:
         cols = self.data if self.weights is None else np.column_stack([self.data, self.weights])
@@ -238,6 +236,42 @@ def _block_rngs(N: int, seed: int) -> Iterator[tuple[int, int, np.random.Generat
         (lo, min(BLOCK_ROWS, N - lo), np.random.default_rng(block_seed(seed, block)))
         for block, lo in enumerate(range(0, N, BLOCK_ROWS))
     )
+
+
+def _map_blocks(fill, blocks, fn: Callable[[slice, np.ndarray], None], workers: int = 1) -> None:
+    """fn(slice(lo, lo + count), fill(rng, count)) for every (lo, count, rng)
+    of ``_block_rngs``: the one loop over the blocks of every sampled stream.
+    Each block is filled on the thread that hands it to fn and freed when fn
+    returns; at one worker the blocks arrive in order."""
+
+    def run(job: tuple[int, int, np.random.Generator]) -> None:
+        lo, count, rng = job
+        fn(slice(lo, lo + count), fill(rng, count))
+
+    thread_map(run, blocks, workers)
+
+
+def _radius(rng, kind: Kind, n: int, count: int) -> np.ndarray | None:
+    """Radii R of ``count`` draws of the unit-scale spherical law X = R U,
+    with U uniform on the unit sphere: None (R = 1) for the sphere shell,
+    random()^(1/n) for the ball, standard_gamma(n)/sqrt(n + 1) for the
+    spherical exponential."""
+    if kind is Kind.BALL_UNIFORM:
+        return rng.random(count) ** (1.0 / n)
+    if kind is Kind.SPHERICAL_EXPONENTIAL:
+        return rng.standard_gamma(float(n), count) / math.sqrt(n + 1)
+    return None
+
+
+def _exact_norm_sq_std(spec: DistributionSpec) -> float:
+    """Closed-form sqrt(Var ||X||^2) of the spherically symmetric spec at its
+    isotropic scale: ||X||^2 is scale^2 R^2 with the radius R of ``_radius``."""
+    n = spec.n
+    if spec.kind is Kind.SPHERE_SHELL:
+        return 0.0
+    if spec.kind is Kind.BALL_UNIFORM:
+        return math.sqrt(4.0 * n / (n + 4))
+    return math.sqrt(n * (4.0 * n + 6.0) / (n + 1))  # spherical exponential
 
 
 def _sphere_block(rng, count: int, n: int, radius: float) -> np.ndarray:
@@ -294,16 +328,13 @@ def _filler(spec: DistributionSpec) -> Callable[[np.random.Generator, int], np.n
     n, p, scale = spec.n, spec.p, spec.scale
     kind = spec.kind
 
-    if kind is Kind.SPHERE_SHELL:
-
-        def fill(rng, count):
-            return _sphere_block(rng, count, n, scale)
-
-    elif kind is Kind.BALL_UNIFORM:
+    if kind in SPHERICAL_KINDS:
 
         def fill(rng, count):
             x = _sphere_block(rng, count, n, scale)
-            x *= (rng.random(count) ** (1.0 / n))[:, None]
+            radius = _radius(rng, kind, n, count)
+            if radius is not None:
+                x *= radius[:, None]
             return x
 
     elif kind is Kind.LP_BALL:
@@ -349,14 +380,6 @@ def _filler(spec: DistributionSpec) -> Callable[[np.random.Generator, int], np.n
             x *= back
             return x
 
-    elif kind is Kind.SPHERICAL_EXPONENTIAL:
-        b_n = math.sqrt(n + 1)
-
-        def fill(rng, count):
-            x = _sphere_block(rng, count, n, scale)
-            x *= (rng.standard_gamma(float(n), count) / b_n)[:, None]
-            return x
-
     elif kind is Kind.LINF_EXPONENTIAL:
         b_n = _linf_rate(n)
 
@@ -373,38 +396,22 @@ def _filler(spec: DistributionSpec) -> Callable[[np.random.Generator, int], np.n
     return fill
 
 
-def iter_sample_blocks(spec: DistributionSpec, N: int, seed: int) -> Iterator[np.ndarray]:
-    """Yield the sample rows block by block (the memory-bounded path)."""
-    fill = _filler(spec)
-    for _, count, rng in _block_rngs(N, seed):
-        yield fill(rng, count)
-
-
 def map_sample_blocks(
     spec: DistributionSpec, N: int, seed: int, fn: Callable[[slice, np.ndarray], None],
     workers: int = 1,
 ) -> None:
     """Call fn(rows, block) for every block of the N-row draw of spec, rows
-    being the block's slice of the whole draw.
-
-    Each block is filled on the thread that hands it to fn and freed when fn
-    returns; the blocks are those of ``iter_sample_blocks`` at every worker
-    count, since each draws from its own substream.
-    """
-    fill = _filler(spec)
-
-    def run(job: tuple[int, int, np.random.Generator]) -> None:
-        lo, count, rng = job
-        fn(slice(lo, lo + count), fill(rng, count))
-
-    thread_map(run, _block_rngs(N, seed), workers)
+    being the block's slice of the draw; each block is freed when fn returns,
+    and at one worker the blocks arrive in order."""
+    _map_blocks(_filler(spec), _block_rngs(N, seed), fn, workers)
 
 
-def iter_projection_blocks(
+def sample_projections(
     spec: DistributionSpec, directions: np.ndarray, N: int, seed: int
-) -> Iterator[np.ndarray]:
-    """Yield, block by block, the (count, D) projections X @ directions of
-    N draws of spec onto the columns of the (n, D) direction matrix.
+) -> np.ndarray:
+    """The (D, N) projections X @ directions of N draws of spec onto the
+    columns of the (n, D) direction matrix; each row is contiguous for the
+    Kolmogorov sort, and the (N, n) batch is never held.
 
     A spherically symmetric X = scale R U, with U uniform on the sphere and
     independent of R, needs no n-dimensional row: for the reduced QR
@@ -413,62 +420,73 @@ def iter_projection_blocks(
     the chi-square (Diaconis and Freedman, "A dozen de Finetti-style results
     in search of a theory", Ann. IHP 1987).  Draw order per block: the
     (count, r) standard normals, then 2 standard_gamma((n - r)/2) (0 at
-    r = n), then the radial variate: none for the sphere shell,
-    random()^(1/n) for the ball, standard_gamma(n)/sqrt(n + 1) for the
-    spherical exponential.  These streams therefore differ from the
-    projections of ``iter_sample_blocks`` for the same seed, with the same
-    law.  Every other kind yields exactly ``fill @ directions`` of the
-    sample blocks.
+    r = n), then the radius of ``_radius``.  These streams therefore differ
+    from the projections of ``sample`` for the same seed, with the same law.
+    Every other kind projects its sample blocks: exactly
+    ``sample(spec, N, seed).data @ directions``, block by block.
     """
     directions = np.asarray(directions, dtype=float)
     if directions.ndim != 2 or directions.shape[0] != spec.n:
         raise ValueError(f"directions must be an (n={spec.n}, D) matrix, got {directions.shape}")
-    if spec.kind not in SPHERICAL_KINDS:
+    blocks = _block_rngs(N, seed)  # checks N before the projections are allocated
+    out = np.empty((directions.shape[1], N))
+    if spec.kind in SPHERICAL_KINDS:
+        n, kind, scale = spec.n, spec.kind, spec.scale
+        _, directions = np.linalg.qr(directions)  # the reduced draws project onto Rq
+        r = directions.shape[0]
+
+        def fill(rng, count):
+            g = rng.standard_normal((count, r))
+            norm_sq = np.einsum("ij,ij->i", g, g)
+            norm_sq += 2.0 * rng.standard_gamma((n - r) / 2.0, count)
+            factor = scale / np.sqrt(norm_sq)
+            radius = _radius(rng, kind, n, count)
+            if radius is not None:
+                factor *= radius
+            g *= factor[:, None]
+            return g
+
+    else:
         fill = _filler(spec)
-        for _, count, rng in _block_rngs(N, seed):
-            # no name holds the block, so it is freed before the next fill
-            yield fill(rng, count) @ directions
-        return
-    n = spec.n
-    _, r_factor = np.linalg.qr(directions)
-    r = r_factor.shape[0]
-    for _, count, rng in _block_rngs(N, seed):
-        g = rng.standard_normal((count, r))
-        norm_sq = np.einsum("ij,ij->i", g, g)
-        norm_sq += 2.0 * rng.standard_gamma((n - r) / 2.0, count)
-        factor = spec.scale / np.sqrt(norm_sq)
-        if spec.kind is Kind.BALL_UNIFORM:
-            factor *= rng.random(count) ** (1.0 / n)
-        elif spec.kind is Kind.SPHERICAL_EXPONENTIAL:
-            factor *= rng.standard_gamma(float(n), count) / math.sqrt(n + 1)
-        g *= factor[:, None]
-        yield g @ r_factor
+
+    def put(rows: slice, block: np.ndarray) -> None:
+        out[:, rows] = (block @ directions).T
+
+    _map_blocks(fill, blocks, put)
+    return out
 
 
-def _surface_weights(spec: DistributionSpec, data: np.ndarray) -> np.ndarray:
-    """Self-normalized importance weights retargeting cone draws to surface
-    measure: proportional to (sum_i |x_i/scale|^(2(p-1)))^(1/2).
+def _surface_weights(spec: DistributionSpec, block: np.ndarray) -> np.ndarray:
+    """Unnormalized importance weights retargeting cone draws to surface
+    measure: (sum_i |x_i/scale|^(2(p-1)))^(1/2) per row.
 
     For p in {1, inf} the two boundary measures coincide facet by facet and
     the weights are uniform.
     """
     p = spec.p
     if p == 1.0 or math.isinf(p):
-        w = np.full(data.shape[0], 1.0)
-    else:
-        z = np.abs(data) / spec.scale
-        w = np.sqrt(np.sum(z ** (2.0 * (p - 1.0)), axis=1))
-    return w / w.sum()
+        return np.full(block.shape[0], 1.0)
+    z = np.abs(block)
+    z /= spec.scale
+    z **= 2.0 * (p - 1.0)
+    return np.sqrt(np.sum(z, axis=1))
 
 
 def sample(spec: DistributionSpec, N: int, seed: int) -> SampleBatch:
-    """Materialize N samples of the law described by spec."""
+    """Materialize N samples of the law described by spec; lp surface
+    batches carry self-normalized weights, computed block by block."""
     blocks = _block_rngs(N, seed)  # checks N before the batch is allocated
-    fill = _filler(spec)
     out = np.empty((N, spec.n), dtype=float)
-    for lo, count, rng in blocks:
-        out[lo : lo + count] = fill(rng, count)
-    weights = _surface_weights(spec, out) if spec.kind is Kind.LP_SURFACE else None
+    weights = np.empty(N) if spec.kind is Kind.LP_SURFACE else None
+
+    def put(rows: slice, block: np.ndarray) -> None:
+        out[rows] = block
+        if weights is not None:
+            weights[rows] = _surface_weights(spec, block)
+
+    _map_blocks(_filler(spec), blocks, put)
+    if weights is not None:
+        weights /= weights.sum()
     return SampleBatch(data=out, seed=seed, spec=spec, weights=weights)
 
 
@@ -484,7 +502,7 @@ def exact_moments(spec: DistributionSpec) -> tuple[float, float, float]:
     Coordinates are exchangeable, so these are also the maxima over i and
     over pairs i != j that the unconditional bound takes.
     """
-    if spec.kind not in (Kind.LP_BALL, Kind.LP_CONE, Kind.LINF_EXPONENTIAL):
+    if spec.kind not in UNCONDITIONAL_KINDS:
         raise ValueError(f"no closed-form moments for kind {spec.kind.value!r}")
     m2 = _body_moment(spec.kind, spec.n, spec.p, (2,))
 
@@ -492,16 +510,6 @@ def exact_moments(spec: DistributionSpec) -> tuple[float, float, float]:
         return _body_moment(spec.kind, spec.n, spec.p, powers) / m2 ** (sum(powers) / 2)
 
     return normalized(4), normalized(2, 2) - 1.0, normalized(3)
-
-
-def sample_sphere_shell(n: int, N: int, seed: int) -> SampleBatch:
-    """Uniform on the sphere of radius sqrt(n); every row norm is exact."""
-    return sample(DistributionSpec(kind=Kind.SPHERE_SHELL, n=n), N, seed)
-
-
-def sample_ball_uniform(n: int, N: int, seed: int) -> SampleBatch:
-    """Uniform in the ball of radius sqrt(n+2)."""
-    return sample(DistributionSpec(kind=Kind.BALL_UNIFORM, n=n), N, seed)
 
 
 def sample_generalized_gaussian(p: float, N: int, seed: int) -> np.ndarray:
@@ -512,46 +520,12 @@ def sample_generalized_gaussian(p: float, N: int, seed: int) -> np.ndarray:
         raise ValueError(f"p must satisfy 1 <= p < inf, got {p}")
     blocks = _block_rngs(N, seed)
     out = np.empty(N, dtype=float)
-    for lo, count, rng in blocks:
-        out[lo : lo + count] = _generalized_gaussian_block(rng, p, count)[0]
+
+    def put(rows: slice, g: np.ndarray) -> None:
+        out[rows] = g
+
+    _map_blocks(lambda rng, count: _generalized_gaussian_block(rng, p, count)[0], blocks, put)
     return out
-
-
-def sample_lp_cone(p: float, n: int, N: int, seed: int, scale: float | None = None) -> SampleBatch:
-    """Cone measure on the lp sphere, scaled to isotropic."""
-    return sample(DistributionSpec(kind=Kind.LP_CONE, n=n, p=p, scale=scale), N, seed)
-
-
-def sample_lp_ball(p: float, n: int, N: int, seed: int, scale: float | None = None) -> SampleBatch:
-    """Uniform on the lp ball, scaled to isotropic."""
-    return sample(DistributionSpec(kind=Kind.LP_BALL, n=n, p=p, scale=scale), N, seed)
-
-
-def sample_lp_surface(p: float, n: int, N: int, seed: int, scale: float | None = None) -> SampleBatch:
-    """Surface measure on the lp sphere via self-normalized weights on cone draws.
-
-    The scale makes the underlying cone measure isotropic; weighted averages
-    target surface measure.
-    """
-    return sample(DistributionSpec(kind=Kind.LP_SURFACE, n=n, p=p, scale=scale), N, seed)
-
-
-def sample_simplex(n: int, N: int, seed: int) -> SampleBatch:
-    """Uniform in the isotropic regular simplex (exactly isotropic)."""
-    return sample(DistributionSpec(kind=Kind.SIMPLEX, n=n), N, seed)
-
-
-def sample_spherical_exponential(n: int, N: int, seed: int) -> SampleBatch:
-    """Isotropic spherically symmetric law with density ~ exp(-sqrt(n+1) ||x||_2)."""
-    return sample(DistributionSpec(kind=Kind.SPHERICAL_EXPONENTIAL, n=n), N, seed)
-
-
-def sample_linf_exponential(n: int, N: int, seed: int) -> SampleBatch:
-    """Isotropic coordinatewise-symmetric law with density ~ exp(-b_n ||x||_inf).
-
-    b_n = sqrt((n+1)(n+2)/3) makes every coordinate have unit variance.
-    """
-    return sample(DistributionSpec(kind=Kind.LINF_EXPONENTIAL, n=n), N, seed)
 
 
 def simplex_embedded_coordinates(batch: SampleBatch) -> np.ndarray:

@@ -12,10 +12,10 @@ import numpy as np
 
 from .bounds import KOLMOGOROV, BoundValue, _as_pair_moments
 from .core import BLOCK_ROWS, as_unit_vector, thread_map
-from .empirical import _equal_count_bin_means, _ks_statistic, _stack_projections
+from .empirical import _equal_count_bin_means, _ks_statistic
 from .frames import TightFrame, frame_coeffs, simplex_geometry
 from .samplers import (
-    SPHERICAL_KINDS, Kind, derive_seed, iter_projection_blocks, map_sample_blocks
+    SPHERICAL_KINDS, UNCONDITIONAL_KINDS, Kind, derive_seed, map_sample_blocks, sample_projections
 )
 
 __all__ = [
@@ -64,7 +64,7 @@ def _require_pair_symmetry(spec, frame: TightFrame | None = None) -> None:
         return
     if frame is None:
         raise SymmetryError(f"the rotation pair needs a spherical law, got {kind.value}")
-    if kind in (Kind.LP_BALL, Kind.LP_CONE, Kind.LINF_EXPONENTIAL):
+    if kind in UNCONDITIONAL_KINDS:
         suited = np.array_equal(frame.vectors, np.eye(n))
     else:
         suited = kind is Kind.SIMPLEX and np.array_equal(
@@ -191,7 +191,7 @@ def estimate_Ank(
     its line, and the Kolmogorov distance of -W equals that of W, so one
     statistic per line is exact and no direction is sampled.
 
-    One pass over ``iter_projection_blocks`` writes the projections Y = X L
+    One ``sample_projections`` pass writes the projections Y = X L
     onto the stacked (n, n_subspaces k) basis matrix L; a direction with
     coefficients c in subspace s is then Y_s c.  Memory: Y takes
     N n_subspaces k 8 bytes, plus one (DIRECTION_CHUNK, N) product per worker
@@ -211,7 +211,7 @@ def estimate_Ank(
     n = spec.n
     subspaces = [random_subspace(n, k, derive_seed(seed, s)) for s in range(n_subspaces)]
     bases = np.concatenate([sub.basis for sub in subspaces]).T
-    proj = _stack_projections(iter_projection_blocks(spec, bases, N, seed), bases.shape[1], N)
+    proj = sample_projections(spec, bases, N, seed)
 
     def sup_distance(s: int) -> float:
         if k == 1:

@@ -34,9 +34,8 @@ from cltbounds.samplers import (
     DistributionSpec,
     Kind,
     SampleBatch,
-    iter_sample_blocks,
-    sample_ball_uniform,
-    sample_spherical_exponential,
+    map_sample_blocks,
+    sample,
 )
 from cltbounds.subspaces import (
     estimate_Ank,
@@ -82,7 +81,7 @@ def test_criterion_02_ball_variance_and_tv():
     ok = True
     details = []
     for n in (10, 100):
-        batch = sample_ball_uniform(n, 10**6, 20_002)
+        batch = sample(DistributionSpec(Kind.BALL_UNIFORM, n), 10**6, 20_002)
         rowsq = np.einsum("ij,ij->i", batch.data, batch.data)
         var_mc = float(rowsq.var())
         var_exact = 4.0 * n / (n + 4)
@@ -130,7 +129,8 @@ def _simplex_moment_scan(n: int, n_samples: int, seed: int):
     pair_sumsq = {k: 0.0 for k in pair_defs}
 
     spec = DistributionSpec(Kind.SIMPLEX, n)
-    for block in iter_sample_blocks(spec, n_samples, seed):
+
+    def take(rows, block):
         y = back * (block @ geom.vertices.T) + shift
         cols = np.ascontiguousarray(y.T)
         powers = [cols]
@@ -146,6 +146,8 @@ def _simplex_moment_scan(n: int, n_samples: int, seed: int):
             prod = 0.25 * (cols[i] - cols[j]) ** 2 * (cols[k] - cols[l]) ** 2
             pair_sums[key] += prod.sum()
             pair_sumsq[key] += float(prod @ prod)
+
+    map_sample_blocks(spec, n_samples, seed, take)
 
     means = sums / n_samples
     ses = np.sqrt(np.maximum(sumsq / n_samples - means**2, 0.0) / n_samples)
@@ -262,7 +264,7 @@ def test_criterion_07_spherically_symmetric_family():
     ok = True
     details = []
     for n in (50, 100):
-        batch = sample_spherical_exponential(n, n_samples, 70_000 + n)
+        batch = sample(DistributionSpec(Kind.SPHERICAL_EXPONENTIAL, n), n_samples, 70_000 + n)
         theta = np.zeros(n)
         theta[0] = 1.0
         bound_exact = bound_sph_symm(

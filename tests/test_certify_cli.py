@@ -32,9 +32,11 @@ from cltbounds.empirical import (
     kolmogorov_vs_normal,
     tv_vs_normal_histogram,
 )
+from cltbounds.frames import standard_frame
 from cltbounds.samplers import (
     BLOCK_ROWS,
     SPHERICAL_KINDS,
+    UNCONDITIONAL_KINDS,
     DistributionSpec,
     Kind,
     block_seed,
@@ -42,6 +44,7 @@ from cltbounds.samplers import (
     exact_moments,
     sample,
 )
+from cltbounds.subspaces import SymmetryError, reflection_pair_diagnostics
 
 
 def write_config(tmp_path, name, payload):
@@ -86,6 +89,32 @@ class TestRouting:
     def test_surface_is_inapplicable(self):
         with pytest.raises(InapplicableBoundError):
             applicable_route(DistributionSpec(Kind.LP_SURFACE, 4, p=2.0))
+
+    @pytest.mark.parametrize("kind", list(Kind), ids=lambda kind: kind.value)
+    def test_kind_table_agrees(self, kind):
+        # one kind set decides the unconditional route, the closed-form
+        # moments and the standard-frame reflection pair (which the
+        # spherical kinds take as well, since they take every frame)
+        lp = kind in (Kind.LP_BALL, Kind.LP_CONE, Kind.LP_SURFACE)
+        spec = DistributionSpec(kind, 4, p=3.0 if lp else None)
+        try:
+            unconditional = applicable_route(spec) == "unconditional"
+        except InapplicableBoundError:
+            unconditional = False
+        try:
+            exact_moments(spec)
+            moments = True
+        except ValueError:
+            moments = False
+        try:
+            reflection_pair_diagnostics(spec, standard_frame(4), [np.eye(4)[0]], 200, 1, 2)
+            reflected = True
+        except SymmetryError:
+            reflected = False
+        assert unconditional == moments == (kind in UNCONDITIONAL_KINDS)
+        assert reflected == (unconditional or kind in SPHERICAL_KINDS)
+        if kind is Kind.LP_SURFACE:
+            assert not (unconditional or moments or reflected)
 
 
 class TestResolveTheta:
@@ -411,7 +440,7 @@ class TestCliCertify:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before the thetas were validated")
 
-        monkeypatch.setattr("cltbounds.certify.iter_projection_blocks", no_sampling)
+        monkeypatch.setattr("cltbounds.certify.sample_projections", no_sampling)
         monkeypatch.setattr("cltbounds.cli.sample", no_sampling)
         for theta in ("diagonl", [1.0, 2.0], [math.nan, 1.0, 0.0, 0.0, 0.0, 0.0]):
             cfg = write_config(
@@ -444,7 +473,7 @@ class TestCliCertify:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before N was checked")
 
-        monkeypatch.setattr("cltbounds.certify.iter_projection_blocks", no_sampling)
+        monkeypatch.setattr("cltbounds.certify.sample_projections", no_sampling)
         cfg = write_config(
             tmp_path,
             "small.json",
@@ -564,6 +593,24 @@ class TestExitCodes:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == (
             EXIT_CONFIG_ERROR
         )
+
+    @pytest.mark.parametrize(
+        "command, payload, key",
+        [
+            ("certify", {**_CUBE_GRID, "distributions": []}, "distributions"),
+            ("certify", {**_CUBE_GRID, "theta": "e1"}, "theta"),
+            ("scan-ank", {**_SMALL_SCAN, "n_list": []}, "n_list"),
+            ("diagnose", {**_SMALL_REFLECTION, "theta": []}, "theta"),
+            ("diagnose", {**_SMALL_ROTATION, "eps_list": 0.1}, "eps_list"),
+            ("diagnose", {"experiment": "square-correlation", "n_list": {}, "N": 1000}, "n_list"),
+        ],
+    )
+    def test_empty_list_message(self, tmp_path, capsys, command, payload, key):
+        cfg = write_config(tmp_path, "c.json", {"command": command, **payload})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == (
+            EXIT_CONFIG_ERROR
+        )
+        assert f"config error: '{key}' must be a non-empty list" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "threads, command, payload",

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cltbounds.core import (
+    BLOCK_ROWS,
     InsufficientDataError,
     as_unit_vector,
     lp_norm,
@@ -14,6 +15,7 @@ from cltbounds.core import (
     normal_cdf,
     summarize,
 )
+from cltbounds.samplers import SampleBatch
 
 # high-precision reference values (30-digit erf evaluation)
 PHI_ORACLE = {
@@ -155,6 +157,30 @@ class TestSummarize:
         i, j = np.unravel_index(np.argmax(covs), covs.shape)
         assert s.max_sq_cov == pytest.approx(covs[i, j], rel=1e-9)
         assert set(s.max_sq_cov_pair) == {i, j}
+
+    def test_weighted_batch_matches_np_average(self):
+        # a batch that carries weights (lp surface measure) gives weighted means
+        rng = np.random.default_rng(13)
+        data = rng.standard_normal((3 * BLOCK_ROWS + 11, 3))
+        weights = rng.uniform(0.5, 2.0, len(data))
+        weights /= weights.sum()
+        s = summarize(SampleBatch(data=data, seed=0, weights=weights))
+        sq = data**2
+        rowsq = sq.sum(axis=1)
+
+        def average(x):
+            return np.average(x, axis=0, weights=weights)
+
+        np.testing.assert_allclose(s.second, average(sq), rtol=1e-12)
+        np.testing.assert_allclose(s.third_abs, average(sq * np.abs(data)), rtol=1e-12)
+        np.testing.assert_allclose(s.fourth, average(sq * sq), rtol=1e-12)
+        np.testing.assert_allclose(
+            s.sq_pair, average(sq[:, :, None] * sq[:, None, :]), rtol=1e-12
+        )
+        assert s.norm_sq_mean == pytest.approx(average(rowsq), rel=1e-12)
+        assert s.norm_sq_sq_mean == pytest.approx(average(rowsq**2), rel=1e-12)
+        assert s.abs_norm_dev_mean == pytest.approx(average(np.abs(rowsq - 3)), rel=1e-12)
+        assert s.count == len(data)
 
     def test_merge_equals_concatenation(self):
         rng = np.random.default_rng(5)

@@ -26,9 +26,7 @@ from cltbounds.samplers import (
     DistributionSpec,
     Kind,
     SampleBatch,
-    sample_ball_uniform,
-    sample_lp_surface,
-    sample_sphere_shell,
+    sample,
 )
 
 
@@ -39,13 +37,13 @@ def gaussian_ps(n_samples, seed):
 
 class TestProject:
     def test_e1_is_first_column(self):
-        batch = sample_sphere_shell(4, 500, 1)
+        batch = sample(DistributionSpec(Kind.SPHERE_SHELL, 4), 500, 1)
         theta = np.array([1.0, 0.0, 0.0, 0.0])
         ps = project(batch, theta)
         np.testing.assert_array_equal(ps.values, batch.data[:, 0])
 
     def test_unit_variance_for_isotropic_source(self):
-        batch = sample_sphere_shell(10, 10**5, 2)
+        batch = sample(DistributionSpec(Kind.SPHERE_SHELL, 10), 10**5, 2)
         rng = np.random.default_rng(3)
         theta = rng.standard_normal(10)
         theta /= np.linalg.norm(theta)
@@ -54,7 +52,7 @@ class TestProject:
         assert abs(w.var() - 1.0) <= 3 * se + 1e-9
 
     def test_linearity(self):
-        batch = sample_sphere_shell(5, 300, 4)
+        batch = sample(DistributionSpec(Kind.SPHERE_SHELL, 5), 300, 4)
         e1 = np.eye(5)[0]
         e2 = np.eye(5)[1]
         combo = (e1 + e2) / math.sqrt(2)
@@ -63,17 +61,17 @@ class TestProject:
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_rejects_non_unit(self):
-        batch = sample_sphere_shell(4, 200, 5)
+        batch = sample(DistributionSpec(Kind.SPHERE_SHELL, 4), 200, 5)
         with pytest.raises(ValueError):
             project(batch, np.array([1.0, 1.0, 0.0, 0.0]))
 
     def test_rejects_dimension_mismatch(self):
-        batch = sample_sphere_shell(4, 200, 6)
+        batch = sample(DistributionSpec(Kind.SPHERE_SHELL, 4), 200, 6)
         with pytest.raises(ValueError):
             project(batch, np.array([1.0, 0.0, 0.0]))
 
     def test_weights_pass_through(self):
-        batch = sample_lp_surface(3.0, 4, 500, 7)
+        batch = sample(DistributionSpec(Kind.LP_SURFACE, 4, p=3.0), 500, 7)
         ps = project(batch, np.eye(4)[0])
         np.testing.assert_array_equal(ps.weights, batch.weights)
 
@@ -115,7 +113,7 @@ class TestKolmogorov:
             kolmogorov_vs_normal(ProjectionSample(values=np.zeros(99)))
 
     def test_weighted_requires_flag(self):
-        batch = sample_lp_surface(3.0, 4, 1000, 9)
+        batch = sample(DistributionSpec(Kind.LP_SURFACE, 4, p=3.0), 1000, 9)
         ps = project(batch, np.eye(4)[0])
         with pytest.raises(ValueError):
             kolmogorov_vs_normal(ps)
@@ -212,7 +210,7 @@ class TestTvHistogram:
 
     def test_sphere_projection_within_bound(self):
         n = 100
-        batch = sample_sphere_shell(n, 10**6, 13)
+        batch = sample(DistributionSpec(Kind.SPHERE_SHELL, n), 10**6, 13)
         ps = project(batch, np.eye(n)[0])
         est = tv_vs_normal_histogram(ps)
         assert est.point_estimate <= 8.0 / (n - 1) + 0.02
@@ -234,7 +232,7 @@ class TestConditionalSecondMoment:
         # on the shell, E[X_2^2 | X_1] = (n - X_1^2)/(n-1) exactly, so the
         # statistic equals E|X_1^2 - 1|/(n-1)
         n = 10
-        batch = sample_sphere_shell(n, 2 * 10**5, 15)
+        batch = sample(DistributionSpec(Kind.SPHERE_SHELL, n), 2 * 10**5, 15)
         est = conditional_second_moment(batch)
         x1 = batch.data[:, 0]
         direct = np.abs(x1**2 - 1.0).mean() / (n - 1)
@@ -252,7 +250,7 @@ class TestConditionalSecondMoment:
     def test_ball_chain_inequality(self):
         # 4 * conditional statistic <= abs-deviation bound within noise
         n = 20
-        batch = sample_ball_uniform(n, 2 * 10**5, 17)
+        batch = sample(DistributionSpec(Kind.BALL_UNIFORM, n), 2 * 10**5, 17)
         est = conditional_second_moment(batch)
         rowsq = np.einsum("ij,ij->i", batch.data, batch.data)
         abs_dev = np.abs(rowsq - n).mean()
@@ -269,7 +267,7 @@ class TestConditionalSecondMoment:
             conditional_second_moment(batch)
 
     def test_needs_1e5_samples(self):
-        batch = sample_sphere_shell(4, 10**4, 19)
+        batch = sample(DistributionSpec(Kind.SPHERE_SHELL, 4), 10**4, 19)
         with pytest.raises(InsufficientDataError):
             conditional_second_moment(batch)
 

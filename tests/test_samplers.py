@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,19 +16,10 @@ from cltbounds.samplers import (
     derive_seed,
     calibrate_isotropic,
     exact_moments,
-    iter_projection_blocks,
-    iter_sample_blocks,
     map_sample_blocks,
     sample,
-    sample_ball_uniform,
     sample_generalized_gaussian,
-    sample_linf_exponential,
-    sample_lp_ball,
-    sample_lp_cone,
-    sample_lp_surface,
-    sample_simplex,
-    sample_sphere_shell,
-    sample_spherical_exponential,
+    sample_projections,
     simplex_embedded_coordinates,
 )
 from cltbounds.subspaces import haar_orthogonal
@@ -99,13 +91,14 @@ class TestDeterminism:
             assert a.weights.tobytes() == b.weights.tobytes()
 
     def test_blocks_agree_with_serial(self):
-        # contiguous-block substreams: materializing via the block iterator
-        # reproduces sample() exactly across a block boundary
+        # contiguous-block substreams: the blocks handed over in order at one
+        # worker reproduce sample() exactly across a block boundary
         spec = DistributionSpec(Kind.SPHERE_SHELL, 3)
         total = BLOCK_ROWS + 1234
         serial = sample(spec, total, 5).data
-        stacked = np.vstack(list(iter_sample_blocks(spec, total, 5)))
-        assert serial.tobytes() == stacked.tobytes()
+        blocks = []
+        map_sample_blocks(spec, total, 5, lambda rows, block: blocks.append(block))
+        assert serial.tobytes() == np.vstack(blocks).tobytes()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_mapped_blocks_agree_with_serial(self, workers):
@@ -132,7 +125,7 @@ class TestDeterminism:
 
 class TestSerialization:
     def test_roundtrip(self, tmp_path):
-        batch = sample_sphere_shell(5, 137, 3)
+        batch = sample(DistributionSpec(Kind.SPHERE_SHELL, 5), 137, 3)
         path = tmp_path / "batch.bin"
         batch.save(path)
         loaded = SampleBatch.load(path)
@@ -141,7 +134,7 @@ class TestSerialization:
         assert path.stat().st_size == 32 + 8 * 5 * 137
 
     def test_rejects_wrong_payload_length(self, tmp_path):
-        batch = sample_sphere_shell(5, 137, 3)
+        batch = sample(DistributionSpec(Kind.SPHERE_SHELL, 5), 137, 3)
         path = tmp_path / "batch.bin"
         batch.save(path)
         raw = path.read_bytes()
@@ -152,6 +145,24 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"holds {8 * 5 * 137 + 8} bytes"):
             SampleBatch.load(path)
 
+    def test_save_and_load_hold_no_second_copy(self, tmp_path):
+        # save writes from the array's buffer and load reads into the one
+        # array it returns: neither holds a bytes copy of the batch
+        batch = sample(DistributionSpec(Kind.LP_BALL, 10, p=3.0), 2 * 10**5, 3)
+        path = tmp_path / "batch.bin"
+        peaks = []
+        for step in (lambda: batch.save(path), lambda: SampleBatch.load(path)):
+            tracemalloc.start()
+            try:
+                step()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        nbytes = batch.data.nbytes
+        assert peaks[0] < nbytes / 8, f"save peak {peaks[0] / 1e6:.1f} MB"
+        assert peaks[1] < 1.125 * nbytes, f"load peak {peaks[1] / 1e6:.1f} MB"
+        np.testing.assert_array_equal(SampleBatch.load(path).data, batch.data)
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"not a batch file at all")
@@ -159,7 +170,7 @@ class TestSerialization:
             SampleBatch.load(path)
 
     def test_csv_includes_weights(self, tmp_path):
-        batch = sample_lp_surface(3.0, 3, 50, 1)
+        batch = sample(DistributionSpec(Kind.LP_SURFACE, 3, p=3.0), 50, 1)
         path = tmp_path / "batch.csv"
         batch.to_csv(path)
         rows = np.loadtxt(path, delimiter=",")
@@ -216,7 +227,7 @@ class TestProjectionBlocks:
         if count > 2:
             thetas[:, 1] = thetas[:, 0]
         spec = DistributionSpec(kind, n)
-        w = np.vstack(list(iter_projection_blocks(spec, thetas, 200_000, 71 + n)))
+        w = sample_projections(spec, thetas, 200_000, 71 + n).T
         moments = [(w[:, i], 0.0) for i in range(count)]
         moments += [(w[:, i] ** 4, SPHERICAL_FOURTH[kind](n)) for i in range(count)]
         moments += [
@@ -233,7 +244,7 @@ class TestProjectionBlocks:
         spec = DistributionSpec(kind, 5, p=2.0 if kind is Kind.LP_BALL else None)
         for directions in (np.ones((4, 2)), np.ones(5)):
             with pytest.raises(ValueError, match="directions"):
-                next(iter_projection_blocks(spec, directions, 1000, 1))
+                sample_projections(spec, directions, 1000, 1)
 
     @pytest.mark.parametrize(
         "spec",
@@ -250,22 +261,23 @@ class TestProjectionBlocks:
         n_samples, seed = BLOCK_ROWS + 300, 72
         directions = np.random.default_rng(0).standard_normal((spec.n, 3))
         data = sample(spec, n_samples, seed).data
-        blocks = list(iter_projection_blocks(spec, directions, n_samples, seed))
-        assert len(blocks) == 2
-        for block, lo in zip(blocks, range(0, n_samples, BLOCK_ROWS)):
-            np.testing.assert_array_equal(block, data[lo : lo + BLOCK_ROWS] @ directions)
+        projections = sample_projections(spec, directions, n_samples, seed)
+        assert projections.shape == (3, n_samples)
+        for lo in range(0, n_samples, BLOCK_ROWS):
+            rows = slice(lo, lo + BLOCK_ROWS)
+            np.testing.assert_array_equal(projections[:, rows].T, data[rows] @ directions)
 
 
 class TestSphereShell:
     def test_norms_exact(self):
-        batch = sample_sphere_shell(6, 5000, 11)
+        batch = sample(DistributionSpec(Kind.SPHERE_SHELL, 6), 5000, 11)
         norms = np.linalg.norm(batch.data, axis=1)
         np.testing.assert_allclose(norms, math.sqrt(6), rtol=1e-12)
         # plug straight into the variance statistic: Var ||X||^2 = 0
         assert summarize(batch).norm_sq_var == pytest.approx(0.0, abs=1e-20)
 
     def test_isotropy_n3(self):
-        batch = sample_sphere_shell(3, 10**6, 12)
+        batch = sample(DistributionSpec(Kind.SPHERE_SHELL, 3), 10**6, 12)
         x1sq = batch.data[:, 0] ** 2
         mean, se = mean_and_se(x1sq)
         assert_within_se(mean, 1.0, se)
@@ -273,7 +285,7 @@ class TestSphereShell:
     def test_marginal_ks_against_exact_density(self):
         # KS test of X_1 against the (1 - t^2/n)^((n-3)/2) marginal at n=100
         n = 100
-        batch = sample_sphere_shell(n, 10**5, 13)
+        batch = sample(DistributionSpec(Kind.SPHERE_SHELL, n), 10**5, 13)
         from cltbounds.bounds import exact_projection_density
 
         grid = np.linspace(-math.sqrt(n), math.sqrt(n), 20001)
@@ -286,7 +298,7 @@ class TestSphereShell:
 
     def test_rotation_invariance(self):
         n, n_samples = 8, 10**5
-        batch = sample_sphere_shell(n, n_samples, 14)
+        batch = sample(DistributionSpec(Kind.SPHERE_SHELL, n), n_samples, 14)
         rotation = haar_orthogonal(n, 7).entries
         theta = np.zeros(n)
         theta[0] = 1.0
@@ -298,13 +310,13 @@ class TestSphereShell:
 
 class TestBallUniform:
     def test_inside_ball(self):
-        batch = sample_ball_uniform(5, 20000, 15)
+        batch = sample(DistributionSpec(Kind.BALL_UNIFORM, 5), 20000, 15)
         assert np.all(np.linalg.norm(batch.data, axis=1) <= math.sqrt(7) + 1e-12)
 
     def test_norm_sq_variance(self):
         # Var ||X||^2 = 4n/(n+4) for the radius sqrt(n+2) ball
         n = 10
-        batch = sample_ball_uniform(n, 10**6, 16)
+        batch = sample(DistributionSpec(Kind.BALL_UNIFORM, n), 10**6, 16)
         rowsq = np.einsum("ij,ij->i", batch.data, batch.data)
         expected = 4.0 * n / (n + 4)
         observed = rowsq.var()
@@ -314,7 +326,7 @@ class TestBallUniform:
         assert_within_se(observed, expected, se, k=4.0)
 
     def test_isotropy_n2(self):
-        batch = sample_ball_uniform(2, 10**6, 17)
+        batch = sample(DistributionSpec(Kind.BALL_UNIFORM, 2), 10**6, 17)
         mean, se = mean_and_se(batch.data[:, 0] ** 2)
         assert_within_se(mean, 1.0, se)
 
@@ -343,14 +355,14 @@ class TestGeneralizedGaussian:
 
 class TestLpCone:
     def test_constant_p_norm(self):
-        batch = sample_lp_cone(3.0, 6, 5000, 21)
+        batch = sample(DistributionSpec(Kind.LP_CONE, 6, p=3.0), 5000, 21)
         norms = lp_norms(batch.data, 3.0)
         assert np.abs(norms / batch.spec.scale - 1.0).max() <= 1e-10
 
     def test_p2_matches_sphere_up_to_scale(self):
         n, n_samples = 16, 2 * 10**5
-        cone = sample_lp_cone(2.0, n, n_samples, 22)
-        shell = sample_sphere_shell(n, n_samples, 23)
+        cone = sample(DistributionSpec(Kind.LP_CONE, n, p=2.0), n_samples, 22)
+        shell = sample(DistributionSpec(Kind.SPHERE_SHELL, n), n_samples, 23)
         theta = np.zeros(n)
         theta[0] = 1.0
         slack = math.sqrt(math.log(2 / 0.01) / (2 * n_samples))
@@ -361,13 +373,13 @@ class TestLpCone:
         # |X|/||X||_1 has the flat Dirichlet law; its first coordinate is
         # Beta(1, n-1) with cdf 1 - (1-x)^(n-1)
         n, n_samples = 6, 2 * 10**5
-        batch = sample_lp_cone(1.0, n, n_samples, 24)
+        batch = sample(DistributionSpec(Kind.LP_CONE, n, p=1.0), n_samples, 24)
         z = np.abs(batch.data) / lp_norms(batch.data, 1.0)[:, None]
         u = 1.0 - (1.0 - z[:, 0]) ** (n - 1)
         assert stats.kstest(u, "uniform").pvalue > 0.01
 
     def test_cube_cone_p_inf(self):
-        batch = sample_lp_cone(math.inf, 5, 20000, 25)
+        batch = sample(DistributionSpec(Kind.LP_CONE, 5, p=math.inf), 20000, 25)
         norms = lp_norms(batch.data, math.inf)
         np.testing.assert_allclose(norms, batch.spec.scale, rtol=1e-12)
 
@@ -375,31 +387,31 @@ class TestLpCone:
 class TestLpBall:
     def test_p2_matches_ball_uniform(self):
         n, n_samples = 8, 2 * 10**5
-        lp = sample_lp_ball(2.0, n, n_samples, 26)
-        ball = sample_ball_uniform(n, n_samples, 27)
+        lp = sample(DistributionSpec(Kind.LP_BALL, n, p=2.0), n_samples, 26)
+        ball = sample(DistributionSpec(Kind.BALL_UNIFORM, n), n_samples, 27)
         theta = np.full(n, n**-0.5)
         slack = math.sqrt(math.log(2 / 0.01) / (2 * n_samples))
         d = two_sample_ks(lp.data @ theta, ball.data @ theta)
         assert d <= 2 * slack
 
     def test_cube_fourth_moment(self):
-        batch = sample_lp_ball(math.inf, 2, 10**6, 28)
+        batch = sample(DistributionSpec(Kind.LP_BALL, 2, p=math.inf), 10**6, 28)
         mean, se = mean_and_se(batch.data[:, 0] ** 4)
         assert_within_se(mean, 1.8, se)
 
     def test_rows_inside_scaled_ball(self):
-        batch = sample_lp_ball(1.5, 5, 20000, 29)
+        batch = sample(DistributionSpec(Kind.LP_BALL, 5, p=1.5), 20000, 29)
         assert np.all(lp_norms(batch.data, 1.5) <= batch.spec.scale * (1 + 1e-12))
 
 
 class TestLpSurface:
     def test_p2_weights_flat(self):
-        batch = sample_lp_surface(2.0, 5, 20000, 30)
+        batch = sample(DistributionSpec(Kind.LP_SURFACE, 5, p=2.0), 20000, 30)
         w = batch.weights
         assert (w.max() - w.min()) / w.mean() <= 1e-10
 
     def test_weights_positive_finite_normalized(self):
-        batch = sample_lp_surface(4.0, 6, 20000, 31)
+        batch = sample(DistributionSpec(Kind.LP_SURFACE, 6, p=4.0), 20000, 31)
         assert np.all(batch.weights > 0)
         assert np.all(np.isfinite(batch.weights))
         assert batch.weights.sum() == pytest.approx(1.0, abs=1e-12)
@@ -408,48 +420,72 @@ class TestLpSurface:
         # cone-vs-surface discrepancy is O(n^(-1/2)): the reweighted second
         # moment moves away from the cone value by a bounded multiple of it
         n, n_samples = 10, 10**6
-        batch = sample_lp_surface(4.0, n, n_samples, 32)
+        batch = sample(DistributionSpec(Kind.LP_SURFACE, n, p=4.0), n_samples, 32)
         sq = batch.data[:, 0] ** 2
         unweighted = sq.mean()
         weighted = float(batch.weights @ sq)
         assert abs(weighted - unweighted) <= 3.0 / math.sqrt(n)
 
+    def test_blockwise_weights_equal_whole_batch_formula(self):
+        # per-block unnormalized weights, normalized once, give the bits of
+        # the formula applied to the whole batch
+        spec = DistributionSpec(Kind.LP_SURFACE, 7, p=3.0)
+        batch = sample(spec, 2 * BLOCK_ROWS + 17, 34)
+        w = np.sqrt(np.sum((np.abs(batch.data) / spec.scale) ** 4.0, axis=1))
+        assert batch.weights.tobytes() == (w / w.sum()).tobytes()
+
+    def test_weights_add_no_batch_sized_temporary(self):
+        # a surface draw peaks near the cone draw of the same size: its
+        # weights take one block-sized temporary, not two batch-sized ones
+        n, n_samples = 20, 3 * BLOCK_ROWS
+        peaks = {}
+        for kind in (Kind.LP_CONE, Kind.LP_SURFACE):
+            spec = DistributionSpec(kind, n, p=3.0)
+            tracemalloc.start()
+            try:
+                sample(spec, n_samples, 35)
+                peaks[kind] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        extra = peaks[Kind.LP_SURFACE] - peaks[Kind.LP_CONE]
+        assert extra < 8 * n_samples + 2 * 8 * BLOCK_ROWS * n, f"extra {extra / 1e6:.1f} MB"
+
     def test_p1_and_inf_degenerate_to_cone(self):
         for p in (1.0, math.inf):
-            batch = sample_lp_surface(p, 4, 500, 33)
+            batch = sample(DistributionSpec(Kind.LP_SURFACE, 4, p=p), 500, 33)
             np.testing.assert_allclose(batch.weights, 1.0 / 500, rtol=1e-12)
 
 
 class TestSimplex:
     def test_embedded_second_moment_n2(self):
-        batch = sample_simplex(2, 10**6, 34)
+        batch = sample(DistributionSpec(Kind.SIMPLEX, 2), 10**6, 34)
         y = simplex_embedded_coordinates(batch)
         mean, se = mean_and_se(y[:, 0] ** 2)
         assert_within_se(mean, 2.0, se)  # [(n+1)(n+2)]^1 2! 2! / 4! = 2 at n=2
 
     def test_embedded_first_moment_n2(self):
-        batch = sample_simplex(2, 10**6, 35)
+        batch = sample(DistributionSpec(Kind.SIMPLEX, 2), 10**6, 35)
         y = simplex_embedded_coordinates(batch)
         mean, se = mean_and_se(y[:, 0])
         assert_within_se(mean, 2.0 / math.sqrt(3.0), se)
 
     def test_edge_coefficients_unit_variance(self):
         n = 5
-        batch = sample_simplex(n, 10**6, 36)
+        batch = sample(DistributionSpec(Kind.SIMPLEX, n), 10**6, 36)
         geom = simplex_geometry(n)
         coeffs = batch.data @ geom.edge_frame.vectors[geom.pair_position(0, 1)]
         mean, se = mean_and_se(coeffs**2)
         assert_within_se(mean, 1.0, se)
 
     def test_exactly_isotropic(self):
-        batch = sample_simplex(3, 4 * 10**5, 37)
+        batch = sample(DistributionSpec(Kind.SIMPLEX, 3), 4 * 10**5, 37)
         s = summarize(batch)
         for i in range(3):
             se = math.sqrt((batch.data[:, i] ** 4).mean() / batch.N)
             assert_within_se(s.second[i], 1.0, se)
 
     def test_embedded_coordinates_simplex_constraint(self):
-        batch = sample_simplex(4, 1000, 38)
+        batch = sample(DistributionSpec(Kind.SIMPLEX, 4), 1000, 38)
         y = simplex_embedded_coordinates(batch)
         assert np.all(y >= -1e-9)
         np.testing.assert_allclose(y.sum(axis=1), math.sqrt(5 * 6), rtol=1e-12)
@@ -458,14 +494,14 @@ class TestSimplex:
 class TestSphericalExponential:
     def test_norm_sq_mean(self):
         n = 20
-        batch = sample_spherical_exponential(n, 10**6, 39)
+        batch = sample(DistributionSpec(Kind.SPHERICAL_EXPONENTIAL, n), 10**6, 39)
         rowsq = np.einsum("ij,ij->i", batch.data, batch.data)
         mean, se = mean_and_se(rowsq)
         assert_within_se(mean, float(n), se)
 
     def test_norm_sq_variance(self):
         n = 20
-        batch = sample_spherical_exponential(n, 10**6, 40)
+        batch = sample(DistributionSpec(Kind.SPHERICAL_EXPONENTIAL, n), 10**6, 40)
         rowsq = np.einsum("ij,ij->i", batch.data, batch.data)
         expected = n * (4.0 * n + 6.0) / (n + 1)
         centered = (rowsq - rowsq.mean()) ** 2
@@ -473,14 +509,14 @@ class TestSphericalExponential:
         assert_within_se(rowsq.var(), expected, se, k=4.0)
 
     def test_central_symmetry(self):
-        batch = sample_spherical_exponential(5, 4 * 10**5, 41)
+        batch = sample(DistributionSpec(Kind.SPHERICAL_EXPONENTIAL, 5), 4 * 10**5, 41)
         mean, se = mean_and_se(batch.data[:, 0])
         assert_within_se(mean, 0.0, se)
 
 
 class TestLinfExponential:
     def test_unit_coordinate_variance(self):
-        batch = sample_linf_exponential(10, 10**6, 42)
+        batch = sample(DistributionSpec(Kind.LINF_EXPONENTIAL, 10), 10**6, 42)
         mean, se = mean_and_se(batch.data[:, 0] ** 2)
         assert_within_se(mean, 1.0, se)
 
@@ -488,7 +524,7 @@ class TestLinfExponential:
         # this law violates square negative correlation:
         # Cov(X_1^2, X_2^2) = (4n+10)/((n+1)(n+2)) > 0
         n, n_samples = 20, 10**6
-        batch = sample_linf_exponential(n, n_samples, 43)
+        batch = sample(DistributionSpec(Kind.LINF_EXPONENTIAL, n), n_samples, 43)
         a = batch.data[:, 0] ** 2
         b = batch.data[:, 1] ** 2
         cov = float(np.mean(a * b) - a.mean() * b.mean())
@@ -499,7 +535,7 @@ class TestLinfExponential:
 
     def test_radius_is_sup_norm_gamma(self):
         n = 6
-        batch = sample_linf_exponential(n, 2 * 10**5, 44)
+        batch = sample(DistributionSpec(Kind.LINF_EXPONENTIAL, n), 2 * 10**5, 44)
         radii = lp_norms(batch.data, math.inf)
         b_n = math.sqrt((n + 1) * (n + 2) / 3.0)
         p = stats.kstest(radii * b_n, "gamma", args=(n,)).pvalue
@@ -554,8 +590,12 @@ class TestCalibration:
 def _mc_moments(spec, n_samples, seed):
     """Monte Carlo (fourth, sq_cov, third_abs) from coordinates 1 and 2, each
     with its standard error."""
-    cols = [block[:, :2] for block in iter_sample_blocks(spec, n_samples, seed)]
-    x = np.concatenate(cols)
+    x = np.empty((n_samples, 2))
+
+    def take(rows, block):
+        x[rows] = block[:, :2]
+
+    map_sample_blocks(spec, n_samples, seed, take)
     a, b = x[:, 0] ** 2, x[:, 1] ** 2
     centered = (a - a.mean()) * (b - b.mean())
     return [
@@ -681,7 +721,7 @@ class TestSymmetries:
 class TestErrors:
     def test_zero_samples(self):
         with pytest.raises(ValueError):
-            sample_sphere_shell(3, 0, 1)
+            sample(DistributionSpec(Kind.SPHERE_SHELL, 3), 0, 1)
 
     @pytest.mark.parametrize("n_samples", [0, -1])
     def test_sample_checks_count_before_allocating(self, n_samples):

@@ -471,7 +471,7 @@ class TestEstimateAnk:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before k was checked")
 
-        monkeypatch.setattr("cltbounds.subspaces.iter_projection_blocks", no_sampling)
+        monkeypatch.setattr("cltbounds.subspaces.sample_projections", no_sampling)
         spec = DistributionSpec(Kind.SPHERE_SHELL, 4)
         with pytest.raises(ValueError, match="k <= n"):
             estimate_Ank(spec, k=5, eps=0.1, n_subspaces=2, N=1000, seed=37)
