@@ -13,7 +13,12 @@ blocks (``samplers.map_sample_blocks`` at one worker, or
 ``iter_sample_blocks`` in checkouts that predate it) that times each
 block's fill (the time between two blocks) apart from its projection onto
 the grid's four thetas; then every projection row goes through
-``kolmogorov_vs_normal`` and ``tv_vs_normal_histogram``.
+``kolmogorov_vs_normal`` and ``tv_vs_normal_histogram``.  Before that pass
+it times the projections as certification draws them, one
+``samplers.sample_projections`` call on the same spec and thetas
+(``projections_s``, where the checkout has it): for the simplex and the
+p = 2 lp laws that call has its own fill, so it is not
+``fill_s + project_s``.
 
 ``--mode subspace`` times scan-ank at k = 1 the same way: the fill, the
 projection onto the 32 stacked subspace lines and ``_ks_statistic`` of every
@@ -174,6 +179,10 @@ def stream(spec: DistributionSpec, n_samples: int, seed: int, directions: np.nda
 def certify_pass(spec: DistributionSpec, n_samples: int, seed: int) -> dict[str, float]:
     thetas = np.column_stack([resolve_theta(t, spec.n)[0] for t in THETAS])
     times = dict.fromkeys(("fill_s", "project_s", "ks_s", "hist_s"), 0.0)
+    if hasattr(samplers, "sample_projections"):
+        start = time.perf_counter()
+        samplers.sample_projections(spec, thetas, n_samples, seed)
+        times["projections_s"] = time.perf_counter() - start
     for row in stream(spec, n_samples, seed, thetas, times):
         ps = ProjectionSample(values=row)
         start = time.perf_counter()

@@ -3,10 +3,11 @@ theoretical bound, measure the empirical distance, and record a verdict.
 
 Each spec's projections onto the grid's thetas are drawn once, block by
 block, through ``samplers.sample_projections``; the (N, n) batch is never
-held.  Spherically symmetric specs draw the projections from their
-exact reduced law (r = min(n, T) normals, a chi-square and a radius per
-row) and never fill an n-dimensional row; every other spec projects its
-sample blocks.
+held.  Spherically symmetric specs, and the lp ball and cone at p = 2,
+draw the projections from their exact reduced law (r = min(n, T) normals,
+a chi-square and a radius per row) and never fill an n-dimensional row;
+the simplex projects its exponentials before forming the point; every
+other spec projects its sample blocks.
 
 Kolmogorov routes pass when (point estimate - DKW slack) <= bound; total
 variation routes compare the histogram estimate against bound + a fixed

@@ -60,6 +60,8 @@ _LP_KINDS = {Kind.LP_BALL, Kind.LP_CONE, Kind.LP_SURFACE}
 UNCONDITIONAL_KINDS = {Kind.LP_BALL, Kind.LP_CONE, Kind.LINF_EXPONENTIAL}
 # invariant under every rotation
 SPHERICAL_KINDS = {Kind.SPHERE_SHELL, Kind.BALL_UNIFORM, Kind.SPHERICAL_EXPONENTIAL}
+# lp kinds whose law at p = 2 is a spherically symmetric kind's, up to scale
+_P2_SPHERICAL = {Kind.LP_BALL: Kind.BALL_UNIFORM, Kind.LP_CONE: Kind.SPHERE_SHELL}
 
 
 def _linf_rate(n: int) -> float:
@@ -286,25 +288,38 @@ def _generalized_gaussian_block(rng, p: float, shape) -> tuple[np.ndarray, np.nd
     """i.i.d. draws g with density proportional to exp(-|t|^p), and the sums
     of |g|^p along the last axis.
 
-    p = 2 is the law N(0, 1/2): sqrt(1/2) times standard normals.  Any other
-    p is sign * G^(1/p) with G ~ Gamma(1/p, 1), so the sums are those of the
-    Gamma draws; draw order: gamma then signs, a sign draw of 0 negating.
+    p = 2 is the law N(0, 1/2): sqrt(1/2) times standard normals.  p = 1 is
+    sign * E with E standard exponential; draw order: exponentials then
+    signs, a sign draw of 0 negating.  Any other p is g = V^(1/p) U with
+    V ~ Gamma(1 + 1/p, 1) and U uniform on (-1, 1), which carries the sign:
+    given V, |g| is uniform on (0, V^(1/p)), so |g| has density
+    int_{t^p}^inf v^(-1/p) v^(1/p) e^(-v) dv / Gamma(1 + 1/p)
+    = e^(-t^p) / Gamma(1 + 1/p) at t, and |g|^p ~ Gamma(1/p, 1).  The shape
+    above one keeps ``standard_gamma`` on its fast path.  Draw order: the
+    gammas, then the uniforms; the sums are taken in the uniforms' buffer,
+    so a block holds at most two block-sized arrays.
     """
     if p == 2.0:
         g = rng.standard_normal(shape)
         g *= math.sqrt(0.5)
         return g, np.einsum("...i,...i->...", g, g)
-    # numpy draws Gamma(1) as exactly its standard exponential, only slower
-    g = rng.standard_exponential(shape) if p == 1.0 else rng.standard_gamma(1.0 / p, shape)
-    sums = g.sum(axis=-1)
+    if p == 1.0:
+        g = rng.standard_exponential(shape)
+        sums = g.sum(axis=-1)
+        # negate by flipping the IEEE sign bit in place: no float temporary
+        flips = rng.integers(0, 2, size=shape).view(np.uint64)
+        flips ^= 1
+        flips <<= 63
+        bits = g.view(np.uint64)
+        bits ^= flips
+        return g, sums
+    g = rng.standard_gamma(1.0 + 1.0 / p, shape)
     g **= 1.0 / p
-    # negate by flipping the IEEE sign bit in place: no float temporary
-    flips = rng.integers(0, 2, size=shape).view(np.uint64)
-    flips ^= 1
-    flips <<= 63
-    bits = g.view(np.uint64)
-    bits ^= flips
-    return g, sums
+    u = rng.uniform(-1.0, 1.0, shape)
+    g *= u
+    np.abs(g, out=u)
+    u **= p
+    return g, u.sum(axis=-1)
 
 
 def _cube_boundary_block(rng, count: int, n: int) -> np.ndarray:
@@ -406,53 +421,86 @@ def map_sample_blocks(
     _map_blocks(_filler(spec), _block_rngs(N, seed), fn, workers)
 
 
+def _projection_filler(
+    spec: DistributionSpec, directions: np.ndarray
+) -> Callable[[np.random.Generator, int], np.ndarray]:
+    """Per-law block generator of the (count, D) projections X @ directions:
+    the one place that picks how each law's projections are drawn."""
+    n, scale = spec.n, spec.scale
+    spherical = _P2_SPHERICAL.get(spec.kind) if spec.p == 2.0 else spec.kind
+
+    if spherical in SPHERICAL_KINDS:
+        _, factor = np.linalg.qr(directions)  # the reduced draws project onto Rq
+        r = factor.shape[0]
+
+        def fill(rng, count):
+            g = rng.standard_normal((count, r))
+            norm_sq = np.einsum("ij,ij->i", g, g)
+            norm_sq += 2.0 * rng.standard_gamma((n - r) / 2.0, count)
+            radial = scale / np.sqrt(norm_sq)
+            radius = _radius(rng, spherical, n, count)
+            if radius is not None:
+                radial *= radius
+            g *= radial[:, None]
+            return g @ factor
+
+    elif spec.kind is Kind.SIMPLEX:
+        # _filler's point is c (E / sum E) @ vertices with c = sqrt(n (n + 2))
+        m = math.sqrt(n * (n + 2)) * (simplex_geometry(n).vertices @ directions)
+
+        def fill(rng, count):
+            e = rng.standard_exponential((count, n + 1))
+            sums = e.sum(axis=1)
+            w = e @ m
+            w /= sums[:, None]
+            return w
+
+    else:
+        sample_fill = _filler(spec)
+
+        def fill(rng, count):
+            return sample_fill(rng, count) @ directions
+
+    return fill
+
+
 def sample_projections(
     spec: DistributionSpec, directions: np.ndarray, N: int, seed: int
 ) -> np.ndarray:
     """The (D, N) projections X @ directions of N draws of spec onto the
     columns of the (n, D) direction matrix; each row is contiguous for the
-    Kolmogorov sort, and the (N, n) batch is never held.
+    Kolmogorov sort, and the (N, n) batch is never held.  Each block's
+    projections come from one of three fills:
 
-    A spherically symmetric X = scale R U, with U uniform on the sphere and
-    independent of R, needs no n-dimensional row: for the reduced QR
-    directions = Q Rq, with Q of r = min(n, D) orthonormal columns, Q^T U has
-    the law of g / sqrt(|g|^2 + chi^2(n - r)), g ~ N(0, I_r) independent of
-    the chi-square (Diaconis and Freedman, "A dozen de Finetti-style results
-    in search of a theory", Ann. IHP 1987).  Draw order per block: the
-    (count, r) standard normals, then 2 standard_gamma((n - r)/2) (0 at
-    r = n), then the radius of ``_radius``.  These streams therefore differ
-    from the projections of ``sample`` for the same seed, with the same law.
-    Every other kind projects its sample blocks: exactly
-    ``sample(spec, N, seed).data @ directions``, block by block.
+    * A spherically symmetric X = scale R U, with U uniform on the sphere
+      and independent of R, needs no n-dimensional row: for the reduced QR
+      directions = Q Rq, with Q of r = min(n, D) orthonormal columns, Q^T U
+      has the law of g / sqrt(|g|^2 + chi^2(n - r)), g ~ N(0, I_r)
+      independent of the chi-square (Diaconis and Freedman, "A dozen de
+      Finetti-style results in search of a theory", Ann. IHP 1987).  Draw
+      order per block: the (count, r) standard normals, then
+      2 standard_gamma((n - r)/2) (0 at r = n), then the radius of
+      ``_radius``.  The lp ball and cone at p = 2 are the Euclidean ball and
+      sphere (Barthe, Guedon, Mendelson and Naor, Ann. Probab. 2005) and take
+      this fill at their own scale.  These streams differ from the
+      projections of ``sample`` for the same seed, with the same law.
+    * The simplex is projected before its point is formed: the exponentials
+      E of ``sample`` give (E @ c vertices @ directions) / sum E, an (n+1, D)
+      product per row instead of an (n+1, n) one.  It differs from
+      ``sample(spec, N, seed).data @ directions`` in rounding only.
+    * Every other law projects its sample blocks: exactly
+      ``sample(spec, N, seed).data @ directions``, block by block.
     """
     directions = np.asarray(directions, dtype=float)
     if directions.ndim != 2 or directions.shape[0] != spec.n:
         raise ValueError(f"directions must be an (n={spec.n}, D) matrix, got {directions.shape}")
     blocks = _block_rngs(N, seed)  # checks N before the projections are allocated
     out = np.empty((directions.shape[1], N))
-    if spec.kind in SPHERICAL_KINDS:
-        n, kind, scale = spec.n, spec.kind, spec.scale
-        _, directions = np.linalg.qr(directions)  # the reduced draws project onto Rq
-        r = directions.shape[0]
-
-        def fill(rng, count):
-            g = rng.standard_normal((count, r))
-            norm_sq = np.einsum("ij,ij->i", g, g)
-            norm_sq += 2.0 * rng.standard_gamma((n - r) / 2.0, count)
-            factor = scale / np.sqrt(norm_sq)
-            radius = _radius(rng, kind, n, count)
-            if radius is not None:
-                factor *= radius
-            g *= factor[:, None]
-            return g
-
-    else:
-        fill = _filler(spec)
 
     def put(rows: slice, block: np.ndarray) -> None:
-        out[:, rows] = (block @ directions).T
+        out[:, rows] = block.T
 
-    _map_blocks(fill, blocks, put)
+    _map_blocks(_projection_filler(spec, directions), blocks, put)
     return out
 
 
@@ -513,7 +561,10 @@ def exact_moments(spec: DistributionSpec) -> tuple[float, float, float]:
 
 
 def sample_generalized_gaussian(p: float, N: int, seed: int) -> np.ndarray:
-    """i.i.d. scalars with density proportional to exp(-|t|^p), 1 <= p < inf."""
+    """i.i.d. scalars with density proportional to exp(-|t|^p), 1 <= p < inf,
+    drawn as ``_generalized_gaussian_block`` documents: sqrt(1/2) times
+    standard normals at p = 2, signed exponentials at p = 1, and
+    V^(1/p) U (V ~ Gamma(1 + 1/p), U uniform on (-1, 1)) at any other p."""
     if math.isinf(p):
         raise ValueError("p = inf is unsupported here; draw uniforms directly")
     if math.isnan(p) or p < 1.0:

@@ -237,6 +237,8 @@ class TestCertifyGrid:
     def test_workers_do_not_change_reports(self):
         specs = [
             DistributionSpec(Kind.LP_BALL, 6, p=1.0),
+            DistributionSpec(Kind.LP_BALL, 6, p=2.0),
+            DistributionSpec(Kind.LP_CONE, 6, p=4.0),
             DistributionSpec(Kind.LP_CONE, 6, p=math.inf),
             DistributionSpec(Kind.SPHERE_SHELL, 6),
             DistributionSpec(Kind.SIMPLEX, 6),

@@ -21,6 +21,8 @@ from cltbounds.samplers import (
     sample_generalized_gaussian,
     sample_projections,
     simplex_embedded_coordinates,
+    _filler,
+    _generalized_gaussian_block,
 )
 from cltbounds.subspaces import haar_orthogonal
 
@@ -181,9 +183,11 @@ class TestDrawOrder:
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0])
     @pytest.mark.parametrize("kind", [Kind.LP_BALL, Kind.LP_CONE])
     def test_lp_blocks_follow_documented_draws(self, kind, p):
-        # per block substream: Gamma(1/p) magnitudes then integers(0, 2)
-        # signs (sqrt(1/2) standard normals at p = 2), then the ball's
-        # exponential; rows are normalized by (sum |g|^p [+ y])^(1/p)
+        # per block substream: at p = 1 exponential magnitudes then
+        # integers(0, 2) signs; at p = 2 sqrt(1/2) standard normals; at any
+        # other p Gamma(1 + 1/p) draws V, their 1/p power, then uniform(-1, 1)
+        # draws U, g = V^(1/p) U; then the ball's exponential; rows are
+        # normalized by (sum |g|^p [+ y])^(1/p)
         n, n_samples, seed = 7, BLOCK_ROWS + 300, 61
         spec = DistributionSpec(kind, n, p=p)
         blocks = []
@@ -192,9 +196,12 @@ class TestDrawOrder:
             rng = np.random.default_rng(block_seed(seed, block))
             if p == 2.0:
                 g = math.sqrt(0.5) * rng.standard_normal((count, n))
-            else:
-                g = rng.standard_gamma(1.0 / p, (count, n)) ** (1.0 / p)
+            elif p == 1.0:
+                g = rng.standard_exponential((count, n))
                 g *= rng.integers(0, 2, (count, n)) * 2.0 - 1.0
+            else:
+                g = rng.standard_gamma(1.0 + 1.0 / p, (count, n)) ** (1.0 / p)
+                g *= rng.uniform(-1.0, 1.0, (count, n))
             denom = np.sum(np.abs(g) ** p, axis=1)
             if kind is Kind.LP_BALL:
                 denom += rng.standard_exponential(count)
@@ -252,7 +259,6 @@ class TestProjectionBlocks:
             DistributionSpec(Kind.LP_BALL, 7, p=3.0),
             DistributionSpec(Kind.LP_CONE, 7, p=math.inf),
             DistributionSpec(Kind.LP_SURFACE, 7, p=1.5),
-            DistributionSpec(Kind.SIMPLEX, 7),
             DistributionSpec(Kind.LINF_EXPONENTIAL, 7),
         ],
         ids=lambda spec: spec.kind.value,
@@ -266,6 +272,33 @@ class TestProjectionBlocks:
         for lo in range(0, n_samples, BLOCK_ROWS):
             rows = slice(lo, lo + BLOCK_ROWS)
             np.testing.assert_array_equal(projections[:, rows].T, data[rows] @ directions)
+
+    def test_simplex_projects_before_forming_the_point(self):
+        # the same exponentials as sample(), projected through c vertices @
+        # directions before the division: equal up to rounding
+        spec = DistributionSpec(Kind.SIMPLEX, 7)
+        n_samples, seed = BLOCK_ROWS + 300, 72
+        directions = np.random.default_rng(0).standard_normal((spec.n, 3))
+        projections = sample_projections(spec, directions, n_samples, seed)
+        expected = sample(spec, n_samples, seed).data @ directions
+        np.testing.assert_allclose(projections.T, expected, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "kind, spherical",
+        [(Kind.LP_BALL, Kind.BALL_UNIFORM), (Kind.LP_CONE, Kind.SPHERE_SHELL)],
+        ids=lambda kind: kind.value,
+    )
+    def test_p2_lp_laws_take_the_spherical_fill(self, kind, spherical):
+        # the l2 ball and cone are the Euclidean ball and sphere: the same
+        # reduced-law fill at the same scale gives the same bits
+        lp = DistributionSpec(kind, 9, p=2.0)
+        directions = np.random.default_rng(1).standard_normal((9, 4))
+        for n_samples, seed in ((BLOCK_ROWS + 300, 73), (5_000, 74)):
+            np.testing.assert_array_equal(
+                sample_projections(lp, directions, n_samples, seed),
+                sample_projections(DistributionSpec(spherical, 9, scale=lp.scale), directions,
+                                   n_samples, seed),
+            )
 
 
 class TestSphereShell:
@@ -351,6 +384,31 @@ class TestGeneralizedGaussian:
     def test_rejects_inf(self):
         with pytest.raises(ValueError):
             sample_generalized_gaussian(math.inf, 10, 0)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    def test_power_is_gamma_of_one_over_p(self, p):
+        # V^(1/p) U has |g|^p ~ Gamma(1/p, 1)
+        draws = sample_generalized_gaussian(p, 2 * 10**5, 21)
+        assert stats.kstest(np.abs(draws) ** p, stats.gamma(1.0 / p).cdf).pvalue > 0.01
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0])
+    def test_block_sums_are_those_of_the_draws(self, p):
+        g, sums = _generalized_gaussian_block(np.random.default_rng(22), p, (2 * 10**4, 10))
+        np.testing.assert_allclose(sums, np.sum(np.abs(g) ** p, axis=1), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("kind", [Kind.LP_BALL, Kind.LP_CONE])
+    def test_fill_holds_at_most_two_blocks(self, kind):
+        # the gammas and the uniforms are the only block-sized arrays
+        n = 100
+        fill = _filler(DistributionSpec(kind, n, p=4.0))
+        rng = np.random.default_rng(23)
+        tracemalloc.start()
+        try:
+            fill(rng, BLOCK_ROWS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * 8 * BLOCK_ROWS * n, f"peak {peak / (8 * BLOCK_ROWS * n):.2f} blocks"
 
 
 class TestLpCone:
