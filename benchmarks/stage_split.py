@@ -310,7 +310,7 @@ def startup_pass(root: Path, env: dict, out: Path) -> tuple[dict[str, float], di
         times[f"{name}_s"], loaded = probe(code, root, env)
         packages[name] = sorted({m.split(".")[1] for m in loaded if m.count(".") == 1
                                  and not m.split(".")[1].startswith("_")})
-    exact_tv_vs_normal("sphere_shell", 3)  # loads the quadrature modules where they are lazy
+    exact_tv_vs_normal("sphere_shell", 3)  # loads scipy.special where it is lazy
     start = time.perf_counter()
     for n in TV_N_LIST:
         exact_tv_vs_normal("sphere_shell", n)

@@ -1,6 +1,7 @@
 """Closed-form evaluation of the normal-approximation error bounds, the
-exact simplex moment formulas, and quadrature oracles for the two
-projection laws with closed-form marginals.
+exact simplex moment formulas, and the exact projection densities and total
+variation of the kinds with closed-form marginals (``EXACT_MARGINALS``),
+by Gauss-Legendre quadrature in numpy.
 
 Kolmogorov-type bounds control sup_t |P[W <= t] - Phi(t)| for W = <X, theta>;
 total-variation bounds use the L1-of-densities convention (twice the sup
@@ -17,11 +18,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import as_unit_vector, lp_norm, normal_cdf, normal_pdf
+from .samplers import Kind
 
 __all__ = [
     "BoundInputs",
     "BoundValue",
     "DensePairMoments",
+    "EXACT_MARGINALS",
     "KOLMOGOROV",
     "SimplexPairMoments",
     "TOTAL_VARIATION",
@@ -414,37 +417,37 @@ def bound_poincare(n: int, lambda1: float) -> BoundValue:
     )
 
 
-KIND_SPHERE_MARGINAL = "sphere_shell"
-KIND_BALL_MARGINAL = "ball_uniform"
+# kinds whose projection <X, theta> has one closed-form law for every unit
+# theta: kind -> (m - n, minimum n).  The law is that of the first coordinate
+# of the uniform sphere of radius sqrt(m) in R^m, density
+# c_m (1 - t^2/m)^((m-3)/2) on |t| < sqrt(m); the uniform ball in R^n projects
+# like the sphere in R^(n+2).
+EXACT_MARGINALS = {Kind.SPHERE_SHELL: (0, 3), Kind.BALL_UNIFORM: (2, 2)}
+
+# crossings of the two densities are bracketed on this many grid points over
+# [0, r], then bisected this many times; each one-signed piece is integrated
+# with this many Gauss-Legendre panels and nodes per panel
+_CROSSING_GRID = 4097
+_BISECTIONS = 60
+_PANELS, _NODES = 8, 64
 
 
-def _marginal_params(kind: str, n: int) -> tuple[float, float, float]:
-    """(support radius^2, exponent, log normalizer) of the projection density."""
+def _marginal_params(kind, n: int) -> tuple[float, float, float]:
+    """(support radius^2, exponent, log normalizer) of the projection density;
+    ``kind`` is a Kind or its string value."""
     from scipy.special import gammaln  # not math.lgamma: it differs in the last bit
 
-    if kind == KIND_SPHERE_MARGINAL:
-        if n < 3:
-            raise ValueError("the sphere marginal density formula needs n >= 3")
-        r_sq = float(n)
-        exponent = (n - 3) / 2.0
-        log_c = gammaln(n / 2.0) - gammaln((n - 1) / 2.0) - 0.5 * math.log(n * math.pi)
-    elif kind == KIND_BALL_MARGINAL:
-        if n < 2:
-            raise ValueError(f"dimension must be at least 2, got {n}")
-        r_sq = float(n + 2)
-        exponent = (n - 1) / 2.0
-        log_c = (
-            gammaln(n / 2.0 + 1.0)
-            - gammaln((n + 1) / 2.0)
-            - 0.5 * math.log(math.pi)
-            - 0.5 * math.log(n + 2)
-        )
-    else:
+    if kind not in EXACT_MARGINALS:
         raise ValueError(f"no closed-form marginal for kind {kind!r}")
-    return r_sq, exponent, log_c
+    shift, min_n = EXACT_MARGINALS[kind]
+    if n < min_n:
+        raise ValueError(f"the {Kind(kind).value} marginal density formula needs n >= {min_n}")
+    m = n + shift
+    log_c = gammaln(m / 2.0) - gammaln((m - 1) / 2.0) - 0.5 * math.log(m * math.pi)
+    return float(m), (m - 3) / 2.0, log_c
 
 
-def exact_projection_density(kind: str, n: int, t) -> np.ndarray | float:
+def exact_projection_density(kind, n: int, t) -> np.ndarray | float:
     """Exact density of W = <X, theta> for the sphere-shell or ball law.
 
     Zero outside the support (not an error); vectorized over t.
@@ -457,34 +460,38 @@ def exact_projection_density(kind: str, n: int, t) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def exact_tv_vs_normal(kind: str, n: int) -> float:
+def exact_tv_vs_normal(kind, n: int) -> float:
     """Total variation (L1 of densities) between the projection law and the
-    standard normal, by sign-resolved adaptive quadrature.
+    standard normal, by sign-resolved Gauss-Legendre quadrature.
 
-    Crossings of the two densities are bracketed on a fine grid and refined,
-    so each quadrature piece has one sign; absolute error is far below 1e-8.
+    Crossings of the two densities are bracketed on a grid over [0, r] and
+    bisected, so each piece has one sign.  Each piece is integrated in
+    phi = arcsin(t/r): the density's factor (1 - t^2/r^2)^e has a square-root
+    edge at e = 1/2 (sphere n=4, ball n=2), which dt = r cos(phi) dphi turns
+    into a smooth cos^(2e+1) phi.  Absolute error is far below 1e-12.
     """
-    from scipy import integrate, optimize
-
     r_sq, _, _ = _marginal_params(kind, n)
     radius = math.sqrt(r_sq)
 
-    def diff(t: float) -> float:
-        f = exact_projection_density(kind, n, t)
-        return float(f) - math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+    def diff(t):
+        return exact_projection_density(kind, n, t) - normal_pdf(t)
 
-    grid = np.linspace(0.0, radius, 4097)
-    vals = exact_projection_density(kind, n, grid) - normal_pdf(grid)
-    roots = []
-    for a, b, va, vb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
-        if va == 0.0:
-            roots.append(float(a))
-        elif va * vb < 0.0:
-            roots.append(float(optimize.brentq(diff, a, b, xtol=1e-14)))
-    pieces = [0.0, *roots, radius]
-    half_l1 = 0.0
-    for a, b in zip(pieces[:-1], pieces[1:]):
-        piece, _ = integrate.quad(diff, a, b, epsabs=1e-12, limit=200)
-        half_l1 += abs(piece)
+    grid = np.linspace(0.0, radius, _CROSSING_GRID)
+    vals = diff(grid)
+    # a sign change, or an exact zero at the left end, brackets a crossing;
+    # bisection keeps the half where f(lo) * f(mid) <= 0
+    at = np.flatnonzero((vals[:-1] * vals[1:] < 0.0) | (vals[:-1] == 0.0))
+    lo, hi, f_lo = grid[at], grid[at + 1], vals[at]
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        right = diff(mid) * f_lo > 0.0
+        lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
+    ends = np.arcsin(np.concatenate([[0.0], lo, [radius]]) / radius)
+    # nodes of _PANELS equal panels per piece, mapped from [-1, 1]
+    x, w = np.polynomial.legendre.leggauss(_NODES)
+    width = np.diff(ends)[:, None] / _PANELS
+    left = ends[:-1, None] + width * np.arange(_PANELS)
+    phi = left[:, :, None] + 0.5 * width[:, :, None] * (x + 1.0)
+    pieces = 0.5 * width * (diff(radius * np.sin(phi)) * radius * np.cos(phi) @ w)
     tail = normal_cdf(-radius)  # all normal mass outside the support
-    return 2.0 * (half_l1 + tail)
+    return 2.0 * (float(np.abs(pieces.sum(axis=1)).sum()) + tail)

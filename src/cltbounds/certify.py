@@ -20,7 +20,6 @@ from __future__ import annotations
 import csv
 import functools
 import json
-import math
 import subprocess
 from dataclasses import dataclass
 
@@ -32,6 +31,7 @@ from .bounds import (
     TOTAL_VARIATION,
     VARIANT_STD_DEV,
     bound_lp,
+    bound_poincare,
     bound_simplex,
     bound_sncp_bounded,
     bound_sph_symm,
@@ -197,16 +197,7 @@ def _evaluate_cell(
             )
         )
         if spec.kind is Kind.SPHERICAL_EXPONENTIAL and n > 25:
-            informational.append(
-                (
-                    "poincare-spectral-gap",
-                    BoundValue(
-                        value=10.0 * math.sqrt(13.0) / math.sqrt(n),
-                        kind=TOTAL_VARIATION,
-                        constants_used={"lambda1_lower": 1.0 / 13.0},
-                    ),
-                )
-            )
+            informational.append(("poincare-spectral-gap", bound_poincare(n, 1.0 / 13.0)))
         empirical = tv_vs_normal_histogram(ps)
         adjusted = empirical.point_estimate - TV_ESTIMATOR_ALLOWANCE
         vacuous = bound.value >= 2.0

@@ -17,7 +17,7 @@ import sys
 import traceback
 from pathlib import Path
 
-from .bounds import KIND_BALL_MARGINAL, KIND_SPHERE_MARGINAL, exact_tv_vs_normal
+from .bounds import EXACT_MARGINALS, exact_tv_vs_normal
 from .certify import (
     ROUTE_SPHERICAL,
     InapplicableBoundError,
@@ -368,11 +368,14 @@ def _cmd_report(cfg: dict) -> int:
 
 def _cmd_tv_exact(cfg: dict) -> int:
     """Convenience: quadrature-exact TV table for the closed-form marginals."""
-    kind = cfg.get("kind", KIND_SPHERE_MARGINAL)
-    if kind not in (KIND_SPHERE_MARGINAL, KIND_BALL_MARGINAL):
-        raise ConfigError(f"no closed-form marginal for kind {kind!r}")
+    kind = cfg.get("kind", Kind.SPHERE_SHELL.value)
+    if not isinstance(kind, str) or kind not in EXACT_MARGINALS:
+        raise ConfigError(
+            f"no closed-form marginal for kind {kind!r}; expected one of "
+            f"{[k.value for k in EXACT_MARGINALS]}"
+        )
     n_list = _require(cfg, "n_list")
-    min_n = 3 if kind == KIND_SPHERE_MARGINAL else 2
+    _, min_n = EXACT_MARGINALS[kind]
     if not isinstance(n_list, list) or not n_list or any(
         not isinstance(n, int) or n < min_n for n in n_list
     ):

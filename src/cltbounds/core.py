@@ -20,7 +20,6 @@ __all__ = [
     "as_unit_vector",
     "as_vector",
     "lp_norm",
-    "lp_norms",
     "merge_summaries",
     "normal_cdf",
     "normal_pdf",
@@ -87,19 +86,6 @@ def lp_norm(x, p: float) -> float:
     if math.isinf(p) or m == 0.0:
         return m
     return m * float(np.sum((v / m) ** p)) ** (1.0 / p)
-
-
-def lp_norms(data: np.ndarray, p: float, axis: int = -1) -> np.ndarray:
-    """Row-wise lp_norm for a batch, with the same overflow-safe rescaling."""
-    if math.isnan(p) or p < 1.0:
-        raise ValueError(f"p must satisfy p >= 1 or p = inf, got {p}")
-    v = np.abs(np.asarray(data, dtype=float))
-    m = v.max(axis=axis, keepdims=True)
-    if math.isinf(p):
-        return np.squeeze(m, axis=axis)
-    safe = np.where(m > 0.0, m, 1.0)
-    out = np.squeeze(safe, axis=axis) * np.sum((v / safe) ** p, axis=axis) ** (1.0 / p)
-    return np.where(np.squeeze(m, axis=axis) > 0.0, out, 0.0)
 
 
 def _ndtr():

@@ -22,7 +22,6 @@ __all__ = [
     "ProjectionSample",
     "conditional_second_moment",
     "dkw_slack",
-    "ecdf_to_csv",
     "kolmogorov_vs_normal",
     "project",
     "streaming_pair_square_covariance",
@@ -37,7 +36,6 @@ KS_MIN_SAMPLES = 100
 HISTOGRAM_MIN_SAMPLES = 10_000
 
 QUALIFIER_HISTOGRAM = "histogram-lower-bound"
-QUALIFIER_WEIGHTED = "weighted-ecdf-dkw-inapplicable"
 
 
 @dataclass(frozen=True)
@@ -107,12 +105,6 @@ def project(batch: SampleBatch, theta) -> ProjectionSample:
     return ProjectionSample(values=batch.data @ theta, theta=theta, weights=batch.weights)
 
 
-def _sup_gap(cdf: np.ndarray, cum: np.ndarray, jump) -> float:
-    """sup_t |F_N(t) - Phi(t)| from Phi at the order statistics, F_N just
-    after each of them and its jumps there: both one-sided gaps."""
-    return float(np.maximum(cum - cdf, cdf - (cum - jump)).max())
-
-
 # rows per step of the Kolmogorov gap pass: its 64 KB temporaries come from
 # the allocator's heap, where full-length ones (8 MB each at N = 1e6) are
 # mapped afresh on every call; on scan-ank's two threads those raised the
@@ -140,34 +132,17 @@ def _ks_statistic(values: np.ndarray, overwrite: bool = False) -> float:
     return float(np.max(maxima))
 
 
-def _weighted_ks_statistic(values: np.ndarray, weights: np.ndarray) -> float:
-    order = np.argsort(values)
-    jumps = weights[order]
-    return _sup_gap(normal_cdf(values[order]), np.cumsum(jumps), jumps)
-
-
-def kolmogorov_vs_normal(
-    ps: ProjectionSample, delta: float = DEFAULT_DELTA, weighted: bool = False
-) -> DistanceEstimate:
+def kolmogorov_vs_normal(ps: ProjectionSample, delta: float = DEFAULT_DELTA) -> DistanceEstimate:
     """Exact Kolmogorov distance of the empirical law from the standard normal.
 
     The supremum is evaluated at every order statistic (both one-sided gaps),
-    so there is no grid error.  Weighted samples must be announced with
-    weighted=True; the DKW slack then does not apply and is omitted.
+    so there is no grid error.  A weighted sample is refused: the DKW slack
+    holds for the unweighted empirical law only.
     """
     if ps.N < KS_MIN_SAMPLES:
         raise InsufficientDataError(f"need at least {KS_MIN_SAMPLES} samples, got {ps.N}")
-    if ps.weights is not None and not weighted:
-        raise ValueError("sample carries weights; call with weighted=True")
     if ps.weights is not None:
-        return DistanceEstimate(
-            kind=KOLMOGOROV,
-            point_estimate=_weighted_ks_statistic(ps.values, ps.weights),
-            n_samples=ps.N,
-            dkw_slack=None,
-            delta=None,
-            qualifiers=(QUALIFIER_WEIGHTED,),
-        )
+        raise ValueError("sample carries weights; the DKW slack holds for unweighted samples only")
     return DistanceEstimate(
         kind=KOLMOGOROV,
         point_estimate=_ks_statistic(ps.values),
@@ -266,19 +241,3 @@ def streaming_pair_square_covariance(spec, n_samples: int, seed: int) -> tuple[f
         se = 0.0
     return float(cov), se
 
-
-def ecdf_to_csv(ps: ProjectionSample, path, max_points: int | None = None) -> None:
-    """Dump (t, F_N(t), Phi(t)) rows for external plotting."""
-    xs = np.sort(ps.values)
-    n = xs.shape[0]
-    ecdf = np.arange(1, n + 1) / n
-    if max_points is not None and n > max_points:
-        take = np.linspace(0, n - 1, max_points).astype(int)
-        xs, ecdf = xs[take], ecdf[take]
-    np.savetxt(
-        path,
-        np.column_stack([xs, ecdf, normal_cdf(xs)]),
-        delimiter=",",
-        header="t,ecdf,normal_cdf",
-        comments="",
-    )

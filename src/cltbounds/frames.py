@@ -16,8 +16,6 @@ __all__ = [
     "check_tight",
     "custom_frame",
     "frame_coeffs",
-    "frame_from_csv",
-    "frame_to_csv",
     "reflect",
     "simplex_geometry",
     "standard_frame",
@@ -160,13 +158,3 @@ def simplex_geometry(n: int) -> SimplexGeometry:
     edges = math.sqrt(n / (2.0 * (n + 1))) * (vertices[pairs[:, 0]] - vertices[pairs[:, 1]])
     frame = TightFrame(vectors=edges, label=LABEL_SIMPLEX_EDGES)
     return SimplexGeometry(n=n, vertices=vertices, edge_pairs=pairs, edge_frame=frame)
-
-
-def frame_to_csv(frame: TightFrame, path) -> None:
-    """One frame vector per row, plain CSV, for cross-checking elsewhere."""
-    np.savetxt(path, frame.vectors, delimiter=",")
-
-
-def frame_from_csv(path, label: str = LABEL_CUSTOM) -> TightFrame:
-    vectors = np.loadtxt(path, delimiter=",", ndmin=2)
-    return custom_frame(vectors, label=label)

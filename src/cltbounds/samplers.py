@@ -198,10 +198,6 @@ class SampleBatch:
             )
         return SampleBatch(data=data.astype(float, copy=False), seed=seed)
 
-    def to_csv(self, path) -> None:
-        cols = self.data if self.weights is None else np.column_stack([self.data, self.weights])
-        np.savetxt(path, cols, delimiter=",")
-
 
 _MAGIC = b"ISOSAMP1"
 

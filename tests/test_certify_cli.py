@@ -588,6 +588,8 @@ class TestExitCodes:
             ("tv-exact", {"kind": "cube", "n_list": [5]}),
             ("tv-exact", {"n_list": [2]}),
             ("certify", {**_CUBE_GRID, "theta": [[float("nan")] + [1.0] * 5]}),
+            ("tv-exact", {"kind": "spherical_exponential", "n_list": [5]}),
+            ("tv-exact", {"kind": 5, "n_list": [5]}),
         ],
     )
     def test_invalid_config_exits_2(self, tmp_path, command, payload):

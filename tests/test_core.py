@@ -10,7 +10,6 @@ from cltbounds.core import (
     InsufficientDataError,
     as_unit_vector,
     lp_norm,
-    lp_norms,
     merge_summaries,
     normal_cdf,
     summarize,
@@ -71,14 +70,6 @@ class TestLpNorm:
         x /= np.linalg.norm(x)
         assert lp_norm(x, math.inf) >= n**-0.5 * (1 - 1e-12)
         assert lp_norm(x, 3.0) >= n ** (-1.0 / 6.0) * (1 - 1e-12)
-
-    def test_batch_matches_scalar(self):
-        rng = np.random.default_rng(0)
-        data = rng.standard_normal((50, 7))
-        for p in (1.0, 2.0, 3.5, math.inf):
-            rows = lp_norms(data, p)
-            for i in range(50):
-                assert rows[i] == pytest.approx(lp_norm(data[i], p), rel=1e-12)
 
 
 class TestNormalCdf:

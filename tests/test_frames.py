@@ -9,8 +9,6 @@ from cltbounds.frames import (
     check_tight,
     custom_frame,
     frame_coeffs,
-    frame_from_csv,
-    frame_to_csv,
     reflect,
     simplex_geometry,
     standard_frame,
@@ -147,12 +145,3 @@ class TestReflect:
         y = reflect(x, u)
         np.testing.assert_allclose(reflect(y, u), x, atol=1e-12)
         assert np.linalg.norm(y) == pytest.approx(np.linalg.norm(x), abs=1e-12)
-
-
-class TestCsvRoundtrip:
-    def test_roundtrip(self, tmp_path):
-        geom = simplex_geometry(3)
-        path = tmp_path / "frame.csv"
-        frame_to_csv(geom.edge_frame, path)
-        loaded = frame_from_csv(path)
-        np.testing.assert_allclose(loaded.vectors, geom.edge_frame.vectors, atol=1e-12)

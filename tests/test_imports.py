@@ -1,5 +1,6 @@
 """Each command loads only the scipy modules it calls: importing cltbounds
-loads none, and scipy.special, integrate and optimize load at first use.
+loads none, scipy.special loads at first use, and no command loads
+scipy.integrate or scipy.optimize.
 
 Every case runs in a fresh interpreter, since this one has scipy loaded.
 """
@@ -56,6 +57,18 @@ def write_config(tmp_path: Path, cfg: dict) -> str:
 
 QUADRATURE = {"scipy.integrate", "scipy.optimize"}
 
+SAMPLE = {"distribution": {"kind": "lp_ball", "p": 3.0, "n": 6}, "N": 5000}
+
+REPORT = {
+    "spec": {"kind": "lp_ball"},
+    "n": 6,
+    "theta": "e1",
+    "passed": True,
+    "empirical": {"point_estimate": 0.01},
+    "bound": {"value": 0.5},
+    "bound_name": "unconditional[exact]",
+}
+
 DIAGNOSE = {
     "reflection": {
         "experiment": "reflection",
@@ -86,6 +99,8 @@ SCAN_ANK = {
     "N": 5000,
 }
 
+TV_EXACT = {"kind": "sphere_shell", "n_list": [5]}
+
 
 @pytest.mark.parametrize("module", ["cltbounds", "cltbounds.cli"])
 def test_import_loads_no_scipy(module, tmp_path):
@@ -96,22 +111,26 @@ def test_version_loads_no_scipy(tmp_path):
     assert run_cli(["--version"], tmp_path) == []
 
 
+def test_sample_and_report_load_no_scipy(tmp_path):
+    assert run_cli(["sample", "--config", write_config(tmp_path, SAMPLE)], tmp_path) == []
+    report = tmp_path / "certify.json"
+    report.write_text(json.dumps({"reports": [REPORT], "all_passed": True}))
+    assert run_cli(["report", "--input", str(report)], tmp_path) == []
+
+
 @pytest.mark.parametrize("experiment", sorted(DIAGNOSE))
 def test_diagnose_loads_no_scipy(experiment, tmp_path):
     config = write_config(tmp_path, DIAGNOSE[experiment])
     assert run_cli(["diagnose", "--config", config], tmp_path) == []
 
 
-@pytest.mark.parametrize("command, cfg", [("certify", CERTIFY), ("scan-ank", SCAN_ANK)])
+@pytest.mark.parametrize(
+    "command, cfg", [("certify", CERTIFY), ("scan-ank", SCAN_ANK), ("tv-exact", TV_EXACT)]
+)
 def test_statistics_load_only_special(command, cfg, tmp_path):
     loaded = set(run_cli([command, "--config", write_config(tmp_path, cfg)], tmp_path))
     assert "scipy.special" in loaded
     assert not loaded & QUADRATURE
-
-
-def test_tv_exact_loads_quadrature(tmp_path):
-    config = write_config(tmp_path, {"kind": "sphere_shell", "n_list": [5]})
-    assert QUADRATURE <= set(run_cli(["tv-exact", "--config", config], tmp_path))
 
 
 def test_lazy_import_on_worker_threads_keeps_reports(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from cltbounds.core import lp_norms, summarize
+from cltbounds.core import summarize
 from cltbounds.frames import simplex_geometry
 from cltbounds.samplers import (
     BLOCK_ROWS,
@@ -170,13 +170,6 @@ class TestSerialization:
         path.write_bytes(b"not a batch file at all")
         with pytest.raises(ValueError):
             SampleBatch.load(path)
-
-    def test_csv_includes_weights(self, tmp_path):
-        batch = sample(DistributionSpec(Kind.LP_SURFACE, 3, p=3.0), 50, 1)
-        path = tmp_path / "batch.csv"
-        batch.to_csv(path)
-        rows = np.loadtxt(path, delimiter=",")
-        assert rows.shape == (50, 4)
 
 
 class TestDrawOrder:
@@ -414,7 +407,7 @@ class TestGeneralizedGaussian:
 class TestLpCone:
     def test_constant_p_norm(self):
         batch = sample(DistributionSpec(Kind.LP_CONE, 6, p=3.0), 5000, 21)
-        norms = lp_norms(batch.data, 3.0)
+        norms = np.linalg.norm(batch.data, ord=3.0, axis=1)
         assert np.abs(norms / batch.spec.scale - 1.0).max() <= 1e-10
 
     def test_p2_matches_sphere_up_to_scale(self):
@@ -432,13 +425,13 @@ class TestLpCone:
         # Beta(1, n-1) with cdf 1 - (1-x)^(n-1)
         n, n_samples = 6, 2 * 10**5
         batch = sample(DistributionSpec(Kind.LP_CONE, n, p=1.0), n_samples, 24)
-        z = np.abs(batch.data) / lp_norms(batch.data, 1.0)[:, None]
+        z = np.abs(batch.data) / np.linalg.norm(batch.data, ord=1.0, axis=1)[:, None]
         u = 1.0 - (1.0 - z[:, 0]) ** (n - 1)
         assert stats.kstest(u, "uniform").pvalue > 0.01
 
     def test_cube_cone_p_inf(self):
         batch = sample(DistributionSpec(Kind.LP_CONE, 5, p=math.inf), 20000, 25)
-        norms = lp_norms(batch.data, math.inf)
+        norms = np.linalg.norm(batch.data, ord=math.inf, axis=1)
         np.testing.assert_allclose(norms, batch.spec.scale, rtol=1e-12)
 
 
@@ -459,7 +452,8 @@ class TestLpBall:
 
     def test_rows_inside_scaled_ball(self):
         batch = sample(DistributionSpec(Kind.LP_BALL, 5, p=1.5), 20000, 29)
-        assert np.all(lp_norms(batch.data, 1.5) <= batch.spec.scale * (1 + 1e-12))
+        norms = np.linalg.norm(batch.data, ord=1.5, axis=1)
+        assert np.all(norms <= batch.spec.scale * (1 + 1e-12))
 
 
 class TestLpSurface:
@@ -594,7 +588,7 @@ class TestLinfExponential:
     def test_radius_is_sup_norm_gamma(self):
         n = 6
         batch = sample(DistributionSpec(Kind.LINF_EXPONENTIAL, n), 2 * 10**5, 44)
-        radii = lp_norms(batch.data, math.inf)
+        radii = np.linalg.norm(batch.data, ord=math.inf, axis=1)
         b_n = math.sqrt((n + 1) * (n + 2) / 3.0)
         p = stats.kstest(radii * b_n, "gamma", args=(n,)).pvalue
         assert p > 0.01
