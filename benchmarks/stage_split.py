@@ -81,12 +81,7 @@ import cltbounds
 from cltbounds import samplers, subspaces
 from cltbounds.bounds import exact_tv_vs_normal
 from cltbounds.certify import resolve_theta
-from cltbounds.empirical import (
-    ProjectionSample,
-    _ks_statistic,
-    kolmogorov_vs_normal,
-    tv_vs_normal_histogram,
-)
+from cltbounds.empirical import _ks_statistic, kolmogorov_vs_normal, tv_vs_normal_histogram
 from cltbounds.frames import simplex_geometry, standard_frame
 from cltbounds.samplers import (
     BLOCK_ROWS,
@@ -100,6 +95,12 @@ try:
     from cltbounds.samplers import derive_seed
 except ImportError:  # checkouts before the one seed derivation: no subspace mode
     derive_seed = None
+
+try:
+    from cltbounds.empirical import ProjectionSample
+except ImportError:  # the estimators take the projection array itself
+    def ProjectionSample(values):
+        return values
 
 THETAS = ["diagonal", "random(101)", "random(102)", "random(103)"]
 SPHERICAL_THETAS = ["e1", "diagonal"]
@@ -213,6 +214,12 @@ def spherical_pass(spec: DistributionSpec, n_samples: int, seed: int) -> dict[st
     return times
 
 
+def basis_rows(subspace) -> np.ndarray:
+    """The (k, n) basis rows: the array itself, or the ``basis`` of a
+    ``Subspace`` in checkouts that wrap it."""
+    return getattr(subspace, "basis", subspace)
+
+
 def gram_schmidt_frames(rng, rows: np.ndarray):
     """(q1_0, s1, q2_0, s2) from two Gaussian vectors of R^n per row."""
     g1 = rng.standard_normal(rows.shape)
@@ -226,7 +233,7 @@ def gram_schmidt_frames(rng, rows: np.ndarray):
 def subspace_pass(spec: DistributionSpec, n_samples: int, seed: int) -> dict[str, float]:
     times = dict.fromkeys(("ank_fill_s", "ank_project_s", "ank_ks_s"), 0.0)
     lines = np.column_stack([
-        subspaces.random_subspace(spec.n, 1, derive_seed(seed, s)).basis[0]
+        basis_rows(subspaces.random_subspace(spec.n, 1, derive_seed(seed, s)))[0]
         for s in range(N_SUBSPACES)
     ])
     rows = stream(spec, n_samples, seed, lines, times, prefix="ank_")

@@ -54,7 +54,6 @@ from .bounds import (  # noqa: F401
 )
 from .empirical import (  # noqa: F401
     DistanceEstimate,
-    ProjectionSample,
     conditional_second_moment,
     dkw_slack,
     kolmogorov_vs_normal,
@@ -63,10 +62,8 @@ from .empirical import (  # noqa: F401
 )
 from .subspaces import (  # noqa: F401
     AnkEstimate,
-    OrthogonalMatrix,
     PairDiagnostics,
     RotationDiagnostics,
-    Subspace,
     estimate_Ank,
     haar_orthogonal,
     haar_orthogonal_sample,

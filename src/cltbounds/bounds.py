@@ -25,6 +25,7 @@ __all__ = [
     "BoundValue",
     "DensePairMoments",
     "EXACT_MARGINALS",
+    "EXACT_MARGINAL_MAX_N",
     "KOLMOGOROV",
     "SimplexPairMoments",
     "TOTAL_VARIATION",
@@ -424,6 +425,11 @@ def bound_poincare(n: int, lambda1: float) -> BoundValue:
 # like the sphere in R^(n+2).
 EXACT_MARGINALS = {Kind.SPHERE_SHELL: (0, 3), Kind.BALL_UNIFORM: (2, 2)}
 
+# largest n the quadrature is validated at: n * TV stays within 1e-3 of its
+# limit 0.7001 up to n = 1e6, but the log normalizer cancels two numbers near
+# m/2 and reads 0.71 (sphere) at n = 1e7 and 1.6 at n = 1e8
+EXACT_MARGINAL_MAX_N = 10**6
+
 # crossings of the two densities are bracketed on this many grid points over
 # [0, r], then bisected this many times; each one-signed piece is integrated
 # with this many Gauss-Legendre panels and nodes per panel
@@ -440,8 +446,11 @@ def _marginal_params(kind, n: int) -> tuple[float, float, float]:
     if kind not in EXACT_MARGINALS:
         raise ValueError(f"no closed-form marginal for kind {kind!r}")
     shift, min_n = EXACT_MARGINALS[kind]
-    if n < min_n:
-        raise ValueError(f"the {Kind(kind).value} marginal density formula needs n >= {min_n}")
+    if not min_n <= n <= EXACT_MARGINAL_MAX_N:
+        raise ValueError(
+            f"the {Kind(kind).value} marginal density formula is validated for "
+            f"{min_n} <= n <= {EXACT_MARGINAL_MAX_N}, got n={n}"
+        )
     m = n + shift
     log_c = gammaln(m / 2.0) - gammaln((m - 1) / 2.0) - 0.5 * math.log(m * math.pi)
     return float(m), (m - 3) / 2.0, log_c

@@ -42,7 +42,6 @@ from .core import thread_map
 from .empirical import (
     DEFAULT_DELTA,
     DistanceEstimate,
-    ProjectionSample,
     kolmogorov_vs_normal,
     tv_vs_normal_histogram,
 )
@@ -180,7 +179,6 @@ def _evaluate_cell(
 ) -> BoundReport:
     """The certification predicate for one cell, given its projections.
     Every bound input is exact."""
-    ps = ProjectionSample(values=values, theta=theta)
     n = spec.n
     notes: list[str] = []
     informational: list[tuple[str, BoundValue]] = []
@@ -198,7 +196,7 @@ def _evaluate_cell(
         )
         if spec.kind is Kind.SPHERICAL_EXPONENTIAL and n > 25:
             informational.append(("poincare-spectral-gap", bound_poincare(n, 1.0 / 13.0)))
-        empirical = tv_vs_normal_histogram(ps)
+        empirical = tv_vs_normal_histogram(values)
         adjusted = empirical.point_estimate - TV_ESTIMATOR_ALLOWANCE
         vacuous = bound.value >= 2.0
         notes.append(f"tv-allowance={TV_ESTIMATOR_ALLOWANCE}")
@@ -230,7 +228,7 @@ def _evaluate_cell(
                         ),
                     )
                 )
-        empirical = kolmogorov_vs_normal(ps, delta=delta)
+        empirical = kolmogorov_vs_normal(values, delta=delta)
         adjusted = empirical.point_estimate - empirical.dkw_slack
         vacuous = bound.value >= 1.0
         if vacuous:
@@ -241,7 +239,7 @@ def _evaluate_cell(
         spec=spec,
         theta_label=theta_label,
         n=n,
-        N=ps.N,
+        N=len(values),
         seed=seed,
         delta=delta,
         bound_name=bound_name,

@@ -17,7 +17,7 @@ import sys
 import traceback
 from pathlib import Path
 
-from .bounds import EXACT_MARGINALS, exact_tv_vs_normal
+from .bounds import EXACT_MARGINAL_MAX_N, EXACT_MARGINALS, exact_tv_vs_normal
 from .certify import (
     ROUTE_SPHERICAL,
     InapplicableBoundError,
@@ -84,17 +84,24 @@ def _nonempty_list(value, key: str) -> list:
 
 
 def _spec_from_config(d: dict) -> DistributionSpec:
+    if "n" in d:
+        _integer(d["n"], "'n'")
     try:
         return DistributionSpec.from_dict(d)
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"invalid distribution: {exc}") from exc
 
 
-def _positive_int(cfg: dict, key: str) -> int:
-    value = _require(cfg, key)
-    if not isinstance(value, int) or value < 1:
-        raise ConfigError(f"{key!r} must be a positive integer, got {value!r}")
+def _integer(value, name: str, least: float = -math.inf) -> int:
+    """A config integer: an int that is not a bool, and at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        floor = "" if least == -math.inf else f" >= {least}"
+        raise ConfigError(f"{name} must be an integer{floor}, got {value!r}")
     return value
+
+
+def _positive_int(cfg: dict, key: str, least: int = 1) -> int:
+    return _integer(_require(cfg, key), repr(key), least)
 
 
 def _number(value, name: str, lo: float, hi: float) -> float:
@@ -109,10 +116,7 @@ def _number(value, name: str, lo: float, hi: float) -> float:
 
 
 def _seed(cfg: dict) -> int:
-    try:
-        return int(cfg.get("seed", 0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"'seed' must be an integer, got {cfg['seed']!r}") from exc
+    return _integer(cfg.get("seed", 0), "'seed'")
 
 
 def _theta(theta_spec, n: int):
@@ -184,7 +188,7 @@ def _expand_distributions(cfg: dict) -> list[DistributionSpec]:
             raise ConfigError(f"distribution entry must be a JSON object, got {entry!r}")
         ns = entry.get("n")
         n_values = ns if isinstance(ns, list) else [ns]
-        if not n_values or any(not isinstance(v, int) for v in n_values):
+        if not n_values:
             raise ConfigError(f"invalid n in distribution entry {entry!r}")
         for n in n_values:
             specs.append(_spec_from_config({**entry, "n": n}))
@@ -323,7 +327,7 @@ def _cmd_diagnose(cfg: dict) -> int:
         specs = [_spec_from_config({**template, "n": n}) for n in n_list]
         if specs[0].kind is Kind.LP_SURFACE:
             raise ConfigError("square-correlation does not apply the lp_surface weights")
-        n_samples = _positive_int(cfg, "N")
+        n_samples = _positive_int(cfg, "N", least=2)  # a covariance needs two rows
         name = "square_correlation.csv"
         header = ["n", "cov_x1sq_x2sq", "se", "N", "seed"]
         rows = []
@@ -349,6 +353,8 @@ def _cmd_report(cfg: dict) -> int:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read report: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ConfigError("malformed report: it must be a JSON object")
     print(f"report from {payload.get('version', 'unknown version')}")
     try:
         for r in payload.get("reports", []):
@@ -376,10 +382,13 @@ def _cmd_tv_exact(cfg: dict) -> int:
         )
     n_list = _require(cfg, "n_list")
     _, min_n = EXACT_MARGINALS[kind]
-    if not isinstance(n_list, list) or not n_list or any(
-        not isinstance(n, int) or n < min_n for n in n_list
-    ):
+    if not isinstance(n_list, list) or not n_list:
         raise ConfigError(f"'n_list' must be a non-empty list of integers >= {min_n}")
+    for n in n_list:
+        if _integer(n, "'n_list' entry", min_n) > EXACT_MARGINAL_MAX_N:
+            raise ConfigError(
+                f"tv-exact is validated for {min_n} <= n <= {EXACT_MARGINAL_MAX_N}, got n={n}"
+            )
     out = _out_dir(cfg)
     path = out / "tv_exact.csv"
     with open(path, "w", newline="") as fh:

@@ -99,7 +99,7 @@ def _ndtr():
 
 
 def normal_cdf(t):
-    """Standard normal distribution function, evaluated via erfc.
+    """Standard normal distribution function, evaluated by scipy's ``ndtr``.
 
     Absolute error is below 1e-15 over the double range; accepts scalars
     or arrays.

@@ -1,6 +1,6 @@
-"""Empirical distance estimation: exact Kolmogorov statistics on order
-statistics with DKW confidence slack, histogram total-variation lower
-bounds, projection, and conditional second-moment estimation."""
+"""Empirical distance estimation: projection of an unweighted batch, exact
+Kolmogorov statistics of the projections with DKW confidence slack, histogram
+total-variation lower bounds, and conditional second-moment estimation."""
 
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ __all__ = [
     "DistanceEstimate",
     "HISTOGRAM_MIN_SAMPLES",
     "KS_MIN_SAMPLES",
-    "ProjectionSample",
     "conditional_second_moment",
     "dkw_slack",
     "kolmogorov_vs_normal",
@@ -36,28 +35,6 @@ KS_MIN_SAMPLES = 100
 HISTOGRAM_MIN_SAMPLES = 10_000
 
 QUALIFIER_HISTOGRAM = "histogram-lower-bound"
-
-
-@dataclass(frozen=True)
-class ProjectionSample:
-    """Draws of W = <X, theta>, with optional importance weights."""
-
-    values: np.ndarray
-    theta: np.ndarray | None = None
-    weights: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=float)
-            if w.shape != self.values.shape:
-                raise ValueError("weights must match values in shape")
-            if (w <= 0.0).any() or not np.all(np.isfinite(w)):
-                raise ValueError("weights must be positive and finite")
-            object.__setattr__(self, "weights", w / w.sum())
-
-    @property
-    def N(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass(frozen=True)
@@ -99,10 +76,12 @@ def dkw_slack(n_samples: int, delta: float) -> float:
     return math.sqrt(math.log(2.0 / delta) / (2.0 * n_samples))
 
 
-def project(batch: SampleBatch, theta) -> ProjectionSample:
-    """W = <X, theta> for every row of the batch; weights pass through."""
-    theta = as_unit_vector(theta, batch.n)
-    return ProjectionSample(values=batch.data @ theta, theta=theta, weights=batch.weights)
+def project(batch: SampleBatch, theta) -> np.ndarray:
+    """The 1-D array of W = <X, theta> over the rows of an unweighted batch:
+    the estimators treat rows alike, and the DKW slack needs no weights."""
+    if batch.weights is not None:
+        raise ValueError("batch carries weights; the estimators take unweighted samples only")
+    return batch.data @ as_unit_vector(theta, batch.n)
 
 
 # rows per step of the Kolmogorov gap pass: its 64 KB temporaries come from
@@ -132,54 +111,49 @@ def _ks_statistic(values: np.ndarray, overwrite: bool = False) -> float:
     return float(np.max(maxima))
 
 
-def kolmogorov_vs_normal(ps: ProjectionSample, delta: float = DEFAULT_DELTA) -> DistanceEstimate:
-    """Exact Kolmogorov distance of the empirical law from the standard normal.
+def kolmogorov_vs_normal(values: np.ndarray, delta: float = DEFAULT_DELTA) -> DistanceEstimate:
+    """Exact Kolmogorov distance of the empirical law of ``values`` from the standard normal.
 
     The supremum is evaluated at every order statistic (both one-sided gaps),
-    so there is no grid error.  A weighted sample is refused: the DKW slack
-    holds for the unweighted empirical law only.
+    so there is no grid error.
     """
-    if ps.N < KS_MIN_SAMPLES:
-        raise InsufficientDataError(f"need at least {KS_MIN_SAMPLES} samples, got {ps.N}")
-    if ps.weights is not None:
-        raise ValueError("sample carries weights; the DKW slack holds for unweighted samples only")
+    N = len(values)
+    if N < KS_MIN_SAMPLES:
+        raise InsufficientDataError(f"need at least {KS_MIN_SAMPLES} samples, got {N}")
     return DistanceEstimate(
         kind=KOLMOGOROV,
-        point_estimate=_ks_statistic(ps.values),
-        n_samples=ps.N,
-        dkw_slack=dkw_slack(ps.N, delta),
+        point_estimate=_ks_statistic(values),
+        n_samples=N,
+        dkw_slack=dkw_slack(N, delta),
         delta=delta,
     )
 
 
 def tv_vs_normal_histogram(
-    ps: ProjectionSample, bins: int | None = None, support: float = 6.0
+    values: np.ndarray, bins: int | None = None, support: float = 6.0
 ) -> DistanceEstimate:
-    """Histogram total-variation estimate against the standard normal.
+    """Histogram total-variation estimate of ``values`` against the standard normal.
 
     Values are clipped into [-support, support]; the edge bins absorb the
     normal tail mass beyond that, so both measures live on the same finite
     partition and the estimate is a genuine lower bound of the true total
     variation (coarsening never increases L1), hence the qualifier.
     """
-    if ps.N < HISTOGRAM_MIN_SAMPLES:
-        raise InsufficientDataError(
-            f"need at least {HISTOGRAM_MIN_SAMPLES} samples, got {ps.N}"
-        )
+    N = len(values)
+    if N < HISTOGRAM_MIN_SAMPLES:
+        raise InsufficientDataError(f"need at least {HISTOGRAM_MIN_SAMPLES} samples, got {N}")
     if bins is None:
-        bins = math.ceil(ps.N ** (1.0 / 3.0))
+        bins = math.ceil(N ** (1.0 / 3.0))
     edges = np.linspace(-support, support, bins + 1)
-    clipped = np.clip(ps.values, -support, support)
-    empirical, _ = np.histogram(clipped, bins=edges, weights=ps.weights)
-    if ps.weights is None:
-        empirical = empirical / ps.N
+    clipped = np.clip(values, -support, support)
+    empirical = np.histogram(clipped, bins=edges)[0] / N
     cdf = normal_cdf(edges)
     cdf[0], cdf[-1] = 0.0, 1.0  # edge bins absorb the tails
     gaussian = np.diff(cdf)
     return DistanceEstimate(
         kind=TOTAL_VARIATION,
         point_estimate=float(np.abs(empirical - gaussian).sum()),
-        n_samples=ps.N,
+        n_samples=N,
         qualifiers=(QUALIFIER_HISTOGRAM,),
     )
 

@@ -152,7 +152,8 @@ class SampleBatch:
     """An (N, n) block of samples plus the seed that reproduces it.
 
     ``weights`` (normalized to sum 1) are attached by the surface-measure
-    sampler; every downstream estimator accepts them.
+    sampler; ``summarize`` applies them, and ``empirical.project`` refuses
+    a batch that carries them.
     """
 
     data: np.ndarray

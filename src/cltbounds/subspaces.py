@@ -1,6 +1,6 @@
-"""Haar-random orthogonal matrices and subspaces, randomized subspace
-experiments, and exchangeable-pair diagnostics for the reflection and
-infinitesimal-rotation constructions behind the bounds."""
+"""Haar-random orthogonal matrices and subspace bases as plain arrays,
+randomized subspace experiments, and exchangeable-pair diagnostics for the
+reflection and infinitesimal-rotation constructions behind the bounds."""
 
 from __future__ import annotations
 
@@ -20,10 +20,8 @@ from .samplers import (
 
 __all__ = [
     "AnkEstimate",
-    "OrthogonalMatrix",
     "PairDiagnostics",
     "RotationDiagnostics",
-    "Subspace",
     "SymmetryError",
     "ank_to_csv",
     "estimate_Ank",
@@ -74,22 +72,6 @@ def _require_pair_symmetry(spec, frame: TightFrame | None = None) -> None:
         raise SymmetryError(f"reflecting in the {frame.label} frame changes the {kind.value} law")
 
 
-@dataclass(frozen=True)
-class OrthogonalMatrix:
-    """A Haar-distributed orthogonal matrix and the seed that made it."""
-
-    entries: np.ndarray
-    seed: int
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-    def orthogonality_residual(self) -> float:
-        q = self.entries
-        return float(np.linalg.norm(q.T @ q - np.eye(self.n), ord="fro"))
-
-
 def _sign_fixed_qr(g: np.ndarray) -> np.ndarray:
     """QR with the R-diagonal forced positive (unbiased Haar; plain QR is not).
 
@@ -101,13 +83,12 @@ def _sign_fixed_qr(g: np.ndarray) -> np.ndarray:
     return q * d[..., None, :]
 
 
-def haar_orthogonal(n: int, seed: int) -> OrthogonalMatrix:
+def haar_orthogonal(n: int, seed: int) -> np.ndarray:
     """One Haar-distributed n x n orthogonal matrix."""
     if n < 2:
         raise ValueError(f"dimension must be at least 2, got {n}")
     rng = np.random.default_rng(seed)
-    q = _sign_fixed_qr(rng.standard_normal((n, n)))
-    return OrthogonalMatrix(entries=q, seed=seed)
+    return _sign_fixed_qr(rng.standard_normal((n, n)))
 
 
 def haar_orthogonal_sample(n: int, count: int, seed: int) -> np.ndarray:
@@ -116,36 +97,17 @@ def haar_orthogonal_sample(n: int, count: int, seed: int) -> np.ndarray:
     return _sign_fixed_qr(rng.standard_normal((count, n, n)))
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """k orthonormal basis vectors (rows) of a subspace of R^n."""
-
-    basis: np.ndarray  # (k, n)
-
-    @property
-    def n(self) -> int:
-        return self.basis.shape[1]
-
-    @property
-    def k(self) -> int:
-        return self.basis.shape[0]
-
-    def gram_residual(self) -> float:
-        b = self.basis
-        return float(np.linalg.norm(b @ b.T - np.eye(self.k), ord="fro"))
-
-
-def random_subspace(n: int, k: int, seed: int) -> Subspace:
-    """A subspace drawn from the rotation-invariant law on k-planes."""
+def random_subspace(n: int, k: int, seed: int) -> np.ndarray:
+    """(k, n) orthonormal basis rows of a subspace drawn from the rotation-invariant law."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    return Subspace(basis=haar_orthogonal(n, seed).entries[:k])
+    return haar_orthogonal(n, seed)[:k]
 
 
-def uniform_directions(subspace: Subspace, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Unit vectors uniform on the sphere of the subspace, as (count, k) rows
-    of coefficients in its basis (the directions are ``coeffs @ basis``)."""
-    coeffs = rng.standard_normal((count, subspace.k))
+def uniform_directions(k: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Unit vectors uniform on the sphere of a k-dimensional subspace, as (count, k)
+    rows of coefficients in its basis (the directions are ``coeffs @ basis``)."""
+    coeffs = rng.standard_normal((count, k))
     coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
     return coeffs
 
@@ -209,15 +171,16 @@ def estimate_Ank(
     if n_dirs < 1:
         raise ValueError(f"need at least one direction per subspace, got n_dirs={n_dirs}")
     n = spec.n
-    subspaces = [random_subspace(n, k, derive_seed(seed, s)) for s in range(n_subspaces)]
-    bases = np.concatenate([sub.basis for sub in subspaces]).T
+    bases = np.concatenate(
+        [random_subspace(n, k, derive_seed(seed, s)) for s in range(n_subspaces)]
+    ).T
     proj = sample_projections(spec, bases, N, seed)
 
     def sup_distance(s: int) -> float:
         if k == 1:
             return _ks_statistic(proj[s], overwrite=True)  # proj[s] is not read again
         rng = np.random.default_rng(derive_seed(seed, s, 1))
-        coeffs = uniform_directions(subspaces[s], n_dirs, rng)
+        coeffs = uniform_directions(k, n_dirs, rng)
         y_s = proj[s * k : (s + 1) * k]
         # the inner generator drops each product before the next is formed
         return max(

@@ -9,6 +9,7 @@ from scipy.special import ndtr
 from cltbounds.bounds import (
     BoundInputs,
     DensePairMoments,
+    EXACT_MARGINAL_MAX_N,
     FLAG_RADICAND_CLAMPED,
     KOLMOGOROV,
     SimplexPairMoments,
@@ -551,3 +552,12 @@ class TestExactTv:
                 "sphere_shell", 2 * n
             )
             assert 1.8 <= ratio <= 2.2
+
+    @pytest.mark.parametrize("kind", ["sphere_shell", "ball_uniform"])
+    def test_validated_up_to_max_n(self, kind):
+        # n * TV settles at 0.7001 by n = 1e4 and holds through the cap; the
+        # quadrature drifts beyond it (sphere: 0.7117 at n = 1e7), so it is refused
+        for n in (10**4, 10**5, EXACT_MARGINAL_MAX_N):
+            assert n * exact_tv_vs_normal(kind, n) == pytest.approx(0.7001, abs=1e-3)
+        with pytest.raises(ValueError, match="validated"):
+            exact_tv_vs_normal(kind, EXACT_MARGINAL_MAX_N + 1)

@@ -28,7 +28,6 @@ from cltbounds.cli import (
 from cltbounds.empirical import (
     HISTOGRAM_MIN_SAMPLES,
     KS_MIN_SAMPLES,
-    ProjectionSample,
     kolmogorov_vs_normal,
     tv_vs_normal_histogram,
 )
@@ -291,13 +290,12 @@ class TestStreaming:
             values = reduced_law_projections(spec, directions, n_samples, reports[0].seed)
         else:
             values = (sample(spec, n_samples, reports[0].seed).data @ directions).T
-        for report, theta_spec, (theta, label), row in zip(reports, thetas, resolved, values):
-            ps = ProjectionSample(values=row, theta=theta)
+        for report, theta_spec, (_, label), row in zip(reports, thetas, resolved, values):
             if report.bound.kind == KOLMOGOROV:
-                expected = kolmogorov_vs_normal(ps, delta=report.delta)
+                expected = kolmogorov_vs_normal(row, delta=report.delta)
                 adjusted = expected.point_estimate - expected.dkw_slack
             else:
-                expected = tv_vs_normal_histogram(ps)
+                expected = tv_vs_normal_histogram(row)
                 adjusted = expected.point_estimate - TV_ESTIMATOR_ALLOWANCE
             assert report.theta_label == label and report.N == n_samples
             assert report.empirical.point_estimate == pytest.approx(
@@ -590,6 +588,17 @@ class TestExitCodes:
             ("certify", {**_CUBE_GRID, "theta": [[float("nan")] + [1.0] * 5]}),
             ("tv-exact", {"kind": "spherical_exponential", "n_list": [5]}),
             ("tv-exact", {"kind": 5, "n_list": [5]}),
+            # config integers: an int that is not a bool, with each least value
+            ("scan-ank", {**_SMALL_SCAN, "n_list": [20.9]}),
+            ("scan-ank", {**_SMALL_SCAN, "k": True}),
+            ("scan-ank", {**_SMALL_SCAN, "n_subspaces": True}),
+            ("diagnose", {"experiment": "square-correlation", "n_list": ["30"], "N": 1000}),
+            ("diagnose", {"experiment": "square-correlation", "n_list": [5], "N": True}),
+            ("diagnose", {"experiment": "square-correlation", "n_list": [5], "N": 1}),
+            ("certify", {**_CUBE_GRID, "seed": 2.9}),
+            ("sample", {"distribution": {"kind": "sphere_shell", "n": 20.9}, "N": 100}),
+            # beyond the range tv-exact's quadrature is validated at
+            ("tv-exact", {"n_list": [10000001]}),
         ],
     )
     def test_invalid_config_exits_2(self, tmp_path, command, payload):
@@ -597,6 +606,14 @@ class TestExitCodes:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == (
             EXIT_CONFIG_ERROR
         )
+
+    @pytest.mark.parametrize("payload", [[1, 2], "report", None])
+    def test_report_not_an_object_exits_2(self, tmp_path, capsys, payload):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(payload))
+        assert main(["report", "--input", str(path)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert "config error" in err and "internal error" not in err
 
     @pytest.mark.parametrize(
         "command, payload, key",

@@ -10,7 +10,6 @@ from cltbounds.core import InsufficientDataError, normal_cdf
 from cltbounds.empirical import (
     DistanceEstimate,
     _ks_statistic,
-    ProjectionSample,
     conditional_second_moment,
     dkw_slack,
     kolmogorov_vs_normal,
@@ -29,7 +28,7 @@ from cltbounds.samplers import (
 
 def gaussian_ps(n_samples, seed):
     rng = np.random.default_rng(seed)
-    return ProjectionSample(values=rng.standard_normal(n_samples))
+    return rng.standard_normal(n_samples)
 
 
 def _sup_gap(cdf, cum, jump):
@@ -42,15 +41,14 @@ class TestProject:
     def test_e1_is_first_column(self):
         batch = sample(DistributionSpec(Kind.SPHERE_SHELL, 4), 500, 1)
         theta = np.array([1.0, 0.0, 0.0, 0.0])
-        ps = project(batch, theta)
-        np.testing.assert_array_equal(ps.values, batch.data[:, 0])
+        np.testing.assert_array_equal(project(batch, theta), batch.data[:, 0])
 
     def test_unit_variance_for_isotropic_source(self):
         batch = sample(DistributionSpec(Kind.SPHERE_SHELL, 10), 10**5, 2)
         rng = np.random.default_rng(3)
         theta = rng.standard_normal(10)
         theta /= np.linalg.norm(theta)
-        w = project(batch, theta).values
+        w = project(batch, theta)
         se = math.sqrt(np.mean((w**2 - 1) ** 2) / len(w))
         assert abs(w.var() - 1.0) <= 3 * se + 1e-9
 
@@ -59,8 +57,8 @@ class TestProject:
         e1 = np.eye(5)[0]
         e2 = np.eye(5)[1]
         combo = (e1 + e2) / math.sqrt(2)
-        lhs = project(batch, combo).values
-        rhs = (project(batch, e1).values + project(batch, e2).values) / math.sqrt(2)
+        lhs = project(batch, combo)
+        rhs = (project(batch, e1) + project(batch, e2)) / math.sqrt(2)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_rejects_non_unit(self):
@@ -73,10 +71,11 @@ class TestProject:
         with pytest.raises(ValueError):
             project(batch, np.array([1.0, 0.0, 0.0]))
 
-    def test_weights_pass_through(self):
+    def test_refuses_weighted_batch(self):
+        # the estimators treat every row alike; the DKW slack holds unweighted only
         batch = sample(DistributionSpec(Kind.LP_SURFACE, 4, p=3.0), 500, 7)
-        ps = project(batch, np.eye(4)[0])
-        np.testing.assert_array_equal(ps.weights, batch.weights)
+        with pytest.raises(ValueError, match="weights"):
+            project(batch, np.eye(4)[0])
 
 
 class TestDkwSlack:
@@ -98,7 +97,7 @@ class TestDkwSlack:
 
 class TestKolmogorov:
     def test_degenerate_sample_is_half(self):
-        ps = ProjectionSample(values=np.zeros(500))
+        ps = np.zeros(500)
         est = kolmogorov_vs_normal(ps)
         assert est.point_estimate == pytest.approx(0.5, abs=1e-12)
 
@@ -113,13 +112,7 @@ class TestKolmogorov:
 
     def test_needs_100_samples(self):
         with pytest.raises(InsufficientDataError):
-            kolmogorov_vs_normal(ProjectionSample(values=np.zeros(99)))
-
-    def test_weighted_requires_flag(self):
-        batch = sample(DistributionSpec(Kind.LP_SURFACE, 4, p=3.0), 1000, 9)
-        ps = project(batch, np.eye(4)[0])
-        with pytest.raises(ValueError):
-            kolmogorov_vs_normal(ps)
+            kolmogorov_vs_normal(np.zeros(99))
 
     @pytest.mark.parametrize("ties", [False, True])
     def test_sign_invariant(self, ties):
@@ -144,7 +137,7 @@ class TestKolmogorov:
     def test_exact_supremum_against_brute_force(self):
         rng = np.random.default_rng(11)
         values = rng.standard_normal(500)
-        est = kolmogorov_vs_normal(ProjectionSample(values=values))
+        est = kolmogorov_vs_normal(values)
         # brute force on a fine grid plus both sides of every jump point
         grid = np.concatenate([np.linspace(-5, 5, 200001), values, values - 1e-9])
         ecdf = np.searchsorted(np.sort(values), grid, side="right") / len(values)
@@ -156,10 +149,8 @@ class TestKolmogorov:
     def test_permutation_invariance(self, seed):
         rng = np.random.default_rng(seed)
         values = rng.standard_normal(300)
-        a = kolmogorov_vs_normal(ProjectionSample(values=values)).point_estimate
-        b = kolmogorov_vs_normal(
-            ProjectionSample(values=rng.permutation(values))
-        ).point_estimate
+        a = kolmogorov_vs_normal(values).point_estimate
+        b = kolmogorov_vs_normal(rng.permutation(values)).point_estimate
         assert a == b
 
     @given(st.integers(0, 2**32 - 1))
@@ -167,10 +158,8 @@ class TestKolmogorov:
     def test_far_point_moves_estimate_at_most_one_over_n(self, seed):
         rng = np.random.default_rng(seed)
         values = rng.standard_normal(400)
-        base = kolmogorov_vs_normal(ProjectionSample(values=values)).point_estimate
-        bumped = kolmogorov_vs_normal(
-            ProjectionSample(values=np.append(values, 1e9))
-        ).point_estimate
+        base = kolmogorov_vs_normal(values).point_estimate
+        bumped = kolmogorov_vs_normal(np.append(values, 1e9)).point_estimate
         assert abs(bumped - base) <= 1.0 / 400 + 1.0 / 401 + 1e-12
 
 
@@ -182,14 +171,14 @@ class TestTvHistogram:
         assert est.qualifiers  # labeled as a lower-bound-flavored estimate
 
     def test_point_mass(self):
-        ps = ProjectionSample(values=np.zeros(10**4))
+        ps = np.zeros(10**4)
         est = tv_vs_normal_histogram(ps)
         bins = math.ceil((10**4) ** (1 / 3))
         bin_width = 12.0 / bins
         assert est.point_estimate >= 2.0 - 2 * bin_width
 
     def test_never_exceeds_two(self):
-        ps = ProjectionSample(values=np.full(10**4, 100.0))  # clipped to the edge
+        ps = np.full(10**4, 100.0)  # clipped to the edge
         assert tv_vs_normal_histogram(ps).point_estimate <= 2.0
 
     def test_sphere_projection_within_bound(self):
@@ -208,7 +197,7 @@ class TestTvHistogram:
 
     def test_needs_1e4_samples(self):
         with pytest.raises(InsufficientDataError):
-            tv_vs_normal_histogram(ProjectionSample(values=np.zeros(9999)))
+            tv_vs_normal_histogram(np.zeros(9999))
 
 
 class TestConditionalSecondMoment:

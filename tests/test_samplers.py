@@ -325,7 +325,7 @@ class TestSphereShell:
     def test_rotation_invariance(self):
         n, n_samples = 8, 10**5
         batch = sample(DistributionSpec(Kind.SPHERE_SHELL, n), n_samples, 14)
-        rotation = haar_orthogonal(n, 7).entries
+        rotation = haar_orthogonal(n, 7)
         theta = np.zeros(n)
         theta[0] = 1.0
         w_before = batch.data @ theta
@@ -748,7 +748,7 @@ class TestSymmetries:
     def test_rotation_invariance(self, spec):
         n_samples = 10**5
         batch = sample(spec, n_samples, 49)
-        rotation = haar_orthogonal(spec.n, 50).entries
+        rotation = haar_orthogonal(spec.n, 50)
         theta = np.zeros(spec.n)
         theta[0] = 1.0
         d = two_sample_ks(batch.data @ theta, (batch.data @ rotation.T) @ theta)
