@@ -9,40 +9,34 @@ cltbounds checkout on PYTHONPATH.
         --mode spherical --kind sphere_shell --n 100 --N 1000000 --repeats 5
 
 ``--mode certify`` (the default) makes one streamed pass over the sample
-blocks (``samplers.map_sample_blocks`` at one worker, or
-``iter_sample_blocks`` in checkouts that predate it) that times each
+blocks (``samplers.map_sample_blocks`` at one worker) that times each
 block's fill (the time between two blocks) apart from its projection onto
 the grid's four thetas; then every projection row goes through
 ``kolmogorov_vs_normal`` and ``tv_vs_normal_histogram``.  Before that pass
 it times the projections as certification draws them, one
 ``samplers.sample_projections`` call on the same spec and thetas
-(``projections_s``, where the checkout has it): for the simplex and the
-p = 2 lp laws that call has its own fill, so it is not
-``fill_s + project_s``.
+(``projections_s``): for the simplex and the p = 2 lp laws that call has
+its own fill, so it is not ``fill_s + project_s``.
 
 ``--mode subspace`` times scan-ank at k = 1 the same way: the fill, the
 projection onto the 32 stacked subspace lines and ``_ks_statistic`` of every
 line, one after another (``ank_*_s``) and again on ``CLTBOUNDS_THREADS``
 threads (``ank_ks_threaded_s``), then the whole ``estimate_Ank`` call
 (``ank_total_s``).  Every ``*_total_s`` passes ``CLTBOUNDS_THREADS`` as
-``workers`` where the checkout takes it.  It times the whole reflection
-step of ``diagnose`` (``reflection_total_s``: the three thetas e1, diagonal
-and random(42) of criterion 05 on the given spec, with the standard frame,
-or the edge frame for the simplex).  For the rotation diagnostics it times the two-frame
-draw of three angles over a sphere-shell batch of the same n and N
-(``rotation_frames_s``: ``subspaces._rotation_frames`` where the checkout
-has it, else Gram-Schmidt on two Gaussian vectors of R^n, as older
-checkouts drew them) and the whole rotation step (``rotation_total_s``).
-Checkouts whose diagnostics take ``(spec, N, seed)`` stream the sample;
-older ones take a batch from ``sample()``, which the two totals include.
+``workers``.  It times the whole reflection step of ``diagnose``
+(``reflection_total_s``: the three thetas e1, diagonal and random(42) of
+criterion 05 on the given spec, with the standard frame, or the edge frame
+for the simplex).  For the rotation diagnostics it times the two-frame draw
+of three angles over a sphere-shell batch of the same n and N
+(``rotation_frames_s``: ``subspaces._rotation_frames``) and the whole
+rotation step (``rotation_total_s``).
 
 ``--mode spherical`` takes a spherically symmetric kind and the spherical
 workload's two thetas (e1 and diagonal): it times the full fill of every
 n-dimensional row and its projection, as above, then the reduced-law draw
-of the same projections through ``samplers.sample_projections`` (or
-``iter_projection_blocks`` in older checkouts; ``reduced_draw_s``, where the
-checkout has either) and
-``tv_vs_normal_histogram`` on each projection row (``hist_s``).
+of the same projections through ``samplers.sample_projections``
+(``reduced_draw_s``) and ``tv_vs_normal_histogram`` on each projection row
+(``hist_s``).
 
 ``--mode startup`` measures what each command pays before its work: the
 wall time of a fresh interpreter that imports ``cltbounds.cli``
@@ -64,7 +58,6 @@ repeats, in seconds.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import statistics
@@ -78,7 +71,7 @@ from pathlib import Path
 import numpy as np
 
 import cltbounds
-from cltbounds import samplers, subspaces
+from cltbounds import subspaces
 from cltbounds.bounds import exact_tv_vs_normal
 from cltbounds.certify import resolve_theta
 from cltbounds.empirical import _ks_statistic, kolmogorov_vs_normal, tv_vs_normal_histogram
@@ -88,19 +81,11 @@ from cltbounds.samplers import (
     SPHERICAL_KINDS,
     DistributionSpec,
     Kind,
+    derive_seed,
+    map_sample_blocks,
     sample,
+    sample_projections,
 )
-
-try:
-    from cltbounds.samplers import derive_seed
-except ImportError:  # checkouts before the one seed derivation: no subspace mode
-    derive_seed = None
-
-try:
-    from cltbounds.empirical import ProjectionSample
-except ImportError:  # the estimators take the projection array itself
-    def ProjectionSample(values):
-        return values
 
 THETAS = ["diagonal", "random(101)", "random(102)", "random(103)"]
 SPHERICAL_THETAS = ["e1", "diagonal"]
@@ -139,25 +124,6 @@ assert code == 0, code
 """
 
 
-def with_workers(fn, *args, **kwargs):
-    """fn(*args, **kwargs), passing WORKERS where fn takes ``workers``."""
-    if "workers" in inspect.signature(fn).parameters:
-        kwargs["workers"] = WORKERS
-    return fn(*args, **kwargs)
-
-
-def each_block(spec: DistributionSpec, n_samples: int, seed: int, fn) -> None:
-    """fn(rows, block) for every sample block, in order, through the block
-    API the checkout has."""
-    if hasattr(samplers, "map_sample_blocks"):
-        samplers.map_sample_blocks(spec, n_samples, seed, fn)
-        return
-    lo = 0
-    for block in samplers.iter_sample_blocks(spec, n_samples, seed):  # older checkouts
-        fn(slice(lo, lo + len(block)), block)
-        lo += len(block)
-
-
 def stream(spec: DistributionSpec, n_samples: int, seed: int, directions: np.ndarray,
            times: dict[str, float], prefix: str = "") -> np.ndarray:
     """(D, N) projections onto the (n, D) directions; adds the fill time (from
@@ -173,24 +139,22 @@ def stream(spec: DistributionSpec, n_samples: int, seed: int, directions: np.nda
         mark[0] = time.perf_counter()
         times[prefix + "project_s"] += mark[0] - start
 
-    each_block(spec, n_samples, seed, take)
+    map_sample_blocks(spec, n_samples, seed, take)  # one worker: blocks in order
     return out
 
 
 def certify_pass(spec: DistributionSpec, n_samples: int, seed: int) -> dict[str, float]:
     thetas = np.column_stack([resolve_theta(t, spec.n)[0] for t in THETAS])
     times = dict.fromkeys(("fill_s", "project_s", "ks_s", "hist_s"), 0.0)
-    if hasattr(samplers, "sample_projections"):
-        start = time.perf_counter()
-        samplers.sample_projections(spec, thetas, n_samples, seed)
-        times["projections_s"] = time.perf_counter() - start
+    start = time.perf_counter()
+    sample_projections(spec, thetas, n_samples, seed)
+    times["projections_s"] = time.perf_counter() - start
     for row in stream(spec, n_samples, seed, thetas, times):
-        ps = ProjectionSample(values=row)
         start = time.perf_counter()
-        kolmogorov_vs_normal(ps)
+        kolmogorov_vs_normal(row)
         times["ks_s"] += time.perf_counter() - start
         start = time.perf_counter()
-        tv_vs_normal_histogram(ps)
+        tv_vs_normal_histogram(row)
         times["hist_s"] += time.perf_counter() - start
     return times
 
@@ -200,40 +164,19 @@ def spherical_pass(spec: DistributionSpec, n_samples: int, seed: int) -> dict[st
     times = dict.fromkeys(("fill_s", "project_s", "hist_s"), 0.0)
     rows = stream(spec, n_samples, seed, thetas, times)
     start = time.perf_counter()
-    if hasattr(samplers, "sample_projections"):
-        samplers.sample_projections(spec, thetas, n_samples, seed)
-        times["reduced_draw_s"] = time.perf_counter() - start
-    elif hasattr(samplers, "iter_projection_blocks"):  # checkouts before sample_projections
-        for _ in samplers.iter_projection_blocks(spec, thetas, n_samples, seed):
-            pass
-        times["reduced_draw_s"] = time.perf_counter() - start
+    sample_projections(spec, thetas, n_samples, seed)
+    times["reduced_draw_s"] = time.perf_counter() - start
     for row in rows:
         start = time.perf_counter()
-        tv_vs_normal_histogram(ProjectionSample(values=row))
+        tv_vs_normal_histogram(row)
         times["hist_s"] += time.perf_counter() - start
     return times
-
-
-def basis_rows(subspace) -> np.ndarray:
-    """The (k, n) basis rows: the array itself, or the ``basis`` of a
-    ``Subspace`` in checkouts that wrap it."""
-    return getattr(subspace, "basis", subspace)
-
-
-def gram_schmidt_frames(rng, rows: np.ndarray):
-    """(q1_0, s1, q2_0, s2) from two Gaussian vectors of R^n per row."""
-    g1 = rng.standard_normal(rows.shape)
-    g2 = rng.standard_normal(rows.shape)
-    q1 = g1 / np.linalg.norm(g1, axis=1, keepdims=True)
-    g2 -= np.einsum("ij,ij->i", q1, g2)[:, None] * q1
-    q2 = g2 / np.linalg.norm(g2, axis=1, keepdims=True)
-    return q1[:, 0], np.einsum("ij,ij->i", q1, rows), q2[:, 0], np.einsum("ij,ij->i", q2, rows)
 
 
 def subspace_pass(spec: DistributionSpec, n_samples: int, seed: int) -> dict[str, float]:
     times = dict.fromkeys(("ank_fill_s", "ank_project_s", "ank_ks_s"), 0.0)
     lines = np.column_stack([
-        basis_rows(subspaces.random_subspace(spec.n, 1, derive_seed(seed, s)))[0]
+        subspaces.random_subspace(spec.n, 1, derive_seed(seed, s))[0]
         for s in range(N_SUBSPACES)
     ])
     rows = stream(spec, n_samples, seed, lines, times, prefix="ank_")
@@ -247,47 +190,34 @@ def subspace_pass(spec: DistributionSpec, n_samples: int, seed: int) -> dict[str
     times["ank_ks_threaded_s"] = time.perf_counter() - start
     del rows
     start = time.perf_counter()
-    with_workers(subspaces.estimate_Ank, spec, k=1, eps=0.1, n_subspaces=N_SUBSPACES,
-                 N=n_samples, seed=seed)
+    subspaces.estimate_Ank(spec, k=1, eps=0.1, n_subspaces=N_SUBSPACES, N=n_samples,
+                           seed=seed, workers=WORKERS)
     times["ank_total_s"] = time.perf_counter() - start
 
-    streamed = "pair_seed" in inspect.signature(subspaces.reflection_pair_diagnostics).parameters
     if spec.kind is Kind.SIMPLEX:
         frame = simplex_geometry(spec.n).edge_frame
     else:
         frame = standard_frame(spec.n)
     thetas = [resolve_theta(t, spec.n)[0] for t in REFLECTION_THETAS]
     start = time.perf_counter()
-    if streamed:
-        with_workers(subspaces.reflection_pair_diagnostics, spec, frame, thetas, n_samples,
-                     seed, seed)
-    else:
-        batch = sample(spec, n_samples, seed)
-        for theta in thetas:
-            subspaces.reflection_pair_diagnostics(batch, frame, theta, seed)
-        del batch
+    subspaces.reflection_pair_diagnostics(spec, frame, thetas, n_samples, seed, seed,
+                                          workers=WORKERS)
     times["reflection_total_s"] = time.perf_counter() - start
 
     shell = DistributionSpec(kind=Kind.SPHERE_SHELL, n=spec.n)
     batch = sample(shell, n_samples, seed)
     data = batch.data
-    draw = getattr(subspaces, "_rotation_frames", None)
     r_perp = np.sqrt(np.einsum("ij,ij->i", data[:, 1:], data[:, 1:]))
     start = time.perf_counter()
     for pos in range(len(ANGLES)):
         rng = np.random.default_rng(derive_seed(seed, pos))
         for lo in range(0, n_samples, BLOCK_ROWS):
-            if draw is None:
-                gram_schmidt_frames(rng, data[lo : lo + BLOCK_ROWS])
-            else:
-                draw(rng, data[lo : lo + BLOCK_ROWS, 0], r_perp[lo : lo + BLOCK_ROWS], spec.n)
+            subspaces._rotation_frames(rng, data[lo : lo + BLOCK_ROWS, 0],
+                                       r_perp[lo : lo + BLOCK_ROWS], spec.n)
     times["rotation_frames_s"] = time.perf_counter() - start
     del batch, data
     start = time.perf_counter()
-    if streamed:
-        with_workers(subspaces.rotation_pair_diagnostics, shell, ANGLES, n_samples, seed, seed)
-    else:
-        subspaces.rotation_pair_diagnostics(sample(shell, n_samples, seed), ANGLES, seed=seed)
+    subspaces.rotation_pair_diagnostics(shell, ANGLES, n_samples, seed, seed, workers=WORKERS)
     times["rotation_total_s"] = time.perf_counter() - start
     return times
 
@@ -360,8 +290,6 @@ def main() -> None:
     if args.mode == "startup":
         print(json.dumps(startup(args.repeats)))
         return
-    if args.mode == "subspace" and derive_seed is None:
-        parser.error("--mode subspace needs a checkout with samplers.derive_seed")
     spec = DistributionSpec(kind=Kind(args.kind), n=args.n, p=args.p)
     if args.mode == "spherical" and spec.kind not in SPHERICAL_KINDS:
         parser.error(f"--mode spherical needs a spherically symmetric kind, got {args.kind}")

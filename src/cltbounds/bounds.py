@@ -135,24 +135,20 @@ class SimplexPairMoments:
         return float(self.kappa * (total * total + 2.0 * (s @ s) + 2.0 * (q @ q)))
 
 
-def _as_pair_moments(pm):
-    """A dense (m, m) table as DensePairMoments; either pair-moment class as is."""
-    return pm if isinstance(pm, (DensePairMoments, SimplexPairMoments)) else DensePairMoments(pm)
-
-
 @dataclass(frozen=True)
 class BoundInputs:
     """Everything the frame-reflection bound consumes.
 
-    ``pair_moments`` may be a dense (m, m) array, a DensePairMoments, or a
-    SimplexPairMoments.  ``third_abs_max`` is max_i E|X_(i)|^3; ``sup_bound``
-    is an almost-sure bound on max_i |X_(i)| for the bounded variant.
+    ``pair_moments`` is a DensePairMoments or a SimplexPairMoments; a dense
+    (m, m) array is checked and wrapped in a DensePairMoments at construction.
+    ``third_abs_max`` is max_i E|X_(i)|^3; ``sup_bound`` is an almost-sure
+    bound on max_i |X_(i)| for the bounded variant.
     """
 
     n: int
     m: int
     theta_coeffs: np.ndarray
-    pair_moments: object
+    pair_moments: DensePairMoments | SimplexPairMoments
     third_abs_max: float | None = None
     sup_bound: float | None = None
 
@@ -168,11 +164,13 @@ class BoundInputs:
                 f"sum of squares {parseval!r}, expected {target!r}"
             )
         object.__setattr__(self, "theta_coeffs", coeffs)
+        if not isinstance(self.pair_moments, (DensePairMoments, SimplexPairMoments)):
+            object.__setattr__(self, "pair_moments", DensePairMoments(self.pair_moments))
 
 
 def _radicand(inputs: BoundInputs) -> tuple[float, tuple[str, ...]]:
     q = inputs.theta_coeffs**2
-    s = _as_pair_moments(inputs.pair_moments).quadratic_form(q)
+    s = inputs.pair_moments.quadratic_form(q)
     radicand = (inputs.n / inputs.m) ** 2 * s - 1.0
     if radicand < 0.0:
         return 0.0, (FLAG_RADICAND_CLAMPED,)

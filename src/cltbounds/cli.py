@@ -86,6 +86,11 @@ def _nonempty_list(value, key: str) -> list:
 def _spec_from_config(d: dict) -> DistributionSpec:
     if "n" in d:
         _integer(d["n"], "'n'")
+    for key in ("p", "scale"):  # JSON numbers; from_dict also parses a p string ("inf")
+        value = d.get(key)
+        numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (value is None or numeric or key == "p" and isinstance(value, str)):
+            raise ConfigError(f"{key!r} must be a number, got {value!r}")
     try:
         return DistributionSpec.from_dict(d)
     except (KeyError, ValueError) as exc:
@@ -105,8 +110,10 @@ def _positive_int(cfg: dict, key: str, least: int = 1) -> int:
 
 
 def _number(value, name: str, lo: float, hi: float) -> float:
-    """A config number strictly between lo and hi."""
+    """A config number or numeric string, not a bool, strictly between lo and hi."""
     try:
+        if isinstance(value, bool):  # float(True) would read 1.0
+            raise TypeError
         number = float(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name} must be a number, got {value!r}") from exc

@@ -158,21 +158,18 @@ def tv_vs_normal_histogram(
     )
 
 
-def conditional_second_moment(batch: SampleBatch, assume_spherical: bool = False) -> float:
+def conditional_second_moment(batch: SampleBatch) -> float:
     """Estimate E|1 - E[X_2^2 | X_1]| for a spherically symmetric batch.
 
-    Uses the exact identity E[X_2^2 | X_1] = (E[||X||^2 | X_1] - X_1^2)/(n-1),
-    estimating the conditional mean by equal-count binning on X_1 (about
-    N^(1/3) bins, bias O(N^(-1/3))).  Refuses batches whose spec is not
-    spherically symmetric unless assume_spherical is set.
+    Uses the identity E[X_2^2 | X_1] = (E[||X||^2 | X_1] - X_1^2)/(n-1) of
+    spherically symmetric laws, estimating the conditional mean by
+    equal-count binning on X_1 (about N^(1/3) bins, bias O(N^(-1/3))).
+    Refuses a batch whose spec is missing or not spherically symmetric.
     """
-    spec = batch.spec
-    if not assume_spherical:
-        if spec is None or spec.kind not in SPHERICAL_KINDS:
-            raise ValueError(
-                "batch spec is not spherically symmetric; the conditional "
-                "identity does not apply (pass assume_spherical=True to override)"
-            )
+    if batch.spec is None or batch.spec.kind not in SPHERICAL_KINDS:
+        raise ValueError(
+            "batch spec is not spherically symmetric; the conditional identity does not apply"
+        )
     if batch.N < 100_000:
         raise InsufficientDataError(f"need at least 1e5 samples, got {batch.N}")
     n = batch.n

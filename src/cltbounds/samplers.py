@@ -129,8 +129,8 @@ class DistributionSpec:
             raise ValueError(f"{self.kind.value} does not take an exponent p")
         if self.scale is None:
             object.__setattr__(self, "scale", _exact_scale(self.kind, self.n, self.p))
-        elif self.scale <= 0.0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        elif not 0.0 < self.scale < math.inf:  # NaN fails too
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind.value, "n": self.n}

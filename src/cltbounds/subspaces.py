@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import KOLMOGOROV, BoundValue, _as_pair_moments
+from .bounds import KOLMOGOROV, BoundValue
 from .core import BLOCK_ROWS, as_unit_vector, thread_map
 from .empirical import _equal_count_bin_means, _ks_statistic
 from .frames import TightFrame, frame_coeffs, simplex_geometry
@@ -215,13 +215,13 @@ def ank_to_csv(estimates, path) -> None:
 
 @dataclass(frozen=True)
 class PairDiagnostics:
-    """Estimated ingredients of the exchangeable-pair bound for one batch.
+    """Sampled ingredients of the exchangeable-pair bound for one batch.
 
     ``slope`` regresses W - W' on W (the linearity condition predicts
     lam = 2/n exactly); ``var_conditional`` is the equal-count-binned
-    estimate of Var E[(W-W')^2 | W]; the ``*_exact`` fields are the
-    condition-on-X upper proxy and the exact third moment, filled in when
-    exact coefficient moments were supplied.
+    estimate of Var E[(W-W')^2 | W]; ``third_abs`` and ``sup_abs`` are the
+    sample mean of |W-W'|^3 and the sample max of |W-W'|.  The same bound on
+    exact moments is ``bounds.bound_frame_general``.
     """
 
     lam: float
@@ -231,8 +231,6 @@ class PairDiagnostics:
     var_conditional: float
     third_abs: float
     sup_abs: float
-    var_conditional_exact: float | None = None
-    third_abs_exact: float | None = None
 
 
 def reflection_pair_diagnostics(
@@ -242,22 +240,17 @@ def reflection_pair_diagnostics(
     N: int,
     seed: int,
     pair_seed: int,
-    pair_moments=None,
-    coeff_third_moments=None,
     workers: int = 1,
 ) -> list[PairDiagnostics]:
     """Diagnostics for the random-reflection exchangeable pair, one per theta.
 
     For each of N samples of spec (drawn with ``seed``) an index I is drawn
     uniformly over the frame (from ``pair_seed``) and W' = W - 2 X_(I) theta_(I)
-    is formed; all thetas share the rows and I.  ``pair_moments`` (dense table or
-    SimplexPairMoments) and ``coeff_third_moments`` (scalar max or length-m
-    array of E|X_(i)|^3) unlock the exact conditional-variance proxy and the
-    exact third moment.  Checks run before any draw; one pass over the
-    sample blocks keeps W and W - W' per theta, never the batch.  The indices
-    are drawn first, in block order; the block fills and then the per-theta
-    reductions run on ``workers`` threads, with results independent of
-    ``workers``.
+    is formed; all thetas share the rows and I.  Every field is a sampled
+    estimate.  Checks run before any draw; one pass over the sample blocks
+    keeps W and W - W' per theta, never the batch.  The indices are drawn
+    first, in block order; the block fills and then the per-theta reductions
+    run on ``workers`` threads, with results independent of ``workers``.
     """
     if frame.n != spec.n:
         raise ValueError(f"dimension mismatch: frame n={frame.n}, spec n={spec.n}")
@@ -265,10 +258,6 @@ def reflection_pair_diagnostics(
     n, m = spec.n, frame.m
     thetas = [as_unit_vector(theta, n) for theta in thetas]
     theta_coeffs = [frame_coeffs(frame, theta) for theta in thetas]
-    if coeff_third_moments is not None and np.ndim(coeff_third_moments) != 0:
-        coeff_third_moments = np.asarray(coeff_third_moments, dtype=float)
-        if coeff_third_moments.shape != (m,):
-            raise ValueError(f"expected {m} third moments, got shape {coeff_third_moments.shape}")
 
     # one pair_seed stream feeds every block's frame indices: draw them in order
     rng = np.random.default_rng(pair_seed)
@@ -288,7 +277,7 @@ def reflection_pair_diagnostics(
     del index
 
     def diagnose(t: int) -> PairDiagnostics:
-        w_t, diff_t, coeffs = w[t], diff[t], theta_coeffs[t]
+        w_t, diff_t = w[t], diff[t]
         w_mean, d_mean = float(w_t.mean()), float(diff_t.mean())
         w_var = float(w_t.var())
         slope = float(np.mean((diff_t - d_mean) * (w_t - w_mean))) / w_var
@@ -300,18 +289,6 @@ def reflection_pair_diagnostics(
         weights = sizes / N
         var_conditional = float(weights @ (means - float(weights @ means)) ** 2)
 
-        var_exact = None
-        if pair_moments is not None:
-            s = _as_pair_moments(pair_moments).quadratic_form(coeffs**2)
-            var_exact = (16.0 / m**2) * s - (4.0 / n) ** 2
-        third_exact = None
-        if coeff_third_moments is not None:
-            abs3 = np.abs(coeffs) ** 3
-            if np.ndim(coeff_third_moments) == 0:
-                third_exact = (8.0 / m) * float(coeff_third_moments) * float(abs3.sum())
-            else:
-                third_exact = (8.0 / m) * float(abs3 @ coeff_third_moments)
-
         return PairDiagnostics(
             lam=2.0 / n,
             slope=slope,
@@ -320,8 +297,6 @@ def reflection_pair_diagnostics(
             var_conditional=var_conditional,
             third_abs=float(np.mean(np.abs(diff_t) ** 3)),
             sup_abs=float(np.abs(diff_t).max()),
-            var_conditional_exact=var_exact,
-            third_abs_exact=third_exact,
         )
 
     return thread_map(diagnose, range(len(thetas)), workers)
@@ -444,32 +419,24 @@ def rotation_pair_diagnostics(
     return thread_map(diagnose, range(len(eps_list)), workers)
 
 
-def stein_rr_assemble(
-    diag: PairDiagnostics, bounded: bool = False, prefer_exact: bool = True
-) -> BoundValue:
+def stein_rr_assemble(diag: PairDiagnostics, bounded: bool = False) -> BoundValue:
     """Assemble the exchangeable-pair Kolmogorov bound from diagnostics.
 
     general: (1/lam) sqrt(Var E[(W-W')^2|W]) + (2 pi)^(-1/4) sqrt(E|W-W'|^3 / lam)
     bounded: (12/lam) sqrt(Var E[(W-W')^2|W]) + (43/lam) sup|W-W'|^3
 
-    With prefer_exact, the condition-on-X variance proxy and exact third
-    moment are used when the diagnostics carry them; fed exact moments this
-    reproduces the closed-form frame bound.
+    Its closed-form counterpart on exact frame moments is
+    ``bounds.bound_frame_general``: fed the condition-on-X variance
+    (16/m^2) S - (4/n)^2 and the exact third moment, this equals it.
     """
     lam = diag.lam
     if lam <= 0.0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    var = diag.var_conditional
-    if prefer_exact and diag.var_conditional_exact is not None:
-        var = diag.var_conditional_exact
-    var = max(var, 0.0)
+    var = max(diag.var_conditional, 0.0)
     if bounded:
         value = (STEIN_BOUNDED_SQRT_COEFF / lam) * math.sqrt(var) + (
             STEIN_BOUNDED_SUP_COEFF / lam
         ) * diag.sup_abs**3
         return BoundValue(value=value, kind=KOLMOGOROV, constants_used={"variant": "bounded"})
-    third = diag.third_abs
-    if prefer_exact and diag.third_abs_exact is not None:
-        third = diag.third_abs_exact
-    value = (1.0 / lam) * math.sqrt(var) + STEIN_THIRD_COEFF * math.sqrt(third / lam)
+    value = (1.0 / lam) * math.sqrt(var) + STEIN_THIRD_COEFF * math.sqrt(diag.third_abs / lam)
     return BoundValue(value=value, kind=KOLMOGOROV, constants_used={"variant": "general"})

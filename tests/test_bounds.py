@@ -110,6 +110,25 @@ class TestFrameGeneral:
         with pytest.raises(ValueError):
             bound_frame_general(inputs)
 
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            (np.array([[1.8, 1.0, 1.0], [0.5, 1.8, 1.0], [1.0, 1.0, 1.8]]), "symmetric"),
+            (iid_pair_table(3, 1.8, cross=-0.1), "nonnegative"),
+            (np.ones((3, 2)), "square"),
+        ],
+        ids=["asymmetric", "negative", "not-square"],
+    )
+    def test_pair_table_checked_at_construction(self, table, message):
+        # a raw table is checked and wrapped once, when the inputs are built
+        with pytest.raises(ValueError, match=message):
+            BoundInputs(n=3, m=3, theta_coeffs=e1(3), pair_moments=table,
+                        third_abs_max=CUBE_THIRD_ABS)
+
+    def test_raw_table_wrapped_once(self):
+        inputs = BoundInputs(n=3, m=3, theta_coeffs=e1(3), pair_moments=iid_pair_table(3, 1.8))
+        assert isinstance(inputs.pair_moments, DensePairMoments)
+
 
 class TestFrameBounded:
     def test_cube_diagonal_second_term(self):

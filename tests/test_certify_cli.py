@@ -23,6 +23,8 @@ from cltbounds.cli import (
     EXIT_INAPPLICABLE,
     EXIT_INTERNAL_ERROR,
     EXIT_OK,
+    _number,
+    _spec_from_config,
     main,
 )
 from cltbounds.empirical import (
@@ -599,6 +601,21 @@ class TestExitCodes:
             ("sample", {"distribution": {"kind": "sphere_shell", "n": 20.9}, "N": 100}),
             # beyond the range tv-exact's quadrature is validated at
             ("tv-exact", {"n_list": [10000001]}),
+            # config numbers: not a bool, and p and scale a number (p also a string)
+            ("scan-ank", {**_SMALL_SCAN, "eps": True}),
+            ("certify", {**_CUBE_GRID, "constants": {"c1": True}}),
+            ("certify", {**_CUBE_GRID, "distributions": [{"kind": "lp_ball", "p": True, "n": 6}]}),
+            ("certify", {**_CUBE_GRID, "distributions": [
+                {"kind": "lp_ball", "p": "inf", "scale": True, "n": 6}]}),
+            ("certify", {**_CUBE_GRID, "distributions": [{"kind": "lp_ball", "p": [1], "n": 6}]}),
+            ("certify", {**_CUBE_GRID, "distributions": [
+                {"kind": "lp_ball", "p": {"a": 1}, "n": 6}]}),
+            ("sample", {"distribution": {"kind": "sphere_shell", "n": 4, "scale": "x"}, "N": 100}),
+            ("sample", {"distribution": {"kind": "sphere_shell", "n": 4, "scale": [2]}, "N": 100}),
+            ("sample", {"distribution": {"kind": "sphere_shell", "n": 4, "scale": math.nan}, "N": 100}),
+            ("certify", {**_CUBE_GRID, "distributions": [
+                {"kind": "lp_ball", "p": "inf", "scale": math.nan, "n": 6}]}),
+            ("sample", {"distribution": {"kind": "sphere_shell", "n": 4, "scale": math.inf}, "N": 100}),
         ],
     )
     def test_invalid_config_exits_2(self, tmp_path, command, payload):
@@ -606,6 +623,18 @@ class TestExitCodes:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == (
             EXIT_CONFIG_ERROR
         )
+
+    def test_number_forms_still_accepted(self):
+        # "inf", "Infinity", numeric strings, numbers and JSON Infinity
+        for p in ("inf", "Infinity", math.inf, json.loads("Infinity")):
+            assert _spec_from_config({"kind": "lp_ball", "p": p, "n": 4}).p == math.inf
+        for p in ("2.5", 2.5):
+            assert _spec_from_config({"kind": "lp_cone", "p": p, "n": 4}).p == 2.5
+        assert _spec_from_config({"kind": "lp_ball", "p": 3, "scale": 2, "n": 4}).scale == 2
+        assert _spec_from_config({"kind": "simplex", "scale": 1.5, "n": 4}).scale == 1.5
+        assert _number("0.5", "'eps'", 0.0, math.inf) == 0.5
+        assert _number(1, "'eps'", 0.0, math.inf) == 1.0
+        assert _number("1e-3", "'delta'", 0.0, 1.0) == 1e-3
 
     @pytest.mark.parametrize("payload", [[1, 2], "report", None])
     def test_report_not_an_object_exits_2(self, tmp_path, capsys, payload):

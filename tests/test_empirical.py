@@ -212,14 +212,6 @@ class TestConditionalSecondMoment:
         se = np.abs(x1**2 - 1.0).std() / math.sqrt(batch.N) / (n - 1)
         assert abs(est - direct) <= 2 * se + 0.05 * direct
 
-    def test_independent_gaussian_near_zero(self):
-        rng = np.random.default_rng(16)
-        n_samples = 2 * 10**5
-        data = rng.standard_normal((n_samples, 8))
-        batch = SampleBatch(data=data, seed=16)
-        est = conditional_second_moment(batch, assume_spherical=True)
-        assert est <= 3.0 * n_samples ** (-1.0 / 3.0)
-
     def test_ball_chain_inequality(self):
         # 4 * conditional statistic <= abs-deviation bound within noise
         n = 20

@@ -5,9 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cltbounds.bounds import BoundInputs, bound_frame_general
+from cltbounds.bounds import BoundInputs, SimplexPairMoments, bound_frame_general
 from cltbounds.empirical import _ks_statistic
-from cltbounds.frames import custom_frame, simplex_geometry, standard_frame
+from cltbounds.frames import custom_frame, frame_coeffs, simplex_geometry, standard_frame
 from cltbounds.samplers import DistributionSpec, Kind, derive_seed, sample
 from cltbounds.subspaces import (
     DIRECTION_CHUNK,
@@ -134,16 +134,13 @@ class TestReflectionPair:
         n, n_samples = 10, 10**6
         theta = np.full(n, n**-0.5)
         [diag] = reflection_pair_diagnostics(
-            cube(n), standard_frame(n), [theta], n_samples, 14, pair_seed=15,
-            coeff_third_moments=CUBE_THIRD_ABS,
+            cube(n), standard_frame(n), [theta], n_samples, 14, pair_seed=15
         )
         # E|W-W'|^3 = (8/m) sum |theta_i|^3 E|X_i|^3 with equality for
-        # exchangeable symmetric coordinates
-        assert diag.third_abs_exact == pytest.approx(
-            8.0 * CUBE_THIRD_ABS * n**-1.5, rel=1e-12
-        )
+        # exchangeable symmetric coordinates: 8 E|X|^3 n^(-1/2) / n here
+        exact = 8.0 * CUBE_THIRD_ABS * n**-1.5
         se = 3 * diag.third_abs / math.sqrt(n_samples)  # loose
-        assert abs(diag.third_abs - diag.third_abs_exact) <= 10 * se
+        assert abs(diag.third_abs - exact) <= 10 * se
 
     def test_simplex_edge_frame_slope(self):
         n, n_samples = 5, 4 * 10**5
@@ -160,12 +157,11 @@ class TestReflectionPair:
         n = 6
         theta = np.full(n, n**-0.5)
         [diag] = reflection_pair_diagnostics(
-            cube(n), standard_frame(n), [theta], 10**5, 18, pair_seed=19,
-            pair_moments=iid_pair_table(n, CUBE_FOURTH),
+            cube(n), standard_frame(n), [theta], 10**5, 18, pair_seed=19
         )
-        # (16/m^2) S - 16/n^2 with S = sum qq E[X^2 X^2]; radicand = 0.8/n
+        # condition-on-X proxy (16/m^2) S - 16/n^2 with S = sum qq E[X^2 X^2]
+        # = 1 + (EX^4 - 1) sum theta^4, so radicand = 0.8/n
         expected = (16.0 / n**2) * (0.8 / n)
-        assert diag.var_conditional_exact == pytest.approx(expected, rel=1e-9)
         # the binned estimate must not exceed the condition-on-X proxy by much
         assert diag.var_conditional <= expected + 5e-4
 
@@ -364,25 +360,50 @@ class TestSteinAssembly:
         assert stein_rr_assemble(diag).value == 0.0
 
     def test_matches_frame_bound_on_exact_inputs(self):
-        # cube, theta = e1: the assembly must reproduce the closed form 3.2286...
-        n = 10
-        var_exact = (16.0 / n**2) * (CUBE_FOURTH - 1.0)  # radicand = EX^4 - 1 at e1
-        third_exact = (8.0 / n) * CUBE_THIRD_ABS * 1.0  # sum |theta_i|^3 = 1
-        diag = PairDiagnostics(
-            lam=2.0 / n, slope=2.0 / n, intercept=0.0, slope_se=0.0,
-            var_conditional=0.0, third_abs=0.0, sup_abs=0.0,
-            var_conditional_exact=var_exact, third_abs_exact=third_exact,
-        )
-        assembled = stein_rr_assemble(diag).value
-        closed_form = bound_frame_general(
-            BoundInputs(
-                n=n, m=n, theta_coeffs=np.eye(n)[0],
-                pair_moments=iid_pair_table(n, CUBE_FOURTH),
-                third_abs_max=CUBE_THIRD_ABS,
+        # fed the condition-on-X variance (16/m^2) S - (4/n)^2 and the exact
+        # third moment (8/m) max E|X_(i)|^3 sum |c_i|^3, the assembly must
+        # reproduce the closed-form frame bound
+        def assembled(n, m, coeffs, pair_square_sum, third_max):
+            diag = PairDiagnostics(
+                lam=2.0 / n, slope=2.0 / n, intercept=0.0, slope_se=0.0,
+                var_conditional=(16.0 / m**2) * pair_square_sum - (4.0 / n) ** 2,
+                third_abs=(8.0 / m) * third_max * float(np.sum(np.abs(coeffs) ** 3)),
+                sup_abs=0.0,
             )
-        ).value
-        assert assembled == pytest.approx(closed_form, abs=1e-9)
-        assert assembled == pytest.approx(3.22863384317713751, rel=1e-10)
+            return stein_rr_assemble(diag).value
+
+        # cube, standard frame: S = 1 + (EX^4 - 1) sum theta^4
+        n = 10
+        values = []
+        for theta in (np.eye(n)[0], np.full(n, n**-0.5), haar_orthogonal(n, 23)[0]):
+            closed_form = bound_frame_general(
+                BoundInputs(
+                    n=n, m=n, theta_coeffs=theta,
+                    pair_moments=iid_pair_table(n, CUBE_FOURTH),
+                    third_abs_max=CUBE_THIRD_ABS,
+                )
+            ).value
+            s = 1.0 + (CUBE_FOURTH - 1.0) * float(np.sum(theta**4))
+            values.append(assembled(n, n, theta, s, CUBE_THIRD_ABS))
+            assert values[-1] == pytest.approx(closed_form, rel=1e-12)
+        assert values[0] == pytest.approx(3.22863384317713751, rel=1e-10)  # theta = e1
+
+        # simplex, edge frame: S from the three-valued pair-moment table
+        n = 6
+        geom = simplex_geometry(n)
+        pair_moments = SimplexPairMoments(n, geom.edge_pairs)
+        third_max = 3 * math.sqrt(2) * math.sqrt((n + 1) * (n + 2)) / (n + 3)
+        for theta in (geom.vertices[0], np.full(n, n**-0.5), haar_orthogonal(n, 24)[0]):
+            coeffs = frame_coeffs(geom.edge_frame, theta)
+            closed_form = bound_frame_general(
+                BoundInputs(
+                    n=n, m=geom.m, theta_coeffs=coeffs, pair_moments=pair_moments,
+                    third_abs_max=third_max,
+                )
+            ).value
+            s = pair_moments.quadratic_form(coeffs**2)
+            value = assembled(n, geom.m, coeffs, s, third_max)
+            assert value == pytest.approx(closed_form, rel=1e-12)
 
     def test_bounded_variant_formula(self):
         lam, sup = 0.25, 0.5
@@ -521,8 +542,7 @@ class TestWorkerCount:
         thetas = [np.eye(n)[0], np.full(n, n**-0.5), haar_orthogonal(n, 46)[0]]
         serial, threaded = (
             reflection_pair_diagnostics(
-                cube(n), standard_frame(n), thetas, 70_000, 47, pair_seed=48,
-                coeff_third_moments=CUBE_THIRD_ABS, workers=workers,
+                cube(n), standard_frame(n), thetas, 70_000, 47, pair_seed=48, workers=workers,
             )
             for workers in (1, 2)
         )
