@@ -246,11 +246,12 @@ def reflection_pair_diagnostics(
 
     For each of N samples of spec (drawn with ``seed``) an index I is drawn
     uniformly over the frame (from ``pair_seed``) and W' = W - 2 X_(I) theta_(I)
-    is formed; all thetas share the rows and I.  Every field is a sampled
-    estimate.  Checks run before any draw; one pass over the sample blocks
-    keeps W and W - W' per theta, never the batch.  The indices are drawn
-    first, in block order; the block fills and then the per-theta reductions
-    run on ``workers`` threads, with results independent of ``workers``.
+    is formed; all thetas share the rows and I.  Every field but ``lam`` (the
+    exact 2/n) is a sampled estimate.  Checks run before any draw; one pass
+    over the sample blocks keeps W and W - W' per theta, never the batch.  The
+    indices are drawn first, in block order; the block fills and then the
+    per-theta reductions run on ``workers`` threads, with results independent
+    of ``workers``.
     """
     if frame.n != spec.n:
         raise ValueError(f"dimension mismatch: frame n={frame.n}, spec n={spec.n}")
