@@ -70,7 +70,6 @@ from .subspaces import (  # noqa: F401
     random_subspace,
     reflection_pair_diagnostics,
     rotation_pair_diagnostics,
-    stein_rr_assemble,
 )
 from .certify import (  # noqa: F401
     BoundReport,

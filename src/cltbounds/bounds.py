@@ -6,7 +6,7 @@ by Gauss-Legendre quadrature in numpy.
 Kolmogorov-type bounds control sup_t |P[W <= t] - Phi(t)| for W = <X, theta>;
 total-variation bounds use the L1-of-densities convention (twice the sup
 over measurable sets).  Constants that the source results leave non-explicit
-are exposed as configuration with default 1.0 and flagged in the output.
+are taken as 1.0 and flagged in the output; no such bound gates a verdict.
 """
 
 from __future__ import annotations
@@ -87,6 +87,8 @@ class DensePairMoments:
         table = np.asarray(table, dtype=float)
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise ValueError(f"expected a square table, got shape {table.shape}")
+        if not np.isfinite(table).all():  # NaN would pass both checks below
+            raise ValueError("pair moments must be finite")
         if np.abs(table - table.T).max() > 1e-9 * max(1.0, np.abs(table).max()):
             raise ValueError("pair-moment table must be symmetric")
         if table.min() < 0.0:
@@ -166,6 +168,10 @@ class BoundInputs:
         object.__setattr__(self, "theta_coeffs", coeffs)
         if not isinstance(self.pair_moments, (DensePairMoments, SimplexPairMoments)):
             object.__setattr__(self, "pair_moments", DensePairMoments(self.pair_moments))
+        if self.pair_moments.m != self.m:
+            raise ValueError(
+                f"pair moments cover {self.pair_moments.m} frame vectors, expected {self.m}"
+            )
 
 
 def _radicand(inputs: BoundInputs) -> tuple[float, tuple[str, ...]]:
@@ -258,25 +264,26 @@ def bound_sncp_bounded(theta, a: float) -> BoundValue:
     return BoundValue(value=value, kind=KOLMOGOROV, constants_used={"a": a})
 
 
-def bound_lp(theta, n: int, p: float, c1: float = 1.0, d1p: float = 1.0) -> BoundValue:
+def bound_lp(theta, n: int, p: float) -> BoundValue:
     """Two-branch bound for lp-ball/cone/surface laws.
 
-    The two leading constants are not pinned down by the source analysis;
-    callers may substitute their own.  Defaults of 1.0 are flagged.
+    The two leading constants c1 and d1p are not pinned down by the source
+    analysis; both are taken as 1.0 and the value is always flagged, so it
+    is informational only.
     """
     theta = as_unit_vector(theta, n)
-    first = c1 * lp_norm(theta, 3.0) ** 1.5
+    first = lp_norm(theta, 3.0) ** 1.5
     if math.isinf(p):
         growth = float(n)
     else:
         growth = float(n) ** (1.0 + 3.0 / p)
-    second = d1p * growth * lp_norm(theta, math.inf) ** 3
+    second = growth * lp_norm(theta, math.inf) ** 3
     branch = "theta-3-norm" if first <= second else "sup-norm"
     return BoundValue(
         value=min(first, second),
         kind=KOLMOGOROV,
-        constants_used={"c1": c1, "d1p": d1p, "branch": branch},
-        flags=(FLAG_UNSPECIFIED_CONSTANT,) if (c1 == 1.0 or d1p == 1.0) else (),
+        constants_used={"c1": 1.0, "d1p": 1.0, "branch": branch},
+        flags=(FLAG_UNSPECIFIED_CONSTANT,),
     )
 
 
@@ -338,23 +345,15 @@ def _simplex_assembled_pieces(n: int) -> tuple[float, float, float]:
     return alpha, beta, gamma
 
 
-def bound_simplex(theta, geometry, c1: float | None = None) -> BoundValue:
+def bound_simplex(theta, geometry) -> BoundValue:
     """Kolmogorov bound c * sqrt(sum_i |<theta, v_i>|^3) for the simplex law.
 
-    With c1=None the constant is assembled from the explicit moment
-    identities of the edge frame (valid for every n and theta); an explicit
-    c1 is used as-is and flagged as externally supplied.
+    The constant is assembled from the explicit moment identities of the
+    edge frame (valid for every n and theta); ``c1_effective`` records it.
     """
     theta = as_unit_vector(theta, geometry.n)
     t = geometry.vertices @ theta
     third = float(np.sum(np.abs(t) ** 3))
-    if c1 is not None:
-        return BoundValue(
-            value=c1 * math.sqrt(third),
-            kind=KOLMOGOROV,
-            constants_used={"c1": c1, "mode": "configured"},
-            flags=(FLAG_UNSPECIFIED_CONSTANT,),
-        )
     n = geometry.n
     alpha, beta, gamma = _simplex_assembled_pieces(n)
     fourth = float(np.sum(t**4))

@@ -11,8 +11,11 @@ other spec projects its sample blocks.
 
 Kolmogorov routes pass when (point estimate - DKW slack) <= bound; total
 variation routes compare the histogram estimate against bound + a fixed
-estimator allowance.  Bounds whose leading constants the source analysis
-leaves non-explicit never gate a verdict; they are attached informationally.
+estimator allowance.  The bounds hold for isotropic vectors and carry the
+source's explicit constants, so ``applicable_route`` refuses a spec away
+from its isotropic scale and no setting changes a gating bound.  Bounds
+whose leading constants the source analysis leaves non-explicit never gate a
+verdict; they are attached informationally.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from .samplers import (
     SPHERICAL_KINDS,
     UNCONDITIONAL_KINDS,
     _exact_norm_sq_std,
+    _exact_scale,
     derive_seed,
     exact_moments,
     sample_projections,
@@ -82,6 +86,13 @@ class InapplicableBoundError(ValueError):
 
 
 def applicable_route(spec: DistributionSpec) -> str:
+    """The certification route of spec; every bound on it assumes isotropy."""
+    isotropic = _exact_scale(spec.kind, spec.n, spec.p)
+    if spec.scale != isotropic:
+        raise InapplicableBoundError(
+            f"the bounds hold for isotropic vectors: {spec.kind.value} n={spec.n} "
+            f"has scale {spec.scale!r}, its isotropic scale is {isotropic!r}"
+        )
     if spec.kind is Kind.SIMPLEX:
         return ROUTE_SIMPLEX
     if spec.kind in SPHERICAL_KINDS:
@@ -175,7 +186,6 @@ def _evaluate_cell(
     values: np.ndarray,
     seed: int,
     delta: float,
-    constants: dict,
 ) -> BoundReport:
     """The certification predicate for one cell, given its projections.
     Every bound input is exact."""
@@ -203,8 +213,8 @@ def _evaluate_cell(
     else:
         if route == ROUTE_SIMPLEX:
             geometry = simplex_geometry(n)
-            bound = bound_simplex(theta, geometry, c1=constants.get("c1"))
-            bound_name = "simplex-assembled" if constants.get("c1") is None else "simplex-configured"
+            bound = bound_simplex(theta, geometry)
+            bound_name = "simplex-assembled"
         else:
             fourth, sq_cov, third_abs = exact_moments(spec)
             bound = bound_unconditional(theta, fourth, sq_cov, third_abs)
@@ -214,20 +224,8 @@ def _evaluate_cell(
                 informational.append(
                     ("unconditional-bounded", bound_unconditional_bounded(theta, fourth, sq_cov, a))
                 )
-                if a >= 1.0:
-                    informational.append(("sncp-bounded", bound_sncp_bounded(theta, a)))
-                informational.append(
-                    (
-                        "lp-two-branch",
-                        bound_lp(
-                            theta,
-                            n,
-                            spec.p,
-                            c1=constants.get("c1", 1.0),
-                            d1p=constants.get("d1p", 1.0),
-                        ),
-                    )
-                )
+                informational.append(("sncp-bounded", bound_sncp_bounded(theta, a)))
+                informational.append(("lp-two-branch", bound_lp(theta, n, spec.p)))
         empirical = kolmogorov_vs_normal(values, delta=delta)
         adjusted = empirical.point_estimate - empirical.dkw_slack
         vacuous = bound.value >= 1.0
@@ -259,11 +257,10 @@ def certify_cell(
     N: int,
     seed: int,
     delta: float = DEFAULT_DELTA,
-    constants: dict | None = None,
 ) -> BoundReport:
     """Evaluate the certification predicate for one (spec, theta) cell: the
     one-cell grid."""
-    return certify_grid([spec], [theta_spec], N, seed, delta, constants)[0]
+    return certify_grid([spec], [theta_spec], N, seed, delta)[0]
 
 
 def certify_grid(
@@ -272,7 +269,6 @@ def certify_grid(
     N: int,
     seed: int,
     delta: float = DEFAULT_DELTA,
-    constants: dict | None = None,
     workers: int = 1,
 ) -> list[BoundReport]:
     """Certify every (spec, theta) cell from one streamed pass over each
@@ -284,7 +280,6 @@ def certify_grid(
     specs are certified on a thread pool and the reports are bit for bit
     those of the serial run.
     """
-    constants = constants or {}
 
     def certify_spec(pos: int, spec: DistributionSpec) -> list[BoundReport]:
         cell_seed = derive_seed(seed, pos)
@@ -293,7 +288,7 @@ def certify_grid(
         thetas = np.column_stack([theta for theta, _ in resolved])
         projections = sample_projections(spec, thetas, N, cell_seed)
         return [
-            _evaluate_cell(spec, route, theta, label, values, cell_seed, delta, constants)
+            _evaluate_cell(spec, route, theta, label, values, cell_seed, delta)
             for (theta, label), values in zip(resolved, projections)
         ]
 

@@ -203,17 +203,16 @@ def _expand_distributions(cfg: dict) -> list[DistributionSpec]:
 
 
 def _cmd_certify(cfg: dict) -> int:
+    if "constants" in cfg:  # ignoring it would let an old forcing config pass
+        raise ConfigError(
+            "'constants' was removed: every gating bound carries the source's "
+            "explicit constants; delete the field"
+        )
     specs = _expand_distributions(cfg)
     thetas = _nonempty_list(cfg.get("theta", ["diagonal"]), "theta")
     n_samples = _positive_int(cfg, "N")
     seed = _seed(cfg)
     delta = _number(cfg.get("delta", DEFAULT_DELTA), "'delta'", 0.0, 1.0)
-    constants = cfg.get("constants", {})
-    if not isinstance(constants, dict):
-        raise ConfigError("'constants' must be a JSON object")
-    for key, value in constants.items():
-        if _number(value, f"constant {key!r}", -math.inf, math.inf) < 0.0:
-            raise ConfigError(f"constant {key!r} must be nonnegative, got {value!r}")
     workers = _workers()
 
     for spec in specs:  # fail fast, before any sampling
@@ -227,9 +226,7 @@ def _cmd_certify(cfg: dict) -> int:
             )
 
     out = _out_dir(cfg)
-    reports = certify_grid(
-        specs, thetas, N=n_samples, seed=seed, delta=delta, constants=constants, workers=workers
-    )
+    reports = certify_grid(specs, thetas, N=n_samples, seed=seed, delta=delta, workers=workers)
 
     reports_to_json(reports, out / "certify.json", config=cfg)
     reports_to_csv(reports, out / "certify.csv")

@@ -4,7 +4,6 @@ total-variation lower bounds, and conditional second-moment estimation."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -57,9 +56,6 @@ class DistanceEstimate:
             "delta": self.delta,
             "qualifiers": list(self.qualifiers),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def dkw_slack(n_samples: int, delta: float) -> float:

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import KOLMOGOROV, BoundValue
 from .core import BLOCK_ROWS, as_unit_vector, thread_map
 from .empirical import _equal_count_bin_means, _ks_statistic
 from .frames import TightFrame, frame_coeffs, simplex_geometry
@@ -30,13 +29,7 @@ __all__ = [
     "random_subspace",
     "reflection_pair_diagnostics",
     "rotation_pair_diagnostics",
-    "stein_rr_assemble",
 ]
-
-
-STEIN_THIRD_COEFF = (2.0 * math.pi) ** -0.25
-STEIN_BOUNDED_SQRT_COEFF = 12.0
-STEIN_BOUNDED_SUP_COEFF = 43.0
 
 # directions per product in estimate_Ank at k >= 2: each worker holds one
 # (DIRECTION_CHUNK, N) product.  Four rows give the same bits as sixteen,
@@ -218,13 +211,12 @@ class PairDiagnostics:
     """Sampled ingredients of the exchangeable-pair bound for one batch.
 
     ``slope`` regresses W - W' on W (the linearity condition predicts
-    lam = 2/n exactly); ``var_conditional`` is the equal-count-binned
-    estimate of Var E[(W-W')^2 | W]; ``third_abs`` and ``sup_abs`` are the
+    exactly 2/n); ``var_conditional`` is the equal-count-binned estimate of
+    Var E[(W-W')^2 | W]; ``third_abs`` and ``sup_abs`` are the
     sample mean of |W-W'|^3 and the sample max of |W-W'|.  The same bound on
     exact moments is ``bounds.bound_frame_general``.
     """
 
-    lam: float
     slope: float
     intercept: float
     slope_se: float
@@ -246,12 +238,11 @@ def reflection_pair_diagnostics(
 
     For each of N samples of spec (drawn with ``seed``) an index I is drawn
     uniformly over the frame (from ``pair_seed``) and W' = W - 2 X_(I) theta_(I)
-    is formed; all thetas share the rows and I.  Every field but ``lam`` (the
-    exact 2/n) is a sampled estimate.  Checks run before any draw; one pass
-    over the sample blocks keeps W and W - W' per theta, never the batch.  The
-    indices are drawn first, in block order; the block fills and then the
-    per-theta reductions run on ``workers`` threads, with results independent
-    of ``workers``.
+    is formed; all thetas share the rows and I.  Every field is a sampled
+    estimate.  Checks run before any draw; one pass over the sample blocks
+    keeps W and W - W' per theta, never the batch.  The indices are drawn
+    first, in block order; the block fills and then the per-theta reductions
+    run on ``workers`` threads, with results independent of ``workers``.
     """
     if frame.n != spec.n:
         raise ValueError(f"dimension mismatch: frame n={frame.n}, spec n={spec.n}")
@@ -291,7 +282,6 @@ def reflection_pair_diagnostics(
         var_conditional = float(weights @ (means - float(weights @ means)) ** 2)
 
         return PairDiagnostics(
-            lam=2.0 / n,
             slope=slope,
             intercept=intercept,
             slope_se=slope_se,
@@ -418,26 +408,3 @@ def rotation_pair_diagnostics(
         )
 
     return thread_map(diagnose, range(len(eps_list)), workers)
-
-
-def stein_rr_assemble(diag: PairDiagnostics, bounded: bool = False) -> BoundValue:
-    """Assemble the exchangeable-pair Kolmogorov bound from diagnostics.
-
-    general: (1/lam) sqrt(Var E[(W-W')^2|W]) + (2 pi)^(-1/4) sqrt(E|W-W'|^3 / lam)
-    bounded: (12/lam) sqrt(Var E[(W-W')^2|W]) + (43/lam) sup|W-W'|^3
-
-    Its closed-form counterpart on exact frame moments is
-    ``bounds.bound_frame_general``: fed the condition-on-X variance
-    (16/m^2) S - (4/n)^2 and the exact third moment, this equals it.
-    """
-    lam = diag.lam
-    if lam <= 0.0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    var = max(diag.var_conditional, 0.0)
-    if bounded:
-        value = (STEIN_BOUNDED_SQRT_COEFF / lam) * math.sqrt(var) + (
-            STEIN_BOUNDED_SUP_COEFF / lam
-        ) * diag.sup_abs**3
-        return BoundValue(value=value, kind=KOLMOGOROV, constants_used={"variant": "bounded"})
-    value = (1.0 / lam) * math.sqrt(var) + STEIN_THIRD_COEFF * math.sqrt(diag.third_abs / lam)
-    return BoundValue(value=value, kind=KOLMOGOROV, constants_used={"variant": "general"})

@@ -11,6 +11,7 @@ from cltbounds.bounds import (
     DensePairMoments,
     EXACT_MARGINAL_MAX_N,
     FLAG_RADICAND_CLAMPED,
+    FLAG_UNSPECIFIED_CONSTANT,
     KOLMOGOROV,
     SimplexPairMoments,
     TOTAL_VARIATION,
@@ -116,8 +117,10 @@ class TestFrameGeneral:
             (np.array([[1.8, 1.0, 1.0], [0.5, 1.8, 1.0], [1.0, 1.0, 1.8]]), "symmetric"),
             (iid_pair_table(3, 1.8, cross=-0.1), "nonnegative"),
             (np.ones((3, 2)), "square"),
+            (iid_pair_table(3, math.nan), "finite"),
+            (np.ones((4, 4)), "cover 4 frame vectors, expected 3"),
         ],
-        ids=["asymmetric", "negative", "not-square"],
+        ids=["asymmetric", "negative", "not-square", "nan", "wrong-size"],
     )
     def test_pair_table_checked_at_construction(self, table, message):
         # a raw table is checked and wrapped once, when the inputs are built
@@ -258,14 +261,14 @@ class TestSncpBounded:
 
 class TestLpBound:
     def test_e1_picks_first_branch_for_large_n(self):
-        bv = bound_lp(e1(1000), 1000, 2.0, c1=1.0, d1p=1.0)
+        bv = bound_lp(e1(1000), 1000, 2.0)
         assert bv.value == pytest.approx(1.0)
         assert bv.constants_used["branch"] == "theta-3-norm"
 
     def test_diagonal_large_p_prefers_sup_branch(self):
         n = 4096
         theta = np.full(n, n**-0.5)
-        bv = bound_lp(theta, n, math.inf, c1=1.0, d1p=1.0)
+        bv = bound_lp(theta, n, math.inf)
         # second branch: n * n^(-3/2) = n^(-1/2) < n^(-1/4)
         assert bv.constants_used["branch"] == "sup-norm"
         assert bv.value == pytest.approx(n**-0.5, rel=1e-12)
@@ -273,13 +276,16 @@ class TestLpBound:
     def test_p1_prefers_first_branch_for_diagonal(self):
         n = 64
         theta = np.full(n, n**-0.5)
-        bv = bound_lp(theta, n, 1.0, c1=1.0, d1p=1.0)
+        bv = bound_lp(theta, n, 1.0)
         assert bv.constants_used["branch"] == "theta-3-norm"
         assert bv.value == pytest.approx(n**-0.25, rel=1e-12)
 
     def test_default_constants_flagged(self):
-        assert bound_lp(e1(4), 4, 2.0).flags
-        assert not bound_lp(e1(4), 4, 2.0, c1=0.8, d1p=2.5).flags
+        # neither constant is explicit in the source: every evaluation is flagged
+        for p in (1.0, 2.0, math.inf):
+            bv = bound_lp(e1(4), 4, p)
+            assert bv.flags == (FLAG_UNSPECIFIED_CONSTANT,)
+            assert (bv.constants_used["c1"], bv.constants_used["d1p"]) == (1.0, 1.0)
 
 
 class TestSimplexMoments:
@@ -370,14 +376,6 @@ class TestSimplexPairMomentsReduction:
 
 
 class TestBoundSimplex:
-    def test_configured_constant(self):
-        geom = simplex_geometry(2)
-        theta = geom.vertices[0]
-        # sum |<v1, v_i>|^3 = 1 + 2 (1/2)^3 = 1.25
-        bv = bound_simplex(theta, geom, c1=1.0)
-        assert bv.value == pytest.approx(math.sqrt(1.25), rel=1e-12)
-        assert bv.flags  # unspecified constant is flagged
-
     def test_vertex_parseval_self_check(self):
         for n in (2, 7, 31):
             geom = simplex_geometry(n)

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cltbounds.bounds import KOLMOGOROV, bound_unconditional
+from cltbounds.bounds import KOLMOGOROV, BoundValue, bound_unconditional
 from cltbounds.certify import (
     TV_ESTIMATOR_ALLOWANCE,
     InapplicableBoundError,
@@ -41,11 +41,17 @@ from cltbounds.samplers import (
     DistributionSpec,
     Kind,
     block_seed,
+    calibrate_isotropic,
     derive_seed,
     exact_moments,
     sample,
 )
 from cltbounds.subspaces import SymmetryError, reflection_pair_diagnostics
+
+
+def zero_bound(*args, **kwargs):
+    """A zero Kolmogorov bound, which any sampled distance fails."""
+    return BoundValue(value=0.0, kind=KOLMOGOROV)
 
 
 def write_config(tmp_path, name, payload):
@@ -90,6 +96,15 @@ class TestRouting:
     def test_surface_is_inapplicable(self):
         with pytest.raises(InapplicableBoundError):
             applicable_route(DistributionSpec(Kind.LP_SURFACE, 4, p=2.0))
+
+    def test_non_isotropic_scale_is_inapplicable(self):
+        # the bounds assume isotropy, whichever route the kind would take
+        for kind, p in ((Kind.SPHERE_SHELL, None), (Kind.LP_CONE, 3.0), (Kind.SIMPLEX, None)):
+            isotropic = DistributionSpec(kind, 20, p=p)
+            with pytest.raises(InapplicableBoundError, match="isotropic"):
+                applicable_route(DistributionSpec(kind, 20, p=p, scale=2.0 * isotropic.scale))
+            with pytest.raises(InapplicableBoundError, match="isotropic"):
+                certify_cell(DistributionSpec(kind, 20, p=p, scale=2.0), "e1", N=1000, seed=1)
 
     @pytest.mark.parametrize("kind", list(Kind), ids=lambda kind: kind.value)
     def test_kind_table_agrees(self, kind):
@@ -203,11 +218,10 @@ class TestCertifyCell:
             assert report.bound.value == bound_unconditional(theta, *exact_moments(spec)).value
             assert report.passed
 
-    def test_forced_failure_with_zero_constant(self):
+    def test_forced_failure_with_zero_constant(self, monkeypatch):
+        monkeypatch.setattr("cltbounds.certify.bound_simplex", zero_bound)
         spec = DistributionSpec(Kind.SIMPLEX, 2)
-        report = certify_cell(
-            spec, "e1", N=20_000, seed=7, delta=0.5, constants={"c1": 0.0}
-        )
+        report = certify_cell(spec, "e1", N=20_000, seed=7, delta=0.5)
         assert report.bound.value == 0.0
         assert not report.passed
         assert report.margin < 0
@@ -406,7 +420,8 @@ class TestCliCertify:
         assert len(payload["reports"]) == 4
         assert (tmp_path / "out" / "certify.csv").exists()
 
-    def test_failure_exits_1(self, tmp_path):
+    def test_failure_exits_1(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("cltbounds.certify.bound_simplex", zero_bound)
         cfg = write_config(
             tmp_path,
             "fail.json",
@@ -417,7 +432,6 @@ class TestCliCertify:
                 "N": 20000,
                 "seed": 7,
                 "delta": 0.5,
-                "constants": {"c1": 0.0},
             },
         )
         assert main(["certify", "--config", cfg, "--out", str(tmp_path / "out")]) == (
@@ -437,6 +451,32 @@ class TestCliCertify:
             },
         )
         assert main(["certify", "--config", cfg]) == EXIT_INAPPLICABLE
+
+    @pytest.mark.parametrize(
+        "scale, code",
+        [
+            (1.0, EXIT_INAPPLICABLE),  # the unit cube: coordinate variance 1/3
+            (calibrate_isotropic(DistributionSpec(Kind.LP_BALL, 6, p=math.inf)).scale, EXIT_OK),
+        ],
+        ids=["unit-cube", "isotropic"],
+    )
+    def test_scale_must_be_isotropic(self, tmp_path, scale, code):
+        cube = {"kind": "lp_ball", "p": "inf", "n": 6, "scale": scale}
+        cfg = write_config(
+            tmp_path, "scale.json", {"command": "certify", **_CUBE_GRID, "distributions": [cube]}
+        )
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path / "out")]) == code
+        # refused before the output directory, and so before any sampling
+        assert (tmp_path / "out").exists() == (code == EXIT_OK)
+
+    def test_constants_exits_2_naming_the_removal(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, "constants.json", {"command": "certify", **_CUBE_GRID, "constants": {}}
+        )
+        code = main(["certify", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG_ERROR
+        assert "'constants' was removed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_theta_exits_2_before_sampling(self, tmp_path, monkeypatch):
         def no_sampling(*args, **kwargs):
@@ -616,6 +656,8 @@ class TestExitCodes:
             ("certify", {**_CUBE_GRID, "distributions": [
                 {"kind": "lp_ball", "p": "inf", "scale": math.nan, "n": 6}]}),
             ("sample", {"distribution": {"kind": "sphere_shell", "n": 4, "scale": math.inf}, "N": 100}),
+            # a removed field is refused, not ignored
+            ("certify", {**_CUBE_GRID, "constants": {"c1": 2.0}}),
         ],
     )
     def test_invalid_config_exits_2(self, tmp_path, command, payload):

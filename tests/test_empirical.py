@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from cltbounds.core import InsufficientDataError, normal_cdf
 from cltbounds.empirical import (
-    DistanceEstimate,
     _ks_statistic,
     conditional_second_moment,
     dkw_slack,
@@ -251,11 +250,3 @@ class TestStreamingPairSquareCovariance:
             tracemalloc.stop()
         assert peak < 1.5 * 8 * BLOCK_ROWS * spec.n, f"peak {peak / 1e6:.1f} MB"
 
-
-class TestSerializationHelpers:
-    def test_distance_estimate_json(self):
-        est = DistanceEstimate(
-            kind="kolmogorov", point_estimate=0.01, n_samples=100, dkw_slack=0.02, delta=0.01
-        )
-        payload = est.to_json()
-        assert '"kolmogorov"' in payload and '"dkw_slack": 0.02' in payload

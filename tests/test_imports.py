@@ -1,12 +1,15 @@
 """Each command loads only the scipy modules it calls: importing cltbounds
 loads none, scipy.special loads at first use, and no command loads
-scipy.integrate or scipy.optimize.
+scipy.integrate or scipy.optimize.  Every such case runs in a fresh
+interpreter, since this one has scipy loaded.
 
-Every case runs in a fresh interpreter, since this one has scipy loaded.
+Every name in a cltbounds module's ``__all__`` resolves.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -100,6 +103,13 @@ SCAN_ANK = {
 }
 
 TV_EXACT = {"kind": "sphere_shell", "n_list": [5]}
+
+
+@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(cltbounds.__path__)))
+def test_all_names_resolve(module):
+    # a name left in __all__ after its definition goes breaks `import *`
+    mod = importlib.import_module(f"cltbounds.{module}")
+    assert [name for name in getattr(mod, "__all__", []) if not hasattr(mod, name)] == []
 
 
 @pytest.mark.parametrize("module", ["cltbounds", "cltbounds.cli"])

@@ -5,13 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cltbounds.bounds import BoundInputs, SimplexPairMoments, bound_frame_general
 from cltbounds.empirical import _ks_statistic
-from cltbounds.frames import custom_frame, frame_coeffs, simplex_geometry, standard_frame
+from cltbounds.frames import custom_frame, simplex_geometry, standard_frame
 from cltbounds.samplers import DistributionSpec, Kind, derive_seed, sample
 from cltbounds.subspaces import (
     DIRECTION_CHUNK,
-    PairDiagnostics,
     SymmetryError,
     ank_to_csv,
     estimate_Ank,
@@ -21,12 +19,10 @@ from cltbounds.subspaces import (
     reflection_pair_diagnostics,
     rotation_pair_diagnostics,
     _rotation_frames,
-    stein_rr_assemble,
     uniform_directions,
 )
 
 CUBE_THIRD_ABS = 1.29903810567665797
-CUBE_FOURTH = 1.8
 
 
 def cube(n):
@@ -39,12 +35,6 @@ def named_frame(name, n):
     if name == "simplex-edges":
         return simplex_geometry(n).edge_frame
     return custom_frame(haar_orthogonal(n, 21))  # "rotated"
-
-
-def iid_pair_table(n, fourth):
-    table = np.ones((n, n))
-    np.fill_diagonal(table, fourth)
-    return table
 
 
 class TestHaarOrthogonal:
@@ -118,7 +108,6 @@ class TestReflectionPair:
         ratio = diag.slope * n / 2.0
         ratio_se = diag.slope_se * n / 2.0
         assert abs(ratio - 1.0) <= 3 * ratio_se
-        assert diag.lam == pytest.approx(2.0 / n)
 
     def test_intercept_zero(self):
         n, n_samples = 8, 4 * 10**5
@@ -349,79 +338,6 @@ class TestRotationFrames:
         a = rotation_pair_diagnostics(spec, [0.2, 0.1], 10**5, 62, pair_seed=63)
         b = rotation_pair_diagnostics(spec, [0.2, 0.1], 10**5, 62, pair_seed=63)
         assert a == b
-
-
-class TestSteinAssembly:
-    def test_zero_inputs_give_zero(self):
-        diag = PairDiagnostics(
-            lam=0.1, slope=0.1, intercept=0.0, slope_se=0.0,
-            var_conditional=0.0, third_abs=0.0, sup_abs=0.0,
-        )
-        assert stein_rr_assemble(diag).value == 0.0
-
-    def test_matches_frame_bound_on_exact_inputs(self):
-        # fed the condition-on-X variance (16/m^2) S - (4/n)^2 and the exact
-        # third moment (8/m) max E|X_(i)|^3 sum |c_i|^3, the assembly must
-        # reproduce the closed-form frame bound
-        def assembled(n, m, coeffs, pair_square_sum, third_max):
-            diag = PairDiagnostics(
-                lam=2.0 / n, slope=2.0 / n, intercept=0.0, slope_se=0.0,
-                var_conditional=(16.0 / m**2) * pair_square_sum - (4.0 / n) ** 2,
-                third_abs=(8.0 / m) * third_max * float(np.sum(np.abs(coeffs) ** 3)),
-                sup_abs=0.0,
-            )
-            return stein_rr_assemble(diag).value
-
-        # cube, standard frame: S = 1 + (EX^4 - 1) sum theta^4
-        n = 10
-        values = []
-        for theta in (np.eye(n)[0], np.full(n, n**-0.5), haar_orthogonal(n, 23)[0]):
-            closed_form = bound_frame_general(
-                BoundInputs(
-                    n=n, m=n, theta_coeffs=theta,
-                    pair_moments=iid_pair_table(n, CUBE_FOURTH),
-                    third_abs_max=CUBE_THIRD_ABS,
-                )
-            ).value
-            s = 1.0 + (CUBE_FOURTH - 1.0) * float(np.sum(theta**4))
-            values.append(assembled(n, n, theta, s, CUBE_THIRD_ABS))
-            assert values[-1] == pytest.approx(closed_form, rel=1e-12)
-        assert values[0] == pytest.approx(3.22863384317713751, rel=1e-10)  # theta = e1
-
-        # simplex, edge frame: S from the three-valued pair-moment table
-        n = 6
-        geom = simplex_geometry(n)
-        pair_moments = SimplexPairMoments(n, geom.edge_pairs)
-        third_max = 3 * math.sqrt(2) * math.sqrt((n + 1) * (n + 2)) / (n + 3)
-        for theta in (geom.vertices[0], np.full(n, n**-0.5), haar_orthogonal(n, 24)[0]):
-            coeffs = frame_coeffs(geom.edge_frame, theta)
-            closed_form = bound_frame_general(
-                BoundInputs(
-                    n=n, m=geom.m, theta_coeffs=coeffs, pair_moments=pair_moments,
-                    third_abs_max=third_max,
-                )
-            ).value
-            s = pair_moments.quadratic_form(coeffs**2)
-            value = assembled(n, geom.m, coeffs, s, third_max)
-            assert value == pytest.approx(closed_form, rel=1e-12)
-
-    def test_bounded_variant_formula(self):
-        lam, sup = 0.25, 0.5
-        diag = PairDiagnostics(
-            lam=lam, slope=lam, intercept=0.0, slope_se=0.0,
-            var_conditional=0.0, third_abs=0.0, sup_abs=sup,
-        )
-        assert stein_rr_assemble(diag, bounded=True).value == pytest.approx(
-            (43.0 / lam) * sup**3
-        )
-
-    def test_rejects_nonpositive_lambda(self):
-        diag = PairDiagnostics(
-            lam=0.0, slope=0.0, intercept=0.0, slope_se=0.0,
-            var_conditional=0.0, third_abs=0.0, sup_abs=0.0,
-        )
-        with pytest.raises(ValueError):
-            stein_rr_assemble(diag)
 
 
 class TestEstimateAnk:
