@@ -47,6 +47,7 @@ from .bounds import (  # noqa: F401
     bound_sph_symm,
     bound_unconditional,
     bound_unconditional_bounded,
+    exact_kolmogorov,
     exact_projection_density,
     exact_tv_vs_normal,
     simplex_Y_moment,

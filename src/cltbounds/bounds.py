@@ -11,6 +11,8 @@ are taken as 1.0 and flagged in the output; no such bound gates a verdict.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -38,8 +40,10 @@ __all__ = [
     "bound_sph_symm",
     "bound_unconditional",
     "bound_unconditional_bounded",
+    "exact_kolmogorov",
     "exact_projection_density",
     "exact_tv_vs_normal",
+    "has_exact_kolmogorov",
     "simplex_Y_moment",
     "simplex_pair_moment",
 ]
@@ -435,6 +439,22 @@ _BISECTIONS = 60
 _PANELS, _NODES = 8, 64
 
 
+@functools.cache
+def _legendre_nodes(count: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(count)
+
+
+def _panel_rule(ends: np.ndarray, panels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule on ``panels`` equal panels of each piece
+    [ends[i], ends[i+1]]: the (pieces, panels, _NODES) nodes, the
+    (pieces, 1) panel half-widths and the _NODES weights, so the
+    integral of f over piece i is ``(half * (f(nodes) @ w)).sum(axis=1)[i]``."""
+    x, w = _legendre_nodes(_NODES)
+    width = np.diff(ends)[:, None] / panels
+    left = ends[:-1, None] + width * np.arange(panels)
+    return left[:, :, None] + 0.5 * width[:, :, None] * (x + 1.0), 0.5 * width, w
+
+
 def _marginal_params(kind, n: int) -> tuple[float, float, float]:
     """(support radius^2, exponent, log normalizer) of the projection density;
     ``kind`` is a Kind or its string value."""
@@ -493,11 +513,151 @@ def exact_tv_vs_normal(kind, n: int) -> float:
         right = diff(mid) * f_lo > 0.0
         lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
     ends = np.arcsin(np.concatenate([[0.0], lo, [radius]]) / radius)
-    # nodes of _PANELS equal panels per piece, mapped from [-1, 1]
-    x, w = np.polynomial.legendre.leggauss(_NODES)
-    width = np.diff(ends)[:, None] / _PANELS
-    left = ends[:-1, None] + width * np.arange(_PANELS)
-    phi = left[:, :, None] + 0.5 * width[:, :, None] * (x + 1.0)
-    pieces = 0.5 * width * (diff(radius * np.sin(phi)) * radius * np.cos(phi) @ w)
+    phi, half, w = _panel_rule(ends, _PANELS)
+    pieces = half * (diff(radius * np.sin(phi)) * radius * np.cos(phi) @ w)
     tail = normal_cdf(-radius)  # all normal mass outside the support
     return 2.0 * (float(np.abs(pieces.sum(axis=1)).sum()) + tail)
+
+
+# exact_kolmogorov: the Gil-Pelaez integral runs over u in [0, U] on
+# Gauss-Legendre panels of width _CF_PANEL_WIDTH; U starts at _CF_SPAN and
+# doubles, at most _CF_DOUBLINGS times, until the truncation bound falls below
+# _KOLMOGOROV_TOL.  Lines through at most _SPLINE_TERMS coordinates use the
+# closed-form law instead: there the characteristic function decays too
+# slowly for any such U
+_CF_SPAN, _CF_PANEL_WIDTH, _CF_DOUBLINGS = 10.0, 5.0, 6
+_SPLINE_TERMS = 4
+# the distance is sought on a grid of this many points over [0, T], and cells
+# are halved until no cell can exceed the grid maximum by more than the tolerance
+_KOLMOGOROV_GRID = 241
+_KOLMOGOROV_TOL = 1e-14
+# T is this many standard deviations (at least one) of the projection
+_KOLMOGOROV_REACH = 9.0
+# values computed in chunks of this many t, bounding the (t, u) array
+_T_CHUNK = 64
+
+
+def has_exact_kolmogorov(spec) -> bool:
+    """Whether ``exact_kolmogorov`` evaluates the lines of spec's law."""
+    return spec.kind is Kind.LP_BALL and math.isinf(spec.p)
+
+
+def _uniform_sum_spline(c: np.ndarray):
+    """F - Phi for W = sum_i c_i U_i (U_i uniform on [-1, 1], c_i > 0) in
+    closed form, and a bound on its rounding error.
+
+    F(t) = sum over sign vectors e of prod(e) (t + e.c)_+^m / (m! 2^m prod c),
+    the integral of the box spline; its terms cancel, so this is for small m.
+    """
+    m = len(c)
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=m)))
+    knots, parity = signs @ c, signs.prod(axis=1)
+    norm = math.factorial(m) * 2**m * float(np.prod(c))
+    reach = float(c.sum())  # F = 1 from here on
+
+    def diff(t: np.ndarray) -> np.ndarray:
+        powers = np.maximum(np.minimum(t, reach)[:, None] + knots, 0.0) ** m
+        cdf = 0.5 * np.array([math.erfc(-x / math.sqrt(2.0)) for x in t])
+        return (powers @ parity) / norm - cdf
+
+    # 2^m terms, each at most (2 reach)^m / norm and carrying m + 2 roundings
+    rounding = 2**m * (2.0 * reach) ** m / norm * (m + 2) * np.finfo(float).eps
+    return diff, rounding
+
+
+def _uniform_sum_gil_pelaez(c: np.ndarray):
+    """F - Phi for W = sum_i c_i U_i by Gil-Pelaez inversion of the
+    characteristic function prod_i sin(c_i u)/(c_i u), and a bound on the
+    truncation of its integral at u = U.
+
+    W and N(0, 1) are symmetric, so F(t) - Phi(t) is
+    (1/pi) int_0^inf sin(tu) (phi(u) - e^(-u^2/2)) / u du.  Past U,
+    |phi(u)| <= prod_{i in K} 1/(c_i u) with K the i where c_i U >= 1, whose
+    integral against du/u is prod_K 1/(c_i U) / |K|, and the Gaussian term
+    integrates to at most e^(-U^2/2)/U^2.
+    """
+
+    def truncation(span: float) -> float:
+        decaying = c[c * span >= 1.0]
+        if not len(decaying):
+            return math.inf
+        power = math.exp(-float(np.log(decaying * span).sum())) / len(decaying)
+        return (power + math.exp(-0.5 * span * span) / span**2) / math.pi
+
+    span = _CF_SPAN
+    for _ in range(_CF_DOUBLINGS):
+        if truncation(span) <= _KOLMOGOROV_TOL:
+            break
+        span *= 2.0
+    nodes, half, w = _panel_rule(np.array([0.0, span]), round(span / _CF_PANEL_WIDTH))
+    u = nodes.ravel()
+    cu = np.multiply.outer(u, c)  # u > 0 and c > 0
+    cf = (np.sin(cu) / cu).prod(axis=1)
+    weights = np.broadcast_to(half[..., None] * w, nodes.shape).ravel()
+    weights = weights * (cf - np.exp(-0.5 * u * u)) / (math.pi * u)
+
+    def diff(t: np.ndarray) -> np.ndarray:
+        return np.concatenate([
+            np.sin(np.multiply.outer(t[lo : lo + _T_CHUNK], u)) @ weights
+            for lo in range(0, len(t), _T_CHUNK)
+        ])
+
+    return diff, truncation(span)
+
+
+def _certified_sup(diff, reach: float, curvature: float) -> float:
+    """Upper bound on sup |diff| over [0, reach], given |diff''| <= curvature.
+
+    On a cell of width h, |diff| exceeds the larger of its end values by at
+    most curvature h^2 / 8.  From a grid, every cell whose bound exceeds the
+    largest value seen is halved, until none exceeds it by more than
+    _KOLMOGOROV_TOL; the largest remaining bound is returned.
+    """
+    t = np.linspace(0.0, reach, _KOLMOGOROV_GRID)
+    g = np.abs(diff(t))
+    best, h = float(g.max()), reach / (_KOLMOGOROV_GRID - 1)
+    left, g_left, g_right = t[:-1], g[:-1], g[1:]
+    while True:
+        upper = np.maximum(g_left, g_right) + curvature * h * h / 8.0
+        if upper.max() <= best + _KOLMOGOROV_TOL:
+            return max(best, float(upper.max()))
+        live = upper > best
+        left, g_left, g_right = left[live], g_left[live], g_right[live]
+        h /= 2.0
+        mid = left + h
+        g_mid = np.abs(diff(mid))
+        best = max(best, float(g_mid.max()))
+        left = np.concatenate([left, mid])
+        g_left, g_right = np.concatenate([g_left, g_mid]), np.concatenate([g_mid, g_right])
+
+
+def exact_kolmogorov(spec, theta) -> float:
+    """Certified upper bound on sup_t |P[<X, theta> <= t] - Phi(t)| for a
+    law with ``has_exact_kolmogorov(spec)``: the cube, where
+    <X, theta> = sum_i c_i U_i with c = scale * theta and U_i i.i.d. uniform
+    on [-1, 1].
+
+    F - Phi is odd, so it is evaluated on [0, T] with T = 9 max(sd, 1):
+    beyond T both tails are below e^(-40.5) (W is sub-Gaussian with variance
+    proxy sum c_i^2 / 3).  Lines through at most four coordinates take the
+    closed-form law, the rest Gil-Pelaez inversion on Gauss-Legendre panels.
+    The grid maximum is refined under a curvature bound on F - Phi: the
+    density's derivative is at most 1/(4 c_(1) c_(2)) for the two largest
+    |c_i| (convolving the two uniforms), and the normal density's at most
+    phi(1).  The result adds the truncation (or rounding) bound.  The
+    quadrature error is not bounded, but small: four times the panels moved
+    the value by less than 1e-16 on 112 random lines with n from 5 to 100.
+    """
+    if not has_exact_kolmogorov(spec):
+        raise ValueError(f"no exact Kolmogorov distance for {spec.kind.value} p={spec.p}")
+    c = np.sort(np.abs(spec.scale * as_unit_vector(theta, spec.n)))[::-1]
+    c = c[c > 0.0]
+    if len(c) < 2:
+        raise ValueError("the line must meet at least two coordinates: along one "
+                         "the projection's density jumps and no curvature bound holds")
+    sd = max(math.sqrt(float(c @ c) / 3.0), 1.0)
+    evaluate = _uniform_sum_spline if len(c) <= _SPLINE_TERMS else _uniform_sum_gil_pelaez
+    diff, error = evaluate(c)
+    curvature = 1.0 / (4.0 * c[0] * c[1]) + float(normal_pdf(1.0))
+    beyond = math.exp(-0.5 * _KOLMOGOROV_REACH**2)
+    return float(max(_certified_sup(diff, _KOLMOGOROV_REACH * sd, curvature) + error, beyond))

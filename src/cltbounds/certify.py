@@ -70,6 +70,7 @@ __all__ = [
     "certify_grid",
     "reports_to_csv",
     "reports_to_json",
+    "require_isotropic",
     "resolve_theta",
     "version_string",
 ]
@@ -85,14 +86,20 @@ class InapplicableBoundError(ValueError):
     """No theoretical bound with explicit constants applies to this spec."""
 
 
-def applicable_route(spec: DistributionSpec) -> str:
-    """The certification route of spec; every bound on it assumes isotropy."""
+def require_isotropic(spec: DistributionSpec) -> None:
+    """Raise InapplicableBoundError unless spec is at its exact isotropic
+    scale: the bounds, and every distance from N(0, 1), assume it."""
     isotropic = _exact_scale(spec.kind, spec.n, spec.p)
     if spec.scale != isotropic:
         raise InapplicableBoundError(
             f"the bounds hold for isotropic vectors: {spec.kind.value} n={spec.n} "
             f"has scale {spec.scale!r}, its isotropic scale is {isotropic!r}"
         )
+
+
+def applicable_route(spec: DistributionSpec) -> str:
+    """The certification route of spec; every bound on it assumes isotropy."""
+    require_isotropic(spec)
     if spec.kind is Kind.SIMPLEX:
         return ROUTE_SIMPLEX
     if spec.kind in SPHERICAL_KINDS:

@@ -25,6 +25,7 @@ from .certify import (
     certify_grid,
     reports_to_csv,
     reports_to_json,
+    require_isotropic,
     resolve_theta,
     version_string,
 )
@@ -254,9 +255,10 @@ def _cmd_scan_ank(cfg: dict) -> int:
     n_dirs = None if cfg.get("n_dirs") is None else _positive_int(cfg, "n_dirs")
     seed = _seed(cfg)
     specs = [_spec_from_config({**template, "n": n}) for n in n_list]
-    for spec in specs:
+    for spec in specs:  # fail fast, before any sampling or quadrature
         if k > spec.n:
             raise ConfigError(f"'k' must not exceed n, got k={k}, n={spec.n}")
+        require_isotropic(spec)
     workers = _workers()
     out = _out_dir(cfg)
     results = []
@@ -268,7 +270,7 @@ def _cmd_scan_ank(cfg: dict) -> int:
         results.append(est)
         print(
             f"n={spec.n} k={k} eps={eps}: fraction={est.fraction:.3f} "
-            f"(max sampled sup={est.sup_distances.max():.4f}) [{est.label}]"
+            f"(max sup={est.sup_distances.max():.4f}) [{est.label}]"
         )
     ank_to_csv(results, out / "ank_scan.csv")
     print(f"wrote {out / 'ank_scan.csv'}")

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import exact_kolmogorov, has_exact_kolmogorov
 from .core import BLOCK_ROWS, as_unit_vector, thread_map
 from .empirical import _equal_count_bin_means, _ks_statistic
 from .frames import TightFrame, frame_coeffs, simplex_geometry
@@ -19,6 +20,9 @@ from .samplers import (
 
 __all__ = [
     "AnkEstimate",
+    "LABEL_DIRECTIONS",
+    "LABEL_EXACT",
+    "LABEL_LINE",
     "PairDiagnostics",
     "RotationDiagnostics",
     "SymmetryError",
@@ -105,14 +109,23 @@ def uniform_directions(k: int, count: int, rng: np.random.Generator) -> np.ndarr
     return coeffs
 
 
+# what AnkEstimate.sup_distances hold on each path of estimate_Ank
+LABEL_EXACT = "certified upper bound on each line's Kolmogorov distance"
+LABEL_LINE = "sampled Kolmogorov distance of each line"
+LABEL_DIRECTIONS = "direction-sampled lower approximation of the sup"
+
+
 @dataclass(frozen=True)
 class AnkEstimate:
-    """Fraction of random subspaces whose worst sampled direction stays
-    within eps of normal in Kolmogorov distance.
+    """Fraction of random subspaces whose sup over unit directions of the
+    Kolmogorov distance from normal is at most eps; ``label`` says what
+    ``sup_distances`` hold.
 
-    The per-subspace sup over the unit sphere is approximated by a max over
-    sampled directions, so ``sup_distances`` are lower approximations of the
-    true sups and ``fraction`` is, if anything, optimistic.
+    At k = 1 the sup is one line's distance: a certified upper bound where
+    the law has an exact one (``LABEL_EXACT``), else the line's sampled KS
+    statistic, which sampling noise biases upward (``LABEL_LINE``).  At
+    k >= 2 it is a max over sampled directions, a lower approximation of the
+    sup over the sphere (``LABEL_DIRECTIONS``).
     """
 
     fraction: float
@@ -124,7 +137,7 @@ class AnkEstimate:
     n_dirs: int
     N: int
     seed: int
-    label: str = "direction-sampled lower approximation of the sup"
+    label: str
 
 
 def estimate_Ank(
@@ -139,21 +152,26 @@ def estimate_Ank(
 ) -> AnkEstimate:
     """Randomized-subspace experiment for the projection law of spec.
 
-    N samples are projected onto ``n_dirs`` uniform directions (default
-    50 k) in each of ``n_subspaces`` random subspaces; a subspace counts as
-    good when the max Kolmogorov distance over its sampled directions is at
+    Each of ``n_subspaces`` random subspaces (subspace s from
+    ``derive_seed(seed, s)``) counts as good when its sup distance is at
     most eps.  For k = 1 the unit sphere of the subspace is the two signs of
     its line, and the Kolmogorov distance of -W equals that of W, so one
-    statistic per line is exact and no direction is sampled.
+    distance per line is the sup and no direction is sampled.  Where
+    ``bounds.has_exact_kolmogorov(spec)`` holds (the cube) that distance is
+    ``bounds.exact_kolmogorov``: nothing is sampled, so the result does not
+    depend on N.  Otherwise N samples are projected onto ``n_dirs`` uniform
+    directions (default 50 k) in each subspace (at k = 1, onto the line).
 
     One ``sample_projections`` pass writes the projections Y = X L
     onto the stacked (n, n_subspaces k) basis matrix L; a direction with
     coefficients c in subspace s is then Y_s c.  Memory: Y takes
     N n_subspaces k 8 bytes, plus one (DIRECTION_CHUNK, N) product per worker
     at k >= 2, and the (N, n) batch is never held (spherically
-    symmetric specs draw Y from its exact reduced law).  The fill is serial;
-    the subspaces' statistics run on ``workers`` threads, each subspace with
-    its own direction stream, so the result does not depend on ``workers``.
+    symmetric specs draw Y from its exact reduced law).  The exact path holds
+    no sample: per worker, one line's quadrature tables, a few hundred kB at
+    n = 100.  The fill is serial; the subspaces' statistics run on
+    ``workers`` threads, each subspace with its own direction stream, so the
+    result does not depend on ``workers``.
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -164,12 +182,13 @@ def estimate_Ank(
     if n_dirs < 1:
         raise ValueError(f"need at least one direction per subspace, got n_dirs={n_dirs}")
     n = spec.n
-    bases = np.concatenate(
-        [random_subspace(n, k, derive_seed(seed, s)) for s in range(n_subspaces)]
-    ).T
-    proj = sample_projections(spec, bases, N, seed)
+    bases = [random_subspace(n, k, derive_seed(seed, s)) for s in range(n_subspaces)]
+    exact = k == 1 and has_exact_kolmogorov(spec)
+    proj = None if exact else sample_projections(spec, np.concatenate(bases).T, N, seed)
 
     def sup_distance(s: int) -> float:
+        if exact:
+            return exact_kolmogorov(spec, bases[s][0])
         if k == 1:
             return _ks_statistic(proj[s], overwrite=True)  # proj[s] is not read again
         rng = np.random.default_rng(derive_seed(seed, s, 1))
@@ -193,17 +212,22 @@ def estimate_Ank(
         n_dirs=n_dirs,
         N=N,
         seed=seed,
+        label=LABEL_EXACT if exact else LABEL_LINE if k == 1 else LABEL_DIRECTIONS,
     )
 
 
 def ank_to_csv(estimates, path) -> None:
+    """One row per estimate; ``max_sup`` is the largest of its subspaces' sups."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["n", "k", "eps", "fraction", "n_subspaces", "n_dirs", "N", "seed"])
+        writer.writerow(
+            ["n", "k", "eps", "fraction", "n_subspaces", "n_dirs", "N", "seed", "max_sup"]
+        )
         for est in estimates:
-            writer.writerow(
-                [est.n, est.k, est.eps, est.fraction, est.n_subspaces, est.n_dirs, est.N, est.seed]
-            )
+            writer.writerow([
+                est.n, est.k, est.eps, est.fraction, est.n_subspaces, est.n_dirs, est.N,
+                est.seed, float(est.sup_distances.max()),
+            ])
 
 
 @dataclass(frozen=True)

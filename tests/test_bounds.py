@@ -6,6 +6,7 @@ import pytest
 from scipy import integrate, optimize
 from scipy.special import ndtr
 
+from cltbounds import bounds as bounds_module
 from cltbounds.bounds import (
     BoundInputs,
     DensePairMoments,
@@ -27,12 +28,16 @@ from cltbounds.bounds import (
     bound_sph_symm,
     bound_unconditional,
     bound_unconditional_bounded,
+    exact_kolmogorov,
     exact_projection_density,
     exact_tv_vs_normal,
     simplex_Y_moment,
     simplex_pair_moment,
 )
+from cltbounds.empirical import _ks_statistic, dkw_slack
 from cltbounds.frames import frame_coeffs, simplex_geometry
+from cltbounds.samplers import DistributionSpec, Kind, sample_projections
+from cltbounds.subspaces import random_subspace
 
 CUBE_FOURTH = 1.8
 CUBE_THIRD_ABS = 1.29903810567665797  # 9/(4 sqrt 3)
@@ -578,3 +583,59 @@ class TestExactTv:
             assert n * exact_tv_vs_normal(kind, n) == pytest.approx(0.7001, abs=1e-3)
         with pytest.raises(ValueError, match="validated"):
             exact_tv_vs_normal(kind, EXACT_MARGINAL_MAX_N + 1)
+
+
+def cube_spec(n):
+    return DistributionSpec(Kind.LP_BALL, n, p=math.inf)
+
+
+class TestExactKolmogorov:
+    def test_triangular_law(self):
+        # n = 2, theta = (1, 1)/sqrt 2: W = c (U_1 + U_2) with c = sqrt(3/2) is
+        # triangular on [-2c, 2c]; on [0, 2c], D = F - Phi is
+        # 1 - (2c - t)^2 / (8 c^2) - Phi(t), and past 2c, 1 - Phi(t) falls
+        c = math.sqrt(1.5)
+
+        def diff(t):
+            return 1.0 - (2.0 * c - t) ** 2 / (8.0 * c * c) - ndtr(t)
+
+        def slope(t):
+            return (2.0 * c - t) / (4.0 * c * c) - math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+
+        grid = np.linspace(0.0, 2.0 * c, 4001)
+        signs = np.sign([slope(t) for t in grid])
+        roots = [optimize.brentq(slope, grid[i], grid[i + 1], xtol=1e-15)
+                 for i in np.flatnonzero(signs[:-1] * signs[1:] < 0)]
+        reference = max(abs(diff(t)) for t in [*roots, 2.0 * c])
+        value = exact_kolmogorov(cube_spec(2), np.full(2, 0.5**0.5))
+        assert reference <= value <= reference + 1e-12
+
+    @pytest.mark.parametrize("n", [5, 25, 100])
+    def test_agrees_with_four_times_the_panels(self, monkeypatch, n):
+        theta = random_subspace(n, 1, 700 + n)[0]
+        value = exact_kolmogorov(cube_spec(n), theta)
+        monkeypatch.setattr(bounds_module, "_CF_PANEL_WIDTH", bounds_module._CF_PANEL_WIDTH / 4)
+        assert abs(exact_kolmogorov(cube_spec(n), theta) - value) <= 1e-12
+
+    def test_closed_form_and_inversion_agree(self, monkeypatch):
+        # five coordinates: inversion by default, the closed form when allowed;
+        # the closed form adds its rounding bound, the inversion its truncation
+        theta = random_subspace(5, 1, 705)[0]
+        inverted = exact_kolmogorov(cube_spec(5), theta)
+        monkeypatch.setattr(bounds_module, "_SPLINE_TERMS", 5)
+        _, rounding = bounds_module._uniform_sum_spline(np.abs(math.sqrt(3.0) * theta))
+        assert abs(exact_kolmogorov(cube_spec(5), theta) - inverted) <= rounding + 1e-13
+
+    @pytest.mark.parametrize("n", [5, 25, 100])
+    def test_within_dkw_band_of_sampled_ks(self, n):
+        spec, n_samples, seed = cube_spec(n), 200_000, 710 + n
+        theta = random_subspace(n, 1, seed)[0]
+        w = sample_projections(spec, theta[:, None], n_samples, seed)[0]
+        gap = _ks_statistic(w) - exact_kolmogorov(spec, theta)
+        assert abs(gap) <= dkw_slack(n_samples, 1e-6)
+
+    def test_refuses_other_laws_and_axis_lines(self):
+        with pytest.raises(ValueError, match="no exact Kolmogorov"):
+            exact_kolmogorov(DistributionSpec(Kind.LP_BALL, 4, p=4.0), np.full(4, 0.5))
+        with pytest.raises(ValueError, match="two coordinates"):
+            exact_kolmogorov(cube_spec(4), e1(4))

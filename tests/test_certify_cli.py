@@ -828,6 +828,29 @@ class TestCliScanAnk:
         rows = (tmp_path / "out" / "ank_scan.csv").read_text().splitlines()
         assert len(rows) == 3
 
+    def test_csv_ends_with_max_sup(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "ank.json", {"command": "scan-ank", **_SMALL_SCAN})
+        assert main(["scan-ank", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+        header, row = (tmp_path / "out" / "ank_scan.csv").read_text().splitlines()
+        assert header.split(",")[-1] == "max_sup"
+        sup = float(row.split(",")[-1])
+        assert f"max sup={sup:.4f}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind, p", [("lp_ball", "inf"), ("lp_ball", 4.0), ("sphere_shell", None)])
+    def test_scale_must_be_isotropic(self, tmp_path, monkeypatch, kind, p):
+        # the unit-parameterized body (scale 1) is not isotropic for any of these
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("estimated a non-isotropic law")
+
+        monkeypatch.setattr("cltbounds.cli.estimate_Ank", no_estimate)
+        distribution = {"kind": kind, "scale": 1.0, **({} if p is None else {"p": p})}
+        cfg = write_config(tmp_path, "ank.json",
+                           {"command": "scan-ank", **_SMALL_SCAN, "distribution": distribution})
+        assert main(["scan-ank", "--config", cfg, "--out", str(tmp_path / "out")]) == (
+            EXIT_INAPPLICABLE
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_empty_n_list_exits_2(self, tmp_path):
         cfg = write_config(
             tmp_path,

@@ -1,6 +1,7 @@
 """Each command loads only the scipy modules it calls: importing cltbounds
-loads none, scipy.special loads at first use, and no command loads
-scipy.integrate or scipy.optimize.  Every such case runs in a fresh
+loads none, scipy.special loads at first use, no command loads
+scipy.integrate or scipy.optimize, and scan-ank on the cube, which evaluates
+its lines by numpy quadrature, loads none.  Every such case runs in a fresh
 interpreter, since this one has scipy loaded.
 
 Every name in a cltbounds module's ``__all__`` resolves.
@@ -94,13 +95,16 @@ CERTIFY = {
 }
 
 SCAN_ANK = {
-    "distribution": {"kind": "lp_ball", "p": "inf"},
+    "distribution": {"kind": "lp_ball", "p": 3.0},
     "n_list": [6],
     "k": 1,
     "eps": 0.1,
     "n_subspaces": 2,
     "N": 5000,
 }
+
+# the cube's lines take the exact path, the others the sampled KS statistic
+CUBE_SCAN_ANK = {**SCAN_ANK, "distribution": {"kind": "lp_ball", "p": "inf"}}
 
 TV_EXACT = {"kind": "sphere_shell", "n_list": [5]}
 
@@ -132,6 +136,11 @@ def test_sample_and_report_load_no_scipy(tmp_path):
 def test_diagnose_loads_no_scipy(experiment, tmp_path):
     config = write_config(tmp_path, DIAGNOSE[experiment])
     assert run_cli(["diagnose", "--config", config], tmp_path) == []
+
+
+def test_cube_scan_ank_loads_no_scipy(tmp_path):
+    config = write_config(tmp_path, CUBE_SCAN_ANK)
+    assert run_cli(["scan-ank", "--config", config], tmp_path) == []
 
 
 @pytest.mark.parametrize(

@@ -5,11 +5,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cltbounds.bounds import exact_kolmogorov
 from cltbounds.empirical import _ks_statistic
 from cltbounds.frames import custom_frame, simplex_geometry, standard_frame
 from cltbounds.samplers import DistributionSpec, Kind, derive_seed, sample
 from cltbounds.subspaces import (
     DIRECTION_CHUNK,
+    LABEL_DIRECTIONS,
+    LABEL_EXACT,
+    LABEL_LINE,
     SymmetryError,
     ank_to_csv,
     estimate_Ank,
@@ -355,6 +359,35 @@ class TestEstimateAnk:
         assert fracs == sorted(fracs)
         assert fracs[-1] == 1.0  # distance never exceeds 1
 
+    def test_monotone_in_eps_sampled_line(self):
+        # the sampled k = 1 path; the cube above takes the exact one
+        spec = DistributionSpec(Kind.LP_BALL, 12, p=4.0)
+        ests = [estimate_Ank(spec, k=1, eps=eps, n_subspaces=8, N=20000, seed=31, n_dirs=4)
+                for eps in (0.005, 0.02, 0.1, 2.0)]
+        fracs = [est.fraction for est in ests]
+        assert fracs == sorted(fracs)
+        assert fracs[-1] == 1.0
+        assert {est.label for est in ests} == {LABEL_LINE}
+
+    def test_cube_lines_take_the_exact_distance(self, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled a cube line")
+
+        monkeypatch.setattr("cltbounds.subspaces.sample_projections", no_sampling)
+        spec, seed = cube(12), 38
+        runs = [estimate_Ank(spec, k=1, eps=0.01, n_subspaces=5, N=n_samples, seed=seed,
+                             workers=workers)
+                for n_samples, workers in ((100, 1), (10**6, 2))]
+        expected = [exact_kolmogorov(spec, random_subspace(12, 1, derive_seed(seed, s))[0])
+                    for s in range(5)]
+        for est in runs:
+            np.testing.assert_array_equal(est.sup_distances, expected)
+            assert est.label == LABEL_EXACT
+        assert runs[0].fraction == runs[1].fraction
+
+    def test_label_at_k2(self, shell_result):
+        assert shell_result.label == LABEL_DIRECTIONS
+
     def test_default_dirs_is_50k(self, shell_result):
         spec = DistributionSpec(Kind.SPHERE_SHELL, 10)
         est = estimate_Ank(spec, k=2, eps=2.0, n_subspaces=1, N=200, seed=32)
@@ -405,6 +438,28 @@ class TestEstimateAnk:
             tracemalloc.stop()
         assert peak < 8 * n_samples * spec.n, f"peak {peak / 1e6:.1f} MB"
 
+    def test_never_holds_the_batch_sampled_line(self):
+        # the sampled k = 1 path; the cube above takes the exact one
+        spec = DistributionSpec(Kind.LP_BALL, 100, p=4.0)
+        n_samples = 200_000
+        tracemalloc.start()
+        try:
+            estimate_Ank(spec, k=1, eps=0.1, n_subspaces=4, N=n_samples, seed=36)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n_samples * spec.n, f"peak {peak / 1e6:.1f} MB"
+
+    def test_cube_lines_hold_no_sample(self):
+        n_samples = 10**6
+        tracemalloc.start()
+        try:
+            estimate_Ank(cube(25), k=1, eps=0.1, n_subspaces=4, N=n_samples, seed=39)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n_samples / 8, f"peak {peak / 1e6:.2f} MB"
+
     def test_rejects_k_above_n_before_sampling(self, monkeypatch):
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before k was checked")
@@ -418,8 +473,9 @@ class TestEstimateAnk:
         path = tmp_path / "ank.csv"
         ank_to_csv([shell_result], path)
         text = path.read_text().splitlines()
-        assert text[0].startswith("n,k,eps,fraction")
+        assert text[0] == "n,k,eps,fraction,n_subspaces,n_dirs,N,seed,max_sup"
         assert len(text) == 2
+        assert float(text[1].split(",")[-1]) == shell_result.sup_distances.max()
 
 
 class TestWorkerCount:
