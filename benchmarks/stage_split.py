@@ -22,8 +22,11 @@ its own fill, so it is not ``fill_s + project_s``.
 projection onto the 32 stacked subspace lines and ``_ks_statistic`` of every
 line, one after another (``ank_*_s``) and again on ``CLTBOUNDS_THREADS``
 threads (``ank_ks_threaded_s``), then the whole ``estimate_Ank`` call
-(``ank_total_s``).  Every ``*_total_s`` passes ``CLTBOUNDS_THREADS`` as
-``workers``.  It times the whole reflection step of ``diagnose``
+(``ank_total_s``).  On a law whose lines ``estimate_Ank`` evaluates exactly
+(the cube), that call runs no sampled stage: ``ank_exact_s`` times
+``bounds.exact_kolmogorov`` on the 32 lines one after another, and the
+sampled stages show what the sampled path would cost.  Every
+``*_total_s`` passes ``CLTBOUNDS_THREADS`` as ``workers``.  It times the whole reflection step of ``diagnose``
 (``reflection_total_s``: the three thetas e1, diagonal and random(42) of
 criterion 05 on the given spec, with the standard frame, or the edge frame
 for the simplex).  For the rotation diagnostics it times the two-frame draw
@@ -72,7 +75,7 @@ import numpy as np
 
 import cltbounds
 from cltbounds import subspaces
-from cltbounds.bounds import exact_tv_vs_normal
+from cltbounds.bounds import exact_kolmogorov, exact_tv_vs_normal, has_exact_kolmogorov
 from cltbounds.certify import resolve_theta
 from cltbounds.empirical import _ks_statistic, kolmogorov_vs_normal, tv_vs_normal_histogram
 from cltbounds.frames import simplex_geometry, standard_frame
@@ -189,6 +192,11 @@ def subspace_pass(spec: DistributionSpec, n_samples: int, seed: int) -> dict[str
         list(pool.map(_ks_statistic, rows))
     times["ank_ks_threaded_s"] = time.perf_counter() - start
     del rows
+    if has_exact_kolmogorov(spec):
+        start = time.perf_counter()
+        for line in lines.T:
+            exact_kolmogorov(spec, line)
+        times["ank_exact_s"] = time.perf_counter() - start
     start = time.perf_counter()
     subspaces.estimate_Ank(spec, k=1, eps=0.1, n_subspaces=N_SUBSPACES, N=n_samples,
                            seed=seed, workers=WORKERS)

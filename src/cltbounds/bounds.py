@@ -557,6 +557,7 @@ def _uniform_sum_spline(c: np.ndarray):
 
     def diff(t: np.ndarray) -> np.ndarray:
         powers = np.maximum(np.minimum(t, reach)[:, None] + knots, 0.0) ** m
+        # math.erfc rather than normal_cdf, so that the cube loads no scipy
         cdf = 0.5 * np.array([math.erfc(-x / math.sqrt(2.0)) for x in t])
         return (powers @ parity) / norm - cdf
 

@@ -17,8 +17,8 @@ MODES = {
     "certify": (["--kind", "lp_ball", "--p", "2"],
                 {"fill_s", "project_s", "ks_s", "hist_s", "projections_s"}),
     "subspace": (["--kind", "lp_ball", "--p", "inf"],
-                 {"ank_fill_s", "ank_project_s", "ank_ks_s", "ank_ks_threaded_s", "ank_total_s",
-                  "reflection_total_s", "rotation_frames_s", "rotation_total_s"}),
+                 {"ank_fill_s", "ank_project_s", "ank_ks_s", "ank_ks_threaded_s", "ank_exact_s",
+                  "ank_total_s", "reflection_total_s", "rotation_frames_s", "rotation_total_s"}),
     "spherical": (["--kind", "sphere_shell"], {"fill_s", "project_s", "hist_s", "reduced_draw_s"}),
 }
 

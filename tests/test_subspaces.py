@@ -452,6 +452,7 @@ class TestEstimateAnk:
 
     def test_cube_lines_hold_no_sample(self):
         n_samples = 10**6
+        estimate_Ank(cube(25), k=1, eps=0.1, n_subspaces=1, N=10, seed=39)  # first-call imports
         tracemalloc.start()
         try:
             estimate_Ank(cube(25), k=1, eps=0.1, n_subspaces=4, N=n_samples, seed=39)
