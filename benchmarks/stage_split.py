@@ -29,9 +29,11 @@ sampled stages show what the sampled path would cost.  Every
 ``*_total_s`` passes ``CLTBOUNDS_THREADS`` as ``workers``.  It times the whole reflection step of ``diagnose``
 (``reflection_total_s``: the three thetas e1, diagonal and random(42) of
 criterion 05 on the given spec, with the standard frame, or the edge frame
-for the simplex).  For the rotation diagnostics it times the two-frame draw
-of three angles over a sphere-shell batch of the same n and N
-(``rotation_frames_s``: ``subspaces._rotation_frames``) and the whole
+for the simplex).  For the rotation diagnostics it times the two-frame draws
+of three angles (``rotation_frames_s``: ``subspaces._rotation_frames``, each
+block of each angle on its own substream, as the rotation pass draws them)
+over the reduced sphere-shell rows of the same n and N
+(``subspaces._rotation_rows``, untimed, one block at a time), and the whole
 rotation step (``rotation_total_s``).
 
 ``--mode spherical`` takes a spherically symmetric kind and the spherical
@@ -84,9 +86,9 @@ from cltbounds.samplers import (
     SPHERICAL_KINDS,
     DistributionSpec,
     Kind,
+    block_seed,
     derive_seed,
     map_sample_blocks,
-    sample,
     sample_projections,
 )
 
@@ -213,17 +215,16 @@ def subspace_pass(spec: DistributionSpec, n_samples: int, seed: int) -> dict[str
     times["reflection_total_s"] = time.perf_counter() - start
 
     shell = DistributionSpec(kind=Kind.SPHERE_SHELL, n=spec.n)
-    batch = sample(shell, n_samples, seed)
-    data = batch.data
-    r_perp = np.sqrt(np.einsum("ij,ij->i", data[:, 1:], data[:, 1:]))
-    start = time.perf_counter()
-    for pos in range(len(ANGLES)):
-        rng = np.random.default_rng(derive_seed(seed, pos))
-        for lo in range(0, n_samples, BLOCK_ROWS):
-            subspaces._rotation_frames(rng, data[lo : lo + BLOCK_ROWS, 0],
-                                       r_perp[lo : lo + BLOCK_ROWS], spec.n)
-    times["rotation_frames_s"] = time.perf_counter() - start
-    del batch, data
+    angle_seeds = [derive_seed(seed, pos) for pos in range(len(ANGLES))]
+    times["rotation_frames_s"] = 0.0
+    for block, lo in enumerate(range(0, n_samples, BLOCK_ROWS)):
+        rng = np.random.default_rng(block_seed(seed, block))
+        x0, _, r_perp = subspaces._rotation_rows(rng, shell, min(BLOCK_ROWS, n_samples - lo))
+        start = time.perf_counter()
+        for angle_seed in angle_seeds:
+            frame_rng = np.random.default_rng(block_seed(angle_seed, block))
+            subspaces._rotation_frames(frame_rng, x0, r_perp, spec.n)
+        times["rotation_frames_s"] += time.perf_counter() - start
     start = time.perf_counter()
     subspaces.rotation_pair_diagnostics(shell, ANGLES, n_samples, seed, seed, workers=WORKERS)
     times["rotation_total_s"] = time.perf_counter() - start

@@ -418,6 +418,35 @@ def map_sample_blocks(
     _map_blocks(_filler(spec), _block_rngs(N, seed), fn, workers)
 
 
+def _reduced_spherical_block(
+    rng: np.random.Generator, kind: Kind, n: int, r: int, scale: float, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(Y, C) for ``count`` draws of the spherical law X = scale R U of kind
+    in R^n, without n-dimensional rows: the (count, r) coordinates Y = Q^T X
+    along any r <= n orthonormal columns Q, and the squared norm
+    C = |X - Q Y|^2 of the rest.
+
+    Q^T U has the law of g / sqrt(|g|^2 + chi^2(n - r)), g ~ N(0, I_r)
+    independent of the chi-square (Diaconis and Freedman, "A dozen de
+    Finetti-style results in search of a theory", Ann. IHP 1987), and the
+    rest of U has squared norm chi^2(n - r) / (|g|^2 + chi^2(n - r)).  Draw
+    order: the (count, r) standard normals, then 2 standard_gamma((n - r)/2)
+    (0 at r = n), then the radius of ``_radius``.
+    """
+    g = rng.standard_normal((count, r))
+    norm_sq = np.einsum("ij,ij->i", g, g)
+    rest_sq = 2.0 * rng.standard_gamma((n - r) / 2.0, count)
+    norm_sq += rest_sq
+    radial = scale / np.sqrt(norm_sq)
+    radius = _radius(rng, kind, n, count)
+    if radius is not None:
+        radial *= radius
+    g *= radial[:, None]
+    radial *= radial
+    rest_sq *= radial
+    return g, rest_sq
+
+
 def _projection_filler(
     spec: DistributionSpec, directions: np.ndarray
 ) -> Callable[[np.random.Generator, int], np.ndarray]:
@@ -431,15 +460,7 @@ def _projection_filler(
         r = factor.shape[0]
 
         def fill(rng, count):
-            g = rng.standard_normal((count, r))
-            norm_sq = np.einsum("ij,ij->i", g, g)
-            norm_sq += 2.0 * rng.standard_gamma((n - r) / 2.0, count)
-            radial = scale / np.sqrt(norm_sq)
-            radius = _radius(rng, spherical, n, count)
-            if radius is not None:
-                radial *= radius
-            g *= radial[:, None]
-            return g @ factor
+            return _reduced_spherical_block(rng, spherical, n, r, scale, count)[0] @ factor
 
     elif spec.kind is Kind.SIMPLEX:
         # _filler's point is c (E / sum E) @ vertices with c = sqrt(n (n + 2))
@@ -471,13 +492,9 @@ def sample_projections(
 
     * A spherically symmetric X = scale R U, with U uniform on the sphere
       and independent of R, needs no n-dimensional row: for the reduced QR
-      directions = Q Rq, with Q of r = min(n, D) orthonormal columns, Q^T U
-      has the law of g / sqrt(|g|^2 + chi^2(n - r)), g ~ N(0, I_r)
-      independent of the chi-square (Diaconis and Freedman, "A dozen de
-      Finetti-style results in search of a theory", Ann. IHP 1987).  Draw
-      order per block: the (count, r) standard normals, then
-      2 standard_gamma((n - r)/2) (0 at r = n), then the radius of
-      ``_radius``.  The lp ball and cone at p = 2 are the Euclidean ball and
+      directions = Q Rq, with Q of r = min(n, D) orthonormal columns, each
+      block is the Q^T X of ``_reduced_spherical_block`` times Rq.  The lp
+      ball and cone at p = 2 are the Euclidean ball and
       sphere (Barthe, Guedon, Mendelson and Naor, Ann. Probab. 2005) and take
       this fill at their own scale.  These streams differ from the
       projections of ``sample`` for the same seed, with the same law.

@@ -15,7 +15,16 @@ from .core import BLOCK_ROWS, as_unit_vector, thread_map
 from .empirical import _equal_count_bin_means, _ks_statistic
 from .frames import TightFrame, frame_coeffs, simplex_geometry
 from .samplers import (
-    SPHERICAL_KINDS, UNCONDITIONAL_KINDS, Kind, derive_seed, map_sample_blocks, sample_projections
+    SPHERICAL_KINDS,
+    UNCONDITIONAL_KINDS,
+    Kind,
+    _block_rngs,
+    _map_blocks,
+    _reduced_spherical_block,
+    block_seed,
+    derive_seed,
+    map_sample_blocks,
+    sample_projections,
 )
 
 __all__ = [
@@ -125,7 +134,9 @@ class AnkEstimate:
     the law has an exact one (``LABEL_EXACT``), else the line's sampled KS
     statistic, which sampling noise biases upward (``LABEL_LINE``).  At
     k >= 2 it is a max over sampled directions, a lower approximation of the
-    sup over the sphere (``LABEL_DIRECTIONS``).
+    sup over the sphere (``LABEL_DIRECTIONS``).  ``n_dirs`` and ``N`` count
+    what was used: no direction is drawn at k = 1 (``n_dirs`` 0), and the
+    exact path samples no row (``N`` 0).
     """
 
     fraction: float
@@ -209,8 +220,8 @@ def estimate_Ank(
         k=k,
         eps=eps,
         n_subspaces=n_subspaces,
-        n_dirs=n_dirs,
-        N=N,
+        n_dirs=n_dirs if k > 1 else 0,
+        N=0 if exact else N,
         seed=seed,
         label=LABEL_EXACT if exact else LABEL_LINE if k == 1 else LABEL_DIRECTIONS,
     )
@@ -362,21 +373,38 @@ def _rotation_frames(
     return q1_0, s1, q2_0, s2
 
 
+def _rotation_rows(rng: np.random.Generator, spec, count: int) -> np.ndarray:
+    """The (3, count) rows X_0, X_1 and |X - X_0 e_1| of ``count`` draws X of
+    the spherical spec, from its reduced law at r = 2: with g ~ N(0, I_2)
+    and C ~ chi^2(n - 2), (X_0, X_1, |X - X_0 e_1|) has the law of
+    scale R (g_0, g_1, sqrt(g_1^2 + C)) / sqrt(|g|^2 + C)."""
+    y, rest_sq = _reduced_spherical_block(rng, spec.kind, spec.n, 2, spec.scale, count)
+    x0, x1 = y.T
+    rest_sq += x1 * x1
+    return np.stack([x0, x1, np.sqrt(rest_sq, out=rest_sq)])
+
+
 def rotation_pair_diagnostics(
     spec, eps_list, N: int, seed: int, pair_seed: int, workers: int = 1
 ) -> list[RotationDiagnostics]:
     """Diagnostics for the random two-plane rotation pair.
 
-    For each eps, each of N samples of spec (drawn with ``seed``) gets a
-    fresh Haar two-frame (q1, q2) and W_eps = <R X, e_1> for the rotation by
-    angle arcsin(eps) in that plane; only the first components and the two
-    frame projections of X enter, so each row draws them from their exact
-    law under Gram-Schmidt on two Gaussian vectors, with five normals and two
-    chi-squares (``_rotation_frames``); angle i uses ``derive_seed(pair_seed, i)``.
-    Checks run before any draw; one pass over the sample blocks keeps X_0,
-    X_1 and |X - X_0 e_1| per row, never the batch.  The block fills, then
-    the angles (each summing its blocks in order), run on ``workers``
-    threads, with results independent of ``workers``.
+    For each eps, each of N draws X of spec gets a fresh Haar two-frame
+    (q1, q2) and W_eps = <R X, e_1> for the rotation R by angle arcsin(eps)
+    in that plane.  Only X_0 = W, X_1 and |X - X_0 e_1| enter, so no
+    n-dimensional row is formed: each block of the N-row draw with ``seed``
+    takes them from the reduced spherical law (``_rotation_rows``), and the
+    two-frame's first coordinates and projections of X from their exact law
+    under Gram-Schmidt on two Gaussian vectors, five normals and two
+    chi-squares per row (``_rotation_frames``); block b of angle i draws its
+    frames from ``block_seed(derive_seed(pair_seed, i), b)``.
+
+    Checks run before any draw.  One pass over the blocks, on ``workers``
+    threads, keeps per block the sums of D = W_eps - W, D W, D^2, |D|^3, D^4
+    and |D|^6 for every angle, and of W, W^2 and X_1^2; each block's sums
+    depend only on its seeds and are added in block order, so the results
+    do not depend on ``workers``.  Memory: a few block-sized arrays per
+    worker, whatever N.
     """
     _require_pair_symmetry(spec)
     eps_list = list(eps_list)
@@ -385,38 +413,38 @@ def rotation_pair_diagnostics(
             raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
 
     n = spec.n
-    w, x1, r_perp = np.empty((3, N))
+    blocks = _block_rngs(N, seed)  # checks N before the sums are allocated
+    angle_seeds = [derive_seed(pair_seed, i) for i in range(len(eps_list))]
+    shrinks = [1.0 - math.sqrt(1.0 - eps * eps) for eps in eps_list]
+    # per block: D, DW, D^2, |D|^3, D^4, |D|^6 for each angle, then W, W^2, X_1^2
+    sums = np.empty((-(-N // BLOCK_ROWS), 6 * len(eps_list) + 3))
 
-    def take(rows: slice, blk: np.ndarray) -> None:
-        rest = blk[:, 1:]
-        w[rows], x1[rows] = blk[:, 0], rest[:, 0]
-        r_perp[rows] = np.sqrt(np.einsum("ij,ij->i", rest, rest))
-
-    map_sample_blocks(spec, N, seed, take, workers)
-    x2_sq_mean = float(np.mean(x1**2))
-    w_mean, w_var = float(w.mean()), float(w.var())
-
-    def diagnose(pos: int) -> RotationDiagnostics:
-        eps = eps_list[pos]
-        shrink = 1.0 - math.sqrt(1.0 - eps * eps)
-        sums = np.zeros(6)  # D, DW, D^2, |D|^3, D^4, |D|^6
-        rng = np.random.default_rng(derive_seed(pair_seed, pos))
-        for lo in range(0, N, BLOCK_ROWS):
-            x0 = w[lo : lo + BLOCK_ROWS]
-            q1_0, s1, q2_0, s2 = _rotation_frames(rng, x0, r_perp[lo : lo + BLOCK_ROWS], n)
+    def take(rows: slice, block: np.ndarray) -> None:
+        b = rows.start // BLOCK_ROWS
+        x0, x1, r_perp = block
+        out = sums[b]
+        for i, (eps, shrink) in enumerate(zip(eps_list, shrinks)):
+            rng = np.random.default_rng(block_seed(angle_seeds[i], b))
+            q1_0, s1, q2_0, s2 = _rotation_frames(rng, x0, r_perp, n)
             rotational = q1_0 * s2 - q2_0 * s1
             radial = q1_0 * s1 + q2_0 * s2
             d = -eps * rotational + shrink * radial
-            a = np.abs(d)
-            sums += [
-                d.sum(),
-                (d * x0).sum(),
-                (d * d).sum(),
-                (a**3).sum(),
-                (d**4).sum(),
-                (a**6).sum(),
+            d_sq = d * d
+            a_cube = np.abs(d) * d_sq
+            out[6 * i : 6 * i + 6] = [
+                d.sum(), (d * x0).sum(), d_sq.sum(), a_cube.sum(), (d_sq * d_sq).sum(),
+                (a_cube * a_cube).sum(),
             ]
-        d_mean, dw_mean, dsq_mean, a3_mean, d4_mean, a6_mean = sums / N
+        out[-3:] = [x0.sum(), (x0 * x0).sum(), (x1 * x1).sum()]
+
+    _map_blocks(lambda rng, count: _rotation_rows(rng, spec, count), blocks, take, workers)
+    means = (sums.sum(axis=0) / N).tolist()
+    w_mean, w_sq_mean, x2_sq_mean = means[-3:]
+    w_var = w_sq_mean - w_mean * w_mean
+
+    def diagnose(i: int) -> RotationDiagnostics:
+        eps = eps_list[i]
+        d_mean, dw_mean, dsq_mean, a3_mean, d4_mean, a6_mean = means[6 * i : 6 * i + 6]
         slope = (dw_mean - d_mean * w_mean) / w_var
         resid_var = max((dsq_mean - d_mean**2) - slope**2 * w_var, 0.0)
         slope_se = math.sqrt(resid_var / (N * w_var))
@@ -431,4 +459,4 @@ def rotation_pair_diagnostics(
             eps=eps, r1=r1, r1_se=r1_se, r2=r2, r2_se=r2_se, r3=r3, r3_se=r3_se
         )
 
-    return thread_map(diagnose, range(len(eps_list)), workers)
+    return [diagnose(i) for i in range(len(eps_list))]

@@ -835,6 +835,9 @@ class TestCliScanAnk:
         assert header.split(",")[-1] == "max_sup"
         sup = float(row.split(",")[-1])
         assert f"max sup={sup:.4f}" in capsys.readouterr().out
+        # the cube's lines are exact: no direction drawn, no row sampled
+        fields = dict(zip(header.split(","), row.split(",")))
+        assert (fields["n_dirs"], fields["N"]) == ("0", "0")
 
     @pytest.mark.parametrize("kind, p", [("lp_ball", "inf"), ("lp_ball", 4.0), ("sphere_shell", None)])
     def test_scale_must_be_isotropic(self, tmp_path, monkeypatch, kind, p):
@@ -1015,7 +1018,7 @@ class TestCliDiagnose:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before eps_list was validated")
 
-        monkeypatch.setattr("cltbounds.subspaces.map_sample_blocks", no_sampling)
+        monkeypatch.setattr("cltbounds.subspaces._reduced_spherical_block", no_sampling)
         payload = {
             "command": "diagnose",
             "experiment": "rotation",
@@ -1043,7 +1046,7 @@ class TestCliDiagnose:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before the law was validated")
 
-        monkeypatch.setattr("cltbounds.subspaces.map_sample_blocks", no_sampling)
+        monkeypatch.setattr("cltbounds.subspaces._reduced_spherical_block", no_sampling)
         monkeypatch.setattr("cltbounds.cli.streaming_pair_square_covariance", no_sampling)
         payload = {
             "command": "diagnose",

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from cltbounds.bounds import exact_kolmogorov
-from cltbounds.empirical import _ks_statistic
+from cltbounds.empirical import _ks_statistic, dkw_slack
 from cltbounds.frames import custom_frame, simplex_geometry, standard_frame
-from cltbounds.samplers import DistributionSpec, Kind, derive_seed, sample
+from cltbounds.samplers import BLOCK_ROWS, DistributionSpec, Kind, derive_seed, sample
 from cltbounds.subspaces import (
     DIRECTION_CHUNK,
     LABEL_DIRECTIONS,
@@ -23,6 +23,7 @@ from cltbounds.subspaces import (
     reflection_pair_diagnostics,
     rotation_pair_diagnostics,
     _rotation_frames,
+    _rotation_rows,
     uniform_directions,
 )
 
@@ -259,7 +260,7 @@ class TestRotationPair:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before eps was checked")
 
-        monkeypatch.setattr("cltbounds.subspaces.map_sample_blocks", no_sampling)
+        monkeypatch.setattr("cltbounds.subspaces._reduced_spherical_block", no_sampling)
         with pytest.raises(ValueError):
             rotation_pair_diagnostics(SHELL, [0.6], 4 * 10**5, 24, pair_seed=27)
 
@@ -267,7 +268,7 @@ class TestRotationPair:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before the law was checked")
 
-        monkeypatch.setattr("cltbounds.subspaces.map_sample_blocks", no_sampling)
+        monkeypatch.setattr("cltbounds.subspaces._reduced_spherical_block", no_sampling)
         for spec in (cube(5), DistributionSpec(Kind.LP_SURFACE, 5, p=2.0),
                      DistributionSpec(Kind.SIMPLEX, 5)):
             with pytest.raises(SymmetryError):
@@ -284,6 +285,57 @@ class TestRotationPair:
         finally:
             tracemalloc.stop()
         assert peak < 8 * n_samples * n, f"peak {peak / 1e6:.1f} MB"
+
+    def test_memory_does_not_grow_with_N(self):
+        spec = DistributionSpec(Kind.SPHERE_SHELL, 100)
+        rotation_pair_diagnostics(spec, [0.1], 1000, 46, pair_seed=47)  # first-call setup
+        peaks = []
+        for blocks in (2, 8):
+            tracemalloc.start()
+            try:
+                rotation_pair_diagnostics(spec, [0.2, 0.05], blocks * BLOCK_ROWS, 46,
+                                          pair_seed=47)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # six more blocks add six rows of sums, far below one block-sized vector
+        assert peaks[1] < peaks[0] + 8 * BLOCK_ROWS, f"peaks {[p / 1e6 for p in peaks]} MB"
+
+
+class TestRotationRows:
+    """``_rotation_rows`` against the rows of ``sample``: X_0, X_1 and
+    |X - X_0 e_1| by a two-sample KS test within the sum of the two DKW bands."""
+
+    @pytest.mark.parametrize("n", [2, 3, 50])
+    @pytest.mark.parametrize(
+        "kind", [Kind.SPHERE_SHELL, Kind.BALL_UNIFORM, Kind.SPHERICAL_EXPONENTIAL]
+    )
+    def test_law_matches_sample_rows(self, kind, n):
+        spec, n_samples, delta = DistributionSpec(kind, n), 100_000, 1e-6
+        x0, x1, r_perp = _rotation_rows(np.random.default_rng(70 + n), spec, n_samples)
+        rows = sample(spec, n_samples, 71 + n).data
+        expected = (rows[:, 0], rows[:, 1], np.linalg.norm(rows[:, 1:], axis=1))
+        band = 2.0 * dkw_slack(n_samples, delta / 2.0)
+        for reduced, full in zip((x0, x1, r_perp), expected):
+            assert two_sample_ks(reduced, full) <= band
+
+    @pytest.mark.parametrize(
+        "kind", [Kind.SPHERE_SHELL, Kind.BALL_UNIFORM, Kind.SPHERICAL_EXPONENTIAL]
+    )
+    def test_plane_rest_is_the_second_coordinate(self, kind):
+        # at n = 2 the chi-square has no degrees of freedom: r_perp = |X_1|
+        _, x1, r_perp = _rotation_rows(np.random.default_rng(72), DistributionSpec(kind, 2),
+                                       10_000)
+        np.testing.assert_allclose(r_perp, np.abs(x1), rtol=1e-15, atol=0.0)
+
+
+def two_sample_ks(a, b):
+    """sup_t |F_a - F_b| over the pooled points."""
+    a, b = np.sort(a), np.sort(b)
+    pooled = np.concatenate([a, b])
+    fa = np.searchsorted(a, pooled, side="right") / len(a)
+    fb = np.searchsorted(b, pooled, side="right") / len(b)
+    return float(np.abs(fa - fb).max())
 
 
 @pytest.mark.parametrize("n_samples", [0, -1])
@@ -383,6 +435,7 @@ class TestEstimateAnk:
         for est in runs:
             np.testing.assert_array_equal(est.sup_distances, expected)
             assert est.label == LABEL_EXACT
+            assert (est.N, est.n_dirs) == (0, 0)  # no row sampled, no direction drawn
         assert runs[0].fraction == runs[1].fraction
 
     def test_label_at_k2(self, shell_result):
@@ -426,6 +479,7 @@ class TestEstimateAnk:
             given.append(max(_ks_statistic(data @ (c @ basis)) for c in coeffs))
         np.testing.assert_allclose(streamed.sup_distances, given, rtol=0, atol=1e-12)
         assert streamed.N == n_samples
+        assert streamed.n_dirs == (0 if k == 1 else n_dirs)  # a line draws no direction
 
     def test_never_holds_the_batch(self):
         spec = DistributionSpec(Kind.LP_BALL, 100, p=math.inf)
@@ -528,6 +582,19 @@ class TestWorkerCount:
             for workers in (1, 2)
         )
         assert serial == threaded
+
+    @pytest.mark.parametrize(
+        "kind", [Kind.SPHERE_SHELL, Kind.BALL_UNIFORM, Kind.SPHERICAL_EXPONENTIAL]
+    )
+    def test_rotation_partial_last_block(self, kind):
+        # N is not a multiple of BLOCK_ROWS: the last block is short
+        spec = DistributionSpec(kind, 7)
+        one, two, three = (
+            rotation_pair_diagnostics(spec, [0.2, 0.05], 3 * BLOCK_ROWS + 17, 56, pair_seed=57,
+                                      workers=workers)
+            for workers in (1, 2, 3)
+        )
+        assert one == two == three
 
     def test_more_workers_than_cores_with_fast_switching(self):
         # tasks write disjoint slices of shared arrays; a lost or misplaced
