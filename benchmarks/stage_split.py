@@ -46,12 +46,15 @@ of the same projections through ``samplers.sample_projections``
 ``--mode startup`` measures what each command pays before its work: the
 wall time of a fresh interpreter that imports ``cltbounds.cli``
 (``import_s``), runs ``cltbounds --version`` (``version_s``), or runs one
-command on a tiny config (``certify_s``, ``scan-ank_s``,
+command on a tiny config (``certify_s`` on a cube and a sphere,
+``certify-spherical_s`` on the three spherical laws alone, ``scan-ank_s``,
 ``diagnose-reflection_s``, ``diagnose-rotation_s``, ``tv-exact_s``), each
 with the thread pins and ``PYTHONDONTWRITEBYTECODE`` of ``perfbench/run.py``;
 and, in this process, ``exact_tv_vs_normal`` over the tv-exact workload's
 ``n_list`` (``tv_exact_inprocess_s``, after one warm-up call).  It also lists
-the scipy packages each fresh process loaded.  The spec options are unused.
+the scipy packages each fresh process loaded: a command whose only normal
+CDF values are a few points (``certify-spherical``, ``tv-exact``) loads
+none, so its time should sit near ``version_s``.  The spec options are unused.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 benchmarks/stage_split.py \
         --mode startup --repeats 10
@@ -103,6 +106,10 @@ STARTUP_CONFIGS = {
     "certify": ("certify", {
         "distributions": [{"kind": "lp_ball", "p": "inf", "n": 6},
                           {"kind": "sphere_shell", "n": 6}],
+        "theta": ["e1"], "N": 10_000}),
+    "certify-spherical": ("certify", {
+        "distributions": [{"kind": "sphere_shell", "n": 6}, {"kind": "ball_uniform", "n": 6},
+                          {"kind": "spherical_exponential", "n": 30}],
         "theta": ["e1"], "N": 10_000}),
     "scan-ank": ("scan-ank", {
         "distribution": {"kind": "lp_ball", "p": "inf"}, "n_list": [6], "k": 1, "eps": 0.1,
@@ -256,7 +263,7 @@ def startup_pass(root: Path, env: dict, out: Path) -> tuple[dict[str, float], di
         times[f"{name}_s"], loaded = probe(code, root, env)
         packages[name] = sorted({m.split(".")[1] for m in loaded if m.count(".") == 1
                                  and not m.split(".")[1].startswith("_")})
-    exact_tv_vs_normal("sphere_shell", 3)  # loads scipy.special where it is lazy
+    exact_tv_vs_normal("sphere_shell", 3)  # warm-up
     start = time.perf_counter()
     for n in TV_N_LIST:
         exact_tv_vs_normal("sphere_shell", n)

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import as_unit_vector, lp_norm, normal_cdf, normal_pdf
+from .core import as_unit_vector, lp_norm, normal_cdf_points, normal_pdf
 from .samplers import Kind
 
 __all__ = [
@@ -296,10 +296,9 @@ def simplex_Y_moment(n: int, r: Sequence[int]) -> float:
 
     Y lives on the scaled coordinate simplex in R^{n+1}; r may list up to
     n+1 nonnegative integer exponents (trailing zeros omitted).  Evaluated
-    in log-Gamma space so large n and r do not overflow.
+    in log space so large n and r do not overflow; within 5e-15 relative of
+    40-digit mpmath for n up to 1e7 and exponents up to 5.
     """
-    from scipy.special import gammaln
-
     r = np.asarray(r, dtype=int)
     if r.ndim != 1 or len(r) > n + 1:
         raise ValueError(f"need at most {n + 1} exponents, got shape {r.shape}")
@@ -308,13 +307,14 @@ def simplex_Y_moment(n: int, r: Sequence[int]) -> float:
     total = int(r.sum())
     if total == 0:
         return 1.0
-    log_val = (
-        0.5 * total * math.log((n + 1) * (n + 2))
-        + gammaln(n + 1)
-        - gammaln(n + total + 1)
-        + float(gammaln(r + 1).sum())
+    # ((n+1)(n+2))^(total/2) n! / (n + total)! as a product of factors
+    # sqrt((n+1)(n+2)) / (n+j), each a log1p of an exact integer ratio: the
+    # difference of log-Gammas near n loses digits (2.4e-10 at n = 1e5)
+    base = (n + 1) * (n + 2)
+    log_val = math.fsum(
+        -0.5 * math.log1p(((2 * j - 3) * n + j * j - 2) / base) for j in range(1, total + 1)
     )
-    return float(math.exp(log_val))
+    return math.exp(log_val + sum(math.lgamma(k + 1) for k in r.tolist()))
 
 
 def simplex_pair_moment(n: int, pair_a: tuple[int, int], pair_b: tuple[int, int]) -> float:
@@ -455,11 +455,26 @@ def _panel_rule(ends: np.ndarray, panels: int) -> tuple[np.ndarray, np.ndarray, 
     return left[:, :, None] + 0.5 * width[:, :, None] * (x + 1.0), 0.5 * width, w
 
 
+def _log_gamma_ratio(m: int) -> float:
+    """log Gamma(m/2) - log Gamma((m-1)/2).
+
+    With x = (m-1)/2: for x < 25 the difference of ``math.lgamma`` values,
+    within 7.2e-15 of 50-digit mpmath for m <= 50.  From x = 25 on, where
+    that difference of two large numbers loses digits (5e-10 at m = 1e6),
+    the asymptotic series of log Gamma(x + 1/2) - log Gamma(x) through
+    x^-7: its truncation error is 4.4e-16 at x = 25 and falls as x^-9, and
+    it is within 6e-16 of mpmath for m > 50.
+    """
+    x = (m - 1) / 2.0
+    if x < 25.0:
+        return math.lgamma(m / 2.0) - math.lgamma(x)
+    y = 1.0 / (x * x)
+    return 0.5 * math.log(x) + (-1 / 8 + y * (1 / 192 + y * (-1 / 640 + y * 17 / 14336))) / x
+
+
 def _marginal_params(kind, n: int) -> tuple[float, float, float]:
     """(support radius^2, exponent, log normalizer) of the projection density;
     ``kind`` is a Kind or its string value."""
-    from scipy.special import gammaln  # not math.lgamma: it differs in the last bit
-
     if kind not in EXACT_MARGINALS:
         raise ValueError(f"no closed-form marginal for kind {kind!r}")
     shift, min_n = EXACT_MARGINALS[kind]
@@ -469,7 +484,7 @@ def _marginal_params(kind, n: int) -> tuple[float, float, float]:
             f"{min_n} <= n <= {EXACT_MARGINAL_MAX_N}, got n={n}"
         )
     m = n + shift
-    log_c = gammaln(m / 2.0) - gammaln((m - 1) / 2.0) - 0.5 * math.log(m * math.pi)
+    log_c = _log_gamma_ratio(m) - 0.5 * math.log(m * math.pi)
     return float(m), (m - 3) / 2.0, log_c
 
 
@@ -494,7 +509,11 @@ def exact_tv_vs_normal(kind, n: int) -> float:
     bisected, so each piece has one sign.  Each piece is integrated in
     phi = arcsin(t/r): the density's factor (1 - t^2/r^2)^e has a square-root
     edge at e = 1/2 (sphere n=4, ball n=2), which dt = r cos(phi) dphi turns
-    into a smooth cos^(2e+1) phi.  Absolute error is far below 1e-12.
+    into a smooth cos^(2e+1) phi.  Absolute error is below 1e-14 for both
+    kinds at every validated n: the log normalizer is within 7.2e-15 of its
+    exact value (``_log_gamma_ratio``), which moves the L1 distance by at
+    most as much, and a 64-panel, 128-node rule agrees with this one within
+    6e-17 from n = 2 to 1e6.
     """
     r_sq, _, _ = _marginal_params(kind, n)
     radius = math.sqrt(r_sq)
@@ -515,7 +534,7 @@ def exact_tv_vs_normal(kind, n: int) -> float:
     ends = np.arcsin(np.concatenate([[0.0], lo, [radius]]) / radius)
     phi, half, w = _panel_rule(ends, _PANELS)
     pieces = half * (diff(radius * np.sin(phi)) * radius * np.cos(phi) @ w)
-    tail = normal_cdf(-radius)  # all normal mass outside the support
+    tail = normal_cdf_points(-radius)  # all normal mass outside the support
     return 2.0 * (float(np.abs(pieces.sum(axis=1)).sum()) + tail)
 
 
@@ -557,9 +576,7 @@ def _uniform_sum_spline(c: np.ndarray):
 
     def diff(t: np.ndarray) -> np.ndarray:
         powers = np.maximum(np.minimum(t, reach)[:, None] + knots, 0.0) ** m
-        # math.erfc rather than normal_cdf, so that the cube loads no scipy
-        cdf = 0.5 * np.array([math.erfc(-x / math.sqrt(2.0)) for x in t])
-        return (powers @ parity) / norm - cdf
+        return (powers @ parity) / norm - normal_cdf_points(t)
 
     # 2^m terms, each at most (2 reach)^m / norm and carrying m + 2 roundings
     rounding = 2**m * (2.0 * reach) ** m / norm * (m + 2) * np.finfo(float).eps

@@ -22,6 +22,7 @@ __all__ = [
     "lp_norm",
     "merge_summaries",
     "normal_cdf",
+    "normal_cdf_points",
     "normal_pdf",
     "summarize",
     "thread_map",
@@ -29,6 +30,8 @@ __all__ = [
 
 # rows per block: the sampler substream unit and every blockwise accumulation
 BLOCK_ROWS = 1 << 16
+
+_SQRT2 = math.sqrt(2.0)
 
 
 class InsufficientDataError(ValueError):
@@ -91,8 +94,11 @@ def lp_norm(x, p: float) -> float:
 def _ndtr():
     """scipy's standard normal CDF ufunc, imported at first use: loading
     scipy.special takes about 0.35 s on a 2-vCPU VM, which commands that
-    never evaluate Phi should not pay.  ``math.erfc`` is no substitute: it differs from ``ndtr``
-    in the last bit at some points, which would change outputs."""
+    never evaluate Phi at many points should not pay.  The Kolmogorov
+    statistic evaluates Phi at every one of its N points, where the standard
+    library is too slow: ``normal_cdf_points`` goes point by point, and a
+    numpy port of Cephes' ``ndtr`` took 12.2 ms per 2e5 points against
+    2.5 ms for this ufunc (and differed from it by up to 3e-14)."""
     from scipy.special import ndtr
 
     return ndtr
@@ -106,6 +112,17 @@ def normal_cdf(t):
     """
     out = _ndtr()(t)
     return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
+
+
+def normal_cdf_points(t):
+    """Standard normal distribution function at a few points, by the
+    standard library: 0.5 erfc(-t / sqrt 2), point by point, so a caller
+    with a handful of points loads no scipy.  Within 2.2e-16 of ``ndtr`` on
+    [-40, 40]; accepts scalars or arrays.
+    """
+    t_arr = np.asarray(t, dtype=float)
+    out = np.array([0.5 * math.erfc(-x / _SQRT2) for x in t_arr.ravel().tolist()])
+    return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
 
 def normal_pdf(t):

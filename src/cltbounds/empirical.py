@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import KOLMOGOROV, TOTAL_VARIATION
-from .core import InsufficientDataError, _ndtr, as_unit_vector, normal_cdf
+from .core import InsufficientDataError, _ndtr, as_unit_vector, normal_cdf_points
 from .samplers import SPHERICAL_KINDS, SampleBatch, map_sample_blocks
 
 __all__ = [
@@ -143,7 +143,7 @@ def tv_vs_normal_histogram(
     edges = np.linspace(-support, support, bins + 1)
     clipped = np.clip(values, -support, support)
     empirical = np.histogram(clipped, bins=edges)[0] / N
-    cdf = normal_cdf(edges)
+    cdf = normal_cdf_points(edges)
     cdf[0], cdf[-1] = 0.0, 1.0  # edge bins absorb the tails
     gaussian = np.diff(cdf)
     return DistanceEstimate(

@@ -310,6 +310,18 @@ class TestSimplexMoments:
             45.7671088310159084, rel=1e-12
         )
 
+    def test_very_large_n_against_mpmath(self):
+        # a difference of log-Gammas near n loses 2.4e-10 relative at n = 1e5
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        for n, r in [(10**5, [4, 2, 1, 1]), (10**6, [2, 2]), (10**7, [3, 1, 0, 5])]:
+            t = sum(r)
+            exact = mpmath.exp(
+                t * mpmath.log((n + 1) * (n + 2)) / 2 + mpmath.loggamma(n + 1)
+                - mpmath.loggamma(n + t + 1) + sum(mpmath.loggamma(k + 1) for k in r)
+            )
+            assert simplex_Y_moment(n, r) == pytest.approx(float(exact), rel=1e-13)
+
     def test_rejects_bad_exponents(self):
         with pytest.raises(ValueError):
             simplex_Y_moment(2, [1, 1, 1, 1])
@@ -514,6 +526,23 @@ class TestExactDensity:
     def test_sphere_requires_n3(self):
         with pytest.raises(ValueError):
             exact_projection_density("sphere_shell", 2, 0.0)
+
+    @pytest.mark.parametrize("kind", ["sphere_shell", "ball_uniform"])
+    @pytest.mark.parametrize("n", [10**2, 10**3, 10**4, 10**5, 10**6])
+    def test_mass_is_one_at_large_n(self, kind, n):
+        # a log normalizer taken as the difference of two log-Gammas near
+        # n/2 was off by 5e-10 at n = 1e6, and the mass with it
+        reach = min(math.sqrt(bounds_module._marginal_params(kind, n)[0]), 40.0)
+        t, half, w = bounds_module._panel_rule(np.array([-reach, 0.0, reach]), 400)
+        mass = float((half * (exact_projection_density(kind, n, t) @ w)).sum())
+        assert mass == pytest.approx(1.0, abs=1e-13)
+
+    def test_log_gamma_ratio_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        for m in [*range(3, 120), 10**3, 10**4 + 1, 10**5, 10**6 + 1, 10**6 + 2]:
+            exact = mpmath.loggamma(mpmath.mpf(m) / 2) - mpmath.loggamma(mpmath.mpf(m - 1) / 2)
+            assert bounds_module._log_gamma_ratio(m) == pytest.approx(float(exact), abs=1e-14)
 
 
 def scalar_crossing_tv(kind, n):

@@ -12,6 +12,7 @@ from cltbounds.core import (
     lp_norm,
     merge_summaries,
     normal_cdf,
+    normal_cdf_points,
     summarize,
 )
 from cltbounds.samplers import SampleBatch
@@ -87,6 +88,25 @@ class TestNormalCdf:
     @settings(max_examples=300, deadline=None)
     def test_reflection_identity(self, t):
         assert normal_cdf(t) + normal_cdf(-t) == pytest.approx(1.0, abs=1e-14)
+
+
+class TestNormalCdfPoints:
+    def test_matches_ndtr(self):
+        t = np.linspace(-40.0, 40.0, 80_001)
+        np.testing.assert_allclose(normal_cdf_points(t), normal_cdf(t), rtol=0.0, atol=5e-16)
+
+    @pytest.mark.parametrize("n_samples", [10**4, 2 * 10**5, 10**6])
+    def test_matches_ndtr_on_histogram_edges(self, n_samples):
+        # the edges of tv_vs_normal_histogram at its default bins and support
+        edges = np.linspace(-6.0, 6.0, math.ceil(n_samples ** (1.0 / 3.0)) + 1)
+        np.testing.assert_allclose(
+            normal_cdf_points(edges), normal_cdf(edges), rtol=0.0, atol=5e-16
+        )
+
+    def test_shapes(self):
+        assert isinstance(normal_cdf_points(1.0), float)
+        assert normal_cdf_points(1.0) == pytest.approx(PHI_ORACLE[1.0], abs=1e-15)
+        assert normal_cdf_points(np.zeros((2, 3))).shape == (2, 3)
 
 
 class TestVectors:
