@@ -606,8 +606,9 @@ class TestExactTv:
 
     @pytest.mark.parametrize("kind", ["sphere_shell", "ball_uniform"])
     def test_validated_up_to_max_n(self, kind):
-        # n * TV settles at 0.7001 by n = 1e4 and holds through the cap; the
-        # quadrature drifts beyond it (sphere: 0.7117 at n = 1e7), so it is refused
+        # n * TV settles at 0.7001 by n = 1e4 and holds through the cap; beyond
+        # it the crossing grid misses both crossings (n * TV reads 1e-8 at
+        # n = 1e8), so it is refused
         for n in (10**4, 10**5, EXACT_MARGINAL_MAX_N):
             assert n * exact_tv_vs_normal(kind, n) == pytest.approx(0.7001, abs=1e-3)
         with pytest.raises(ValueError, match="validated"):
