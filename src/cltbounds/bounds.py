@@ -426,15 +426,19 @@ def bound_poincare(n: int, lambda1: float) -> BoundValue:
 # like the sphere in R^(n+2).
 EXACT_MARGINALS = {Kind.SPHERE_SHELL: (0, 3), Kind.BALL_UNIFORM: (2, 2)}
 
-# largest n the quadrature is validated at: n * TV stays within 1e-3 of its
-# limit 0.7001 up to n = 1e6, but the log normalizer cancels two numbers near
-# m/2 and reads 0.71 (sphere) at n = 1e7 and 1.6 at n = 1e8
+# largest n any test checks: n * TV stays within 1e-3 of its limit 0.7001 up
+# to n = 1e6, where a 64-panel, 128-node rule agrees within 1e-17.  The log
+# normalizer (``_log_gamma_ratio``) keeps its digits beyond, and with the cap
+# lifted n * TV reads 0.700150 from n = 1e7 to 1e9, but no test covers that
 EXACT_MARGINAL_MAX_N = 10**6
 
 # crossings of the two densities are bracketed on this many grid points over
-# [0, r], then bisected this many times; each one-signed piece is integrated
-# with this many Gauss-Legendre panels and nodes per panel
+# [0, min(r, _CROSSING_REACH)], then bisected this many times; each one-signed
+# piece is integrated with this many Gauss-Legendre panels and nodes per
+# panel.  Past the reach both densities are below 1e-300 (the normal's
+# underflows to 0 from t = 38.6), so the rest of the support is one piece
 _CROSSING_GRID = 4097
+_CROSSING_REACH = 40.0
 _BISECTIONS = 60
 _PANELS, _NODES = 8, 64
 
@@ -505,11 +509,12 @@ def exact_tv_vs_normal(kind, n: int) -> float:
     """Total variation (L1 of densities) between the projection law and the
     standard normal, by sign-resolved Gauss-Legendre quadrature.
 
-    Crossings of the two densities are bracketed on a grid over [0, r] and
-    bisected, so each piece has one sign.  Each piece is integrated in
-    phi = arcsin(t/r): the density's factor (1 - t^2/r^2)^e has a square-root
-    edge at e = 1/2 (sphere n=4, ball n=2), which dt = r cos(phi) dphi turns
-    into a smooth cos^(2e+1) phi.  Absolute error is below 1e-14 for both
+    Crossings of the two densities are bracketed on a grid over
+    [0, min(r, 40)] and bisected, so each piece has one sign; [40, r], where
+    both densities are below 1e-300, is the last piece.  Each piece is
+    integrated in phi = arcsin(t/r): the density's factor (1 - t^2/r^2)^e
+    has a square-root edge at e = 1/2 (sphere n=4, ball n=2), which
+    dt = r cos(phi) dphi turns into a smooth cos^(2e+1) phi.  Absolute error is below 1e-14 for both
     kinds at every validated n: the log normalizer is within 7.2e-15 of its
     exact value (``_log_gamma_ratio``), which moves the L1 distance by at
     most as much, and a 64-panel, 128-node rule agrees with this one within
@@ -521,17 +526,19 @@ def exact_tv_vs_normal(kind, n: int) -> float:
     def diff(t):
         return exact_projection_density(kind, n, t) - normal_pdf(t)
 
-    grid = np.linspace(0.0, radius, _CROSSING_GRID)
+    reach = min(radius, _CROSSING_REACH)
+    grid = np.linspace(0.0, reach, _CROSSING_GRID)
     vals = diff(grid)
-    # a sign change, or an exact zero at the left end, brackets a crossing;
-    # bisection keeps the half where f(lo) * f(mid) <= 0
-    at = np.flatnonzero((vals[:-1] * vals[1:] < 0.0) | (vals[:-1] == 0.0))
+    # a sign change brackets a crossing (where both densities underflow, the
+    # zeros are no crossing); bisection keeps the half where f(lo) f(mid) <= 0
+    at = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
     lo, hi, f_lo = grid[at], grid[at + 1], vals[at]
     for _ in range(_BISECTIONS):
         mid = 0.5 * (lo + hi)
         right = diff(mid) * f_lo > 0.0
         lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
-    ends = np.arcsin(np.concatenate([[0.0], lo, [radius]]) / radius)
+    ends = np.concatenate([[0.0], lo, [reach], [radius] if reach < radius else []])
+    ends = np.arcsin(ends / radius)
     phi, half, w = _panel_rule(ends, _PANELS)
     pieces = half * (diff(radius * np.sin(phi)) * radius * np.cos(phi) @ w)
     tail = normal_cdf_points(-radius)  # all normal mass outside the support

@@ -3,6 +3,7 @@ frame-coefficient computation, and hyperplane reflections."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -127,13 +128,24 @@ class SimplexGeometry:
     ``vertices`` are n+1 unit vectors with sum v_i = 0 and <v_i, v_j> = -1/n;
     ``edge_frame`` holds the m = n(n+1) ordered-pair vectors
     sqrt(n/(2(n+1))) (v_i - v_j), which again form a tight frame, with
-    ``edge_pairs[k]`` recording the (i, j) behind frame position k.
+    ``edge_pairs[k]`` recording the (i, j) behind frame position k.  Both
+    are built on first use: the frame takes 8 n^2 (n+1) bytes (217 MB at
+    n = 300), and the samplers and the simplex bound read only the vertices.
     """
 
     n: int
     vertices: np.ndarray = field(repr=False)  # (n+1, n)
-    edge_pairs: np.ndarray = field(repr=False)  # (m, 2) ordered, i != j
-    edge_frame: TightFrame = field(repr=False)
+
+    @functools.cached_property
+    def edge_pairs(self) -> np.ndarray:
+        idx = np.arange(self.n + 1)
+        return np.array([(i, j) for i in idx for j in idx if i != j], dtype=np.intp)
+
+    @functools.cached_property
+    def edge_frame(self) -> TightFrame:
+        pairs, v = self.edge_pairs, self.vertices
+        edges = math.sqrt(self.n / (2.0 * (self.n + 1))) * (v[pairs[:, 0]] - v[pairs[:, 1]])
+        return TightFrame(vectors=edges, label=LABEL_SIMPLEX_EDGES)
 
     @property
     def m(self) -> int:
@@ -153,8 +165,4 @@ def simplex_geometry(n: int) -> SimplexGeometry:
         raise ValueError(f"dimension must be at least 2, got {n}")
     B = _helmert_complement(n)
     vertices = math.sqrt((n + 1) / n) * B.T  # row i = image of e_i, centered + normalized
-    idx = np.arange(n + 1)
-    pairs = np.array([(i, j) for i in idx for j in idx if i != j], dtype=np.intp)
-    edges = math.sqrt(n / (2.0 * (n + 1))) * (vertices[pairs[:, 0]] - vertices[pairs[:, 1]])
-    frame = TightFrame(vectors=edges, label=LABEL_SIMPLEX_EDGES)
-    return SimplexGeometry(n=n, vertices=vertices, edge_pairs=pairs, edge_frame=frame)
+    return SimplexGeometry(n=n, vertices=vertices)

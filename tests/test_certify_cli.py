@@ -343,6 +343,19 @@ class TestStreaming:
             tracemalloc.stop()
         assert peak < 8 * n_samples * spec.n, f"peak {peak / 1e6:.1f} MB"
 
+    def test_simplex_never_builds_the_edge_frame(self):
+        # the edge frame takes 8 n^2 (n + 1) bytes, 217 MB at n = 300; the
+        # simplex fill and bound read only the vertices
+        n = 300
+        tracemalloc.start()
+        try:
+            certify_grid([DistributionSpec(Kind.SIMPLEX, n)], ["diagonal", "random(1)"],
+                         N=5_000, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n * (n + 1) / 4, f"peak {peak / 1e6:.1f} MB"
+
 
 class TestCliSample:
     def test_writes_batch_and_summary(self, tmp_path):

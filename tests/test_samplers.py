@@ -23,6 +23,7 @@ from cltbounds.samplers import (
     simplex_embedded_coordinates,
     _filler,
     _generalized_gaussian_block,
+    _reduced_spherical_block,
 )
 from cltbounds.subspaces import haar_orthogonal
 
@@ -180,9 +181,15 @@ class TestDrawOrder:
         # integers(0, 2) signs; at p = 2 sqrt(1/2) standard normals; at any
         # other p Gamma(1 + 1/p) draws V, their 1/p power, then uniform(-1, 1)
         # draws U, g = V^(1/p) U; then the ball's exponential; rows are
-        # normalized by (sum |g|^p [+ y])^(1/p)
+        # normalized by (sum |g|^p [+ y])^(1/p).  The l2 ball is the
+        # Euclidean ball: at its own scale, the ball's stream bit for bit
         n, n_samples, seed = 7, BLOCK_ROWS + 300, 61
         spec = DistributionSpec(kind, n, p=p)
+        if kind is Kind.LP_BALL and p == 2.0:
+            ball = DistributionSpec(Kind.BALL_UNIFORM, n, scale=spec.scale)
+            np.testing.assert_array_equal(sample(spec, n_samples, seed).data,
+                                          sample(ball, n_samples, seed).data)
+            return
         blocks = []
         for block, lo in enumerate(range(0, n_samples, BLOCK_ROWS)):
             count = min(BLOCK_ROWS, n_samples - lo)
@@ -201,6 +208,48 @@ class TestDrawOrder:
             blocks.append(spec.scale * g / denom[:, None] ** (1.0 / p))
         np.testing.assert_allclose(sample(spec, n_samples, seed).data, np.vstack(blocks),
                                    rtol=1e-14, atol=0.0)
+
+
+    @pytest.mark.parametrize(
+        "kind", [Kind.SPHERE_SHELL, Kind.BALL_UNIFORM, Kind.SPHERICAL_EXPONENTIAL],
+        ids=lambda kind: kind.value,
+    )
+    def test_spherical_rows_are_the_reduced_law_at_r_n(self, kind):
+        # per block substream: n standard normals per row, a chi-square of
+        # zero degrees of freedom that draws nothing, then the radius (none
+        # for the shell, random()^(1/n) for the ball, standard_gamma(n) /
+        # sqrt(n + 1) for the exponential): rows scale R g / |g|
+        n, n_samples, seed = 7, BLOCK_ROWS + 300, 62
+        spec = DistributionSpec(kind, n)
+        reduced, documented = [], []
+        for block, lo in enumerate(range(0, n_samples, BLOCK_ROWS)):
+            count = min(BLOCK_ROWS, n_samples - lo)
+            rng = np.random.default_rng(block_seed(seed, block))
+            reduced.append(_reduced_spherical_block(rng, kind, n, n, spec.scale, count)[0])
+            rng = np.random.default_rng(block_seed(seed, block))
+            g = rng.standard_normal((count, n))
+            rows = spec.scale * g / np.linalg.norm(g, axis=1, keepdims=True)
+            if kind is Kind.BALL_UNIFORM:
+                rows *= (rng.random(count) ** (1.0 / n))[:, None]
+            elif kind is Kind.SPHERICAL_EXPONENTIAL:
+                rows *= (rng.standard_gamma(n, count) / math.sqrt(n + 1))[:, None]
+            documented.append(rows)
+        data = sample(spec, n_samples, seed).data
+        np.testing.assert_array_equal(data, np.vstack(reduced))
+        np.testing.assert_allclose(data, np.vstack(documented), rtol=1e-14, atol=0.0)
+
+    def test_simplex_rows_are_the_normalized_exponentials_times_the_vertices(self):
+        # per block substream: n + 1 standard exponentials E per row; rows
+        # (E @ c vertices) / sum E with c = sqrt(n (n + 2))
+        n, n_samples, seed = 7, BLOCK_ROWS + 300, 63
+        spec = DistributionSpec(Kind.SIMPLEX, n)
+        m = math.sqrt(n * (n + 2)) * simplex_geometry(n).vertices
+        blocks = []
+        for block, lo in enumerate(range(0, n_samples, BLOCK_ROWS)):
+            count = min(BLOCK_ROWS, n_samples - lo)
+            e = np.random.default_rng(block_seed(seed, block)).standard_exponential((count, n + 1))
+            blocks.append((e @ m) / e.sum(axis=1)[:, None])
+        np.testing.assert_array_equal(sample(spec, n_samples, seed).data, np.vstack(blocks))
 
 
 # E W^4 of a projection onto a unit direction, by spherically symmetric kind
