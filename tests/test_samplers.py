@@ -209,7 +209,6 @@ class TestDrawOrder:
         np.testing.assert_allclose(sample(spec, n_samples, seed).data, np.vstack(blocks),
                                    rtol=1e-14, atol=0.0)
 
-
     @pytest.mark.parametrize(
         "kind", [Kind.SPHERE_SHELL, Kind.BALL_UNIFORM, Kind.SPHERICAL_EXPONENTIAL],
         ids=lambda kind: kind.value,
