@@ -11,11 +11,10 @@ other spec projects its sample blocks.
 
 Kolmogorov routes pass when (point estimate - DKW slack) <= bound; total
 variation routes compare the histogram estimate against bound + a fixed
-estimator allowance.  The bounds hold for isotropic vectors and carry the
-source's explicit constants, so ``applicable_route`` refuses a spec away
-from its isotropic scale and no setting changes a gating bound.  Bounds
-whose leading constants the source analysis leaves non-explicit never gate a
-verdict; they are attached informationally.
+estimator allowance.  The bounds hold for isotropic vectors, which every
+spec is, and carry the source's explicit constants, so no setting changes a
+gating bound.  Bounds whose leading constants the source analysis leaves
+non-explicit never gate a verdict; they are attached informationally.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ from .samplers import (
     SPHERICAL_KINDS,
     UNCONDITIONAL_KINDS,
     _exact_norm_sq_std,
-    _exact_scale,
     derive_seed,
     exact_moments,
     sample_projections,
@@ -70,7 +68,6 @@ __all__ = [
     "certify_grid",
     "reports_to_csv",
     "reports_to_json",
-    "require_isotropic",
     "resolve_theta",
     "version_string",
 ]
@@ -86,20 +83,8 @@ class InapplicableBoundError(ValueError):
     """No theoretical bound with explicit constants applies to this spec."""
 
 
-def require_isotropic(spec: DistributionSpec) -> None:
-    """Raise InapplicableBoundError unless spec is at its exact isotropic
-    scale: the bounds, and every distance from N(0, 1), assume it."""
-    isotropic = _exact_scale(spec.kind, spec.n, spec.p)
-    if spec.scale != isotropic:
-        raise InapplicableBoundError(
-            f"the bounds hold for isotropic vectors: {spec.kind.value} n={spec.n} "
-            f"has scale {spec.scale!r}, its isotropic scale is {isotropic!r}"
-        )
-
-
 def applicable_route(spec: DistributionSpec) -> str:
-    """The certification route of spec; every bound on it assumes isotropy."""
-    require_isotropic(spec)
+    """The certification route of spec."""
     if spec.kind is Kind.SIMPLEX:
         return ROUTE_SIMPLEX
     if spec.kind in SPHERICAL_KINDS:

@@ -25,7 +25,6 @@ from .certify import (
     certify_grid,
     reports_to_csv,
     reports_to_json,
-    require_isotropic,
     resolve_theta,
     version_string,
 )
@@ -84,14 +83,15 @@ def _nonempty_list(value, key: str) -> list:
     return value
 
 
-def _spec_from_config(d: dict) -> DistributionSpec:
-    if "n" in d:
-        _integer(d["n"], "'n'")
-    for key in ("p", "scale"):  # JSON numbers; from_dict also parses a p string ("inf")
-        value = d.get(key)
-        numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not (value is None or numeric or key == "p" and isinstance(value, str)):
-            raise ConfigError(f"{key!r} must be a number, got {value!r}")
+def _spec_from_config(d, **fields) -> DistributionSpec:
+    """The spec of a config distribution object, ``fields`` set over its own."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"a distribution must be a JSON object, got {d!r}")
+    d = {**d, **fields}
+    _integer(d.get("n"), "'n'")
+    p = d.get("p")  # a JSON number; from_dict also parses a string ("inf")
+    if not (p is None or isinstance(p, (int, float, str)) and not isinstance(p, bool)):
+        raise ConfigError(f"'p' must be a number, got {p!r}")
     try:
         return DistributionSpec.from_dict(d)
     except (KeyError, ValueError) as exc:
@@ -134,10 +134,16 @@ def _theta(theta_spec, n: int):
         raise ConfigError(f"invalid theta for n={n}: {exc}") from exc
 
 
+def _path(value, name: str) -> Path:
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a path string, got {value!r}")
+    return Path(value)
+
+
 def _check_out_dir(cfg: dict) -> None:
     """Fail before computing if the output directory cannot be made: it, or
     else its nearest existing ancestor, must be a writable directory."""
-    out = base = Path(cfg.get("out", "."))
+    out = base = _path(cfg.get("out", "."), "'out'")
     while not base.exists() and base != base.parent:
         base = base.parent
     if not base.is_dir() or not os.access(base, os.W_OK | os.X_OK):
@@ -146,7 +152,7 @@ def _check_out_dir(cfg: dict) -> None:
 
 
 def _out_dir(cfg: dict) -> Path:
-    out = Path(cfg.get("out", "."))
+    out = _path(cfg.get("out", "."), "'out'")
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -192,14 +198,12 @@ def _expand_distributions(cfg: dict) -> list[DistributionSpec]:
     entries = _nonempty_list(_require(cfg, "distributions"), "distributions")
     specs = []
     for entry in entries:
-        if not isinstance(entry, dict):
-            raise ConfigError(f"distribution entry must be a JSON object, got {entry!r}")
-        ns = entry.get("n")
+        ns = entry.get("n") if isinstance(entry, dict) else None  # refused as a spec below
         n_values = ns if isinstance(ns, list) else [ns]
         if not n_values:
             raise ConfigError(f"invalid n in distribution entry {entry!r}")
         for n in n_values:
-            specs.append(_spec_from_config({**entry, "n": n}))
+            specs.append(_spec_from_config(entry, n=n))
     return specs
 
 
@@ -254,11 +258,10 @@ def _cmd_scan_ank(cfg: dict) -> int:
     n_samples = _positive_int(cfg, "N")
     n_dirs = None if cfg.get("n_dirs") is None else _positive_int(cfg, "n_dirs")
     seed = _seed(cfg)
-    specs = [_spec_from_config({**template, "n": n}) for n in n_list]
+    specs = [_spec_from_config(template, n=n) for n in n_list]
     for spec in specs:  # fail fast, before any sampling or quadrature
         if k > spec.n:
             raise ConfigError(f"'k' must not exceed n, got k={k}, n={spec.n}")
-        require_isotropic(spec)
     workers = _workers()
     out = _out_dir(cfg)
     results = []
@@ -330,7 +333,7 @@ def _cmd_diagnose(cfg: dict) -> int:
     elif experiment == "square-correlation":
         n_list = _nonempty_list(_require(cfg, "n_list"), "n_list")
         template = cfg.get("distribution", {"kind": "linf_exponential"})
-        specs = [_spec_from_config({**template, "n": n}) for n in n_list]
+        specs = [_spec_from_config(template, n=n) for n in n_list]
         if specs[0].kind is Kind.LP_SURFACE:
             raise ConfigError("square-correlation does not apply the lp_surface weights")
         n_samples = _positive_int(cfg, "N", least=2)  # a covariance needs two rows
@@ -353,7 +356,7 @@ def _cmd_diagnose(cfg: dict) -> int:
 
 
 def _cmd_report(cfg: dict) -> int:
-    path = _require(cfg, "input")
+    path = _path(_require(cfg, "input"), "'input'")
     try:
         with open(path) as fh:
             payload = json.load(fh)

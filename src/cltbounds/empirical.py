@@ -34,6 +34,7 @@ KS_MIN_SAMPLES = 100
 HISTOGRAM_MIN_SAMPLES = 10_000
 
 QUALIFIER_HISTOGRAM = "histogram-lower-bound"
+HISTOGRAM_SUPPORT = 6.0
 
 
 @dataclass(frozen=True)
@@ -125,23 +126,21 @@ def kolmogorov_vs_normal(values: np.ndarray, delta: float = DEFAULT_DELTA) -> Di
     )
 
 
-def tv_vs_normal_histogram(
-    values: np.ndarray, bins: int | None = None, support: float = 6.0
-) -> DistanceEstimate:
+def tv_vs_normal_histogram(values: np.ndarray, bins: int | None = None) -> DistanceEstimate:
     """Histogram total-variation estimate of ``values`` against the standard normal.
 
-    Values are clipped into [-support, support]; the edge bins absorb the
-    normal tail mass beyond that, so both measures live on the same finite
-    partition and the estimate is a genuine lower bound of the true total
-    variation (coarsening never increases L1), hence the qualifier.
+    Values are clipped into [-HISTOGRAM_SUPPORT, HISTOGRAM_SUPPORT]; the edge
+    bins absorb the normal tail mass beyond that, so both measures live on the
+    same finite partition and the estimate is a genuine lower bound of the
+    true total variation (coarsening never increases L1), hence the qualifier.
     """
     N = len(values)
     if N < HISTOGRAM_MIN_SAMPLES:
         raise InsufficientDataError(f"need at least {HISTOGRAM_MIN_SAMPLES} samples, got {N}")
     if bins is None:
         bins = math.ceil(N ** (1.0 / 3.0))
-    edges = np.linspace(-support, support, bins + 1)
-    clipped = np.clip(values, -support, support)
+    edges = np.linspace(-HISTOGRAM_SUPPORT, HISTOGRAM_SUPPORT, bins + 1)
+    clipped = np.clip(values, -HISTOGRAM_SUPPORT, HISTOGRAM_SUPPORT)
     empirical = np.histogram(clipped, bins=edges)[0] / N
     cdf = normal_cdf_points(edges)
     cdf[0], cdf[-1] = 0.0, 1.0  # edge bins absorb the tails

@@ -143,9 +143,20 @@ class SimplexGeometry:
 
     @functools.cached_property
     def edge_frame(self) -> TightFrame:
-        pairs, v = self.edge_pairs, self.vertices
-        edges = math.sqrt(self.n / (2.0 * (self.n + 1))) * (v[pairs[:, 0]] - v[pairs[:, 1]])
+        edges = np.concatenate([self._edges_from(i) for i in range(self.n + 1)])
         return TightFrame(vectors=edges, label=LABEL_SIMPLEX_EDGES)
+
+    def _edges_from(self, i: int) -> np.ndarray:
+        """Edge-frame rows i n to (i + 1) n - 1: the pairs (i, j), j != i."""
+        v = self.vertices
+        return math.sqrt(self.n / (2.0 * (self.n + 1))) * (v[i] - np.delete(v, i, axis=0))
+
+    def is_edge_frame(self, vectors: np.ndarray) -> bool:
+        """vectors == ``edge_frame.vectors``, checked a vertex at a time, not built."""
+        n = self.n
+        return vectors.shape == (self.m, n) and all(
+            np.array_equal(vectors[i * n : (i + 1) * n], self._edges_from(i)) for i in range(n + 1)
+        )
 
     @property
     def m(self) -> int:

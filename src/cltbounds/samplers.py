@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator
 
@@ -94,29 +94,15 @@ def _body_moment(kind: Kind, n: int, p: float | None, powers: tuple[int, ...]) -
     return math.exp(log + math.lgamma(b) - math.lgamma(b + total / p))
 
 
-def _exact_scale(kind: Kind, n: int, p: float | None) -> float:
-    """Closed-form isotropic scale; surface measure takes the cone's."""
-    if kind is Kind.SPHERE_SHELL:
-        return math.sqrt(n)
-    if kind is Kind.BALL_UNIFORM:
-        return math.sqrt(n + 2)
-    if kind in (Kind.SIMPLEX, Kind.SPHERICAL_EXPONENTIAL, Kind.LINF_EXPONENTIAL):
-        return 1.0  # isotropic by construction
-    return math.sqrt(1.0 / _body_moment(kind, n, p, (2,)))
-
-
 @dataclass(frozen=True)
 class DistributionSpec:
-    """Which isotropic symmetric law to sample.
-
-    ``scale`` multiplies the unit-parameterized body; None fills in the
-    exact isotropic scale.
-    """
+    """Which isotropic symmetric law to sample: the kind, the dimension n
+    and, for the lp kinds, the exponent p.  ``scale``, the factor on the
+    unit-parameterized body, follows from them in closed form."""
 
     kind: Kind
     n: int
     p: float | None = None
-    scale: float | None = None
 
     def __post_init__(self):
         if self.n < 2:
@@ -128,10 +114,18 @@ class DistributionSpec:
                 raise ValueError(f"p must satisfy p >= 1 or p = inf, got {self.p}")
         elif self.p is not None:
             raise ValueError(f"{self.kind.value} does not take an exponent p")
-        if self.scale is None:
-            object.__setattr__(self, "scale", _exact_scale(self.kind, self.n, self.p))
-        elif not 0.0 < self.scale < math.inf:  # NaN fails too
-            raise ValueError(f"scale must be positive and finite, got {self.scale}")
+
+    @property
+    def scale(self) -> float:
+        """The closed-form isotropic scale; surface measure takes the cone's."""
+        kind, n = self.kind, self.n
+        if kind is Kind.SPHERE_SHELL:
+            return math.sqrt(n)
+        if kind is Kind.BALL_UNIFORM:
+            return math.sqrt(n + 2)
+        if kind in (Kind.SIMPLEX, Kind.SPHERICAL_EXPONENTIAL, Kind.LINF_EXPONENTIAL):
+            return 1.0  # isotropic by construction
+        return math.sqrt(1.0 / _body_moment(kind, n, self.p, (2,)))
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind.value, "n": self.n}
@@ -142,10 +136,16 @@ class DistributionSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "DistributionSpec":
+        """The spec of a ``to_dict`` document; a non-isotropic ``scale`` raises ValueError."""
         p = d.get("p")
         if isinstance(p, str):
             p = math.inf if p in ("inf", "Infinity") else float(p)
-        return DistributionSpec(kind=Kind(d["kind"]), n=int(d["n"]), p=p, scale=d.get("scale"))
+        spec = DistributionSpec(kind=Kind(d["kind"]), n=int(d["n"]), p=p)
+        scale = d.get("scale")
+        if scale is not None and (isinstance(scale, bool) or scale != spec.scale):
+            raise ValueError(f"{spec.kind.value} n={spec.n} has scale {scale!r}, but the "
+                             f"bounds assume its isotropic scale {spec.scale!r}")
+        return spec
 
 
 @dataclass(frozen=True)
@@ -351,7 +351,7 @@ def _filler(
 ) -> Callable[[np.random.Generator, int], np.ndarray]:
     """Per-law block generator of the (count, D) projections X @ directions,
     or of the (count, n) rows X when directions is None: the one place that
-    picks how each law is drawn.  Scale must already be resolved.
+    picks how each law is drawn.
 
     * A spherically symmetric law draws from ``_reduced_spherical_block``:
       its rows at r = n, and for the reduced QR directions = Q Rq, with
@@ -512,8 +512,9 @@ def sample(spec: DistributionSpec, N: int, seed: int) -> SampleBatch:
 
 
 def calibrate_isotropic(spec: DistributionSpec) -> DistributionSpec:
-    """spec at its exact isotropic scale (surface measure: the cone's)."""
-    return replace(spec, scale=_exact_scale(spec.kind, spec.n, spec.p))
+    """spec itself, as every spec is isotropic; kept only because the
+    benchmark's tracer looks this name up."""
+    return spec
 
 
 def exact_moments(spec: DistributionSpec) -> tuple[float, float, float]:

@@ -75,9 +75,7 @@ def _require_pair_symmetry(spec, frame: TightFrame | None = None) -> None:
     if kind in UNCONDITIONAL_KINDS:
         suited = np.array_equal(frame.vectors, np.eye(n))
     else:
-        suited = kind is Kind.SIMPLEX and np.array_equal(
-            frame.vectors, simplex_geometry(n).edge_frame.vectors
-        )
+        suited = kind is Kind.SIMPLEX and simplex_geometry(n).is_edge_frame(frame.vectors)
     if not suited:
         raise SymmetryError(f"reflecting in the {frame.label} frame changes the {kind.value} law")
 

@@ -41,7 +41,6 @@ from cltbounds.samplers import (
     DistributionSpec,
     Kind,
     block_seed,
-    calibrate_isotropic,
     derive_seed,
     exact_moments,
     sample,
@@ -96,15 +95,6 @@ class TestRouting:
     def test_surface_is_inapplicable(self):
         with pytest.raises(InapplicableBoundError):
             applicable_route(DistributionSpec(Kind.LP_SURFACE, 4, p=2.0))
-
-    def test_non_isotropic_scale_is_inapplicable(self):
-        # the bounds assume isotropy, whichever route the kind would take
-        for kind, p in ((Kind.SPHERE_SHELL, None), (Kind.LP_CONE, 3.0), (Kind.SIMPLEX, None)):
-            isotropic = DistributionSpec(kind, 20, p=p)
-            with pytest.raises(InapplicableBoundError, match="isotropic"):
-                applicable_route(DistributionSpec(kind, 20, p=p, scale=2.0 * isotropic.scale))
-            with pytest.raises(InapplicableBoundError, match="isotropic"):
-                certify_cell(DistributionSpec(kind, 20, p=p, scale=2.0), "e1", N=1000, seed=1)
 
     @pytest.mark.parametrize("kind", list(Kind), ids=lambda kind: kind.value)
     def test_kind_table_agrees(self, kind):
@@ -468,8 +458,8 @@ class TestCliCertify:
     @pytest.mark.parametrize(
         "scale, code",
         [
-            (1.0, EXIT_INAPPLICABLE),  # the unit cube: coordinate variance 1/3
-            (calibrate_isotropic(DistributionSpec(Kind.LP_BALL, 6, p=math.inf)).scale, EXIT_OK),
+            (1.0, EXIT_CONFIG_ERROR),  # the unit cube: coordinate variance 1/3
+            (DistributionSpec(Kind.LP_BALL, 6, p=math.inf).scale, EXIT_OK),
         ],
         ids=["unit-cube", "isotropic"],
     )
@@ -671,13 +661,41 @@ class TestExitCodes:
             ("sample", {"distribution": {"kind": "sphere_shell", "n": 4, "scale": math.inf}, "N": 100}),
             # a removed field is refused, not ignored
             ("certify", {**_CUBE_GRID, "constants": {"c1": 2.0}}),
+            # a scale away from the isotropic one, which sample and diagnose once ran
+            ("sample", {"distribution": {"kind": "sphere_shell", "n": 4, "scale": 1.0}, "N": 100}),
+            ("diagnose", {**_SMALL_REFLECTION,
+                          "distribution": {"kind": "lp_ball", "p": "inf", "n": 6, "scale": 1.0}}),
+            ("diagnose", {**_SMALL_ROTATION,
+                          "distribution": {"kind": "sphere_shell", "n": 6, "scale": 2.0}}),
+            # a distribution that is not a JSON object
+            ("certify", {**_CUBE_GRID, "distributions": ["lp_ball"]}),
+            ("sample", {"distribution": 5, "N": 100}),
+            ("sample", {"distribution": "lp_ball", "N": 100}),
+            ("scan-ank", {**_SMALL_SCAN, "distribution": 5}),
+            ("scan-ank", {**_SMALL_SCAN, "distribution": "lp_ball"}),
+            ("diagnose", {**_SMALL_REFLECTION, "distribution": 5}),
+            ("diagnose", {**_SMALL_REFLECTION, "distribution": "lp_ball"}),
+            ("diagnose", {**_SMALL_ROTATION, "distribution": 5}),
+            ("diagnose", {**_SMALL_ROTATION, "distribution": "lp_ball"}),
+            ("diagnose", {"experiment": "square-correlation", "n_list": [5], "N": 100,
+                          "distribution": 5}),
+            ("diagnose", {"experiment": "square-correlation", "n_list": [5], "N": 100,
+                          "distribution": "lp_ball"}),
+            # an output path or report input that is not a string
+            ("sample", {"distribution": {"kind": "sphere_shell", "n": 4}, "N": 100, "out": 5}),
+            ("certify", {**_CUBE_GRID, "out": 5}),
+            ("scan-ank", {**_SMALL_SCAN, "out": ["a"]}),
+            ("diagnose", {**_SMALL_REFLECTION, "out": 5}),
+            ("diagnose", {**_SMALL_ROTATION, "out": None}),
+            ("tv-exact", {"n_list": [5], "out": True}),
+            ("report", {"input": 5}),
+            ("report", {"input": None}),
         ],
     )
     def test_invalid_config_exits_2(self, tmp_path, command, payload):
         cfg = write_config(tmp_path, "bad.json", {"command": command, **payload})
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == (
-            EXIT_CONFIG_ERROR
-        )
+        out = [] if "out" in payload else ["--out", str(tmp_path / "out")]  # --out would replace it
+        assert main([command, "--config", cfg, *out]) == EXIT_CONFIG_ERROR
 
     def test_number_forms_still_accepted(self):
         # "inf", "Infinity", numeric strings, numbers and JSON Infinity
@@ -685,8 +703,10 @@ class TestExitCodes:
             assert _spec_from_config({"kind": "lp_ball", "p": p, "n": 4}).p == math.inf
         for p in ("2.5", 2.5):
             assert _spec_from_config({"kind": "lp_cone", "p": p, "n": 4}).p == 2.5
-        assert _spec_from_config({"kind": "lp_ball", "p": 3, "scale": 2, "n": 4}).scale == 2
-        assert _spec_from_config({"kind": "simplex", "scale": 1.5, "n": 4}).scale == 1.5
+        # a scale is accepted at its isotropic value, so a report's spec round-trips
+        ball = DistributionSpec(Kind.LP_BALL, 4, p=3.0)
+        assert _spec_from_config({"kind": "lp_ball", "p": 3, "scale": ball.scale, "n": 4}) == ball
+        assert _spec_from_config({"kind": "simplex", "scale": 1, "n": 4}).scale == 1.0
         assert _number("0.5", "'eps'", 0.0, math.inf) == 0.5
         assert _number(1, "'eps'", 0.0, math.inf) == 1.0
         assert _number("1e-3", "'delta'", 0.0, 1.0) == 1e-3
@@ -863,7 +883,7 @@ class TestCliScanAnk:
         cfg = write_config(tmp_path, "ank.json",
                            {"command": "scan-ank", **_SMALL_SCAN, "distribution": distribution})
         assert main(["scan-ank", "--config", cfg, "--out", str(tmp_path / "out")]) == (
-            EXIT_INAPPLICABLE
+            EXIT_CONFIG_ERROR
         )
         assert not (tmp_path / "out").exists()
 

@@ -225,7 +225,7 @@ class TestConditionalSecondMoment:
         batch = SampleBatch(
             data=np.random.default_rng(18).standard_normal((10**5, 4)),
             seed=18,
-            spec=DistributionSpec(Kind.LP_BALL, 4, p=1.0, scale=1.0),
+            spec=DistributionSpec(Kind.LP_BALL, 4, p=1.0),
         )
         with pytest.raises(ValueError):
             conditional_second_moment(batch)

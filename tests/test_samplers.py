@@ -67,9 +67,18 @@ class TestDistributionSpec:
             DistributionSpec(Kind.SPHERE_SHELL, 1)
 
     def test_dict_roundtrip(self):
-        spec = DistributionSpec(Kind.LP_CONE, 8, p=math.inf, scale=2.5)
+        spec = DistributionSpec(Kind.LP_CONE, 8, p=math.inf)
         again = DistributionSpec.from_dict(spec.to_dict())
         assert again == spec
+
+    def test_from_dict_refuses_non_isotropic_scale(self):
+        # the bounds assume isotropy: a scale in a document is accepted only
+        # at the isotropic value, whichever route the kind would take
+        for kind, p in ((Kind.SPHERE_SHELL, None), (Kind.LP_CONE, 3.0), (Kind.SIMPLEX, None)):
+            document = DistributionSpec(kind, 20, p=p).to_dict()
+            for scale in (2.0 * document["scale"], 2.0, math.nan, True, "x"):
+                with pytest.raises(ValueError, match="isotropic"):
+                    DistributionSpec.from_dict({**document, "scale": scale})
 
 
 class TestDeterminism:
@@ -78,9 +87,9 @@ class TestDeterminism:
         [
             DistributionSpec(Kind.SPHERE_SHELL, 4),
             DistributionSpec(Kind.BALL_UNIFORM, 4),
-            DistributionSpec(Kind.LP_BALL, 4, p=1.5, scale=1.7),
-            DistributionSpec(Kind.LP_CONE, 4, p=3.0, scale=1.9),
-            DistributionSpec(Kind.LP_SURFACE, 4, p=4.0, scale=1.9),
+            DistributionSpec(Kind.LP_BALL, 4, p=1.5),
+            DistributionSpec(Kind.LP_CONE, 4, p=3.0),
+            DistributionSpec(Kind.LP_SURFACE, 4, p=4.0),
             DistributionSpec(Kind.SIMPLEX, 4),
             DistributionSpec(Kind.SPHERICAL_EXPONENTIAL, 4),
             DistributionSpec(Kind.LINF_EXPONENTIAL, 4),
@@ -182,18 +191,17 @@ class TestDrawOrder:
         # other p Gamma(1 + 1/p) draws V, their 1/p power, then uniform(-1, 1)
         # draws U, g = V^(1/p) U; then the ball's exponential; rows are
         # normalized by (sum |g|^p [+ y])^(1/p).  The l2 ball is the
-        # Euclidean ball: at its own scale, the ball's stream bit for bit
+        # Euclidean ball: at its own scale, the ball's reduced-law rows bit for bit
         n, n_samples, seed = 7, BLOCK_ROWS + 300, 61
         spec = DistributionSpec(kind, n, p=p)
-        if kind is Kind.LP_BALL and p == 2.0:
-            ball = DistributionSpec(Kind.BALL_UNIFORM, n, scale=spec.scale)
-            np.testing.assert_array_equal(sample(spec, n_samples, seed).data,
-                                          sample(ball, n_samples, seed).data)
-            return
         blocks = []
         for block, lo in enumerate(range(0, n_samples, BLOCK_ROWS)):
             count = min(BLOCK_ROWS, n_samples - lo)
             rng = np.random.default_rng(block_seed(seed, block))
+            if kind is Kind.LP_BALL and p == 2.0:
+                blocks.append(_reduced_spherical_block(rng, Kind.BALL_UNIFORM, n, n, spec.scale,
+                                                       count)[0])
+                continue
             if p == 2.0:
                 g = math.sqrt(0.5) * rng.standard_normal((count, n))
             elif p == 1.0:
@@ -206,8 +214,11 @@ class TestDrawOrder:
             if kind is Kind.LP_BALL:
                 denom += rng.standard_exponential(count)
             blocks.append(spec.scale * g / denom[:, None] ** (1.0 / p))
-        np.testing.assert_allclose(sample(spec, n_samples, seed).data, np.vstack(blocks),
-                                   rtol=1e-14, atol=0.0)
+        data = sample(spec, n_samples, seed).data
+        if kind is Kind.LP_BALL and p == 2.0:
+            np.testing.assert_array_equal(data, np.vstack(blocks))
+        else:
+            np.testing.assert_allclose(data, np.vstack(blocks), rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize(
         "kind", [Kind.SPHERE_SHELL, Kind.BALL_UNIFORM, Kind.SPHERICAL_EXPONENTIAL],
@@ -330,16 +341,20 @@ class TestProjectionBlocks:
         ids=lambda kind: kind.value,
     )
     def test_p2_lp_laws_take_the_spherical_fill(self, kind, spherical):
-        # the l2 ball and cone are the Euclidean ball and sphere: the same
-        # reduced-law fill at the same scale gives the same bits
+        # the l2 ball and cone are the Euclidean ball and sphere: the
+        # spherical law's reduced-law fill at the lp scale gives the same bits
         lp = DistributionSpec(kind, 9, p=2.0)
         directions = np.random.default_rng(1).standard_normal((9, 4))
+        _, r_factor = np.linalg.qr(directions)
         for n_samples, seed in ((BLOCK_ROWS + 300, 73), (5_000, 74)):
-            np.testing.assert_array_equal(
-                sample_projections(lp, directions, n_samples, seed),
-                sample_projections(DistributionSpec(spherical, 9, scale=lp.scale), directions,
-                                   n_samples, seed),
-            )
+            blocks = []
+            for block, lo in enumerate(range(0, n_samples, BLOCK_ROWS)):
+                rng = np.random.default_rng(block_seed(seed, block))
+                count = min(BLOCK_ROWS, n_samples - lo)
+                y = _reduced_spherical_block(rng, spherical, 9, 4, lp.scale, count)[0]
+                blocks.append(y @ r_factor)
+            np.testing.assert_array_equal(sample_projections(lp, directions, n_samples, seed),
+                                          np.vstack(blocks).T)
 
 
 class TestSphereShell:
@@ -650,8 +665,8 @@ class TestCalibration:
     def test_lp2_ball_recovers_exact_scale(self):
         # exact isotropic scale of the unit l2 ball is sqrt(n+2)
         for n in (6, 100):
-            spec = DistributionSpec(Kind.LP_BALL, n, p=2.0, scale=1.0)
-            assert calibrate_isotropic(spec).scale == pytest.approx(math.sqrt(n + 2), rel=1e-12)
+            spec = DistributionSpec(Kind.LP_BALL, n, p=2.0)
+            assert spec.scale == pytest.approx(math.sqrt(n + 2), rel=1e-12)
 
     def test_lp2_cone_exact_scale(self):
         # the cone measure of the l2 sphere is uniform on it: scale sqrt(n)
@@ -662,8 +677,8 @@ class TestCalibration:
     def test_cube_cone_recovers_exact_scale(self):
         # exact cube-boundary scale: E X_i^2 = (n+2)/(3n) on the unit cube shell
         for n in (8, 20):
-            spec = DistributionSpec(Kind.LP_CONE, n, p=math.inf, scale=1.0)
-            assert calibrate_isotropic(spec).scale == pytest.approx(
+            spec = DistributionSpec(Kind.LP_CONE, n, p=math.inf)
+            assert spec.scale == pytest.approx(
                 math.sqrt(3.0 * n / (n + 2)), rel=1e-12
             )
 
@@ -830,10 +845,15 @@ class TestErrors:
             sample(spec, n_samples, 1)
 
     def test_auto_calibration_is_deterministic(self):
-        # an unscaled spec resolves to its closed-form isotropic scale
-        spec = DistributionSpec(Kind.LP_CONE, 4, p=2.5)
-        unit = DistributionSpec(Kind.LP_CONE, 4, p=2.5, scale=1.0)
-        assert spec.scale == calibrate_isotropic(unit).scale
+        # a spec's scale is the closed-form isotropic scale of its cone:
+        # E X_i^2 = G(3/p) G(n/p) / (G(1/p) G((n + 2)/p)) on the unit body
+        n, p = 4, 2.5
+        spec = DistributionSpec(Kind.LP_CONE, n, p=p)
+        g = math.gamma
+        assert spec.scale == pytest.approx(
+            math.sqrt(g(1 / p) * g((n + 2) / p) / (g(3 / p) * g(n / p))), rel=1e-12
+        )
+        assert calibrate_isotropic(spec) is spec
         a = sample(spec, 500, 7)
         b = sample(spec, 500, 7)
         assert a.spec.scale == b.spec.scale

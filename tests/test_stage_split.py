@@ -20,6 +20,10 @@ MODES = {
                  {"ank_fill_s", "ank_project_s", "ank_ks_s", "ank_ks_threaded_s", "ank_exact_s",
                   "ank_total_s", "reflection_total_s", "rotation_frames_s", "rotation_total_s"}),
     "spherical": (["--kind", "sphere_shell"], {"fill_s", "project_s", "hist_s", "reduced_draw_s"}),
+    # every probe is a fresh CLI process that must exit 0
+    "startup": ([], {"import_s", "version_s", "certify_s", "certify-spherical_s", "scan-ank_s",
+                     "diagnose-reflection_s", "diagnose-rotation_s", "tv-exact_s",
+                     "tv_exact_inprocess_s"}),
 }
 
 

@@ -8,7 +8,7 @@ from scipy import stats
 
 from cltbounds.bounds import exact_kolmogorov
 from cltbounds.empirical import _ks_statistic, dkw_slack
-from cltbounds.frames import custom_frame, simplex_geometry, standard_frame
+from cltbounds.frames import TightFrame, custom_frame, simplex_geometry, standard_frame
 from cltbounds.samplers import BLOCK_ROWS, DistributionSpec, Kind, derive_seed, sample
 from cltbounds.subspaces import (
     DIRECTION_CHUNK,
@@ -23,6 +23,7 @@ from cltbounds.subspaces import (
     random_subspace,
     reflection_pair_diagnostics,
     rotation_pair_diagnostics,
+    _require_pair_symmetry,
     _rotation_frames,
     _rotation_rows,
     uniform_directions,
@@ -216,6 +217,19 @@ class TestReflectionPair:
             pair_seed=21,
         )
         assert math.isfinite(diag.slope)
+
+    def test_simplex_frame_check_builds_no_second_frame(self):
+        # the vectors are compared, not the label, one vertex's rows at a time
+        n = 100
+        spec = DistributionSpec(Kind.SIMPLEX, n)
+        vectors = simplex_geometry(n).edge_frame.vectors
+        tracemalloc.start()
+        try:
+            _require_pair_symmetry(spec, TightFrame(vectors=vectors))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < vectors.nbytes / 4, f"peak {peak / 1e6:.1f} MB"
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
