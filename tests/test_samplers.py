@@ -678,9 +678,7 @@ class TestCalibration:
         # exact cube-boundary scale: E X_i^2 = (n+2)/(3n) on the unit cube shell
         for n in (8, 20):
             spec = DistributionSpec(Kind.LP_CONE, n, p=math.inf)
-            assert spec.scale == pytest.approx(
-                math.sqrt(3.0 * n / (n + 2)), rel=1e-12
-            )
+            assert spec.scale == pytest.approx(math.sqrt(3.0 * n / (n + 2)), rel=1e-12)
 
     def test_surface_takes_cone_scale(self):
         for p in (1.5, 4.0, math.inf):
