@@ -9,6 +9,13 @@ a chi-square and a radius per row) and never fill an n-dimensional row;
 the simplex projects its exponentials before forming the point; every
 other spec projects its sample blocks.
 
+An lp ball and an lp cone at the same n and the same finite p != 2 are
+one stream (``samplers.stream_groups``): their generalized-Gaussian block
+is filled once, and both sample with ``derive_seed(seed, pos)`` at the
+position of whichever of the two the grid lists first.  Every other spec
+samples with the seed of its own position.  The streams are evaluated
+largest n first, and the reports keep the order of the specs.
+
 Kolmogorov routes pass when (point estimate - DKW slack) <= bound; total
 variation routes compare the histogram estimate against bound + a fixed
 estimator allowance.  The bounds hold for isotropic vectors, which every
@@ -57,6 +64,7 @@ from .samplers import (
     derive_seed,
     exact_moments,
     sample_projections,
+    stream_groups,
 )
 
 __all__ = [
@@ -264,28 +272,45 @@ def certify_grid(
     workers: int = 1,
 ) -> list[BoundReport]:
     """Certify every (spec, theta) cell from one streamed pass over each
-    spec's samples.
+    stream of samples.
 
-    The cells of the spec at position ``pos`` sample with
-    ``derive_seed(seed, pos)``, the ``seed`` their reports carry, so the grid
-    is reproducible regardless of evaluation order; with ``workers > 1``
-    specs are certified on a thread pool and the reports are bit for bit
-    those of the serial run.
+    The specs draw in the groups of ``samplers.stream_groups``: the lp ball
+    and the lp cone at the same n and the same finite p != 2 share one
+    generalized-Gaussian stream, every other spec draws its own.  The cells
+    of a group sample with ``derive_seed(seed, pos)``, pos the position of
+    the group's first spec, the ``seed`` their reports carry; each spec's
+    projections are those of ``sample_projections(spec, thetas, N, seed)``
+    at that seed, so the grid is reproducible regardless of evaluation
+    order.  The groups are evaluated largest n first (a stable sort), on a
+    thread pool when ``workers > 1``; the reports come back in the order of
+    specs, bit for bit those of the serial run.
     """
+    specs = list(specs)
 
-    def certify_spec(pos: int, spec: DistributionSpec) -> list[BoundReport]:
-        cell_seed = derive_seed(seed, pos)
-        route = applicable_route(spec)
-        resolved = [resolve_theta(theta_spec, spec.n) for theta_spec in theta_specs]
+    def certify_group(group: tuple[int, ...]) -> list[list[BoundReport]]:
+        cell_seed = derive_seed(seed, group[0])
+        members = [specs[pos] for pos in group]
+        routes = [applicable_route(spec) for spec in members]
+        resolved = [resolve_theta(theta_spec, members[0].n) for theta_spec in theta_specs]
         thetas = np.column_stack([theta for theta, _ in resolved])
-        projections = sample_projections(spec, thetas, N, cell_seed)
+        projections = sample_projections(members, thetas, N, cell_seed)
         return [
-            _evaluate_cell(spec, route, theta, label, values, cell_seed, delta)
-            for (theta, label), values in zip(resolved, projections)
+            [
+                _evaluate_cell(spec, route, theta, label, values, cell_seed, delta)
+                for (theta, label), values in zip(resolved, spec_projections)
+            ]
+            for spec, route, spec_projections in zip(
+                members, routes, projections.reshape(len(members), len(resolved), N)
+            )
         ]
 
-    per_spec = thread_map(lambda job: certify_spec(*job), enumerate(specs), workers)
-    return [report for group in per_spec for report in group]
+    groups = sorted(stream_groups(specs), key=lambda group: -specs[group[0]].n)
+    per_spec = {
+        pos: reports
+        for group, per_member in zip(groups, thread_map(certify_group, groups, workers))
+        for pos, reports in zip(group, per_member)
+    }
+    return [report for pos in range(len(specs)) for report in per_spec[pos]]
 
 
 @functools.cache

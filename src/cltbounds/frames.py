@@ -143,7 +143,10 @@ class SimplexGeometry:
 
     @functools.cached_property
     def edge_frame(self) -> TightFrame:
-        edges = np.concatenate([self._edges_from(i) for i in range(self.n + 1)])
+        n = self.n
+        edges = np.empty((self.m, n))  # filled a vertex at a time: one frame held, not two
+        for i in range(n + 1):
+            edges[i * n : (i + 1) * n] = self._edges_from(i)
         return TightFrame(vectors=edges, label=LABEL_SIMPLEX_EDGES)
 
     def _edges_from(self, i: int) -> np.ndarray:

@@ -7,7 +7,8 @@ fixed blocks of ``BLOCK_ROWS``; block b draws from an independent substream
 seeded with ``seed XOR mix64(b)``, so splitting blocks across workers in
 contiguous ranges reproduces the serial output bit for bit.  One per-law
 block fill, ``_filler``, draws every stream, rows or projections, in a
-fixed documented order.
+fixed documented order; ``stream_groups`` says which specs of a grid share
+one stream (the lp ball and cone of one n and finite p != 2).
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ __all__ = [
     "sample",
     "sample_generalized_gaussian",
     "sample_projections",
+    "stream_groups",
 ]
 
 
@@ -63,6 +65,8 @@ UNCONDITIONAL_KINDS = {Kind.LP_BALL, Kind.LP_CONE, Kind.LINF_EXPONENTIAL}
 SPHERICAL_KINDS = {Kind.SPHERE_SHELL, Kind.BALL_UNIFORM, Kind.SPHERICAL_EXPONENTIAL}
 # lp kinds whose law at p = 2 is a spherically symmetric kind's, up to scale
 _P2_SPHERICAL = {Kind.LP_BALL: Kind.BALL_UNIFORM, Kind.LP_CONE: Kind.SPHERE_SHELL}
+# the two bodies of one generalized-Gaussian block at finite p != 2 (``_lp_fill``)
+_PAIRED = {Kind.LP_BALL: Kind.LP_CONE, Kind.LP_CONE: Kind.LP_BALL}
 
 
 def _linf_rate(n: int) -> float:
@@ -346,12 +350,67 @@ def _reduced_spherical_block(
     return g, rest_sq
 
 
+def _lp_fill(
+    p: float, n: int, cone_scale: float | None, ball_scale: float | None,
+    project: Callable[[np.ndarray], np.ndarray],
+) -> Callable[[np.random.Generator, int], list[np.ndarray]]:
+    """Block generator of the lp cone and the lp ball at one finite p, from
+    one generalized-Gaussian block G with S = sum_i |G_i|^p per row: the
+    cone's rows cone_scale G / S^(1/p), then one standard exponential E per
+    row and the ball's rows ball_scale G / (S + E)^(1/p) (Barthe, Guedon,
+    Mendelson and Naor, Ann. Probab. 2005).  A body whose scale is None is
+    not drawn, so the cone alone draws a prefix of the ball's stream.  Each
+    body is scaled, then passed through project; the fill returns the list
+    of them, cone first.  The cone's rows are a copy of G only when the ball
+    follows, so a fill holds at most about two block-sized arrays at once.
+    """
+
+    def fill(rng, count):
+        g, sums = _generalized_gaussian_block(rng, p, (count, n))
+        bodies = []
+        if cone_scale is not None:
+            x = g if ball_scale is None else g.copy()
+            x *= (cone_scale * sums ** (-1.0 / p))[:, None]
+            bodies.append(project(x))
+            del x
+        if ball_scale is not None:
+            sums += rng.standard_exponential(count)
+            g *= (ball_scale * sums ** (-1.0 / p))[:, None]
+            bodies.append(project(g))
+        return bodies
+
+    return fill
+
+
+def stream_groups(specs) -> list[tuple[int, ...]]:
+    """The positions of specs, grouped by the block stream each group draws
+    from, groups in order of their first position: the lp ball and the lp
+    cone at the same n and the same finite p != 2 share one (the cone's
+    stream is a prefix of the ball's, see ``_lp_fill``), a ball with the
+    first cone after it that has no ball yet and vice versa; every other
+    spec draws its own."""
+    groups: list[list[int]] = []
+    waiting: dict = {}  # (kind wanted, n, p) -> the group that wants it
+    for pos, spec in enumerate(specs):
+        pairs = spec.kind in _PAIRED and spec.p != 2.0 and not math.isinf(spec.p)
+        group = waiting.pop((spec.kind, spec.n, spec.p), None) if pairs else None
+        if group is not None:
+            group.append(pos)
+            continue
+        groups.append([pos])
+        if pairs:
+            waiting.setdefault((_PAIRED[spec.kind], spec.n, spec.p), groups[-1])
+    return [tuple(group) for group in groups]
+
+
 def _filler(
-    spec: DistributionSpec, directions: np.ndarray | None = None
+    specs: DistributionSpec | tuple[DistributionSpec, ...], directions: np.ndarray | None = None
 ) -> Callable[[np.random.Generator, int], np.ndarray]:
     """Per-law block generator of the (count, D) projections X @ directions,
     or of the (count, n) rows X when directions is None: the one place that
-    picks how each law is drawn.
+    picks how each law is drawn.  ``specs`` is one spec or one group of
+    ``stream_groups``; a group's block stacks its specs' projections
+    side by side, (count, k D) in the order of specs.
 
     * A spherically symmetric law draws from ``_reduced_spherical_block``:
       its rows at r = n, and for the reduced QR directions = Q Rq, with
@@ -363,11 +422,16 @@ def _filler(
       and E standard exponentials: the block is (E @ M) / sum E with
       M = c vertices, or M = c (vertices @ directions), an (n+1, D) product
       per row instead of an (n+1, n) one.
+    * The lp ball, cone and surface measure at finite p draw from
+      ``_lp_fill``; the ball and the cone of one group share its block.
     * Every other law fills its rows in place, so a fill holds at most about
       two block-sized arrays at once, and multiplies them by directions.
     """
+    group = (specs,) if isinstance(specs, DistributionSpec) else tuple(specs)
+    spec = group[0]
     n, p, scale = spec.n, spec.p, spec.scale
     kind = _P2_SPHERICAL.get(spec.kind, spec.kind) if p == 2.0 else spec.kind
+    project = (lambda x: x) if directions is None else (lambda x: x @ directions)
 
     if kind in SPHERICAL_KINDS:
         factor = None if directions is None else np.linalg.qr(directions)[1]
@@ -393,34 +457,27 @@ def _filler(
 
         return fill
 
-    if kind is Kind.LP_BALL:
-        if math.isinf(p):
+    if kind in _LP_KINDS and not math.isinf(p):
+        if len(group) == 2:  # the ball and the cone of one stream, in the order of specs
+            cone, ball = sorted(group, key=lambda s: s.kind is Kind.LP_BALL)
+            fill = _lp_fill(p, n, cone.scale, ball.scale, project)
+            order = -1 if spec is ball else 1
+            return lambda rng, count: np.hstack(fill(rng, count)[::order])
+        cone = kind is not Kind.LP_BALL
+        fill = _lp_fill(p, n, scale if cone else None, None if cone else scale, project)
+        return lambda rng, count: fill(rng, count)[0]
 
-            def fill(rng, count):
-                return rng.uniform(-scale, scale, (count, n))
+    if kind is Kind.LP_BALL:  # the cube
 
-        else:
+        def fill(rng, count):
+            return rng.uniform(-scale, scale, (count, n))
 
-            def fill(rng, count):
-                g, sums = _generalized_gaussian_block(rng, p, (count, n))
-                sums += rng.standard_exponential(count)
-                g *= (scale * sums ** (-1.0 / p))[:, None]
-                return g
+    elif kind in (Kind.LP_CONE, Kind.LP_SURFACE):  # the cube boundary
 
-    elif kind in (Kind.LP_CONE, Kind.LP_SURFACE):
-        if math.isinf(p):
-
-            def fill(rng, count):
-                x = _cube_boundary_block(rng, count, n)
-                x *= scale
-                return x
-
-        else:
-
-            def fill(rng, count):
-                g, sums = _generalized_gaussian_block(rng, p, (count, n))
-                g *= (scale * sums ** (-1.0 / p))[:, None]
-                return g
+        def fill(rng, count):
+            x = _cube_boundary_block(rng, count, n)
+            x *= scale
+            return x
 
     elif kind is Kind.LINF_EXPONENTIAL:
         b_n = _linf_rate(n)
@@ -435,9 +492,7 @@ def _filler(
     else:  # pragma: no cover
         raise ValueError(f"unknown kind {kind!r}")
 
-    if directions is None:
-        return fill
-    return lambda rng, count: fill(rng, count) @ directions
+    return lambda rng, count: project(fill(rng, count))
 
 
 def map_sample_blocks(
@@ -451,7 +506,8 @@ def map_sample_blocks(
 
 
 def sample_projections(
-    spec: DistributionSpec, directions: np.ndarray, N: int, seed: int
+    specs: DistributionSpec | tuple[DistributionSpec, ...], directions: np.ndarray,
+    N: int, seed: int,
 ) -> np.ndarray:
     """The (D, N) projections X @ directions of N draws of spec onto the
     columns of the (n, D) direction matrix, block by block from
@@ -463,17 +519,26 @@ def sample_projections(
     to rounding.  A spherical law (and the lp ball and cone at p = 2) draws
     its reduced law at r = min(n, D): for D < n a stream other than that of
     ``sample``, with the same law.
+
+    Given the k specs of one group of ``stream_groups``, the (k D, N)
+    projections of all of them from their one stream: rows i D to
+    (i + 1) D - 1 are exactly ``sample_projections(specs[i], directions, N,
+    seed)``.
     """
+    group = (specs,) if isinstance(specs, DistributionSpec) else tuple(specs)
+    if stream_groups(group) != [tuple(range(len(group)))]:
+        raise ValueError(f"specs {[s.to_dict() for s in group]} do not share one stream")
+    n = group[0].n
     directions = np.asarray(directions, dtype=float)
-    if directions.ndim != 2 or directions.shape[0] != spec.n:
-        raise ValueError(f"directions must be an (n={spec.n}, D) matrix, got {directions.shape}")
+    if directions.ndim != 2 or directions.shape[0] != n:
+        raise ValueError(f"directions must be an (n={n}, D) matrix, got {directions.shape}")
     blocks = _block_rngs(N, seed)  # checks N before the projections are allocated
-    out = np.empty((directions.shape[1], N))
+    out = np.empty((len(group) * directions.shape[1], N))
 
     def put(rows: slice, block: np.ndarray) -> None:
         out[:, rows] = block.T
 
-    _map_blocks(_filler(spec, directions), blocks, put)
+    _map_blocks(_filler(group, directions), blocks, put)
     return out
 
 

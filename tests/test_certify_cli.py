@@ -44,6 +44,7 @@ from cltbounds.samplers import (
     derive_seed,
     exact_moments,
     sample,
+    sample_projections,
 )
 from cltbounds.subspaces import SymmetryError, reflection_pair_diagnostics
 
@@ -225,7 +226,8 @@ class TestCertifyGrid:
         ]
         reports = certify_grid(specs, ["e1", "diagonal"], N=20_000, seed=8)
         assert len(reports) == 4
-        # same spec cells share the seed (same batch), distinct specs differ
+        # the cells of one spec share its stream's seed; the cube and the
+        # sphere draw separate streams, so their seeds differ
         assert reports[0].seed == reports[1].seed
         assert reports[0].seed != reports[2].seed
         assert all(r.passed for r in reports)
@@ -247,10 +249,59 @@ class TestCertifyGrid:
             DistributionSpec(Kind.LP_CONE, 6, p=math.inf),
             DistributionSpec(Kind.SPHERE_SHELL, 6),
             DistributionSpec(Kind.SIMPLEX, 6),
+            DistributionSpec(Kind.LP_BALL, 6, p=4.0),  # shares the p=4 cone's stream
+            DistributionSpec(Kind.LP_CONE, 9, p=1.0),  # the largest n, evaluated first
         ]
         serial = certify_grid(specs, ["e1", "diagonal"], N=10_000, seed=12)
         pooled = certify_grid(specs, ["e1", "diagonal"], N=10_000, seed=12, workers=2)
         assert [r.to_dict() for r in serial] == [r.to_dict() for r in pooled]
+        assert serial[13].seed == serial[5].seed == derive_seed(12, 2)
+
+    def test_cone_before_ball_gives_both_the_cone_seed(self):
+        specs = [
+            DistributionSpec(Kind.SPHERE_SHELL, 6),
+            DistributionSpec(Kind.LP_CONE, 6, p=4.0),
+            DistributionSpec(Kind.LP_BALL, 6, p=4.0),
+            DistributionSpec(Kind.LP_BALL, 8, p=4.0),  # another n: its own stream
+        ]
+        reports = certify_grid(specs, ["diagonal"], N=10_000, seed=31)
+        assert [r.spec for r in reports] == specs
+        assert [r.seed for r in reports] == [derive_seed(31, pos) for pos in (0, 1, 1, 3)]
+
+    @pytest.mark.parametrize("kind", [Kind.LP_CONE, Kind.LP_BALL], ids=lambda kind: kind.value)
+    def test_paired_report_seed_reproduces_its_projections(self, kind):
+        # each body of the shared stream is the one its own seed draws
+        specs = [DistributionSpec(Kind.LP_BALL, 7, p=3.0), DistributionSpec(Kind.LP_CONE, 7, p=3.0)]
+        thetas = ["diagonal", "random(5)"]
+        n_samples = BLOCK_ROWS + 500
+        reports = certify_grid(specs, thetas, N=n_samples, seed=32)
+        spec = DistributionSpec(kind, 7, p=3.0)
+        cells = [r for r in reports if r.spec == spec]
+        directions = np.column_stack([resolve_theta(theta, 7)[0] for theta in thetas])
+        values = sample_projections(spec, directions, n_samples, cells[0].seed)
+        for report, row in zip(cells, values):
+            assert report.empirical == kolmogorov_vs_normal(row, delta=report.delta)
+
+    def test_largest_n_first(self, monkeypatch):
+        # a stable sort on n: the jobs in this order, the reports in config order
+        jobs = []
+
+        def recording_map(fn, items, workers=1):
+            items = list(items)
+            jobs.extend(items)
+            return [fn(item) for item in items]
+
+        monkeypatch.setattr("cltbounds.certify.thread_map", recording_map)
+        specs = [
+            DistributionSpec(Kind.LP_BALL, 5, p=math.inf),
+            DistributionSpec(Kind.LP_CONE, 9, p=4.0),
+            DistributionSpec(Kind.SIMPLEX, 5),
+            DistributionSpec(Kind.LP_BALL, 9, p=4.0),
+            DistributionSpec(Kind.SPHERE_SHELL, 7),
+        ]
+        reports = certify_grid(specs, ["e1"], N=10_000, seed=33)
+        assert jobs == [(1, 3), (4,), (0,), (2,)]
+        assert [r.spec for r in reports] == specs
 
     def test_serialization(self, tmp_path):
         specs = [DistributionSpec(Kind.LP_BALL, 6, p=math.inf)]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,6 +84,22 @@ class TestSimplexGeometry:
 
     def test_edge_frame_residual_n50(self):
         assert check_tight(simplex_geometry(50).edge_frame) <= 1e-10
+
+    def test_edge_frame_holds_one_copy(self):
+        # filled a vertex at a time into one (m, n) array; the rows are
+        # sqrt(n/(2(n+1))) (v_i - v_j) over edge_pairs, bit for bit
+        n = 100
+        geom = simplex_geometry(n)
+        tracemalloc.start()
+        try:
+            vectors = geom.edge_frame.vectors
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * vectors.nbytes, f"peak {peak / vectors.nbytes:.2f} frames"
+        v, pairs = geom.vertices, geom.edge_pairs
+        expected = math.sqrt(n / (2.0 * (n + 1))) * (v[pairs[:, 0]] - v[pairs[:, 1]])
+        np.testing.assert_array_equal(vectors, expected)
 
     def test_pair_position_roundtrip(self):
         geom = simplex_geometry(4)

@@ -21,6 +21,7 @@ from cltbounds.samplers import (
     sample_generalized_gaussian,
     sample_projections,
     simplex_embedded_coordinates,
+    stream_groups,
     _filler,
     _generalized_gaussian_block,
     _reduced_spherical_block,
@@ -335,6 +336,52 @@ class TestProjectionBlocks:
         expected = sample(spec, n_samples, seed).data @ directions
         np.testing.assert_allclose(projections.T, expected, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("p", [1.0, 3.0, 4.0])
+    def test_ball_and_cone_rows_are_their_own_projections(self, p):
+        # one generalized-Gaussian stream: each body's rows of the stacked
+        # projections are bit for bit its own, in the order the specs come
+        ball, cone = DistributionSpec(Kind.LP_BALL, 5, p=p), DistributionSpec(Kind.LP_CONE, 5, p=p)
+        n_samples, seed = 2 * BLOCK_ROWS + 300, 75  # two full blocks and a partial one
+        directions = np.random.default_rng(2).standard_normal((5, 3))
+        for specs in ((ball, cone), (cone, ball)):
+            shared = sample_projections(specs, directions, n_samples, seed)
+            assert shared.shape == (6, n_samples)
+            for i, spec in enumerate(specs):
+                np.testing.assert_array_equal(
+                    shared[3 * i : 3 * (i + 1)], sample_projections(spec, directions, n_samples, seed)
+                )
+
+    def test_stream_groups(self):
+        def spec(kind, n, p):
+            return DistributionSpec(kind, n, p=p)
+
+        specs = [
+            spec(Kind.LP_CONE, 5, 4.0),  # 0: pairs with the ball at 1
+            spec(Kind.LP_BALL, 5, 4.0),
+            spec(Kind.LP_BALL, 5, 2.0),  # 2, 3: p = 2 draws the spherical fills
+            spec(Kind.LP_CONE, 5, 2.0),
+            spec(Kind.LP_BALL, 5, math.inf),  # 4, 5: the cube and its boundary
+            spec(Kind.LP_CONE, 5, math.inf),
+            spec(Kind.LP_BALL, 6, 1.0),  # 6: no cone at n = 6
+            spec(Kind.LP_BALL, 5, 1.0),  # 7: pairs with the cone at 9
+            spec(Kind.LP_BALL, 5, 1.0),  # 8: a second ball, alone
+            spec(Kind.LP_CONE, 5, 1.0),
+            spec(Kind.LP_SURFACE, 5, 1.0),  # 10: surface measure never pairs
+        ]
+        assert stream_groups(specs) == [
+            (0, 1), (2,), (3,), (4,), (5,), (6,), (7, 9), (8,), (10,)
+        ]
+
+    def test_refuses_specs_of_separate_streams(self):
+        directions = np.ones((5, 1))
+        for specs in (
+            (DistributionSpec(Kind.LP_BALL, 5, p=2.0), DistributionSpec(Kind.LP_CONE, 5, p=2.0)),
+            (DistributionSpec(Kind.LP_BALL, 5, p=3.0), DistributionSpec(Kind.LP_CONE, 5, p=4.0)),
+            (DistributionSpec(Kind.LP_BALL, 5, p=3.0), DistributionSpec(Kind.LP_BALL, 5, p=3.0)),
+        ):
+            with pytest.raises(ValueError, match="one stream"):
+                sample_projections(specs, directions, 1000, 1)
+
     @pytest.mark.parametrize(
         "kind, spherical",
         [(Kind.LP_BALL, Kind.BALL_UNIFORM), (Kind.LP_CONE, Kind.SPHERE_SHELL)],
@@ -452,11 +499,14 @@ class TestGeneralizedGaussian:
         g, sums = _generalized_gaussian_block(np.random.default_rng(22), p, (2 * 10**4, 10))
         np.testing.assert_allclose(sums, np.sum(np.abs(g) ** p, axis=1), rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("kind", [Kind.LP_BALL, Kind.LP_CONE])
-    def test_fill_holds_at_most_two_blocks(self, kind):
-        # the gammas and the uniforms are the only block-sized arrays
+    @pytest.mark.parametrize("kinds", [(Kind.LP_BALL,), (Kind.LP_CONE,), (Kind.LP_BALL, Kind.LP_CONE)],
+                             ids=lambda kinds: "+".join(kind.value for kind in kinds))
+    def test_fill_holds_at_most_two_blocks(self, kinds):
+        # the gammas and the uniforms are the only block-sized arrays, then
+        # the shared block and the cone's scaled copy
         n = 100
-        fill = _filler(DistributionSpec(kind, n, p=4.0))
+        specs = tuple(DistributionSpec(kind, n, p=4.0) for kind in kinds)
+        fill = _filler(specs, None if len(specs) == 1 else np.ones((n, 4)))
         rng = np.random.default_rng(23)
         tracemalloc.start()
         try:
