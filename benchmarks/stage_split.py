@@ -26,10 +26,10 @@ threads (``ank_ks_threaded_s``), then the whole ``estimate_Ank`` call
 (the cube), that call runs no sampled stage: ``ank_exact_s`` times
 ``bounds.exact_kolmogorov`` on the 32 lines one after another, and the
 sampled stages show what the sampled path would cost.  Every
-``*_total_s`` passes ``CLTBOUNDS_THREADS`` as ``workers``.  It times the whole reflection step of ``diagnose``
-(``reflection_total_s``: the three thetas e1, diagonal and random(42) of
-criterion 05 on the given spec, with the standard frame, or the edge frame
-for the simplex).  For the rotation diagnostics it times the two-frame draws
+``*_total_s`` passes ``CLTBOUNDS_THREADS`` as ``workers``.  It times the
+whole reflection step of ``diagnose`` (``reflection_total_s``: the three
+thetas e1, diagonal and random(42) of criterion 05 on the given spec, in
+the frame of its law).  For the rotation diagnostics it times the two-frame draws
 of three angles (``rotation_frames_s``: ``subspaces._rotation_frames``, each
 block of each angle on its own substream, as the rotation pass draws them)
 over the reduced sphere-shell rows of the same n and N
@@ -83,7 +83,6 @@ from cltbounds import subspaces
 from cltbounds.bounds import exact_kolmogorov, exact_tv_vs_normal, has_exact_kolmogorov
 from cltbounds.certify import resolve_theta
 from cltbounds.empirical import _ks_statistic, kolmogorov_vs_normal, tv_vs_normal_histogram
-from cltbounds.frames import simplex_geometry, standard_frame
 from cltbounds.samplers import (
     BLOCK_ROWS,
     SPHERICAL_KINDS,
@@ -211,14 +210,9 @@ def subspace_pass(spec: DistributionSpec, n_samples: int, seed: int) -> dict[str
                            seed=seed, workers=WORKERS)
     times["ank_total_s"] = time.perf_counter() - start
 
-    if spec.kind is Kind.SIMPLEX:
-        frame = simplex_geometry(spec.n).edge_frame
-    else:
-        frame = standard_frame(spec.n)
     thetas = [resolve_theta(t, spec.n)[0] for t in REFLECTION_THETAS]
     start = time.perf_counter()
-    subspaces.reflection_pair_diagnostics(spec, frame, thetas, n_samples, seed, seed,
-                                          workers=WORKERS)
+    subspaces.reflection_pair_diagnostics(spec, thetas, n_samples, seed, seed, workers=WORKERS)
     times["reflection_total_s"] = time.perf_counter() - start
 
     shell = DistributionSpec(kind=Kind.SPHERE_SHELL, n=spec.n)

@@ -17,9 +17,6 @@ from .frames import (  # noqa: F401
     SimplexGeometry,
     TightFrame,
     check_tight,
-    custom_frame,
-    frame_coeffs,
-    reflect,
     simplex_geometry,
     standard_frame,
 )

@@ -35,12 +35,12 @@ from .empirical import (
     KS_MIN_SAMPLES,
     streaming_pair_square_covariance,
 )
-from .frames import simplex_geometry, standard_frame
 from .samplers import DistributionSpec, Kind, derive_seed, sample
 from .subspaces import (
     SymmetryError,
     ank_to_csv,
     estimate_Ank,
+    reflection_frame,
     reflection_pair_diagnostics,
     rotation_pair_diagnostics,
 )
@@ -288,17 +288,14 @@ def _cmd_diagnose(cfg: dict) -> int:
     if experiment == "reflection":
         spec = _spec_from_config(_require(cfg, "distribution"))
         n_samples = _positive_int(cfg, "N")
-        frame_name = cfg.get("frame", "standard")
-        if frame_name == "standard":
-            frame = standard_frame(spec.n)
-        elif frame_name == "simplex-edges":
-            frame = simplex_geometry(spec.n).edge_frame
-        else:
-            raise ConfigError(f"unknown frame {frame_name!r}")
+        frame = reflection_frame(spec.kind)  # the law decides it; lp_surface has none
+        if cfg.get("frame") not in (None, frame):
+            raise ConfigError(f"'frame' follows from the law: the {spec.kind.value} reflection "
+                              f"pair reflects in the {frame!r} frame, got {cfg['frame']!r}")
         theta_specs = _nonempty_list(cfg.get("theta", ["e1"]), "theta")
         thetas = [_theta(theta_spec, spec.n) for theta_spec in theta_specs]
         diags = reflection_pair_diagnostics(
-            spec, frame, [theta for theta, _ in thetas], n_samples, seed, derive_seed(seed, 1),
+            spec, [theta for theta, _ in thetas], n_samples, seed, derive_seed(seed, 1),
             workers=workers,
         )
         name = "reflection_diagnostics.csv"

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import exact_kolmogorov, has_exact_kolmogorov
-from .core import BLOCK_ROWS, as_unit_vector, thread_map
+from .core import BLOCK_ROWS, InsufficientDataError, as_unit_vector, thread_map
 from .empirical import _equal_count_bin_means, _ks_statistic
-from .frames import TightFrame, frame_coeffs, simplex_geometry
+from .frames import LABEL_SIMPLEX_EDGES, LABEL_STANDARD, simplex_geometry
 from .samplers import (
     SPHERICAL_KINDS,
     UNCONDITIONAL_KINDS,
@@ -40,6 +40,7 @@ __all__ = [
     "haar_orthogonal",
     "haar_orthogonal_sample",
     "random_subspace",
+    "reflection_frame",
     "reflection_pair_diagnostics",
     "rotation_pair_diagnostics",
 ]
@@ -49,8 +50,8 @@ __all__ = [
 # one row (a matrix-vector product) does not
 DIRECTION_CHUNK = 4
 
-# rows per gather of the drawn frame vectors in reflection_pair_diagnostics:
-# each worker holds one (FRAME_GATHER_ROWS, n) copy instead of a block's
+# rows per gather of the drawn edges' vertex rows in the simplex reflection
+# pair: each worker holds one (FRAME_GATHER_ROWS, n) gather instead of a block's
 FRAME_GATHER_ROWS = 4096
 
 
@@ -58,26 +59,28 @@ class SymmetryError(ValueError):
     """The law lacks the symmetry an exchangeable-pair diagnostic needs."""
 
 
-def _require_pair_symmetry(spec, frame: TightFrame | None = None) -> None:
-    """Raise SymmetryError unless reflecting in every vector of frame (with no
-    frame: every rotation) maps the law of spec onto itself, as the pair needs.
+def reflection_frame(kind: Kind) -> str:
+    """Label of the tight frame the reflection pair of a kind's law reflects
+    in: reflecting in each of its vectors maps the law onto itself, as the
+    pair needs.
 
-    Spherical laws admit every orthogonal map; the lp balls and cones and the
-    sup-norm exponential the coordinate sign flips (the standard frame); the
-    simplex the reflections in its edges, which permute its vertices.  No
-    diagnostic applies the lp surface weights, so no pair suits that law.
+    The lp balls and cones, the sup-norm exponential and the spherical laws,
+    which admit every orthogonal map, take the coordinate sign flips (the
+    standard frame); the simplex takes the reflections in its edges, which
+    permute its vertices.  No diagnostic applies the lp surface weights, so
+    that law raises SymmetryError.
     """
-    kind, n = spec.kind, spec.n
-    if kind in SPHERICAL_KINDS:
-        return
-    if frame is None:
-        raise SymmetryError(f"the rotation pair needs a spherical law, got {kind.value}")
-    if kind in UNCONDITIONAL_KINDS:
-        suited = np.array_equal(frame.vectors, np.eye(n))
-    else:
-        suited = kind is Kind.SIMPLEX and simplex_geometry(n).is_edge_frame(frame.vectors)
-    if not suited:
-        raise SymmetryError(f"reflecting in the {frame.label} frame changes the {kind.value} law")
+    if kind is Kind.SIMPLEX:
+        return LABEL_SIMPLEX_EDGES
+    if kind in UNCONDITIONAL_KINDS or kind in SPHERICAL_KINDS:
+        return LABEL_STANDARD
+    raise SymmetryError(f"no reflection pair applies the {kind.value} weights")
+
+
+def _require_two_samples(N: int) -> None:
+    """The pair's regression of W - W' on W needs two rows."""
+    if N < 2:
+        raise InsufficientDataError(f"the pair diagnostics need at least 2 samples, got N={N}")
 
 
 def _sign_fixed_qr(g: np.ndarray) -> np.ndarray:
@@ -264,7 +267,6 @@ class PairDiagnostics:
 
 def reflection_pair_diagnostics(
     spec,
-    frame: TightFrame,
     thetas,
     N: int,
     seed: int,
@@ -273,21 +275,36 @@ def reflection_pair_diagnostics(
 ) -> list[PairDiagnostics]:
     """Diagnostics for the random-reflection exchangeable pair, one per theta.
 
-    For each of N samples of spec (drawn with ``seed``) an index I is drawn
-    uniformly over the frame (from ``pair_seed``) and W' = W - 2 X_(I) theta_(I)
-    is formed; all thetas share the rows and I.  Every field is a sampled
+    The pair reflects in the law's frame (``reflection_frame``).  For each
+    of N samples of spec (drawn with ``seed``) an index I is drawn uniformly
+    over the frame's m vectors (from ``pair_seed``) and
+    W' = W - 2 X_(I) theta_(I) is formed; all thetas share the rows and I.
+    In the standard frame (m = n) the coefficients are the coordinates.  On
+    the simplex (m = n(n+1)) index k is the edge (i, j) =
+    ``SimplexGeometry.edge_pairs[k]``, X_(k) = s <X, v_i - v_j> with
+    s = sqrt(n/(2(n+1))) from the two vertex rows, gathered
+    ``FRAME_GATHER_ROWS`` rows at a time, and theta_(k) = s (t_i - t_j) with
+    t = V theta; the edge frame is never built.  Every field is a sampled
     estimate.  Checks run before any draw; one pass over the sample blocks
     keeps W and W - W' per theta, never the batch.  The indices are drawn
     first, in block order; the block fills and then the per-theta reductions
     run on ``workers`` threads, with results independent of ``workers``.
-    The drawn frame vectors are gathered ``FRAME_GATHER_ROWS`` rows at a time.
     """
-    if frame.n != spec.n:
-        raise ValueError(f"dimension mismatch: frame n={frame.n}, spec n={spec.n}")
-    _require_pair_symmetry(spec, frame)
-    n, m = spec.n, frame.m
+    simplex = reflection_frame(spec.kind) == LABEL_SIMPLEX_EDGES
+    _require_two_samples(N)
+    n = spec.n
     thetas = [as_unit_vector(theta, n) for theta in thetas]
-    theta_coeffs = [frame_coeffs(frame, theta) for theta in thetas]
+    if simplex:
+        geom = simplex_geometry(n)
+        m, vertices = geom.m, geom.vertices
+        heads, tails = geom.edge_pairs.T
+        edge_scale = math.sqrt(n / (2.0 * (n + 1)))
+        theta_coeffs = []
+        for theta in thetas:
+            t = vertices @ theta
+            theta_coeffs.append(edge_scale * (t[heads] - t[tails]))
+    else:
+        m, theta_coeffs = n, thetas
 
     # one pair_seed stream feeds every block's frame indices: draw them in order
     rng = np.random.default_rng(pair_seed)
@@ -298,10 +315,16 @@ def reflection_pair_diagnostics(
 
     def take(rows: slice, blk: np.ndarray) -> None:
         idx = index[rows]
-        coeff = np.empty(len(idx))
-        for lo in range(0, len(idx), FRAME_GATHER_ROWS):
-            part = slice(lo, lo + FRAME_GATHER_ROWS)
-            coeff[part] = np.einsum("ij,ij->i", blk[part], frame.vectors[idx[part]])
+        if simplex:
+            coeff = np.empty(len(idx))
+            for lo in range(0, len(idx), FRAME_GATHER_ROWS):
+                part = slice(lo, lo + FRAME_GATHER_ROWS)
+                x = blk[part]
+                coeff[part] = np.einsum("ij,ij->i", x, vertices[heads[idx[part]]])
+                coeff[part] -= np.einsum("ij,ij->i", x, vertices[tails[idx[part]]])
+            coeff *= edge_scale
+        else:
+            coeff = blk[np.arange(len(idx)), idx]
         for t, theta in enumerate(thetas):
             w[t, rows] = blk @ theta
             diff[t, rows] = 2.0 * coeff * theta_coeffs[t][idx]
@@ -412,7 +435,9 @@ def rotation_pair_diagnostics(
     do not depend on ``workers``.  Memory: a few block-sized arrays per
     worker, whatever N.
     """
-    _require_pair_symmetry(spec)
+    if spec.kind not in SPHERICAL_KINDS:
+        raise SymmetryError(f"the rotation pair needs a spherical law, got {spec.kind.value}")
+    _require_two_samples(N)
     eps_list = list(eps_list)
     for eps in eps_list:
         if not (0.0 < eps < 0.5):

@@ -209,13 +209,12 @@ def test_criterion_05_reflection_pair_linearity():
     seed = 50_000
     for n in (10, 50):
         cases = [
-            (DistributionSpec(Kind.LP_BALL, n, p=math.inf), seed + n, standard_frame(n), None),
-            (DistributionSpec(Kind.LP_BALL, n, p=1.0), seed + n + 1, standard_frame(n), None),
-            (DistributionSpec(Kind.SIMPLEX, n), seed + n + 2,
-             simplex_geometry(n).edge_frame, simplex_geometry(n)),
+            (DistributionSpec(Kind.LP_BALL, n, p=math.inf), seed + n, None),
+            (DistributionSpec(Kind.LP_BALL, n, p=1.0), seed + n + 1, None),
+            (DistributionSpec(Kind.SIMPLEX, n), seed + n + 2, simplex_geometry(n)),
         ]
         rng = np.random.default_rng(seed + n + 3)
-        for spec, sample_seed, frame, geom in cases:
+        for spec, sample_seed, geom in cases:
             e1_analog = np.zeros(n)
             e1_analog[0] = 1.0
             if geom is not None:
@@ -223,7 +222,7 @@ def test_criterion_05_reflection_pair_linearity():
             random_theta = rng.standard_normal(n)
             random_theta /= np.linalg.norm(random_theta)
             diags = reflection_pair_diagnostics(
-                spec, frame, (e1_analog, np.full(n, n**-0.5), random_theta),
+                spec, (e1_analog, np.full(n, n**-0.5), random_theta),
                 n_samples, sample_seed, pair_seed=seed + n + 4,
             )
             for diag in diags:

@@ -35,7 +35,7 @@ from cltbounds.bounds import (
     simplex_pair_moment,
 )
 from cltbounds.empirical import _ks_statistic, dkw_slack
-from cltbounds.frames import frame_coeffs, simplex_geometry
+from cltbounds.frames import simplex_geometry
 from cltbounds.samplers import DistributionSpec, Kind, sample_projections
 from cltbounds.subspaces import random_subspace
 
@@ -386,7 +386,7 @@ class TestSimplexPairMomentsReduction:
         for _ in range(5):
             theta = rng.standard_normal(n)
             theta /= np.linalg.norm(theta)
-            q = frame_coeffs(geom.edge_frame, theta) ** 2
+            q = (theta @ geom.edge_frame.vectors.T) ** 2
             fast = SimplexPairMoments(n, pairs).quadratic_form(q)
             dense = DensePairMoments(table).quadratic_form(q)
             assert fast == pytest.approx(dense, rel=1e-12)
@@ -412,7 +412,7 @@ class TestBoundSimplex:
         for _ in range(10):
             theta = rng.standard_normal(n)
             theta /= np.linalg.norm(theta)
-            coeffs = frame_coeffs(geom.edge_frame, theta)
+            coeffs = theta @ geom.edge_frame.vectors.T
             exact = bound_frame_general(
                 BoundInputs(
                     n=n,

@@ -33,7 +33,6 @@ from cltbounds.empirical import (
     kolmogorov_vs_normal,
     tv_vs_normal_histogram,
 )
-from cltbounds.frames import standard_frame
 from cltbounds.samplers import (
     BLOCK_ROWS,
     SPHERICAL_KINDS,
@@ -99,9 +98,9 @@ class TestRouting:
 
     @pytest.mark.parametrize("kind", list(Kind), ids=lambda kind: kind.value)
     def test_kind_table_agrees(self, kind):
-        # one kind set decides the unconditional route, the closed-form
-        # moments and the standard-frame reflection pair (which the
-        # spherical kinds take as well, since they take every frame)
+        # one kind set decides the unconditional route and the closed-form
+        # moments; every law but lp_surface has a reflection pair, in the
+        # frame that follows from its kind
         lp = kind in (Kind.LP_BALL, Kind.LP_CONE, Kind.LP_SURFACE)
         spec = DistributionSpec(kind, 4, p=3.0 if lp else None)
         try:
@@ -114,12 +113,12 @@ class TestRouting:
         except ValueError:
             moments = False
         try:
-            reflection_pair_diagnostics(spec, standard_frame(4), [np.eye(4)[0]], 200, 1, 2)
+            reflection_pair_diagnostics(spec, [np.eye(4)[0]], 200, 1, 2)
             reflected = True
         except SymmetryError:
             reflected = False
         assert unconditional == moments == (kind in UNCONDITIONAL_KINDS)
-        assert reflected == (unconditional or kind in SPHERICAL_KINDS)
+        assert reflected == (kind is not Kind.LP_SURFACE)
         if kind is Kind.LP_SURFACE:
             assert not (unconditional or moments or reflected)
 
@@ -384,14 +383,25 @@ class TestStreaming:
             tracemalloc.stop()
         assert peak < 8 * n_samples * spec.n, f"peak {peak / 1e6:.1f} MB"
 
-    def test_simplex_never_builds_the_edge_frame(self):
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda spec: certify_grid([spec], ["diagonal", "random(1)"], N=5_000, seed=3),
+            lambda spec: reflection_pair_diagnostics(
+                spec, [resolve_theta(t, spec.n)[0] for t in ("diagonal", "random(1)")], 5_000,
+                3, 4,
+            ),
+        ],
+        ids=["certify_grid", "reflection_pair_diagnostics"],
+    )
+    def test_simplex_never_builds_the_edge_frame(self, run):
         # the edge frame takes 8 n^2 (n + 1) bytes, 217 MB at n = 300; the
-        # simplex fill and bound read only the vertices
+        # simplex fill and bound read only the vertices, and the reflection
+        # pair the vertices and the edge pairs
         n = 300
         tracemalloc.start()
         try:
-            certify_grid([DistributionSpec(Kind.SIMPLEX, n)], ["diagonal", "random(1)"],
-                         N=5_000, seed=3)
+            run(DistributionSpec(Kind.SIMPLEX, n))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1075,6 +1085,8 @@ class TestCliDiagnose:
             {"distribution": {"kind": "simplex", "n": 6}},
             {"distribution": {"kind": "lp_ball", "p": 1.0, "n": 6}, "frame": "simplex-edges"},
             {"distribution": {"kind": "lp_surface", "p": 3.0, "n": 6}},
+            {"N": 1},  # no regression of W - W' on W from one row
+            {"distribution": {"kind": "sphere_shell", "n": 6}, "frame": "simplex-edges"},
         ],
     )
     def test_bad_reflection_config_exits_2_before_sampling(self, tmp_path, monkeypatch, change):
@@ -1097,6 +1109,26 @@ class TestCliDiagnose:
         )
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("frame", [None, "simplex-edges"])
+    def test_simplex_reflection_takes_the_frame_of_its_law(self, tmp_path, frame):
+        # the frame may be left out or name the law's frame: the same run
+        payload = {
+            "command": "diagnose",
+            "experiment": "reflection",
+            "distribution": {"kind": "simplex", "n": 6},
+            "theta": ["e1", "diagonal"],
+            "N": 20000,
+            "seed": 7,
+        }
+        if frame is not None:
+            payload["frame"] = frame
+        cfg = write_config(tmp_path, "diag.json", payload)
+        assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+        rows = (tmp_path / "out" / "reflection_diagnostics.csv").read_text().splitlines()
+        assert len(rows) == 3
+        ratio = float(rows[1].split(",")[3])  # slope_over_expected
+        assert abs(ratio - 1.0) < 0.2
+
     @pytest.mark.parametrize("eps_list", [[0.7], [], [0.2, "wide"]])
     def test_bad_rotation_config_exits_2_before_sampling(self, tmp_path, monkeypatch, eps_list):
         def no_sampling(*args, **kwargs):
@@ -1109,6 +1141,23 @@ class TestCliDiagnose:
             "distribution": {"kind": "sphere_shell", "n": 10},
             "eps_list": eps_list,
             "N": 1000,
+        }
+        cfg = write_config(tmp_path, "rot.json", payload)
+        assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "out")]) == (
+            EXIT_CONFIG_ERROR
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_rotation_with_one_sample_exits_2_before_sampling(self, tmp_path, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before N was validated")
+
+        monkeypatch.setattr("cltbounds.subspaces._reduced_spherical_block", no_sampling)
+        payload = {
+            "command": "diagnose",
+            "experiment": "rotation",
+            "distribution": {"kind": "sphere_shell", "n": 10},
+            "N": 1,
         }
         cfg = write_config(tmp_path, "rot.json", payload)
         assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "out")]) == (

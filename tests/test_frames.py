@@ -6,14 +6,43 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cltbounds.frames import (
-    check_tight,
-    custom_frame,
-    frame_coeffs,
-    reflect,
-    simplex_geometry,
-    standard_frame,
-)
+from cltbounds.core import as_vector
+from cltbounds.frames import TightFrame, check_tight, simplex_geometry, standard_frame
+
+# residual above which custom_frame rejects a frame
+CUSTOM_RESIDUAL_TOL = 1e-8
+
+
+def custom_frame(vectors) -> TightFrame:
+    """Reference: wrap user-supplied frame vectors after checking that they
+    are finite unit vectors with tightness residual at most
+    CUSTOM_RESIDUAL_TOL, since the projection bounds hold only for tight
+    frames."""
+    U = np.asarray(vectors, dtype=float)
+    if U.ndim != 2 or U.shape[1] < 2:
+        raise ValueError(f"expected an (m, n) array with n >= 2, got shape {U.shape}")
+    if not np.all(np.isfinite(U)):
+        raise ValueError("frame entries must be finite")
+    if np.abs(np.linalg.norm(U, axis=1) - 1.0).max() > CUSTOM_RESIDUAL_TOL:
+        raise ValueError("frame vectors must be unit vectors")
+    frame = TightFrame(vectors=U)
+    resid = check_tight(frame)
+    if resid > CUSTOM_RESIDUAL_TOL:
+        raise ValueError(f"not a tight frame: residual {resid:.3g} > {CUSTOM_RESIDUAL_TOL:g}")
+    return frame
+
+
+def reflect(x, u) -> np.ndarray:
+    """Reference: reflect x (a vector or a batch of row vectors) in the
+    hyperplane orthogonal to the unit vector u."""
+    u = as_vector(u)
+    nrm = math.sqrt(float(u @ u))
+    if abs(nrm - 1.0) > 1e-9:
+        raise ValueError(f"reflection axis must be a unit vector, got norm {nrm!r}")
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1] != u.size:
+        raise ValueError("dimension mismatch between x and u")
+    return x - 2.0 * np.multiply.outer(x @ u, u)
 
 
 class TestStandardFrame:
@@ -23,7 +52,7 @@ class TestStandardFrame:
     def test_coeffs_are_coordinates(self):
         frame = standard_frame(4)
         x = np.array([1.0, -2.0, 3.0, 0.5])
-        np.testing.assert_array_equal(frame_coeffs(frame, x), x)
+        np.testing.assert_array_equal(x @ frame.vectors.T, x)
 
     def test_tight_constant_one(self):
         assert standard_frame(7).tight_constant == 1.0
@@ -111,7 +140,7 @@ class TestSimplexGeometry:
     def test_vertex_coefficient(self):
         # x = v1 at n=2: coefficient on u_(12) is sqrt(1/3) * (1 + 1/2) = sqrt(3)/2
         geom = simplex_geometry(2)
-        coeffs = frame_coeffs(geom.edge_frame, geom.vertices[0])
+        coeffs = geom.vertices[0] @ geom.edge_frame.vectors.T
         pos = geom.pair_position(0, 1)
         assert coeffs[pos] == pytest.approx(math.sqrt(3) / 2, abs=1e-12)
         pos13 = geom.pair_position(0, 2)
@@ -137,7 +166,7 @@ class TestParseval:
         frames = [standard_frame(n), simplex_geometry(n).edge_frame]
         for frame in frames:
             xs = rng.standard_normal((100, n))
-            coeffs = frame_coeffs(frame, xs)
+            coeffs = xs @ frame.vectors.T
             lhs = (coeffs**2).sum(axis=1)
             rhs = frame.tight_constant * (xs**2).sum(axis=1)
             np.testing.assert_allclose(lhs, rhs, rtol=1e-9)

@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 import tracemalloc
@@ -7,8 +8,9 @@ import pytest
 from scipy import stats
 
 from cltbounds.bounds import exact_kolmogorov
-from cltbounds.empirical import _ks_statistic, dkw_slack
-from cltbounds.frames import TightFrame, custom_frame, simplex_geometry, standard_frame
+from cltbounds.cli import EXIT_CONFIG_ERROR, main
+from cltbounds.empirical import _equal_count_bin_means, _ks_statistic, dkw_slack
+from cltbounds.frames import simplex_geometry
 from cltbounds.samplers import BLOCK_ROWS, DistributionSpec, Kind, derive_seed, sample
 from cltbounds.subspaces import (
     DIRECTION_CHUNK,
@@ -21,9 +23,9 @@ from cltbounds.subspaces import (
     haar_orthogonal,
     haar_orthogonal_sample,
     random_subspace,
+    reflection_frame,
     reflection_pair_diagnostics,
     rotation_pair_diagnostics,
-    _require_pair_symmetry,
     _rotation_frames,
     _rotation_rows,
     uniform_directions,
@@ -36,12 +38,27 @@ def cube(n):
     return DistributionSpec(Kind.LP_BALL, n, p=math.inf)
 
 
-def named_frame(name, n):
-    if name == "standard":
-        return standard_frame(n)
-    if name == "simplex-edges":
-        return simplex_geometry(n).edge_frame
-    return custom_frame(haar_orthogonal(n, 21))  # "rotated"
+def no_sampling(*args, **kwargs):
+    raise AssertionError("sampled before the law was checked")
+
+
+def pair_diagnostics_of(w, diff):
+    """Reference: the PairDiagnostics fields of the sampled pair (W, W - W')."""
+    n_samples = len(w)
+    w_mean, d_mean, w_var = w.mean(), diff.mean(), w.var()
+    slope = np.mean((diff - d_mean) * (w - w_mean)) / w_var
+    intercept = d_mean - slope * w_mean
+    resid = diff - slope * w - intercept
+    means, sizes = _equal_count_bin_means(w, diff * diff)
+    weights = sizes / n_samples
+    return {
+        "slope": slope,
+        "intercept": intercept,
+        "slope_se": resid.std() / (math.sqrt(n_samples) * math.sqrt(w_var)),
+        "var_conditional": weights @ (means - weights @ means) ** 2,
+        "third_abs": np.mean(np.abs(diff) ** 3),
+        "sup_abs": np.abs(diff).max(),
+    }
 
 
 class TestHaarOrthogonal:
@@ -110,7 +127,7 @@ class TestReflectionPair:
         n, n_samples = 10, 10**6
         theta = np.full(n, n**-0.5)
         [diag] = reflection_pair_diagnostics(
-            cube(n), standard_frame(n), [theta], n_samples, 10, pair_seed=11
+            cube(n), [theta], n_samples, 10, pair_seed=11
         )
         ratio = diag.slope * n / 2.0
         ratio_se = diag.slope_se * n / 2.0
@@ -121,7 +138,7 @@ class TestReflectionPair:
         theta = np.zeros(n)
         theta[0] = 1.0
         [diag] = reflection_pair_diagnostics(
-            cube(n), standard_frame(n), [theta], n_samples, 12, pair_seed=13
+            cube(n), [theta], n_samples, 12, pair_seed=13
         )
         d_se = math.sqrt(4.0 / n / n_samples)  # sd(W - W') ~ 2/sqrt(n)
         assert abs(diag.intercept) <= 4 * d_se
@@ -130,7 +147,7 @@ class TestReflectionPair:
         n, n_samples = 10, 10**6
         theta = np.full(n, n**-0.5)
         [diag] = reflection_pair_diagnostics(
-            cube(n), standard_frame(n), [theta], n_samples, 14, pair_seed=15
+            cube(n), [theta], n_samples, 14, pair_seed=15
         )
         # E|W-W'|^3 = (8/m) sum |theta_i|^3 E|X_i|^3 with equality for
         # exchangeable symmetric coordinates: 8 E|X|^3 n^(-1/2) / n here
@@ -143,8 +160,7 @@ class TestReflectionPair:
         geom = simplex_geometry(n)
         theta = geom.vertices[0]
         [diag] = reflection_pair_diagnostics(
-            DistributionSpec(Kind.SIMPLEX, n), geom.edge_frame, [theta], n_samples, 16,
-            pair_seed=17,
+            DistributionSpec(Kind.SIMPLEX, n), [theta], n_samples, 16, pair_seed=17
         )
         ratio = diag.slope * n / 2.0
         assert abs(ratio - 1.0) <= 3 * diag.slope_se * n / 2.0
@@ -153,7 +169,7 @@ class TestReflectionPair:
         n = 6
         theta = np.full(n, n**-0.5)
         [diag] = reflection_pair_diagnostics(
-            cube(n), standard_frame(n), [theta], 10**5, 18, pair_seed=19
+            cube(n), [theta], 10**5, 18, pair_seed=19
         )
         # condition-on-X proxy (16/m^2) S - 16/n^2 with S = sum qq E[X^2 X^2]
         # = 1 + (EX^4 - 1) sum theta^4, so radicand = 0.8/n
@@ -169,13 +185,33 @@ class TestReflectionPair:
         ramp = np.arange(1.0, n + 1)
         thetas = [np.eye(n)[0], np.full(n, n**-0.5), ramp / np.linalg.norm(ramp)]
         together = reflection_pair_diagnostics(
-            spec, standard_frame(n), thetas, 70_000, 38, pair_seed=39
+            spec, thetas, 70_000, 38, pair_seed=39
         )
         alone = [
-            reflection_pair_diagnostics(spec, standard_frame(n), [t], 70_000, 38, pair_seed=39)[0]
+            reflection_pair_diagnostics(spec, [t], 70_000, 38, pair_seed=39)[0]
             for t in thetas
         ]
         assert together == alone
+
+    @pytest.mark.parametrize("n", [5, 20])
+    def test_simplex_equals_the_edge_frame_reference(self, n):
+        # the vertex path against the drawn rows of the built edge frame,
+        # on the same rows and the same index stream
+        geom = simplex_geometry(n)
+        spec = DistributionSpec(Kind.SIMPLEX, n)
+        thetas = [geom.vertices[0], np.full(n, n**-0.5), haar_orthogonal(n, 60)[0]]
+        n_samples, seed, pair_seed = BLOCK_ROWS + 4321, 61, 62  # a partial last block
+        diags = reflection_pair_diagnostics(spec, thetas, n_samples, seed, pair_seed)
+        rng = np.random.default_rng(pair_seed)
+        index = np.concatenate([rng.integers(0, geom.m, min(BLOCK_ROWS, n_samples - lo))
+                                for lo in range(0, n_samples, BLOCK_ROWS)])
+        rows = sample(spec, n_samples, seed).data
+        frame_rows = geom.edge_frame.vectors[index]
+        coeff = np.einsum("ij,ij->i", rows, frame_rows)
+        for theta, diag in zip(thetas, diags):
+            expected = pair_diagnostics_of(rows @ theta, 2.0 * coeff * (frame_rows @ theta))
+            for field, value in expected.items():
+                assert getattr(diag, field) == pytest.approx(value, rel=1e-12, abs=0.0), field
 
     @pytest.mark.parametrize(
         "kind, p, frame",
@@ -187,15 +223,24 @@ class TestReflectionPair:
             (Kind.LP_CONE, 2.0, "rotated"),
         ],
     )
-    def test_frame_must_preserve_the_law(self, monkeypatch, kind, p, frame):
-        def no_sampling(*args, **kwargs):
-            raise AssertionError("sampled before the frame was checked")
-
+    def test_frame_must_preserve_the_law(self, monkeypatch, tmp_path, kind, p, frame):
+        # the frame follows from the law: a diagnose config that names any
+        # other, or any frame for lp_surface, exits 2 before any draw
         monkeypatch.setattr("cltbounds.subspaces.map_sample_blocks", no_sampling)
-        n = 4
+        distribution = {"kind": kind.value, "n": 4, **({} if p is None else {"p": p})}
+        cfg = tmp_path / "diag.json"
+        cfg.write_text(json.dumps({"experiment": "reflection", "distribution": distribution,
+                                   "frame": frame, "N": 1000}))
+        out = tmp_path / "out"
+        assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG_ERROR
+        assert not out.exists()
+
+    def test_surface_law_has_no_pair(self, monkeypatch):
+        # no diagnostic applies the lp surface weights
+        monkeypatch.setattr("cltbounds.subspaces.map_sample_blocks", no_sampling)
         with pytest.raises(SymmetryError):
             reflection_pair_diagnostics(
-                DistributionSpec(kind, n, p=p), named_frame(frame, n), [np.eye(n)[0]], 1000, 20,
+                DistributionSpec(Kind.LP_SURFACE, 4, p=3.0), [np.eye(4)[0]], 1000, 20,
                 pair_seed=21,
             )
 
@@ -206,36 +251,23 @@ class TestReflectionPair:
             (Kind.LP_CONE, math.inf, "standard"),
             (Kind.LINF_EXPONENTIAL, None, "standard"),
             (Kind.SIMPLEX, None, "simplex-edges"),
-            (Kind.SPHERE_SHELL, None, "simplex-edges"),
-            (Kind.BALL_UNIFORM, None, "rotated"),
+            (Kind.SPHERE_SHELL, None, "standard"),
+            (Kind.BALL_UNIFORM, None, "standard"),
+            (Kind.SPHERICAL_EXPONENTIAL, None, "standard"),
         ],
     )
     def test_frame_that_preserves_the_law_is_accepted(self, kind, p, frame):
+        # every law but lp_surface has a pair, in its own frame
         n = 4
+        assert reflection_frame(kind) == frame
         [diag] = reflection_pair_diagnostics(
-            DistributionSpec(kind, n, p=p), named_frame(frame, n), [np.eye(n)[0]], 1000, 20,
-            pair_seed=21,
+            DistributionSpec(kind, n, p=p), [np.eye(n)[0]], 1000, 20, pair_seed=21
         )
         assert math.isfinite(diag.slope)
 
-    def test_simplex_frame_check_builds_no_second_frame(self):
-        # the vectors are compared, not the label, one vertex's rows at a time
-        n = 100
-        spec = DistributionSpec(Kind.SIMPLEX, n)
-        vectors = simplex_geometry(n).edge_frame.vectors
-        tracemalloc.start()
-        try:
-            _require_pair_symmetry(spec, TightFrame(vectors=vectors))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < vectors.nbytes / 4, f"peak {peak / 1e6:.1f} MB"
-
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            reflection_pair_diagnostics(
-                cube(4), standard_frame(5), [np.eye(5)[0]], 1000, 22, pair_seed=23
-            )
+            reflection_pair_diagnostics(cube(4), [np.eye(5)[0]], 1000, 22, pair_seed=23)
 
     def test_never_holds_the_batch(self):
         n, n_samples = 100, 200_000
@@ -243,7 +275,7 @@ class TestReflectionPair:
         tracemalloc.start()
         try:
             reflection_pair_diagnostics(
-                cube(n), standard_frame(n), thetas, n_samples, 40, pair_seed=41
+                cube(n), thetas, n_samples, 40, pair_seed=41
             )
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -348,7 +380,7 @@ class TestRotationRows:
 def test_pair_diagnostics_reject_nonpositive_count(n_samples):
     with pytest.raises(ValueError):
         reflection_pair_diagnostics(
-            cube(4), standard_frame(4), [np.eye(4)[0]], n_samples, 44, pair_seed=45
+            cube(4), [np.eye(4)[0]], n_samples, 44, pair_seed=45
         )
     with pytest.raises(ValueError):
         rotation_pair_diagnostics(SHELL, [0.1], n_samples, 44, pair_seed=45)
@@ -575,7 +607,7 @@ class TestWorkerCount:
         thetas = [np.eye(n)[0], np.full(n, n**-0.5), haar_orthogonal(n, 46)[0]]
         serial, threaded = (
             reflection_pair_diagnostics(
-                cube(n), standard_frame(n), thetas, 70_000, 47, pair_seed=48, workers=workers,
+                cube(n), thetas, 70_000, 47, pair_seed=48, workers=workers,
             )
             for workers in (1, 2)
         )
@@ -613,7 +645,7 @@ class TestWorkerCount:
             return (
                 estimate_Ank(spec, k=1, eps=0.05, n_subspaces=6, N=70_000, seed=51,
                              workers=workers).sup_distances.tolist(),
-                reflection_pair_diagnostics(cube(n), standard_frame(n), thetas, 70_000, 52,
+                reflection_pair_diagnostics(cube(n), thetas, 70_000, 52,
                                             pair_seed=53, workers=workers),
                 rotation_pair_diagnostics(SHELL, [0.2, 0.1, 0.05], 70_000, 54, pair_seed=55,
                                           workers=workers),
