@@ -15,8 +15,10 @@ the grid's four thetas; then every projection row goes through
 ``kolmogorov_vs_normal`` and ``tv_vs_normal_histogram``.  Before that pass
 it times the projections as certification draws them, one
 ``samplers.sample_projections`` call on the same spec and thetas
-(``projections_s``): for the simplex and the p = 2 lp laws that call has
-its own fill, so it is not ``fill_s + project_s``.
+(``projections_s``): for the simplex, the p = 2 lp laws and the lp laws
+at any other finite p (which project their unscaled generalized-Gaussian
+block and scale the projections, with no row scaling) that call has its
+own fill, so it is not ``fill_s + project_s``.
 
 ``--mode subspace`` times scan-ank at k = 1 the same way: the fill, the
 projection onto the 32 stacked subspace lines and ``_ks_statistic`` of every

@@ -9,7 +9,6 @@ from .core import (  # noqa: F401
     MomentSummary,
     lp_norm,
     merge_summaries,
-    normal_cdf,
     normal_pdf,
     summarize,
 )
@@ -27,7 +26,6 @@ from .samplers import (  # noqa: F401
     calibrate_isotropic,
     exact_moments,
     sample,
-    sample_generalized_gaussian,
     sample_projections,
 )
 from .bounds import (  # noqa: F401

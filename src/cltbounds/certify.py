@@ -6,14 +6,15 @@ block, through ``samplers.sample_projections``; the (N, n) batch is never
 held.  Spherically symmetric specs, and the lp ball and cone at p = 2,
 draw the projections from their exact reduced law (r = min(n, T) normals,
 a chi-square and a radius per row) and never fill an n-dimensional row;
-the simplex projects its exponentials before forming the point; every
-other spec projects its sample blocks.
+the simplex projects its exponentials before forming the point; the other
+lp specs at finite p project their generalized-Gaussian block before
+scaling its rows; every other spec projects its sample blocks.
 
 An lp ball and an lp cone at the same n and the same finite p != 2 are
 one stream (``samplers.stream_groups``): their generalized-Gaussian block
-is filled once, and both sample with ``derive_seed(seed, pos)`` at the
-position of whichever of the two the grid lists first.  Every other spec
-samples with the seed of its own position.  The streams are evaluated
+is filled and projected once, and both sample with ``derive_seed(seed,
+pos)`` at the position of whichever of the two the grid lists first.
+Every other spec samples with the seed of its own position.  The streams are evaluated
 largest n first, and the reports keep the order of the specs.
 
 Kolmogorov routes pass when (point estimate - DKW slack) <= bound; total

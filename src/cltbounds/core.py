@@ -21,7 +21,6 @@ __all__ = [
     "as_vector",
     "lp_norm",
     "merge_summaries",
-    "normal_cdf",
     "normal_cdf_points",
     "normal_pdf",
     "summarize",
@@ -102,16 +101,6 @@ def _ndtr():
     from scipy.special import ndtr
 
     return ndtr
-
-
-def normal_cdf(t):
-    """Standard normal distribution function, evaluated by scipy's ``ndtr``.
-
-    Absolute error is below 1e-15 over the double range; accepts scalars
-    or arrays.
-    """
-    out = _ndtr()(t)
-    return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
 
 
 def normal_cdf_points(t):

@@ -8,7 +8,11 @@ seeded with ``seed XOR mix64(b)``, so splitting blocks across workers in
 contiguous ranges reproduces the serial output bit for bit.  One per-law
 block fill, ``_filler``, draws every stream, rows or projections, in a
 fixed documented order; ``stream_groups`` says which specs of a grid share
-one stream (the lp ball and cone of one n and finite p != 2).
+one stream (the lp ball and cone of one n and finite p != 2).  Their fill,
+``_lp_fill``, holds one block-sized array: its signs or uniforms are drawn
+``GG_CHUNK_ROWS`` rows at a time, the same values in the same order as one
+block-sized draw, and its projections are taken once, before the per-row
+scaling of each body.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ __all__ = [
     "exact_moments",
     "map_sample_blocks",
     "sample",
-    "sample_generalized_gaussian",
     "sample_projections",
     "stream_groups",
 ]
@@ -67,6 +70,9 @@ SPHERICAL_KINDS = {Kind.SPHERE_SHELL, Kind.BALL_UNIFORM, Kind.SPHERICAL_EXPONENT
 _P2_SPHERICAL = {Kind.LP_BALL: Kind.BALL_UNIFORM, Kind.LP_CONE: Kind.SPHERE_SHELL}
 # the two bodies of one generalized-Gaussian block at finite p != 2 (``_lp_fill``)
 _PAIRED = {Kind.LP_BALL: Kind.LP_CONE, Kind.LP_CONE: Kind.LP_BALL}
+# rows per chunk of the generalized Gaussian's signs or uniforms: a block
+# holds one (GG_CHUNK_ROWS, n) chunk of them beside its one (count, n) block
+GG_CHUNK_ROWS = 4096
 
 
 def _linf_rate(n: int) -> float:
@@ -267,9 +273,11 @@ def _exact_norm_sq_std(spec: DistributionSpec) -> float:
     return math.sqrt(n * (4.0 * n + 6.0) / (n + 1))  # spherical exponential
 
 
-def _generalized_gaussian_block(rng, p: float, shape) -> tuple[np.ndarray, np.ndarray]:
-    """i.i.d. draws g with density proportional to exp(-|t|^p), and the sums
-    of |g|^p along the last axis.
+def _generalized_gaussian_block(
+    rng: np.random.Generator, p: float, count: int, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(count, n) i.i.d. draws g with density proportional to exp(-|t|^p),
+    and the sums of |g|^p along each row.
 
     p = 2 is the law N(0, 1/2): sqrt(1/2) times standard normals.  p = 1 is
     sign * E with E standard exponential; draw order: exponentials then
@@ -279,30 +287,38 @@ def _generalized_gaussian_block(rng, p: float, shape) -> tuple[np.ndarray, np.nd
     int_{t^p}^inf v^(-1/p) v^(1/p) e^(-v) dv / Gamma(1 + 1/p)
     = e^(-t^p) / Gamma(1 + 1/p) at t, and |g|^p ~ Gamma(1/p, 1).  The shape
     above one keeps ``standard_gamma`` on its fast path.  Draw order: the
-    gammas, then the uniforms; the sums are taken in the uniforms' buffer,
-    so a block holds at most two block-sized arrays.
+    gammas, then the uniforms.  The signs or uniforms are drawn, applied and
+    summed ``GG_CHUNK_ROWS`` rows at a time, which draws the same values in
+    the same order as one block-sized draw, so g is the one block-sized
+    array a block holds.
     """
     if p == 2.0:
-        g = rng.standard_normal(shape)
+        g = rng.standard_normal((count, n))
         g *= math.sqrt(0.5)
-        return g, np.einsum("...i,...i->...", g, g)
+        return g, np.einsum("ij,ij->i", g, g)
     if p == 1.0:
-        g = rng.standard_exponential(shape)
-        sums = g.sum(axis=-1)
-        # negate by flipping the IEEE sign bit in place: no float temporary
-        flips = rng.integers(0, 2, size=shape).view(np.uint64)
-        flips ^= 1
-        flips <<= 63
-        bits = g.view(np.uint64)
-        bits ^= flips
-        return g, sums
-    g = rng.standard_gamma(1.0 + 1.0 / p, shape)
-    g **= 1.0 / p
-    u = rng.uniform(-1.0, 1.0, shape)
-    g *= u
-    np.abs(g, out=u)
-    u **= p
-    return g, u.sum(axis=-1)
+        g = rng.standard_exponential((count, n))
+        sums = g.sum(axis=1)
+    else:
+        g = rng.standard_gamma(1.0 + 1.0 / p, (count, n))
+        sums = np.empty(count)
+    for lo in range(0, count, GG_CHUNK_ROWS):
+        part = g[lo : lo + GG_CHUNK_ROWS]
+        if p == 1.0:
+            # negate by flipping the IEEE sign bit in place: no float temporary
+            flips = rng.integers(0, 2, size=part.shape).view(np.uint64)
+            flips ^= 1
+            flips <<= 63
+            bits = part.view(np.uint64)
+            bits ^= flips
+        else:
+            part **= 1.0 / p
+            u = rng.uniform(-1.0, 1.0, part.shape)
+            part *= u
+            np.abs(part, out=u)
+            u **= p
+            sums[lo : lo + GG_CHUNK_ROWS] = u.sum(axis=1)
+    return g, sums
 
 
 def _cube_boundary_block(rng, count: int, n: int) -> np.ndarray:
@@ -352,32 +368,34 @@ def _reduced_spherical_block(
 
 def _lp_fill(
     p: float, n: int, cone_scale: float | None, ball_scale: float | None,
-    project: Callable[[np.ndarray], np.ndarray],
+    directions: np.ndarray | None,
 ) -> Callable[[np.random.Generator, int], list[np.ndarray]]:
     """Block generator of the lp cone and the lp ball at one finite p, from
     one generalized-Gaussian block G with S = sum_i |G_i|^p per row: the
     cone's rows cone_scale G / S^(1/p), then one standard exponential E per
     row and the ball's rows ball_scale G / (S + E)^(1/p) (Barthe, Guedon,
     Mendelson and Naor, Ann. Probab. 2005).  A body whose scale is None is
-    not drawn, so the cone alone draws a prefix of the ball's stream.  Each
-    body is scaled, then passed through project; the fill returns the list
-    of them, cone first.  The cone's rows are a copy of G only when the ball
-    follows, so a fill holds at most about two block-sized arrays at once.
+    not drawn, so the cone alone draws a prefix of the ball's stream.  The
+    fill returns the list of the bodies, cone first: with directions, each
+    body's projections (G @ directions) times its per-row factor, the
+    product taken once for both; without, the one body's rows, G scaled in
+    place.  So a fill holds one block-sized array, G.
     """
 
     def fill(rng, count):
-        g, sums = _generalized_gaussian_block(rng, p, (count, n))
-        bodies = []
+        g, sums = _generalized_gaussian_block(rng, p, count, n)
+        factors = []
         if cone_scale is not None:
-            x = g if ball_scale is None else g.copy()
-            x *= (cone_scale * sums ** (-1.0 / p))[:, None]
-            bodies.append(project(x))
-            del x
+            factors.append(cone_scale * sums ** (-1.0 / p))
         if ball_scale is not None:
             sums += rng.standard_exponential(count)
-            g *= (ball_scale * sums ** (-1.0 / p))[:, None]
-            bodies.append(project(g))
-        return bodies
+            factors.append(ball_scale * sums ** (-1.0 / p))
+        if directions is None:  # the rows of one body
+            (factor,) = factors
+            g *= factor[:, None]
+            return [g]
+        y = g @ directions
+        return [y * factor[:, None] for factor in factors]
 
     return fill
 
@@ -423,15 +441,15 @@ def _filler(
       M = c vertices, or M = c (vertices @ directions), an (n+1, D) product
       per row instead of an (n+1, n) one.
     * The lp ball, cone and surface measure at finite p draw from
-      ``_lp_fill``; the ball and the cone of one group share its block.
-    * Every other law fills its rows in place, so a fill holds at most about
-      two block-sized arrays at once, and multiplies them by directions.
+      ``_lp_fill``, which projects the unscaled block once and scales the
+      projections; the ball and the cone of one group share its block.
+    * Every other law fills its rows in place, one block-sized array, and
+      multiplies them by directions.
     """
     group = (specs,) if isinstance(specs, DistributionSpec) else tuple(specs)
     spec = group[0]
     n, p, scale = spec.n, spec.p, spec.scale
     kind = _P2_SPHERICAL.get(spec.kind, spec.kind) if p == 2.0 else spec.kind
-    project = (lambda x: x) if directions is None else (lambda x: x @ directions)
 
     if kind in SPHERICAL_KINDS:
         factor = None if directions is None else np.linalg.qr(directions)[1]
@@ -460,11 +478,11 @@ def _filler(
     if kind in _LP_KINDS and not math.isinf(p):
         if len(group) == 2:  # the ball and the cone of one stream, in the order of specs
             cone, ball = sorted(group, key=lambda s: s.kind is Kind.LP_BALL)
-            fill = _lp_fill(p, n, cone.scale, ball.scale, project)
+            fill = _lp_fill(p, n, cone.scale, ball.scale, directions)
             order = -1 if spec is ball else 1
             return lambda rng, count: np.hstack(fill(rng, count)[::order])
         cone = kind is not Kind.LP_BALL
-        fill = _lp_fill(p, n, scale if cone else None, None if cone else scale, project)
+        fill = _lp_fill(p, n, scale if cone else None, None if cone else scale, directions)
         return lambda rng, count: fill(rng, count)[0]
 
     if kind is Kind.LP_BALL:  # the cube
@@ -492,7 +510,7 @@ def _filler(
     else:  # pragma: no cover
         raise ValueError(f"unknown kind {kind!r}")
 
-    return lambda rng, count: project(fill(rng, count))
+    return fill if directions is None else lambda rng, count: fill(rng, count) @ directions
 
 
 def map_sample_blocks(
@@ -515,10 +533,12 @@ def sample_projections(
     Kolmogorov sort, and the (N, n) batch is never held.
 
     A law whose rows ``_filler`` fills gives exactly
-    ``sample(spec, N, seed).data @ directions``, and the simplex gives it up
-    to rounding.  A spherical law (and the lp ball and cone at p = 2) draws
-    its reduced law at r = min(n, D): for D < n a stream other than that of
-    ``sample``, with the same law.
+    ``sample(spec, N, seed).data @ directions``; the simplex, and the lp
+    laws that ``_lp_fill`` draws (finite p, but the ball and cone at p = 2),
+    which project before they scale, give it up to rounding.  A spherical
+    law (and the lp ball and cone at p = 2) draws its reduced law at
+    r = min(n, D): for D < n a stream other than that of ``sample``, with
+    the same law.
 
     Given the k specs of one group of ``stream_groups``, the (k D, N)
     projections of all of them from their one stream: rows i D to
@@ -597,25 +617,6 @@ def exact_moments(spec: DistributionSpec) -> tuple[float, float, float]:
         return _body_moment(spec.kind, spec.n, spec.p, powers) / m2 ** (sum(powers) / 2)
 
     return normalized(4), normalized(2, 2) - 1.0, normalized(3)
-
-
-def sample_generalized_gaussian(p: float, N: int, seed: int) -> np.ndarray:
-    """i.i.d. scalars with density proportional to exp(-|t|^p), 1 <= p < inf,
-    drawn as ``_generalized_gaussian_block`` documents: sqrt(1/2) times
-    standard normals at p = 2, signed exponentials at p = 1, and
-    V^(1/p) U (V ~ Gamma(1 + 1/p), U uniform on (-1, 1)) at any other p."""
-    if math.isinf(p):
-        raise ValueError("p = inf is unsupported here; draw uniforms directly")
-    if math.isnan(p) or p < 1.0:
-        raise ValueError(f"p must satisfy 1 <= p < inf, got {p}")
-    blocks = _block_rngs(N, seed)
-    out = np.empty(N, dtype=float)
-
-    def put(rows: slice, g: np.ndarray) -> None:
-        out[rows] = g
-
-    _map_blocks(lambda rng, count: _generalized_gaussian_block(rng, p, count)[0], blocks, put)
-    return out
 
 
 def simplex_embedded_coordinates(batch: SampleBatch) -> np.ndarray:

@@ -11,11 +11,20 @@ from cltbounds.core import (
     as_unit_vector,
     lp_norm,
     merge_summaries,
-    normal_cdf,
     normal_cdf_points,
     summarize,
+    _ndtr,
 )
 from cltbounds.samplers import SampleBatch
+
+
+def normal_cdf(t):
+    """Reference standard normal distribution function: scipy's ``ndtr``,
+    the program's Phi for the Kolmogorov statistic (``core._ndtr``), on a
+    scalar or an array.  It was ``core.normal_cdf``."""
+    out = _ndtr()(t)
+    return float(out) if np.ndim(t) == 0 else out
+
 
 # high-precision reference values (30-digit erf evaluation)
 PHI_ORACLE = {

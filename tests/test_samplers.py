@@ -17,8 +17,8 @@ from cltbounds.samplers import (
     calibrate_isotropic,
     exact_moments,
     map_sample_blocks,
+    GG_CHUNK_ROWS,
     sample,
-    sample_generalized_gaussian,
     sample_projections,
     simplex_embedded_coordinates,
     stream_groups,
@@ -38,6 +38,36 @@ def assert_within_se(observed, expected, se, k=3.0, floor=1e-12):
     assert abs(observed - expected) <= k * se + floor, (
         f"{observed} vs {expected} (allowed {k} * {se})"
     )
+
+
+def generalized_gaussian_draws(rng, p, shape):
+    """The generalized Gaussian of density ~ exp(-|t|^p) as documented, each
+    distribution in one call: sqrt(1/2) standard normals at p = 2; at
+    p = 1 exponentials, then integers(0, 2) signs, 0 negating; at any other
+    p Gamma(1 + 1/p) draws V, then uniform(-1, 1) draws U, g = V^(1/p) U."""
+    if p == 2.0:
+        return math.sqrt(0.5) * rng.standard_normal(shape)
+    if p == 1.0:
+        g = rng.standard_exponential(shape)
+        g *= rng.integers(0, 2, shape) * 2.0 - 1.0
+        return g
+    g = rng.standard_gamma(1.0 + 1.0 / p, shape) ** (1.0 / p)
+    g *= rng.uniform(-1.0, 1.0, shape)
+    return g
+
+
+def sample_generalized_gaussian(p, N, seed):
+    """Reference: N i.i.d. scalars of density ~ exp(-|t|^p), 1 <= p < inf,
+    block b drawn by ``generalized_gaussian_draws`` from the substream of
+    ``block_seed(seed, b)``.  It was ``samplers.sample_generalized_gaussian``;
+    the program draws the same law only inside ``_generalized_gaussian_block``."""
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"p must satisfy 1 <= p < inf, got {p}")
+    return np.concatenate([
+        generalized_gaussian_draws(np.random.default_rng(block_seed(seed, block)), p,
+                                   min(BLOCK_ROWS, N - lo))
+        for block, lo in enumerate(range(0, N, BLOCK_ROWS))
+    ])
 
 
 def two_sample_ks(a, b):
@@ -308,12 +338,7 @@ class TestProjectionBlocks:
 
     @pytest.mark.parametrize(
         "spec",
-        [
-            DistributionSpec(Kind.LP_BALL, 7, p=3.0),
-            DistributionSpec(Kind.LP_CONE, 7, p=math.inf),
-            DistributionSpec(Kind.LP_SURFACE, 7, p=1.5),
-            DistributionSpec(Kind.LINF_EXPONENTIAL, 7),
-        ],
+        [DistributionSpec(Kind.LP_CONE, 7, p=math.inf), DistributionSpec(Kind.LINF_EXPONENTIAL, 7)],
         ids=lambda spec: spec.kind.value,
     )
     def test_other_kinds_project_their_sample_blocks(self, spec):
@@ -325,6 +350,38 @@ class TestProjectionBlocks:
         for lo in range(0, n_samples, BLOCK_ROWS):
             rows = slice(lo, lo + BLOCK_ROWS)
             np.testing.assert_array_equal(projections[:, rows].T, data[rows] @ directions)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            DistributionSpec(Kind.LP_BALL, 7, p=3.0),
+            DistributionSpec(Kind.LP_SURFACE, 7, p=1.5),
+            DistributionSpec(Kind.LP_CONE, 7, p=4.0),
+            DistributionSpec(Kind.LP_BALL, 7, p=1.0),
+        ],
+        ids=lambda spec: f"{spec.kind.value}-{spec.p}",
+    )
+    def test_lp_projects_before_scaling(self, spec):
+        # per block substream: the generalized-Gaussian draws g (gammas, then
+        # uniforms; at p = 1 exponentials, then signs), then the ball's
+        # exponential E; the projections are (g @ directions) times the
+        # per-row factor scale (sum |g|^p [+ E])^(-1/p), bit for bit, and
+        # sample() rows times the directions up to rounding
+        n_samples, seed, p = BLOCK_ROWS + 300, 72, spec.p
+        directions = np.random.default_rng(0).standard_normal((spec.n, 3))
+        blocks = []
+        for block, lo in enumerate(range(0, n_samples, BLOCK_ROWS)):
+            count = min(BLOCK_ROWS, n_samples - lo)
+            rng = np.random.default_rng(block_seed(seed, block))
+            g = generalized_gaussian_draws(rng, p, (count, spec.n))
+            sums = np.sum(np.abs(g) ** p, axis=1)
+            if spec.kind is Kind.LP_BALL:
+                sums += rng.standard_exponential(count)
+            blocks.append((g @ directions) * (spec.scale * sums ** (-1.0 / p))[:, None])
+        projections = sample_projections(spec, directions, n_samples, seed)
+        np.testing.assert_array_equal(projections.T, np.vstack(blocks))
+        expected = sample(spec, n_samples, seed).data @ directions
+        np.testing.assert_allclose(projections.T, expected, rtol=1e-12, atol=1e-12)
 
     def test_simplex_projects_before_forming_the_point(self):
         # the same exponentials as sample(), projected through c vertices @
@@ -468,45 +525,67 @@ class TestBallUniform:
 
 
 class TestGeneralizedGaussian:
+    # the law through the program's draw, _generalized_gaussian_block
+
     def test_gaussian_case_variance_half(self):
-        draws = sample_generalized_gaussian(2.0, 10**6, 18)
-        mean, se = mean_and_se(draws**2)
+        draws, _ = _generalized_gaussian_block(np.random.default_rng(18), 2.0, 10**5, 10)
+        mean, se = mean_and_se(draws.ravel() ** 2)
         assert_within_se(mean, 0.5, se)
 
     def test_laplace_case_abs_mean_one(self):
-        draws = sample_generalized_gaussian(1.0, 10**6, 19)
-        mean, se = mean_and_se(np.abs(draws))
+        draws, _ = _generalized_gaussian_block(np.random.default_rng(19), 1.0, 10**5, 10)
+        mean, se = mean_and_se(np.abs(draws.ravel()))
         assert_within_se(mean, 1.0, se)
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
     def test_symmetry(self, p):
-        draws = sample_generalized_gaussian(p, 2 * 10**5, 20)
-        mean, se = mean_and_se(draws)
+        draws, _ = _generalized_gaussian_block(np.random.default_rng(20), p, 2 * 10**4, 10)
+        mean, se = mean_and_se(draws.ravel())
         assert_within_se(mean, 0.0, se)
 
     def test_rejects_inf(self):
+        # p = inf has no generalized Gaussian: the reference refuses it, and
+        # the lp cone there fills the cube boundary, each row's sup norm its scale
         with pytest.raises(ValueError):
             sample_generalized_gaussian(math.inf, 10, 0)
+        spec = DistributionSpec(Kind.LP_CONE, 5, p=math.inf)
+        rows = sample(spec, 1000, 0).data
+        np.testing.assert_array_equal(np.abs(rows).max(axis=1), spec.scale)
 
     @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
     def test_power_is_gamma_of_one_over_p(self, p):
         # V^(1/p) U has |g|^p ~ Gamma(1/p, 1)
-        draws = sample_generalized_gaussian(p, 2 * 10**5, 21)
-        assert stats.kstest(np.abs(draws) ** p, stats.gamma(1.0 / p).cdf).pvalue > 0.01
+        draws, _ = _generalized_gaussian_block(np.random.default_rng(21), p, 2 * 10**4, 10)
+        assert stats.kstest(np.abs(draws.ravel()) ** p, stats.gamma(1.0 / p).cdf).pvalue > 0.01
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0])
     def test_block_sums_are_those_of_the_draws(self, p):
-        g, sums = _generalized_gaussian_block(np.random.default_rng(22), p, (2 * 10**4, 10))
+        g, sums = _generalized_gaussian_block(np.random.default_rng(22), p, 2 * 10**4, 10)
         np.testing.assert_allclose(sums, np.sum(np.abs(g) ** p, axis=1), rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("kinds", [(Kind.LP_BALL,), (Kind.LP_CONE,), (Kind.LP_BALL, Kind.LP_CONE)],
-                             ids=lambda kinds: "+".join(kind.value for kind in kinds))
-    def test_fill_holds_at_most_two_blocks(self, kinds):
-        # the gammas and the uniforms are the only block-sized arrays, then
-        # the shared block and the cone's scaled copy
+    @pytest.mark.parametrize("n", [1, 7])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0])
+    def test_chunked_block_is_the_reference_stream(self, p, n):
+        # the signs or uniforms drawn GG_CHUNK_ROWS rows at a time (two full
+        # chunks and a partial one) are those of one block-sized draw
+        count, seed = 2 * GG_CHUNK_ROWS + 100, 24
+        g, _ = _generalized_gaussian_block(np.random.default_rng(block_seed(seed, 0)), p, count, n)
+        np.testing.assert_array_equal(g.ravel(), sample_generalized_gaussian(p, count * n, seed))
+
+    @pytest.mark.parametrize(
+        "kinds, projected",
+        [((Kind.LP_BALL,), True), ((Kind.LP_CONE,), True), ((Kind.LP_BALL, Kind.LP_CONE), True),
+         ((Kind.LP_CONE,), False)],
+        ids=["lp_ball", "lp_cone", "lp_ball+lp_cone", "lp_cone-rows"],
+    )
+    def test_fill_holds_at_most_two_blocks(self, kinds, projected):
+        # at most 1.2 blocks: the generalized-Gaussian block is the one
+        # block-sized array; its uniforms and their powers come 4096 rows
+        # (1/16 block) at a time, each body's projections are (count, 4),
+        # and the rows of one body are scaled in place
         n = 100
         specs = tuple(DistributionSpec(kind, n, p=4.0) for kind in kinds)
-        fill = _filler(specs, None if len(specs) == 1 else np.ones((n, 4)))
+        fill = _filler(specs, np.ones((n, 4)) if projected else None)
         rng = np.random.default_rng(23)
         tracemalloc.start()
         try:
@@ -514,7 +593,7 @@ class TestGeneralizedGaussian:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.1 * 8 * BLOCK_ROWS * n, f"peak {peak / (8 * BLOCK_ROWS * n):.2f} blocks"
+        assert peak <= 1.2 * 8 * BLOCK_ROWS * n, f"peak {peak / (8 * BLOCK_ROWS * n):.2f} blocks"
 
 
 class TestLpCone:
