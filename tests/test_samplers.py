@@ -9,6 +9,7 @@ from cltbounds.core import summarize
 from cltbounds.frames import simplex_geometry
 from cltbounds.samplers import (
     BLOCK_ROWS,
+    GG_CHUNK_ROWS,
     DistributionSpec,
     Kind,
     SampleBatch,
@@ -17,7 +18,6 @@ from cltbounds.samplers import (
     calibrate_isotropic,
     exact_moments,
     map_sample_blocks,
-    GG_CHUNK_ROWS,
     sample,
     sample_projections,
     simplex_embedded_coordinates,
