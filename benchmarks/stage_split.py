@@ -15,10 +15,13 @@ the grid's four thetas; then every projection row goes through
 ``kolmogorov_vs_normal`` and ``tv_vs_normal_histogram``.  Before that pass
 it times the projections as certification draws them, one
 ``samplers.sample_projections`` call on the same spec and thetas
-(``projections_s``): for the simplex, the p = 2 lp laws and the lp laws
-at any other finite p (which project their unscaled generalized-Gaussian
-block and scale the projections, with no row scaling) that call has its
-own fill, so it is not ``fill_s + project_s``.
+(``projections_s``), with its tracemalloc peak in MB
+(``projections_peak_mb``, traced in the timed call): every projection fill
+draws ``CHUNK_ROWS`` rows at a time, so that peak does not grow with the
+block, and for the simplex, the p = 2 lp laws and the lp laws at any other
+finite p (which project their unscaled generalized-Gaussian chunks and
+scale the projections, with no row scaling) that call has its own fill,
+so it is not ``fill_s + project_s``.
 
 ``--mode subspace`` times scan-ank at k = 1 the same way: the fill, the
 projection onto the 32 stacked subspace lines and ``_ks_statistic`` of every
@@ -62,7 +65,7 @@ none, so its time should sit near ``version_s``.  The spec options are unused.
         --mode startup --repeats 10
 
 Prints one JSON object with the median and quartiles of each stage over the
-repeats, in seconds.
+repeats, in seconds (``*_mb`` stages in MB).
 """
 
 from __future__ import annotations
@@ -75,6 +78,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -159,9 +163,14 @@ def stream(spec: DistributionSpec, n_samples: int, seed: int, directions: np.nda
 def certify_pass(spec: DistributionSpec, n_samples: int, seed: int) -> dict[str, float]:
     thetas = np.column_stack([resolve_theta(t, spec.n)[0] for t in THETAS])
     times = dict.fromkeys(("fill_s", "project_s", "ks_s", "hist_s"), 0.0)
-    start = time.perf_counter()
-    sample_projections(spec, thetas, n_samples, seed)
-    times["projections_s"] = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        sample_projections(spec, thetas, n_samples, seed)
+        times["projections_s"] = time.perf_counter() - start
+        times["projections_peak_mb"] = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
     for row in stream(spec, n_samples, seed, thetas, times):
         start = time.perf_counter()
         kolmogorov_vs_normal(row)

@@ -7,8 +7,10 @@ held.  Spherically symmetric specs, and the lp ball and cone at p = 2,
 draw the projections from their exact reduced law (r = min(n, T) normals,
 a chi-square and a radius per row) and never fill an n-dimensional row;
 the simplex projects its exponentials before forming the point; the other
-lp specs at finite p project their generalized-Gaussian block before
-scaling its rows; every other spec projects its sample blocks.
+lp specs at finite p project their generalized-Gaussian rows before
+scaling them; every other spec projects its sample rows.  Each of these
+fills draws and projects ``CHUNK_ROWS`` rows at a time, so beside its
+projections a worker holds two (CHUNK_ROWS, n) chunks at most, not a block.
 
 An lp ball and an lp cone at the same n and the same finite p != 2 are
 one stream (``samplers.stream_groups``): their generalized-Gaussian block

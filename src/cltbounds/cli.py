@@ -17,7 +17,7 @@ import sys
 import traceback
 from pathlib import Path
 
-from .bounds import EXACT_MARGINAL_MAX_N, EXACT_MARGINALS, exact_tv_vs_normal
+from .bounds import EXACT_MARGINAL_MAX_N, EXACT_MARGINALS, exact_tv_vs_normal, has_exact_kolmogorov
 from .certify import (
     ROUTE_SPHERICAL,
     InapplicableBoundError,
@@ -173,7 +173,7 @@ def _workers() -> int:
 
 def _cmd_sample(cfg: dict) -> int:
     spec = _spec_from_config(_require(cfg, "distribution"))
-    n_samples = _positive_int(cfg, "N")
+    n_samples = _positive_int(cfg, "N", least=2)  # the summary's covariance fields need two
     seed = _seed(cfg)
     out = _out_dir(cfg)
     batch = sample(spec, n_samples, seed)
@@ -262,6 +262,9 @@ def _cmd_scan_ank(cfg: dict) -> int:
     for spec in specs:  # fail fast, before any sampling or quadrature
         if k > spec.n:
             raise ConfigError(f"'k' must not exceed n, got k={k}, n={spec.n}")
+        if n_samples < KS_MIN_SAMPLES and not (k == 1 and has_exact_kolmogorov(spec)):
+            raise ConfigError(f"sampled {spec.kind.value} lines need at least {KS_MIN_SAMPLES} "
+                              f"samples, got N={n_samples}")
     workers = _workers()
     out = _out_dir(cfg)
     results = []

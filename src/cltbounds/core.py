@@ -29,6 +29,8 @@ __all__ = [
 
 # rows per block: the sampler substream unit and every blockwise accumulation
 BLOCK_ROWS = 1 << 16
+# rows per chunk of an n-wide fill or gather within a block, a divisor of BLOCK_ROWS
+CHUNK_ROWS = 1 << 12
 
 _SQRT2 = math.sqrt(2.0)
 

@@ -8,11 +8,9 @@ seeded with ``seed XOR mix64(b)``, so splitting blocks across workers in
 contiguous ranges reproduces the serial output bit for bit.  One per-law
 block fill, ``_filler``, draws every stream, rows or projections, in a
 fixed documented order; ``stream_groups`` says which specs of a grid share
-one stream (the lp ball and cone of one n and finite p != 2).  Their fill,
-``_lp_fill``, holds one block-sized array: its signs or uniforms are drawn
-``GG_CHUNK_ROWS`` rows at a time, the same values in the same order as one
-block-sized draw, and its projections are taken once, before the per-row
-scaling of each body.
+one stream (the lp ball and cone of one n and finite p != 2).  A fill that
+projects n-wide rows draws and projects them ``CHUNK_ROWS`` rows at a time,
+so beside its (count, k D) projections it holds a chunk, not a block.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .core import BLOCK_ROWS, thread_map
+from .core import BLOCK_ROWS, CHUNK_ROWS, thread_map
 from .frames import simplex_geometry
 
 __all__ = [
@@ -68,11 +66,8 @@ UNCONDITIONAL_KINDS = {Kind.LP_BALL, Kind.LP_CONE, Kind.LINF_EXPONENTIAL}
 SPHERICAL_KINDS = {Kind.SPHERE_SHELL, Kind.BALL_UNIFORM, Kind.SPHERICAL_EXPONENTIAL}
 # lp kinds whose law at p = 2 is a spherically symmetric kind's, up to scale
 _P2_SPHERICAL = {Kind.LP_BALL: Kind.BALL_UNIFORM, Kind.LP_CONE: Kind.SPHERE_SHELL}
-# the two bodies of one generalized-Gaussian block at finite p != 2 (``_lp_fill``)
+# the two bodies of one generalized-Gaussian stream at finite p != 2 (``_lp_fill``)
 _PAIRED = {Kind.LP_BALL: Kind.LP_CONE, Kind.LP_CONE: Kind.LP_BALL}
-# rows per chunk of the generalized Gaussian's signs or uniforms: a block
-# holds one (GG_CHUNK_ROWS, n) chunk of them beside its one (count, n) block
-GG_CHUNK_ROWS = 4096
 
 
 def _linf_rate(n: int) -> float:
@@ -273,11 +268,10 @@ def _exact_norm_sq_std(spec: DistributionSpec) -> float:
     return math.sqrt(n * (4.0 * n + 6.0) / (n + 1))  # spherical exponential
 
 
-def _generalized_gaussian_block(
-    rng: np.random.Generator, p: float, count: int, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(count, n) i.i.d. draws g with density proportional to exp(-|t|^p),
-    and the sums of |g|^p along each row.
+def _generalized_gaussian_block(rng: np.random.Generator, p: float, g: np.ndarray) -> np.ndarray:
+    """Fill the C-contiguous (count, n) array g with i.i.d. draws of density
+    proportional to exp(-|t|^p), and return the sums of |g|^p along each
+    row: one chunk of an lp fill.
 
     p = 2 is the law N(0, 1/2): sqrt(1/2) times standard normals.  p = 1 is
     sign * E with E standard exponential; draw order: exponentials then
@@ -287,50 +281,29 @@ def _generalized_gaussian_block(
     int_{t^p}^inf v^(-1/p) v^(1/p) e^(-v) dv / Gamma(1 + 1/p)
     = e^(-t^p) / Gamma(1 + 1/p) at t, and |g|^p ~ Gamma(1/p, 1).  The shape
     above one keeps ``standard_gamma`` on its fast path.  Draw order: the
-    gammas, then the uniforms.  The signs or uniforms are drawn, applied and
-    summed ``GG_CHUNK_ROWS`` rows at a time, which draws the same values in
-    the same order as one block-sized draw, so g is the one block-sized
-    array a block holds.
+    gammas, then the uniforms.  Beside g it allocates one array of g's shape.
     """
     if p == 2.0:
-        g = rng.standard_normal((count, n))
+        rng.standard_normal(out=g)
         g *= math.sqrt(0.5)
-        return g, np.einsum("ij,ij->i", g, g)
+        return np.einsum("ij,ij->i", g, g)
     if p == 1.0:
-        g = rng.standard_exponential((count, n))
+        rng.standard_exponential(out=g)
         sums = g.sum(axis=1)
-    else:
-        g = rng.standard_gamma(1.0 + 1.0 / p, (count, n))
-        sums = np.empty(count)
-    for lo in range(0, count, GG_CHUNK_ROWS):
-        part = g[lo : lo + GG_CHUNK_ROWS]
-        if p == 1.0:
-            # negate by flipping the IEEE sign bit in place: no float temporary
-            flips = rng.integers(0, 2, size=part.shape).view(np.uint64)
-            flips ^= 1
-            flips <<= 63
-            bits = part.view(np.uint64)
-            bits ^= flips
-        else:
-            part **= 1.0 / p
-            u = rng.uniform(-1.0, 1.0, part.shape)
-            part *= u
-            np.abs(part, out=u)
-            u **= p
-            sums[lo : lo + GG_CHUNK_ROWS] = u.sum(axis=1)
-    return g, sums
-
-
-def _cube_boundary_block(rng, count: int, n: int) -> np.ndarray:
-    """Cone (= surface) measure on the boundary of the cube [-1, 1]^n.
-
-    Draw order: interior uniforms, facet index, facet sign.
-    """
-    x = rng.uniform(-1.0, 1.0, (count, n))
-    face = rng.integers(0, n, count)
-    sign = rng.integers(0, 2, count) * 2.0 - 1.0
-    x[np.arange(count), face] = sign
-    return x
+        # negate by flipping the IEEE sign bit in place: no float temporary
+        flips = rng.integers(0, 2, size=g.shape).view(np.uint64)
+        flips ^= 1
+        flips <<= 63
+        bits = g.view(np.uint64)
+        bits ^= flips
+        return sums
+    rng.standard_gamma(1.0 + 1.0 / p, out=g)
+    g **= 1.0 / p
+    u = rng.uniform(-1.0, 1.0, g.shape)
+    g *= u
+    np.abs(g, out=u)
+    u **= p
+    return u.sum(axis=1)
 
 
 def _reduced_spherical_block(
@@ -366,36 +339,56 @@ def _reduced_spherical_block(
     return g, rest_sq
 
 
-def _lp_fill(
-    p: float, n: int, cone_scale: float | None, ball_scale: float | None,
-    directions: np.ndarray | None,
-) -> Callable[[np.random.Generator, int], list[np.ndarray]]:
-    """Block generator of the lp cone and the lp ball at one finite p, from
-    one generalized-Gaussian block G with S = sum_i |G_i|^p per row: the
-    cone's rows cone_scale G / S^(1/p), then one standard exponential E per
-    row and the ball's rows ball_scale G / (S + E)^(1/p) (Barthe, Guedon,
-    Mendelson and Naor, Ann. Probab. 2005).  A body whose scale is None is
-    not drawn, so the cone alone draws a prefix of the ball's stream.  The
-    fill returns the list of the bodies, cone first: with directions, each
-    body's projections (G @ directions) times its per-row factor, the
-    product taken once for both; without, the one body's rows, G scaled in
-    place.  So a fill holds one block-sized array, G.
-    """
+def _chunked(draw: Callable[[np.random.Generator, int], np.ndarray], width: int):
+    """Block generator of (count, width) blocks, draw(rng, rows) of each
+    ``CHUNK_ROWS``-row chunk in turn."""
 
     def fill(rng, count):
-        g, sums = _generalized_gaussian_block(rng, p, count, n)
-        factors = []
-        if cone_scale is not None:
-            factors.append(cone_scale * sums ** (-1.0 / p))
-        if ball_scale is not None:
-            sums += rng.standard_exponential(count)
-            factors.append(ball_scale * sums ** (-1.0 / p))
-        if directions is None:  # the rows of one body
-            (factor,) = factors
-            g *= factor[:, None]
-            return [g]
-        y = g @ directions
-        return [y * factor[:, None] for factor in factors]
+        out = np.empty((count, width))
+        for lo in range(0, count, CHUNK_ROWS):
+            out[lo : lo + CHUNK_ROWS] = draw(rng, min(CHUNK_ROWS, count - lo))
+        return out
+
+    return fill
+
+
+def _lp_fill(
+    p: float, specs: tuple[DistributionSpec, ...], directions: np.ndarray | None
+) -> Callable[[np.random.Generator, int], np.ndarray]:
+    """Block generator of the lp cone (and surface measure) and ball of
+    specs at one finite p, from generalized-Gaussian rows G with
+    S = sum_i |G_i|^p: the cone's rows scale G / S^(1/p), the ball's
+    scale G / (S + E)^(1/p) with E standard exponential (Barthe, Guedon,
+    Mendelson and Naor, Ann. Probab. 2005).  Block order: the
+    ``_generalized_gaussian_block`` draws of each ``CHUNK_ROWS``-row chunk
+    in turn, then, for a ball, its ``count`` exponentials; so the cone's
+    stream is a prefix of the ball's, and one group's pair shares it.  Each
+    chunk's unscaled G @ directions (G drawn into one chunk buffer) or,
+    without directions, the one body's G (drawn in place) is kept with S,
+    and each body is scaled once at the end, side by side in the order of
+    specs: (count, k D).
+    """
+    n = specs[0].n
+    width = n if directions is None else directions.shape[1]
+
+    def fill(rng, count):
+        out = np.empty((count, len(specs) * width))
+        unscaled, sums = out[:, :width], np.empty(count)
+        chunk = None if directions is None else np.empty((min(CHUNK_ROWS, count), n))
+        for lo in range(0, count, CHUNK_ROWS):
+            rows = slice(lo, min(lo + CHUNK_ROWS, count))
+            g = out[rows] if chunk is None else chunk[: rows.stop - lo]
+            sums[rows] = _generalized_gaussian_block(rng, p, g)
+            if chunk is not None:
+                unscaled[rows] = g @ directions
+        factors = {}
+        for spec in sorted(specs, key=lambda spec: spec.kind is Kind.LP_BALL):  # the cone first
+            if spec.kind is Kind.LP_BALL:
+                sums += rng.standard_exponential(count)
+            factors[spec] = spec.scale * sums ** (-1.0 / p)
+        for i, spec in reversed(list(enumerate(specs))):  # body 0 holds the unscaled values
+            np.multiply(unscaled, factors[spec][:, None], out=out[:, i * width : (i + 1) * width])
+        return out
 
     return fill
 
@@ -441,10 +434,13 @@ def _filler(
       M = c vertices, or M = c (vertices @ directions), an (n+1, D) product
       per row instead of an (n+1, n) one.
     * The lp ball, cone and surface measure at finite p draw from
-      ``_lp_fill``, which projects the unscaled block once and scales the
-      projections; the ball and the cone of one group share its block.
-    * Every other law fills its rows in place, one block-sized array, and
-      multiplies them by directions.
+      ``_lp_fill``, which projects the unscaled chunks and scales the
+      projections; the ball and the cone of one group share its stream.
+    * Every other law projects its rows.  These laws and the simplex project
+      ``CHUNK_ROWS`` rows at a time (``_chunked``); the cube boundary and the
+      sup-norm exponential (its radius, then the boundary's draws) draw their
+      rows so too, the cube and the simplex in one call per block (one
+      distribution each: the same stream).
     """
     group = (specs,) if isinstance(specs, DistributionSpec) else tuple(specs)
     spec = group[0]
@@ -461,56 +457,51 @@ def _filler(
 
         return fill
 
+    if kind in _LP_KINDS and not math.isinf(p):
+        return _lp_fill(p, group, directions)
+
     if kind is Kind.SIMPLEX:
         vertices = simplex_geometry(n).vertices
         c = math.sqrt(n * (n + 2))
         m = c * vertices if directions is None else c * (vertices @ directions)
 
-        def fill(rng, count):
+        def draw(rng, count):
             e = rng.standard_exponential((count, n + 1))
             sums = e.sum(axis=1)
             w = e @ m
             w /= sums[:, None]
             return w
 
-        return fill
-
-    if kind in _LP_KINDS and not math.isinf(p):
-        if len(group) == 2:  # the ball and the cone of one stream, in the order of specs
-            cone, ball = sorted(group, key=lambda s: s.kind is Kind.LP_BALL)
-            fill = _lp_fill(p, n, cone.scale, ball.scale, directions)
-            order = -1 if spec is ball else 1
-            return lambda rng, count: np.hstack(fill(rng, count)[::order])
-        cone = kind is not Kind.LP_BALL
-        fill = _lp_fill(p, n, scale if cone else None, None if cone else scale, directions)
-        return lambda rng, count: fill(rng, count)[0]
+        return draw if directions is None else _chunked(draw, m.shape[1])
 
     if kind is Kind.LP_BALL:  # the cube
 
-        def fill(rng, count):
+        def draw(rng, count):
             return rng.uniform(-scale, scale, (count, n))
 
-    elif kind in (Kind.LP_CONE, Kind.LP_SURFACE):  # the cube boundary
+        if directions is None:
+            return draw
 
-        def fill(rng, count):
-            x = _cube_boundary_block(rng, count, n)
-            x *= scale
-            return x
+    elif kind in (Kind.LP_CONE, Kind.LP_SURFACE, Kind.LINF_EXPONENTIAL):
+        b_n = _linf_rate(n) if kind is Kind.LINF_EXPONENTIAL else None
 
-    elif kind is Kind.LINF_EXPONENTIAL:
-        b_n = _linf_rate(n)
-
-        def fill(rng, count):
-            radii = rng.standard_gamma(float(n), count) / b_n
-            x = _cube_boundary_block(rng, count, n)
-            x *= radii[:, None]
-            x *= scale
+        def draw(rng, count):
+            # the sup-norm exponential's radii Gamma(n) / b_n (its scale is
+            # 1), then the cone (= surface) measure on the boundary of the
+            # cube [-1, 1]^n: interior uniforms, facet index, facet sign
+            radii = None if b_n is None else rng.standard_gamma(float(n), count) / b_n
+            x = rng.uniform(-1.0, 1.0, (count, n))
+            face = rng.integers(0, n, count)
+            x[np.arange(count), face] = rng.integers(0, 2, count) * 2.0 - 1.0
+            x *= scale if radii is None else radii[:, None]
             return x
 
     else:  # pragma: no cover
         raise ValueError(f"unknown kind {kind!r}")
 
-    return fill if directions is None else lambda rng, count: fill(rng, count) @ directions
+    if directions is None:
+        return _chunked(draw, n)
+    return _chunked(lambda rng, count: draw(rng, count) @ directions, directions.shape[1])
 
 
 def map_sample_blocks(
@@ -532,10 +523,12 @@ def sample_projections(
     ``_filler(spec, directions)``; each row is contiguous for the
     Kolmogorov sort, and the (N, n) batch is never held.
 
-    A law whose rows ``_filler`` fills gives exactly
-    ``sample(spec, N, seed).data @ directions``; the simplex, and the lp
-    laws that ``_lp_fill`` draws (finite p, but the ball and cone at p = 2),
-    which project before they scale, give it up to rounding.  A spherical
+    The cube, its boundary and the sup-norm exponential project the rows
+    of ``sample(spec, N, seed)`` ``CHUNK_ROWS`` at a time: exactly
+    ``data[chunk] @ directions`` per chunk, and ``data @ directions`` up to
+    rounding; the simplex, and the lp laws that ``_lp_fill`` draws (finite
+    p, but the ball and cone at p = 2), which project before they scale,
+    give it up to rounding.  A spherical
     law (and the lp ball and cone at p = 2) draws its reduced law at
     r = min(n, D): for D < n a stream other than that of ``sample``, with
     the same law.

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import exact_kolmogorov, has_exact_kolmogorov
-from .core import BLOCK_ROWS, InsufficientDataError, as_unit_vector, thread_map
-from .empirical import _equal_count_bin_means, _ks_statistic
+from .core import BLOCK_ROWS, CHUNK_ROWS, InsufficientDataError, as_unit_vector, thread_map
+from .empirical import KS_MIN_SAMPLES, _equal_count_bin_means, _ks_statistic
 from .frames import LABEL_SIMPLEX_EDGES, LABEL_STANDARD, simplex_geometry
 from .samplers import (
     SPHERICAL_KINDS,
@@ -49,10 +49,6 @@ __all__ = [
 # (DIRECTION_CHUNK, N) product.  Four rows give the same bits as sixteen,
 # one row (a matrix-vector product) does not
 DIRECTION_CHUNK = 4
-
-# rows per gather of the drawn edges' vertex rows in the simplex reflection
-# pair: each worker holds one (FRAME_GATHER_ROWS, n) gather instead of a block's
-FRAME_GATHER_ROWS = 4096
 
 
 class SymmetryError(ValueError):
@@ -176,7 +172,8 @@ def estimate_Ank(
     ``bounds.has_exact_kolmogorov(spec)`` holds (the cube) that distance is
     ``bounds.exact_kolmogorov``: nothing is sampled, so the result does not
     depend on N.  Otherwise N samples are projected onto ``n_dirs`` uniform
-    directions (default 50 k) in each subspace (at k = 1, onto the line).
+    directions (default 50 k) in each subspace (at k = 1, onto the line);
+    N below ``KS_MIN_SAMPLES`` raises InsufficientDataError before any draw.
 
     One ``sample_projections`` pass writes the projections Y = X L
     onto the stacked (n, n_subspaces k) basis matrix L; a direction with
@@ -197,9 +194,11 @@ def estimate_Ank(
         n_dirs = 50 * k
     if n_dirs < 1:
         raise ValueError(f"need at least one direction per subspace, got n_dirs={n_dirs}")
+    exact = k == 1 and has_exact_kolmogorov(spec)
+    if not exact and N < KS_MIN_SAMPLES:
+        raise InsufficientDataError(f"need at least {KS_MIN_SAMPLES} samples, got N={N}")
     n = spec.n
     bases = [random_subspace(n, k, derive_seed(seed, s)) for s in range(n_subspaces)]
-    exact = k == 1 and has_exact_kolmogorov(spec)
     proj = None if exact else sample_projections(spec, np.concatenate(bases).T, N, seed)
 
     def sup_distance(s: int) -> float:
@@ -283,7 +282,7 @@ def reflection_pair_diagnostics(
     the simplex (m = n(n+1)) index k is the edge (i, j) =
     ``SimplexGeometry.edge_pairs[k]``, X_(k) = s <X, v_i - v_j> with
     s = sqrt(n/(2(n+1))) from the two vertex rows, gathered
-    ``FRAME_GATHER_ROWS`` rows at a time, and theta_(k) = s (t_i - t_j) with
+    ``CHUNK_ROWS`` rows at a time, and theta_(k) = s (t_i - t_j) with
     t = V theta; the edge frame is never built.  Every field is a sampled
     estimate.  Checks run before any draw; one pass over the sample blocks
     keeps W and W - W' per theta, never the batch.  The indices are drawn
@@ -317,8 +316,8 @@ def reflection_pair_diagnostics(
         idx = index[rows]
         if simplex:
             coeff = np.empty(len(idx))
-            for lo in range(0, len(idx), FRAME_GATHER_ROWS):
-                part = slice(lo, lo + FRAME_GATHER_ROWS)
+            for lo in range(0, len(idx), CHUNK_ROWS):
+                part = slice(lo, lo + CHUNK_ROWS)
                 x = blk[part]
                 coeff[part] = np.einsum("ij,ij->i", x, vertices[heads[idx[part]]])
                 coeff[part] -= np.einsum("ij,ij->i", x, vertices[tails[idx[part]]])

@@ -27,6 +27,7 @@ from cltbounds.cli import (
     _spec_from_config,
     main,
 )
+from cltbounds.core import CHUNK_ROWS
 from cltbounds.empirical import (
     HISTOGRAM_MIN_SAMPLES,
     KS_MIN_SAMPLES,
@@ -251,10 +252,12 @@ class TestCertifyGrid:
             DistributionSpec(Kind.LP_BALL, 6, p=4.0),  # shares the p=4 cone's stream
             DistributionSpec(Kind.LP_CONE, 9, p=1.0),  # the largest n, evaluated first
         ]
-        serial = certify_grid(specs, ["e1", "diagonal"], N=10_000, seed=12)
-        pooled = certify_grid(specs, ["e1", "diagonal"], N=10_000, seed=12, workers=2)
-        assert [r.to_dict() for r in serial] == [r.to_dict() for r in pooled]
-        assert serial[13].seed == serial[5].seed == derive_seed(12, 2)
+        # the second N ends in a partial block of one full chunk and a partial one
+        for n_samples in (10_000, BLOCK_ROWS + CHUNK_ROWS + 17):
+            serial = certify_grid(specs, ["e1", "diagonal"], N=n_samples, seed=12)
+            pooled = certify_grid(specs, ["e1", "diagonal"], N=n_samples, seed=12, workers=2)
+            assert [r.to_dict() for r in serial] == [r.to_dict() for r in pooled]
+            assert serial[13].seed == serial[5].seed == derive_seed(12, 2)
 
     def test_cone_before_ball_gives_both_the_cone_seed(self):
         specs = [
@@ -454,6 +457,18 @@ class TestCliSample:
             {"command": "sample", "distribution": {"kind": "sphere_shell", "n": 10}, "N": 0},
         )
         assert main(["sample", "--config", cfg]) == EXIT_CONFIG_ERROR
+
+    def test_one_sample_exits_2_before_writing(self, tmp_path):
+        # the summary needs two rows: N = 1 is refused before any draw, file
+        # or output directory
+        cfg = write_config(
+            tmp_path,
+            "one.json",
+            {"command": "sample", "distribution": {"kind": "lp_ball", "p": 3.0, "n": 3}, "N": 1},
+        )
+        out = tmp_path / "out"
+        assert main(["sample", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG_ERROR
+        assert not out.exists()
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["sample", "--config", str(tmp_path / "nope.json")]) == EXIT_CONFIG_ERROR
@@ -947,6 +962,33 @@ class TestCliScanAnk:
             EXIT_CONFIG_ERROR
         )
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "distribution, k, n_samples",
+        [({"kind": "simplex"}, 1, 1), ({"kind": "sphere_shell"}, 1, KS_MIN_SAMPLES - 1),
+         ({"kind": "lp_ball", "p": "inf"}, 2, 1)],
+        ids=["simplex", "sphere_shell", "cube-k2"],
+    )
+    def test_too_few_samples_exits_2_before_any_estimate(self, tmp_path, monkeypatch,
+                                                         distribution, k, n_samples):
+        # a sampled law needs the Kolmogorov estimator's minimum, as in certify
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("estimated from too few samples")
+
+        monkeypatch.setattr("cltbounds.cli.estimate_Ank", no_estimate)
+        cfg = write_config(tmp_path, "ank.json", {
+            "command": "scan-ank", **_SMALL_SCAN, "distribution": distribution,
+            "n_list": [5], "k": k, "N": n_samples,
+        })
+        assert main(["scan-ank", "--config", cfg, "--out", str(tmp_path / "out")]) == (
+            EXIT_CONFIG_ERROR
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_cube_lines_need_no_samples(self, tmp_path):
+        # at k = 1 the cube's lines are evaluated exactly, so N is not read
+        cfg = write_config(tmp_path, "ank.json", {"command": "scan-ank", **_SMALL_SCAN, "N": 1})
+        assert main(["scan-ank", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
 
     def test_empty_n_list_exits_2(self, tmp_path):
         cfg = write_config(

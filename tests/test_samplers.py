@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from cltbounds.core import summarize
+from cltbounds.core import CHUNK_ROWS, summarize
 from cltbounds.frames import simplex_geometry
 from cltbounds.samplers import (
     BLOCK_ROWS,
-    GG_CHUNK_ROWS,
     DistributionSpec,
     Kind,
     SampleBatch,
@@ -54,6 +53,20 @@ def generalized_gaussian_draws(rng, p, shape):
     g = rng.standard_gamma(1.0 + 1.0 / p, shape) ** (1.0 / p)
     g *= rng.uniform(-1.0, 1.0, shape)
     return g
+
+
+def generalized_gaussian_block(rng, p, count, n):
+    """(g, sums): a (count, n) array filled by the program's
+    ``_generalized_gaussian_block`` and the row sums it returns."""
+    g = np.empty((count, n))
+    return g, _generalized_gaussian_block(rng, p, g)
+
+
+def lp_chunk_draws(rng, p, count, n):
+    """The generalized-Gaussian rows of one count-row block of an lp fill, as
+    a list of chunks: CHUNK_ROWS rows at a time, each chunk's draws in turn."""
+    return [generalized_gaussian_draws(rng, p, (min(CHUNK_ROWS, count - lo), n))
+            for lo in range(0, count, CHUNK_ROWS)]
 
 
 def sample_generalized_gaussian(p, N, seed):
@@ -217,13 +230,16 @@ class TestDrawOrder:
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0])
     @pytest.mark.parametrize("kind", [Kind.LP_BALL, Kind.LP_CONE])
     def test_lp_blocks_follow_documented_draws(self, kind, p):
-        # per block substream: at p = 1 exponential magnitudes then
-        # integers(0, 2) signs; at p = 2 sqrt(1/2) standard normals; at any
-        # other p Gamma(1 + 1/p) draws V, their 1/p power, then uniform(-1, 1)
-        # draws U, g = V^(1/p) U; then the ball's exponential; rows are
-        # normalized by (sum |g|^p [+ y])^(1/p).  The l2 ball is the
-        # Euclidean ball: at its own scale, the ball's reduced-law rows bit for bit
-        n, n_samples, seed = 7, BLOCK_ROWS + 300, 61
+        # per block substream, CHUNK_ROWS rows at a time: each chunk's
+        # generalized-Gaussian draws g (at p = 1 exponential magnitudes then
+        # integers(0, 2) signs; at any other p Gamma(1 + 1/p) draws V, their
+        # 1/p power, then uniform(-1, 1) draws U, g = V^(1/p) U); after the
+        # last chunk the ball's exponential y; rows are g times
+        # scale (sum |g|^p [+ y])^(-1/p), bit for bit.  At p = 2 the l2 ball
+        # is the Euclidean ball: at its own scale, the ball's reduced-law
+        # rows bit for bit, and the l2 cone's rows are the normalized
+        # sqrt(1/2) standard normals
+        n, n_samples, seed = 7, BLOCK_ROWS + CHUNK_ROWS + 300, 61
         spec = DistributionSpec(kind, n, p=p)
         blocks = []
         for block, lo in enumerate(range(0, n_samples, BLOCK_ROWS)):
@@ -235,21 +251,18 @@ class TestDrawOrder:
                 continue
             if p == 2.0:
                 g = math.sqrt(0.5) * rng.standard_normal((count, n))
-            elif p == 1.0:
-                g = rng.standard_exponential((count, n))
-                g *= rng.integers(0, 2, (count, n)) * 2.0 - 1.0
-            else:
-                g = rng.standard_gamma(1.0 + 1.0 / p, (count, n)) ** (1.0 / p)
-                g *= rng.uniform(-1.0, 1.0, (count, n))
+                blocks.append(spec.scale * g / np.sum(g**2, axis=1)[:, None] ** 0.5)
+                continue
+            g = np.vstack(lp_chunk_draws(rng, p, count, n))
             denom = np.sum(np.abs(g) ** p, axis=1)
             if kind is Kind.LP_BALL:
                 denom += rng.standard_exponential(count)
-            blocks.append(spec.scale * g / denom[:, None] ** (1.0 / p))
+            blocks.append(g * (spec.scale * denom ** (-1.0 / p))[:, None])
         data = sample(spec, n_samples, seed).data
-        if kind is Kind.LP_BALL and p == 2.0:
-            np.testing.assert_array_equal(data, np.vstack(blocks))
-        else:
+        if kind is Kind.LP_CONE and p == 2.0:
             np.testing.assert_allclose(data, np.vstack(blocks), rtol=1e-14, atol=0.0)
+        else:
+            np.testing.assert_array_equal(data, np.vstack(blocks))
 
     @pytest.mark.parametrize(
         "kind", [Kind.SPHERE_SHELL, Kind.BALL_UNIFORM, Kind.SPHERICAL_EXPONENTIAL],
@@ -338,17 +351,21 @@ class TestProjectionBlocks:
 
     @pytest.mark.parametrize(
         "spec",
-        [DistributionSpec(Kind.LP_CONE, 7, p=math.inf), DistributionSpec(Kind.LINF_EXPONENTIAL, 7)],
+        [DistributionSpec(Kind.LP_CONE, 7, p=math.inf), DistributionSpec(Kind.LINF_EXPONENTIAL, 7),
+         DistributionSpec(Kind.LP_BALL, 7, p=math.inf)],
         ids=lambda spec: spec.kind.value,
     )
     def test_other_kinds_project_their_sample_blocks(self, spec):
-        n_samples, seed = BLOCK_ROWS + 300, 72
+        # the rows of sample(), projected CHUNK_ROWS rows at a time (chunks
+        # start at multiples of CHUNK_ROWS, which divides BLOCK_ROWS)
+        n_samples, seed = BLOCK_ROWS + CHUNK_ROWS + 300, 72
         directions = np.random.default_rng(0).standard_normal((spec.n, 3))
         data = sample(spec, n_samples, seed).data
         projections = sample_projections(spec, directions, n_samples, seed)
         assert projections.shape == (3, n_samples)
-        for lo in range(0, n_samples, BLOCK_ROWS):
-            rows = slice(lo, lo + BLOCK_ROWS)
+        assert BLOCK_ROWS % CHUNK_ROWS == 0
+        for lo in range(0, n_samples, CHUNK_ROWS):
+            rows = slice(lo, lo + CHUNK_ROWS)
             np.testing.assert_array_equal(projections[:, rows].T, data[rows] @ directions)
 
     @pytest.mark.parametrize(
@@ -362,22 +379,24 @@ class TestProjectionBlocks:
         ids=lambda spec: f"{spec.kind.value}-{spec.p}",
     )
     def test_lp_projects_before_scaling(self, spec):
-        # per block substream: the generalized-Gaussian draws g (gammas, then
-        # uniforms; at p = 1 exponentials, then signs), then the ball's
-        # exponential E; the projections are (g @ directions) times the
-        # per-row factor scale (sum |g|^p [+ E])^(-1/p), bit for bit, and
-        # sample() rows times the directions up to rounding
-        n_samples, seed, p = BLOCK_ROWS + 300, 72, spec.p
+        # per block substream: the generalized-Gaussian draws g of each
+        # CHUNK_ROWS-row chunk in turn (gammas, then uniforms; at p = 1
+        # exponentials, then signs), then the ball's exponential E; the
+        # projections are each chunk's g @ directions times the per-row
+        # factor scale (sum |g|^p [+ E])^(-1/p), bit for bit, and sample()
+        # rows times the directions up to rounding
+        n_samples, seed, p = BLOCK_ROWS + CHUNK_ROWS + 300, 72, spec.p
         directions = np.random.default_rng(0).standard_normal((spec.n, 3))
         blocks = []
         for block, lo in enumerate(range(0, n_samples, BLOCK_ROWS)):
             count = min(BLOCK_ROWS, n_samples - lo)
             rng = np.random.default_rng(block_seed(seed, block))
-            g = generalized_gaussian_draws(rng, p, (count, spec.n))
-            sums = np.sum(np.abs(g) ** p, axis=1)
+            chunks = lp_chunk_draws(rng, p, count, spec.n)
+            sums = np.concatenate([np.sum(np.abs(g) ** p, axis=1) for g in chunks])
             if spec.kind is Kind.LP_BALL:
                 sums += rng.standard_exponential(count)
-            blocks.append((g @ directions) * (spec.scale * sums ** (-1.0 / p))[:, None])
+            unscaled = np.vstack([g @ directions for g in chunks])
+            blocks.append(unscaled * (spec.scale * sums ** (-1.0 / p))[:, None])
         projections = sample_projections(spec, directions, n_samples, seed)
         np.testing.assert_array_equal(projections.T, np.vstack(blocks))
         expected = sample(spec, n_samples, seed).data @ directions
@@ -528,18 +547,18 @@ class TestGeneralizedGaussian:
     # the law through the program's draw, _generalized_gaussian_block
 
     def test_gaussian_case_variance_half(self):
-        draws, _ = _generalized_gaussian_block(np.random.default_rng(18), 2.0, 10**5, 10)
+        draws, _ = generalized_gaussian_block(np.random.default_rng(18), 2.0, 10**5, 10)
         mean, se = mean_and_se(draws.ravel() ** 2)
         assert_within_se(mean, 0.5, se)
 
     def test_laplace_case_abs_mean_one(self):
-        draws, _ = _generalized_gaussian_block(np.random.default_rng(19), 1.0, 10**5, 10)
+        draws, _ = generalized_gaussian_block(np.random.default_rng(19), 1.0, 10**5, 10)
         mean, se = mean_and_se(np.abs(draws.ravel()))
         assert_within_se(mean, 1.0, se)
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
     def test_symmetry(self, p):
-        draws, _ = _generalized_gaussian_block(np.random.default_rng(20), p, 2 * 10**4, 10)
+        draws, _ = generalized_gaussian_block(np.random.default_rng(20), p, 2 * 10**4, 10)
         mean, se = mean_and_se(draws.ravel())
         assert_within_se(mean, 0.0, se)
 
@@ -555,45 +574,53 @@ class TestGeneralizedGaussian:
     @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
     def test_power_is_gamma_of_one_over_p(self, p):
         # V^(1/p) U has |g|^p ~ Gamma(1/p, 1)
-        draws, _ = _generalized_gaussian_block(np.random.default_rng(21), p, 2 * 10**4, 10)
+        draws, _ = generalized_gaussian_block(np.random.default_rng(21), p, 2 * 10**4, 10)
         assert stats.kstest(np.abs(draws.ravel()) ** p, stats.gamma(1.0 / p).cdf).pvalue > 0.01
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0])
     def test_block_sums_are_those_of_the_draws(self, p):
-        g, sums = _generalized_gaussian_block(np.random.default_rng(22), p, 2 * 10**4, 10)
+        g, sums = generalized_gaussian_block(np.random.default_rng(22), p, 2 * 10**4, 10)
         np.testing.assert_allclose(sums, np.sum(np.abs(g) ** p, axis=1), rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("n", [1, 7])
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0])
     def test_chunked_block_is_the_reference_stream(self, p, n):
-        # the signs or uniforms drawn GG_CHUNK_ROWS rows at a time (two full
-        # chunks and a partial one) are those of one block-sized draw
-        count, seed = 2 * GG_CHUNK_ROWS + 100, 24
-        g, _ = _generalized_gaussian_block(np.random.default_rng(block_seed(seed, 0)), p, count, n)
+        # one call, of any row count, draws all its gammas (exponentials)
+        # and then all its uniforms (signs): the reference stream
+        count, seed = 2 * CHUNK_ROWS + 100, 24
+        g, _ = generalized_gaussian_block(np.random.default_rng(block_seed(seed, 0)), p, count, n)
         np.testing.assert_array_equal(g.ravel(), sample_generalized_gaussian(p, count * n, seed))
 
     @pytest.mark.parametrize(
-        "kinds, projected",
-        [((Kind.LP_BALL,), True), ((Kind.LP_CONE,), True), ((Kind.LP_BALL, Kind.LP_CONE), True),
-         ((Kind.LP_CONE,), False)],
-        ids=["lp_ball", "lp_cone", "lp_ball+lp_cone", "lp_cone-rows"],
+        "kinds, p, projected",
+        [((Kind.LP_BALL,), 4.0, True), ((Kind.LP_CONE,), 4.0, True),
+         ((Kind.LP_BALL, Kind.LP_CONE), 4.0, True), ((Kind.LP_CONE,), 4.0, False),
+         ((Kind.LP_BALL,), math.inf, True), ((Kind.SIMPLEX,), None, True),
+         ((Kind.LP_CONE,), math.inf, True), ((Kind.LP_BALL, Kind.LP_CONE), 1.0, True)],
+        ids=["lp_ball", "lp_cone", "lp_ball+lp_cone", "lp_cone-rows", "cube", "simplex",
+             "cube-boundary", "lp_ball+lp_cone-p1"],
     )
-    def test_fill_holds_at_most_two_blocks(self, kinds, projected):
-        # at most 1.2 blocks: the generalized-Gaussian block is the one
-        # block-sized array; its uniforms and their powers come 4096 rows
-        # (1/16 block) at a time, each body's projections are (count, 4),
-        # and the rows of one body are scaled in place
-        n = 100
-        specs = tuple(DistributionSpec(kind, n, p=4.0) for kind in kinds)
+    def test_fill_holds_at_most_two_blocks(self, kinds, p, projected):
+        # beside the block it returns, a projection fill holds at most 2.2
+        # (CHUNK_ROWS, n) chunks: it draws and projects CHUNK_ROWS rows at a
+        # time (an lp chunk's gammas and uniforms, or exponentials and signs,
+        # are two chunks) and returns (count, k 4) projections; the rows of
+        # one lp body are drawn in place into the block, beside one chunk of
+        # uniforms, so that fill holds at most 1.2 chunks more
+        n, count = 300, 8 * CHUNK_ROWS
+        specs = tuple(DistributionSpec(kind, n, p=p) for kind in kinds)
         fill = _filler(specs, np.ones((n, 4)) if projected else None)
         rng = np.random.default_rng(23)
         tracemalloc.start()
         try:
-            fill(rng, BLOCK_ROWS)
+            block = fill(rng, count)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.2 * 8 * BLOCK_ROWS * n, f"peak {peak / (8 * BLOCK_ROWS * n):.2f} blocks"
+        chunk = 8 * CHUNK_ROWS * n
+        assert block.shape == (count, len(specs) * 4 if projected else n)
+        extra = (peak - block.nbytes) / chunk
+        assert extra <= (2.2 if projected else 1.2), f"{extra:.2f} chunks beside the block"
 
 
 class TestLpCone:

@@ -9,7 +9,14 @@ from scipy import stats
 
 from cltbounds.bounds import exact_kolmogorov
 from cltbounds.cli import EXIT_CONFIG_ERROR, main
-from cltbounds.empirical import _equal_count_bin_means, _ks_statistic, dkw_slack
+from cltbounds.core import InsufficientDataError
+from cltbounds.empirical import (
+    _GAP_ROWS,
+    KS_MIN_SAMPLES,
+    _equal_count_bin_means,
+    _ks_statistic,
+    dkw_slack,
+)
 from cltbounds.frames import simplex_geometry
 from cltbounds.samplers import BLOCK_ROWS, DistributionSpec, Kind, derive_seed, sample
 from cltbounds.subspaces import (
@@ -476,6 +483,17 @@ class TestEstimateAnk:
             assert (est.N, est.n_dirs) == (0, 0)  # no row sampled, no direction drawn
         assert runs[0].fraction == runs[1].fraction
 
+    @pytest.mark.parametrize("k, spec", [(1, DistributionSpec(Kind.SIMPLEX, 5)), (2, cube(5))],
+                             ids=["simplex", "cube-k2"])
+    def test_too_few_samples_raise_before_any_draw(self, monkeypatch, k, spec):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew for too few samples")
+
+        for name in ("random_subspace", "sample_projections"):
+            monkeypatch.setattr(f"cltbounds.subspaces.{name}", no_draw)
+        with pytest.raises(InsufficientDataError, match=f"at least {KS_MIN_SAMPLES}"):
+            estimate_Ank(spec, k=k, eps=0.1, n_subspaces=2, N=KS_MIN_SAMPLES - 1, seed=39)
+
     def test_label_at_k2(self, shell_result):
         assert shell_result.label == LABEL_DIRECTIONS
 
@@ -588,6 +606,7 @@ class TestWorkerCount:
 
     def test_estimate_Ank_memory_level(self):
         # k >= 2: each worker holds one (DIRECTION_CHUNK, N) direction product
+        # and the Kolmogorov statistic's few (_GAP_ROWS,) gap arrays
         spec = DistributionSpec(Kind.LP_BALL, 30, p=4.0)
         n_samples = 200_000
         peaks = []
@@ -600,7 +619,8 @@ class TestWorkerCount:
             finally:
                 tracemalloc.stop()
         chunk = 8 * DIRECTION_CHUNK * n_samples
-        assert peaks[1] <= peaks[0] + chunk, f"peaks {[p / 1e6 for p in peaks]} MB"
+        gaps = 4 * 8 * _GAP_ROWS
+        assert peaks[1] <= peaks[0] + chunk + gaps, f"peaks {[p / 1e6 for p in peaks]} MB"
 
     def test_reflection(self):
         n = 9
