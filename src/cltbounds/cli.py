@@ -17,7 +17,7 @@ import sys
 import traceback
 from pathlib import Path
 
-from .bounds import EXACT_MARGINAL_MAX_N, EXACT_MARGINALS, exact_tv_vs_normal, has_exact_kolmogorov
+from .bounds import EXACT_MARGINAL_MAX_N, EXACT_MARGINALS, exact_tv_vs_normal
 from .certify import (
     ROUTE_SPHERICAL,
     InapplicableBoundError,
@@ -39,6 +39,7 @@ from .samplers import DistributionSpec, Kind, derive_seed, sample
 from .subspaces import (
     SymmetryError,
     ank_to_csv,
+    check_ank_samples,
     estimate_Ank,
     reflection_frame,
     reflection_pair_diagnostics,
@@ -262,9 +263,7 @@ def _cmd_scan_ank(cfg: dict) -> int:
     for spec in specs:  # fail fast, before any sampling or quadrature
         if k > spec.n:
             raise ConfigError(f"'k' must not exceed n, got k={k}, n={spec.n}")
-        if n_samples < KS_MIN_SAMPLES and not (k == 1 and has_exact_kolmogorov(spec)):
-            raise ConfigError(f"sampled {spec.kind.value} lines need at least {KS_MIN_SAMPLES} "
-                              f"samples, got N={n_samples}")
+        check_ank_samples(spec, k, n_samples)  # InsufficientDataError: exit 2
     workers = _workers()
     out = _out_dir(cfg)
     results = []

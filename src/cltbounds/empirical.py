@@ -81,11 +81,12 @@ def project(batch: SampleBatch, theta) -> np.ndarray:
     return batch.data @ as_unit_vector(theta, batch.n)
 
 
-# rows per step of the Kolmogorov gap pass: its 64 KB temporaries come from
-# the allocator's heap, where full-length ones (8 MB each at N = 1e6) are
-# mapped afresh on every call; on scan-ank's two threads those raised the
-# peak RSS by 30-45 MB
+# rows per step of the Kolmogorov gap pass: its one 64 KB buffer comes from
+# the allocator's heap, where full-length temporaries (8 MB each at N = 1e6)
+# are mapped afresh on every call; on scan-ank's two threads those raised
+# the peak RSS by 30-45 MB
 _GAP_ROWS = 1 << 13
+_RANKS = np.arange(1.0, _GAP_ROWS + 1.0)  # 1, ..., _GAP_ROWS: the ranks of a step
 
 
 def _ks_statistic(values: np.ndarray, overwrite: bool = False) -> float:
@@ -101,10 +102,15 @@ def _ks_statistic(values: np.ndarray, overwrite: bool = False) -> float:
     x.sort()
     _ndtr()(x, out=x)
     n, maxima = x.shape[0], []
+    buf = np.empty(min(n, _GAP_ROWS))
     for lo in range(0, n, _GAP_ROWS):
         cdf = x[lo : lo + _GAP_ROWS]
-        after = np.arange(lo + 1, lo + 1 + len(cdf)) / n  # F_N just after each
-        maxima += [(after - cdf).max(), (cdf - (after - 1.0 / n)).max()]
+        after = buf[: len(cdf)]
+        np.divide(np.add(_RANKS[: len(cdf)], lo, out=after), n, out=after)  # F_N just after each
+        maxima.append(np.subtract(after, cdf, out=after).max())
+        np.divide(np.add(_RANKS[: len(cdf)], lo, out=after), n, out=after)
+        after -= 1.0 / n  # F_N just before each
+        maxima.append(np.subtract(cdf, after, out=after).max())
     return float(np.max(maxima))
 
 

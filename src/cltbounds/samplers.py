@@ -339,14 +339,14 @@ def _reduced_spherical_block(
     return g, rest_sq
 
 
-def _chunked(draw: Callable[[np.random.Generator, int], np.ndarray], width: int):
-    """Block generator of (count, width) blocks, draw(rng, rows) of each
-    ``CHUNK_ROWS``-row chunk in turn."""
+def _chunked(put: Callable[[np.random.Generator, np.ndarray], object], width: int):
+    """Block generator of (count, width) blocks, put(rng, chunk) filling
+    each ``CHUNK_ROWS``-row chunk of the block in place, in turn."""
 
     def fill(rng, count):
         out = np.empty((count, width))
         for lo in range(0, count, CHUNK_ROWS):
-            out[lo : lo + CHUNK_ROWS] = draw(rng, min(CHUNK_ROWS, count - lo))
+            put(rng, out[lo : lo + CHUNK_ROWS])
         return out
 
     return fill
@@ -439,8 +439,8 @@ def _filler(
     * Every other law projects its rows.  These laws and the simplex project
       ``CHUNK_ROWS`` rows at a time (``_chunked``); the cube boundary and the
       sup-norm exponential (its radius, then the boundary's draws) draw their
-      rows so too, the cube and the simplex in one call per block (one
-      distribution each: the same stream).
+      rows so too, in place in the block, the cube and the simplex in one
+      call per block (one distribution each: the same stream).
     """
     group = (specs,) if isinstance(specs, DistributionSpec) else tuple(specs)
     spec = group[0]
@@ -465,14 +465,15 @@ def _filler(
         c = math.sqrt(n * (n + 2))
         m = c * vertices if directions is None else c * (vertices @ directions)
 
-        def draw(rng, count):
-            e = rng.standard_exponential((count, n + 1))
-            sums = e.sum(axis=1)
-            w = e @ m
-            w /= sums[:, None]
+        def put(rng, w):
+            e = rng.standard_exponential((len(w), n + 1))
+            np.matmul(e, m, out=w)
+            w /= e.sum(axis=1)[:, None]
             return w
 
-        return draw if directions is None else _chunked(draw, m.shape[1])
+        if directions is None:  # one draw per block
+            return lambda rng, count: put(rng, np.empty((count, n)))
+        return _chunked(put, m.shape[1])
 
     if kind is Kind.LP_BALL:  # the cube
 
@@ -485,23 +486,31 @@ def _filler(
     elif kind in (Kind.LP_CONE, Kind.LP_SURFACE, Kind.LINF_EXPONENTIAL):
         b_n = _linf_rate(n) if kind is Kind.LINF_EXPONENTIAL else None
 
-        def draw(rng, count):
-            # the sup-norm exponential's radii Gamma(n) / b_n (its scale is
-            # 1), then the cone (= surface) measure on the boundary of the
-            # cube [-1, 1]^n: interior uniforms, facet index, facet sign
+        def put(rng, x):
+            # the sup-norm exponential's radii Gamma(n) / b_n (its scale is 1),
+            # then the cone (= surface) measure on the boundary of the cube
+            # [-1, 1]^n: interior uniforms 2 U - 1, facet index, facet sign
+            count = len(x)
             radii = None if b_n is None else rng.standard_gamma(float(n), count) / b_n
-            x = rng.uniform(-1.0, 1.0, (count, n))
+            rng.random(out=x)
+            x *= 2.0
+            x -= 1.0
             face = rng.integers(0, n, count)
             x[np.arange(count), face] = rng.integers(0, 2, count) * 2.0 - 1.0
             x *= scale if radii is None else radii[:, None]
             return x
 
+        if directions is None:
+            return _chunked(put, n)
+
+        def draw(rng, count):
+            return put(rng, np.empty((count, n)))
+
     else:  # pragma: no cover
         raise ValueError(f"unknown kind {kind!r}")
 
-    if directions is None:
-        return _chunked(draw, n)
-    return _chunked(lambda rng, count: draw(rng, count) @ directions, directions.shape[1])
+    return _chunked(lambda rng, out: np.matmul(draw(rng, len(out)), directions, out=out),
+                    directions.shape[1])
 
 
 def map_sample_blocks(

@@ -36,6 +36,7 @@ __all__ = [
     "RotationDiagnostics",
     "SymmetryError",
     "ank_to_csv",
+    "check_ank_samples",
     "estimate_Ank",
     "haar_orthogonal",
     "haar_orthogonal_sample",
@@ -152,6 +153,15 @@ class AnkEstimate:
     label: str
 
 
+def check_ank_samples(spec, k: int, N: int) -> bool:
+    """Whether ``estimate_Ank`` takes the cube's exact line distances (k = 1)
+    instead of sampling; a sampled spec with N < ``KS_MIN_SAMPLES`` raises."""
+    exact = k == 1 and has_exact_kolmogorov(spec)
+    if not exact and N < KS_MIN_SAMPLES:
+        raise InsufficientDataError(f"need at least {KS_MIN_SAMPLES} samples, got N={N}")
+    return exact
+
+
 def estimate_Ank(
     spec,
     k: int,
@@ -173,7 +183,7 @@ def estimate_Ank(
     ``bounds.exact_kolmogorov``: nothing is sampled, so the result does not
     depend on N.  Otherwise N samples are projected onto ``n_dirs`` uniform
     directions (default 50 k) in each subspace (at k = 1, onto the line);
-    N below ``KS_MIN_SAMPLES`` raises InsufficientDataError before any draw.
+    ``check_ank_samples`` raises before any draw when N is too small.
 
     One ``sample_projections`` pass writes the projections Y = X L
     onto the stacked (n, n_subspaces k) basis matrix L; a direction with
@@ -194,9 +204,7 @@ def estimate_Ank(
         n_dirs = 50 * k
     if n_dirs < 1:
         raise ValueError(f"need at least one direction per subspace, got n_dirs={n_dirs}")
-    exact = k == 1 and has_exact_kolmogorov(spec)
-    if not exact and N < KS_MIN_SAMPLES:
-        raise InsufficientDataError(f"need at least {KS_MIN_SAMPLES} samples, got N={N}")
+    exact = check_ank_samples(spec, k, N)
     n = spec.n
     bases = [random_subspace(n, k, derive_seed(seed, s)) for s in range(n_subspaces)]
     proj = None if exact else sample_projections(spec, np.concatenate(bases).T, N, seed)

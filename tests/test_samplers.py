@@ -622,6 +622,23 @@ class TestGeneralizedGaussian:
         extra = (peak - block.nbytes) / chunk
         assert extra <= (2.2 if projected else 1.2), f"{extra:.2f} chunks beside the block"
 
+    @pytest.mark.parametrize("kind, p", [(Kind.LP_CONE, math.inf), (Kind.LINF_EXPONENTIAL, None)],
+                             ids=["cube-boundary", "linf_exponential"])
+    def test_boundary_rows_are_drawn_in_place(self, kind, p):
+        # each chunk's rows are drawn into the block itself: beside it the
+        # fill holds a chunk's facet indices, signs and radii, not a chunk
+        n, count = 300, 8 * CHUNK_ROWS
+        fill = _filler(DistributionSpec(kind, n, p=p))
+        rng = np.random.default_rng(25)
+        tracemalloc.start()
+        try:
+            block = fill(rng, count)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        extra = (peak - block.nbytes) / (8 * CHUNK_ROWS * n)
+        assert extra <= 0.2, f"{extra:.2f} chunks beside the block"
+
 
 class TestLpCone:
     def test_constant_p_norm(self):

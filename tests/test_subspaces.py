@@ -10,13 +10,7 @@ from scipy import stats
 from cltbounds.bounds import exact_kolmogorov
 from cltbounds.cli import EXIT_CONFIG_ERROR, main
 from cltbounds.core import InsufficientDataError
-from cltbounds.empirical import (
-    _GAP_ROWS,
-    KS_MIN_SAMPLES,
-    _equal_count_bin_means,
-    _ks_statistic,
-    dkw_slack,
-)
+from cltbounds.empirical import KS_MIN_SAMPLES, _equal_count_bin_means, _ks_statistic, dkw_slack
 from cltbounds.frames import simplex_geometry
 from cltbounds.samplers import BLOCK_ROWS, DistributionSpec, Kind, derive_seed, sample
 from cltbounds.subspaces import (
@@ -606,7 +600,6 @@ class TestWorkerCount:
 
     def test_estimate_Ank_memory_level(self):
         # k >= 2: each worker holds one (DIRECTION_CHUNK, N) direction product
-        # and the Kolmogorov statistic's few (_GAP_ROWS,) gap arrays
         spec = DistributionSpec(Kind.LP_BALL, 30, p=4.0)
         n_samples = 200_000
         peaks = []
@@ -619,8 +612,7 @@ class TestWorkerCount:
             finally:
                 tracemalloc.stop()
         chunk = 8 * DIRECTION_CHUNK * n_samples
-        gaps = 4 * 8 * _GAP_ROWS
-        assert peaks[1] <= peaks[0] + chunk + gaps, f"peaks {[p / 1e6 for p in peaks]} MB"
+        assert peaks[1] <= peaks[0] + chunk, f"peaks {[p / 1e6 for p in peaks]} MB"
 
     def test_reflection(self):
         n = 9
