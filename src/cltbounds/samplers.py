@@ -488,8 +488,8 @@ def _filler(
 
         def put(rng, x):
             # the sup-norm exponential's radii Gamma(n) / b_n (its scale is 1),
-            # then the cone (= surface) measure on the boundary of the cube
-            # [-1, 1]^n: interior uniforms 2 U - 1, facet index, facet sign
+            # then the cone (= surface) measure on the boundary of the cube [-1, 1]^n:
+            # interior uniforms 2 U - 1 (uniform(-1, 1)'s bits), facet index, facet sign
             count = len(x)
             radii = None if b_n is None else rng.standard_gamma(float(n), count) / b_n
             rng.random(out=x)
