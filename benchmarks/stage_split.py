@@ -16,12 +16,14 @@ the grid's four thetas; then every projection row goes through
 it times the projections as certification draws them, one
 ``samplers.sample_projections`` call on the same spec and thetas
 (``projections_s``), and the tracemalloc peak in MB of a second, traced
-call (``projections_peak_mb``; the timed call runs untraced): every
-projection fill draws ``CHUNK_ROWS`` rows at a time, so that peak does not
-grow with the block, and for the simplex, the p = 2 lp laws and the lp laws
-at any other finite p (which project their unscaled generalized-Gaussian
-chunks and scale the projections, with no row scaling) that call has its
-own fill, so it is not ``fill_s + project_s``.
+call (``projections_peak_mb``; the timed call runs untraced): every fill
+of n-wide rows, its rows and its projections alike, goes through the
+samplers' one chunk driver, ``CHUNK_ROWS`` rows at a time, so that peak
+does not grow with the block, and for the simplex, the p = 2 lp laws and
+the lp laws at any other finite p (which project their unscaled
+exponentials or generalized-Gaussian chunks and scale the projections, with
+no row scaling) that call has its own fill, so it is not
+``fill_s + project_s``.
 
 ``--mode subspace`` times scan-ank at k = 1 the same way: the fill, the
 projection onto the 32 stacked subspace lines and ``_ks_statistic`` of every

@@ -9,8 +9,9 @@ a chi-square and a radius per row) and never fill an n-dimensional row;
 the simplex projects its exponentials before forming the point; the other
 lp specs at finite p project their generalized-Gaussian rows before
 scaling them; every other spec projects its sample rows.  Each of these
-fills draws and projects ``CHUNK_ROWS`` rows at a time, so beside its
-projections a worker holds two (CHUNK_ROWS, n) chunks at most, not a block.
+fills goes through the samplers' one chunk driver, which draws and projects
+``CHUNK_ROWS`` rows at a time, so beside its projections a worker holds two
+(CHUNK_ROWS, n) chunks at most, not a block.
 
 An lp ball and an lp cone at the same n and the same finite p != 2 are
 one stream (``samplers.stream_groups``): their generalized-Gaussian block
@@ -50,9 +51,11 @@ from .bounds import (
     bound_unconditional,
     bound_unconditional_bounded,
 )
-from .core import thread_map
+from .core import InsufficientDataError, thread_map
 from .empirical import (
     DEFAULT_DELTA,
+    HISTOGRAM_MIN_SAMPLES,
+    KS_MIN_SAMPLES,
     DistanceEstimate,
     kolmogorov_vs_normal,
     tv_vs_normal_histogram,
@@ -286,24 +289,33 @@ def certify_grid(
     at that seed, so the grid is reproducible regardless of evaluation
     order.  The groups are evaluated largest n first (a stable sort), on a
     thread pool when ``workers > 1``; the reports come back in the order of
-    specs, bit for bit those of the serial run.
+    specs, bit for bit those of the serial run.  Before any draw, each spec
+    in turn checks its route and N against the minimum of the route's
+    estimator (``InsufficientDataError``).
     """
     specs = list(specs)
+    routes = []
+    for spec in specs:
+        routes.append(applicable_route(spec))
+        least = HISTOGRAM_MIN_SAMPLES if routes[-1] == ROUTE_SPHERICAL else KS_MIN_SAMPLES
+        if N < least:
+            raise InsufficientDataError(
+                f"{spec.kind.value} cells need at least {least} samples, got N={N}"
+            )
 
     def certify_group(group: tuple[int, ...]) -> list[list[BoundReport]]:
         cell_seed = derive_seed(seed, group[0])
         members = [specs[pos] for pos in group]
-        routes = [applicable_route(spec) for spec in members]
         resolved = [resolve_theta(theta_spec, members[0].n) for theta_spec in theta_specs]
         thetas = np.column_stack([theta for theta, _ in resolved])
         projections = sample_projections(members, thetas, N, cell_seed)
         return [
             [
-                _evaluate_cell(spec, route, theta, label, values, cell_seed, delta)
+                _evaluate_cell(specs[pos], routes[pos], theta, label, values, cell_seed, delta)
                 for (theta, label), values in zip(resolved, spec_projections)
             ]
-            for spec, route, spec_projections in zip(
-                members, routes, projections.reshape(len(members), len(resolved), N)
+            for pos, spec_projections in zip(
+                group, projections.reshape(len(members), len(resolved), N)
             )
         ]
 

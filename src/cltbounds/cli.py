@@ -19,9 +19,7 @@ from pathlib import Path
 
 from .bounds import EXACT_MARGINAL_MAX_N, EXACT_MARGINALS, exact_tv_vs_normal
 from .certify import (
-    ROUTE_SPHERICAL,
     InapplicableBoundError,
-    applicable_route,
     certify_grid,
     reports_to_csv,
     reports_to_json,
@@ -29,12 +27,7 @@ from .certify import (
     version_string,
 )
 from .core import InsufficientDataError, summarize
-from .empirical import (
-    DEFAULT_DELTA,
-    HISTOGRAM_MIN_SAMPLES,
-    KS_MIN_SAMPLES,
-    streaming_pair_square_covariance,
-)
+from .empirical import DEFAULT_DELTA, streaming_pair_square_covariance
 from .samplers import DistributionSpec, Kind, derive_seed, sample
 from .subspaces import (
     SymmetryError,
@@ -222,18 +215,12 @@ def _cmd_certify(cfg: dict) -> int:
     workers = _workers()
 
     for spec in specs:  # fail fast, before any sampling
-        route = applicable_route(spec)
         for theta in thetas:
             _theta(theta, spec.n)
-        least = HISTOGRAM_MIN_SAMPLES if route == ROUTE_SPHERICAL else KS_MIN_SAMPLES
-        if n_samples < least:
-            raise ConfigError(
-                f"{spec.kind.value} cells need at least {least} samples, got N={n_samples}"
-            )
-
-    out = _out_dir(cfg)
+    _check_out_dir(cfg)
+    # checks every route and the sample minimum of its estimator before any draw
     reports = certify_grid(specs, thetas, N=n_samples, seed=seed, delta=delta, workers=workers)
-
+    out = _out_dir(cfg)  # only now, so a config error leaves no directory behind
     reports_to_json(reports, out / "certify.json", config=cfg)
     reports_to_csv(reports, out / "certify.csv")
     for r in reports:

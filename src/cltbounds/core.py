@@ -1,5 +1,7 @@
-"""Shared numeric primitives: p-norms, the standard normal CDF/PDF, and
-mergeable moment summaries consumed by the bound evaluators.
+"""Shared numeric primitives: p-norms, the standard normal CDF/PDF, the
+block and chunk sizes, the thread map, and the mergeable moment summaries
+that ``cltbounds sample`` prints (no bound reads them: every gating bound
+takes closed-form moments).
 
 All moment accumulation is done with numpy's pairwise-summed reductions on
 fixed-size row blocks, so fourth moments of 1e7 samples keep their digits.

@@ -8,14 +8,17 @@ seeded with ``seed XOR mix64(b)``, so splitting blocks across workers in
 contiguous ranges reproduces the serial output bit for bit.  One per-law
 block fill, ``_filler``, draws every stream, rows or projections, in a
 fixed documented order; ``stream_groups`` says which specs of a grid share
-one stream (the lp ball and cone of one n and finite p != 2).  A fill that
-projects n-wide rows draws and projects them ``CHUNK_ROWS`` rows at a time,
-so beside its (count, k D) projections it holds a chunk, not a block.
+one stream (the lp ball and cone of one n and finite p != 2).  Every fill
+of n-wide rows goes through one chunk driver, ``_chunked``, which draws a
+block ``CHUNK_ROWS`` rows at a time: rows straight into the block, and rows
+to be projected into one chunk buffer, so beside its (count, k D)
+projections a fill holds a chunk, not a block.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 import struct
 from dataclasses import dataclass
@@ -110,6 +113,7 @@ class DistributionSpec:
     p: float | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "n", operator.index(self.n))  # a float n raises TypeError
         if self.n < 2:
             raise ValueError(f"dimension must be at least 2, got {self.n}")
         if self.kind in _LP_KINDS:
@@ -145,7 +149,7 @@ class DistributionSpec:
         p = d.get("p")
         if isinstance(p, str):
             p = math.inf if p in ("inf", "Infinity") else float(p)
-        spec = DistributionSpec(kind=Kind(d["kind"]), n=int(d["n"]), p=p)
+        spec = DistributionSpec(kind=Kind(d["kind"]), n=d["n"], p=p)
         scale = d.get("scale")
         if scale is not None and (isinstance(scale, bool) or scale != spec.scale):
             raise ValueError(f"{spec.kind.value} n={spec.n} has scale {scale!r}, but the "
@@ -339,14 +343,22 @@ def _reduced_spherical_block(
     return g, rest_sq
 
 
-def _chunked(put: Callable[[np.random.Generator, np.ndarray], object], width: int):
-    """Block generator of (count, width) blocks, put(rng, chunk) filling
-    each ``CHUNK_ROWS``-row chunk of the block in place, in turn."""
+def _chunked(put: Callable[[np.random.Generator, np.ndarray], object], n: int,
+             directions: np.ndarray | None = None):
+    """Block generator of (count, n) rows, or of their (count, D) projections
+    onto the columns of directions: the one chunk loop of every n-wide fill.
+    put(rng, x) draws each ``CHUNK_ROWS``-row chunk x of rows in place, in
+    turn, into the block or into one chunk buffer projected into the block."""
+    width = n if directions is None else directions.shape[1]
 
     def fill(rng, count):
         out = np.empty((count, width))
+        chunk = None if directions is None else np.empty((min(CHUNK_ROWS, count), n))
         for lo in range(0, count, CHUNK_ROWS):
-            put(rng, out[lo : lo + CHUNK_ROWS])
+            rows = out[lo : lo + CHUNK_ROWS]
+            put(rng, rows if chunk is None else chunk[: len(rows)])
+            if chunk is not None:
+                np.matmul(chunk[: len(rows)], directions, out=rows)
         return out
 
     return fill
@@ -362,31 +374,26 @@ def _lp_fill(
     Mendelson and Naor, Ann. Probab. 2005).  Block order: the
     ``_generalized_gaussian_block`` draws of each ``CHUNK_ROWS``-row chunk
     in turn, then, for a ball, its ``count`` exponentials; so the cone's
-    stream is a prefix of the ball's, and one group's pair shares it.  Each
-    chunk's unscaled G @ directions (G drawn into one chunk buffer) or,
-    without directions, the one body's G (drawn in place) is kept with S,
-    and each body is scaled once at the end, side by side in the order of
-    specs: (count, k D).
+    stream is a prefix of the ball's, and one group's pair shares it.  The
+    chunks and their row sums S come from ``_chunked``, the block holding
+    the unscaled G or G @ directions; each body is scaled once at the end,
+    side by side in the order of specs: (count, k D).
     """
     n = specs[0].n
-    width = n if directions is None else directions.shape[1]
 
     def fill(rng, count):
-        out = np.empty((count, len(specs) * width))
-        unscaled, sums = out[:, :width], np.empty(count)
-        chunk = None if directions is None else np.empty((min(CHUNK_ROWS, count), n))
-        for lo in range(0, count, CHUNK_ROWS):
-            rows = slice(lo, min(lo + CHUNK_ROWS, count))
-            g = out[rows] if chunk is None else chunk[: rows.stop - lo]
-            sums[rows] = _generalized_gaussian_block(rng, p, g)
-            if chunk is not None:
-                unscaled[rows] = g @ directions
+        sums = []
+        unscaled = _chunked(lambda rng, g: sums.append(_generalized_gaussian_block(rng, p, g)),
+                            n, directions)(rng, count)
+        sums = np.concatenate(sums)
         factors = {}
         for spec in sorted(specs, key=lambda spec: spec.kind is Kind.LP_BALL):  # the cone first
             if spec.kind is Kind.LP_BALL:
                 sums += rng.standard_exponential(count)
             factors[spec] = spec.scale * sums ** (-1.0 / p)
-        for i, spec in reversed(list(enumerate(specs))):  # body 0 holds the unscaled values
+        width = unscaled.shape[1]
+        out = unscaled if len(specs) == 1 else np.empty((count, len(specs) * width))
+        for i, spec in enumerate(specs):
             np.multiply(unscaled, factors[spec][:, None], out=out[:, i * width : (i + 1) * width])
         return out
 
@@ -429,18 +436,19 @@ def _filler(
       Rq.  The lp ball and cone at p = 2 are the Euclidean ball and sphere
       (Barthe, Guedon, Mendelson and Naor, Ann. Probab. 2005) and take
       this fill at their own scale.
-    * The simplex point is c (E / sum E) @ vertices with c = sqrt(n (n + 2))
-      and E standard exponentials: the block is (E @ M) / sum E with
-      M = c vertices, or M = c (vertices @ directions), an (n+1, D) product
-      per row instead of an (n+1, n) one.
+    * Every other law draws through ``_chunked``, ``CHUNK_ROWS`` rows at a
+      time, with one chunk fill (put) that serves its rows and its
+      projections alike.  The simplex point is c (E / sum E) @ vertices with
+      c = sqrt(n (n + 2)) and E standard exponentials: each chunk is
+      (E @ M) / sum E with M = c vertices, or M = c (vertices @ directions),
+      an (n+1, D) product per row instead of an (n+1, n) one.
     * The lp ball, cone and surface measure at finite p draw from
-      ``_lp_fill``, which projects the unscaled chunks and scales the
-      projections; the ball and the cone of one group share its stream.
-    * Every other law projects its rows.  These laws and the simplex project
-      ``CHUNK_ROWS`` rows at a time (``_chunked``); the cube boundary and the
-      sup-norm exponential (its radius, then the boundary's draws) draw their
-      rows so too, in place in the block, the cube and the simplex in one
-      call per block (one distribution each: the same stream).
+      ``_lp_fill``, which takes the unscaled chunks and their row sums from
+      ``_chunked`` and scales the block once; the ball and the cone of one
+      group share its stream.
+    * The cube, its boundary and the sup-norm exponential (its radius, then
+      the boundary's draws) draw each chunk of rows in place, in the block
+      or in the chunk buffer that ``_chunked`` projects.
     """
     group = (specs,) if isinstance(specs, DistributionSpec) else tuple(specs)
     spec = group[0]
@@ -469,19 +477,15 @@ def _filler(
             e = rng.standard_exponential((len(w), n + 1))
             np.matmul(e, m, out=w)
             w /= e.sum(axis=1)[:, None]
-            return w
 
-        if directions is None:  # one draw per block
-            return lambda rng, count: put(rng, np.empty((count, n)))
         return _chunked(put, m.shape[1])
 
-    if kind is Kind.LP_BALL:  # the cube
+    if kind is Kind.LP_BALL:  # the cube: uniform(-scale, scale)'s bits, 2 scale U - scale
 
-        def draw(rng, count):
-            return rng.uniform(-scale, scale, (count, n))
-
-        if directions is None:
-            return draw
+        def put(rng, x):
+            rng.random(out=x)
+            x *= 2.0 * scale
+            x -= scale
 
     elif kind in (Kind.LP_CONE, Kind.LP_SURFACE, Kind.LINF_EXPONENTIAL):
         b_n = _linf_rate(n) if kind is Kind.LINF_EXPONENTIAL else None
@@ -498,19 +502,11 @@ def _filler(
             face = rng.integers(0, n, count)
             x[np.arange(count), face] = rng.integers(0, 2, count) * 2.0 - 1.0
             x *= scale if radii is None else radii[:, None]
-            return x
-
-        if directions is None:
-            return _chunked(put, n)
-
-        def draw(rng, count):
-            return put(rng, np.empty((count, n)))
 
     else:  # pragma: no cover
         raise ValueError(f"unknown kind {kind!r}")
 
-    return _chunked(lambda rng, out: np.matmul(draw(rng, len(out)), directions, out=out),
-                    directions.shape[1])
+    return _chunked(put, n, directions)
 
 
 def map_sample_blocks(
@@ -532,12 +528,12 @@ def sample_projections(
     ``_filler(spec, directions)``; each row is contiguous for the
     Kolmogorov sort, and the (N, n) batch is never held.
 
-    The cube, its boundary and the sup-norm exponential project the rows
-    of ``sample(spec, N, seed)`` ``CHUNK_ROWS`` at a time: exactly
-    ``data[chunk] @ directions`` per chunk, and ``data @ directions`` up to
-    rounding; the simplex, and the lp laws that ``_lp_fill`` draws (finite
-    p, but the ball and cone at p = 2), which project before they scale,
-    give it up to rounding.  A spherical
+    The cube, its boundary and the sup-norm exponential project each
+    ``CHUNK_ROWS``-row chunk of the rows of ``sample(spec, N, seed)`` as
+    ``_chunked`` draws it: exactly ``data[chunk] @ directions`` per chunk,
+    and ``data @ directions`` up to rounding; the simplex, and the lp laws
+    that ``_lp_fill`` draws (finite p, but the ball and cone at p = 2),
+    which project before they scale, give it up to rounding.  A spherical
     law (and the lp ball and cone at p = 2) draws its reduced law at
     r = min(n, D): for D < n a stream other than that of ``sample``, with
     the same law.

@@ -27,7 +27,7 @@ from cltbounds.cli import (
     _spec_from_config,
     main,
 )
-from cltbounds.core import CHUNK_ROWS
+from cltbounds.core import CHUNK_ROWS, InsufficientDataError
 from cltbounds.empirical import (
     HISTOGRAM_MIN_SAMPLES,
     KS_MIN_SAMPLES,
@@ -304,6 +304,22 @@ class TestCertifyGrid:
         reports = certify_grid(specs, ["e1"], N=10_000, seed=33)
         assert jobs == [(1, 3), (4,), (0,), (2,)]
         assert [r.spec for r in reports] == specs
+
+    def test_checks_every_spec_before_any_draw(self, monkeypatch):
+        # each route and the sample minimum of its estimator are checked
+        # before the first group (the largest n) draws
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before checking every spec")
+
+        monkeypatch.setattr("cltbounds.certify.sample_projections", no_sampling)
+        cube = DistributionSpec(Kind.LP_BALL, 9, p=math.inf)
+        with pytest.raises(InsufficientDataError):
+            certify_grid([cube], ["e1"], N=50, seed=1)
+        with pytest.raises(InsufficientDataError, match=str(HISTOGRAM_MIN_SAMPLES)):
+            certify_grid([DistributionSpec(Kind.SPHERE_SHELL, 5), cube], ["e1"], N=5_000, seed=1)
+        with pytest.raises(InapplicableBoundError):
+            certify_grid([cube, DistributionSpec(Kind.LP_SURFACE, 5, p=3.0)], ["e1"], N=5_000,
+                         seed=1)
 
     def test_serialization(self, tmp_path):
         specs = [DistributionSpec(Kind.LP_BALL, 6, p=math.inf)]

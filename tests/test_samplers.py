@@ -110,6 +110,15 @@ class TestDistributionSpec:
         with pytest.raises(ValueError):
             DistributionSpec(Kind.SPHERE_SHELL, 1)
 
+    def test_refuses_non_integer_dimension(self):
+        # a float n is refused, not truncated; a numpy integer is taken as an int
+        with pytest.raises(TypeError):
+            DistributionSpec(Kind.SIMPLEX, 2.5)
+        with pytest.raises(TypeError):
+            DistributionSpec.from_dict({"kind": "simplex", "n": 2.5})
+        spec = DistributionSpec(Kind.SIMPLEX, np.int64(5))
+        assert type(spec.n) is int and spec == DistributionSpec(Kind.SIMPLEX, 5)
+
     def test_dict_roundtrip(self):
         spec = DistributionSpec(Kind.LP_CONE, 8, p=math.inf)
         again = DistributionSpec.from_dict(spec.to_dict())
@@ -227,7 +236,7 @@ class TestSerialization:
 
 
 class TestDrawOrder:
-    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0, math.inf])
     @pytest.mark.parametrize("kind", [Kind.LP_BALL, Kind.LP_CONE])
     def test_lp_blocks_follow_documented_draws(self, kind, p):
         # per block substream, CHUNK_ROWS rows at a time: each chunk's
@@ -238,13 +247,27 @@ class TestDrawOrder:
         # scale (sum |g|^p [+ y])^(-1/p), bit for bit.  At p = 2 the l2 ball
         # is the Euclidean ball: at its own scale, the ball's reduced-law
         # rows bit for bit, and the l2 cone's rows are the normalized
-        # sqrt(1/2) standard normals
+        # sqrt(1/2) standard normals.  At p = inf the cube's block is
+        # uniform(-scale, scale, (count, n)), and each chunk of the cube
+        # boundary is uniform(-1, 1) rows, then a facet index and a facet
+        # sign (integers(0, 2), 0 negating) per row, times scale
         n, n_samples, seed = 7, BLOCK_ROWS + CHUNK_ROWS + 300, 61
         spec = DistributionSpec(kind, n, p=p)
         blocks = []
         for block, lo in enumerate(range(0, n_samples, BLOCK_ROWS)):
             count = min(BLOCK_ROWS, n_samples - lo)
             rng = np.random.default_rng(block_seed(seed, block))
+            if kind is Kind.LP_BALL and p == math.inf:
+                blocks.append(rng.uniform(-spec.scale, spec.scale, (count, n)))
+                continue
+            if p == math.inf:
+                for rows in range(0, count, CHUNK_ROWS):
+                    m = min(CHUNK_ROWS, count - rows)
+                    x = rng.uniform(-1.0, 1.0, (m, n))
+                    face = rng.integers(0, n, m)
+                    x[np.arange(m), face] = rng.integers(0, 2, m) * 2.0 - 1.0
+                    blocks.append(spec.scale * x)
+                continue
             if kind is Kind.LP_BALL and p == 2.0:
                 blocks.append(_reduced_spherical_block(rng, Kind.BALL_UNIFORM, n, n, spec.scale,
                                                        count)[0])
@@ -596,17 +619,19 @@ class TestGeneralizedGaussian:
         [((Kind.LP_BALL,), 4.0, True), ((Kind.LP_CONE,), 4.0, True),
          ((Kind.LP_BALL, Kind.LP_CONE), 4.0, True), ((Kind.LP_CONE,), 4.0, False),
          ((Kind.LP_BALL,), math.inf, True), ((Kind.SIMPLEX,), None, True),
-         ((Kind.LP_CONE,), math.inf, True), ((Kind.LP_BALL, Kind.LP_CONE), 1.0, True)],
+         ((Kind.LP_CONE,), math.inf, True), ((Kind.LP_BALL, Kind.LP_CONE), 1.0, True),
+         ((Kind.SIMPLEX,), None, False), ((Kind.LP_BALL,), math.inf, False)],
         ids=["lp_ball", "lp_cone", "lp_ball+lp_cone", "lp_cone-rows", "cube", "simplex",
-             "cube-boundary", "lp_ball+lp_cone-p1"],
+             "cube-boundary", "lp_ball+lp_cone-p1", "simplex-rows", "cube-rows"],
     )
     def test_fill_holds_at_most_two_blocks(self, kinds, p, projected):
         # beside the block it returns, a projection fill holds at most 2.2
         # (CHUNK_ROWS, n) chunks: it draws and projects CHUNK_ROWS rows at a
         # time (an lp chunk's gammas and uniforms, or exponentials and signs,
-        # are two chunks) and returns (count, k 4) projections; the rows of
-        # one lp body are drawn in place into the block, beside one chunk of
-        # uniforms, so that fill holds at most 1.2 chunks more
+        # are two chunks) and returns (count, k 4) projections; a rows fill
+        # draws each chunk in place into the block, beside at most one chunk
+        # (an lp body's uniforms, the simplex's exponentials; none for the
+        # cube), so it holds at most 1.2 chunks more
         n, count = 300, 8 * CHUNK_ROWS
         specs = tuple(DistributionSpec(kind, n, p=p) for kind in kinds)
         fill = _filler(specs, np.ones((n, 4)) if projected else None)
