@@ -36,7 +36,10 @@ sampled stages show what the sampled path would cost.  Every
 ``*_total_s`` passes ``CLTBOUNDS_THREADS`` as ``workers``.  It times the
 whole reflection step of ``diagnose`` (``reflection_total_s``: the three
 thetas e1, diagonal and random(42) of criterion 05 on the given spec, in
-the frame of its law).  For the rotation diagnostics it times the two-frame draws
+the frame of its law), and the tracemalloc peak in MB of a second, traced
+call (``reflection_peak_mb``; the timed call runs untraced): the kept W
+per theta, coefficient and index, plus a chunk and a block of
+projections per worker.  For the rotation diagnostics it times the two-frame draws
 of three angles (``rotation_frames_s``: ``subspaces._rotation_frames``, each
 block of each angle on its own substream, as the rotation pass draws them)
 over the reduced sphere-shell rows of the same n and N
@@ -228,6 +231,13 @@ def subspace_pass(spec: DistributionSpec, n_samples: int, seed: int) -> dict[str
     start = time.perf_counter()
     subspaces.reflection_pair_diagnostics(spec, thetas, n_samples, seed, seed, workers=WORKERS)
     times["reflection_total_s"] = time.perf_counter() - start
+    tracemalloc.start()  # a second, traced call: tracing slows every allocation
+    try:
+        subspaces.reflection_pair_diagnostics(spec, thetas, n_samples, seed, seed,
+                                              workers=WORKERS)
+        times["reflection_peak_mb"] = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
     shell = DistributionSpec(kind=Kind.SPHERE_SHELL, n=spec.n)
     angle_seeds = [derive_seed(seed, pos) for pos in range(len(ANGLES))]

@@ -35,6 +35,7 @@ import functools
 import json
 import subprocess
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -291,7 +292,8 @@ def certify_grid(
     thread pool when ``workers > 1``; the reports come back in the order of
     specs, bit for bit those of the serial run.  Before any draw, each spec
     in turn checks its route and N against the minimum of the route's
-    estimator (``InsufficientDataError``).
+    estimator (``InsufficientDataError``), and then every theta is resolved
+    at every n of the grid (``resolve_theta``'s ValueError).
     """
     specs = list(specs)
     routes = []
@@ -302,11 +304,15 @@ def certify_grid(
             raise InsufficientDataError(
                 f"{spec.kind.value} cells need at least {least} samples, got N={N}"
             )
+    thetas_of = {}  # n -> the resolved thetas, every one before the first draw
+    for spec in specs:
+        if spec.n not in thetas_of:
+            thetas_of[spec.n] = [resolve_theta(theta_spec, spec.n) for theta_spec in theta_specs]
 
     def certify_group(group: tuple[int, ...]) -> list[list[BoundReport]]:
         cell_seed = derive_seed(seed, group[0])
         members = [specs[pos] for pos in group]
-        resolved = [resolve_theta(theta_spec, members[0].n) for theta_spec in theta_specs]
+        resolved = thetas_of[members[0].n]
         thetas = np.column_stack([theta for theta, _ in resolved])
         projections = sample_projections(members, thetas, N, cell_seed)
         return [
@@ -330,11 +336,13 @@ def certify_grid(
 
 @functools.cache
 def version_string() -> str:
-    """git-describe when available, else the package version; the ``git``
-    child runs once per process, at the first call."""
+    """git-describe of the checkout that holds this package when available,
+    else the package version; the ``git`` child runs once per process, at
+    the first call, in the package's directory, whatever the caller's."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
+            cwd=Path(__file__).resolve().parent,
             capture_output=True,
             text=True,
             timeout=5,

@@ -252,7 +252,7 @@ def _cmd_scan_ank(cfg: dict) -> int:
             raise ConfigError(f"'k' must not exceed n, got k={k}, n={spec.n}")
         check_ank_samples(spec, k, n_samples)  # InsufficientDataError: exit 2
     workers = _workers()
-    out = _out_dir(cfg)
+    _check_out_dir(cfg)
     results = []
     for spec in specs:
         est = estimate_Ank(
@@ -264,6 +264,7 @@ def _cmd_scan_ank(cfg: dict) -> int:
             f"n={spec.n} k={k} eps={eps}: fraction={est.fraction:.3f} "
             f"(max sup={est.sup_distances.max():.4f}) [{est.label}]"
         )
+    out = _out_dir(cfg)  # only now, so an error leaves no directory behind
     ank_to_csv(results, out / "ank_scan.csv")
     print(f"wrote {out / 'ank_scan.csv'}")
     return EXIT_OK

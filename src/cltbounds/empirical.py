@@ -181,10 +181,15 @@ def conditional_second_moment(batch: SampleBatch) -> float:
     return float(sizes @ np.abs(1.0 - means)) / batch.N
 
 
+def _equal_count_bins(x: np.ndarray) -> list[np.ndarray]:
+    """The row indices of ceil(N^(1/3)) equal-count bins of x, in order of x."""
+    return np.array_split(np.argsort(x), math.ceil(len(x) ** (1.0 / 3.0)))
+
+
 def _equal_count_bin_means(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Means of y over ceil(N^(1/3)) equal-count bins of x, and the bin sizes:
-    the binned estimate of E[y | x]."""
-    bins = np.array_split(np.argsort(x), math.ceil(len(x) ** (1.0 / 3.0)))
+    """Means of y over the equal-count bins of x, and the bin sizes: the
+    binned estimate of E[y | x]."""
+    bins = _equal_count_bins(x)
     means = np.array([float(y[idx].mean()) for idx in bins])
     return means, np.array([len(idx) for idx in bins], dtype=float)
 

@@ -12,7 +12,9 @@ one stream (the lp ball and cone of one n and finite p != 2).  Every fill
 of n-wide rows goes through one chunk driver, ``_chunked``, which draws a
 block ``CHUNK_ROWS`` rows at a time: rows straight into the block, and rows
 to be projected into one chunk buffer, so beside its (count, k D)
-projections a fill holds a chunk, not a block.
+projections a fill holds a chunk, not a block.  ``map_frame_blocks`` adds
+to each row's projections its reflection-frame coefficient, read from the
+same chunk.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ __all__ = [
     "calibrate_isotropic",
     "derive_seed",
     "exact_moments",
+    "map_frame_blocks",
     "map_sample_blocks",
     "sample",
     "sample_projections",
@@ -247,15 +250,18 @@ def _block_rngs(N: int, seed: int) -> Iterator[tuple[int, int, np.random.Generat
     )
 
 
-def _map_blocks(fill, blocks, fn: Callable[[slice, np.ndarray], None], workers: int = 1) -> None:
-    """fn(slice(lo, lo + count), fill(rng, count)) for every (lo, count, rng)
-    of ``_block_rngs``: the one loop over the blocks of every sampled stream.
-    Each block is filled on the thread that hands it to fn and freed when fn
-    returns; at one worker the blocks arrive in order."""
+def _map_blocks(fill, blocks, fn: Callable[[slice, np.ndarray], None], workers: int = 1,
+                index: np.ndarray | None = None) -> None:
+    """fn(rows, fill(rng, count)), rows = slice(lo, lo + count), for every
+    (lo, count, rng) of ``_block_rngs``, or fn(rows, fill(rng, count,
+    index[rows])) given frame indices: the one loop over the blocks of every
+    sampled stream.  Each block is filled on the thread that hands it to fn
+    and freed when fn returns; at one worker the blocks arrive in order."""
 
     def run(job: tuple[int, int, np.random.Generator]) -> None:
         lo, count, rng = job
-        fn(slice(lo, lo + count), fill(rng, count))
+        rows = slice(lo, lo + count)
+        fn(rows, fill(rng, count) if index is None else fill(rng, count, index[rows]))
 
     thread_map(run, blocks, workers)
 
@@ -328,37 +334,98 @@ def _reduced_spherical_block(
     sphere shell, random()^(1/n) for the ball, standard_gamma(n)/sqrt(n + 1)
     for the spherical exponential.
     """
-    g = rng.standard_normal((count, r))
-    norm_sq = np.einsum("ij,ij->i", g, g)
+    g = np.empty((count, r))
+    norm_sq = _normals(rng, g)
     rest_sq = 2.0 * rng.standard_gamma((n - r) / 2.0, count)
     norm_sq += rest_sq
-    radial = scale / np.sqrt(norm_sq)
-    if kind is Kind.BALL_UNIFORM:
-        radial *= rng.random(count) ** (1.0 / n)
-    elif kind is Kind.SPHERICAL_EXPONENTIAL:
-        radial *= rng.standard_gamma(float(n), count) / math.sqrt(n + 1)
+    radial = _radial(rng, kind, n, scale, norm_sq)
     g *= radial[:, None]
     radial *= radial
     rest_sq *= radial
     return g, rest_sq
 
 
-def _chunked(put: Callable[[np.random.Generator, np.ndarray], object], n: int,
-             directions: np.ndarray | None = None):
+def _normals(rng: np.random.Generator, g: np.ndarray) -> np.ndarray:
+    """Fill g with standard normals; return the squared norm of each row."""
+    rng.standard_normal(out=g)
+    return np.einsum("ij,ij->i", g, g)
+
+
+def _radial(rng: np.random.Generator, kind: Kind, n: int, scale: float,
+            norm_sq: np.ndarray) -> np.ndarray:
+    """scale R / sqrt(norm_sq): the factor that takes Gaussian rows of
+    squared norm norm_sq to the spherical law of kind, with the radius R of
+    ``_reduced_spherical_block`` drawn after them."""
+    radial = scale / np.sqrt(norm_sq)
+    if kind is Kind.BALL_UNIFORM:
+        radial *= rng.random(len(radial)) ** (1.0 / n)
+    elif kind is Kind.SPHERICAL_EXPONENTIAL:
+        radial *= rng.standard_gamma(float(n), len(radial)) / math.sqrt(n + 1)
+    return radial
+
+
+def _coordinates(x: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Each row's coordinate at its index: the standard frame's coefficients."""
+    return x[np.arange(len(x)), index]
+
+
+def _chunked(put: Callable[[np.random.Generator, np.ndarray], np.ndarray | None], n: int,
+             directions: np.ndarray | None = None, pick=_coordinates):
     """Block generator of (count, n) rows, or of their (count, D) projections
     onto the columns of directions: the one chunk loop of every n-wide fill.
     put(rng, x) draws each ``CHUNK_ROWS``-row chunk x of rows in place, in
-    turn, into the block or into one chunk buffer projected into the block."""
-    width = n if directions is None else directions.shape[1]
+    turn, into the block or into one chunk buffer projected into the block;
+    a per-row array it returns divides the chunk's columns (the simplex's sums).
 
-    def fill(rng, count):
-        out = np.empty((count, width))
+    fill(rng, count, index=None, out=None) writes the first columns of out,
+    by default a new array of just those columns.  Given index, the frame
+    indices of the block's rows, the block is (count, D + 1): each
+    projection its own matrix-vector product, so that no direction's column
+    depends on another, then each row's frame coefficient pick(x, index),
+    read from its chunk x.
+    """
+    width = n if directions is None else directions.shape[1]
+    vectors = None if directions is None else np.ascontiguousarray(directions.T)
+
+    def fill(rng, count, index=None, out=None):
+        columns = width + (index is not None)
+        out = np.empty((count, columns)) if out is None else out
         chunk = None if directions is None else np.empty((min(CHUNK_ROWS, count), n))
         for lo in range(0, count, CHUNK_ROWS):
-            rows = out[lo : lo + CHUNK_ROWS]
-            put(rng, rows if chunk is None else chunk[: len(rows)])
-            if chunk is not None:
-                np.matmul(chunk[: len(rows)], directions, out=rows)
+            rows = out[lo : lo + CHUNK_ROWS, :columns]
+            x = rows if chunk is None else chunk[: len(rows)]
+            divisor = put(rng, x)
+            if index is not None:
+                for t, vector in enumerate(vectors):
+                    np.matmul(x, vector, out=rows[:, t])
+                rows[:, width] = pick(x, index[lo : lo + len(x)])
+            elif chunk is not None:
+                np.matmul(x, directions, out=rows)
+            if divisor is not None:
+                rows /= divisor[:, None]
+        return out
+
+    return fill
+
+
+def _scaled(put: Callable[[np.random.Generator, np.ndarray], np.ndarray], n: int,
+            directions: np.ndarray | None, factors, bodies: int = 1):
+    """Block generator of a law whose rows are unscaled draws G times a
+    per-row factor: put(rng, g) draws each chunk of G and returns a per-row
+    statistic of it, and after the last chunk factors(rng, stats) returns
+    each body's (count,) row factors, in order.  ``_chunked`` draws G, or
+    its projections and frame coefficients, into the first body's columns
+    of the block, and each body's columns are scaled once, side by side."""
+    width = n if directions is None else directions.shape[1]
+
+    def fill(rng, count, index=None):
+        stats = []
+        columns = width + (index is not None)
+        out = np.empty((count, bodies * columns))
+        _chunked(lambda rng, g: stats.append(put(rng, g)), n, directions)(rng, count, index, out)
+        unscaled = out[:, :columns]
+        for i, factor in reversed(list(enumerate(factors(rng, np.concatenate(stats))))):
+            np.multiply(unscaled, factor[:, None], out=out[:, i * columns : (i + 1) * columns])
         return out
 
     return fill
@@ -374,30 +441,21 @@ def _lp_fill(
     Mendelson and Naor, Ann. Probab. 2005).  Block order: the
     ``_generalized_gaussian_block`` draws of each ``CHUNK_ROWS``-row chunk
     in turn, then, for a ball, its ``count`` exponentials; so the cone's
-    stream is a prefix of the ball's, and one group's pair shares it.  The
-    chunks and their row sums S come from ``_chunked``, the block holding
-    the unscaled G or G @ directions; each body is scaled once at the end,
-    side by side in the order of specs: (count, k D).
+    stream is a prefix of the ball's, and one group's pair shares it.
+    ``_scaled`` draws G or G @ directions into the first spec's columns
+    and scales each body once: (count, k D) in the order of specs.
     """
-    n = specs[0].n
 
-    def fill(rng, count):
-        sums = []
-        unscaled = _chunked(lambda rng, g: sums.append(_generalized_gaussian_block(rng, p, g)),
-                            n, directions)(rng, count)
-        sums = np.concatenate(sums)
-        factors = {}
+    def factors(rng, sums):
+        scaled = {}
         for spec in sorted(specs, key=lambda spec: spec.kind is Kind.LP_BALL):  # the cone first
             if spec.kind is Kind.LP_BALL:
-                sums += rng.standard_exponential(count)
-            factors[spec] = spec.scale * sums ** (-1.0 / p)
-        width = unscaled.shape[1]
-        out = unscaled if len(specs) == 1 else np.empty((count, len(specs) * width))
-        for i, spec in enumerate(specs):
-            np.multiply(unscaled, factors[spec][:, None], out=out[:, i * width : (i + 1) * width])
-        return out
+                sums += rng.standard_exponential(len(sums))
+            scaled[spec] = spec.scale * sums ** (-1.0 / p)
+        return [scaled[spec] for spec in specs]
 
-    return fill
+    return _scaled(lambda rng, g: _generalized_gaussian_block(rng, p, g), specs[0].n,
+                   directions, factors, len(specs))
 
 
 def stream_groups(specs) -> list[tuple[int, ...]]:
@@ -428,23 +486,30 @@ def _filler(
     or of the (count, n) rows X when directions is None: the one place that
     picks how each law is drawn.  ``specs`` is one spec or one group of
     ``stream_groups``; a group's block stacks its specs' projections
-    side by side, (count, k D) in the order of specs.
+    side by side, (count, k D) in the order of specs.  fill(rng, count,
+    index) of one spec's projections adds the column of each row's
+    coefficient in the law's reflection frame at its index (see
+    ``map_frame_blocks``).
 
     * A spherically symmetric law draws from ``_reduced_spherical_block``:
       its rows at r = n, and for the reduced QR directions = Q Rq, with
       r = min(n, D) orthonormal columns in Q, the Q^T X of the block times
       Rq.  The lp ball and cone at p = 2 are the Euclidean ball and sphere
       (Barthe, Guedon, Mendelson and Naor, Ann. Probab. 2005) and take
-      this fill at their own scale.
+      this fill at their own scale.  A frame coefficient reads every
+      coordinate, so with index the law draws the same normals chunk by
+      chunk through ``_scaled`` and scales each row by its radius last.
     * Every other law draws through ``_chunked``, ``CHUNK_ROWS`` rows at a
       time, with one chunk fill (put) that serves its rows and its
       projections alike.  The simplex point is c (E / sum E) @ vertices with
-      c = sqrt(n (n + 2)) and E standard exponentials: each chunk is
-      (E @ M) / sum E with M = c vertices, or M = c (vertices @ directions),
-      an (n+1, D) product per row instead of an (n+1, n) one.
+      c = sqrt(n (n + 2)) and E standard exponentials: each chunk of E is
+      projected onto M = c vertices, or M = c (vertices @ directions), an
+      (n+1, D) product per row instead of an (n+1, n) one, and divided by
+      sum E; its edge coefficient s <X, v_h - v_t> is
+      sqrt((n + 1)(n + 2) / 2) (E_h - E_t) / sum E, as <v_i, v_j> = -1/n.
     * The lp ball, cone and surface measure at finite p draw from
       ``_lp_fill``, which takes the unscaled chunks and their row sums from
-      ``_chunked`` and scales the block once; the ball and the cone of one
+      ``_scaled`` and scales the block once; the ball and the cone of one
       group share its stream.
     * The cube, its boundary and the sup-norm exponential (its radius, then
       the boundary's draws) draw each chunk of rows in place, in the block
@@ -458,8 +523,13 @@ def _filler(
     if kind in SPHERICAL_KINDS:
         factor = None if directions is None else np.linalg.qr(directions)[1]
         r = n if factor is None else factor.shape[0]
+        # a frame coefficient needs every coordinate: the rows' normals, chunk by chunk
+        rows = _scaled(_normals, n, directions,
+                       lambda rng, norm_sq: [_radial(rng, kind, n, scale, norm_sq)])
 
-        def fill(rng, count):
+        def fill(rng, count, index=None):
+            if index is not None:
+                return rows(rng, count, index)
             y = _reduced_spherical_block(rng, kind, n, r, scale, count)[0]
             return y if factor is None else y @ factor
 
@@ -469,16 +539,21 @@ def _filler(
         return _lp_fill(p, group, directions)
 
     if kind is Kind.SIMPLEX:
-        vertices = simplex_geometry(n).vertices
+        geometry = simplex_geometry(n)
         c = math.sqrt(n * (n + 2))
-        m = c * vertices if directions is None else c * (vertices @ directions)
+        m = c * geometry.vertices if directions is None else c * (geometry.vertices @ directions)
+        edge_scale = math.sqrt((n + 1) * (n + 2) / 2.0)
 
-        def put(rng, w):
-            e = rng.standard_exponential((len(w), n + 1))
-            np.matmul(e, m, out=w)
-            w /= e.sum(axis=1)[:, None]
+        def put(rng, e):
+            rng.standard_exponential(out=e)
+            return e.sum(axis=1)
 
-        return _chunked(put, m.shape[1])
+        def edges(e, index):  # s <X, v_h - v_t> times sum E, for edge (h, t)
+            heads, tails = geometry.edge_pairs[index].T
+            rows = np.arange(len(e))
+            return edge_scale * (e[rows, heads] - e[rows, tails])
+
+        return _chunked(put, n + 1, m, edges)
 
     if kind is Kind.LP_BALL:  # the cube: uniform(-scale, scale)'s bits, 2 scale U - scale
 
@@ -517,6 +592,25 @@ def map_sample_blocks(
     being the block's slice of the draw; each block is freed when fn returns,
     and at one worker the blocks arrive in order."""
     _map_blocks(_filler(spec), _block_rngs(N, seed), fn, workers)
+
+
+def map_frame_blocks(
+    spec: DistributionSpec, directions: np.ndarray, index: np.ndarray, seed: int,
+    fn: Callable[[slice, np.ndarray], None], workers: int = 1,
+) -> None:
+    """Call fn(rows, block) for every block of the len(index)-row draw of
+    spec with seed, block being the (count, D + 1) array of each row's
+    projections X @ directions and its coefficient X_(k) in the law's
+    reflection frame at its index k = index[row]: the coordinate X_k in the
+    standard frame, and on the simplex s <X, v_h - v_t> with (h, t) =
+    ``SimplexGeometry.edge_pairs[k]`` and s = sqrt(n / (2 (n + 1))).
+
+    The rows are those of ``sample(spec, len(index), seed)``, up to
+    rounding, drawn ``CHUNK_ROWS`` at a time: no (count, n) block is held.
+    Each projection is its own matrix-vector product, so a direction's
+    column does not depend on the others."""
+    _map_blocks(_filler(spec, np.asarray(directions, dtype=float)), _block_rngs(len(index), seed),
+                fn, workers, index)
 
 
 def sample_projections(

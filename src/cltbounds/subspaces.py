@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import exact_kolmogorov, has_exact_kolmogorov
-from .core import BLOCK_ROWS, CHUNK_ROWS, InsufficientDataError, as_unit_vector, thread_map
-from .empirical import KS_MIN_SAMPLES, _equal_count_bin_means, _ks_statistic
+from .core import BLOCK_ROWS, InsufficientDataError, as_unit_vector, thread_map
+from .empirical import KS_MIN_SAMPLES, _equal_count_bins, _ks_statistic
 from .frames import LABEL_SIMPLEX_EDGES, LABEL_STANDARD, simplex_geometry
 from .samplers import (
     SPHERICAL_KINDS,
@@ -23,7 +23,7 @@ from .samplers import (
     _reduced_spherical_block,
     block_seed,
     derive_seed,
-    map_sample_blocks,
+    map_frame_blocks,
     sample_projections,
 )
 
@@ -289,13 +289,20 @@ def reflection_pair_diagnostics(
     In the standard frame (m = n) the coefficients are the coordinates.  On
     the simplex (m = n(n+1)) index k is the edge (i, j) =
     ``SimplexGeometry.edge_pairs[k]``, X_(k) = s <X, v_i - v_j> with
-    s = sqrt(n/(2(n+1))) from the two vertex rows, gathered
-    ``CHUNK_ROWS`` rows at a time, and theta_(k) = s (t_i - t_j) with
-    t = V theta; the edge frame is never built.  Every field is a sampled
-    estimate.  Checks run before any draw; one pass over the sample blocks
-    keeps W and W - W' per theta, never the batch.  The indices are drawn
-    first, in block order; the block fills and then the per-theta reductions
-    run on ``workers`` threads, with results independent of ``workers``.
+    s = sqrt(n/(2(n+1))), and theta_(k) = s (t_i - t_j) with t = V theta;
+    the edge frame is never built.  Every field is a sampled estimate.
+
+    Checks run before any draw.  The indices are drawn first, in block
+    order, from one stream.  One pass of ``samplers.map_frame_blocks``, on
+    ``workers`` threads, draws each row's W per theta and its coefficient
+    X_(I), ``CHUNK_ROWS`` rows at a time, and keeps per block the sums of
+    W, W^2, D, D W, D^2 and |D|^3 and the max of |D|, D = W - W' =
+    2 X_(I) theta_(I), added in block order, so the results do not depend
+    on ``workers``.  Memory: the kept W per theta, coefficient and index
+    (in the smallest unsigned type that holds m - 1), (8 T + 9) N bytes at
+    most, and per worker a chunk and a (BLOCK_ROWS, T + 1) block; the
+    equal-count binning of ``var_conditional`` sorts W and rebuilds D bin by
+    bin, so no other N-long array is held.
     """
     simplex = reflection_frame(spec.kind) == LABEL_SIMPLEX_EDGES
     _require_two_samples(N)
@@ -315,50 +322,50 @@ def reflection_pair_diagnostics(
 
     # one pair_seed stream feeds every block's frame indices: draw them in order
     rng = np.random.default_rng(pair_seed)
-    index = np.empty(N, dtype=np.int64)
+    index = np.empty(N, dtype=np.min_scalar_type(m - 1))
     for lo in range(0, N, BLOCK_ROWS):
         index[lo : lo + BLOCK_ROWS] = rng.integers(0, m, min(BLOCK_ROWS, N - lo))
-    w, diff = np.empty((2, len(thetas), N))
+    w, coeff = np.empty((len(thetas), N)), np.empty(N)
+    # per block and theta: W, W^2, D, D W, D^2, |D|^3, then max |D|
+    sums = np.empty((-(-N // BLOCK_ROWS), len(thetas), 7))
 
-    def take(rows: slice, blk: np.ndarray) -> None:
-        idx = index[rows]
-        if simplex:
-            coeff = np.empty(len(idx))
-            for lo in range(0, len(idx), CHUNK_ROWS):
-                part = slice(lo, lo + CHUNK_ROWS)
-                x = blk[part]
-                coeff[part] = np.einsum("ij,ij->i", x, vertices[heads[idx[part]]])
-                coeff[part] -= np.einsum("ij,ij->i", x, vertices[tails[idx[part]]])
-            coeff *= edge_scale
-        else:
-            coeff = blk[np.arange(len(idx)), idx]
-        for t, theta in enumerate(thetas):
-            w[t, rows] = blk @ theta
-            diff[t, rows] = 2.0 * coeff * theta_coeffs[t][idx]
+    def diff(t: int, rows) -> np.ndarray:
+        """D = W - W' of theta t on rows (a slice or indices)."""
+        return 2.0 * coeff[rows] * theta_coeffs[t][index[rows]]
 
-    map_sample_blocks(spec, N, seed, take, workers)
-    del index
+    def take(rows: slice, block: np.ndarray) -> None:
+        coeff[rows] = block[:, -1]
+        for t in range(len(thetas)):
+            w_t = w[t, rows]
+            w_t[:] = block[:, t]
+            d = diff(t, rows)
+            d_abs = np.abs(d)
+            sums[rows.start // BLOCK_ROWS, t] = [
+                w_t.sum(), (w_t * w_t).sum(), d.sum(), (d * w_t).sum(), (d * d).sum(),
+                (d_abs**3).sum(), d_abs.max(),
+            ]
+
+    map_frame_blocks(spec, np.column_stack(thetas), index, seed, take, workers)
+    means = sums[..., :6].sum(axis=0) / N
 
     def diagnose(t: int) -> PairDiagnostics:
-        w_t, diff_t = w[t], diff[t]
-        w_mean, d_mean = float(w_t.mean()), float(diff_t.mean())
-        w_var = float(w_t.var())
-        slope = float(np.mean((diff_t - d_mean) * (w_t - w_mean))) / w_var
-        intercept = d_mean - slope * w_mean
-        resid = diff_t - slope * w_t - intercept
-        slope_se = float(resid.std()) / (math.sqrt(N) * math.sqrt(w_var))
+        w_mean, w_sq_mean, d_mean, dw_mean, dsq_mean, a3_mean = means[t].tolist()
+        w_var = w_sq_mean - w_mean * w_mean
+        slope = (dw_mean - d_mean * w_mean) / w_var
+        resid_var = max((dsq_mean - d_mean * d_mean) - slope * slope * w_var, 0.0)
 
-        means, sizes = _equal_count_bin_means(w_t, diff_t * diff_t)
-        weights = sizes / N
-        var_conditional = float(weights @ (means - float(weights @ means)) ** 2)
+        bins = _equal_count_bins(w[t])
+        means_t = np.array([float(np.square(diff(t, idx)).mean()) for idx in bins])
+        weights = np.array([len(idx) for idx in bins]) / N
+        var_conditional = float(weights @ (means_t - float(weights @ means_t)) ** 2)
 
         return PairDiagnostics(
             slope=slope,
-            intercept=intercept,
-            slope_se=slope_se,
+            intercept=d_mean - slope * w_mean,
+            slope_se=math.sqrt(resid_var) / (math.sqrt(N) * math.sqrt(w_var)),
             var_conditional=var_conditional,
-            third_abs=float(np.mean(np.abs(diff_t) ** 3)),
-            sup_abs=float(np.abs(diff_t).max()),
+            third_abs=a3_mean,
+            sup_abs=float(sums[:, t, 6].max()),
         )
 
     return thread_map(diagnose, range(len(thetas)), workers)

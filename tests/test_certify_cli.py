@@ -1,5 +1,6 @@
 import json
 import math
+import subprocess
 import tracemalloc
 
 import numpy as np
@@ -321,6 +322,17 @@ class TestCertifyGrid:
             certify_grid([cube, DistributionSpec(Kind.LP_SURFACE, 5, p=3.0)], ["e1"], N=5_000,
                          seed=1)
 
+    def test_resolves_every_theta_before_any_draw(self, monkeypatch):
+        # an explicit theta that fits the first group's n but not a later
+        # group's raises before the first group (the largest n) draws
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before resolving every theta")
+
+        monkeypatch.setattr("cltbounds.certify.sample_projections", no_sampling)
+        specs = [DistributionSpec(Kind.LP_BALL, n, p=math.inf) for n in (9, 5)]
+        with pytest.raises(ValueError, match="length 5"):
+            certify_grid(specs, [[1.0] * 9], N=200, seed=1)
+
     def test_serialization(self, tmp_path):
         specs = [DistributionSpec(Kind.LP_BALL, 6, p=math.inf)]
         reports = certify_grid(specs, ["e1"], N=10_000, seed=9)
@@ -339,6 +351,27 @@ class TestCertifyGrid:
 
     def test_version_string(self):
         assert "cltbounds" in version_string()
+
+    def test_version_names_the_package_checkout_not_the_callers(self, tmp_path, monkeypatch):
+        # run from another git repository, the probe describes the checkout
+        # that holds the package (or none), never the caller's repository
+        def git(*args):
+            return subprocess.run(["git", "-C", str(tmp_path), *args], check=True,
+                                  capture_output=True, text=True).stdout.strip()
+
+        try:
+            git("init", "-q")
+            git("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "--allow-empty",
+                "-m", "scratch")
+        except (OSError, subprocess.CalledProcessError):
+            pytest.skip("git is not available")
+        commit = git("rev-parse", "--short", "HEAD")
+        monkeypatch.chdir(tmp_path)
+        version_string.cache_clear()
+        try:
+            assert commit not in version_string()
+        finally:
+            version_string.cache_clear()
 
 
 class TestStreaming:
@@ -692,6 +725,17 @@ _SMALL_ROTATION = {
 
 
 class TestExitCodes:
+    def test_scan_ank_error_leaves_no_directory(self, tmp_path, monkeypatch):
+        # the output directory is made only after the estimates
+        def broken(*args, **kwargs):
+            raise InsufficientDataError("too few samples")
+
+        monkeypatch.setattr("cltbounds.cli.estimate_Ank", broken)
+        cfg = write_config(tmp_path, "c.json", {"command": "scan-ank", **_SMALL_SCAN})
+        out = tmp_path / "out"
+        assert main(["scan-ank", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG_ERROR
+        assert not out.exists()
+
     def test_internal_error_exits_4(self, tmp_path, monkeypatch, capsys):
         def broken(*args, **kwargs):
             raise ValueError("bound value must be finite and nonnegative, got nan")
@@ -1151,7 +1195,7 @@ class TestCliDiagnose:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before the frame and thetas were validated")
 
-        monkeypatch.setattr("cltbounds.subspaces.map_sample_blocks", no_sampling)
+        monkeypatch.setattr("cltbounds.subspaces.map_frame_blocks", no_sampling)
         payload = {
             "command": "diagnose",
             "experiment": "reflection",

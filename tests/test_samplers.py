@@ -16,6 +16,7 @@ from cltbounds.samplers import (
     derive_seed,
     calibrate_isotropic,
     exact_moments,
+    map_frame_blocks,
     map_sample_blocks,
     sample,
     sample_projections,
@@ -501,6 +502,44 @@ class TestProjectionBlocks:
                 blocks.append(y @ r_factor)
             np.testing.assert_array_equal(sample_projections(lp, directions, n_samples, seed),
                                           np.vstack(blocks).T)
+
+
+FRAME_LAWS = [
+    (Kind.LP_BALL, math.inf), (Kind.LP_CONE, math.inf), (Kind.LINF_EXPONENTIAL, None),
+    (Kind.LP_BALL, 1.0), (Kind.LP_CONE, 1.0), (Kind.LP_BALL, 3.0), (Kind.LP_CONE, 3.0),
+    (Kind.LP_BALL, 2.0), (Kind.LP_CONE, 2.0), (Kind.SPHERE_SHELL, None),
+    (Kind.BALL_UNIFORM, None), (Kind.SPHERICAL_EXPONENTIAL, None), (Kind.SIMPLEX, None),
+]
+
+
+class TestFrameBlocks:
+    @pytest.mark.parametrize("kind, p", FRAME_LAWS,
+                             ids=[f"{kind.value}-{p}" for kind, p in FRAME_LAWS])
+    def test_rows_are_those_of_sample(self, kind, p):
+        # each row's projections and reflection-frame coefficient are those
+        # of the row of sample() at 1e-12 of its norm (theta and every frame
+        # vector are unit vectors), across a partial last block
+        n, n_samples, seed = 7, BLOCK_ROWS + 4321, 81
+        spec = DistributionSpec(kind, n, p=p)
+        directions = haar_orthogonal(n, 82)[:, :3]
+        if kind is Kind.SIMPLEX:
+            geometry = simplex_geometry(n)
+            heads, tails = geometry.edge_pairs.T
+            frame = math.sqrt(n / (2.0 * (n + 1))) * (
+                geometry.vertices[heads] - geometry.vertices[tails])
+        else:
+            frame = np.eye(n)
+        index = np.random.default_rng(83).integers(0, len(frame), n_samples).astype(np.uint8)
+        got = np.empty((n_samples, 4))
+
+        def take(rows, block):
+            got[rows] = block
+
+        map_frame_blocks(spec, directions, index, seed, take, workers=2)
+        rows = sample(spec, n_samples, seed).data
+        expected = np.column_stack([rows @ directions, np.einsum("ij,ij->i", rows, frame[index])])
+        error = np.abs(got - expected).max(axis=1) / np.linalg.norm(rows, axis=1)
+        assert error.max() <= 1e-12
 
 
 class TestSphereShell:

@@ -16,7 +16,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "benchmarks" / "stage_split.py"
 
 SUBSPACE_STAGES = {"ank_fill_s", "ank_project_s", "ank_ks_s", "ank_ks_threaded_s", "ank_total_s",
-                   "reflection_total_s", "rotation_frames_s", "rotation_total_s"}
+                   "reflection_total_s", "reflection_peak_mb", "rotation_frames_s",
+                   "rotation_total_s"}
 
 # case -> (mode, spec options, stages reported)
 MODES = {

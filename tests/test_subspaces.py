@@ -227,7 +227,7 @@ class TestReflectionPair:
     def test_frame_must_preserve_the_law(self, monkeypatch, tmp_path, kind, p, frame):
         # the frame follows from the law: a diagnose config that names any
         # other, or any frame for lp_surface, exits 2 before any draw
-        monkeypatch.setattr("cltbounds.subspaces.map_sample_blocks", no_sampling)
+        monkeypatch.setattr("cltbounds.subspaces.map_frame_blocks", no_sampling)
         distribution = {"kind": kind.value, "n": 4, **({} if p is None else {"p": p})}
         cfg = tmp_path / "diag.json"
         cfg.write_text(json.dumps({"experiment": "reflection", "distribution": distribution,
@@ -238,7 +238,7 @@ class TestReflectionPair:
 
     def test_surface_law_has_no_pair(self, monkeypatch):
         # no diagnostic applies the lp surface weights
-        monkeypatch.setattr("cltbounds.subspaces.map_sample_blocks", no_sampling)
+        monkeypatch.setattr("cltbounds.subspaces.map_frame_blocks", no_sampling)
         with pytest.raises(SymmetryError):
             reflection_pair_diagnostics(
                 DistributionSpec(Kind.LP_SURFACE, 4, p=3.0), [np.eye(4)[0]], 1000, 20,
@@ -282,6 +282,22 @@ class TestReflectionPair:
         finally:
             tracemalloc.stop()
         assert peak < 8 * n_samples * n, f"peak {peak / 1e6:.1f} MB"
+
+    def test_keeps_only_w_the_coefficient_and_the_index(self):
+        # the pass draws its rows CHUNK_ROWS at a time: beside the kept W per
+        # theta, coefficient and uint8 index, one worker holds a (CHUNK_ROWS,
+        # n) chunk and a (BLOCK_ROWS, T + 1) block, far less than one
+        # (BLOCK_ROWS, n) block, 105 MB at n = 200
+        n, n_samples = 200, BLOCK_ROWS + 4321
+        thetas = [np.eye(n)[0], np.full(n, n**-0.5), haar_orthogonal(n, 42)[0]]
+        kept = (8 * len(thetas) + 8 + 1) * n_samples
+        tracemalloc.start()
+        try:
+            reflection_pair_diagnostics(cube(n), thetas, n_samples, 40, pair_seed=41)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < kept + 16e6, f"peak {peak / 1e6:.1f} MB, kept {kept / 1e6:.1f} MB"
 
 
 SHELL = DistributionSpec(Kind.SPHERE_SHELL, 50)
