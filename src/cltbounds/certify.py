@@ -336,13 +336,19 @@ def certify_grid(
 
 @functools.cache
 def version_string() -> str:
-    """git-describe of the checkout that holds this package when available,
-    else the package version; the ``git`` child runs once per process, at
-    the first call, in the package's directory, whatever the caller's."""
+    """git-describe of the source checkout that holds this package (the
+    directory two above the package, with its own ``.git``) when there is
+    one, else the package version: an installed copy inside another git
+    work tree, or a caller in one, never names that tree's commit.  The
+    ``git`` child runs once per process, at the first call."""
+    root = Path(__file__).resolve().parents[2]
+    if not (root / ".git").exists():
+        return f"cltbounds {__version__}"
     try:
         out = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            cwd=Path(__file__).resolve().parent,
+            ["git", f"--git-dir={root / '.git'}", f"--work-tree={root}",
+             "describe", "--always", "--dirty"],
+            cwd=root,
             capture_output=True,
             text=True,
             timeout=5,

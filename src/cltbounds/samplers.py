@@ -491,14 +491,16 @@ def _filler(
     coefficient in the law's reflection frame at its index (see
     ``map_frame_blocks``).
 
-    * A spherically symmetric law draws from ``_reduced_spherical_block``:
-      its rows at r = n, and for the reduced QR directions = Q Rq, with
+    * A spherically symmetric law scale R G / |G|, G standard normal,
+      draws its rows, and its projections with frame coefficients (which
+      read every coordinate), through ``_scaled``: G chunk by chunk, then
+      each row's radius R after the last chunk, the stream of
+      ``_reduced_spherical_block`` at r = n.  Its plain projections draw
+      that block's reduced law: for the reduced QR directions = Q Rq, with
       r = min(n, D) orthonormal columns in Q, the Q^T X of the block times
       Rq.  The lp ball and cone at p = 2 are the Euclidean ball and sphere
       (Barthe, Guedon, Mendelson and Naor, Ann. Probab. 2005) and take
-      this fill at their own scale.  A frame coefficient reads every
-      coordinate, so with index the law draws the same normals chunk by
-      chunk through ``_scaled`` and scales each row by its radius last.
+      this fill at their own scale.
     * Every other law draws through ``_chunked``, ``CHUNK_ROWS`` rows at a
       time, with one chunk fill (put) that serves its rows and its
       projections alike.  The simplex point is c (E / sum E) @ vertices with
@@ -522,16 +524,14 @@ def _filler(
 
     if kind in SPHERICAL_KINDS:
         factor = None if directions is None else np.linalg.qr(directions)[1]
-        r = n if factor is None else factor.shape[0]
-        # a frame coefficient needs every coordinate: the rows' normals, chunk by chunk
         rows = _scaled(_normals, n, directions,
                        lambda rng, norm_sq: [_radial(rng, kind, n, scale, norm_sq)])
 
         def fill(rng, count, index=None):
-            if index is not None:
+            if factor is None or index is not None:
                 return rows(rng, count, index)
-            y = _reduced_spherical_block(rng, kind, n, r, scale, count)[0]
-            return y if factor is None else y @ factor
+            y = _reduced_spherical_block(rng, kind, n, factor.shape[0], scale, count)[0]
+            return y @ factor
 
         return fill
 

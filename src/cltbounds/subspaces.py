@@ -298,11 +298,13 @@ def reflection_pair_diagnostics(
     X_(I), ``CHUNK_ROWS`` rows at a time, and keeps per block the sums of
     W, W^2, D, D W, D^2 and |D|^3 and the max of |D|, D = W - W' =
     2 X_(I) theta_(I), added in block order, so the results do not depend
-    on ``workers``.  Memory: the kept W per theta, coefficient and index
-    (in the smallest unsigned type that holds m - 1), (8 T + 9) N bytes at
-    most, and per worker a chunk and a (BLOCK_ROWS, T + 1) block; the
-    equal-count binning of ``var_conditional`` sorts W and rebuilds D bin by
-    bin, so no other N-long array is held.
+    on ``workers``.  Memory: the kept W per theta, coefficient and index,
+    (8 T + 8 + k) N bytes with k the itemsize of the smallest unsigned type
+    that holds m - 1 (1, 2 or 4: the simplex's m = n (n + 1) needs 2 from
+    n = 16 and 4 from n = 256), and per worker a chunk and a
+    (BLOCK_ROWS, T + 1) block while drawing; then the equal-count binning
+    of ``var_conditional`` argsorts W, 8 N bytes per worker, and rebuilds D
+    bin by bin, never as an N-long array.
     """
     simplex = reflection_frame(spec.kind) == LABEL_SIMPLEX_EDGES
     _require_two_samples(N)

@@ -6,6 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import cltbounds.certify as certify_module
+from cltbounds import __version__
 from cltbounds.bounds import KOLMOGOROV, BoundValue, bound_unconditional
 from cltbounds.certify import (
     TV_ESTIMATOR_ALLOWANCE,
@@ -370,6 +372,29 @@ class TestCertifyGrid:
         version_string.cache_clear()
         try:
             assert commit not in version_string()
+        finally:
+            version_string.cache_clear()
+
+    def test_version_of_a_copy_inside_another_work_tree_names_no_commit(self, tmp_path,
+                                                                        monkeypatch):
+        # a non-editable install under a project's .venv: git describe run
+        # from the package would walk up to the project's repository
+        def git(*args):
+            return subprocess.run(["git", "-C", str(tmp_path), *args], check=True,
+                                  capture_output=True, text=True).stdout.strip()
+
+        try:
+            git("init", "-q")
+            git("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "--allow-empty",
+                "-m", "scratch")
+        except (OSError, subprocess.CalledProcessError):
+            pytest.skip("git is not available")
+        package = tmp_path / ".venv" / "lib" / "site-packages" / "cltbounds"
+        package.mkdir(parents=True)
+        monkeypatch.setattr(certify_module, "__file__", str(package / "certify.py"))
+        version_string.cache_clear()
+        try:
+            assert version_string() == f"cltbounds {__version__}"
         finally:
             version_string.cache_clear()
 
