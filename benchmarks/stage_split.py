@@ -48,10 +48,15 @@ rotation step (``rotation_total_s``).
 
 ``--mode spherical`` takes a spherically symmetric kind and the spherical
 workload's two thetas (e1 and diagonal): it times the full fill of every
-n-dimensional row and its projection, as above, then the reduced-law draw
-of the same projections through ``samplers.sample_projections``
-(``reduced_draw_s``) and ``tv_vs_normal_histogram`` on each projection row
-(``hist_s``).
+n-dimensional row and its projection, as above, then the histogram cells
+as certification streams them: the reduced-law draw of each block of
+projections through ``samplers.map_projection_blocks`` (``reduced_draw_s``,
+the time between two blocks) apart from the block's
+``empirical.histogram_counts`` added to the (2, bins) count table, plus
+``tv_from_counts`` of each row (``hist_s``).  Last it takes the tracemalloc
+peak in MB of a traced ``certify_grid`` call on the spec and thetas
+(``certify_peak_mb``): its count table, a block of projections and the
+temporaries of one block's counts, never the (2, N) projections.
 
 ``--mode startup`` measures what each command pays before its work: the
 wall time of a fresh interpreter that imports ``cltbounds.cli``
@@ -92,8 +97,15 @@ import numpy as np
 import cltbounds
 from cltbounds import subspaces
 from cltbounds.bounds import exact_kolmogorov, exact_tv_vs_normal, has_exact_kolmogorov
-from cltbounds.certify import resolve_theta
-from cltbounds.empirical import _ks_statistic, kolmogorov_vs_normal, tv_vs_normal_histogram
+from cltbounds.certify import certify_grid, resolve_theta
+from cltbounds.empirical import (
+    _ks_statistic,
+    histogram_counts,
+    histogram_edges,
+    kolmogorov_vs_normal,
+    tv_from_counts,
+    tv_vs_normal_histogram,
+)
 from cltbounds.samplers import (
     BLOCK_ROWS,
     SPHERICAL_KINDS,
@@ -101,6 +113,7 @@ from cltbounds.samplers import (
     Kind,
     block_seed,
     derive_seed,
+    map_projection_blocks,
     map_sample_blocks,
     sample_projections,
 )
@@ -189,15 +202,31 @@ def certify_pass(spec: DistributionSpec, n_samples: int, seed: int) -> dict[str,
 
 def spherical_pass(spec: DistributionSpec, n_samples: int, seed: int) -> dict[str, float]:
     thetas = np.column_stack([resolve_theta(t, spec.n)[0] for t in SPHERICAL_THETAS])
-    times = dict.fromkeys(("fill_s", "project_s", "hist_s"), 0.0)
-    rows = stream(spec, n_samples, seed, thetas, times)
-    start = time.perf_counter()
-    sample_projections(spec, thetas, n_samples, seed)
-    times["reduced_draw_s"] = time.perf_counter() - start
-    for row in rows:
+    times = dict.fromkeys(("fill_s", "project_s", "reduced_draw_s", "hist_s"), 0.0)
+    stream(spec, n_samples, seed, thetas, times)
+    edges = histogram_edges(n_samples)
+    counts = np.zeros((thetas.shape[1], len(edges) - 1), dtype=np.int64)
+    mark = [time.perf_counter()]
+
+    def add(rows: slice, block: np.ndarray) -> None:
         start = time.perf_counter()
-        tv_vs_normal_histogram(row)
-        times["hist_s"] += time.perf_counter() - start
+        times["reduced_draw_s"] += start - mark[0]
+        for row, column in zip(counts, block.T):
+            row += histogram_counts(column, edges)
+        mark[0] = time.perf_counter()
+        times["hist_s"] += mark[0] - start
+
+    map_projection_blocks(spec, thetas, n_samples, seed, add)  # one worker: blocks in order
+    start = time.perf_counter()
+    for row in counts:
+        tv_from_counts(row, edges, n_samples)
+    times["hist_s"] += time.perf_counter() - start
+    tracemalloc.start()  # a traced certification of the same draw: tracing slows every allocation
+    try:
+        certify_grid([spec], SPHERICAL_THETAS, n_samples, seed)
+        times["certify_peak_mb"] = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
     return times
 
 

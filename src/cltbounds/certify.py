@@ -2,8 +2,10 @@
 theoretical bound, measure the empirical distance, and record a verdict.
 
 Each spec's projections onto the grid's thetas are drawn once, block by
-block, through ``samplers.sample_projections``; the (N, n) batch is never
-held.  Spherically symmetric specs, and the lp ball and cone at p = 2,
+block, through ``samplers.map_projection_blocks``; the (N, n) batch is never
+held.  A Kolmogorov spec keeps its (D, N) projections and sorts each row in
+place; a spherical spec keeps only the (D, bins) counts of its histogram
+cells.  Spherically symmetric specs, and the lp ball and cone at p = 2,
 draw the projections from their exact reduced law (r = min(n, T) normals,
 a chi-square and a radius per row) and never fill an n-dimensional row;
 the simplex projects its exponentials before forming the point; the other
@@ -58,8 +60,10 @@ from .empirical import (
     HISTOGRAM_MIN_SAMPLES,
     KS_MIN_SAMPLES,
     DistanceEstimate,
+    histogram_counts,
+    histogram_edges,
     kolmogorov_vs_normal,
-    tv_vs_normal_histogram,
+    tv_from_counts,
 )
 from .frames import simplex_geometry
 from .samplers import (
@@ -70,6 +74,7 @@ from .samplers import (
     _exact_norm_sq_std,
     derive_seed,
     exact_moments,
+    map_projection_blocks,
     sample_projections,
     stream_groups,
 )
@@ -190,12 +195,12 @@ def _evaluate_cell(
     route: str,
     theta: np.ndarray,
     theta_label: str,
-    values: np.ndarray,
+    empirical: DistanceEstimate,
     seed: int,
     delta: float,
 ) -> BoundReport:
-    """The certification predicate for one cell, given its projections.
-    Every bound input is exact."""
+    """The certification predicate for one cell, given the empirical
+    distance of its projections.  Every bound input is exact."""
     n = spec.n
     notes: list[str] = []
     informational: list[tuple[str, BoundValue]] = []
@@ -213,7 +218,6 @@ def _evaluate_cell(
         )
         if spec.kind is Kind.SPHERICAL_EXPONENTIAL and n > 25:
             informational.append(("poincare-spectral-gap", bound_poincare(n, 1.0 / 13.0)))
-        empirical = tv_vs_normal_histogram(values)
         adjusted = empirical.point_estimate - TV_ESTIMATOR_ALLOWANCE
         vacuous = bound.value >= 2.0
         notes.append(f"tv-allowance={TV_ESTIMATOR_ALLOWANCE}")
@@ -233,7 +237,6 @@ def _evaluate_cell(
                 )
                 informational.append(("sncp-bounded", bound_sncp_bounded(theta, a)))
                 informational.append(("lp-two-branch", bound_lp(theta, n, spec.p)))
-        empirical = kolmogorov_vs_normal(values, delta=delta)
         adjusted = empirical.point_estimate - empirical.dkw_slack
         vacuous = bound.value >= 1.0
         if vacuous:
@@ -244,7 +247,7 @@ def _evaluate_cell(
         spec=spec,
         theta_label=theta_label,
         n=n,
-        N=len(values),
+        N=empirical.n_samples,
         seed=seed,
         delta=delta,
         bound_name=bound_name,
@@ -288,7 +291,8 @@ def certify_grid(
     the group's first spec, the ``seed`` their reports carry; each spec's
     projections are those of ``sample_projections(spec, thetas, N, seed)``
     at that seed, so the grid is reproducible regardless of evaluation
-    order.  The groups are evaluated largest n first (a stable sort), on a
+    order; a spherical spec sums only their histogram counts, block by
+    block.  The groups are evaluated largest n first (a stable sort), on a
     thread pool when ``workers > 1``; the reports come back in the order of
     specs, bit for bit those of the serial run.  Before any draw, each spec
     in turn checks its route and N against the minimum of the route's
@@ -314,15 +318,26 @@ def certify_grid(
         members = [specs[pos] for pos in group]
         resolved = thetas_of[members[0].n]
         thetas = np.column_stack([theta for theta, _ in resolved])
-        projections = sample_projections(members, thetas, N, cell_seed)
+        if routes[group[0]] == ROUTE_SPHERICAL:  # a group of one spec
+            edges = histogram_edges(N)
+            counts = np.zeros((len(resolved), len(edges) - 1), dtype=np.int64)
+
+            def add(rows: slice, block: np.ndarray) -> None:
+                for row, column in zip(counts, block.T):
+                    row += histogram_counts(column, edges)
+
+            map_projection_blocks(members, thetas, N, cell_seed, add)
+            estimates = [[tv_from_counts(row, edges, N) for row in counts]]
+        else:  # each row is read by its statistic alone: sorted in place
+            projections = sample_projections(members, thetas, N, cell_seed)
+            estimates = [[kolmogorov_vs_normal(values, delta, overwrite=True) for values in rows]
+                         for rows in projections.reshape(len(members), len(resolved), N)]
         return [
             [
-                _evaluate_cell(specs[pos], routes[pos], theta, label, values, cell_seed, delta)
-                for (theta, label), values in zip(resolved, spec_projections)
+                _evaluate_cell(specs[pos], routes[pos], theta, label, empirical, cell_seed, delta)
+                for (theta, label), empirical in zip(resolved, spec_estimates)
             ]
-            for pos, spec_projections in zip(
-                group, projections.reshape(len(members), len(resolved), N)
-            )
+            for pos, spec_estimates in zip(group, estimates)
         ]
 
     groups = sorted(stream_groups(specs), key=lambda group: -specs[group[0]].n)

@@ -11,7 +11,7 @@ import numpy as np
 
 from .bounds import KOLMOGOROV, TOTAL_VARIATION
 from .core import InsufficientDataError, _ndtr, as_unit_vector, normal_cdf_points
-from .samplers import SPHERICAL_KINDS, SampleBatch, map_sample_blocks
+from .samplers import SPHERICAL_KINDS, SampleBatch, map_projection_blocks
 
 __all__ = [
     "DEFAULT_DELTA",
@@ -20,9 +20,12 @@ __all__ = [
     "KS_MIN_SAMPLES",
     "conditional_second_moment",
     "dkw_slack",
+    "histogram_counts",
+    "histogram_edges",
     "kolmogorov_vs_normal",
     "project",
     "streaming_pair_square_covariance",
+    "tv_from_counts",
     "tv_vs_normal_histogram",
 ]
 
@@ -114,49 +117,65 @@ def _ks_statistic(values: np.ndarray, overwrite: bool = False) -> float:
     return float(np.max(maxima))
 
 
-def kolmogorov_vs_normal(values: np.ndarray, delta: float = DEFAULT_DELTA) -> DistanceEstimate:
+def kolmogorov_vs_normal(values: np.ndarray, delta: float = DEFAULT_DELTA,
+                         overwrite: bool = False) -> DistanceEstimate:
     """Exact Kolmogorov distance of the empirical law of ``values`` from the standard normal.
 
     The supremum is evaluated at every order statistic (both one-sided gaps),
-    so there is no grid error.
+    so there is no grid error.  ``overwrite`` sorts the float array ``values`` in place.
     """
     N = len(values)
     if N < KS_MIN_SAMPLES:
         raise InsufficientDataError(f"need at least {KS_MIN_SAMPLES} samples, got {N}")
     return DistanceEstimate(
         kind=KOLMOGOROV,
-        point_estimate=_ks_statistic(values),
+        point_estimate=_ks_statistic(values, overwrite),
         n_samples=N,
         dkw_slack=dkw_slack(N, delta),
         delta=delta,
     )
 
 
-def tv_vs_normal_histogram(values: np.ndarray, bins: int | None = None) -> DistanceEstimate:
-    """Histogram total-variation estimate of ``values`` against the standard normal.
-
-    Values are clipped into [-HISTOGRAM_SUPPORT, HISTOGRAM_SUPPORT]; the edge
-    bins absorb the normal tail mass beyond that, so both measures live on the
-    same finite partition and the estimate is a genuine lower bound of the
-    true total variation (coarsening never increases L1), hence the qualifier.
-    """
-    N = len(values)
+def histogram_edges(N: int, bins: int | None = None) -> np.ndarray:
+    """The bin edges of the histogram of N values: ``bins``, by default
+    ceil(N^(1/3)), equal bins over [-HISTOGRAM_SUPPORT, HISTOGRAM_SUPPORT].
+    Refuses N below ``HISTOGRAM_MIN_SAMPLES``."""
     if N < HISTOGRAM_MIN_SAMPLES:
         raise InsufficientDataError(f"need at least {HISTOGRAM_MIN_SAMPLES} samples, got {N}")
     if bins is None:
         bins = math.ceil(N ** (1.0 / 3.0))
-    edges = np.linspace(-HISTOGRAM_SUPPORT, HISTOGRAM_SUPPORT, bins + 1)
-    clipped = np.clip(values, -HISTOGRAM_SUPPORT, HISTOGRAM_SUPPORT)
-    empirical = np.histogram(clipped, bins=edges)[0] / N
+    return np.linspace(-HISTOGRAM_SUPPORT, HISTOGRAM_SUPPORT, bins + 1)
+
+
+def histogram_counts(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """The int64 counts of ``values`` over ``edges``, clipped so that the edge
+    bins absorb the tails.  Each value is binned on its own, so the counts of
+    a stream are the sums of its blocks' counts."""
+    return np.histogram(np.clip(values, -HISTOGRAM_SUPPORT, HISTOGRAM_SUPPORT), bins=edges)[0]
+
+
+def tv_from_counts(counts: np.ndarray, edges: np.ndarray, N: int) -> DistanceEstimate:
+    """The histogram total-variation estimate of N values with bin counts
+    ``counts`` over ``edges`` against the standard normal, whose edge bins
+    absorb its tails too: both measures live on the same finite partition,
+    so the estimate is a genuine lower bound of the true total variation
+    (coarsening never increases L1), hence the qualifier."""
     cdf = normal_cdf_points(edges)
     cdf[0], cdf[-1] = 0.0, 1.0  # edge bins absorb the tails
     gaussian = np.diff(cdf)
     return DistanceEstimate(
         kind=TOTAL_VARIATION,
-        point_estimate=float(np.abs(empirical - gaussian).sum()),
+        point_estimate=float(np.abs(counts / N - gaussian).sum()),
         n_samples=N,
         qualifiers=(QUALIFIER_HISTOGRAM,),
     )
+
+
+def tv_vs_normal_histogram(values: np.ndarray, bins: int | None = None) -> DistanceEstimate:
+    """Histogram total-variation estimate of ``values`` against the standard
+    normal: their ``histogram_counts``, then ``tv_from_counts``."""
+    edges = histogram_edges(len(values), bins)
+    return tv_from_counts(histogram_counts(values, edges), edges, len(values))
 
 
 def conditional_second_moment(batch: SampleBatch) -> float:
@@ -195,7 +214,7 @@ def _equal_count_bin_means(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np
 
 
 def streaming_pair_square_covariance(spec, n_samples: int, seed: int) -> tuple[float, float]:
-    """Sample Cov(X_1^2, X_2^2) without materializing the batch.
+    """Sample Cov(X_1^2, X_2^2) from the blocks of projections onto e_1 and e_2.
 
     Returns (covariance, standard error); the standard error comes from the
     spread of per-block covariance estimates.
@@ -208,7 +227,8 @@ def streaming_pair_square_covariance(spec, n_samples: int, seed: int) -> tuple[f
         ab = a * b
         per_block.append((a.sum(), b.sum(), ab.sum(), float(ab.mean() - a.mean() * b.mean())))
 
-    map_sample_blocks(spec, n_samples, seed, take)  # one worker: blocks in order
+    # one worker: blocks in order
+    map_projection_blocks(spec, np.eye(spec.n, 2), n_samples, seed, take)
     s1, s2, s12, block_covs = zip(*per_block)
     cov = sum(s12) / n_samples - (sum(s1) / n_samples) * (sum(s2) / n_samples)
     if len(block_covs) > 1:

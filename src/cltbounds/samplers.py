@@ -12,9 +12,9 @@ one stream (the lp ball and cone of one n and finite p != 2).  Every fill
 of n-wide rows goes through one chunk driver, ``_chunked``, which draws a
 block ``CHUNK_ROWS`` rows at a time: rows straight into the block, and rows
 to be projected into one chunk buffer, so beside its (count, k D)
-projections a fill holds a chunk, not a block.  ``map_frame_blocks`` adds
-to each row's projections its reflection-frame coefficient, read from the
-same chunk.
+projections a fill holds a chunk, not a block.  ``map_projection_blocks``
+hands over each block of projections, and ``map_frame_blocks`` adds to each
+row's projections its reflection-frame coefficient, read from the same chunk.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import math
 import operator
 import os
 import struct
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator
@@ -44,6 +45,7 @@ __all__ = [
     "derive_seed",
     "exact_moments",
     "map_frame_blocks",
+    "map_projection_blocks",
     "map_sample_blocks",
     "sample",
     "sample_projections",
@@ -317,7 +319,8 @@ def _generalized_gaussian_block(rng: np.random.Generator, p: float, g: np.ndarra
 
 
 def _reduced_spherical_block(
-    rng: np.random.Generator, kind: Kind, n: int, r: int, scale: float, count: int
+    rng: np.random.Generator, kind: Kind, n: int, r: int, scale: float, count: int,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(Y, C) for ``count`` draws of the spherical law X = scale R U of kind
     in R^n, U uniform on the unit sphere and independent of the radius R: the
@@ -332,9 +335,9 @@ def _reduced_spherical_block(
     order: the (count, r) standard normals, then 2 standard_gamma((n - r)/2)
     (0 at r = n, which draws nothing), then the radius: none (R = 1) for the
     sphere shell, random()^(1/n) for the ball, standard_gamma(n)/sqrt(n + 1)
-    for the spherical exponential.
+    for the spherical exponential.  Y is written into ``out`` when given.
     """
-    g = np.empty((count, r))
+    g = np.empty((count, r)) if out is None else out
     norm_sq = _normals(rng, g)
     rest_sq = 2.0 * rng.standard_gamma((n - r) / 2.0, count)
     norm_sq += rest_sq
@@ -527,11 +530,18 @@ def _filler(
         rows = _scaled(_normals, n, directions,
                        lambda rng, norm_sq: [_radial(rng, kind, n, scale, norm_sq)])
 
+        # each thread reuses its normals and block: the allocator would map and
+        # unmap fresh 1 MB arrays on every block unless a larger one came first
+        reused = threading.local()
+
         def fill(rng, count, index=None):
             if factor is None or index is not None:
                 return rows(rng, count, index)
-            y = _reduced_spherical_block(rng, kind, n, factor.shape[0], scale, count)[0]
-            return y @ factor
+            if not hasattr(reused, "y"):
+                reused.y, reused.block = (np.empty((BLOCK_ROWS, k)) for k in factor.shape)
+            y = reused.y[:count]
+            _reduced_spherical_block(rng, kind, n, len(factor), scale, count, y)
+            return np.matmul(y, factor, out=reused.block[:count])
 
         return fill
 
@@ -613,14 +623,16 @@ def map_frame_blocks(
                 fn, workers, index)
 
 
-def sample_projections(
+def map_projection_blocks(
     specs: DistributionSpec | tuple[DistributionSpec, ...], directions: np.ndarray,
-    N: int, seed: int,
-) -> np.ndarray:
-    """The (D, N) projections X @ directions of N draws of spec onto the
-    columns of the (n, D) direction matrix, block by block from
-    ``_filler(spec, directions)``; each row is contiguous for the
-    Kolmogorov sort, and the (N, n) batch is never held.
+    N: int, seed: int, fn: Callable[[slice, np.ndarray], None], workers: int = 1,
+) -> None:
+    """Call fn(rows, block) for every block of the N-row draw of spec with
+    seed, block being the (count, D) projections X @ directions of its rows
+    onto the columns of the (n, D) direction matrix, from ``_filler(spec,
+    directions)``, once every input is checked: the (N, n) batch is never
+    held, a block is valid until fn returns, and at one worker the blocks
+    arrive in order.
 
     The cube, its boundary and the sup-norm exponential project each
     ``CHUNK_ROWS``-row chunk of the rows of ``sample(spec, N, seed)`` as
@@ -632,10 +644,9 @@ def sample_projections(
     r = min(n, D): for D < n a stream other than that of ``sample``, with
     the same law.
 
-    Given the k specs of one group of ``stream_groups``, the (k D, N)
-    projections of all of them from their one stream: rows i D to
-    (i + 1) D - 1 are exactly ``sample_projections(specs[i], directions, N,
-    seed)``.
+    Given the k specs of one group of ``stream_groups``, the (count, k D)
+    projections of all of them from their one stream: columns i D to
+    (i + 1) D - 1 are exactly those of specs[i] alone.
     """
     group = (specs,) if isinstance(specs, DistributionSpec) else tuple(specs)
     if stream_groups(group) != [tuple(range(len(group)))]:
@@ -644,13 +655,24 @@ def sample_projections(
     directions = np.asarray(directions, dtype=float)
     if directions.ndim != 2 or directions.shape[0] != n:
         raise ValueError(f"directions must be an (n={n}, D) matrix, got {directions.shape}")
-    blocks = _block_rngs(N, seed)  # checks N before the projections are allocated
-    out = np.empty((len(group) * directions.shape[1], N))
+    _map_blocks(_filler(group, directions), _block_rngs(N, seed), fn, workers)
+
+
+def sample_projections(
+    specs: DistributionSpec | tuple[DistributionSpec, ...], directions: np.ndarray,
+    N: int, seed: int,
+) -> np.ndarray:
+    """The (k D, N) projections of ``map_projection_blocks``, each row
+    contiguous for the Kolmogorov sort."""
+    out = None
 
     def put(rows: slice, block: np.ndarray) -> None:
+        nonlocal out
+        if out is None:  # the first block: the inputs are checked
+            out = np.empty((block.shape[1], N))
         out[:, rows] = block.T
 
-    _map_blocks(_filler(group, directions), blocks, put)
+    map_projection_blocks(specs, directions, N, seed, put)
     return out
 
 

@@ -34,7 +34,10 @@ from cltbounds.core import CHUNK_ROWS, InsufficientDataError
 from cltbounds.empirical import (
     HISTOGRAM_MIN_SAMPLES,
     KS_MIN_SAMPLES,
+    histogram_counts,
+    histogram_edges,
     kolmogorov_vs_normal,
+    tv_from_counts,
     tv_vs_normal_histogram,
 )
 from cltbounds.samplers import (
@@ -46,6 +49,7 @@ from cltbounds.samplers import (
     block_seed,
     derive_seed,
     exact_moments,
+    map_projection_blocks,
     sample,
     sample_projections,
 )
@@ -315,6 +319,7 @@ class TestCertifyGrid:
             raise AssertionError("sampled before checking every spec")
 
         monkeypatch.setattr("cltbounds.certify.sample_projections", no_sampling)
+        monkeypatch.setattr("cltbounds.certify.map_projection_blocks", no_sampling)
         cube = DistributionSpec(Kind.LP_BALL, 9, p=math.inf)
         with pytest.raises(InsufficientDataError):
             certify_grid([cube], ["e1"], N=50, seed=1)
@@ -331,6 +336,7 @@ class TestCertifyGrid:
             raise AssertionError("sampled before resolving every theta")
 
         monkeypatch.setattr("cltbounds.certify.sample_projections", no_sampling)
+        monkeypatch.setattr("cltbounds.certify.map_projection_blocks", no_sampling)
         specs = [DistributionSpec(Kind.LP_BALL, n, p=math.inf) for n in (9, 5)]
         with pytest.raises(ValueError, match="length 5"):
             certify_grid(specs, [[1.0] * 9], N=200, seed=1)
@@ -438,6 +444,56 @@ class TestStreaming:
             assert report.bound == certify_cell(spec, theta_spec, N=10_000, seed=0).bound
             assert report.passed == (adjusted <= report.bound.value)
             assert report.margin == pytest.approx(report.bound.value - adjusted, abs=1e-12)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_histogram_cells_equal_their_materialized_rows(self, workers):
+        # a spherical spec holds only its bin counts, summed block by block:
+        # each cell's estimate is exactly that of its whole projection row
+        specs = [DistributionSpec(Kind.SPHERE_SHELL, 12), DistributionSpec(Kind.BALL_UNIFORM, 9),
+                 DistributionSpec(Kind.SPHERICAL_EXPONENTIAL, 30)]
+        thetas = ["diagonal", "e1", "random(3)"]
+        n_samples, seed = BLOCK_ROWS + 4321, 18  # crosses a block boundary
+        reports = certify_grid(specs, thetas, N=n_samples, seed=seed, workers=workers)
+        for pos, spec in enumerate(specs):
+            directions = np.column_stack([resolve_theta(t, spec.n)[0] for t in thetas])
+            rows = sample_projections(spec, directions, n_samples, derive_seed(seed, pos))
+            cells = reports[pos * len(thetas) : (pos + 1) * len(thetas)]
+            assert [r.empirical for r in cells] == [tv_vs_normal_histogram(row) for row in rows]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "spec",
+        [DistributionSpec(Kind.SPHERE_SHELL, 12), DistributionSpec(Kind.BALL_UNIFORM, 9),
+         DistributionSpec(Kind.SPHERICAL_EXPONENTIAL, 30),
+         DistributionSpec(Kind.LP_BALL, 9, p=2.0), DistributionSpec(Kind.LP_CONE, 9, p=2.0)],
+        ids=lambda spec: f"{spec.kind.value}-{spec.p}",
+    )
+    def test_block_counts_sum_to_the_materialized_rows(self, spec, workers):
+        # the counts of the blocks, in whatever order the workers finish
+        # them, give the estimate of each whole row
+        directions = np.column_stack([resolve_theta(t, spec.n)[0] for t in ("diagonal", "e1")])
+        n_samples, seed = BLOCK_ROWS + 4321, 19
+        edges = histogram_edges(n_samples)
+        per_block = {}
+
+        def take(rows, block):
+            per_block[rows.start] = [histogram_counts(column, edges) for column in block.T]
+
+        map_projection_blocks(spec, directions, n_samples, seed, take, workers)
+        counts = np.sum(list(per_block.values()), axis=0)
+        for row_counts, row in zip(counts, sample_projections(spec, directions, n_samples, seed)):
+            assert tv_from_counts(row_counts, edges, n_samples) == tv_vs_normal_histogram(row)
+
+    def test_spherical_grid_holds_counts_not_projections(self):
+        # its (2, N) projections alone would take 16 MB
+        spec = DistributionSpec(Kind.SPHERE_SHELL, 100)
+        tracemalloc.start()
+        try:
+            certify_grid([spec], ["e1", "diagonal"], N=1_000_000, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6, f"peak {peak / 1e6:.1f} MB"
 
     @pytest.mark.parametrize(
         "spec",
@@ -636,6 +692,7 @@ class TestCliCertify:
             raise AssertionError("sampled before the thetas were validated")
 
         monkeypatch.setattr("cltbounds.certify.sample_projections", no_sampling)
+        monkeypatch.setattr("cltbounds.certify.map_projection_blocks", no_sampling)
         monkeypatch.setattr("cltbounds.cli.sample", no_sampling)
         for theta in ("diagonl", [1.0, 2.0], [math.nan, 1.0, 0.0, 0.0, 0.0, 0.0]):
             cfg = write_config(
@@ -669,6 +726,7 @@ class TestCliCertify:
             raise AssertionError("sampled before N was checked")
 
         monkeypatch.setattr("cltbounds.certify.sample_projections", no_sampling)
+        monkeypatch.setattr("cltbounds.certify.map_projection_blocks", no_sampling)
         cfg = write_config(
             tmp_path,
             "small.json",

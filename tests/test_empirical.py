@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cltbounds.core import InsufficientDataError, _ndtr
+from cltbounds.core import CHUNK_ROWS, InsufficientDataError, _ndtr
 from cltbounds.empirical import (
     _ks_statistic,
     conditional_second_moment,
@@ -244,8 +244,9 @@ class TestConditionalSecondMoment:
 
 class TestStreamingPairSquareCovariance:
     def test_holds_one_block_at_a_time(self):
-        # a sample block is 52 MB here; keeping the previous block alive while
-        # the generator fills the next one would double the peak
+        # a rows block would be 52 MB here; the pass holds a block of the
+        # projections onto e_1 and e_2 and the (CHUNK_ROWS, n) chunk they are
+        # drawn from, freed before the next block is filled
         spec = DistributionSpec(Kind.LINF_EXPONENTIAL, 100)
         n_samples = 200_000
         tracemalloc.start()
@@ -254,5 +255,5 @@ class TestStreamingPairSquareCovariance:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * 8 * BLOCK_ROWS * spec.n, f"peak {peak / 1e6:.1f} MB"
+        assert peak < 8 * (2 * CHUNK_ROWS * spec.n + 4 * BLOCK_ROWS), f"peak {peak / 1e6:.1f} MB"
 

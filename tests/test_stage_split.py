@@ -28,7 +28,7 @@ MODES = {
     "subspace": ("subspace", ["--kind", "lp_ball", "--p", "inf"], SUBSPACE_STAGES | {"ank_exact_s"}),
     "subspace-simplex": ("subspace", ["--kind", "simplex"], SUBSPACE_STAGES),
     "spherical": ("spherical", ["--kind", "sphere_shell"],
-                  {"fill_s", "project_s", "hist_s", "reduced_draw_s"}),
+                  {"fill_s", "project_s", "hist_s", "reduced_draw_s", "certify_peak_mb"}),
     # every probe is a fresh CLI process that must exit 0
     "startup": ("startup", [], {"import_s", "version_s", "certify_s", "certify-spherical_s",
                                 "scan-ank_s", "diagnose-reflection_s", "diagnose-rotation_s",
