@@ -216,7 +216,7 @@ def spherical_pass(spec: DistributionSpec, n_samples: int, seed: int) -> dict[st
         mark[0] = time.perf_counter()
         times["hist_s"] += mark[0] - start
 
-    map_projection_blocks(spec, thetas, n_samples, seed, add)  # one worker: blocks in order
+    map_projection_blocks(spec, thetas, n_samples, seed, add)
     start = time.perf_counter()
     for row in counts:
         tv_from_counts(row, edges, n_samples)

@@ -227,7 +227,6 @@ def streaming_pair_square_covariance(spec, n_samples: int, seed: int) -> tuple[f
         ab = a * b
         per_block.append((a.sum(), b.sum(), ab.sum(), float(ab.mean() - a.mean() * b.mean())))
 
-    # one worker: blocks in order
     map_projection_blocks(spec, np.eye(spec.n, 2), n_samples, seed, take)
     s1, s2, s12, block_covs = zip(*per_block)
     cov = sum(s12) / n_samples - (sum(s1) / n_samples) * (sum(s2) / n_samples)

@@ -23,7 +23,6 @@ import math
 import operator
 import os
 import struct
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator
@@ -530,18 +529,19 @@ def _filler(
         rows = _scaled(_normals, n, directions,
                        lambda rng, norm_sq: [_radial(rng, kind, n, scale, norm_sq)])
 
-        # each thread reuses its normals and block: the allocator would map and
-        # unmap fresh 1 MB arrays on every block unless a larger one came first
-        reused = threading.local()
+        # the reduced draw reuses its normals and block (one thread draws them,
+        # in map_projection_blocks): the allocator would map and unmap fresh
+        # 1 MB arrays on every block unless a larger one came first
+        y = block = None
 
         def fill(rng, count, index=None):
+            nonlocal y, block
             if factor is None or index is not None:
                 return rows(rng, count, index)
-            if not hasattr(reused, "y"):
-                reused.y, reused.block = (np.empty((BLOCK_ROWS, k)) for k in factor.shape)
-            y = reused.y[:count]
-            _reduced_spherical_block(rng, kind, n, len(factor), scale, count, y)
-            return np.matmul(y, factor, out=reused.block[:count])
+            if y is None:
+                y, block = (np.empty((BLOCK_ROWS, k)) for k in factor.shape)
+            _reduced_spherical_block(rng, kind, n, len(factor), scale, count, y[:count])
+            return np.matmul(y[:count], factor, out=block[:count])
 
         return fill
 
@@ -625,14 +625,13 @@ def map_frame_blocks(
 
 def map_projection_blocks(
     specs: DistributionSpec | tuple[DistributionSpec, ...], directions: np.ndarray,
-    N: int, seed: int, fn: Callable[[slice, np.ndarray], None], workers: int = 1,
+    N: int, seed: int, fn: Callable[[slice, np.ndarray], None],
 ) -> None:
     """Call fn(rows, block) for every block of the N-row draw of spec with
-    seed, block being the (count, D) projections X @ directions of its rows
-    onto the columns of the (n, D) direction matrix, from ``_filler(spec,
-    directions)``, once every input is checked: the (N, n) batch is never
-    held, a block is valid until fn returns, and at one worker the blocks
-    arrive in order.
+    seed, in order, block being the (count, D) projections X @ directions
+    of its rows onto the columns of the (n, D) direction matrix, from
+    ``_filler(spec, directions)``, once every input is checked: the (N, n)
+    batch is never held, and a block is valid until fn returns.
 
     The cube, its boundary and the sup-norm exponential project each
     ``CHUNK_ROWS``-row chunk of the rows of ``sample(spec, N, seed)`` as
@@ -655,7 +654,7 @@ def map_projection_blocks(
     directions = np.asarray(directions, dtype=float)
     if directions.ndim != 2 or directions.shape[0] != n:
         raise ValueError(f"directions must be an (n={n}, D) matrix, got {directions.shape}")
-    _map_blocks(_filler(group, directions), _block_rngs(N, seed), fn, workers)
+    _map_blocks(_filler(group, directions), _block_rngs(N, seed), fn)
 
 
 def sample_projections(
