@@ -35,7 +35,6 @@ from .bounds import (  # noqa: F401
     SimplexPairMoments,
     bound_frame_bounded,
     bound_frame_general,
-    bound_lp,
     bound_poincare,
     bound_simplex,
     bound_sncp_bounded,

@@ -5,8 +5,7 @@ by Gauss-Legendre quadrature in numpy.
 
 Kolmogorov-type bounds control sup_t |P[W <= t] - Phi(t)| for W = <X, theta>;
 total-variation bounds use the L1-of-densities convention (twice the sup
-over measurable sets).  Constants that the source results leave non-explicit
-are taken as 1.0 and flagged in the output; no such bound gates a verdict.
+over measurable sets).
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ __all__ = [
     "TOTAL_VARIATION",
     "bound_frame_bounded",
     "bound_frame_general",
-    "bound_lp",
     "bound_poincare",
     "bound_simplex",
     "bound_sncp_bounded",
@@ -59,7 +57,6 @@ FRAME_BOUNDED_SUP_COEFF = 172.0
 SNCP_BOUNDED_COEFF = 196.0
 
 FLAG_RADICAND_CLAMPED = "radicand-clamped-at-zero"
-FLAG_UNSPECIFIED_CONSTANT = "constant-not-specified-by-source"
 
 
 @dataclass(frozen=True)
@@ -266,29 +263,6 @@ def bound_sncp_bounded(theta, a: float) -> BoundValue:
     n = theta.size
     value = SNCP_BOUNDED_COEFF * n * a**3 * lp_norm(theta, math.inf) ** 3
     return BoundValue(value=value, kind=KOLMOGOROV, constants_used={"a": a})
-
-
-def bound_lp(theta, n: int, p: float) -> BoundValue:
-    """Two-branch bound for lp-ball/cone/surface laws.
-
-    The two leading constants c1 and d1p are not pinned down by the source
-    analysis; both are taken as 1.0 and the value is always flagged, so it
-    is informational only.
-    """
-    theta = as_unit_vector(theta, n)
-    first = lp_norm(theta, 3.0) ** 1.5
-    if math.isinf(p):
-        growth = float(n)
-    else:
-        growth = float(n) ** (1.0 + 3.0 / p)
-    second = growth * lp_norm(theta, math.inf) ** 3
-    branch = "theta-3-norm" if first <= second else "sup-norm"
-    return BoundValue(
-        value=min(first, second),
-        kind=KOLMOGOROV,
-        constants_used={"c1": 1.0, "d1p": 1.0, "branch": branch},
-        flags=(FLAG_UNSPECIFIED_CONSTANT,),
-    )
 
 
 def simplex_Y_moment(n: int, r: Sequence[int]) -> float:

@@ -26,8 +26,7 @@ Kolmogorov routes pass when (point estimate - DKW slack) <= bound; total
 variation routes compare the histogram estimate against bound + a fixed
 estimator allowance.  The bounds hold for isotropic vectors, which every
 spec is, and carry the source's explicit constants, so no setting changes a
-gating bound.  Bounds whose leading constants the source analysis leaves
-non-explicit never gate a verdict; they are attached informationally.
+gating bound.  A cell reports the one bound that gates it.
 """
 
 from __future__ import annotations
@@ -44,15 +43,10 @@ import numpy as np
 from . import __version__
 from .bounds import (
     BoundValue,
-    TOTAL_VARIATION,
     VARIANT_STD_DEV,
-    bound_lp,
-    bound_poincare,
     bound_simplex,
-    bound_sncp_bounded,
     bound_sph_symm,
     bound_unconditional,
-    bound_unconditional_bounded,
 )
 from .core import InsufficientDataError, thread_map
 from .empirical import (
@@ -82,6 +76,7 @@ from .samplers import (
 __all__ = [
     "BoundReport",
     "InapplicableBoundError",
+    "REPORT_SCHEMA",
     "TV_ESTIMATOR_ALLOWANCE",
     "applicable_route",
     "certify_cell",
@@ -93,6 +88,7 @@ __all__ = [
 ]
 
 TV_ESTIMATOR_ALLOWANCE = 0.02
+REPORT_SCHEMA = 1  # the layout of certify.json; raised when a key goes or changes meaning
 
 ROUTE_UNCONDITIONAL = "unconditional"
 ROUTE_SIMPLEX = "simplex"
@@ -113,8 +109,8 @@ def applicable_route(spec: DistributionSpec) -> str:
         return ROUTE_UNCONDITIONAL
     raise InapplicableBoundError(
         f"no explicit-constant bound applies to kind {spec.kind.value!r} "
-        "(surface-measure batches are weighted; their bounds carry "
-        "non-explicit constants and are reported informationally only)"
+        "(surface-measure batches are weighted, and the source gives their "
+        "bounds no explicit constants)"
     )
 
 
@@ -166,7 +162,6 @@ class BoundReport:
     passed: bool
     vacuous: bool
     margin: float  # bound - adjusted empirical; nonnegative iff passed
-    informational: tuple = ()
     notes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
@@ -183,9 +178,6 @@ class BoundReport:
             "passed": self.passed,
             "vacuous": self.vacuous,
             "margin": self.margin,
-            "informational": [
-                {"name": name, **bv.to_dict()} for name, bv in self.informational
-            ],
             "notes": list(self.notes),
         }
 
@@ -203,40 +195,21 @@ def _evaluate_cell(
     distance of its projections.  Every bound input is exact."""
     n = spec.n
     notes: list[str] = []
-    informational: list[tuple[str, BoundValue]] = []
 
     if route == ROUTE_SPHERICAL:
         bound = bound_sph_symm(n, VARIANT_STD_DEV, _exact_norm_sq_std(spec))
         bound_name = "spherical-std-dev[exact]"
-        paper_a = 8.0 if spec.kind is Kind.SPHERE_SHELL else 16.0
-        informational.append(
-            (
-                "spherical-fixed-constant",
-                BoundValue(value=paper_a / (n - 1), kind=TOTAL_VARIATION,
-                           constants_used={"a": paper_a}),
-            )
-        )
-        if spec.kind is Kind.SPHERICAL_EXPONENTIAL and n > 25:
-            informational.append(("poincare-spectral-gap", bound_poincare(n, 1.0 / 13.0)))
         adjusted = empirical.point_estimate - TV_ESTIMATOR_ALLOWANCE
         vacuous = bound.value >= 2.0
         notes.append(f"tv-allowance={TV_ESTIMATOR_ALLOWANCE}")
     else:
         if route == ROUTE_SIMPLEX:
-            geometry = simplex_geometry(n)
-            bound = bound_simplex(theta, geometry)
+            bound = bound_simplex(theta, simplex_geometry(n))
             bound_name = "simplex-assembled"
         else:
             fourth, sq_cov, third_abs = exact_moments(spec)
             bound = bound_unconditional(theta, fourth, sq_cov, third_abs)
             bound_name = "unconditional[exact]"
-            if spec.p is not None:  # the lp ball or cone: |x_i| <= ||x||_p <= scale
-                a = spec.scale
-                informational.append(
-                    ("unconditional-bounded", bound_unconditional_bounded(theta, fourth, sq_cov, a))
-                )
-                informational.append(("sncp-bounded", bound_sncp_bounded(theta, a)))
-                informational.append(("lp-two-branch", bound_lp(theta, n, spec.p)))
         adjusted = empirical.point_estimate - empirical.dkw_slack
         vacuous = bound.value >= 1.0
         if vacuous:
@@ -256,7 +229,6 @@ def _evaluate_cell(
         passed=bool(passed),
         vacuous=bool(vacuous),
         margin=float(bound.value - adjusted),
-        informational=tuple(informational),
         notes=tuple(notes),
     )
 
@@ -377,6 +349,7 @@ def version_string() -> str:
 
 def reports_to_json(reports, path, config: dict | None = None) -> None:
     payload = {
+        "schema": REPORT_SCHEMA,
         "version": version_string(),
         "config": config or {},
         "reports": [r.to_dict() for r in reports],

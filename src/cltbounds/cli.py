@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .bounds import EXACT_MARGINAL_MAX_N, EXACT_MARGINALS, exact_tv_vs_normal
 from .certify import (
+    REPORT_SCHEMA,
     InapplicableBoundError,
     certify_grid,
     reports_to_csv,
@@ -201,6 +202,19 @@ def _expand_distributions(cfg: dict) -> list[DistributionSpec]:
     return specs
 
 
+def _cell_line(r: dict) -> str:
+    """The PASS/FAIL line of one cell, from its ``BoundReport.to_dict()`` record."""
+    spec = r["spec"]
+    state = "PASS" if r["passed"] else "FAIL"
+    extra = " (vacuous)" if r.get("vacuous") else ""
+    p = f"(p={spec['p']})" if "p" in spec else ""
+    return (
+        f"{state}{extra} {spec['kind']}{p} n={r['n']} theta={r['theta']}: "
+        f"empirical={r['empirical']['point_estimate']:.5f} "
+        f"bound={r['bound']['value']:.5f} [{r['bound_name']}]"
+    )
+
+
 def _cmd_certify(cfg: dict) -> int:
     if "constants" in cfg:  # ignoring it would let an old forcing config pass
         raise ConfigError(
@@ -224,14 +238,7 @@ def _cmd_certify(cfg: dict) -> int:
     reports_to_json(reports, out / "certify.json", config=cfg)
     reports_to_csv(reports, out / "certify.csv")
     for r in reports:
-        state = "PASS" if r.passed else "FAIL"
-        extra = " (vacuous)" if r.vacuous else ""
-        print(
-            f"{state}{extra} {r.spec.kind.value}"
-            f"{'' if r.spec.p is None else f'(p={r.spec.p})'} n={r.n} theta={r.theta_label}: "
-            f"empirical={r.empirical.point_estimate:.5f} bound={r.bound.value:.5f} "
-            f"[{r.bound_name}]"
-        )
+        print(_cell_line(r.to_dict()))
     n_failed = sum(not r.passed for r in reports)
     print(f"{len(reports) - n_failed}/{len(reports)} cells passed; wrote {out / 'certify.json'}")
     return EXIT_OK if n_failed == 0 else EXIT_CERTIFICATION_FAILED
@@ -351,17 +358,14 @@ def _cmd_report(cfg: dict) -> int:
         raise ConfigError(f"cannot read report: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError("malformed report: it must be a JSON object")
+    schema = payload.get("schema")
+    if type(schema) is not int or schema != REPORT_SCHEMA:
+        raise ConfigError(f"report schema {schema!r} is not the schema {REPORT_SCHEMA} "
+                          "this version reads; rerun certify to rewrite the report")
     print(f"report from {payload.get('version', 'unknown version')}")
     try:
         for r in payload.get("reports", []):
-            spec = r["spec"]
-            state = "PASS" if r["passed"] else "FAIL"
-            extra = " (vacuous)" if r.get("vacuous") else ""
-            print(
-                f"{state}{extra} {spec['kind']} n={r['n']} theta={r['theta']}: "
-                f"empirical={r['empirical']['point_estimate']:.5f} "
-                f"bound={r['bound']['value']:.5f} [{r['bound_name']}]"
-            )
+            print(_cell_line(r))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed report: {exc!r}") from exc
     print("all passed" if payload.get("all_passed") else "FAILURES PRESENT")

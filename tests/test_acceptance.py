@@ -248,13 +248,18 @@ def test_criterion_06_certification_grid():
     reports = certify_grid(specs, thetas, N=10**6, seed=60_000, delta=1e-3)
     n_pass = sum(r.passed for r in reports)
     min_margin = min(r.margin for r in reports)
-    informational = sum(len(r.informational) for r in reports)
+    gate = {Kind.SIMPLEX: "simplex-assembled"}  # every lp cell: "unconditional[exact]"
+    gated = all(
+        r.bound_name == gate.get(r.spec.kind, "unconditional[exact]")
+        and "informational" not in r.to_dict()
+        for r in reports
+    )
     _verdict(
         6,
         "empirical Kolmogorov - DKW <= theoretical bound on the full grid",
-        n_pass == len(reports),
+        n_pass == len(reports) and gated,
         f"{n_pass}/{len(reports)} cells, min margin {min_margin:.4f}, "
-        f"{informational} informational bounds attached",
+        f"gates {', '.join(sorted({r.bound_name for r in reports}))}",
     )
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize
 from scipy.special import ndtr
+from scipy.stats import binom
 
 from cltbounds import bounds as bounds_module
 from cltbounds.bounds import (
@@ -12,7 +13,6 @@ from cltbounds.bounds import (
     DensePairMoments,
     EXACT_MARGINAL_MAX_N,
     FLAG_RADICAND_CLAMPED,
-    FLAG_UNSPECIFIED_CONSTANT,
     KOLMOGOROV,
     SimplexPairMoments,
     TOTAL_VARIATION,
@@ -21,7 +21,6 @@ from cltbounds.bounds import (
     VARIANT_STD_DEV,
     bound_frame_bounded,
     bound_frame_general,
-    bound_lp,
     bound_poincare,
     bound_simplex,
     bound_sncp_bounded,
@@ -34,6 +33,7 @@ from cltbounds.bounds import (
     simplex_Y_moment,
     simplex_pair_moment,
 )
+from cltbounds.certify import resolve_theta
 from cltbounds.empirical import _ks_statistic, dkw_slack
 from cltbounds.frames import simplex_geometry
 from cltbounds.samplers import DistributionSpec, Kind, sample_projections
@@ -262,35 +262,6 @@ class TestSncpBounded:
             assert bound_sncp_bounded(theta, a).value == pytest.approx(
                 a**3 * base, rel=1e-12
             )
-
-
-class TestLpBound:
-    def test_e1_picks_first_branch_for_large_n(self):
-        bv = bound_lp(e1(1000), 1000, 2.0)
-        assert bv.value == pytest.approx(1.0)
-        assert bv.constants_used["branch"] == "theta-3-norm"
-
-    def test_diagonal_large_p_prefers_sup_branch(self):
-        n = 4096
-        theta = np.full(n, n**-0.5)
-        bv = bound_lp(theta, n, math.inf)
-        # second branch: n * n^(-3/2) = n^(-1/2) < n^(-1/4)
-        assert bv.constants_used["branch"] == "sup-norm"
-        assert bv.value == pytest.approx(n**-0.5, rel=1e-12)
-
-    def test_p1_prefers_first_branch_for_diagonal(self):
-        n = 64
-        theta = np.full(n, n**-0.5)
-        bv = bound_lp(theta, n, 1.0)
-        assert bv.constants_used["branch"] == "theta-3-norm"
-        assert bv.value == pytest.approx(n**-0.25, rel=1e-12)
-
-    def test_default_constants_flagged(self):
-        # neither constant is explicit in the source: every evaluation is flagged
-        for p in (1.0, 2.0, math.inf):
-            bv = bound_lp(e1(4), 4, p)
-            assert bv.flags == (FLAG_UNSPECIFIED_CONSTANT,)
-            assert (bv.constants_used["c1"], bv.constants_used["d1p"]) == (1.0, 1.0)
 
 
 class TestSimplexMoments:
@@ -682,6 +653,22 @@ class TestExactKolmogorov:
         w = sample_projections(spec, theta[:, None], n_samples, seed)[0]
         gap = _ks_statistic(w) - exact_kolmogorov(spec, theta)
         assert abs(gap) <= dkw_slack(n_samples, 1e-6)
+
+    @pytest.mark.parametrize("n, theta_spec", [(20, "diagonal"), (100, "random(101)")])
+    def test_sampler_check_size(self, n, theta_spec):
+        # a right sampler gives |KS_N - d_K| > dkw_slack(N, delta) with probability
+        # at most delta, so over R seeds the count of such runs stays within the
+        # Binomial(R, delta) upper quantile at level 1e-3
+        spec, n_samples, runs = cube_spec(n), 2000, 400
+        theta, _ = resolve_theta(theta_spec, n)
+        d_k = exact_kolmogorov(spec, theta)
+        gaps = np.array([
+            abs(_ks_statistic(sample_projections(spec, theta[:, None], n_samples, 20_000 + r)[0]) - d_k)
+            for r in range(runs)
+        ])
+        for delta in (0.1, 0.01):
+            exceedances = int((gaps > dkw_slack(n_samples, delta)).sum())
+            assert exceedances <= binom.isf(1e-3, runs, delta), (delta, exceedances)
 
     def test_refuses_other_laws_and_axis_lines(self):
         with pytest.raises(ValueError, match="no exact Kolmogorov"):

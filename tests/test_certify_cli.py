@@ -8,7 +8,14 @@ import pytest
 
 import cltbounds.certify as certify_module
 from cltbounds import __version__
-from cltbounds.bounds import KOLMOGOROV, BoundValue, bound_unconditional
+from cltbounds.bounds import (
+    KOLMOGOROV,
+    VARIANT_STD_DEV,
+    BoundValue,
+    bound_poincare,
+    bound_sph_symm,
+    bound_unconditional,
+)
 from cltbounds.certify import (
     TV_ESTIMATOR_ALLOWANCE,
     InapplicableBoundError,
@@ -164,11 +171,10 @@ class TestCertifyCell:
         report = certify_cell(spec, "diagonal", N=50_000, seed=1)
         assert report.passed
         assert report.bound_name == "unconditional[exact]"
+        theta, _ = resolve_theta("diagonal", 16)
+        assert report.bound == bound_unconditional(theta, *exact_moments(spec))
         assert report.empirical.dkw_slack is not None
-        names = [name for name, _ in report.informational]
-        assert "unconditional-bounded" in names
-        assert "sncp-bounded" in names
-        assert "lp-two-branch" in names
+        assert "informational" not in report.to_dict()
 
     def test_cube_small_n_vacuous(self):
         spec = DistributionSpec(Kind.LP_BALL, 4, p=math.inf)
@@ -182,17 +188,20 @@ class TestCertifyCell:
         assert report.bound.kind == "total-variation"
         assert report.bound.value == pytest.approx(8.0 / 99.0)
         assert report.passed
-        names = [name for name, _ in report.informational]
-        assert "spherical-fixed-constant" in names
+        assert report.bound_name == "spherical-std-dev[exact]"
+        assert "informational" not in report.to_dict()
 
     def test_exponential_includes_poincare_info(self):
+        # the cell carries its gate alone: the Poincare bound, 10 sqrt(13/50) = 5.10
+        # at n = 50, lies above the total-variation ceiling of 2 and is not attached
         spec = DistributionSpec(Kind.SPHERICAL_EXPONENTIAL, 50)
         report = certify_cell(spec, "e1", N=20_000, seed=4)
-        names = dict(report.informational)
-        assert "poincare-spectral-gap" in names
-        assert names["poincare-spectral-gap"].value == pytest.approx(
-            10 * math.sqrt(13) / math.sqrt(50)
+        assert report.bound_name == "spherical-std-dev[exact]"
+        assert report.bound.value == pytest.approx(
+            bound_sph_symm(50, VARIANT_STD_DEV, math.sqrt(50 * 206 / 51)).value, rel=1e-12
         )
+        assert "informational" not in report.to_dict()
+        assert bound_poincare(50, 1.0 / 13.0).value > 2.0
 
     def test_simplex_assembled_route(self):
         spec = DistributionSpec(Kind.SIMPLEX, 10)
@@ -1055,6 +1064,40 @@ class TestCliReport:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "sphere_shell" in out and "all passed" in out
+
+    def test_report_prints_the_cell_lines_of_certify(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            "certify.json",
+            {
+                "command": "certify",
+                "distributions": [{"kind": "lp_ball", "p": p, "n": 8} for p in ("inf", 4.0)],
+                "theta": ["e1", "diagonal"],
+                "N": 5000,
+                "seed": 3,
+            },
+        )
+
+        def cell_lines():
+            return [line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith(("PASS", "FAIL"))]
+
+        main(["certify", "--config", cfg, "--out", str(tmp_path / "out")])
+        certified = cell_lines()
+        assert main(["report", "--input", str(tmp_path / "out" / "certify.json")]) == EXIT_OK
+        assert cell_lines() == certified
+        assert [line[line.index("lp_ball"):line.index(" n=")] for line in certified] == [
+            "lp_ball(p=inf)", "lp_ball(p=inf)", "lp_ball(p=4.0)", "lp_ball(p=4.0)"
+        ]
+
+    @pytest.mark.parametrize("schema", [None, 2], ids=["missing", "unknown"])
+    def test_report_refuses_other_schemas(self, tmp_path, capsys, schema):
+        payload = {"reports": [], "all_passed": True}
+        if schema is not None:
+            payload["schema"] = schema
+        path = write_config(tmp_path, "certify.json", payload)
+        assert main(["report", "--input", path]) == EXIT_CONFIG_ERROR
+        assert f"report schema {schema!r}" in capsys.readouterr().err
 
 
 class TestCliScanAnk:

@@ -140,7 +140,7 @@ def test_version_loads_no_scipy(tmp_path):
 def test_sample_and_report_load_no_scipy(tmp_path):
     assert run_cli(["sample", "--config", write_config(tmp_path, SAMPLE)], tmp_path) == []
     report = tmp_path / "certify.json"
-    report.write_text(json.dumps({"reports": [REPORT], "all_passed": True}))
+    report.write_text(json.dumps({"schema": 1, "reports": [REPORT], "all_passed": True}))
     assert run_cli(["report", "--input", str(report)], tmp_path) == []
 
 
