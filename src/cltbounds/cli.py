@@ -362,14 +362,46 @@ def _cmd_report(cfg: dict) -> int:
     if type(schema) is not int or schema != REPORT_SCHEMA:
         raise ConfigError(f"report schema {schema!r} is not the schema {REPORT_SCHEMA} "
                           "this version reads; rerun certify to rewrite the report")
+    cells = payload.get("reports", [])
+    if not isinstance(cells, list):
+        raise ConfigError("malformed report: 'reports' must be a list")
+    for i, r in enumerate(cells):
+        _check_cell(r, i)
+    all_passed, n_passed = payload.get("all_passed"), sum(r["passed"] for r in cells)
+    if type(all_passed) is not bool or all_passed != (n_passed == len(cells)):
+        raise ConfigError(f"malformed report: all_passed is {all_passed!r} but "
+                          f"{n_passed} of {len(cells)} cells passed")
     print(f"report from {payload.get('version', 'unknown version')}")
-    try:
-        for r in payload.get("reports", []):
-            print(_cell_line(r))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed report: {exc!r}") from exc
-    print("all passed" if payload.get("all_passed") else "FAILURES PRESENT")
+    for r in cells:
+        print(_cell_line(r))
+    print("all passed" if all_passed else "FAILURES PRESENT")
     return EXIT_OK
+
+
+# the fields of a report cell that its line prints, each with its JSON type
+_CELL_FIELDS = (
+    (("spec", "kind"), str),
+    (("n",), int),
+    (("theta",), str),
+    (("passed",), bool),
+    (("empirical", "point_estimate"), float),
+    (("bound", "value"), float),
+    (("bound_name",), str),
+)
+
+
+def _check_cell(r, i: int) -> None:
+    """Refuse report cell ``i`` unless each of its ``_CELL_FIELDS`` is there
+    with its type: an int or float counts as a float, a bool as neither."""
+    for path, kind in _CELL_FIELDS:
+        value = r
+        for key in path:
+            if not isinstance(value, dict) or key not in value:
+                raise ConfigError(f"malformed report: cell {i} has no {'.'.join(path)}")
+            value = value[key]
+        if type(value) not in ((int, float) if kind is float else (kind,)):
+            raise ConfigError(f"malformed report: cell {i} {'.'.join(path)} is "
+                              f"{value!r}, not a {kind.__name__}")
 
 
 def _cmd_tv_exact(cfg: dict) -> int:

@@ -94,24 +94,10 @@ def lp_norm(x, p: float) -> float:
     return m * float(np.sum((v / m) ** p)) ** (1.0 / p)
 
 
-def _ndtr():
-    """scipy's standard normal CDF ufunc, imported at first use: loading
-    scipy.special takes about 0.35 s on a 2-vCPU VM, which commands that
-    never evaluate Phi at many points should not pay.  The Kolmogorov
-    statistic evaluates Phi at every one of its N points, where the standard
-    library is too slow: ``normal_cdf_points`` goes point by point, and a
-    numpy port of Cephes' ``ndtr`` took 12.2 ms per 2e5 points against
-    2.5 ms for this ufunc (and differed from it by up to 3e-14)."""
-    from scipy.special import ndtr
-
-    return ndtr
-
-
 def normal_cdf_points(t):
     """Standard normal distribution function at a few points, by the
-    standard library: 0.5 erfc(-t / sqrt 2), point by point, so a caller
-    with a handful of points loads no scipy.  Within 2.2e-16 of ``ndtr`` on
-    [-40, 40]; accepts scalars or arrays.
+    standard library: 0.5 erfc(-t / sqrt 2), point by point.  Within 2.2e-16
+    of scipy's ``ndtr`` on [-40, 40]; accepts scalars or arrays.
     """
     t_arr = np.asarray(t, dtype=float)
     out = np.array([0.5 * math.erfc(-x / _SQRT2) for x in t_arr.ravel().tolist()])

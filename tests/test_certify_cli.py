@@ -17,6 +17,7 @@ from cltbounds.bounds import (
     bound_unconditional,
 )
 from cltbounds.certify import (
+    REPORT_SCHEMA,
     TV_ESTIMATOR_ALLOWANCE,
     InapplicableBoundError,
     applicable_route,
@@ -1098,6 +1099,72 @@ class TestCliReport:
         path = write_config(tmp_path, "certify.json", payload)
         assert main(["report", "--input", path]) == EXIT_CONFIG_ERROR
         assert f"report schema {schema!r}" in capsys.readouterr().err
+
+    @staticmethod
+    def _payload(*passed, all_passed):
+        cells = [{
+            "spec": {"kind": "lp_ball", "p": 4.0},
+            "n": 6,
+            "theta": "e1",
+            "passed": p,
+            "empirical": {"point_estimate": 0.01},
+            "bound": {"value": 0.5},
+            "bound_name": "unconditional[exact]",
+        } for p in passed]
+        return {"schema": REPORT_SCHEMA, "reports": cells, "all_passed": all_passed}
+
+    @pytest.mark.parametrize("passed, all_passed", [
+        ((True, False), True), ((True, True), False), ((True,), 1), ((True,), None),
+    ])
+    def test_report_refuses_all_passed_against_its_cells(self, tmp_path, capsys, passed,
+                                                         all_passed):
+        path = write_config(tmp_path, "certify.json", self._payload(*passed, all_passed=all_passed))
+        assert main(["report", "--input", path]) == EXIT_CONFIG_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""  # neither a FAIL line nor "all passed"
+        assert "malformed report: all_passed" in err
+
+    @pytest.mark.parametrize("all_passed", [True, False])
+    def test_report_prints_agreeing_verdicts(self, tmp_path, capsys, all_passed):
+        path = write_config(tmp_path, "certify.json",
+                            self._payload(True, all_passed, all_passed=all_passed))
+        assert main(["report", "--input", path]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert [line[:4] for line in out[1:3]] == ["PASS", "PASS" if all_passed else "FAIL"]
+        assert out[3] == ("all passed" if all_passed else "FAILURES PRESENT")
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda c: c.pop("spec"), "spec.kind"),
+        (lambda c: c["spec"].update(kind=3), "spec.kind"),
+        (lambda c: c.update(spec="lp_ball"), "spec.kind"),
+        (lambda c: c.update(n=6.0), "n"),
+        (lambda c: c.update(n=True), "n"),
+        (lambda c: c.pop("theta"), "theta"),
+        (lambda c: c.update(passed="yes"), "passed"),
+        (lambda c: c.update(passed=1), "passed"),
+        (lambda c: c["empirical"].update(point_estimate="0.01"), "empirical.point_estimate"),
+        (lambda c: c["empirical"].update(point_estimate=None), "empirical.point_estimate"),
+        (lambda c: c.update(bound=[0.5]), "bound.value"),
+        (lambda c: c["bound"].update(value=False), "bound.value"),
+        (lambda c: c.pop("bound_name"), "bound_name"),
+    ], ids=["no-spec", "int-kind", "str-spec", "float-n", "bool-n", "no-theta", "str-passed",
+            "int-passed", "str-estimate", "null-estimate", "list-bound", "bool-bound",
+            "no-bound-name"])
+    def test_report_checks_every_cell_before_printing(self, tmp_path, capsys, edit, field):
+        payload = self._payload(True, True, all_passed=True)
+        edit(payload["reports"][1])
+        path = write_config(tmp_path, "certify.json", payload)
+        assert main(["report", "--input", path]) == EXIT_CONFIG_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""  # not even the first, well-formed cell
+        assert "malformed report: cell 1" in err and field in err
+
+    @pytest.mark.parametrize("cells", [{}, "cells", [1]])
+    def test_report_refuses_cells_that_are_not_records(self, tmp_path, capsys, cells):
+        path = write_config(tmp_path, "certify.json",
+                            {"schema": REPORT_SCHEMA, "reports": cells, "all_passed": True})
+        assert main(["report", "--input", path]) == EXIT_CONFIG_ERROR
+        assert "malformed report" in capsys.readouterr().err
 
 
 class TestCliScanAnk:

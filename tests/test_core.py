@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from cltbounds.core import (
     BLOCK_ROWS,
@@ -13,16 +14,14 @@ from cltbounds.core import (
     merge_summaries,
     normal_cdf_points,
     summarize,
-    _ndtr,
 )
 from cltbounds.samplers import SampleBatch
 
 
 def normal_cdf(t):
-    """Reference standard normal distribution function: scipy's ``ndtr``,
-    the program's Phi for the Kolmogorov statistic (``core._ndtr``), on a
-    scalar or an array.  It was ``core.normal_cdf``."""
-    out = _ndtr()(t)
+    """Reference standard normal distribution function: scipy's ``ndtr``, on
+    a scalar or an array.  It was ``core.normal_cdf``."""
+    out = ndtr(t)
     return float(out) if np.ndim(t) == 0 else out
 
 

@@ -6,8 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cltbounds.core import CHUNK_ROWS, InsufficientDataError, _ndtr
+from scipy.special import ndtr, ndtri
+
+from cltbounds.core import CHUNK_ROWS, InsufficientDataError, normal_cdf_points
 from cltbounds.empirical import (
+    _GAP_ROWS,
+    _approximate_gaps,
     _ks_statistic,
     conditional_second_moment,
     dkw_slack,
@@ -27,8 +31,8 @@ from cltbounds.samplers import (
 
 def normal_cdf(t):
     """Reference standard normal distribution function on an array: scipy's
-    ``ndtr`` (``core._ndtr``).  It was ``core.normal_cdf``."""
-    return _ndtr()(t)
+    ``ndtr``.  It was ``core.normal_cdf``."""
+    return ndtr(t)
 
 
 def gaussian_ps(n_samples, seed):
@@ -40,6 +44,45 @@ def _sup_gap(cdf, cum, jump):
     """sup_t |F_N(t) - Phi(t)| from Phi at the order statistics, F_N just
     after each of them and its jumps there: both one-sided gaps."""
     return float(np.maximum(cum - cdf, cdf - (cum - jump)).max())
+
+
+def brute_force_ks(values, cdf):
+    """Both one-sided gaps at every order statistic, with ``cdf`` for Phi at
+    every point."""
+    x = np.sort(values)
+    return _sup_gap(cdf(x), np.arange(1, len(x) + 1) / len(x), 1.0 / len(x))
+
+
+def hastings_cdf(x):
+    """The kernel's approximate Phi at the sorted points ``x``, read back from
+    its gaps: F_N just after each point minus its gap."""
+    n, zero = len(x), int(np.searchsorted(x, 0.0))
+    bufs = tuple(np.empty(_GAP_ROWS) for _ in range(2))
+    return np.concatenate([
+        np.arange(lo + 1, lo + 1 + len(gaps)) / n - gaps
+        for lo in range(0, n, _GAP_ROWS)
+        for gaps in [_approximate_gaps(x[lo : lo + _GAP_ROWS], lo, n, zero, bufs)]
+    ])
+
+
+def _with_infinities(rng):
+    values = rng.standard_normal(5000)
+    values[[3, 70, 900, 4000, 4999]] = [np.inf, -np.inf, np.inf, 1e200, -1e300]
+    return values
+
+
+# the Kolmogorov kernel's inputs beside plain normal samples: across a step
+# boundary, tied, constant, heavy-tailed past |x| = 38 where Phi leaves
+# (0, 1), and infinite
+KS_INPUTS = {
+    **{f"normal-{n}": (lambda n: lambda rng: 0.9 * rng.standard_normal(n))(n)
+       for n in (100, 8191, 8192, 8193)},
+    "ties": lambda rng: np.round(rng.standard_normal(20_000), 1),
+    "all-equal": lambda rng: np.full(_GAP_ROWS + 7, -0.3),
+    "all-zero": lambda rng: np.zeros(500),
+    "cauchy": lambda rng: rng.standard_cauchy(20_000),
+    "infinities": _with_infinities,
+}
 
 
 class TestProject:
@@ -131,13 +174,57 @@ class TestKolmogorov:
 
     @pytest.mark.parametrize("n_samples", [100, 3001, 70_000])
     def test_fused_equals_two_sided_gap(self, n_samples):
+        # the refined maximum is the gap with the program's Phi at every point
         values = np.random.default_rng(n_samples).standard_normal(n_samples) * 0.9
-        steps = np.arange(1, n_samples + 1) / n_samples
-        reference = _sup_gap(normal_cdf(np.sort(values)), steps, 1.0 / n_samples)
+        reference = brute_force_ks(values, normal_cdf_points)
         kept = values.copy()
         assert _ks_statistic(values) == reference
         np.testing.assert_array_equal(values, kept)  # a copy was sorted
         assert _ks_statistic(values, overwrite=True) == reference
+
+    @pytest.mark.parametrize("inputs", sorted(KS_INPUTS))
+    def test_equals_the_gap_with_exact_phi(self, inputs):
+        values = KS_INPUTS[inputs](np.random.default_rng(17))
+        if inputs == "cauchy":
+            assert np.abs(values).max() > 38.0
+        statistic = _ks_statistic(values)
+        assert statistic == brute_force_ks(values, normal_cdf_points)
+        assert statistic == pytest.approx(brute_force_ks(values, ndtr), rel=0.0, abs=4.4e-16)
+
+    def test_quantile_grid_refines_every_point(self):
+        # Phi(x_i) = (i - 1/2) / N: every gap is 1/(2N), so every point lies
+        # within the Hastings slack of the maximum and is refined, in one
+        # normal_cdf_points call (about 0.05 s at N = 2e5 on a 2-vCPU VM)
+        n_samples = 200_000
+        values = ndtri((np.arange(1, n_samples + 1) - 0.5) / n_samples)
+        statistic = _ks_statistic(values)
+        assert statistic == brute_force_ks(values, normal_cdf_points)
+        assert statistic == pytest.approx(0.5 / n_samples, rel=0.0, abs=4.4e-16)
+
+    @pytest.mark.parametrize("at", [0, 57, 8191, 8192, 19_999])
+    def test_nan_gives_nan(self, at):
+        values = np.random.default_rng(at).standard_normal(20_000)
+        values[at] = np.nan
+        assert math.isnan(_ks_statistic(values))
+        assert math.isnan(kolmogorov_vs_normal(values).point_estimate)
+
+    def test_hastings_phi_within_its_bound(self):
+        # Abramowitz and Stegun 7.1.26: |erf error| <= 1.5e-7, so Phi within 7.5e-8
+        grid = np.linspace(-40.0, 40.0, 800_001)
+        error = np.abs(hastings_cdf(grid) - normal_cdf_points(grid)).max()
+        assert error <= 7.5e-8
+
+    def test_holds_its_gap_buffers_only(self):
+        # two _GAP_ROWS buffers beside the sorted array: no N-length temporary
+        values = np.random.default_rng(18).standard_normal(200_000)
+        _ks_statistic(values[:1000])  # first-call setup
+        tracemalloc.start()
+        try:
+            _ks_statistic(values, overwrite=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * _GAP_ROWS, f"peak {peak / 1e3:.0f} kB"
 
     def test_exact_supremum_against_brute_force(self):
         rng = np.random.default_rng(11)

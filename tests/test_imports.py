@@ -1,18 +1,20 @@
-"""Each command loads only the scipy modules it calls: importing cltbounds
-loads none, scipy.special loads at the first Kolmogorov statistic, no
-command loads scipy.integrate or scipy.optimize, and scan-ank on the cube,
-which evaluates its lines by numpy quadrature, a certify run on spherical
-laws alone and tv-exact, which take Phi and log Gamma at a few points from
-the standard library, load none.  Every such case runs in a fresh
-interpreter, since this one has scipy loaded.
+"""No command loads scipy: importing cltbounds, every command (the N-point
+Kolmogorov statistic included: it takes the exact Phi from the standard
+library at the few points that can hold its supremum) and the version probe
+load no scipy module, and every command runs where ``import scipy`` fails.
+Every such case runs in a fresh interpreter, since this one has scipy
+loaded.
 
-Every name in a cltbounds module's ``__all__`` resolves.
+Every name in a cltbounds module's ``__all__`` resolves, and the package
+imports exactly the third-party modules that pyproject.toml declares.
 """
 
+import ast
 import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -60,8 +62,6 @@ def write_config(tmp_path: Path, cfg: dict) -> str:
     path.write_text(json.dumps({**cfg, "out": str(tmp_path / "out")}))
     return str(path)
 
-
-QUADRATURE = {"scipy.integrate", "scipy.optimize"}
 
 SAMPLE = {"distribution": {"kind": "lp_ball", "p": 3.0, "n": 6}, "N": 5000}
 
@@ -128,6 +128,24 @@ def test_all_names_resolve(module):
     assert [name for name in getattr(mod, "__all__", []) if not hasattr(mod, name)] == []
 
 
+def test_runtime_imports_are_the_declared_dependencies():
+    # an import that no requirement covers fails only where it is not
+    # installed; a requirement that no module imports is a cost for nothing
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    requirements = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", r).group().lower().replace("-", "_")
+                for r in requirements}
+    imported = set()
+    for path in Path(cltbounds.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported - set(sys.stdlib_module_names) - {"cltbounds"} == declared == {"numpy"}
+
+
 @pytest.mark.parametrize("module", ["cltbounds", "cltbounds.cli"])
 def test_import_loads_no_scipy(module, tmp_path):
     assert run_fresh(f"import {module}", tmp_path) == []
@@ -161,20 +179,39 @@ def test_few_point_commands_load_no_scipy(command, cfg, tmp_path):
 
 
 @pytest.mark.parametrize("command, cfg", [("certify", CERTIFY), ("scan-ank", SCAN_ANK)])
-def test_statistics_load_only_special(command, cfg, tmp_path):
-    loaded = set(run_cli([command, "--config", write_config(tmp_path, cfg)], tmp_path))
-    assert "scipy.special" in loaded
-    assert not loaded & QUADRATURE
+def test_statistics_load_no_scipy(command, cfg, tmp_path):
+    # the cube and the sphere on certify's Kolmogorov and histogram routes,
+    # and scan-ank's sampled Kolmogorov statistics
+    assert run_cli([command, "--config", write_config(tmp_path, cfg)], tmp_path) == []
+
+
+def test_every_command_runs_where_scipy_cannot_load(tmp_path):
+    configs = [("sample", SAMPLE), ("certify", CERTIFY), ("scan-ank", SCAN_ANK),
+               ("diagnose", DIAGNOSE["reflection"]), ("diagnose", DIAGNOSE["rotation"]),
+               ("tv-exact", TV_EXACT)]
+    argvs = []
+    for i, (command, cfg) in enumerate(configs):
+        (tmp_path / str(i)).mkdir()
+        argvs.append([command, "--config", write_config(tmp_path / str(i), cfg)])
+    argvs.append(["report", "--input", str(tmp_path / "1" / "out" / "certify.json")])
+    loaded = run_fresh(
+        "sys.modules['scipy'] = None  # so that import scipy raises ImportError\n"
+        "from cltbounds.cli import main\n"
+        f"for argv in {argvs!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "del sys.modules['scipy']",
+        tmp_path,
+    )
+    assert loaded == []
 
 
 def test_lazy_import_on_worker_threads_keeps_reports(tmp_path):
-    # two specs on two workers reach their first Kolmogorov statistic, and so
-    # the scipy.special import, at about the same time
+    # two specs on two workers reach their first Kolmogorov statistic at
+    # about the same time
     loaded = run_fresh(
         "import math\n"
         "from cltbounds.certify import certify_grid\n"
         "from cltbounds.samplers import DistributionSpec, Kind\n"
-        "assert 'scipy.special' not in sys.modules\n"
         "specs = [DistributionSpec(Kind.LP_BALL, 6, p=math.inf),\n"
         "         DistributionSpec(Kind.LP_CONE, 6, p=1.0)]\n"
         "runs = [[r.to_dict() for r in certify_grid(specs, ['e1', 'diagonal'], N=20000,\n"
@@ -182,4 +219,4 @@ def test_lazy_import_on_worker_threads_keeps_reports(tmp_path):
         "assert runs[0] == runs[1]",
         tmp_path,
     )
-    assert "scipy.special" in loaded
+    assert loaded == []
