@@ -67,9 +67,10 @@ command on a tiny config (``certify_s`` on a cube and a sphere,
 with the thread pins and ``PYTHONDONTWRITEBYTECODE`` of ``perfbench/run.py``;
 and, in this process, ``exact_tv_vs_normal`` over the tv-exact workload's
 ``n_list`` (``tv_exact_inprocess_s``, after one warm-up call).  It also lists
-the scipy packages each fresh process loaded: a command whose only normal
-CDF values are a few points (``certify-spherical``, ``tv-exact``) loads
-none, so its time should sit near ``version_s``.  The spec options are unused.
+the scipy packages each fresh process loaded, which should be none: no
+command loads scipy (the Kolmogorov statistic of ``certify_s`` and
+``scan-ank_s`` is numpy and the standard library), so a command's time
+above ``version_s`` is its own work.  The spec options are unused.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 benchmarks/stage_split.py \
         --mode startup --repeats 10

@@ -156,15 +156,14 @@ def _ks_statistic(values: np.ndarray, overwrite: bool = False) -> float:
     bufs = tuple(np.empty(min(n, _GAP_ROWS)) for _ in range(2))
     starts = range(0, n, _GAP_ROWS)
     with np.errstate(over="ignore"):  # x * x past 1e154: exp(-inf) = 0, as it should
-        extremes = np.array([
-            (g.max(), g.min()) for g in
-            (_approximate_gaps(x[lo : lo + _GAP_ROWS], lo, n, zero, bufs) for lo in starts)
-        ])
-        extremes[:, 1] = 1.0 / n - extremes[:, 1]  # the largest gap before each step's points
-        floor = extremes.max() - 2.0 * _PHI_SLACK
+        largest = []  # each step's largest approximate gap, either side
+        for lo in starts:
+            gaps = _approximate_gaps(x[lo : lo + _GAP_ROWS], lo, n, zero, bufs)
+            largest.append(max(gaps.max(), 1.0 / n - gaps.min()))
+        floor = max(largest) - 2.0 * _PHI_SLACK
         near = []  # the points whose approximate gap reaches the floor
-        for lo, (after, before) in zip(starts, extremes):
-            if max(after, before) >= floor:
+        for lo, step_largest in zip(starts, largest):
+            if step_largest >= floor:
                 gaps = _approximate_gaps(x[lo : lo + _GAP_ROWS], lo, n, zero, bufs)
                 near.append(lo + np.flatnonzero((gaps >= floor) | (gaps <= 1.0 / n - floor)))
     at = np.concatenate(near)
