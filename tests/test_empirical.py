@@ -58,11 +58,15 @@ def hastings_cdf(x):
     its gaps: F_N just after each point minus its gap."""
     n, zero = len(x), int(np.searchsorted(x, 0.0))
     bufs = tuple(np.empty(_GAP_ROWS) for _ in range(2))
-    return np.concatenate([
-        np.arange(lo + 1, lo + 1 + len(gaps)) / n - gaps
-        for lo in range(0, n, _GAP_ROWS)
-        for gaps in [_approximate_gaps(x[lo : lo + _GAP_ROWS], lo, n, zero, bufs)]
-    ])
+    cdf = []
+    for lo in range(0, n, _GAP_ROWS):
+        gaps = _approximate_gaps(x[lo : lo + _GAP_ROWS], lo, n, zero, bufs)
+        cdf.append(np.arange(lo + 1, lo + 1 + len(gaps)) / n - gaps)
+    return np.concatenate(cdf)
+
+
+def _normal(n):
+    return lambda rng: 0.9 * rng.standard_normal(n)
 
 
 def _with_infinities(rng):
@@ -75,8 +79,7 @@ def _with_infinities(rng):
 # boundary, tied, constant, heavy-tailed past |x| = 38 where Phi leaves
 # (0, 1), and infinite
 KS_INPUTS = {
-    **{f"normal-{n}": (lambda n: lambda rng: 0.9 * rng.standard_normal(n))(n)
-       for n in (100, 8191, 8192, 8193)},
+    **{f"normal-{n}": _normal(n) for n in (100, 8191, 8192, 8193)},
     "ties": lambda rng: np.round(rng.standard_normal(20_000), 1),
     "all-equal": lambda rng: np.full(_GAP_ROWS + 7, -0.3),
     "all-zero": lambda rng: np.zeros(500),
