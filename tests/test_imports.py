@@ -186,8 +186,10 @@ def test_statistics_load_no_scipy(command, cfg, tmp_path):
 
 
 def test_every_command_runs_where_scipy_cannot_load(tmp_path):
+    square_correlation = {"experiment": "square-correlation", "n_list": [4], "N": 5000}
     configs = [("sample", SAMPLE), ("certify", CERTIFY), ("scan-ank", SCAN_ANK),
-               ("diagnose", DIAGNOSE["reflection"]), ("diagnose", DIAGNOSE["rotation"]),
+               ("scan-ank", CUBE_SCAN_ANK), ("diagnose", DIAGNOSE["reflection"]),
+               ("diagnose", DIAGNOSE["rotation"]), ("diagnose", square_correlation),
                ("tv-exact", TV_EXACT)]
     argvs = []
     for i, (command, cfg) in enumerate(configs):
