@@ -60,8 +60,8 @@ temporaries of one block's counts, never the (2, N) projections.
 
 ``--mode startup`` measures what each command pays before its work: the
 wall time of a fresh interpreter that imports ``cltbounds.cli``
-(``import_s``), runs ``cltbounds --version`` (``version_s``), or runs one
-command on a tiny config (``certify_s`` on a cube and a sphere,
+(``import_s``), runs ``cltbounds --version`` (``version_s``), imports
+numpy alone (``numpy_s``), or runs one command on a tiny config (``certify_s`` on a cube and a sphere,
 ``certify-spherical_s`` on the three spherical laws alone, ``scan-ank_s``,
 ``diagnose-reflection_s``, ``diagnose-rotation_s``, ``tv-exact_s``), each
 with the thread pins and ``PYTHONDONTWRITEBYTECODE`` of ``perfbench/run.py``;
@@ -69,8 +69,10 @@ and, in this process, ``exact_tv_vs_normal`` over the tv-exact workload's
 ``n_list`` (``tv_exact_inprocess_s``, after one warm-up call).  It also lists
 the scipy packages each fresh process loaded, which should be none: no
 command loads scipy (the Kolmogorov statistic of ``certify_s`` and
-``scan-ank_s`` is numpy and the standard library), so a command's time
-above ``version_s`` is its own work.  The spec options are unused.
+``scan-ank_s`` is numpy and the standard library).  ``import_s`` and
+``version_s`` load no numpy, and every computing command does, so
+``numpy_s`` is the floor a command pays: its time above ``numpy_s`` is the
+cltbounds modules it loads plus its own work.  The spec options are unused.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 benchmarks/stage_split.py \
         --mode startup --repeats 10
@@ -301,7 +303,8 @@ def probe(code: str, root: Path, env: dict) -> tuple[float, list[str]]:
 def startup_pass(root: Path, env: dict, out: Path) -> tuple[dict[str, float], dict[str, list]]:
     """Fresh-process wall times and scipy packages per probe, plus the
     in-process tv-exact time."""
-    probes = {"import": "import cltbounds.cli", "version": CLI_PROBE.format(argv=["--version"])}
+    probes = {"import": "import cltbounds.cli", "version": CLI_PROBE.format(argv=["--version"]),
+              "numpy": "import numpy"}
     for name, (command, cfg) in STARTUP_CONFIGS.items():
         path = out / f"{name}.json"
         path.write_text(json.dumps({**cfg, "out": str(out / name)}))

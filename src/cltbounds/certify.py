@@ -32,15 +32,11 @@ gating bound.  A cell reports the one bound that gates it.
 from __future__ import annotations
 
 import csv
-import functools
 import json
-import subprocess
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from . import __version__
 from .bounds import (
     BoundValue,
     VARIANT_STD_DEV,
@@ -48,6 +44,7 @@ from .bounds import (
     bound_sph_symm,
     bound_unconditional,
 )
+from .contract import REPORT_SCHEMA, InapplicableBoundError, version_string
 from .core import InsufficientDataError, thread_map
 from .empirical import (
     DEFAULT_DELTA,
@@ -88,15 +85,10 @@ __all__ = [
 ]
 
 TV_ESTIMATOR_ALLOWANCE = 0.02
-REPORT_SCHEMA = 1  # the layout of certify.json; raised when a key goes or changes meaning
 
 ROUTE_UNCONDITIONAL = "unconditional"
 ROUTE_SIMPLEX = "simplex"
 ROUTE_SPHERICAL = "spherical"
-
-
-class InapplicableBoundError(ValueError):
-    """No theoretical bound with explicit constants applies to this spec."""
 
 
 def applicable_route(spec: DistributionSpec) -> str:
@@ -319,32 +311,6 @@ def certify_grid(
         for pos, reports in zip(group, per_member)
     }
     return [report for pos in range(len(specs)) for report in per_spec[pos]]
-
-
-@functools.cache
-def version_string() -> str:
-    """git-describe of the source checkout that holds this package (the
-    directory two above the package, with its own ``.git``) when there is
-    one, else the package version: an installed copy inside another git
-    work tree, or a caller in one, never names that tree's commit.  The
-    ``git`` child runs once per process, at the first call."""
-    root = Path(__file__).resolve().parents[2]
-    if not (root / ".git").exists():
-        return f"cltbounds {__version__}"
-    try:
-        out = subprocess.run(
-            ["git", f"--git-dir={root / '.git'}", f"--work-tree={root}",
-             "describe", "--always", "--dirty"],
-            cwd=root,
-            capture_output=True,
-            text=True,
-            timeout=5,
-        )
-        if out.returncode == 0 and out.stdout.strip():
-            return f"cltbounds {__version__} ({out.stdout.strip()})"
-    except (OSError, subprocess.SubprocessError):
-        pass
-    return f"cltbounds {__version__}"
 
 
 def reports_to_json(reports, path, config: dict | None = None) -> None:

@@ -4,6 +4,10 @@ One JSON config document describes a run; command-line flags only override
 config fields.  Exit codes are a stable contract: 0 pass, 1 certification
 failure, 2 config error, 3 no applicable bound, 4 internal error (a bug:
 the traceback is printed, and the config is not to blame).
+
+At the top this module imports the standard library and ``contract`` only;
+each command imports the modules it runs, so ``--version``, ``--help``,
+``report`` and an argument error load no numpy.
 """
 
 from __future__ import annotations
@@ -17,27 +21,12 @@ import sys
 import traceback
 from pathlib import Path
 
-from .bounds import EXACT_MARGINAL_MAX_N, EXACT_MARGINALS, exact_tv_vs_normal
-from .certify import (
+from .contract import (
     REPORT_SCHEMA,
     InapplicableBoundError,
-    certify_grid,
-    reports_to_csv,
-    reports_to_json,
-    resolve_theta,
-    version_string,
-)
-from .core import InsufficientDataError, summarize
-from .empirical import DEFAULT_DELTA, streaming_pair_square_covariance
-from .samplers import DistributionSpec, Kind, derive_seed, sample
-from .subspaces import (
+    InsufficientDataError,
     SymmetryError,
-    ank_to_csv,
-    check_ank_samples,
-    estimate_Ank,
-    reflection_frame,
-    reflection_pair_diagnostics,
-    rotation_pair_diagnostics,
+    version_string,
 )
 
 EXIT_OK = 0
@@ -80,6 +69,8 @@ def _nonempty_list(value, key: str) -> list:
 
 def _spec_from_config(d, **fields) -> DistributionSpec:
     """The spec of a config distribution object, ``fields`` set over its own."""
+    from .samplers import DistributionSpec
+
     if not isinstance(d, dict):
         raise ConfigError(f"a distribution must be a JSON object, got {d!r}")
     d = {**d, **fields}
@@ -123,6 +114,8 @@ def _seed(cfg: dict) -> int:
 
 
 def _theta(theta_spec, n: int):
+    from .certify import resolve_theta
+
     try:
         return resolve_theta(theta_spec, n)
     except (TypeError, ValueError) as exc:
@@ -167,6 +160,9 @@ def _workers() -> int:
 
 
 def _cmd_sample(cfg: dict) -> int:
+    from .core import summarize
+    from .samplers import sample
+
     spec = _spec_from_config(_require(cfg, "distribution"))
     n_samples = _positive_int(cfg, "N", least=2)  # the summary's covariance fields need two
     seed = _seed(cfg)
@@ -216,6 +212,9 @@ def _cell_line(r: dict) -> str:
 
 
 def _cmd_certify(cfg: dict) -> int:
+    from .certify import certify_grid, reports_to_csv, reports_to_json
+    from .empirical import DEFAULT_DELTA
+
     if "constants" in cfg:  # ignoring it would let an old forcing config pass
         raise ConfigError(
             "'constants' was removed: every gating bound carries the source's "
@@ -245,6 +244,8 @@ def _cmd_certify(cfg: dict) -> int:
 
 
 def _cmd_scan_ank(cfg: dict) -> int:
+    from .subspaces import ank_to_csv, check_ank_samples, estimate_Ank
+
     n_list = _nonempty_list(_require(cfg, "n_list"), "n_list")
     template = _require(cfg, "distribution")
     k = _positive_int(cfg, "k")
@@ -278,6 +279,14 @@ def _cmd_scan_ank(cfg: dict) -> int:
 
 
 def _cmd_diagnose(cfg: dict) -> int:
+    from .empirical import streaming_pair_square_covariance
+    from .samplers import Kind, derive_seed
+    from .subspaces import (
+        reflection_frame,
+        reflection_pair_diagnostics,
+        rotation_pair_diagnostics,
+    )
+
     experiment = cfg.get("experiment", "reflection")
     seed = _seed(cfg)
     workers = _workers()
@@ -406,6 +415,9 @@ def _check_cell(r, i: int) -> None:
 
 def _cmd_tv_exact(cfg: dict) -> int:
     """Convenience: quadrature-exact TV table for the closed-form marginals."""
+    from .bounds import EXACT_MARGINAL_MAX_N, EXACT_MARGINALS, exact_tv_vs_normal
+    from .samplers import Kind
+
     kind = cfg.get("kind", Kind.SPHERE_SHELL.value)
     if not isinstance(kind, str) or kind not in EXACT_MARGINALS:
         raise ConfigError(

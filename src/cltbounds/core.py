@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .contract import InsufficientDataError
+
 __all__ = [
     "InsufficientDataError",
     "MomentSummary",
@@ -35,10 +37,6 @@ BLOCK_ROWS = 1 << 16
 CHUNK_ROWS = 1 << 12
 
 _SQRT2 = math.sqrt(2.0)
-
-
-class InsufficientDataError(ValueError):
-    """Raised when an estimator needs more samples than were provided."""
 
 
 def thread_map(fn: Callable, items: Iterable, workers: int = 1) -> list:

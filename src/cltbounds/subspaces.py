@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import exact_kolmogorov, has_exact_kolmogorov
-from .core import BLOCK_ROWS, InsufficientDataError, as_unit_vector, thread_map
+from .contract import InsufficientDataError, SymmetryError
+from .core import BLOCK_ROWS, as_unit_vector, thread_map
 from .empirical import KS_MIN_SAMPLES, _equal_count_bins, _ks_statistic
 from .frames import LABEL_SIMPLEX_EDGES, LABEL_STANDARD, simplex_geometry
 from .samplers import (
@@ -50,10 +51,6 @@ __all__ = [
 # (DIRECTION_CHUNK, N) product.  Four rows give the same bits as sixteen,
 # one row (a matrix-vector product) does not
 DIRECTION_CHUNK = 4
-
-
-class SymmetryError(ValueError):
-    """The law lacks the symmetry an exchangeable-pair diagnostic needs."""
 
 
 def reflection_frame(kind: Kind) -> str:

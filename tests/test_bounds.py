@@ -1,3 +1,4 @@
+import functools
 import math
 from collections import Counter
 
@@ -36,7 +37,13 @@ from cltbounds.bounds import (
 from cltbounds.certify import resolve_theta
 from cltbounds.empirical import _ks_statistic, dkw_slack
 from cltbounds.frames import simplex_geometry
-from cltbounds.samplers import DistributionSpec, Kind, sample_projections
+from cltbounds.samplers import (
+    DistributionSpec,
+    Kind,
+    _exact_norm_sq_std,
+    exact_moments,
+    sample_projections,
+)
 from cltbounds.subspaces import random_subspace
 
 CUBE_FOURTH = 1.8
@@ -675,3 +682,48 @@ class TestExactKolmogorov:
             exact_kolmogorov(DistributionSpec(Kind.LP_BALL, 4, p=4.0), np.full(4, 0.5))
         with pytest.raises(ValueError, match="two coordinates"):
             exact_kolmogorov(cube_spec(4), e1(4))
+
+
+CUBE_NS = (2, 3, 4, 5, 8, 20, 100)
+CUBE_LINES = ("diagonal", "e1 + 0.3 e2", "random(1)", "random(2)", "random(3)")
+
+
+def cube_line(line, n):
+    if line == "e1 + 0.3 e2":
+        theta = np.eye(n)[0] + 0.3 * np.eye(n)[1]
+        return theta / np.linalg.norm(theta)
+    return resolve_theta(line, n)[0]
+
+
+@functools.cache
+def bound_over_exact() -> dict[str, list[float]]:
+    """Each family's gating bound over its exact distance, case by case: the
+    cube's unconditional bound on its exact moments over exact_kolmogorov,
+    and the sphere's and ball's std-dev bound over exact_tv_vs_normal."""
+    ratios = {"cube": [], "sphere_shell": [], "ball_uniform": []}
+    for n in CUBE_NS:
+        spec = cube_spec(n)
+        for line in CUBE_LINES:
+            theta = cube_line(line, n)
+            bound = bound_unconditional(theta, *exact_moments(spec)).value
+            ratios["cube"].append(bound / exact_kolmogorov(spec, theta))
+    for kind, least_n in ((Kind.SPHERE_SHELL, 3), (Kind.BALL_UNIFORM, 2)):
+        for n in range(least_n, 101):
+            statistic = _exact_norm_sq_std(DistributionSpec(kind, n))
+            bound = bound_sph_symm(n, VARIANT_STD_DEV, statistic).value
+            ratios[kind.value].append(bound / exact_tv_vs_normal(kind, n))
+    return ratios
+
+
+class TestBoundDominatesExact:
+    """The gating bound, with its route's exact moments, is at least the true
+    distance wherever the law has an exact one; the simplex has none yet."""
+
+    @pytest.mark.parametrize("family", ["cube", "sphere_shell", "ball_uniform"])
+    def test_bound_dominates_exact(self, family):
+        assert min(bound_over_exact()[family]) >= 1.0
+
+    @pytest.mark.parametrize("family", ["cube", "sphere_shell", "ball_uniform"])
+    def test_bound_over_100_fails_somewhere(self, family):
+        # the check has power: a hundredfold smaller bound falls below the truth
+        assert min(bound_over_exact()[family]) < 100.0

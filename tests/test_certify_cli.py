@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import cltbounds.certify as certify_module
+import cltbounds.contract as contract_module
 from cltbounds import __version__
 from cltbounds.bounds import (
     KOLMOGOROV,
@@ -407,7 +407,7 @@ class TestCertifyGrid:
             pytest.skip("git is not available")
         package = tmp_path / ".venv" / "lib" / "site-packages" / "cltbounds"
         package.mkdir(parents=True)
-        monkeypatch.setattr(certify_module, "__file__", str(package / "certify.py"))
+        monkeypatch.setattr(contract_module, "__file__", str(package / "contract.py"))
         version_string.cache_clear()
         try:
             assert version_string() == f"cltbounds {__version__}"
@@ -701,7 +701,7 @@ class TestCliCertify:
 
         monkeypatch.setattr("cltbounds.certify.sample_projections", no_sampling)
         monkeypatch.setattr("cltbounds.certify.map_projection_blocks", no_sampling)
-        monkeypatch.setattr("cltbounds.cli.sample", no_sampling)
+        monkeypatch.setattr("cltbounds.samplers.sample", no_sampling)
         for theta in ("diagonl", [1.0, 2.0], [math.nan, 1.0, 0.0, 0.0, 0.0, 0.0]):
             cfg = write_config(
                 tmp_path,
@@ -821,7 +821,7 @@ class TestExitCodes:
         def broken(*args, **kwargs):
             raise InsufficientDataError("too few samples")
 
-        monkeypatch.setattr("cltbounds.cli.estimate_Ank", broken)
+        monkeypatch.setattr("cltbounds.subspaces.estimate_Ank", broken)
         cfg = write_config(tmp_path, "c.json", {"command": "scan-ank", **_SMALL_SCAN})
         out = tmp_path / "out"
         assert main(["scan-ank", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG_ERROR
@@ -831,7 +831,7 @@ class TestExitCodes:
         def broken(*args, **kwargs):
             raise ValueError("bound value must be finite and nonnegative, got nan")
 
-        monkeypatch.setattr("cltbounds.cli.certify_grid", broken)
+        monkeypatch.setattr("cltbounds.certify.certify_grid", broken)
         cfg = write_config(tmp_path, "c.json", {"command": "certify", **_CUBE_GRID})
         code = main(["certify", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == EXIT_INTERNAL_ERROR
@@ -1205,7 +1205,7 @@ class TestCliScanAnk:
         def no_estimate(*args, **kwargs):
             raise AssertionError("estimated a non-isotropic law")
 
-        monkeypatch.setattr("cltbounds.cli.estimate_Ank", no_estimate)
+        monkeypatch.setattr("cltbounds.subspaces.estimate_Ank", no_estimate)
         distribution = {"kind": kind, "scale": 1.0, **({} if p is None else {"p": p})}
         cfg = write_config(tmp_path, "ank.json",
                            {"command": "scan-ank", **_SMALL_SCAN, "distribution": distribution})
@@ -1226,7 +1226,7 @@ class TestCliScanAnk:
         def no_estimate(*args, **kwargs):
             raise AssertionError("estimated from too few samples")
 
-        monkeypatch.setattr("cltbounds.cli.estimate_Ank", no_estimate)
+        monkeypatch.setattr("cltbounds.subspaces.estimate_Ank", no_estimate)
         cfg = write_config(tmp_path, "ank.json", {
             "command": "scan-ank", **_SMALL_SCAN, "distribution": distribution,
             "n_list": [5], "k": k, "N": n_samples,
@@ -1265,7 +1265,7 @@ class TestCliScanAnk:
         def no_estimate(*args, **kwargs):
             raise AssertionError("estimated before every n was validated")
 
-        monkeypatch.setattr("cltbounds.cli.estimate_Ank", no_estimate)
+        monkeypatch.setattr("cltbounds.subspaces.estimate_Ank", no_estimate)
         cfg = write_config(
             tmp_path,
             "ank.json",
@@ -1473,7 +1473,7 @@ class TestCliDiagnose:
             raise AssertionError("sampled before the law was validated")
 
         monkeypatch.setattr("cltbounds.subspaces._reduced_spherical_block", no_sampling)
-        monkeypatch.setattr("cltbounds.cli.streaming_pair_square_covariance", no_sampling)
+        monkeypatch.setattr("cltbounds.empirical.streaming_pair_square_covariance", no_sampling)
         payload = {
             "command": "diagnose",
             "experiment": experiment,

@@ -2,11 +2,16 @@
 Kolmogorov statistic included: it takes the exact Phi from the standard
 library at the few points that can hold its supremum) and the version probe
 load no scipy module, and every command runs where ``import scipy`` fails.
-Every such case runs in a fresh interpreter, since this one has scipy
-loaded.
 
-Every name in a cltbounds module's ``__all__`` resolves, and the package
-imports exactly the third-party modules that pyproject.toml declares.
+Only computing commands load numpy: importing cltbounds or its CLI,
+``--version``, ``--help``, ``report`` and an argument error load none, and
+``--version`` and ``report`` run where ``import numpy`` fails.  A command
+loads only the cltbounds modules it runs.  Every such case runs in a fresh
+interpreter, since this one has numpy and scipy loaded.
+
+Every name in the package's and each cltbounds module's ``__all__``
+resolves, and the package imports exactly the third-party modules that
+pyproject.toml declares.
 """
 
 import ast
@@ -25,35 +30,36 @@ import cltbounds
 
 SRC = str(Path(cltbounds.__file__).resolve().parents[1])
 
-# runs the code in CODE, then prints the loaded scipy modules as JSON
+# runs the code in CODE, then prints the loaded modules of PACKAGE as JSON
 PROBE = """
 import json, sys
 {code}
-print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == {package!r})))
 """
 
 
-def run_fresh(code: str, cwd: Path) -> list[str]:
-    """Loaded scipy modules after ``code`` runs in a fresh interpreter."""
+def run_fresh(code: str, cwd: Path, package: str = "scipy") -> list[str]:
+    """Loaded modules of ``package`` after ``code`` runs in a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": SRC, "CLTBOUNDS_THREADS": "2"}
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE.format(code=code)],
+        [sys.executable, "-c", PROBE.format(code=code, package=package)],
         capture_output=True, text=True, cwd=cwd, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def run_cli(argv: list[str], cwd: Path) -> list[str]:
-    """Loaded scipy modules after ``cltbounds <argv>`` exits 0."""
+def run_cli(argv: list[str], cwd: Path, package: str = "scipy", exit_code: int = 0) -> list[str]:
+    """Loaded modules of ``package`` after ``cltbounds <argv>`` exits ``exit_code``."""
     return run_fresh(
         "from cltbounds.cli import main\n"
         "try:\n"
         f"    code = main({argv!r})\n"
         "except SystemExit as exc:\n"
         "    code = exc.code\n"
-        "assert code == 0, code",
+        f"assert code == {exit_code}, code",
         cwd,
+        package,
     )
 
 
@@ -121,11 +127,23 @@ CUBE_SCAN_ANK = {**SCAN_ANK, "distribution": {"kind": "lp_ball", "p": "inf"}}
 TV_EXACT = {"kind": "sphere_shell", "n_list": [5]}
 
 
-@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(cltbounds.__path__)))
+@pytest.mark.parametrize(
+    "module",
+    ["cltbounds", *sorted(f"cltbounds.{m.name}" for m in pkgutil.iter_modules(cltbounds.__path__))],
+    ids=lambda module: module.removeprefix("cltbounds."),
+)
 def test_all_names_resolve(module):
-    # a name left in __all__ after its definition goes breaks `import *`
-    mod = importlib.import_module(f"cltbounds.{module}")
+    # a name left in __all__ after its definition goes breaks `import *`;
+    # the package's names each resolve on first use
+    mod = importlib.import_module(module)
     assert [name for name in getattr(mod, "__all__", []) if not hasattr(mod, name)] == []
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from cltbounds import *", namespace)
+    assert set(cltbounds.__all__) <= set(namespace)
+    assert set(cltbounds.__all__) <= set(dir(cltbounds))
 
 
 def test_runtime_imports_are_the_declared_dependencies():
@@ -222,3 +240,57 @@ def test_lazy_import_on_worker_threads_keeps_reports(tmp_path):
         tmp_path,
     )
     assert loaded == []
+
+
+def write_report(tmp_path: Path, payload: dict) -> str:
+    path = tmp_path / "certify.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+@pytest.mark.parametrize("module", ["cltbounds", "cltbounds.cli"])
+def test_import_loads_no_numpy(module, tmp_path):
+    assert run_fresh(f"import {module}", tmp_path, "numpy") == []
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [(["--version"], 0), (["--help"], 0), (["no-such-command"], 2), (["certify", "--seed"], 2)],
+    ids=["version", "help", "unknown-command", "missing-value"],
+)
+def test_non_computing_invocations_load_no_numpy(argv, exit_code, tmp_path):
+    assert run_cli(argv, tmp_path, "numpy", exit_code) == []
+
+
+@pytest.mark.parametrize("all_passed, exit_code", [(True, 0), (False, 2)],
+                         ids=["valid", "malformed"])
+def test_report_loads_no_numpy(all_passed, exit_code, tmp_path):
+    # a malformed report: all_passed disagrees with its one passing cell
+    report = write_report(tmp_path, {"schema": 1, "reports": [REPORT], "all_passed": all_passed})
+    assert run_cli(["report", "--input", report], tmp_path, "numpy", exit_code) == []
+
+
+def test_version_and_report_run_where_numpy_cannot_load(tmp_path):
+    report = write_report(tmp_path, {"schema": 1, "reports": [REPORT], "all_passed": True})
+    loaded = run_fresh(
+        "sys.modules['numpy'] = None  # so that import numpy raises ImportError\n"
+        "from cltbounds.cli import main\n"
+        f"assert main(['report', '--input', {report!r}]) == 0\n"
+        "try:\n"
+        "    main(['--version'])\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "del sys.modules['numpy']",
+        tmp_path,
+        "numpy",
+    )
+    assert loaded == []
+
+
+@pytest.mark.parametrize(
+    "command, cfg, unused",
+    [("certify", CERTIFY, {"subspaces"}), ("tv-exact", TV_EXACT, {"certify", "subspaces"})],
+)
+def test_command_loads_only_the_modules_it_runs(command, cfg, unused, tmp_path):
+    loaded = run_cli([command, "--config", write_config(tmp_path, cfg)], tmp_path, "cltbounds")
+    assert {f"cltbounds.{module}" for module in unused}.isdisjoint(loaded), loaded

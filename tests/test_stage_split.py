@@ -29,10 +29,10 @@ MODES = {
     "subspace-simplex": ("subspace", ["--kind", "simplex"], SUBSPACE_STAGES),
     "spherical": ("spherical", ["--kind", "sphere_shell"],
                   {"fill_s", "project_s", "hist_s", "reduced_draw_s", "certify_peak_mb"}),
-    # every probe is a fresh CLI process that must exit 0
-    "startup": ("startup", [], {"import_s", "version_s", "certify_s", "certify-spherical_s",
-                                "scan-ank_s", "diagnose-reflection_s", "diagnose-rotation_s",
-                                "tv-exact_s", "tv_exact_inprocess_s"}),
+    # every probe is a fresh process that must exit 0; numpy_s imports numpy alone
+    "startup": ("startup", [], {"import_s", "version_s", "numpy_s", "certify_s",
+                                "certify-spherical_s", "scan-ank_s", "diagnose-reflection_s",
+                                "diagnose-rotation_s", "tv-exact_s", "tv_exact_inprocess_s"}),
 }
 
 

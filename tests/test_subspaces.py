@@ -7,10 +7,17 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from cltbounds import subspaces
 from cltbounds.bounds import exact_kolmogorov
 from cltbounds.cli import EXIT_CONFIG_ERROR, main
 from cltbounds.core import InsufficientDataError
-from cltbounds.empirical import KS_MIN_SAMPLES, _equal_count_bin_means, _ks_statistic, dkw_slack
+from cltbounds.empirical import (
+    _GAP_ROWS,
+    KS_MIN_SAMPLES,
+    _equal_count_bin_means,
+    _ks_statistic,
+    dkw_slack,
+)
 from cltbounds.frames import simplex_geometry
 from cltbounds.samplers import BLOCK_ROWS, DistributionSpec, Kind, derive_seed, sample
 from cltbounds.subspaces import (
@@ -614,21 +621,34 @@ class TestWorkerCount:
         np.testing.assert_array_equal(serial.sup_distances, threaded.sup_distances)
         assert serial.fraction == threaded.fraction
 
-    def test_estimate_Ank_memory_level(self):
-        # k >= 2: each worker holds one (DIRECTION_CHUNK, N) direction product
+    def test_estimate_Ank_memory_level(self, monkeypatch):
+        # k >= 2: beside the projections, each worker of the statistics holds
+        # one (DIRECTION_CHUNK, N) direction product and the statistic's two
+        # _GAP_ROWS buffers, plus a step's masks and indices (two buffers'
+        # worth); the peak is taken over the statistics alone, not the fill
         spec = DistributionSpec(Kind.LP_BALL, 30, p=4.0)
         n_samples = 200_000
-        peaks = []
+        run_statistics = subspaces.thread_map
+        extras = []
+
+        def traced_statistics(fn, items, workers):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = run_statistics(fn, items, workers)
+            extras.append(tracemalloc.get_traced_memory()[1] - start)
+            return result
+
+        monkeypatch.setattr(subspaces, "thread_map", traced_statistics)
         for workers in (1, 2):
             tracemalloc.start()
             try:
                 estimate_Ank(spec, k=2, eps=0.1, n_subspaces=4, N=n_samples, seed=51,
                              n_dirs=2 * DIRECTION_CHUNK, workers=workers)
-                peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        chunk = 8 * DIRECTION_CHUNK * n_samples
-        assert peaks[1] <= peaks[0] + chunk, f"peaks {[p / 1e6 for p in peaks]} MB"
+        per_worker = 8 * (DIRECTION_CHUNK * n_samples + 4 * _GAP_ROWS)
+        assert extras[0] <= per_worker, f"{extras[0] / 1e6} MB"
+        assert extras[1] <= 2 * per_worker, f"{extras[1] / 1e6} MB"
 
     def test_reflection(self):
         n = 9
