@@ -61,7 +61,8 @@ temporaries of one block's counts, never the (2, N) projections.
 ``--mode startup`` measures what each command pays before its work: the
 wall time of a fresh interpreter that imports ``cltbounds.cli``
 (``import_s``), runs ``cltbounds --version`` (``version_s``), imports
-numpy alone (``numpy_s``), or runs one command on a tiny config (``certify_s`` on a cube and a sphere,
+numpy alone (``numpy_s``), or runs one command on a tiny config
+(``certify_s`` on a cube and a sphere,
 ``certify-spherical_s`` on the three spherical laws alone, ``scan-ank_s``,
 ``diagnose-reflection_s``, ``diagnose-rotation_s``, ``tv-exact_s``), each
 with the thread pins and ``PYTHONDONTWRITEBYTECODE`` of ``perfbench/run.py``;

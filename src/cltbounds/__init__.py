@@ -2,8 +2,8 @@
 error bounds for linear functionals of high-dimensional symmetric random
 vectors.
 
-Each public name is imported from its module on first use, so importing
-the package (or the CLI's numpy-free paths) loads no numpy."""
+Each public name, and each submodule, is imported on first use, so
+importing the package (or the CLI's numpy-free paths) loads no numpy."""
 
 __version__ = "0.1.0"
 
@@ -29,11 +29,14 @@ _MODULES = {
     "certify": ["BoundReport", "applicable_route", "certify_cell", "certify_grid"],
 }
 _MODULE_OF = {name: module for module, names in _MODULES.items() for name in names}
-__all__ = list(_MODULE_OF)
+__all__ = [*_MODULES, *_MODULE_OF]
 
 
 def __getattr__(name):
-    """Import the module of public ``name`` and keep the name here."""
+    """Import submodule ``name``, or the module of public ``name`` and keep
+    the name here."""
+    if name in _MODULES:
+        return importlib.import_module(f"{__name__}.{name}")
     if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)

@@ -146,6 +146,18 @@ def test_star_import_binds_every_public_name():
     assert set(cltbounds.__all__) <= set(dir(cltbounds))
 
 
+def test_import_reaches_every_module_but_the_cli(tmp_path):
+    # as when the package imported each module: `import cltbounds` alone
+    # reaches them as attributes, and `import *` binds them
+    modules = sorted(m.name for m in pkgutil.iter_modules(cltbounds.__path__) if m.name != "cli")
+    run_fresh(
+        "import cltbounds\n"
+        f"assert [m for m in {modules!r} if not hasattr(cltbounds, m)] == []\n"
+        f"assert set({modules!r}) <= set(cltbounds.__all__)",
+        tmp_path,
+    )
+
+
 def test_runtime_imports_are_the_declared_dependencies():
     # an import that no requirement covers fails only where it is not
     # installed; a requirement that no module imports is a cost for nothing
