@@ -12,8 +12,8 @@ import importlib
 _MODULES = {
     "contract": ["InapplicableBoundError", "InsufficientDataError"],
     "core": ["MomentSummary", "lp_norm", "merge_summaries", "normal_pdf", "summarize"],
-    "frames": ["SimplexGeometry", "TightFrame", "check_tight", "simplex_geometry",
-               "standard_frame"],
+    "frames": ["SimplexGeometry", "TightFrame", "check_tight", "simplex_edges",
+               "simplex_geometry", "simplex_projections", "standard_frame"],
     "samplers": ["DistributionSpec", "Kind", "SampleBatch", "calibrate_isotropic",
                  "exact_moments", "sample", "sample_projections"],
     "bounds": ["BoundInputs", "BoundValue", "DensePairMoments", "SimplexPairMoments",

@@ -19,6 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import as_unit_vector, lp_norm, normal_cdf_points, normal_pdf
+from .frames import simplex_projections
 from .samplers import Kind
 
 __all__ = [
@@ -323,17 +324,16 @@ def _simplex_assembled_pieces(n: int) -> tuple[float, float, float]:
     return alpha, beta, gamma
 
 
-def bound_simplex(theta, geometry) -> BoundValue:
+def bound_simplex(theta) -> BoundValue:
     """Kolmogorov bound c * sqrt(sum_i |<theta, v_i>|^3) for the simplex law.
 
     The constant is assembled from the explicit moment identities of the
     edge frame (valid for every n and theta); ``c1_effective`` records it.
     """
-    theta = as_unit_vector(theta, geometry.n)
-    t = geometry.vertices @ theta
+    theta = as_unit_vector(theta)
+    t = simplex_projections(theta)
     third = float(np.sum(np.abs(t) ** 3))
-    n = geometry.n
-    alpha, beta, gamma = _simplex_assembled_pieces(n)
+    alpha, beta, gamma = _simplex_assembled_pieces(theta.size)
     fourth = float(np.sum(t**4))
     value = 2.0 * math.sqrt(alpha * fourth + beta) + gamma * math.sqrt(third)
     c1_eff = value / math.sqrt(third) if third > 0.0 else math.inf

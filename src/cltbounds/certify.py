@@ -56,7 +56,6 @@ from .empirical import (
     kolmogorov_vs_normal,
     tv_from_counts,
 )
-from .frames import simplex_geometry
 from .samplers import (
     DistributionSpec,
     Kind,
@@ -196,7 +195,7 @@ def _evaluate_cell(
         notes.append(f"tv-allowance={TV_ESTIMATOR_ALLOWANCE}")
     else:
         if route == ROUTE_SIMPLEX:
-            bound = bound_simplex(theta, simplex_geometry(n))
+            bound = bound_simplex(theta)
             bound_name = "simplex-assembled"
         else:
             fourth, sq_cov, third_abs = exact_moments(spec)

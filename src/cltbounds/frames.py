@@ -12,7 +12,9 @@ __all__ = [
     "SimplexGeometry",
     "TightFrame",
     "check_tight",
+    "simplex_edges",
     "simplex_geometry",
+    "simplex_projections",
     "standard_frame",
 ]
 
@@ -55,18 +57,26 @@ def check_tight(frame: TightFrame) -> float:
     return float(np.linalg.norm(U.T @ U - (m / n) * np.eye(n), ord="fro"))
 
 
-def _helmert_complement(n: int) -> np.ndarray:
-    """(n, n+1) matrix with orthonormal rows spanning the hyperplane 1^perp.
+def simplex_projections(x) -> np.ndarray:
+    """t = V x, V = ``simplex_geometry(n).vertices``, for x (n,) or (n, D) in
+    O(n D): column k of V, from 1, is sqrt((n+1)/n) (1, ..., 1, -k, 0, ...)
+    / sqrt(k(k+1)), so t_i = sqrt((n+1)/n) (sum_{k>i} a_k - i a_i) with
+    a_k = x_k / sqrt(k(k+1)).  Of the identity it is V, bit and layout."""
+    x = np.asarray(x, dtype=float).T  # each vector along the last axis
+    n = x.shape[-1]
+    k = np.arange(1.0, n + 1.0)
+    root = np.sqrt(k * (k + 1.0))
+    t = np.zeros(x.shape[:-1] + (n + 1,))
+    np.cumsum(x[..., ::-1] / root[::-1], axis=-1, out=t[..., -2::-1])  # t_i = sum_{k>i} a_k
+    t[..., 1:] -= x * (k / root)
+    t *= math.sqrt((n + 1) / n)
+    return t.T
 
-    Row k is (1, ..., 1, -k, 0, ..., 0)/sqrt(k(k+1)); the k leading ones sum
-    to exactly k in floating point, so each row is exactly orthogonal to 1.
-    """
-    B = np.zeros((n, n + 1))
-    for k in range(1, n + 1):
-        B[k - 1, :k] = 1.0
-        B[k - 1, k] = -float(k)
-        B[k - 1] /= math.sqrt(k * (k + 1))
-    return B
+
+def simplex_edges(index, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The vertex pairs (i, j) at edge-frame positions index: ``pair_position`` inverted."""
+    i, j = np.divmod(np.asarray(index, dtype=np.intp), n)
+    return i, j + (j >= i)
 
 
 @dataclass(frozen=True)
@@ -78,8 +88,8 @@ class SimplexGeometry:
     sqrt(n/(2(n+1))) (v_i - v_j), which again form a tight frame, with
     ``edge_pairs[k]`` recording the (i, j) behind frame position k.  Both
     are built on first use: the frame takes 8 n^2 (n+1) bytes (217 MB at
-    n = 300), and the samplers, the simplex bound and the reflection pair
-    read only the vertices (the pair also reads ``edge_pairs``).
+    n = 300).  No command builds any of them: each takes t = V x from
+    ``simplex_projections`` and the vertex pairs from ``simplex_edges``.
     """
 
     n: int
@@ -87,11 +97,7 @@ class SimplexGeometry:
 
     @functools.cached_property
     def edge_pairs(self) -> np.ndarray:
-        n = self.n
-        i = np.repeat(np.arange(n + 1), n)
-        j = np.tile(np.arange(n), n + 1)
-        j += j >= i  # vertex i's n partners, in order, skipping i
-        return np.column_stack((i, j))
+        return np.column_stack(simplex_edges(np.arange(self.m), self.n))
 
     @functools.cached_property
     def edge_frame(self) -> TightFrame:
@@ -118,6 +124,4 @@ def simplex_geometry(n: int) -> SimplexGeometry:
     """Construct the regular-simplex vertex and edge frames in R^n."""
     if n < 2:
         raise ValueError(f"dimension must be at least 2, got {n}")
-    B = _helmert_complement(n)
-    vertices = math.sqrt((n + 1) / n) * B.T  # row i = image of e_i, centered + normalized
-    return SimplexGeometry(n=n, vertices=vertices)
+    return SimplexGeometry(n=n, vertices=simplex_projections(np.eye(n)))

@@ -30,7 +30,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .core import BLOCK_ROWS, CHUNK_ROWS, thread_map
-from .frames import simplex_geometry
+from .frames import simplex_edges, simplex_projections
 
 __all__ = [
     "BLOCK_ROWS",
@@ -505,12 +505,12 @@ def _filler(
       this fill at their own scale.
     * Every other law draws through ``_chunked``, ``CHUNK_ROWS`` rows at a
       time, with one chunk fill (put) that serves its rows and its
-      projections alike.  The simplex point is c (E / sum E) @ vertices with
-      c = sqrt(n (n + 2)) and E standard exponentials: each chunk of E is
-      projected onto M = c vertices, or M = c (vertices @ directions), an
-      (n+1, D) product per row instead of an (n+1, n) one, and divided by
-      sum E; its edge coefficient s <X, v_h - v_t> is
-      sqrt((n + 1)(n + 2) / 2) (E_h - E_t) / sum E, as <v_i, v_j> = -1/n.
+      projections alike.  The simplex point is c (E / sum E) @ V, V its
+      vertices, c = sqrt(n (n + 2)) and E standard exponentials: each chunk
+      of E is projected onto M = c V x, x the identity or the directions
+      (``frames.simplex_projections``, O(n D)), and divided by sum E; the
+      coefficient s <X, v_h - v_t> of edge (h, t) = ``frames.simplex_edges``
+      is sqrt((n + 1)(n + 2) / 2) (E_h - E_t) / sum E, as <v_i, v_j> = -1/n.
     * The lp ball, cone and surface measure at finite p draw from
       ``_lp_fill``, which takes the unscaled chunks and their row sums from
       ``_scaled`` and scales the block once; the ball and the cone of one
@@ -549,9 +549,8 @@ def _filler(
         return _lp_fill(p, group, directions)
 
     if kind is Kind.SIMPLEX:
-        geometry = simplex_geometry(n)
-        c = math.sqrt(n * (n + 2))
-        m = c * geometry.vertices if directions is None else c * (geometry.vertices @ directions)
+        vectors = np.eye(n) if directions is None else directions
+        m = math.sqrt(n * (n + 2)) * simplex_projections(vectors)
         edge_scale = math.sqrt((n + 1) * (n + 2) / 2.0)
 
         def put(rng, e):
@@ -559,7 +558,7 @@ def _filler(
             return e.sum(axis=1)
 
         def edges(e, index):  # s <X, v_h - v_t> times sum E, for edge (h, t)
-            heads, tails = geometry.edge_pairs[index].T
+            heads, tails = simplex_edges(index, n)
             rows = np.arange(len(e))
             return edge_scale * (e[rows, heads] - e[rows, tails])
 
@@ -613,7 +612,7 @@ def map_frame_blocks(
     projections X @ directions and its coefficient X_(k) in the law's
     reflection frame at its index k = index[row]: the coordinate X_k in the
     standard frame, and on the simplex s <X, v_h - v_t> with (h, t) =
-    ``SimplexGeometry.edge_pairs[k]`` and s = sqrt(n / (2 (n + 1))).
+    ``frames.simplex_edges(k, n)`` and s = sqrt(n / (2 (n + 1))).
 
     The rows are those of ``sample(spec, len(index), seed)``, up to
     rounding, drawn ``CHUNK_ROWS`` at a time: no (count, n) block is held.
@@ -738,5 +737,5 @@ def simplex_embedded_coordinates(batch: SampleBatch) -> np.ndarray:
     if batch.spec is None or batch.spec.kind is not Kind.SIMPLEX:
         raise ValueError("expected a simplex batch")
     n = batch.n
-    vertices = simplex_geometry(n).vertices
-    return math.sqrt(n / (n + 1)) * (batch.data @ vertices.T) + math.sqrt((n + 2) / (n + 1))
+    t = simplex_projections(batch.data.T).T  # <X, v_i> per row
+    return math.sqrt(n / (n + 1)) * t + math.sqrt((n + 2) / (n + 1))

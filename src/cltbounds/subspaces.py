@@ -14,7 +14,7 @@ from .bounds import exact_kolmogorov, has_exact_kolmogorov
 from .contract import InsufficientDataError, SymmetryError
 from .core import BLOCK_ROWS, as_unit_vector, thread_map
 from .empirical import KS_MIN_SAMPLES, _equal_count_bins, _ks_statistic
-from .frames import LABEL_SIMPLEX_EDGES, LABEL_STANDARD, simplex_geometry
+from .frames import LABEL_SIMPLEX_EDGES, LABEL_STANDARD, simplex_edges, simplex_projections
 from .samplers import (
     SPHERICAL_KINDS,
     UNCONDITIONAL_KINDS,
@@ -285,9 +285,9 @@ def reflection_pair_diagnostics(
     W' = W - 2 X_(I) theta_(I) is formed; all thetas share the rows and I.
     In the standard frame (m = n) the coefficients are the coordinates.  On
     the simplex (m = n(n+1)) index k is the edge (i, j) =
-    ``SimplexGeometry.edge_pairs[k]``, X_(k) = s <X, v_i - v_j> with
-    s = sqrt(n/(2(n+1))), and theta_(k) = s (t_i - t_j) with t = V theta;
-    the edge frame is never built.  Every field is a sampled estimate.
+    ``frames.simplex_edges(k, n)``, X_(k) = s <X, v_i - v_j> with
+    s = sqrt(n/(2(n+1))), theta_(k) = s (t_i - t_j), t = V theta, and no
+    frame or vertex matrix is built.  Every field is a sampled estimate.
 
     Checks run before any draw.  The indices are drawn first, in block
     order, from one stream.  One pass of ``samplers.map_frame_blocks``, on
@@ -307,17 +307,10 @@ def reflection_pair_diagnostics(
     _require_two_samples(N)
     n = spec.n
     thetas = [as_unit_vector(theta, n) for theta in thetas]
+    m = n * (n + 1) if simplex else n
     if simplex:
-        geom = simplex_geometry(n)
-        m, vertices = geom.m, geom.vertices
-        heads, tails = geom.edge_pairs.T
         edge_scale = math.sqrt(n / (2.0 * (n + 1)))
-        theta_coeffs = []
-        for theta in thetas:
-            t = vertices @ theta
-            theta_coeffs.append(edge_scale * (t[heads] - t[tails]))
-    else:
-        m, theta_coeffs = n, thetas
+        vertex_t = [simplex_projections(theta) for theta in thetas]
 
     # one pair_seed stream feeds every block's frame indices: draw them in order
     rng = np.random.default_rng(pair_seed)
@@ -330,7 +323,10 @@ def reflection_pair_diagnostics(
 
     def diff(t: int, rows) -> np.ndarray:
         """D = W - W' of theta t on rows (a slice or indices)."""
-        return 2.0 * coeff[rows] * theta_coeffs[t][index[rows]]
+        if not simplex:
+            return 2.0 * coeff[rows] * thetas[t][index[rows]]
+        heads, tails = simplex_edges(index[rows], n)
+        return 2.0 * coeff[rows] * (edge_scale * (vertex_t[t][heads] - vertex_t[t][tails]))
 
     def take(rows: slice, block: np.ndarray) -> None:
         coeff[rows] = block[:, -1]

@@ -400,7 +400,7 @@ class TestBoundSimplex:
                     third_abs_max=third_bound,
                 )
             ).value
-            assembled = bound_simplex(theta, geom).value
+            assembled = bound_simplex(theta).value
             assert assembled >= exact - 1e-12
 
     def test_random_theta_quarter_power_decay(self):
@@ -409,12 +409,11 @@ class TestBoundSimplex:
         ns = [16, 64, 256]
         medians = []
         for n in ns:
-            geom = simplex_geometry(n)
             vals = []
             for _ in range(40):
                 theta = rng.standard_normal(n)
                 theta /= np.linalg.norm(theta)
-                vals.append(bound_simplex(theta, geom).value)
+                vals.append(bound_simplex(theta).value)
             medians.append(np.median(vals))
         slope = np.polyfit(np.log(ns), np.log(medians), 1)[0]
         assert slope == pytest.approx(-0.25, abs=0.08)

@@ -69,6 +69,16 @@ def zero_bound(*args, **kwargs):
     return BoundValue(value=0.0, kind=KOLMOGOROV)
 
 
+# the simplex command paths on two thetas, run(spec, N)
+SIMPLEX_RUNS = [
+    lambda spec, N: certify_grid([spec], ["diagonal", "random(1)"], N=N, seed=3),
+    lambda spec, N: reflection_pair_diagnostics(
+        spec, [resolve_theta(t, spec.n)[0] for t in ("diagonal", "random(1)")], N, 3, 4,
+    ),
+]
+SIMPLEX_RUN_IDS = ["certify_grid", "reflection_pair_diagnostics"]
+
+
 def write_config(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -524,29 +534,32 @@ class TestStreaming:
             tracemalloc.stop()
         assert peak < 8 * n_samples * spec.n, f"peak {peak / 1e6:.1f} MB"
 
-    @pytest.mark.parametrize(
-        "run",
-        [
-            lambda spec: certify_grid([spec], ["diagonal", "random(1)"], N=5_000, seed=3),
-            lambda spec: reflection_pair_diagnostics(
-                spec, [resolve_theta(t, spec.n)[0] for t in ("diagonal", "random(1)")], 5_000,
-                3, 4,
-            ),
-        ],
-        ids=["certify_grid", "reflection_pair_diagnostics"],
-    )
+    @pytest.mark.parametrize("run", SIMPLEX_RUNS, ids=SIMPLEX_RUN_IDS)
     def test_simplex_never_builds_the_edge_frame(self, run):
         # the edge frame takes 8 n^2 (n + 1) bytes, 217 MB at n = 300; the
-        # simplex fill and bound read only the vertices, and the reflection
-        # pair the vertices and the edge pairs
+        # simplex fill, bound and reflection pair take the vertex projections
+        # from frames.simplex_projections and each edge from frames.simplex_edges
         n = 300
         tracemalloc.start()
         try:
-            run(DistributionSpec(Kind.SIMPLEX, n))
+            run(DistributionSpec(Kind.SIMPLEX, n), 5_000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 8 * n * n * (n + 1) / 4, f"peak {peak / 1e6:.1f} MB"
+
+    @pytest.mark.parametrize("run", SIMPLEX_RUNS, ids=SIMPLEX_RUN_IDS)
+    def test_simplex_never_builds_the_vertex_matrix(self, run):
+        # the (n + 1, n) vertex matrix takes 8 (n + 1) n bytes, 32 MB at
+        # n = 2000, and the (n (n + 1), 2) edge table twice as much
+        n = 2000
+        tracemalloc.start()
+        try:
+            run(DistributionSpec(Kind.SIMPLEX, n), 1_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (n + 1) * n, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestCliSample:

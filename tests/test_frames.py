@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cltbounds.core import as_vector
-from cltbounds.frames import TightFrame, check_tight, simplex_geometry, standard_frame
+from cltbounds.frames import (
+    TightFrame,
+    check_tight,
+    simplex_edges,
+    simplex_geometry,
+    simplex_projections,
+    standard_frame,
+)
 
 # residual above which custom_frame rejects a frame
 CUSTOM_RESIDUAL_TOL = 1e-8
@@ -76,6 +83,68 @@ class TestCheckTight:
         frame = custom_frame(vecs)
         assert check_tight(frame) < 1e-12
         assert frame.tight_constant == 2.0
+
+
+def helmert_vertices(n: int) -> np.ndarray:
+    """Reference: the simplex vertices as sqrt((n+1)/n) B^T, B the (n, n+1)
+    Helmert complement of 1 with row k = (1, ..., 1, -k, 0, ..., 0)/sqrt(k(k+1))."""
+    B = np.zeros((n, n + 1))
+    for k in range(1, n + 1):
+        B[k - 1, :k] = 1.0
+        B[k - 1, k] = -float(k)
+        B[k - 1] /= math.sqrt(k * (k + 1))
+    return math.sqrt((n + 1) / n) * B.T
+
+
+def repeat_tile_edge_pairs(n: int) -> np.ndarray:
+    """Reference: vertex i's n partners, in order, skipping i."""
+    i = np.repeat(np.arange(n + 1), n)
+    j = np.tile(np.arange(n), n + 1)
+    j += j >= i
+    return np.column_stack((i, j))
+
+
+class TestSimplexProjections:
+    @pytest.mark.parametrize("n", [2, 5, 100, 1000])
+    def test_vertices_equal_the_helmert_loop_bit_for_bit(self, n):
+        vertices = simplex_geometry(n).vertices
+        reference = helmert_vertices(n)
+        assert vertices.shape == reference.shape
+        assert vertices.tobytes(order="A") == reference.tobytes(order="A")
+        assert vertices.flags.f_contiguous == reference.flags.f_contiguous
+
+    @pytest.mark.parametrize("n", [2, 5, 100, 1000])
+    def test_equal_the_vertex_product(self, n):
+        vertices = helmert_vertices(n)
+        rng = np.random.default_rng(n)
+        theta = rng.standard_normal(n)
+        theta /= np.linalg.norm(theta)
+        directions = rng.standard_normal((n, 3))
+        directions /= np.linalg.norm(directions, axis=0)
+        t = simplex_projections(theta)
+        assert t.shape == (n + 1,)
+        np.testing.assert_allclose(t, vertices @ theta, rtol=0, atol=1e-14)
+        t = simplex_projections(directions)
+        assert t.shape == (n + 1, 3)
+        np.testing.assert_allclose(t, vertices @ directions, rtol=0, atol=1e-14)
+
+
+class TestSimplexEdges:
+    @pytest.mark.parametrize("n", [2, 3, 7, 40])
+    def test_reproduces_the_repeat_tile_table(self, n):
+        expected = repeat_tile_edge_pairs(n)
+        heads, tails = simplex_edges(np.arange(n * (n + 1)), n)
+        np.testing.assert_array_equal(np.column_stack((heads, tails)), expected)
+        np.testing.assert_array_equal(simplex_geometry(n).edge_pairs, expected)
+
+    @pytest.mark.parametrize("n", [2, 5, 17, 300])
+    def test_inverts_pair_position(self, n):
+        geom = simplex_geometry(n)
+        # the reflection pair's compact index types
+        index = np.arange(geom.m).astype(np.min_scalar_type(geom.m - 1))
+        heads, tails = simplex_edges(index, n)
+        positions = [geom.pair_position(int(i), int(j)) for i, j in zip(heads, tails)]
+        np.testing.assert_array_equal(positions, np.arange(geom.m))
 
 
 class TestSimplexGeometry:

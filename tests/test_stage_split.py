@@ -1,8 +1,8 @@
 """``benchmarks/stage_split.py`` imports cltbounds functions by name and calls
 them directly: each of its pipeline modes must run to completion and report
-its stages, and ``subspace`` on the simplex too, whose reflection step takes
-the edge pairs from the vertices.  Renaming or deleting what it calls fails
-here."""
+its stages, and ``subspace`` on the simplex too, whose reflection step maps
+each drawn edge index to its two vertices.  Renaming or deleting what it
+calls fails here."""
 
 import json
 import os
