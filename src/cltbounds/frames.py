@@ -88,7 +88,7 @@ class SimplexGeometry:
     sqrt(n/(2(n+1))) (v_i - v_j), which again form a tight frame, with
     ``edge_pairs[k]`` recording the (i, j) behind frame position k.  Both
     are built on first use: the frame takes 8 n^2 (n+1) bytes (217 MB at
-    n = 300).  No command builds any of them: each takes t = V x from
+    n = 300).  No command builds a SimplexGeometry: each takes t = V x from
     ``simplex_projections`` and the vertex pairs from ``simplex_edges``.
     """
 
