@@ -31,7 +31,7 @@ line, one after another (``ank_*_s``) and again on ``CLTBOUNDS_THREADS``
 threads (``ank_ks_threaded_s``), then the whole ``estimate_Ank`` call
 (``ank_total_s``).  On a law whose lines ``estimate_Ank`` evaluates exactly
 (the cube), that call runs no sampled stage: ``ank_exact_s`` times
-``bounds.exact_kolmogorov`` on the 32 lines one after another, and the
+``exact.exact_kolmogorov`` on the 32 lines one after another, and the
 sampled stages show what the sampled path would cost.  Every
 ``*_total_s`` passes ``CLTBOUNDS_THREADS`` as ``workers``.  It times the
 whole reflection step of ``diagnose`` (``reflection_total_s``: the three
@@ -100,7 +100,6 @@ import numpy as np
 
 import cltbounds
 from cltbounds import subspaces
-from cltbounds.bounds import exact_kolmogorov, exact_tv_vs_normal, has_exact_kolmogorov
 from cltbounds.certify import certify_grid, resolve_theta
 from cltbounds.empirical import (
     _ks_statistic,
@@ -110,6 +109,7 @@ from cltbounds.empirical import (
     tv_from_counts,
     tv_vs_normal_histogram,
 )
+from cltbounds.exact import exact_kolmogorov, exact_tv_vs_normal
 from cltbounds.samplers import (
     BLOCK_ROWS,
     SPHERICAL_KINDS,
@@ -250,7 +250,7 @@ def subspace_pass(spec: DistributionSpec, n_samples: int, seed: int) -> dict[str
         list(pool.map(_ks_statistic, rows))
     times["ank_ks_threaded_s"] = time.perf_counter() - start
     del rows
-    if has_exact_kolmogorov(spec):
+    if subspaces.check_ank_samples(spec, 1, n_samples):
         start = time.perf_counter()
         for line in lines.T:
             exact_kolmogorov(spec, line)

@@ -1,7 +1,6 @@
-"""Closed-form evaluation of the normal-approximation error bounds, the
-exact simplex moment formulas, and the exact projection densities and total
-variation of the kinds with closed-form marginals (``EXACT_MARGINALS``),
-by Gauss-Legendre quadrature in numpy.
+"""Closed-form evaluation of the paper's normal-approximation error bounds
+and the exact simplex moment formulas.  The exact laws of the projections,
+which check these bounds, are in ``exact``.
 
 Kolmogorov-type bounds control sup_t |P[W <= t] - Phi(t)| for W = <X, theta>;
 total-variation bounds use the L1-of-densities convention (twice the sup
@@ -10,24 +9,20 @@ over measurable sets).
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import as_unit_vector, lp_norm, normal_cdf_points, normal_pdf
+from .core import as_unit_vector, lp_norm
+from .exact import exact_tv_vs_normal  # perfbench/tracer.py looks it up in bounds by name
 from .frames import simplex_projections
-from .samplers import Kind
 
 __all__ = [
     "BoundInputs",
     "BoundValue",
     "DensePairMoments",
-    "EXACT_MARGINALS",
-    "EXACT_MARGINAL_MAX_N",
     "KOLMOGOROV",
     "SimplexPairMoments",
     "TOTAL_VARIATION",
@@ -39,10 +34,6 @@ __all__ = [
     "bound_sph_symm",
     "bound_unconditional",
     "bound_unconditional_bounded",
-    "exact_kolmogorov",
-    "exact_projection_density",
-    "exact_tv_vs_normal",
-    "has_exact_kolmogorov",
     "simplex_Y_moment",
     "simplex_pair_moment",
 ]
@@ -391,272 +382,3 @@ def bound_poincare(n: int, lambda1: float) -> BoundValue:
         kind=TOTAL_VARIATION,
         constants_used={"lambda1": lambda1},
     )
-
-
-# kinds whose projection <X, theta> has one closed-form law for every unit
-# theta: kind -> (m - n, minimum n).  The law is that of the first coordinate
-# of the uniform sphere of radius sqrt(m) in R^m, density
-# c_m (1 - t^2/m)^((m-3)/2) on |t| < sqrt(m); the uniform ball in R^n projects
-# like the sphere in R^(n+2).
-EXACT_MARGINALS = {Kind.SPHERE_SHELL: (0, 3), Kind.BALL_UNIFORM: (2, 2)}
-
-# largest n any test checks: n * TV stays within 1e-3 of its limit 0.7001 up
-# to n = 1e6, where a 64-panel, 128-node rule agrees within 1e-17.  The log
-# normalizer (``_log_gamma_ratio``) keeps its digits beyond, and with the cap
-# lifted n * TV reads 0.700150 from n = 1e7 to 1e9, but no test covers that
-EXACT_MARGINAL_MAX_N = 10**6
-
-# crossings of the two densities are bracketed on this many grid points over
-# [0, min(r, _CROSSING_REACH)], then bisected this many times; each one-signed
-# piece is integrated with this many Gauss-Legendre panels and nodes per
-# panel.  Past the reach both densities are below 1e-300 (the normal's
-# underflows to 0 from t = 38.6), so the rest of the support is one piece
-_CROSSING_GRID = 4097
-_CROSSING_REACH = 40.0
-_BISECTIONS = 60
-_PANELS, _NODES = 8, 64
-
-
-@functools.cache
-def _legendre_nodes(count: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(count)
-
-
-def _panel_rule(ends: np.ndarray, panels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule on ``panels`` equal panels of each piece
-    [ends[i], ends[i+1]]: the (pieces, panels, _NODES) nodes, the
-    (pieces, 1) panel half-widths and the _NODES weights, so the
-    integral of f over piece i is ``(half * (f(nodes) @ w)).sum(axis=1)[i]``."""
-    x, w = _legendre_nodes(_NODES)
-    width = np.diff(ends)[:, None] / panels
-    left = ends[:-1, None] + width * np.arange(panels)
-    return left[:, :, None] + 0.5 * width[:, :, None] * (x + 1.0), 0.5 * width, w
-
-
-def _log_gamma_ratio(m: int) -> float:
-    """log Gamma(m/2) - log Gamma((m-1)/2).
-
-    With x = (m-1)/2: for x < 25 the difference of ``math.lgamma`` values,
-    within 7.2e-15 of 50-digit mpmath for m <= 50.  From x = 25 on, where
-    that difference of two large numbers loses digits (5e-10 at m = 1e6),
-    the asymptotic series of log Gamma(x + 1/2) - log Gamma(x) through
-    x^-7: its truncation error is 4.4e-16 at x = 25 and falls as x^-9, and
-    it is within 6e-16 of mpmath for m > 50.
-    """
-    x = (m - 1) / 2.0
-    if x < 25.0:
-        return math.lgamma(m / 2.0) - math.lgamma(x)
-    y = 1.0 / (x * x)
-    return 0.5 * math.log(x) + (-1 / 8 + y * (1 / 192 + y * (-1 / 640 + y * 17 / 14336))) / x
-
-
-def _marginal_params(kind, n: int) -> tuple[float, float, float]:
-    """(support radius^2, exponent, log normalizer) of the projection density;
-    ``kind`` is a Kind or its string value."""
-    if kind not in EXACT_MARGINALS:
-        raise ValueError(f"no closed-form marginal for kind {kind!r}")
-    shift, min_n = EXACT_MARGINALS[kind]
-    if not min_n <= n <= EXACT_MARGINAL_MAX_N:
-        raise ValueError(
-            f"the {Kind(kind).value} marginal density formula is validated for "
-            f"{min_n} <= n <= {EXACT_MARGINAL_MAX_N}, got n={n}"
-        )
-    m = n + shift
-    log_c = _log_gamma_ratio(m) - 0.5 * math.log(m * math.pi)
-    return float(m), (m - 3) / 2.0, log_c
-
-
-def exact_projection_density(kind, n: int, t) -> np.ndarray | float:
-    """Exact density of W = <X, theta> for the sphere-shell or ball law.
-
-    Zero outside the support (not an error); vectorized over t.
-    """
-    r_sq, exponent, log_c = _marginal_params(kind, n)
-    t_arr = np.asarray(t, dtype=float)
-    out = np.zeros_like(t_arr, dtype=float)
-    inside = t_arr * t_arr < r_sq
-    out[inside] = np.exp(log_c + exponent * np.log1p(-t_arr[inside] ** 2 / r_sq))
-    return float(out) if out.ndim == 0 else out
-
-
-def exact_tv_vs_normal(kind, n: int) -> float:
-    """Total variation (L1 of densities) between the projection law and the
-    standard normal, by sign-resolved Gauss-Legendre quadrature.
-
-    Crossings of the two densities are bracketed on a grid over
-    [0, min(r, 40)] and bisected, so each piece has one sign; [40, r], where
-    both densities are below 1e-300, is the last piece.  Each piece is
-    integrated in phi = arcsin(t/r): the density's factor (1 - t^2/r^2)^e
-    has a square-root edge at e = 1/2 (sphere n=4, ball n=2), which
-    dt = r cos(phi) dphi turns into a smooth cos^(2e+1) phi.  Absolute error is below 1e-14 for both
-    kinds at every validated n: the log normalizer is within 7.2e-15 of its
-    exact value (``_log_gamma_ratio``), which moves the L1 distance by at
-    most as much, and a 64-panel, 128-node rule agrees with this one within
-    6e-17 from n = 2 to 1e6.
-    """
-    r_sq, _, _ = _marginal_params(kind, n)
-    radius = math.sqrt(r_sq)
-
-    def diff(t):
-        return exact_projection_density(kind, n, t) - normal_pdf(t)
-
-    reach = min(radius, _CROSSING_REACH)
-    grid = np.linspace(0.0, reach, _CROSSING_GRID)
-    vals = diff(grid)
-    # a sign change brackets a crossing (where both densities underflow, the
-    # zeros are no crossing); bisection keeps the half where f(lo) f(mid) <= 0
-    at = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
-    lo, hi, f_lo = grid[at], grid[at + 1], vals[at]
-    for _ in range(_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        right = diff(mid) * f_lo > 0.0
-        lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
-    ends = np.concatenate([[0.0], lo, [reach], [radius] if reach < radius else []])
-    ends = np.arcsin(ends / radius)
-    phi, half, w = _panel_rule(ends, _PANELS)
-    pieces = half * (diff(radius * np.sin(phi)) * radius * np.cos(phi) @ w)
-    tail = normal_cdf_points(-radius)  # all normal mass outside the support
-    return 2.0 * (float(np.abs(pieces.sum(axis=1)).sum()) + tail)
-
-
-# exact_kolmogorov: the Gil-Pelaez integral runs over u in [0, U] on
-# Gauss-Legendre panels of width _CF_PANEL_WIDTH; U starts at _CF_SPAN and
-# doubles, at most _CF_DOUBLINGS times, until the truncation bound falls below
-# _KOLMOGOROV_TOL.  Lines through at most _SPLINE_TERMS coordinates use the
-# closed-form law instead: there the characteristic function decays too
-# slowly for any such U
-_CF_SPAN, _CF_PANEL_WIDTH, _CF_DOUBLINGS = 10.0, 5.0, 6
-_SPLINE_TERMS = 4
-# the distance is sought on a grid of this many points over [0, T], and cells
-# are halved until no cell can exceed the grid maximum by more than the tolerance
-_KOLMOGOROV_GRID = 241
-_KOLMOGOROV_TOL = 1e-14
-# T is this many standard deviations (at least one) of the projection
-_KOLMOGOROV_REACH = 9.0
-# values computed in chunks of this many t, bounding the (t, u) array
-_T_CHUNK = 64
-
-
-def has_exact_kolmogorov(spec) -> bool:
-    """Whether ``exact_kolmogorov`` evaluates the lines of spec's law."""
-    return spec.kind is Kind.LP_BALL and math.isinf(spec.p)
-
-
-def _uniform_sum_spline(c: np.ndarray):
-    """F - Phi for W = sum_i c_i U_i (U_i uniform on [-1, 1], c_i > 0) in
-    closed form, and a bound on its rounding error.
-
-    F(t) = sum over sign vectors e of prod(e) (t + e.c)_+^m / (m! 2^m prod c),
-    the integral of the box spline; its terms cancel, so this is for small m.
-    """
-    m = len(c)
-    signs = np.array(list(itertools.product((1.0, -1.0), repeat=m)))
-    knots, parity = signs @ c, signs.prod(axis=1)
-    norm = math.factorial(m) * 2**m * float(np.prod(c))
-    reach = float(c.sum())  # F = 1 from here on
-
-    def diff(t: np.ndarray) -> np.ndarray:
-        powers = np.maximum(np.minimum(t, reach)[:, None] + knots, 0.0) ** m
-        return (powers @ parity) / norm - normal_cdf_points(t)
-
-    # 2^m terms, each at most (2 reach)^m / norm and carrying m + 2 roundings
-    rounding = 2**m * (2.0 * reach) ** m / norm * (m + 2) * np.finfo(float).eps
-    return diff, rounding
-
-
-def _uniform_sum_gil_pelaez(c: np.ndarray):
-    """F - Phi for W = sum_i c_i U_i by Gil-Pelaez inversion of the
-    characteristic function prod_i sin(c_i u)/(c_i u), and a bound on the
-    truncation of its integral at u = U.
-
-    W and N(0, 1) are symmetric, so F(t) - Phi(t) is
-    (1/pi) int_0^inf sin(tu) (phi(u) - e^(-u^2/2)) / u du.  Past U,
-    |phi(u)| <= prod_{i in K} 1/(c_i u) with K the i where c_i U >= 1, whose
-    integral against du/u is prod_K 1/(c_i U) / |K|, and the Gaussian term
-    integrates to at most e^(-U^2/2)/U^2.
-    """
-
-    def truncation(span: float) -> float:
-        decaying = c[c * span >= 1.0]
-        if not len(decaying):
-            return math.inf
-        power = math.exp(-float(np.log(decaying * span).sum())) / len(decaying)
-        return (power + math.exp(-0.5 * span * span) / span**2) / math.pi
-
-    span = _CF_SPAN
-    for _ in range(_CF_DOUBLINGS):
-        if truncation(span) <= _KOLMOGOROV_TOL:
-            break
-        span *= 2.0
-    nodes, half, w = _panel_rule(np.array([0.0, span]), round(span / _CF_PANEL_WIDTH))
-    u = nodes.ravel()
-    cu = np.multiply.outer(u, c)  # u > 0 and c > 0
-    cf = (np.sin(cu) / cu).prod(axis=1)
-    weights = np.broadcast_to(half[..., None] * w, nodes.shape).ravel()
-    weights = weights * (cf - np.exp(-0.5 * u * u)) / (math.pi * u)
-
-    def diff(t: np.ndarray) -> np.ndarray:
-        return np.concatenate([
-            np.sin(np.multiply.outer(t[lo : lo + _T_CHUNK], u)) @ weights
-            for lo in range(0, len(t), _T_CHUNK)
-        ])
-
-    return diff, truncation(span)
-
-
-def _certified_sup(diff, reach: float, curvature: float) -> float:
-    """Upper bound on sup |diff| over [0, reach], given |diff''| <= curvature.
-
-    On a cell of width h, |diff| exceeds the larger of its end values by at
-    most curvature h^2 / 8.  From a grid, every cell whose bound exceeds the
-    largest value seen is halved, until none exceeds it by more than
-    _KOLMOGOROV_TOL; the largest remaining bound is returned.
-    """
-    t = np.linspace(0.0, reach, _KOLMOGOROV_GRID)
-    g = np.abs(diff(t))
-    best, h = float(g.max()), reach / (_KOLMOGOROV_GRID - 1)
-    left, g_left, g_right = t[:-1], g[:-1], g[1:]
-    while True:
-        upper = np.maximum(g_left, g_right) + curvature * h * h / 8.0
-        if upper.max() <= best + _KOLMOGOROV_TOL:
-            return max(best, float(upper.max()))
-        live = upper > best
-        left, g_left, g_right = left[live], g_left[live], g_right[live]
-        h /= 2.0
-        mid = left + h
-        g_mid = np.abs(diff(mid))
-        best = max(best, float(g_mid.max()))
-        left = np.concatenate([left, mid])
-        g_left, g_right = np.concatenate([g_left, g_mid]), np.concatenate([g_mid, g_right])
-
-
-def exact_kolmogorov(spec, theta) -> float:
-    """Certified upper bound on sup_t |P[<X, theta> <= t] - Phi(t)| for a
-    law with ``has_exact_kolmogorov(spec)``: the cube, where
-    <X, theta> = sum_i c_i U_i with c = scale * theta and U_i i.i.d. uniform
-    on [-1, 1].
-
-    F - Phi is odd, so it is evaluated on [0, T] with T = 9 max(sd, 1):
-    beyond T both tails are below e^(-40.5) (W is sub-Gaussian with variance
-    proxy sum c_i^2 / 3).  Lines through at most four coordinates take the
-    closed-form law, the rest Gil-Pelaez inversion on Gauss-Legendre panels.
-    The grid maximum is refined under a curvature bound on F - Phi: the
-    density's derivative is at most 1/(4 c_(1) c_(2)) for the two largest
-    |c_i| (convolving the two uniforms), and the normal density's at most
-    phi(1).  The result adds the truncation (or rounding) bound.  The
-    quadrature error is not bounded, but small: four times the panels moved
-    the value by less than 1e-16 on 112 random lines with n from 5 to 100.
-    """
-    if not has_exact_kolmogorov(spec):
-        raise ValueError(f"no exact Kolmogorov distance for {spec.kind.value} p={spec.p}")
-    c = np.sort(np.abs(spec.scale * as_unit_vector(theta, spec.n)))[::-1]
-    c = c[c > 0.0]
-    if len(c) < 2:
-        raise ValueError("the line must meet at least two coordinates: along one "
-                         "the projection's density jumps and no curvature bound holds")
-    sd = max(math.sqrt(float(c @ c) / 3.0), 1.0)
-    evaluate = _uniform_sum_spline if len(c) <= _SPLINE_TERMS else _uniform_sum_gil_pelaez
-    diff, error = evaluate(c)
-    curvature = 1.0 / (4.0 * c[0] * c[1]) + float(normal_pdf(1.0))
-    beyond = math.exp(-0.5 * _KOLMOGOROV_REACH**2)
-    return float(max(_certified_sup(diff, _KOLMOGOROV_REACH * sd, curvature) + error, beyond))

@@ -26,7 +26,9 @@ Kolmogorov routes pass when (point estimate - DKW slack) <= bound; total
 variation routes compare the histogram estimate against bound + a fixed
 estimator allowance.  The bounds hold for isotropic vectors, which every
 spec is, and carry the source's explicit constants, so no setting changes a
-gating bound.  A cell reports the one bound that gates it.
+gating bound.  A cell reports the one bound that gates it, chosen in one
+place (``_gating_bound``) on exact inputs: ``samplers.exact_moments`` and
+``exact.exact_norm_sq_std``.
 """
 
 from __future__ import annotations
@@ -56,12 +58,12 @@ from .empirical import (
     kolmogorov_vs_normal,
     tv_from_counts,
 )
+from .exact import exact_norm_sq_std
 from .samplers import (
     DistributionSpec,
     Kind,
     SPHERICAL_KINDS,
     UNCONDITIONAL_KINDS,
-    _exact_norm_sq_std,
     derive_seed,
     exact_moments,
     map_projection_blocks,
@@ -173,6 +175,17 @@ class BoundReport:
         }
 
 
+def _gating_bound(spec: DistributionSpec, route: str, theta) -> tuple[str, BoundValue]:
+    """The name and value of the bound that gates spec's cell on theta, on
+    ``route``.  Every bound input is exact."""
+    if route == ROUTE_SPHERICAL:
+        statistic = exact_norm_sq_std(spec)
+        return "spherical-std-dev[exact]", bound_sph_symm(spec.n, VARIANT_STD_DEV, statistic)
+    if route == ROUTE_SIMPLEX:
+        return "simplex-assembled", bound_simplex(theta)
+    return "unconditional[exact]", bound_unconditional(theta, *exact_moments(spec))
+
+
 def _evaluate_cell(
     spec: DistributionSpec,
     route: str,
@@ -183,34 +196,22 @@ def _evaluate_cell(
     delta: float,
 ) -> BoundReport:
     """The certification predicate for one cell, given the empirical
-    distance of its projections.  Every bound input is exact."""
-    n = spec.n
-    notes: list[str] = []
-
+    distance of its projections."""
+    bound_name, bound = _gating_bound(spec, route, theta)
     if route == ROUTE_SPHERICAL:
-        bound = bound_sph_symm(n, VARIANT_STD_DEV, _exact_norm_sq_std(spec))
-        bound_name = "spherical-std-dev[exact]"
         adjusted = empirical.point_estimate - TV_ESTIMATOR_ALLOWANCE
         vacuous = bound.value >= 2.0
-        notes.append(f"tv-allowance={TV_ESTIMATOR_ALLOWANCE}")
+        notes = [f"tv-allowance={TV_ESTIMATOR_ALLOWANCE}"]
     else:
-        if route == ROUTE_SIMPLEX:
-            bound = bound_simplex(theta)
-            bound_name = "simplex-assembled"
-        else:
-            fourth, sq_cov, third_abs = exact_moments(spec)
-            bound = bound_unconditional(theta, fourth, sq_cov, third_abs)
-            bound_name = "unconditional[exact]"
         adjusted = empirical.point_estimate - empirical.dkw_slack
         vacuous = bound.value >= 1.0
-        if vacuous:
-            notes.append("vacuous bound, trivially passes")
+        notes = ["vacuous bound, trivially passes"] if vacuous else []
 
     passed = adjusted <= bound.value
     return BoundReport(
         spec=spec,
         theta_label=theta_label,
-        n=n,
+        n=spec.n,
         N=empirical.n_samples,
         seed=seed,
         delta=delta,

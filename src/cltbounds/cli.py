@@ -414,25 +414,18 @@ def _check_cell(r, i: int) -> None:
 
 
 def _cmd_tv_exact(cfg: dict) -> int:
-    """Convenience: quadrature-exact TV table for the closed-form marginals."""
-    from .bounds import EXACT_MARGINAL_MAX_N, EXACT_MARGINALS, exact_tv_vs_normal
-    from .samplers import Kind
+    """Convenience: quadrature-exact TV table for the laws with an exact TV."""
+    from .exact import EXACT_LAWS, TV, exact_law, exact_tv_vs_normal
 
-    kind = cfg.get("kind", Kind.SPHERE_SHELL.value)
-    if not isinstance(kind, str) or kind not in EXACT_MARGINALS:
-        raise ConfigError(
-            f"no closed-form marginal for kind {kind!r}; expected one of "
-            f"{[k.value for k in EXACT_MARGINALS]}"
-        )
-    n_list = _require(cfg, "n_list")
-    _, min_n = EXACT_MARGINALS[kind]
-    if not isinstance(n_list, list) or not n_list:
-        raise ConfigError(f"'n_list' must be a non-empty list of integers >= {min_n}")
+    # by default, the table's first law with an exact TV
+    kind = cfg.get("kind", next(law.kind.value for law in EXACT_LAWS if TV in law.distances))
+    n_list = _nonempty_list(_require(cfg, "n_list"), "n_list")
     for n in n_list:
-        if _integer(n, "'n_list' entry", min_n) > EXACT_MARGINAL_MAX_N:
-            raise ConfigError(
-                f"tv-exact is validated for {min_n} <= n <= {EXACT_MARGINAL_MAX_N}, got n={n}"
-            )
+        _integer(n, "'n_list' entry")
+        try:
+            exact_law(TV, kind, n)
+        except ValueError as exc:  # no exact TV for kind, or n outside its range
+            raise ConfigError(f"tv-exact: {exc}") from exc
     out = _out_dir(cfg)
     path = out / "tv_exact.csv"
     with open(path, "w", newline="") as fh:

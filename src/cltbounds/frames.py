@@ -15,6 +15,7 @@ __all__ = [
     "simplex_edges",
     "simplex_geometry",
     "simplex_projections",
+    "simplex_vertices",
     "standard_frame",
 ]
 
@@ -73,6 +74,18 @@ def simplex_projections(x) -> np.ndarray:
     return t.T
 
 
+def simplex_vertices(n: int, scale: float = 1.0) -> np.ndarray:
+    """scale V, V = ``simplex_geometry(n).vertices`` (column-major): the
+    ``simplex_projections`` of the identity 128 columns at a time, each with
+    its bits in the whole, so beside V it holds no (n, n) array."""
+    v = np.empty((n + 1, n), order="F")
+    for lo in range(0, n, 128):
+        columns = np.eye(n, min(128, n - lo), -lo)  # e_lo, e_(lo+1), ...
+        v[:, lo : lo + columns.shape[1]] = simplex_projections(columns)
+    v *= scale
+    return v
+
+
 def simplex_edges(index, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The vertex pairs (i, j) at edge-frame positions index: ``pair_position`` inverted."""
     i, j = np.divmod(np.asarray(index, dtype=np.intp), n)
@@ -124,4 +137,4 @@ def simplex_geometry(n: int) -> SimplexGeometry:
     """Construct the regular-simplex vertex and edge frames in R^n."""
     if n < 2:
         raise ValueError(f"dimension must be at least 2, got {n}")
-    return SimplexGeometry(n=n, vertices=simplex_projections(np.eye(n)))
+    return SimplexGeometry(n=n, vertices=simplex_vertices(n))

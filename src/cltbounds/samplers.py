@@ -30,7 +30,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .core import BLOCK_ROWS, CHUNK_ROWS, thread_map
-from .frames import simplex_edges, simplex_projections
+from .frames import simplex_edges, simplex_projections, simplex_vertices
 
 __all__ = [
     "BLOCK_ROWS",
@@ -267,18 +267,6 @@ def _map_blocks(fill, blocks, fn: Callable[[slice, np.ndarray], None], workers: 
     thread_map(run, blocks, workers)
 
 
-def _exact_norm_sq_std(spec: DistributionSpec) -> float:
-    """Closed-form sqrt(Var ||X||^2) of the spherically symmetric spec at its
-    isotropic scale: ||X||^2 is scale^2 R^2 with the radius R drawn by
-    ``_reduced_spherical_block``."""
-    n = spec.n
-    if spec.kind is Kind.SPHERE_SHELL:
-        return 0.0
-    if spec.kind is Kind.BALL_UNIFORM:
-        return math.sqrt(4.0 * n / (n + 4))
-    return math.sqrt(n * (4.0 * n + 6.0) / (n + 1))  # spherical exponential
-
-
 def _generalized_gaussian_block(rng: np.random.Generator, p: float, g: np.ndarray) -> np.ndarray:
     """Fill the C-contiguous (count, n) array g with i.i.d. draws of density
     proportional to exp(-|t|^p), and return the sums of |g|^p along each
@@ -507,10 +495,11 @@ def _filler(
       time, with one chunk fill (put) that serves its rows and its
       projections alike.  The simplex point is c (E / sum E) @ V, V its
       vertices, c = sqrt(n (n + 2)) and E standard exponentials: each chunk
-      of E is projected onto M = c V x, x the identity or the directions
-      (``frames.simplex_projections``, O(n D)), and divided by sum E; the
-      coefficient s <X, v_h - v_t> of edge (h, t) = ``frames.simplex_edges``
-      is sqrt((n + 1)(n + 2) / 2) (E_h - E_t) / sum E, as <v_i, v_j> = -1/n.
+      of E is projected onto M = c V (``frames.simplex_vertices``) or, given
+      directions x, M = c V x (``frames.simplex_projections``, O(n D)), and
+      divided by sum E; the coefficient s <X, v_h - v_t> of edge (h, t) =
+      ``frames.simplex_edges`` is sqrt((n + 1)(n + 2) / 2) (E_h - E_t) / sum E,
+      as <v_i, v_j> = -1/n.
     * The lp ball, cone and surface measure at finite p draw from
       ``_lp_fill``, which takes the unscaled chunks and their row sums from
       ``_scaled`` and scales the block once; the ball and the cone of one
@@ -549,8 +538,8 @@ def _filler(
         return _lp_fill(p, group, directions)
 
     if kind is Kind.SIMPLEX:
-        vectors = np.eye(n) if directions is None else directions
-        m = math.sqrt(n * (n + 2)) * simplex_projections(vectors)
+        c = math.sqrt(n * (n + 2))
+        m = simplex_vertices(n, c) if directions is None else c * simplex_projections(directions)
         edge_scale = math.sqrt((n + 1) * (n + 2) / 2.0)
 
         def put(rng, e):

@@ -10,10 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import exact_kolmogorov, has_exact_kolmogorov
 from .contract import InsufficientDataError, SymmetryError
 from .core import BLOCK_ROWS, as_unit_vector, thread_map
 from .empirical import KS_MIN_SAMPLES, _equal_count_bins, _ks_statistic
+from .exact import D_K, exact_kolmogorov, exact_law
 from .frames import LABEL_SIMPLEX_EDGES, LABEL_STANDARD, simplex_edges, simplex_projections
 from .samplers import (
     SPHERICAL_KINDS,
@@ -151,9 +151,13 @@ class AnkEstimate:
 
 
 def check_ank_samples(spec, k: int, N: int) -> bool:
-    """Whether ``estimate_Ank`` takes the cube's exact line distances (k = 1)
-    instead of sampling; a sampled spec with N < ``KS_MIN_SAMPLES`` raises."""
-    exact = k == 1 and has_exact_kolmogorov(spec)
+    """Whether ``estimate_Ank`` takes the exact line distances (k = 1) of a
+    law that has them in ``exact.EXACT_LAWS`` instead of sampling; a sampled
+    spec with N < ``KS_MIN_SAMPLES`` raises."""
+    try:
+        exact = k == 1 and bool(exact_law(D_K, spec.kind, spec.n, spec.p))
+    except ValueError:
+        exact = False
     if not exact and N < KS_MIN_SAMPLES:
         raise InsufficientDataError(f"need at least {KS_MIN_SAMPLES} samples, got N={N}")
     return exact
@@ -176,8 +180,8 @@ def estimate_Ank(
     most eps.  For k = 1 the unit sphere of the subspace is the two signs of
     its line, and the Kolmogorov distance of -W equals that of W, so one
     distance per line is the sup and no direction is sampled.  Where
-    ``bounds.has_exact_kolmogorov(spec)`` holds (the cube) that distance is
-    ``bounds.exact_kolmogorov``: nothing is sampled, so the result does not
+    ``check_ank_samples`` says so (the cube) that distance is
+    ``exact.exact_kolmogorov``: nothing is sampled, so the result does not
     depend on N.  Otherwise N samples are projected onto ``n_dirs`` uniform
     directions (default 50 k) in each subspace (at k = 1, onto the line);
     ``check_ank_samples`` raises before any draw when N is too small.

@@ -17,7 +17,6 @@ from conftest import record_acceptance_line
 from cltbounds.bounds import (
     bound_poincare,
     bound_sph_symm,
-    exact_tv_vs_normal,
     simplex_Y_moment,
     simplex_pair_moment,
     VARIANT_STD_DEV,
@@ -29,6 +28,7 @@ from cltbounds.empirical import (
     streaming_pair_square_covariance,
     tv_vs_normal_histogram,
 )
+from cltbounds.exact import exact_tv_vs_normal
 from cltbounds.frames import check_tight, simplex_geometry, standard_frame
 from cltbounds.samplers import (
     DistributionSpec,

@@ -8,11 +8,10 @@ from scipy import integrate, optimize
 from scipy.special import ndtr
 from scipy.stats import binom
 
-from cltbounds import bounds as bounds_module
+from cltbounds import exact as exact_module
 from cltbounds.bounds import (
     BoundInputs,
     DensePairMoments,
-    EXACT_MARGINAL_MAX_N,
     FLAG_RADICAND_CLAMPED,
     KOLMOGOROV,
     SimplexPairMoments,
@@ -28,22 +27,21 @@ from cltbounds.bounds import (
     bound_sph_symm,
     bound_unconditional,
     bound_unconditional_bounded,
-    exact_kolmogorov,
-    exact_projection_density,
-    exact_tv_vs_normal,
     simplex_Y_moment,
     simplex_pair_moment,
 )
-from cltbounds.certify import resolve_theta
+from cltbounds.certify import _gating_bound, applicable_route, resolve_theta
 from cltbounds.empirical import _ks_statistic, dkw_slack
-from cltbounds.frames import simplex_geometry
-from cltbounds.samplers import (
-    DistributionSpec,
-    Kind,
-    _exact_norm_sq_std,
-    exact_moments,
-    sample_projections,
+from cltbounds.exact import (
+    D_K,
+    EXACT_LAWS,
+    EXACT_MARGINAL_MAX_N,
+    exact_kolmogorov,
+    exact_projection_density,
+    exact_tv_vs_normal,
 )
+from cltbounds.frames import simplex_geometry
+from cltbounds.samplers import DistributionSpec, Kind, sample_projections
 from cltbounds.subspaces import random_subspace
 
 CUBE_FOURTH = 1.8
@@ -509,8 +507,8 @@ class TestExactDensity:
     def test_mass_is_one_at_large_n(self, kind, n):
         # a log normalizer taken as the difference of two log-Gammas near
         # n/2 was off by 5e-10 at n = 1e6, and the mass with it
-        reach = min(math.sqrt(bounds_module._marginal_params(kind, n)[0]), 40.0)
-        t, half, w = bounds_module._panel_rule(np.array([-reach, 0.0, reach]), 400)
+        reach = min(math.sqrt(exact_module._marginal_params(kind, n)[0]), 40.0)
+        t, half, w = exact_module._panel_rule(np.array([-reach, 0.0, reach]), 400)
         mass = float((half * (exact_projection_density(kind, n, t) @ w)).sum())
         assert mass == pytest.approx(1.0, abs=1e-13)
 
@@ -519,7 +517,7 @@ class TestExactDensity:
         mpmath.mp.dps = 50
         for m in [*range(3, 120), 10**3, 10**4 + 1, 10**5, 10**6 + 1, 10**6 + 2]:
             exact = mpmath.loggamma(mpmath.mpf(m) / 2) - mpmath.loggamma(mpmath.mpf(m - 1) / 2)
-            assert bounds_module._log_gamma_ratio(m) == pytest.approx(float(exact), abs=1e-14)
+            assert exact_module._log_gamma_ratio(m) == pytest.approx(float(exact), abs=1e-14)
 
 
 def scalar_crossing_tv(kind, n):
@@ -588,17 +586,17 @@ class TestExactTv:
         # the pieces are [0, c1], [c1, c2], [c2, 40] and [40, r], and a
         # 64-panel, 128-node rule on them agrees (measured: within 1e-17)
         pieces = []
-        rule = bounds_module._panel_rule
+        rule = exact_module._panel_rule
 
         def counted(ends, panels):
             pieces.append(len(ends) - 1)
             return rule(ends, panels)
 
-        monkeypatch.setattr(bounds_module, "_panel_rule", counted)
+        monkeypatch.setattr(exact_module, "_panel_rule", counted)
         value = exact_tv_vs_normal(kind, n)
         assert pieces == [4]
-        monkeypatch.setattr(bounds_module, "_PANELS", 64)
-        monkeypatch.setattr(bounds_module, "_NODES", 128)
+        monkeypatch.setattr(exact_module, "_PANELS", 64)
+        monkeypatch.setattr(exact_module, "_NODES", 128)
         assert abs(exact_tv_vs_normal(kind, n) - value) <= 1e-16
 
     @pytest.mark.parametrize("kind", ["sphere_shell", "ball_uniform"])
@@ -640,7 +638,7 @@ class TestExactKolmogorov:
     def test_agrees_with_four_times_the_panels(self, monkeypatch, n):
         theta = random_subspace(n, 1, 700 + n)[0]
         value = exact_kolmogorov(cube_spec(n), theta)
-        monkeypatch.setattr(bounds_module, "_CF_PANEL_WIDTH", bounds_module._CF_PANEL_WIDTH / 4)
+        monkeypatch.setattr(exact_module, "_CF_PANEL_WIDTH", exact_module._CF_PANEL_WIDTH / 4)
         assert abs(exact_kolmogorov(cube_spec(n), theta) - value) <= 1e-12
 
     def test_closed_form_and_inversion_agree(self, monkeypatch):
@@ -648,8 +646,8 @@ class TestExactKolmogorov:
         # the closed form adds its rounding bound, the inversion its truncation
         theta = random_subspace(5, 1, 705)[0]
         inverted = exact_kolmogorov(cube_spec(5), theta)
-        monkeypatch.setattr(bounds_module, "_SPLINE_TERMS", 5)
-        _, rounding = bounds_module._uniform_sum_spline(np.abs(math.sqrt(3.0) * theta))
+        monkeypatch.setattr(exact_module, "_SPLINE_TERMS", 5)
+        _, rounding = exact_module._uniform_sum_spline(np.abs(math.sqrt(3.0) * theta))
         assert abs(exact_kolmogorov(cube_spec(5), theta) - inverted) <= rounding + 1e-13
 
     @pytest.mark.parametrize("n", [5, 25, 100])
@@ -683,34 +681,38 @@ class TestExactKolmogorov:
             exact_kolmogorov(cube_spec(4), e1(4))
 
 
-CUBE_NS = (2, 3, 4, 5, 8, 20, 100)
-CUBE_LINES = ("diagonal", "e1 + 0.3 e2", "random(1)", "random(2)", "random(3)")
+# the lines of a law with an exact Kolmogorov distance, at each of NS from
+# its least n on; a law with an exact total variation is checked at every n
+# from its least to 100
+NS = (2, 3, 4, 5, 8, 20, 100)
+LINES = ("diagonal", "e1 + 0.3 e2", "random(1)", "random(2)", "random(3)")
 
 
-def cube_line(line, n):
-    if line == "e1 + 0.3 e2":
+def line_of(name, n):
+    if name == "e1 + 0.3 e2":
         theta = np.eye(n)[0] + 0.3 * np.eye(n)[1]
         return theta / np.linalg.norm(theta)
-    return resolve_theta(line, n)[0]
+    return resolve_theta(name, n)[0]
 
 
 @functools.cache
 def bound_over_exact() -> dict[str, list[float]]:
-    """Each family's gating bound over its exact distance, case by case: the
-    cube's unconditional bound on its exact moments over exact_kolmogorov,
-    and the sphere's and ball's std-dev bound over exact_tv_vs_normal."""
-    ratios = {"cube": [], "sphere_shell": [], "ball_uniform": []}
-    for n in CUBE_NS:
-        spec = cube_spec(n)
-        for line in CUBE_LINES:
-            theta = cube_line(line, n)
-            bound = bound_unconditional(theta, *exact_moments(spec)).value
-            ratios["cube"].append(bound / exact_kolmogorov(spec, theta))
-    for kind, least_n in ((Kind.SPHERE_SHELL, 3), (Kind.BALL_UNIFORM, 2)):
-        for n in range(least_n, 101):
-            statistic = _exact_norm_sq_std(DistributionSpec(kind, n))
-            bound = bound_sph_symm(n, VARIANT_STD_DEV, statistic).value
-            ratios[kind.value].append(bound / exact_tv_vs_normal(kind, n))
+    """Each law of EXACT_LAWS: the bound that gates its certify cells
+    (certify's own choice, on exact moments) over its exact distance, case
+    by case."""
+    ratios = {law.name: [] for law in EXACT_LAWS}
+    for law in EXACT_LAWS:
+        for distance in law.distances:
+            if distance == D_K:
+                cases = [(n, name) for n in NS if n >= law.min_n for name in LINES]
+            else:  # the total variation of a rotation-invariant law: one line will do
+                cases = [(n, "diagonal") for n in range(law.min_n, 101)]
+            for n, name in cases:
+                spec, theta = DistributionSpec(law.kind, n, p=law.p), line_of(name, n)
+                _, bound = _gating_bound(spec, applicable_route(spec), theta)
+                exact = (exact_kolmogorov(spec, theta) if distance == D_K
+                         else exact_tv_vs_normal(law.kind, n))
+                ratios[law.name].append(bound.value / exact)
     return ratios
 
 
@@ -718,11 +720,11 @@ class TestBoundDominatesExact:
     """The gating bound, with its route's exact moments, is at least the true
     distance wherever the law has an exact one; the simplex has none yet."""
 
-    @pytest.mark.parametrize("family", ["cube", "sphere_shell", "ball_uniform"])
+    @pytest.mark.parametrize("family", [law.name for law in EXACT_LAWS])
     def test_bound_dominates_exact(self, family):
         assert min(bound_over_exact()[family]) >= 1.0
 
-    @pytest.mark.parametrize("family", ["cube", "sphere_shell", "ball_uniform"])
+    @pytest.mark.parametrize("family", [law.name for law in EXACT_LAWS])
     def test_bound_over_100_fails_somewhere(self, family):
         # the check has power: a hundredfold smaller bound falls below the truth
         assert min(bound_over_exact()[family]) < 100.0

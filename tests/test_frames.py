@@ -13,6 +13,7 @@ from cltbounds.frames import (
     simplex_edges,
     simplex_geometry,
     simplex_projections,
+    simplex_vertices,
     standard_frame,
 )
 
@@ -127,6 +128,28 @@ class TestSimplexProjections:
         t = simplex_projections(directions)
         assert t.shape == (n + 1, 3)
         np.testing.assert_allclose(t, vertices @ directions, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [2, 128, 129, 300])
+    def test_vertices_built_by_columns_equal_the_whole(self, n):
+        # 128 columns at a time, scaled in place: the bits and layout of the
+        # scaled projections of the whole identity
+        c = math.sqrt(n * (n + 2))
+        for scale, reference in ((1.0, simplex_projections(np.eye(n))),
+                                 (c, c * simplex_projections(np.eye(n)))):
+            vertices = simplex_vertices(n, scale)
+            assert vertices.tobytes(order="A") == reference.tobytes(order="A")
+            assert vertices.flags.f_contiguous == reference.flags.f_contiguous
+
+    def test_vertex_matrix_peak(self):
+        # projecting the whole (n, n) identity held it, V and an (n, n)
+        # temporary at once: three vertex matrices (96.2 MB at n = 2000)
+        tracemalloc.start()
+        try:
+            vertices = simplex_geometry(2000).vertices
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * vertices.nbytes, f"peak {peak / vertices.nbytes:.2f} vertex matrices"
 
 
 class TestSimplexEdges:

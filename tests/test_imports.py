@@ -301,7 +301,8 @@ def test_version_and_report_run_where_numpy_cannot_load(tmp_path):
 
 @pytest.mark.parametrize(
     "command, cfg, unused",
-    [("certify", CERTIFY, {"subspaces"}), ("tv-exact", TV_EXACT, {"certify", "subspaces"})],
+    [("certify", CERTIFY, {"subspaces"}),
+     ("tv-exact", TV_EXACT, {"bounds", "certify", "subspaces"})],
 )
 def test_command_loads_only_the_modules_it_runs(command, cfg, unused, tmp_path):
     loaded = run_cli([command, "--config", write_config(tmp_path, cfg)], tmp_path, "cltbounds")

@@ -560,7 +560,7 @@ class TestSphereShell:
         # KS test of X_1 against the (1 - t^2/n)^((n-3)/2) marginal at n=100
         n = 100
         batch = sample(DistributionSpec(Kind.SPHERE_SHELL, n), 10**5, 13)
-        from cltbounds.bounds import exact_projection_density
+        from cltbounds.exact import exact_projection_density
 
         grid = np.linspace(-math.sqrt(n), math.sqrt(n), 20001)
         pdf = exact_projection_density("sphere_shell", n, grid)

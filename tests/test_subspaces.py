@@ -8,7 +8,6 @@ import pytest
 from scipy import stats
 
 from cltbounds import subspaces
-from cltbounds.bounds import exact_kolmogorov
 from cltbounds.cli import EXIT_CONFIG_ERROR, main
 from cltbounds.core import InsufficientDataError
 from cltbounds.empirical import (
@@ -18,6 +17,7 @@ from cltbounds.empirical import (
     _ks_statistic,
     dkw_slack,
 )
+from cltbounds.exact import exact_kolmogorov
 from cltbounds.frames import simplex_geometry
 from cltbounds.samplers import BLOCK_ROWS, DistributionSpec, Kind, derive_seed, sample
 from cltbounds.subspaces import (
