@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import as_unit_vector, normal_cdf_points, normal_pdf
-from .samplers import Kind
+from .samplers import DistributionSpec, Kind
 
 __all__ = ["D_K", "EXACT_LAWS", "EXACT_MARGINAL_MAX_N", "ExactLaw", "TV", "exact_kolmogorov",
            "exact_law", "exact_norm_sq_std", "exact_projection_density", "exact_tv_vs_normal"]
@@ -73,7 +73,7 @@ def exact_law(distance: str, kind, n: int, p: float | None = None) -> ExactLaw:
     return law
 
 
-def exact_norm_sq_std(spec) -> float:
+def exact_norm_sq_std(spec: DistributionSpec) -> float:
     """Closed-form sqrt(Var ||X||^2) of the spherically symmetric spec at its
     isotropic scale: ||X||^2 is scale^2 R^2 with the radius R drawn by
     ``samplers._reduced_spherical_block``."""

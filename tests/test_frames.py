@@ -141,8 +141,8 @@ class TestSimplexProjections:
             assert vertices.flags.f_contiguous == reference.flags.f_contiguous
 
     def test_vertex_matrix_peak(self):
-        # projecting the whole (n, n) identity held it, V and an (n, n)
-        # temporary at once: three vertex matrices (96.2 MB at n = 2000)
+        # beside V the build holds no (n, n) identity or temporary: with
+        # both, the peak reads three vertex matrices (96.2 MB at n = 2000)
         tracemalloc.start()
         try:
             vertices = simplex_geometry(2000).vertices
