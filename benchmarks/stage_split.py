@@ -40,8 +40,8 @@ the frame of its law), and the tracemalloc peak in MB of a second, traced
 call (``reflection_peak_mb``; the timed call runs untraced): the kept W
 per theta, coefficient and index, plus a chunk and a block of
 projections per worker.  For the rotation diagnostics it times the two-frame draws
-of three angles (``rotation_frames_s``: ``subspaces._rotation_frames``, each
-block of each angle on its own substream, as the rotation pass draws them)
+(``rotation_frames_s``: ``subspaces._rotation_frames``, one per block on the
+block's substream, shared by the three angles, as the rotation pass draws them)
 over the reduced sphere-shell rows of the same n and N
 (``subspaces._rotation_rows``, untimed, one block at a time), and the whole
 rotation step (``rotation_total_s``).
@@ -109,12 +109,15 @@ from cltbounds.empirical import (
     tv_from_counts,
     tv_vs_normal_histogram,
 )
-from cltbounds.exact import exact_kolmogorov, exact_tv_vs_normal
-from cltbounds.samplers import (
-    BLOCK_ROWS,
+from cltbounds.exact import (
     SPHERICAL_KINDS,
     DistributionSpec,
     Kind,
+    exact_kolmogorov,
+    exact_tv_vs_normal,
+)
+from cltbounds.samplers import (
+    BLOCK_ROWS,
     block_seed,
     derive_seed,
     map_projection_blocks,
@@ -273,15 +276,14 @@ def subspace_pass(spec: DistributionSpec, n_samples: int, seed: int) -> dict[str
         tracemalloc.stop()
 
     shell = DistributionSpec(kind=Kind.SPHERE_SHELL, n=spec.n)
-    angle_seeds = [derive_seed(seed, pos) for pos in range(len(ANGLES))]
+    frame_seed = derive_seed(seed, 0)
     times["rotation_frames_s"] = 0.0
     for block, lo in enumerate(range(0, n_samples, BLOCK_ROWS)):
         rng = np.random.default_rng(block_seed(seed, block))
         x0, _, r_perp = subspaces._rotation_rows(rng, shell, min(BLOCK_ROWS, n_samples - lo))
         start = time.perf_counter()
-        for angle_seed in angle_seeds:
-            frame_rng = np.random.default_rng(block_seed(angle_seed, block))
-            subspaces._rotation_frames(frame_rng, x0, r_perp, spec.n)
+        frame_rng = np.random.default_rng(block_seed(frame_seed, block))
+        subspaces._rotation_frames(frame_rng, x0, r_perp, spec.n)
         times["rotation_frames_s"] += time.perf_counter() - start
     start = time.perf_counter()
     subspaces.rotation_pair_diagnostics(shell, ANGLES, n_samples, seed, seed, workers=WORKERS)

@@ -14,14 +14,14 @@ _MODULES = {
     "core": ["MomentSummary", "lp_norm", "merge_summaries", "normal_pdf", "summarize"],
     "frames": ["SimplexGeometry", "TightFrame", "check_tight", "simplex_edges",
                "simplex_geometry", "simplex_projections", "simplex_vertices", "standard_frame"],
-    "samplers": ["DistributionSpec", "Kind", "SampleBatch", "calibrate_isotropic",
-                 "exact_moments", "sample", "sample_projections"],
-    "exact": ["EXACT_LAWS", "ExactLaw", "exact_kolmogorov", "exact_law", "exact_norm_sq_std",
-              "exact_projection_density", "exact_tv_vs_normal"],
+    "samplers": ["SampleBatch", "calibrate_isotropic", "sample", "sample_projections"],
+    "exact": ["DistributionSpec", "EXACT_LAWS", "ExactLaw", "Kind", "exact_kolmogorov",
+              "exact_law", "exact_moments", "exact_norm_sq_std", "exact_projection_density",
+              "exact_tv_vs_normal", "simplex_Y_moment", "simplex_pair_moment"],
     "bounds": ["BoundInputs", "BoundValue", "DensePairMoments", "SimplexPairMoments",
                "bound_frame_bounded", "bound_frame_general", "bound_poincare", "bound_simplex",
                "bound_sncp_bounded", "bound_sph_symm", "bound_unconditional",
-               "bound_unconditional_bounded", "simplex_Y_moment", "simplex_pair_moment"],
+               "bound_unconditional_bounded"],
     "empirical": ["DistanceEstimate", "conditional_second_moment", "dkw_slack",
                   "kolmogorov_vs_normal", "project", "tv_vs_normal_histogram"],
     "subspaces": ["AnkEstimate", "PairDiagnostics", "RotationDiagnostics", "estimate_Ank",

@@ -1,6 +1,6 @@
-"""Closed-form evaluation of the paper's normal-approximation error bounds
-and the exact simplex moment formulas.  The exact laws of the projections,
-which check these bounds, are in ``exact``.
+"""Closed-form evaluation of the paper's normal-approximation error bounds.
+The closed forms of the laws they read (moments, scales) and the exact laws
+of the projections, which check these bounds, are in ``exact``.
 
 Kolmogorov-type bounds control sup_t |P[W <= t] - Phi(t)| for W = <X, theta>;
 total-variation bounds use the L1-of-densities convention (twice the sup
@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .core import as_unit_vector, lp_norm
-from .exact import exact_tv_vs_normal  # perfbench/tracer.py looks it up in bounds by name
+# exact_tv_vs_normal stays importable here: perfbench/tracer.py looks it up in bounds by name
+from .exact import exact_tv_vs_normal, simplex_kappa
 from .frames import simplex_projections
 
 __all__ = [
@@ -34,8 +35,6 @@ __all__ = [
     "bound_sph_symm",
     "bound_unconditional",
     "bound_unconditional_bounded",
-    "simplex_Y_moment",
-    "simplex_pair_moment",
 ]
 
 KOLMOGOROV = "kolmogorov"
@@ -104,7 +103,7 @@ class SimplexPairMoments:
         sum = kappa * (T^2 + 2 * sum_a s_a^2 + 2 * sum_P q_P^2),
 
     with q_P = theta_(P)^2, T = sum q, s_a = sum over pairs containing a,
-    and kappa = (n+1)(n+2)/((n+3)(n+4)).
+    and kappa = ``exact.simplex_kappa(n)``.
     """
 
     def __init__(self, n: int, edge_pairs: np.ndarray):
@@ -114,11 +113,6 @@ class SimplexPairMoments:
         if self.m != n * (n + 1):
             raise ValueError(f"expected {n * (n + 1)} ordered pairs, got {self.m}")
 
-    @property
-    def kappa(self) -> float:
-        n = self.n
-        return (n + 1) * (n + 2) / ((n + 3) * (n + 4))
-
     def quadratic_form(self, theta_sq: np.ndarray) -> float:
         q = np.asarray(theta_sq, dtype=float)
         if q.shape != (self.m,):
@@ -127,7 +121,7 @@ class SimplexPairMoments:
         s = np.zeros(self.n + 1)
         np.add.at(s, self.pairs[:, 0], q)
         np.add.at(s, self.pairs[:, 1], q)
-        return float(self.kappa * (total * total + 2.0 * (s @ s) + 2.0 * (q @ q)))
+        return float(simplex_kappa(self.n) * (total * total + 2.0 * (s @ s) + 2.0 * (q @ q)))
 
 
 @dataclass(frozen=True)
@@ -257,46 +251,6 @@ def bound_sncp_bounded(theta, a: float) -> BoundValue:
     return BoundValue(value=value, kind=KOLMOGOROV, constants_used={"a": a})
 
 
-def simplex_Y_moment(n: int, r: Sequence[int]) -> float:
-    """Exact joint moment E[prod Y_i^{r_i}] of the embedded simplex vector.
-
-    Y lives on the scaled coordinate simplex in R^{n+1}; r may list up to
-    n+1 nonnegative integer exponents (trailing zeros omitted).  Evaluated
-    in log space so large n and r do not overflow; within 5e-15 relative of
-    40-digit mpmath for n up to 1e7 and exponents up to 5.
-    """
-    r = np.asarray(r, dtype=int)
-    if r.ndim != 1 or len(r) > n + 1:
-        raise ValueError(f"need at most {n + 1} exponents, got shape {r.shape}")
-    if (r < 0).any():
-        raise ValueError("exponents must be nonnegative")
-    total = int(r.sum())
-    if total == 0:
-        return 1.0
-    # ((n+1)(n+2))^(total/2) n! / (n + total)! as a product of factors
-    # sqrt((n+1)(n+2)) / (n+j), each a log1p of an exact integer ratio: the
-    # difference of log-Gammas near n loses digits (2.4e-10 at n = 1e5)
-    base = (n + 1) * (n + 2)
-    log_val = math.fsum(
-        -0.5 * math.log1p(((2 * j - 3) * n + j * j - 2) / base) for j in range(1, total + 1)
-    )
-    return math.exp(log_val + sum(math.lgamma(k + 1) for k in r.tolist()))
-
-
-def simplex_pair_moment(n: int, pair_a: tuple[int, int], pair_b: tuple[int, int]) -> float:
-    """Exact E[X_(ij)^2 X_(kl)^2] for two ordered edge pairs (0-based indices)."""
-    i, j = pair_a
-    k, l = pair_b
-    for a, b in ((i, j), (k, l)):
-        if a == b:
-            raise ValueError(f"edge pairs need distinct vertices, got ({a}, {b})")
-        if not (0 <= a <= n and 0 <= b <= n):
-            raise ValueError(f"vertex indices must lie in 0..{n}")
-    overlap = len({i, j} & {k, l})
-    multiplier = {0: 1.0, 1: 3.0, 2: 6.0}[overlap]
-    return multiplier * (n + 1) * (n + 2) / ((n + 3) * (n + 4))
-
-
 def _simplex_assembled_pieces(n: int) -> tuple[float, float, float]:
     """Explicit coefficients (alpha, beta, gamma) of the assembled simplex bound.
 
@@ -304,8 +258,7 @@ def _simplex_assembled_pieces(n: int) -> tuple[float, float, float]:
     frame bound: the first error term is 2 sqrt(alpha * sum t_i^4 + beta)
     and the second is gamma * sqrt(sum |t_i|^3), where t_i = <theta, v_i>.
     """
-    kappa = (n + 1) * (n + 2) / ((n + 3) * (n + 4))
-    alpha = kappa * (8 * n + 10) * n**2 / (2.0 * (n + 1) ** 3)
+    alpha = simplex_kappa(n) * (8 * n + 10) * n**2 / (2.0 * (n + 1) ** 3)
     beta = (16.0 * n**2 + 50.0 * n + 40.0) / (2.0 * (n + 1) * (n + 3) * (n + 4))
     third_moment_bound = 3.0 * math.sqrt(2.0) * math.sqrt((n + 1) * (n + 2)) / (n + 3)
     # ell_3 triangle inequality over ordered pairs:

@@ -27,7 +27,7 @@ variation routes compare the histogram estimate against bound + a fixed
 estimator allowance.  The bounds hold for isotropic vectors, which every
 spec is, and carry the source's explicit constants, so no setting changes a
 gating bound.  A cell reports the one bound that gates it, chosen in one
-place (``_gating_bound``) on exact inputs: ``samplers.exact_moments`` and
+place (``_gating_bound``) on exact inputs: ``exact.exact_moments`` and
 ``exact.exact_norm_sq_std``.
 """
 
@@ -58,18 +58,15 @@ from .empirical import (
     kolmogorov_vs_normal,
     tv_from_counts,
 )
-from .exact import exact_norm_sq_std
-from .samplers import (
-    DistributionSpec,
-    Kind,
+from .exact import (
     SPHERICAL_KINDS,
     UNCONDITIONAL_KINDS,
-    derive_seed,
+    DistributionSpec,
+    Kind,
     exact_moments,
-    map_projection_blocks,
-    sample_projections,
-    stream_groups,
+    exact_norm_sq_std,
 )
+from .samplers import derive_seed, map_projection_blocks, sample_projections, stream_groups
 
 __all__ = [
     "BoundReport",

@@ -69,7 +69,7 @@ def _nonempty_list(value, key: str) -> list:
 
 def _spec_from_config(d, **fields) -> DistributionSpec:
     """The spec of a config distribution object, ``fields`` set over its own."""
-    from .samplers import DistributionSpec
+    from .exact import DistributionSpec
 
     if not isinstance(d, dict):
         raise ConfigError(f"a distribution must be a JSON object, got {d!r}")
@@ -280,7 +280,8 @@ def _cmd_scan_ank(cfg: dict) -> int:
 
 def _cmd_diagnose(cfg: dict) -> int:
     from .empirical import streaming_pair_square_covariance
-    from .samplers import Kind, derive_seed
+    from .exact import Kind
+    from .samplers import derive_seed
     from .subspaces import (
         reflection_frame,
         reflection_pair_diagnostics,
@@ -371,9 +372,9 @@ def _cmd_report(cfg: dict) -> int:
     if type(schema) is not int or schema != REPORT_SCHEMA:
         raise ConfigError(f"report schema {schema!r} is not the schema {REPORT_SCHEMA} "
                           "this version reads; rerun certify to rewrite the report")
-    cells = payload.get("reports", [])
-    if not isinstance(cells, list):
-        raise ConfigError("malformed report: 'reports' must be a list")
+    cells = payload.get("reports")
+    if not isinstance(cells, list) or not cells:  # certify writes one cell at least
+        raise ConfigError("malformed report: 'reports' must be a non-empty list")
     for i, r in enumerate(cells):
         _check_cell(r, i)
     all_passed, n_passed = payload.get("all_passed"), sum(r["passed"] for r in cells)

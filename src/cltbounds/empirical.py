@@ -11,7 +11,8 @@ import numpy as np
 
 from .bounds import KOLMOGOROV, TOTAL_VARIATION
 from .core import InsufficientDataError, as_unit_vector, normal_cdf_points
-from .samplers import SPHERICAL_KINDS, SampleBatch, map_projection_blocks
+from .exact import SPHERICAL_KINDS
+from .samplers import SampleBatch, map_projection_blocks
 
 __all__ = [
     "DEFAULT_DELTA",

@@ -1,10 +1,12 @@
-"""The exact laws of W = <X, theta> that check the bounds, and their
-distances from N(0, 1).  One table, ``EXACT_LAWS``, says which law has which
-exact distance over which n, and every guard reads it.  The sphere shell's
-and the ball's total variation come by quadrature of their closed-form
-densities, the cube's Kolmogorov distance by Gil-Pelaez inversion, certified;
-beside them, sqrt(Var ||X||^2) of the spherically symmetric laws.  numpy and
-the standard library only.
+"""Every closed form of a law under study: the catalogue (``Kind``, and
+``DistributionSpec`` with its isotropic scale), the moments the bounds read
+(the lp ones of Barthe, Guedon, Mendelson and Naor behind ``exact_moments``,
+the simplex's, sqrt(Var ||X||^2) of the spherical laws), and the exact laws
+of W = <X, theta> that check the bounds.  One table, ``EXACT_LAWS``, says
+which law has which exact distance from N(0, 1) over which n, and every
+guard reads it: the sphere shell's and the ball's total variation come by
+quadrature of their closed-form densities, the cube's Kolmogorov distance by
+Gil-Pelaez inversion, certified.  numpy and the standard library only.
 """
 
 from __future__ import annotations
@@ -12,15 +14,199 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
+from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
 from .core import as_unit_vector, normal_cdf_points, normal_pdf
-from .samplers import DistributionSpec, Kind
 
-__all__ = ["D_K", "EXACT_LAWS", "EXACT_MARGINAL_MAX_N", "ExactLaw", "TV", "exact_kolmogorov",
-           "exact_law", "exact_norm_sq_std", "exact_projection_density", "exact_tv_vs_normal"]
+__all__ = ["D_K", "EXACT_LAWS", "EXACT_MARGINAL_MAX_N", "DistributionSpec", "ExactLaw", "Kind",
+           "SPHERICAL_KINDS", "TV", "UNCONDITIONAL_KINDS", "exact_kolmogorov", "exact_law",
+           "exact_moments", "exact_norm_sq_std", "exact_projection_density", "exact_tv_vs_normal",
+           "simplex_Y_moment", "simplex_kappa", "simplex_pair_moment"]
+
+
+class Kind(str, Enum):
+    SPHERE_SHELL = "sphere_shell"
+    BALL_UNIFORM = "ball_uniform"
+    LP_BALL = "lp_ball"
+    LP_CONE = "lp_cone"
+    LP_SURFACE = "lp_surface"
+    SIMPLEX = "simplex"
+    SPHERICAL_EXPONENTIAL = "spherical_exponential"
+    LINF_EXPONENTIAL = "linf_exponential"
+
+
+_LP_KINDS = {Kind.LP_BALL, Kind.LP_CONE, Kind.LP_SURFACE}
+
+# invariant under sign flips of individual coordinates: the kinds of the
+# unconditional route, exact_moments and the standard-frame reflection pair
+# (lp_surface is too, but none of them applies its weights)
+UNCONDITIONAL_KINDS = {Kind.LP_BALL, Kind.LP_CONE, Kind.LINF_EXPONENTIAL}
+# invariant under every rotation
+SPHERICAL_KINDS = {Kind.SPHERE_SHELL, Kind.BALL_UNIFORM, Kind.SPHERICAL_EXPONENTIAL}
+
+
+def _linf_rate(n: int) -> float:
+    """b_n = sqrt((n+1)(n+2)/3): the rate that gives the sup-norm exponential
+    unit-variance coordinates."""
+    return math.sqrt((n + 1) * (n + 2) / 3.0)
+
+
+def _body_moment(kind: Kind, n: int, p: float | None, powers: tuple[int, ...]) -> float:
+    """E prod_i |X_i|^(a_i) over distinct coordinates of the unit-scale body.
+
+    lp ball and cone (Barthe, Guedon, Mendelson, Naor 2005): X = G / S^(1/p)
+    with G_i i.i.d. of density ~ exp(-|t|^p) and X independent of
+    S ~ Gamma(b), b = n/p + 1 (ball) or n/p (cone), so the moment is
+    prod G((a_i+1)/p)/G(1/p) * G(b)/G(b + sum a_i/p).  Its p -> inf limit is
+    the cube (uniform coordinates) and the cube boundary (one coordinate
+    pinned to +-1).  The sup-norm exponential is R U with R ~ Gamma(n)/b_n
+    independent of U on the cube boundary.
+    """
+    total = sum(powers)
+    if kind is Kind.LINF_EXPONENTIAL:
+        radial = math.exp(math.lgamma(n + total) - math.lgamma(n)) / _linf_rate(n) ** total
+        return radial * _body_moment(Kind.LP_CONE, n, math.inf, powers)
+    cone = kind is not Kind.LP_BALL
+    if math.isinf(p):
+        return math.prod(1.0 / (a + 1) for a in powers) * ((n + total) / n if cone else 1.0)
+    b = n / p + (0.0 if cone else 1.0)
+    log = sum(math.lgamma((a + 1) / p) - math.lgamma(1 / p) for a in powers)
+    return math.exp(log + math.lgamma(b) - math.lgamma(b + total / p))
+
+
+@dataclass(frozen=True)
+class DistributionSpec:
+    """Which isotropic symmetric law to sample: the kind, the dimension n
+    and, for the lp kinds, the exponent p.  ``scale``, the factor on the
+    unit-parameterized body, follows from them in closed form."""
+
+    kind: Kind
+    n: int
+    p: float | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "n", operator.index(self.n))  # a float n raises TypeError
+        if self.n < 2:
+            raise ValueError(f"dimension must be at least 2, got {self.n}")
+        if self.kind in _LP_KINDS:
+            if self.p is None:
+                raise ValueError(f"{self.kind.value} requires the exponent p")
+            if math.isnan(self.p) or self.p < 1.0:
+                raise ValueError(f"p must satisfy p >= 1 or p = inf, got {self.p}")
+        elif self.p is not None:
+            raise ValueError(f"{self.kind.value} does not take an exponent p")
+
+    @property
+    def scale(self) -> float:
+        """The closed-form isotropic scale; surface measure takes the cone's."""
+        kind, n = self.kind, self.n
+        if kind is Kind.SPHERE_SHELL:
+            return math.sqrt(n)
+        if kind is Kind.BALL_UNIFORM:
+            return math.sqrt(n + 2)
+        if kind in (Kind.SIMPLEX, Kind.SPHERICAL_EXPONENTIAL, Kind.LINF_EXPONENTIAL):
+            return 1.0  # isotropic by construction
+        return math.sqrt(1.0 / _body_moment(kind, n, self.p, (2,)))
+
+    def to_dict(self) -> dict:
+        out = {"kind": self.kind.value, "n": self.n}
+        if self.p is not None:
+            out["p"] = self.p if math.isfinite(self.p) else "inf"
+        out["scale"] = self.scale
+        return out
+
+    @staticmethod
+    def from_dict(d: dict) -> "DistributionSpec":
+        """The spec of a ``to_dict`` document; a non-isotropic ``scale`` raises ValueError."""
+        p = d.get("p")
+        if isinstance(p, str):
+            p = math.inf if p in ("inf", "Infinity") else float(p)
+        spec = DistributionSpec(kind=Kind(d["kind"]), n=d["n"], p=p)
+        scale = d.get("scale")
+        if scale is not None and (isinstance(scale, bool) or scale != spec.scale):
+            raise ValueError(f"{spec.kind.value} n={spec.n} has scale {scale!r}, but the "
+                             f"bounds assume its isotropic scale {spec.scale!r}")
+        return spec
+
+
+def exact_moments(spec: DistributionSpec) -> tuple[float, float, float]:
+    """(E X_i^4, Cov(X_i^2, X_j^2), E|X_i|^3) of an isotropic lp ball or cone
+    (any p, including the cube and its boundary) or sup-norm exponential.
+
+    Coordinates are exchangeable, so these are also the maxima over i and
+    over pairs i != j that the unconditional bound takes.
+    """
+    if spec.kind not in UNCONDITIONAL_KINDS:
+        raise ValueError(f"no closed-form moments for kind {spec.kind.value!r}")
+    m2 = _body_moment(spec.kind, spec.n, spec.p, (2,))
+
+    def normalized(*powers) -> float:
+        return _body_moment(spec.kind, spec.n, spec.p, powers) / m2 ** (sum(powers) / 2)
+
+    return normalized(4), normalized(2, 2) - 1.0, normalized(3)
+
+
+def exact_norm_sq_std(spec: DistributionSpec) -> float:
+    """Closed-form sqrt(Var ||X||^2) of the spherically symmetric spec at its
+    isotropic scale: ||X||^2 is scale^2 R^2 with the radius R drawn by
+    ``samplers._reduced_spherical_block``."""
+    n = spec.n
+    if spec.kind is Kind.SPHERE_SHELL:
+        return 0.0
+    if spec.kind is Kind.BALL_UNIFORM:
+        return math.sqrt(4.0 * n / (n + 4))
+    return math.sqrt(n * (4.0 * n + 6.0) / (n + 1))  # spherical exponential
+
+
+def simplex_Y_moment(n: int, r: Sequence[int]) -> float:
+    """Exact joint moment E[prod Y_i^{r_i}] of the embedded simplex vector.
+
+    Y lives on the scaled coordinate simplex in R^{n+1}; r may list up to
+    n+1 nonnegative integer exponents (trailing zeros omitted).  Evaluated
+    in log space so large n and r do not overflow; within 5e-15 relative of
+    40-digit mpmath for n up to 1e7 and exponents up to 5.
+    """
+    r = np.asarray(r, dtype=int)
+    if r.ndim != 1 or len(r) > n + 1:
+        raise ValueError(f"need at most {n + 1} exponents, got shape {r.shape}")
+    if (r < 0).any():
+        raise ValueError("exponents must be nonnegative")
+    total = int(r.sum())
+    if total == 0:
+        return 1.0
+    # ((n+1)(n+2))^(total/2) n! / (n + total)! as a product of factors
+    # sqrt((n+1)(n+2)) / (n+j), each a log1p of an exact integer ratio: the
+    # difference of log-Gammas near n loses digits (2.4e-10 at n = 1e5)
+    base = (n + 1) * (n + 2)
+    log_val = math.fsum(
+        -0.5 * math.log1p(((2 * j - 3) * n + j * j - 2) / base) for j in range(1, total + 1)
+    )
+    return math.exp(log_val + sum(math.lgamma(k + 1) for k in r.tolist()))
+
+
+def simplex_kappa(n: int) -> float:
+    """E[X_(ij)^2 X_(kl)^2] of two simplex edge pairs that share no vertex."""
+    return (n + 1) * (n + 2) / ((n + 3) * (n + 4))
+
+
+def simplex_pair_moment(n: int, pair_a: tuple[int, int], pair_b: tuple[int, int]) -> float:
+    """Exact E[X_(ij)^2 X_(kl)^2] for two ordered edge pairs (0-based indices)."""
+    i, j = pair_a
+    k, l = pair_b
+    for a, b in ((i, j), (k, l)):
+        if a == b:
+            raise ValueError(f"edge pairs need distinct vertices, got ({a}, {b})")
+        if not (0 <= a <= n and 0 <= b <= n):
+            raise ValueError(f"vertex indices must lie in 0..{n}")
+    overlap = len({i, j} & {k, l})
+    multiplier = {0: 1.0, 1: 3.0, 2: 6.0}[overlap]
+    return multiplier * simplex_kappa(n)
+
 
 # the distances from N(0, 1) that are exact here, by the names errors give them
 TV = "total variation"
@@ -71,18 +257,6 @@ def exact_law(distance: str, kind, n: int, p: float | None = None) -> ExactLaw:
         raise ValueError(f"the exact {distance} of {law.name} is validated for "
                          f"{law.min_n} <= n <= {law.max_n}, got n={n}")
     return law
-
-
-def exact_norm_sq_std(spec: DistributionSpec) -> float:
-    """Closed-form sqrt(Var ||X||^2) of the spherically symmetric spec at its
-    isotropic scale: ||X||^2 is scale^2 R^2 with the radius R drawn by
-    ``samplers._reduced_spherical_block``."""
-    n = spec.n
-    if spec.kind is Kind.SPHERE_SHELL:
-        return 0.0
-    if spec.kind is Kind.BALL_UNIFORM:
-        return math.sqrt(4.0 * n / (n + 4))
-    return math.sqrt(n * (4.0 * n + 6.0) / (n + 1))  # spherical exponential
 
 
 # exact_tv_vs_normal's crossing grid over [0, min(r, _CROSSING_REACH)] and

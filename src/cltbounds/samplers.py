@@ -1,6 +1,5 @@
 """Seeded samplers for every distribution under study, each scaled to its
-exact isotropic position, plus the closed-form moments of the coordinatewise
-symmetric laws.
+exact isotropic position (``exact.DistributionSpec.scale``).
 
 Sampling is a pure function of (spec, N, seed).  Rows are generated in
 fixed blocks of ``BLOCK_ROWS``; block b draws from an independent substream
@@ -20,29 +19,23 @@ row's projections its reflection-frame coefficient, read from the same chunk.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import struct
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Iterator
 
 import numpy as np
 
 from .core import BLOCK_ROWS, CHUNK_ROWS, thread_map
+from .exact import _LP_KINDS, SPHERICAL_KINDS, DistributionSpec, Kind, _linf_rate
 from .frames import simplex_edges, simplex_projections, simplex_vertices
 
 __all__ = [
     "BLOCK_ROWS",
-    "DistributionSpec",
-    "Kind",
-    "SPHERICAL_KINDS",
-    "UNCONDITIONAL_KINDS",
     "SampleBatch",
     "block_seed",
     "calibrate_isotropic",
     "derive_seed",
-    "exact_moments",
     "map_frame_blocks",
     "map_projection_blocks",
     "map_sample_blocks",
@@ -52,113 +45,10 @@ __all__ = [
 ]
 
 
-class Kind(str, Enum):
-    SPHERE_SHELL = "sphere_shell"
-    BALL_UNIFORM = "ball_uniform"
-    LP_BALL = "lp_ball"
-    LP_CONE = "lp_cone"
-    LP_SURFACE = "lp_surface"
-    SIMPLEX = "simplex"
-    SPHERICAL_EXPONENTIAL = "spherical_exponential"
-    LINF_EXPONENTIAL = "linf_exponential"
-
-
-_LP_KINDS = {Kind.LP_BALL, Kind.LP_CONE, Kind.LP_SURFACE}
-
-# invariant under sign flips of individual coordinates: the kinds of the
-# unconditional route, exact_moments and the standard-frame reflection pair
-# (lp_surface is too, but none of them applies its weights)
-UNCONDITIONAL_KINDS = {Kind.LP_BALL, Kind.LP_CONE, Kind.LINF_EXPONENTIAL}
-# invariant under every rotation
-SPHERICAL_KINDS = {Kind.SPHERE_SHELL, Kind.BALL_UNIFORM, Kind.SPHERICAL_EXPONENTIAL}
 # lp kinds whose law at p = 2 is a spherically symmetric kind's, up to scale
 _P2_SPHERICAL = {Kind.LP_BALL: Kind.BALL_UNIFORM, Kind.LP_CONE: Kind.SPHERE_SHELL}
 # the two bodies of one generalized-Gaussian stream at finite p != 2 (``_lp_fill``)
 _PAIRED = {Kind.LP_BALL: Kind.LP_CONE, Kind.LP_CONE: Kind.LP_BALL}
-
-
-def _linf_rate(n: int) -> float:
-    """b_n = sqrt((n+1)(n+2)/3): the rate that gives the sup-norm exponential
-    unit-variance coordinates."""
-    return math.sqrt((n + 1) * (n + 2) / 3.0)
-
-
-def _body_moment(kind: Kind, n: int, p: float | None, powers: tuple[int, ...]) -> float:
-    """E prod_i |X_i|^(a_i) over distinct coordinates of the unit-scale body.
-
-    lp ball and cone (Barthe, Guedon, Mendelson, Naor 2005): X = G / S^(1/p)
-    with G_i i.i.d. of density ~ exp(-|t|^p) and X independent of
-    S ~ Gamma(b), b = n/p + 1 (ball) or n/p (cone), so the moment is
-    prod G((a_i+1)/p)/G(1/p) * G(b)/G(b + sum a_i/p).  Its p -> inf limit is
-    the cube (uniform coordinates) and the cube boundary (one coordinate
-    pinned to +-1).  The sup-norm exponential is R U with R ~ Gamma(n)/b_n
-    independent of U on the cube boundary.
-    """
-    total = sum(powers)
-    if kind is Kind.LINF_EXPONENTIAL:
-        radial = math.exp(math.lgamma(n + total) - math.lgamma(n)) / _linf_rate(n) ** total
-        return radial * _body_moment(Kind.LP_CONE, n, math.inf, powers)
-    cone = kind is not Kind.LP_BALL
-    if math.isinf(p):
-        return math.prod(1.0 / (a + 1) for a in powers) * ((n + total) / n if cone else 1.0)
-    b = n / p + (0.0 if cone else 1.0)
-    log = sum(math.lgamma((a + 1) / p) - math.lgamma(1 / p) for a in powers)
-    return math.exp(log + math.lgamma(b) - math.lgamma(b + total / p))
-
-
-@dataclass(frozen=True)
-class DistributionSpec:
-    """Which isotropic symmetric law to sample: the kind, the dimension n
-    and, for the lp kinds, the exponent p.  ``scale``, the factor on the
-    unit-parameterized body, follows from them in closed form."""
-
-    kind: Kind
-    n: int
-    p: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "n", operator.index(self.n))  # a float n raises TypeError
-        if self.n < 2:
-            raise ValueError(f"dimension must be at least 2, got {self.n}")
-        if self.kind in _LP_KINDS:
-            if self.p is None:
-                raise ValueError(f"{self.kind.value} requires the exponent p")
-            if math.isnan(self.p) or self.p < 1.0:
-                raise ValueError(f"p must satisfy p >= 1 or p = inf, got {self.p}")
-        elif self.p is not None:
-            raise ValueError(f"{self.kind.value} does not take an exponent p")
-
-    @property
-    def scale(self) -> float:
-        """The closed-form isotropic scale; surface measure takes the cone's."""
-        kind, n = self.kind, self.n
-        if kind is Kind.SPHERE_SHELL:
-            return math.sqrt(n)
-        if kind is Kind.BALL_UNIFORM:
-            return math.sqrt(n + 2)
-        if kind in (Kind.SIMPLEX, Kind.SPHERICAL_EXPONENTIAL, Kind.LINF_EXPONENTIAL):
-            return 1.0  # isotropic by construction
-        return math.sqrt(1.0 / _body_moment(kind, n, self.p, (2,)))
-
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind.value, "n": self.n}
-        if self.p is not None:
-            out["p"] = self.p if math.isfinite(self.p) else "inf"
-        out["scale"] = self.scale
-        return out
-
-    @staticmethod
-    def from_dict(d: dict) -> "DistributionSpec":
-        """The spec of a ``to_dict`` document; a non-isotropic ``scale`` raises ValueError."""
-        p = d.get("p")
-        if isinstance(p, str):
-            p = math.inf if p in ("inf", "Infinity") else float(p)
-        spec = DistributionSpec(kind=Kind(d["kind"]), n=d["n"], p=p)
-        scale = d.get("scale")
-        if scale is not None and (isinstance(scale, bool) or scale != spec.scale):
-            raise ValueError(f"{spec.kind.value} n={spec.n} has scale {scale!r}, but the "
-                             f"bounds assume its isotropic scale {spec.scale!r}")
-        return spec
 
 
 @dataclass(frozen=True)
@@ -701,23 +591,6 @@ def calibrate_isotropic(spec: DistributionSpec) -> DistributionSpec:
     """spec itself, as every spec is isotropic; kept only because the
     benchmark's tracer looks this name up."""
     return spec
-
-
-def exact_moments(spec: DistributionSpec) -> tuple[float, float, float]:
-    """(E X_i^4, Cov(X_i^2, X_j^2), E|X_i|^3) of an isotropic lp ball or cone
-    (any p, including the cube and its boundary) or sup-norm exponential.
-
-    Coordinates are exchangeable, so these are also the maxima over i and
-    over pairs i != j that the unconditional bound takes.
-    """
-    if spec.kind not in UNCONDITIONAL_KINDS:
-        raise ValueError(f"no closed-form moments for kind {spec.kind.value!r}")
-    m2 = _body_moment(spec.kind, spec.n, spec.p, (2,))
-
-    def normalized(*powers) -> float:
-        return _body_moment(spec.kind, spec.n, spec.p, powers) / m2 ** (sum(powers) / 2)
-
-    return normalized(4), normalized(2, 2) - 1.0, normalized(3)
 
 
 def simplex_embedded_coordinates(batch: SampleBatch) -> np.ndarray:

@@ -13,12 +13,9 @@ import numpy as np
 from .contract import InsufficientDataError, SymmetryError
 from .core import BLOCK_ROWS, as_unit_vector, thread_map
 from .empirical import KS_MIN_SAMPLES, _equal_count_bins, _ks_statistic
-from .exact import D_K, exact_kolmogorov, exact_law
+from .exact import D_K, SPHERICAL_KINDS, UNCONDITIONAL_KINDS, Kind, exact_kolmogorov, exact_law
 from .frames import LABEL_SIMPLEX_EDGES, LABEL_STANDARD, simplex_edges, simplex_projections
 from .samplers import (
-    SPHERICAL_KINDS,
-    UNCONDITIONAL_KINDS,
-    Kind,
     _block_rngs,
     _map_blocks,
     _reduced_spherical_block,
@@ -431,15 +428,17 @@ def rotation_pair_diagnostics(
 ) -> list[RotationDiagnostics]:
     """Diagnostics for the random two-plane rotation pair.
 
-    For each eps, each of N draws X of spec gets a fresh Haar two-frame
-    (q1, q2) and W_eps = <R X, e_1> for the rotation R by angle arcsin(eps)
-    in that plane.  Only X_0 = W, X_1 and |X - X_0 e_1| enter, so no
-    n-dimensional row is formed: each block of the N-row draw with ``seed``
-    takes them from the reduced spherical law (``_rotation_rows``), and the
-    two-frame's first coordinates and projections of X from their exact law
-    under Gram-Schmidt on two Gaussian vectors, five normals and two
-    chi-squares per row (``_rotation_frames``); block b of angle i draws its
-    frames from ``block_seed(derive_seed(pair_seed, i), b)``.
+    Each of N draws X of spec gets a fresh Haar two-frame (q1, q2), shared
+    by every eps, and W_eps = <R X, e_1> for the rotation R by angle
+    arcsin(eps) in that plane.  Only X_0 = W, X_1 and |X - X_0 e_1| enter,
+    so no n-dimensional row is formed: each block of the N-row draw with
+    ``seed`` takes them from the reduced spherical law (``_rotation_rows``),
+    and the two-frame's first coordinates and projections of X from their
+    exact law under Gram-Schmidt on two Gaussian vectors, five normals and
+    two chi-squares per row (``_rotation_frames``); block b draws its
+    frames from ``block_seed(derive_seed(pair_seed, 0), b)``.  Sharing the
+    frames correlates the angles' estimates; each angle's standard errors
+    hold for that angle alone.
 
     Checks run before any draw.  One pass over the blocks, on ``workers``
     threads, keeps per block the sums of D = W_eps - W, D W, D^2, |D|^3, D^4
@@ -458,7 +457,7 @@ def rotation_pair_diagnostics(
 
     n = spec.n
     blocks = _block_rngs(N, seed)  # checks N before the sums are allocated
-    angle_seeds = [derive_seed(pair_seed, i) for i in range(len(eps_list))]
+    frame_seed = derive_seed(pair_seed, 0)
     shrinks = [1.0 - math.sqrt(1.0 - eps * eps) for eps in eps_list]
     # per block: D, DW, D^2, |D|^3, D^4, |D|^6 for each angle, then W, W^2, X_1^2
     sums = np.empty((-(-N // BLOCK_ROWS), 6 * len(eps_list) + 3))
@@ -467,11 +466,11 @@ def rotation_pair_diagnostics(
         b = rows.start // BLOCK_ROWS
         x0, x1, r_perp = block
         out = sums[b]
+        rng = np.random.default_rng(block_seed(frame_seed, b))
+        q1_0, s1, q2_0, s2 = _rotation_frames(rng, x0, r_perp, n)
+        rotational = q1_0 * s2 - q2_0 * s1
+        radial = q1_0 * s1 + q2_0 * s2
         for i, (eps, shrink) in enumerate(zip(eps_list, shrinks)):
-            rng = np.random.default_rng(block_seed(angle_seeds[i], b))
-            q1_0, s1, q2_0, s2 = _rotation_frames(rng, x0, r_perp, n)
-            rotational = q1_0 * s2 - q2_0 * s1
-            radial = q1_0 * s1 + q2_0 * s2
             d = -eps * rotational + shrink * radial
             d_sq = d * d
             a_cube = np.abs(d) * d_sq

@@ -17,8 +17,6 @@ from conftest import record_acceptance_line
 from cltbounds.bounds import (
     bound_poincare,
     bound_sph_symm,
-    simplex_Y_moment,
-    simplex_pair_moment,
     VARIANT_STD_DEV,
 )
 from cltbounds.certify import certify_grid
@@ -28,15 +26,15 @@ from cltbounds.empirical import (
     streaming_pair_square_covariance,
     tv_vs_normal_histogram,
 )
-from cltbounds.exact import exact_tv_vs_normal
-from cltbounds.frames import check_tight, simplex_geometry, standard_frame
-from cltbounds.samplers import (
+from cltbounds.exact import (
     DistributionSpec,
     Kind,
-    SampleBatch,
-    map_sample_blocks,
-    sample,
+    exact_tv_vs_normal,
+    simplex_Y_moment,
+    simplex_pair_moment,
 )
+from cltbounds.frames import check_tight, simplex_geometry, standard_frame
+from cltbounds.samplers import SampleBatch, map_sample_blocks, sample
 from cltbounds.subspaces import (
     estimate_Ank,
     haar_orthogonal_sample,

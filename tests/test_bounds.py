@@ -27,8 +27,6 @@ from cltbounds.bounds import (
     bound_sph_symm,
     bound_unconditional,
     bound_unconditional_bounded,
-    simplex_Y_moment,
-    simplex_pair_moment,
 )
 from cltbounds.certify import _gating_bound, applicable_route, resolve_theta
 from cltbounds.empirical import _ks_statistic, dkw_slack
@@ -36,12 +34,16 @@ from cltbounds.exact import (
     D_K,
     EXACT_LAWS,
     EXACT_MARGINAL_MAX_N,
+    DistributionSpec,
+    Kind,
     exact_kolmogorov,
     exact_projection_density,
     exact_tv_vs_normal,
+    simplex_Y_moment,
+    simplex_pair_moment,
 )
 from cltbounds.frames import simplex_geometry
-from cltbounds.samplers import DistributionSpec, Kind, sample_projections
+from cltbounds.samplers import sample_projections
 from cltbounds.subspaces import random_subspace
 
 CUBE_FOURTH = 1.8

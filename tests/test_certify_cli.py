@@ -48,15 +48,17 @@ from cltbounds.empirical import (
     tv_from_counts,
     tv_vs_normal_histogram,
 )
-from cltbounds.samplers import (
-    BLOCK_ROWS,
+from cltbounds.exact import (
     SPHERICAL_KINDS,
     UNCONDITIONAL_KINDS,
     DistributionSpec,
     Kind,
+    exact_moments,
+)
+from cltbounds.samplers import (
+    BLOCK_ROWS,
     block_seed,
     derive_seed,
-    exact_moments,
     map_projection_blocks,
     sample,
     sample_projections,
@@ -1178,6 +1180,17 @@ class TestCliReport:
                             {"schema": REPORT_SCHEMA, "reports": cells, "all_passed": True})
         assert main(["report", "--input", path]) == EXIT_CONFIG_ERROR
         assert "malformed report" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cells", [None, []], ids=["missing", "empty"])
+    def test_report_refuses_a_report_without_cells(self, tmp_path, capsys, cells):
+        # certify never writes one: it would print "all passed" for no cell
+        payload = {"schema": REPORT_SCHEMA, "all_passed": True}
+        if cells is not None:
+            payload["reports"] = cells
+        path = write_config(tmp_path, "certify.json", payload)
+        assert main(["report", "--input", path]) == EXIT_CONFIG_ERROR
+        out, err = capsys.readouterr()
+        assert out == "" and "malformed report: 'reports' must be a non-empty list" in err
 
 
 class TestCliScanAnk:

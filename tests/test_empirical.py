@@ -20,13 +20,8 @@ from cltbounds.empirical import (
     streaming_pair_square_covariance,
     tv_vs_normal_histogram,
 )
-from cltbounds.samplers import (
-    BLOCK_ROWS,
-    DistributionSpec,
-    Kind,
-    SampleBatch,
-    sample,
-)
+from cltbounds.exact import DistributionSpec, Kind
+from cltbounds.samplers import BLOCK_ROWS, SampleBatch, sample
 
 
 def normal_cdf(t):

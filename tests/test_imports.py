@@ -243,7 +243,7 @@ def test_lazy_import_on_worker_threads_keeps_reports(tmp_path):
     loaded = run_fresh(
         "import math\n"
         "from cltbounds.certify import certify_grid\n"
-        "from cltbounds.samplers import DistributionSpec, Kind\n"
+        "from cltbounds.exact import DistributionSpec, Kind\n"
         "specs = [DistributionSpec(Kind.LP_BALL, 6, p=math.inf),\n"
         "         DistributionSpec(Kind.LP_CONE, 6, p=1.0)]\n"
         "runs = [[r.to_dict() for r in certify_grid(specs, ['e1', 'diagonal'], N=20000,\n"
@@ -302,8 +302,14 @@ def test_version_and_report_run_where_numpy_cannot_load(tmp_path):
 @pytest.mark.parametrize(
     "command, cfg, unused",
     [("certify", CERTIFY, {"subspaces"}),
-     ("tv-exact", TV_EXACT, {"bounds", "certify", "subspaces"})],
+     ("tv-exact", TV_EXACT, {"bounds", "certify", "frames", "samplers", "subspaces"})],
 )
 def test_command_loads_only_the_modules_it_runs(command, cfg, unused, tmp_path):
     loaded = run_cli([command, "--config", write_config(tmp_path, cfg)], tmp_path, "cltbounds")
     assert {f"cltbounds.{module}" for module in unused}.isdisjoint(loaded), loaded
+
+
+def test_exact_loads_no_sampling_module(tmp_path):
+    # the closed forms of the laws need no sampler, frame or bound
+    loaded = run_fresh("import cltbounds.exact", tmp_path, "cltbounds")
+    assert loaded == ["cltbounds", "cltbounds.contract", "cltbounds.core", "cltbounds.exact"]

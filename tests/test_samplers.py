@@ -7,15 +7,13 @@ from scipy import stats
 
 from cltbounds.core import CHUNK_ROWS, summarize
 from cltbounds.frames import simplex_geometry
+from cltbounds.exact import DistributionSpec, Kind, exact_moments
 from cltbounds.samplers import (
     BLOCK_ROWS,
-    DistributionSpec,
-    Kind,
     SampleBatch,
     block_seed,
     derive_seed,
     calibrate_isotropic,
-    exact_moments,
     map_frame_blocks,
     map_sample_blocks,
     sample,

@@ -17,9 +17,9 @@ from cltbounds.empirical import (
     _ks_statistic,
     dkw_slack,
 )
-from cltbounds.exact import exact_kolmogorov
+from cltbounds.exact import DistributionSpec, Kind, exact_kolmogorov
 from cltbounds.frames import simplex_geometry
-from cltbounds.samplers import BLOCK_ROWS, DistributionSpec, Kind, derive_seed, sample
+from cltbounds.samplers import BLOCK_ROWS, derive_seed, sample
 from cltbounds.subspaces import (
     DIRECTION_CHUNK,
     LABEL_DIRECTIONS,
