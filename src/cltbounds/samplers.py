@@ -18,6 +18,7 @@ row's projections its reflection-frame coefficient, read from the same chunk.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
@@ -27,7 +28,8 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .core import BLOCK_ROWS, CHUNK_ROWS, thread_map
-from .exact import _LP_KINDS, SPHERICAL_KINDS, DistributionSpec, Kind, _linf_rate
+from .exact import (_LP_KINDS, _PANELS, SPHERICAL_KINDS, DistributionSpec, Kind, _linf_rate,
+                    _panel_rule)
 from .frames import simplex_edges, simplex_projections, simplex_vertices
 
 __all__ = [
@@ -157,20 +159,45 @@ def _map_blocks(fill, blocks, fn: Callable[[slice, np.ndarray], None], workers: 
     thread_map(run, blocks, workers)
 
 
+# the ziggurat: layers under exp(-t^p), and values per slice (256 KB per float array;
+# slices of 2^16 left a 2-worker grid's peak RSS about 1 MB higher, at the same speed)
+_LAYERS, _SLICE = 256, 1 << 15
+
+
 def _generalized_gaussian_block(rng: np.random.Generator, p: float, g: np.ndarray) -> np.ndarray:
     """Fill the C-contiguous (count, n) array g with i.i.d. draws of density
     proportional to exp(-|t|^p), and return the sums of |g|^p along each
     row: one chunk of an lp fill.
 
     p = 2 is the law N(0, 1/2): sqrt(1/2) times standard normals.  p = 1 is
-    sign * E with E standard exponential; draw order: exponentials then
-    signs, a sign draw of 0 negating.  Any other p is g = V^(1/p) U with
-    V ~ Gamma(1 + 1/p, 1) and U uniform on (-1, 1), which carries the sign:
-    given V, |g| is uniform on (0, V^(1/p)), so |g| has density
-    int_{t^p}^inf v^(-1/p) v^(1/p) e^(-v) dv / Gamma(1 + 1/p)
-    = e^(-t^p) / Gamma(1 + 1/p) at t, and |g|^p ~ Gamma(1/p, 1).  The shape
-    above one keeps ``standard_gamma`` on its fast path.  Draw order: the
-    gammas, then the uniforms.  Beside g it allocates one array of g's shape.
+    sign * E with E standard exponential.  Draw order: the exponentials of
+    g, row-major, then ceil(g.size / 64) ``bit_generator.random_raw``
+    words; bit k (least significant first) of word j, when set, negates
+    value 64 j + k of g.  Beside g it allocates one byte per value and a
+    slice of words.
+
+    Any other p draws |g| by the ziggurat of ``_ziggurat(p)`` (Marsaglia and
+    Tsang, J. Stat. Softw. 5(8), 2000) in whole-row slices of
+    max(1, ``_SLICE`` // n) rows.  Draw order, per slice:
+
+    * one ``bit_generator.random_raw`` word per value, row-major.  Bits 0-7
+      pick the layer i, bit 8 the sign (set: negative), and bits 11-63 the
+      uniform u = (bits 11-63) 2^-53.  The value is u x_i, accepted at once
+      when u < x_(i+1) / x_i.
+    * Each other value finishes its own attempt, in rounds:
+      - those of layer 0 take the tail t > r = x_1: s = r^p + E with E
+        standard exponential, accepted when a uniform V < (s / r^p)^(1/p - 1),
+        give t = s^(1/p) (beyond r^p, t^p has density proportional to
+        s^(1/p - 1) e^-s).  All their E, then all their V, again for the
+        rejected ones until none is left;
+      - then the others take one uniform U each, and are accepted when
+        y_i + U (y_(i+1) - y_i) < exp(-(u x_i)^p);
+      - each rejected one draws one fresh word, read as above, and the
+        round repeats for the fresh values that are not accepted at once.
+
+    The row sums are taken slice by slice from the values' magnitudes, |g|^4
+    as two squarings; then each value takes the sign of the last word it
+    drew.  Beside g it allocates about three slices of 8-byte values.
     """
     if p == 2.0:
         rng.standard_normal(out=g)
@@ -179,20 +206,121 @@ def _generalized_gaussian_block(rng: np.random.Generator, p: float, g: np.ndarra
     if p == 1.0:
         rng.standard_exponential(out=g)
         sums = g.sum(axis=1)
-        # negate by flipping the IEEE sign bit in place: no float temporary
-        flips = rng.integers(0, 2, size=g.shape).view(np.uint64)
-        flips ^= 1
-        flips <<= 63
-        bits = g.view(np.uint64)
-        bits ^= flips
+        # negate by flipping the IEEE sign bit in place, a slice at a time
+        words = rng.bit_generator.random_raw(-(-g.size // 64)).astype("<u8", copy=False)
+        signs = np.unpackbits(words.view(np.uint8), count=g.size, bitorder="little")
+        bits = g.reshape(-1).view(np.uint64)
+        for lo in range(0, g.size, _SLICE):
+            bits[lo : lo + _SLICE] ^= np.left_shift(signs[lo : lo + _SLICE], 63, dtype=np.uint64)
         return sums
-    rng.standard_gamma(1.0 + 1.0 / p, out=g)
-    g **= 1.0 / p
-    u = rng.uniform(-1.0, 1.0, g.shape)
-    g *= u
-    np.abs(g, out=u)
-    u **= p
-    return u.sum(axis=1)
+    table = _ziggurat(p)
+    count, n = g.shape
+    rows = max(1, _SLICE // n)
+    size = min(rows, count) * n
+    layer, work = np.empty(size, dtype=np.int64), np.empty(size)
+    sums = np.empty(count)
+    for lo in range(0, count, rows):
+        value = g[lo : lo + rows].reshape(-1)
+        m = len(value)
+        words = rng.bit_generator.random_raw(m)
+        missed = _layer_values(words, table, layer[:m], value, work[:m])
+        _finish(rng, p, table, words, layer, value, missed)
+        power = work[:m]
+        if p == 4.0:
+            np.square(value, out=power)
+            np.square(power, out=power)
+        else:
+            np.power(value, p, out=power)
+        sums[lo : lo + rows] = power.reshape(-1, n).sum(axis=1)
+        words <<= np.uint64(55)  # bit 8 to the IEEE sign bit
+        words &= np.uint64(1 << 63)
+        bits = value.view(np.uint64)
+        bits |= words
+    return sums
+
+
+@functools.cache
+def _ziggurat(p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, y, x[1:] / x[:-1]): the edges x_0 > x_1 = r > ... > x_255 > x_256 = 0
+    and heights 0 = y_0 < y_1 = f(r) < ... < y_256 of the 256 equal-area
+    layers of the ziggurat under f(t) = exp(-t^p), t >= 0, p > 1.
+
+    Layer i >= 1 is the box [0, x_i] x [y_i, y_(i+1)] of area
+    v = x_i (y_(i+1) - y_i); layer 0, the box [0, r] x [0, f(r)] with the
+    tail t > r under f, has area v = r f(r) + int_r^inf f, held as the box
+    [0, x_0] x [0, f(r)].  Given r, y_(i+1) = y_i + v / x_i and
+    x_(i+1) = f^-1(y_(i+1)).  r is bisected to the two adjacent floats
+    between which the layers stop rising above 1, and the larger is taken:
+    its top layer closes, y_256 <= 1 by about 1e-14.  The tail integral is
+    Gauss-Legendre (``exact._panel_rule``) up to t^p = r^p + 40, where f has
+    fallen by e^-40.
+    """
+
+    def layers(r: float):
+        top = (r**p + 40.0) ** (1.0 / p)
+        t, half, w = _panel_rule(np.array([r, top]), _PANELS)
+        v = r * math.exp(-(r**p)) + float((half * (np.exp(-(t**p)) @ w)).sum())
+        x, y = [v * math.exp(r**p), r], [0.0, math.exp(-(r**p))]
+        while len(y) <= _LAYERS:
+            y.append(y[-1] + v / x[-1])
+            if y[-1] > 1.0:
+                return None
+            x.append((-math.log(y[-1])) ** (1.0 / p) if len(x) < _LAYERS else 0.0)
+        return np.array(x), np.array(y)
+
+    lo, hi = 1.0, 50.0 ** (1.0 / p)  # r^p = 1 overflows the layers, r^p = 50 leaves them short
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if layers(mid) is None:
+            lo = mid
+        else:
+            hi = mid
+    x, y = layers(hi)
+    tables = x, y, x[1:] / x[:-1]
+    for table in tables:  # shared by every caller
+        table.setflags(write=False)
+    return tables
+
+
+def _layer_values(words: np.ndarray, table, layer: np.ndarray, value: np.ndarray,
+                  work: np.ndarray) -> np.ndarray:
+    """Read each word as one ziggurat attempt (``_generalized_gaussian_block``):
+    its layer i into layer and its value u x_i into value; return the
+    positions of the values not accepted at once.  work is a scratch float
+    array of the words' length."""
+    x, _, ratio = table
+    bits = layer.view(np.uint64)
+    np.right_shift(words, np.uint64(11), out=bits)
+    np.multiply(layer, 2.0**-53, out=value)
+    np.bitwise_and(words, np.uint64(0xFF), out=bits)
+    # layer holds 0..255, in range: mode="wrap" only skips take's bounds check
+    missed = value >= np.take(ratio, layer, out=work, mode="wrap")
+    value *= np.take(x, layer, out=work, mode="wrap")
+    return np.flatnonzero(missed)
+
+
+def _finish(rng: np.random.Generator, p: float, table, words: np.ndarray, layer: np.ndarray,
+            value: np.ndarray, missed: np.ndarray) -> None:
+    """Settle the values at the positions missed, in the rounds of the tail,
+    the wedge test and the redraws of ``_generalized_gaussian_block``,
+    writing each redrawn word over its position's word."""
+    x, y, _ = table
+    rp = x[1] ** p
+    while missed.size:
+        i = layer[missed]
+        tail = missed[i == 0]
+        while tail.size:
+            s = rng.standard_exponential(tail.size) + rp
+            kept = rng.random(tail.size) < (s / rp) ** (1.0 / p - 1.0)
+            value[tail[kept]] = s[kept] ** (1.0 / p)
+            tail = tail[~kept]
+        wedge, i = missed[i > 0], i[i > 0]
+        height = y[i] + rng.random(wedge.size) * (y[i + 1] - y[i])
+        missed = wedge[height >= np.exp(-(value[wedge] ** p))]
+        words[missed] = fresh = rng.bit_generator.random_raw(missed.size)
+        i, v = np.empty(missed.size, dtype=np.int64), np.empty(missed.size)
+        again = _layer_values(fresh, table, i, v, np.empty(missed.size))
+        layer[missed], value[missed] = i, v
+        missed = missed[again]
 
 
 def _reduced_spherical_block(
@@ -320,8 +448,10 @@ def _lp_fill(
     scale G / (S + E)^(1/p) with E standard exponential (Barthe, Guedon,
     Mendelson and Naor, Ann. Probab. 2005).  Block order: the
     ``_generalized_gaussian_block`` draws of each ``CHUNK_ROWS``-row chunk
-    in turn, then, for a ball, its ``count`` exponentials; so the cone's
-    stream is a prefix of the ball's, and one group's pair shares it.
+    in turn (at p = 1 its exponentials, then its sign words; at any other
+    p != 2 the ziggurat's raw words and the draws that settle its misses,
+    slice by slice), then, for a ball, its ``count`` exponentials; so the
+    cone's stream is a prefix of the ball's, and one group's pair shares it.
     ``_scaled`` draws G or G @ directions into the first spec's columns
     and scales each body once: (count, k D) in the order of specs.
     """

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from cltbounds.core import CHUNK_ROWS, summarize
 from cltbounds.frames import simplex_geometry
@@ -23,6 +23,7 @@ from cltbounds.samplers import (
     _filler,
     _generalized_gaussian_block,
     _reduced_spherical_block,
+    _ziggurat,
 )
 from cltbounds.subspaces import haar_orthogonal
 
@@ -39,19 +40,60 @@ def assert_within_se(observed, expected, se, k=3.0, floor=1e-12):
 
 
 def generalized_gaussian_draws(rng, p, shape):
-    """The generalized Gaussian of density ~ exp(-|t|^p) as documented, each
-    distribution in one call: sqrt(1/2) standard normals at p = 2; at
-    p = 1 exponentials, then integers(0, 2) signs, 0 negating; at any other
-    p Gamma(1 + 1/p) draws V, then uniform(-1, 1) draws U, g = V^(1/p) U."""
+    """The generalized Gaussian of density ~ exp(-|t|^p) as documented, a
+    (count, n) array of draws (count of them for an integer shape, n = 1):
+    sqrt(1/2) standard normals at p = 2; at p = 1 exponentials, then
+    ceil(size / 64) raw words, bit k of word j negating value 64 j + k when
+    set; at any other p the ziggurat draws of ``ziggurat_draws``, whole-row
+    slice by slice of 2^15 // n rows (at least one)."""
     if p == 2.0:
         return math.sqrt(0.5) * rng.standard_normal(shape)
     if p == 1.0:
         g = rng.standard_exponential(shape)
-        g *= rng.integers(0, 2, shape) * 2.0 - 1.0
+        words = rng.bit_generator.random_raw(-(-g.size // 64))
+        bits = (words[:, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
+        g[bits.reshape(-1)[: g.size].reshape(g.shape) == 1] *= -1.0
         return g
-    g = rng.standard_gamma(1.0 + 1.0 / p, shape) ** (1.0 / p)
-    g *= rng.uniform(-1.0, 1.0, shape)
-    return g
+    count, n = (shape, 1) if np.ndim(shape) == 0 else shape
+    rows = max(1, 2**15 // n)
+    slices = [ziggurat_draws(rng, p, min(rows, count - lo) * n) for lo in range(0, count, rows)]
+    return np.concatenate(slices).reshape(shape)
+
+
+def ziggurat_draws(rng, p, m):
+    """m draws of one slice, as documented in ``_generalized_gaussian_block``:
+    m raw words, one attempt each on the layers x, y of ``_ziggurat(p)``; the
+    misses' tail draws (exponentials, then uniforms, until all are kept),
+    then their wedge uniforms, then a fresh word for each one rejected, read
+    again; each draw signed by bit 8 of its last word."""
+    x, y, _ = _ziggurat(p)
+    rp = x[1] ** p
+    words = rng.bit_generator.random_raw(m)
+    value = np.empty(m)
+    todo = np.arange(m)  # the positions whose word is read next
+    while todo.size:
+        w = words[todo]
+        i = (w & np.uint64(255)).astype(np.intp)
+        u = (w >> np.uint64(11)).astype(np.int64) * 2.0**-53
+        value[todo] = u * x[i]
+        missed = u >= x[i + 1] / x[i]
+        todo, i = todo[missed], i[missed]
+        tail = todo[i == 0]
+        while tail.size:
+            s = rng.standard_exponential(tail.size) + rp
+            kept = rng.random(tail.size) < (s / rp) ** (1.0 / p - 1.0)
+            value[tail[kept]] = s[kept] ** (1.0 / p)
+            tail = tail[~kept]
+        todo, i = todo[i > 0], i[i > 0]
+        kept = y[i] + rng.random(todo.size) * (y[i + 1] - y[i]) < np.exp(-(value[todo] ** p))
+        todo = todo[~kept]
+        words[todo] = rng.bit_generator.random_raw(todo.size)
+    return np.where(words & np.uint64(256), -value, value)
+
+
+def power_sums(g, p):
+    """Each row's sum of |g|^p as an lp fill takes it: |g|^4 as two squarings."""
+    return np.sum(np.square(np.square(g)) if p == 4.0 else np.abs(g) ** p, axis=1)
 
 
 def generalized_gaussian_block(rng, p, count, n):
@@ -68,16 +110,17 @@ def lp_chunk_draws(rng, p, count, n):
             for lo in range(0, count, CHUNK_ROWS)]
 
 
-def sample_generalized_gaussian(p, N, seed):
-    """Reference: N i.i.d. scalars of density ~ exp(-|t|^p), 1 <= p < inf,
-    block b drawn by ``generalized_gaussian_draws`` from the substream of
-    ``block_seed(seed, b)``.  It was ``samplers.sample_generalized_gaussian``;
-    the program draws the same law only inside ``_generalized_gaussian_block``."""
+def sample_generalized_gaussian(p, N, seed, n=1):
+    """Reference: N rows of n i.i.d. scalars of density ~ exp(-|t|^p),
+    1 <= p < inf, the rows of block b drawn by ``generalized_gaussian_draws``
+    from the substream of ``block_seed(seed, b)``.  It was
+    ``samplers.sample_generalized_gaussian``; the program draws the same law
+    only inside ``_generalized_gaussian_block``."""
     if not 1.0 <= p < math.inf:
         raise ValueError(f"p must satisfy 1 <= p < inf, got {p}")
     return np.concatenate([
         generalized_gaussian_draws(np.random.default_rng(block_seed(seed, block)), p,
-                                   min(BLOCK_ROWS, N - lo))
+                                   (min(BLOCK_ROWS, N - lo), n))
         for block, lo in enumerate(range(0, N, BLOCK_ROWS))
     ])
 
@@ -240,15 +283,15 @@ class TestDrawOrder:
     def test_lp_blocks_follow_documented_draws(self, kind, p):
         # per block substream, CHUNK_ROWS rows at a time: each chunk's
         # generalized-Gaussian draws g (at p = 1 exponential magnitudes then
-        # integers(0, 2) signs; at any other p Gamma(1 + 1/p) draws V, their
-        # 1/p power, then uniform(-1, 1) draws U, g = V^(1/p) U); after the
-        # last chunk the ball's exponential y; rows are g times
-        # scale (sum |g|^p [+ y])^(-1/p), bit for bit.  At p = 2 the l2 ball
-        # is the Euclidean ball: at its own scale, the ball's reduced-law
-        # rows bit for bit, and the l2 cone's rows are the normalized
-        # sqrt(1/2) standard normals.  At p = inf the cube's block is
-        # uniform(-scale, scale, (count, n)), and each chunk of the cube
-        # boundary is uniform(-1, 1) rows, then a facet index and a facet
+        # sign bits packed 64 to a raw word; at any other p the ziggurat's
+        # raw words and the draws that settle its misses, slice by slice);
+        # after the last chunk the ball's exponential y; rows are g times
+        # scale (sum |g|^p [+ y])^(-1/p), |g|^4 as two squarings, bit for
+        # bit.  At p = 2 the l2 ball is the Euclidean ball: at its own
+        # scale, the ball's reduced-law rows bit for bit, and the l2 cone's
+        # rows are the normalized sqrt(1/2) standard normals.  At p = inf
+        # the cube's block is uniform(-scale, scale, (count, n)), and each
+        # chunk of the cube boundary is uniform(-1, 1) rows, then a facet index and a facet
         # sign (integers(0, 2), 0 negating) per row, times scale
         n, n_samples, seed = 7, BLOCK_ROWS + CHUNK_ROWS + 300, 61
         spec = DistributionSpec(kind, n, p=p)
@@ -276,7 +319,7 @@ class TestDrawOrder:
                 blocks.append(spec.scale * g / np.sum(g**2, axis=1)[:, None] ** 0.5)
                 continue
             g = np.vstack(lp_chunk_draws(rng, p, count, n))
-            denom = np.sum(np.abs(g) ** p, axis=1)
+            denom = power_sums(g, p)
             if kind is Kind.LP_BALL:
                 denom += rng.standard_exponential(count)
             blocks.append(g * (spec.scale * denom ** (-1.0 / p))[:, None])
@@ -402,8 +445,8 @@ class TestProjectionBlocks:
     )
     def test_lp_projects_before_scaling(self, spec):
         # per block substream: the generalized-Gaussian draws g of each
-        # CHUNK_ROWS-row chunk in turn (gammas, then uniforms; at p = 1
-        # exponentials, then signs), then the ball's exponential E; the
+        # CHUNK_ROWS-row chunk in turn (the ziggurat's draws; at p = 1
+        # exponentials, then packed signs), then the ball's exponential E; the
         # projections are each chunk's g @ directions times the per-row
         # factor scale (sum |g|^p [+ E])^(-1/p), bit for bit, and sample()
         # rows times the directions up to rounding
@@ -414,7 +457,7 @@ class TestProjectionBlocks:
             count = min(BLOCK_ROWS, n_samples - lo)
             rng = np.random.default_rng(block_seed(seed, block))
             chunks = lp_chunk_draws(rng, p, count, spec.n)
-            sums = np.concatenate([np.sum(np.abs(g) ** p, axis=1) for g in chunks])
+            sums = np.concatenate([power_sums(g, p) for g in chunks])
             if spec.kind is Kind.LP_BALL:
                 sums += rng.standard_exponential(count)
             unscaled = np.vstack([g @ directions for g in chunks])
@@ -631,25 +674,60 @@ class TestGeneralizedGaussian:
         rows = sample(spec, 1000, 0).data
         np.testing.assert_array_equal(np.abs(rows).max(axis=1), spec.scale)
 
-    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0, 8.0])
     def test_power_is_gamma_of_one_over_p(self, p):
-        # V^(1/p) U has |g|^p ~ Gamma(1/p, 1)
-        draws, _ = generalized_gaussian_block(np.random.default_rng(21), p, 2 * 10**4, 10)
+        # |g| of density exp(-t^p) / Gamma(1 + 1/p) has |g|^p ~ Gamma(1/p, 1);
+        # at 2e6 draws the ziggurat's layers hold 7800 each
+        draws, _ = generalized_gaussian_block(np.random.default_rng(21), p, 2 * 10**5, 10)
         assert stats.kstest(np.abs(draws.ravel()) ** p, stats.gamma(1.0 / p).cdf).pvalue > 0.01
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0, 8.0])
+    def test_tail_beyond_the_base_layer_has_its_mass(self, p):
+        # P(|g| > r) = Q(1/p, r^p), 1.4e-4 at p = 4, for r = x_1 the edge of
+        # the base layer, over 2e7 draws: a miss of the base layer that drew
+        # afresh instead of taking the tail would put none there, and a tail
+        # attempt that, rejected, drew afresh from the whole ziggurat would
+        # lose 11% of that mass at p = 4 (5.8 standard errors)
+        rng, g = np.random.default_rng(26), np.empty((2 * 10**5, 10))
+        r = _ziggurat(p)[0][1]
+        count = 0
+        for _ in range(10):
+            _generalized_gaussian_block(rng, p, g)
+            count += np.count_nonzero(np.abs(g) > r)
+        tail = special.gammaincc(1.0 / p, r**p)
+        expected, se = 10 * g.size * tail, math.sqrt(10 * g.size * tail * (1.0 - tail))
+        assert abs(count - expected) <= 4.0 * se
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0, 8.0])
+    def test_ziggurat_layers_have_equal_areas(self, p):
+        # layer i >= 1 is the box [0, x_i] x [y_i, y_(i+1)], the base layer
+        # the box [0, r] x [0, f(r)] and the tail int_r^inf f = Gamma(1/p, r^p) / p;
+        # the corners (x_i, y_i) lie on f(t) = exp(-t^p), and the top closes
+        x, y, ratio = _ziggurat(p)
+        assert x.shape == y.shape == (257,) and x[-1] == 0.0
+        np.testing.assert_array_equal(ratio, x[1:] / x[:-1])
+        r = x[1]
+        v = x[0] * y[1]
+        areas = np.append(x[1:-1] * np.diff(y[1:]),
+                          r * y[1] + special.gammaincc(1.0 / p, r**p) * special.gamma(1.0 / p) / p)
+        np.testing.assert_allclose(areas, v, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(y[1:-1], np.exp(-(x[1:-1] ** p)), rtol=1e-13, atol=0.0)
+        assert abs(math.exp(-(x[255] ** p)) + v / x[255] - 1.0) <= 1e-13
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0])
     def test_block_sums_are_those_of_the_draws(self, p):
         g, sums = generalized_gaussian_block(np.random.default_rng(22), p, 2 * 10**4, 10)
         np.testing.assert_allclose(sums, np.sum(np.abs(g) ** p, axis=1), rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("n", [1, 7])
+    @pytest.mark.parametrize("n", [1, 7, 40])
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0])
     def test_chunked_block_is_the_reference_stream(self, p, n):
-        # one call, of any row count, draws all its gammas (exponentials)
-        # and then all its uniforms (signs): the reference stream
+        # one call, of any row count, draws the reference stream of its rows:
+        # all its exponentials and then all its sign words at p = 1, and at
+        # p = 1.5 and 4 the ziggurat slice by slice (n = 40: eleven slices)
         count, seed = 2 * CHUNK_ROWS + 100, 24
         g, _ = generalized_gaussian_block(np.random.default_rng(block_seed(seed, 0)), p, count, n)
-        np.testing.assert_array_equal(g.ravel(), sample_generalized_gaussian(p, count * n, seed))
+        np.testing.assert_array_equal(g, sample_generalized_gaussian(p, count, seed, n))
 
     @pytest.mark.parametrize(
         "kinds, p, projected",
