@@ -212,10 +212,11 @@ def simplex_pair_moment(n: int, pair_a: tuple[int, int], pair_b: tuple[int, int]
 TV = "total variation"
 D_K = "Kolmogorov distance"
 
-# largest n any test checks: n * TV stays within 1e-3 of its limit 0.7001 up
-# to n = 1e6, where a 64-panel, 128-node rule agrees within 1e-17.  The log
-# normalizer (``_log_gamma_ratio``) keeps its digits beyond, and with the cap
-# lifted n * TV reads 0.700150 from n = 1e7 to 1e9, but no test covers that
+# largest n whose TV keeps its relative accuracy: n * TV stays within 1e-3 of
+# its limit 0.7001 up to n = 1e6, where a 64-panel, 128-node rule agrees
+# within 1e-17.  Past the cap it reads 0.7001502 at n = 1e7 and 0.7001501 at
+# 1e8 (a test lifts the cap to check), but drifts to 0.7001512 at 1e9, where
+# log(f/phi), of order 1/n, is the difference of terms of order 1
 EXACT_MARGINAL_MAX_N = 10**6
 
 
@@ -259,12 +260,19 @@ def exact_law(distance: str, kind, n: int, p: float | None = None) -> ExactLaw:
     return law
 
 
-# exact_tv_vs_normal's crossing grid over [0, min(r, _CROSSING_REACH)] and
-# bisections, and its Gauss-Legendre panels and nodes per panel of each piece
-_CROSSING_GRID = 4097
-_CROSSING_REACH = 40.0
-_BISECTIONS = 60
+# Gauss-Legendre panels, and nodes per panel, of each piece exact_tv_vs_normal
+# and samplers._ziggurat integrate
 _PANELS, _NODES = 8, 64
+
+
+def _adjacent_floats(lo: float, hi: float, below) -> tuple[float, float]:
+    """Bisect [lo, hi] to adjacent floats, lo kept where ``below`` holds."""
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 @functools.cache
@@ -320,43 +328,34 @@ def exact_projection_density(kind, n: int, t) -> np.ndarray | float:
 
 def exact_tv_vs_normal(kind, n: int) -> float:
     """Total variation (L1 of densities) between the projection law and the
-    standard normal, by sign-resolved Gauss-Legendre quadrature.
+    standard normal, from the two crossings of the densities.
 
-    Crossings of the two densities are bracketed on a grid over
-    [0, min(r, 40)] and bisected, so each piece has one sign; [40, r], where
-    both densities are below 1e-300 (the normal's underflows to 0 from
-    t = 38.6), is the last piece.  Each piece is
-    integrated in phi = arcsin(t/r): the density's factor (1 - t^2/r^2)^e
-    has a square-root edge at e = 1/2 (sphere n=4, ball n=2), which
-    dt = r cos(phi) dphi turns into a smooth cos^(2e+1) phi.  Absolute
-    error is below 1e-14 for both kinds at every validated n: the log
-    normalizer is within 7.2e-15 of its exact value (``_log_gamma_ratio``),
-    which moves the L1 distance by at most as much, and a 64-panel, 128-node
-    rule agrees with this one within 6e-17 from n = 2 to 1e6.
+    With s = t^2, g(s) = log(f/phi) = log c + e log(1 - s/m) + s/2 + log(2 pi)/2
+    is concave, and g'(s) = 1/2 - e/(m - s) vanishes only at s = 3.  g(0) < 0
+    (Gamma(x + 1/2)/Gamma(x) < sqrt(x), Wendel 1948) and g(3) > 0 (equal
+    masses), so f > phi exactly on (t1, t2): s1 in (0, 3), s2 in (3, m) or
+    s2 = m = 3, where e = 0, each bisected to adjacent floats.  Both laws have
+    mass 1/2 on t >= 0, so TV = 4 int_t1^t2 phi expm1(g) dt, one piece, taken
+    in phi = arcsin(t/r): (1 - t^2/r^2)^e has a square-root edge at e = 1/2
+    (sphere n=4, ball n=2, where t2 = 1.96 and r = 2), which dt = r cos(phi)
+    dphi makes a smooth cos^(2e+1) phi.  Absolute error is below 1e-14 at
+    every validated n: the log normalizer is within 7.2e-15 of its exact
+    value (``_log_gamma_ratio``), which moves the L1 distance by at most as
+    much, and a 64-panel, 128-node rule agrees within 6e-17 from n = 2 to 1e6.
     """
-    r_sq, _, _ = _marginal_params(kind, n)
+    r_sq, exponent, log_c = _marginal_params(kind, n)
+    log_ratio = log_c + 0.5 * math.log(2.0 * math.pi)
+
+    def g(s):
+        return log_ratio + exponent * np.log1p(-s / r_sq) + 0.5 * s
+
+    s1, _ = _adjacent_floats(0.0, 3.0, lambda s: g(s) < 0.0)
+    s2, _ = _adjacent_floats(3.0, r_sq, lambda s: g(s) > 0.0)
     radius = math.sqrt(r_sq)
-
-    def diff(t):
-        return exact_projection_density(kind, n, t) - normal_pdf(t)
-
-    reach = min(radius, _CROSSING_REACH)
-    grid = np.linspace(0.0, reach, _CROSSING_GRID)
-    vals = diff(grid)
-    # a sign change brackets a crossing (where both densities underflow, the
-    # zeros are no crossing); bisection keeps the half where f(lo) f(mid) <= 0
-    at = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
-    lo, hi, f_lo = grid[at], grid[at + 1], vals[at]
-    for _ in range(_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        right = diff(mid) * f_lo > 0.0
-        lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
-    ends = np.concatenate([[0.0], lo, [reach], [radius] if reach < radius else []])
-    ends = np.arcsin(ends / radius)
-    phi, half, w = _panel_rule(ends, _PANELS)
-    pieces = half * (diff(radius * np.sin(phi)) * radius * np.cos(phi) @ w)
-    tail = normal_cdf_points(-radius)  # all normal mass outside the support
-    return 2.0 * (float(np.abs(pieces.sum(axis=1)).sum()) + tail)
+    phi, half, w = _panel_rule(np.arcsin(np.sqrt([s1, s2]) / radius), _PANELS)
+    t = radius * np.sin(phi)
+    excess = normal_pdf(t) * np.expm1(g(t * t)) * radius * np.cos(phi)
+    return 4.0 * float((half * (excess @ w)).sum())
 
 
 # exact_kolmogorov: the Gil-Pelaez integral runs over u in [0, U] on panels of

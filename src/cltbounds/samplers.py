@@ -28,8 +28,8 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .core import BLOCK_ROWS, CHUNK_ROWS, thread_map
-from .exact import (_LP_KINDS, _PANELS, SPHERICAL_KINDS, DistributionSpec, Kind, _linf_rate,
-                    _panel_rule)
+from .exact import (_LP_KINDS, _PANELS, SPHERICAL_KINDS, DistributionSpec, Kind, _adjacent_floats,
+                    _linf_rate, _panel_rule)
 from .frames import simplex_edges, simplex_projections, simplex_vertices
 
 __all__ = [
@@ -249,11 +249,11 @@ def _ziggurat(p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     v = x_i (y_(i+1) - y_i); layer 0, the box [0, r] x [0, f(r)] with the
     tail t > r under f, has area v = r f(r) + int_r^inf f, held as the box
     [0, x_0] x [0, f(r)].  Given r, y_(i+1) = y_i + v / x_i and
-    x_(i+1) = f^-1(y_(i+1)).  r is bisected to the two adjacent floats
-    between which the layers stop rising above 1, and the larger is taken:
-    its top layer closes, y_256 <= 1 by about 1e-14.  The tail integral is
-    Gauss-Legendre (``exact._panel_rule``) up to t^p = r^p + 40, where f has
-    fallen by e^-40.
+    x_(i+1) = f^-1(y_(i+1)).  r is bisected (``exact._adjacent_floats``) to
+    the two adjacent floats between which the layers stop rising above 1, and
+    the larger is taken: its top layer closes, y_256 <= 1 by about 1e-14.  The
+    tail integral is Gauss-Legendre (``exact._panel_rule``) up to
+    t^p = r^p + 40, where f has fallen by e^-40.
     """
 
     def layers(r: float):
@@ -268,13 +268,9 @@ def _ziggurat(p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             x.append((-math.log(y[-1])) ** (1.0 / p) if len(x) < _LAYERS else 0.0)
         return np.array(x), np.array(y)
 
-    lo, hi = 1.0, 50.0 ** (1.0 / p)  # r^p = 1 overflows the layers, r^p = 50 leaves them short
-    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        if layers(mid) is None:
-            lo = mid
-        else:
-            hi = mid
-    x, y = layers(hi)
+    # r^p = 1 overflows the layers, r^p = 50 leaves them short
+    _, r = _adjacent_floats(1.0, 50.0 ** (1.0 / p), lambda r: layers(r) is None)
+    x, y = layers(r)
     tables = x, y, x[1:] / x[:-1]
     for table in tables:  # shared by every caller
         table.setflags(write=False)

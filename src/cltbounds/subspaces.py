@@ -77,7 +77,7 @@ def _require_two_samples(N: int) -> None:
 def _sign_fixed_qr(g: np.ndarray) -> np.ndarray:
     """QR with the R-diagonal forced positive (unbiased Haar; plain QR is not).
 
-    Accepts a stack (..., n, n) and fixes signs column by column.
+    Accepts a stack (..., n, k), k <= n, and fixes signs column by column.
     """
     q, r = np.linalg.qr(g)
     d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
@@ -100,10 +100,11 @@ def haar_orthogonal_sample(n: int, count: int, seed: int) -> np.ndarray:
 
 
 def random_subspace(n: int, k: int, seed: int) -> np.ndarray:
-    """(k, n) orthonormal basis rows of a subspace drawn from the rotation-invariant law."""
+    """(k, n) orthonormal basis rows of a subspace drawn from the rotation-invariant law:
+    the sign-fixed QR of an (n, k) Gaussian, k columns of a Haar matrix (Mezzadri 2007)."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    return haar_orthogonal(n, seed)[:k]
+    return _sign_fixed_qr(np.random.default_rng(seed).standard_normal((n, k))).T
 
 
 def uniform_directions(k: int, count: int, rng: np.random.Generator) -> np.ndarray:

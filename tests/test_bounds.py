@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 from collections import Counter
@@ -43,7 +44,7 @@ from cltbounds.exact import (
     simplex_pair_moment,
 )
 from cltbounds.frames import simplex_geometry
-from cltbounds.samplers import sample_projections
+from cltbounds.samplers import _ziggurat, sample_projections
 from cltbounds.subspaces import random_subspace
 
 CUBE_FOURTH = 1.8
@@ -584,9 +585,8 @@ class TestExactTv:
     @pytest.mark.parametrize("kind", ["sphere_shell", "ball_uniform"])
     @pytest.mark.parametrize("n", [2000, 10**4, 10**6])
     def test_two_crossings_and_many_more_panels_agree(self, monkeypatch, kind, n):
-        # past t = 38.6 both densities underflow to 0, where nothing crosses:
-        # the pieces are [0, c1], [c1, c2], [c2, 40] and [40, r], and a
-        # 64-panel, 128-node rule on them agrees (measured: within 1e-17)
+        # TV = 4 int_t1^t2 (f - phi): the one piece between the two crossings,
+        # and a 64-panel, 128-node rule on it agrees (measured: within 4e-18)
         pieces = []
         rule = exact_module._panel_rule
 
@@ -596,7 +596,7 @@ class TestExactTv:
 
         monkeypatch.setattr(exact_module, "_panel_rule", counted)
         value = exact_tv_vs_normal(kind, n)
-        assert pieces == [4]
+        assert pieces == [1]
         monkeypatch.setattr(exact_module, "_PANELS", 64)
         monkeypatch.setattr(exact_module, "_NODES", 128)
         assert abs(exact_tv_vs_normal(kind, n) - value) <= 1e-16
@@ -609,6 +609,57 @@ class TestExactTv:
             assert n * exact_tv_vs_normal(kind, n) == pytest.approx(0.7001, abs=1e-3)
         with pytest.raises(ValueError, match="validated"):
             exact_tv_vs_normal(kind, EXACT_MARGINAL_MAX_N + 1)
+
+    @pytest.mark.parametrize(
+        "kind, n",
+        [("sphere_shell", n) for n in (3, 4, 5, 10, 100, 10**4, 10**6)]
+        + [("ball_uniform", n) for n in (2, 3, 10, 10**6)],
+    )
+    def test_crossings_are_the_roots(self, monkeypatch, kind, n):
+        # the one piece's ends are the roots of f - phi, one in [0, sqrt 3] and
+        # one in [sqrt 3, r] (r itself at sphere n=3), and f - phi is positive
+        # between them and not positive beyond.  A root moves by about n 1e-16:
+        # a rounding of 1e-16 in log(f/phi), whose slope in t^2 is about 1.2/n
+        ends = []
+        rule = exact_module._panel_rule
+
+        def recorded(phi_ends, panels):
+            ends.append(phi_ends)
+            return rule(phi_ends, panels)
+
+        monkeypatch.setattr(exact_module, "_panel_rule", recorded)
+        exact_tv_vs_normal(kind, n)
+        r_sq = exact_module._marginal_params(kind, n)[0]
+        radius = math.sqrt(r_sq)
+        t1, t2 = radius * np.sin(ends[0])
+
+        def diff(t):
+            return exact_projection_density(kind, n, t) - np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+
+        roots = [optimize.brentq(diff, 0.0, math.sqrt(3.0), xtol=1e-15)]
+        roots.append(radius if r_sq == 3.0
+                     else optimize.brentq(diff, math.sqrt(3.0), min(radius, 10.0), xtol=1e-15))
+        assert np.abs(np.array([t1, t2]) - roots).max() <= 1e-12 + 1e-16 * n
+        t = np.linspace(0.0, radius, 10**5, endpoint=False)  # the support is open
+        gap = diff(t)
+        between = (t1 < t) & (t < t2)
+        assert (gap[between] > 0.0).all() and (gap[~between] <= 0.0).all()
+
+    @pytest.mark.parametrize("kind", ["sphere_shell", "ball_uniform"])
+    def test_limit_beyond_the_cap(self, monkeypatch, kind):
+        # the crossings and the one piece keep n * TV at its limit past the
+        # validated range (measured: 0.7001502 at n = 1e7, 0.7001501 at 1e8)
+        laws = tuple(dataclasses.replace(law, max_n=10**8) for law in EXACT_LAWS)
+        monkeypatch.setattr(exact_module, "EXACT_LAWS", laws)
+        for n in (10**7, 10**8):
+            assert n * exact_tv_vs_normal(kind, n) == pytest.approx(0.700150, abs=1e-6)
+
+    def test_ziggurat_edge_unchanged(self):
+        # the ziggurat's r takes the same adjacent-float bisection: its value,
+        # and so every table and every lp stream, is the one pinned here
+        pinned = {1.5: 3.6683809125233577, 3.0: 1.8483774010644276, 4.0: 1.5734337188351608,
+                  8.0: 1.2468811930657968}
+        assert {p: float(_ziggurat(p)[0][1]) for p in pinned} == pinned
 
 
 def cube_spec(n):

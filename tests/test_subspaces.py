@@ -118,6 +118,11 @@ class TestRandomSubspace:
         coeffs = basis @ theta
         np.testing.assert_allclose(coeffs @ basis, theta, atol=1e-10)
 
+    def test_line_is_uniform_on_the_sphere(self):
+        # a uniform unit vector in R^10 has first coordinate squared Beta(1/2, 9/2)
+        first = np.array([random_subspace(10, 1, seed)[0, 0] for seed in range(4000)])
+        assert stats.kstest(first**2, stats.beta(0.5, 4.5).cdf).pvalue > 0.01
+
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             random_subspace(5, 6, 0)
