@@ -586,7 +586,7 @@ class TestExactTv:
     @pytest.mark.parametrize("n", [2000, 10**4, 10**6])
     def test_two_crossings_and_many_more_panels_agree(self, monkeypatch, kind, n):
         # TV = 4 int_t1^t2 (f - phi): the one piece between the two crossings,
-        # and a 64-panel, 128-node rule on it agrees (measured: within 4e-18)
+        # and a 64-panel, 128-node rule on it agrees (measured: within 5e-18)
         pieces = []
         rule = exact_module._panel_rule
 
