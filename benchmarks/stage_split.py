@@ -11,18 +11,21 @@ cltbounds checkout on PYTHONPATH.
 ``--mode certify`` (the default) makes one streamed pass over the sample
 blocks (``samplers.map_sample_blocks`` at one worker) that times each
 block's fill (the time between two blocks) apart from its projection onto
-the grid's four thetas; then every projection row goes through
-``kolmogorov_vs_normal`` and ``tv_vs_normal_histogram``.  Before that pass
+the grid's four thetas, and apart from the count pass that certification
+runs on each block of projections, ``empirical.add_ks_counts``, plus
+``kolmogorov_from_counts`` of each row's counts (``counts_s``); then every
+projection row goes through ``tv_vs_normal_histogram``.  Before that pass
 it times the projections as certification draws them, one
-``samplers.sample_projections`` call on the same spec and thetas
-(``projections_s``), and the tracemalloc peak in MB of a second, traced
-call (``projections_peak_mb``; the timed call runs untraced): every fill
-of n-wide rows, its rows and its projections alike, goes through the
+``samplers.map_projection_blocks`` pass on the same spec and thetas that
+keeps no block (``projections_s``), and the tracemalloc peak in MB of a
+second, traced pass (``projections_peak_mb``; the timed pass runs
+untraced): every fill of n-wide rows, its rows and its projections alike,
+goes through the
 samplers' one chunk driver, ``CHUNK_ROWS`` rows at a time, so that peak
-does not grow with the block, and for the simplex, the p = 2 lp laws and
+does not grow with N, and for the simplex, the p = 2 lp laws and
 the lp laws at any other finite p (which project their unscaled
 exponentials or generalized-Gaussian chunks and scale the projections, with
-no row scaling) that call has its own fill, so it is not
+no row scaling) that pass has its own fill, so it is not
 ``fill_s + project_s``.
 
 ``--mode subspace`` times scan-ank at k = 1 the same way: the fill, the
@@ -102,10 +105,12 @@ import cltbounds
 from cltbounds import subspaces
 from cltbounds.certify import certify_grid, resolve_theta
 from cltbounds.empirical import (
+    KS_COUNTS,
     _ks_statistic,
+    add_ks_counts,
     histogram_counts,
     histogram_edges,
-    kolmogorov_vs_normal,
+    kolmogorov_from_counts,
     tv_from_counts,
     tv_vs_normal_histogram,
 )
@@ -122,7 +127,6 @@ from cltbounds.samplers import (
     derive_seed,
     map_projection_blocks,
     map_sample_blocks,
-    sample_projections,
 )
 
 THETAS = ["diagonal", "random(101)", "random(102)", "random(103)"]
@@ -167,19 +171,28 @@ assert code == 0, code
 
 
 def stream(spec: DistributionSpec, n_samples: int, seed: int, directions: np.ndarray,
-           times: dict[str, float], prefix: str = "") -> np.ndarray:
+           times: dict[str, float], prefix: str = "",
+           counts: np.ndarray | None = None) -> np.ndarray:
     """(D, N) projections onto the (n, D) directions; adds the fill time (from
     the end of one block's projection to the arrival of the next) and the
-    projection time to ``times``."""
+    projection time to ``times``, and, given a (D, KS_COUNTS) table
+    ``counts``, adds each block of projections to it, timed as
+    ``counts_s``."""
     out = np.empty((directions.shape[1], n_samples))
     mark = [time.perf_counter()]
 
     def take(rows: slice, block: np.ndarray) -> None:
         start = time.perf_counter()
         times[prefix + "fill_s"] += start - mark[0]
-        out[:, rows] = (block @ directions).T
+        projected = block @ directions
+        out[:, rows] = projected.T
         mark[0] = time.perf_counter()
         times[prefix + "project_s"] += mark[0] - start
+        if counts is not None:
+            start = mark[0]
+            add_ks_counts(counts, projected)
+            mark[0] = time.perf_counter()
+            times[prefix + "counts_s"] += mark[0] - start
 
     map_sample_blocks(spec, n_samples, seed, take)  # one worker: blocks in order
     return out
@@ -187,20 +200,23 @@ def stream(spec: DistributionSpec, n_samples: int, seed: int, directions: np.nda
 
 def certify_pass(spec: DistributionSpec, n_samples: int, seed: int) -> dict[str, float]:
     thetas = np.column_stack([resolve_theta(t, spec.n)[0] for t in THETAS])
-    times = dict.fromkeys(("fill_s", "project_s", "ks_s", "hist_s"), 0.0)
+    times = dict.fromkeys(("fill_s", "project_s", "counts_s", "hist_s"), 0.0)
     start = time.perf_counter()
-    sample_projections(spec, thetas, n_samples, seed)
+    map_projection_blocks(spec, thetas, n_samples, seed, lambda rows, block: None)
     times["projections_s"] = time.perf_counter() - start
-    tracemalloc.start()  # a second, traced call: tracing slows every allocation
+    tracemalloc.start()  # a second, traced pass: tracing slows every allocation
     try:
-        sample_projections(spec, thetas, n_samples, seed)
+        map_projection_blocks(spec, thetas, n_samples, seed, lambda rows, block: None)
         times["projections_peak_mb"] = tracemalloc.get_traced_memory()[1] / 1e6
     finally:
         tracemalloc.stop()
-    for row in stream(spec, n_samples, seed, thetas, times):
-        start = time.perf_counter()
-        kolmogorov_vs_normal(row)
-        times["ks_s"] += time.perf_counter() - start
+    counts = np.zeros((thetas.shape[1], KS_COUNTS), dtype=np.int64)
+    rows = stream(spec, n_samples, seed, thetas, times, counts=counts)
+    start = time.perf_counter()
+    for row in counts:
+        kolmogorov_from_counts(row)
+    times["counts_s"] += time.perf_counter() - start
+    for row in rows:
         start = time.perf_counter()
         tv_vs_normal_histogram(row)
         times["hist_s"] += time.perf_counter() - start

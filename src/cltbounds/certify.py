@@ -2,18 +2,22 @@
 theoretical bound, measure the empirical distance, and record a verdict.
 
 Each spec's projections onto the grid's thetas are drawn once, block by
-block, through ``samplers.map_projection_blocks``; the (N, n) batch is never
-held.  A Kolmogorov spec keeps its (D, N) projections and sorts each row in
-place; a spherical spec keeps only the (D, bins) counts of its histogram
-cells.  Spherically symmetric specs, and the lp ball and cone at p = 2,
+block, through ``samplers.map_projection_blocks``; neither the (N, n) batch
+nor the (D, N) projections are held.  Each block's projections are added
+to a count table as they are drawn, and the estimates are read from the
+counts: a Kolmogorov spec keeps the (D, ``empirical.KS_COUNTS``) counts of
+the Kolmogorov grid (``empirical.add_ks_counts``), a spherical spec the (D,
+bins) counts of its histogram cells, so what a group holds does not grow
+with N.  Spherically symmetric specs, and the lp ball and cone at p = 2,
 draw the projections from their exact reduced law (r = min(n, T) normals,
 a chi-square and a radius per row) and never fill an n-dimensional row;
 the simplex projects its exponentials before forming the point; the other
 lp specs at finite p project their generalized-Gaussian rows before
 scaling them; every other spec projects its sample rows.  Each of these
 fills goes through the samplers' one chunk driver, which draws and projects
-``CHUNK_ROWS`` rows at a time, so beside its projections a worker holds two
-(CHUNK_ROWS, n) chunks at most, not a block.
+``CHUNK_ROWS`` rows at a time, so beside its counts and one block of
+projections a worker holds two (CHUNK_ROWS, n) chunks at most, not a block
+of rows.
 
 An lp ball and an lp cone at the same n and the same finite p != 2 are
 one stream (``samplers.stream_groups``): their generalized-Gaussian block
@@ -22,7 +26,11 @@ pos)`` at the position of whichever of the two the grid lists first.
 Every other spec samples with the seed of its own position.  The streams are evaluated
 largest n first, and the reports keep the order of the specs.
 
-Kolmogorov routes pass when (point estimate - DKW slack) <= bound; total
+Kolmogorov routes pass when (point estimate - DKW slack) <= bound, the
+point estimate being the grid statistic K_lo of
+``empirical.kolmogorov_from_counts``, at most the exact Kolmogorov
+distance of the sample, so a cell fails only where the exact statistic
+fails too; its ``upper_estimate`` K_hi is at least that distance.  Total
 variation routes compare the histogram estimate against bound + a fixed
 estimator allowance.  The bounds hold for isotropic vectors, which every
 spec is, and carry the source's explicit constants, so no setting changes a
@@ -51,11 +59,13 @@ from .core import InsufficientDataError, thread_map
 from .empirical import (
     DEFAULT_DELTA,
     HISTOGRAM_MIN_SAMPLES,
+    KS_COUNTS,
     KS_MIN_SAMPLES,
     DistanceEstimate,
+    add_ks_counts,
     histogram_counts,
     histogram_edges,
-    kolmogorov_vs_normal,
+    kolmogorov_from_counts,
     tv_from_counts,
 )
 from .exact import (
@@ -66,7 +76,7 @@ from .exact import (
     exact_moments,
     exact_norm_sq_std,
 )
-from .samplers import derive_seed, map_projection_blocks, sample_projections, stream_groups
+from .samplers import derive_seed, map_projection_blocks, stream_groups
 
 __all__ = [
     "BoundReport",
@@ -252,10 +262,12 @@ def certify_grid(
     the group's first spec, the ``seed`` their reports carry; each spec's
     projections are those of ``sample_projections(spec, thetas, N, seed)``
     at that seed, so the grid is reproducible regardless of evaluation
-    order; a spherical spec sums only their histogram counts, block by
-    block.  The groups are evaluated largest n first (a stable sort), on a
-    thread pool when ``workers > 1``; the reports come back in the order of
-    specs, bit for bit those of the serial run.  Before any draw, each spec
+    order.  Only their counts are kept, summed block by block: on the
+    Kolmogorov grid (``kolmogorov_from_counts``), or on a spherical spec's
+    histogram cells (``tv_from_counts``).  The groups are evaluated largest
+    n first (a stable sort), on a thread pool when ``workers > 1``; the
+    reports come back in the order of specs, bit for bit those of the
+    serial run.  Before any draw, each spec
     in turn checks its route and N against the minimum of the route's
     estimator (``InsufficientDataError``), and then every theta is resolved
     at every n of the grid (``resolve_theta``'s ValueError).
@@ -287,12 +299,20 @@ def certify_grid(
                 for row, column in zip(counts, block.T):
                     row += histogram_counts(column, edges)
 
-            map_projection_blocks(members, thetas, N, cell_seed, add)
-            estimates = [[tv_from_counts(row, edges, N) for row in counts]]
-        else:  # each row is read by its statistic alone: sorted in place
-            projections = sample_projections(members, thetas, N, cell_seed)
-            estimates = [[kolmogorov_vs_normal(values, delta, overwrite=True) for values in rows]
-                         for rows in projections.reshape(len(members), len(resolved), N)]
+            def estimate(row: np.ndarray) -> DistanceEstimate:
+                return tv_from_counts(row, edges, N)
+        else:
+            counts = np.zeros((len(members) * len(resolved), KS_COUNTS), dtype=np.int64)
+
+            def add(rows: slice, block: np.ndarray) -> None:
+                add_ks_counts(counts, block)
+
+            def estimate(row: np.ndarray) -> DistanceEstimate:
+                return kolmogorov_from_counts(row, delta)
+
+        map_projection_blocks(members, thetas, N, cell_seed, add)
+        estimates = [[estimate(row) for row in rows]
+                     for rows in counts.reshape(len(members), len(resolved), -1)]
         return [
             [
                 _evaluate_cell(specs[pos], routes[pos], theta, label, empirical, cell_seed, delta)

@@ -1,9 +1,11 @@
 """Empirical distance estimation: projection of an unweighted batch, exact
-Kolmogorov statistics of the projections with DKW confidence slack, histogram
-total-variation lower bounds, and conditional second-moment estimation."""
+Kolmogorov statistics of the projections with DKW confidence slack, the
+Kolmogorov bracket of streamed counts, histogram total-variation lower
+bounds, and conditional second-moment estimation."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,11 +20,16 @@ __all__ = [
     "DEFAULT_DELTA",
     "DistanceEstimate",
     "HISTOGRAM_MIN_SAMPLES",
+    "KS_BINS",
+    "KS_COUNTS",
     "KS_MIN_SAMPLES",
+    "KS_REACH",
+    "add_ks_counts",
     "conditional_second_moment",
     "dkw_slack",
     "histogram_counts",
     "histogram_edges",
+    "kolmogorov_from_counts",
     "kolmogorov_vs_normal",
     "project",
     "streaming_pair_square_covariance",
@@ -40,10 +47,24 @@ HISTOGRAM_MIN_SAMPLES = 10_000
 QUALIFIER_HISTOGRAM = "histogram-lower-bound"
 HISTOGRAM_SUPPORT = 6.0
 
+# the Kolmogorov count grid: KS_BINS cells of width 2^-10 on [-KS_REACH, KS_REACH]
+KS_REACH = 8.0
+KS_BINS = 1 << 14
+_KS_PER_UNIT = KS_BINS / (2.0 * KS_REACH)  # 1024, a power of two
+# a row of counts: the lower tail, the KS_BINS cells, the upper tail, then the NaNs
+KS_COUNTS = KS_BINS + 3
+# values binned per step of ``add_ks_counts``: a few 256 KB temporaries
+_KS_SLICE = 1 << 15
+
 
 @dataclass(frozen=True)
 class DistanceEstimate:
-    """A distance point estimate plus the confidence slack that applies to it."""
+    """A distance point estimate plus the confidence slack that applies to it.
+
+    An estimate from Kolmogorov counts (``kolmogorov_from_counts``) also
+    carries ``upper_estimate``, a statistic at least the exact one, and the
+    count grid it was read from: ``grid_bins`` cells on
+    [-``grid_reach``, ``grid_reach``]."""
 
     kind: str
     point_estimate: float
@@ -51,6 +72,9 @@ class DistanceEstimate:
     dkw_slack: float | None = None
     delta: float | None = None
     qualifiers: tuple[str, ...] = ()
+    upper_estimate: float | None = None
+    grid_bins: int | None = None
+    grid_reach: float | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -60,6 +84,9 @@ class DistanceEstimate:
             "dkw_slack": self.dkw_slack,
             "delta": self.delta,
             "qualifiers": list(self.qualifiers),
+            "upper_estimate": self.upper_estimate,
+            "grid_bins": self.grid_bins,
+            "grid_reach": self.grid_reach,
         }
 
 
@@ -232,6 +259,94 @@ def tv_vs_normal_histogram(values: np.ndarray, bins: int | None = None) -> Dista
     normal: their ``histogram_counts``, then ``tv_from_counts``."""
     edges = histogram_edges(len(values), bins)
     return tv_from_counts(histogram_counts(values, edges), edges, len(values))
+
+
+def add_ks_counts(counts: np.ndarray, block: np.ndarray) -> None:
+    """Add each column of the (m, R) float ``block`` to the matching row of
+    the C-contiguous (R, ``KS_COUNTS``) int64 table ``counts``: the
+    Kolmogorov count grid of ``kolmogorov_from_counts``.
+
+    A row counts the values below -``KS_REACH``, then those in each of the
+    ``KS_BINS`` cells [t_j, t_(j+1)), t_j = -``KS_REACH`` + j 2^-10, then
+    those at or above ``KS_REACH`` (infinities in the tails), then the
+    NaNs.  A value x is counted in position trunc(clip(1024 x + 8193, 0,
+    KS_BINS + 1)): 1024 x is exact and a value on an edge counts in the
+    cell it opens; only the rounding of the sum can move a value across an
+    edge, by at most 2^-49 (1.8e-15), over which Phi moves by less than
+    8e-16.  Each value is counted on its own and integer sums do not depend
+    on their order, so the counts of a stream are the sums of its blocks'
+    counts, bit for bit in any block order.  The block is taken
+    ``_KS_SLICE`` values at a time.
+    """
+    if not counts.flags.c_contiguous:  # its flat view would be a copy, and stay empty
+        raise ValueError("the count table must be C-contiguous")
+    rows, width = block.shape
+    step = max(1, _KS_SLICE // width)
+    flat = counts.reshape(-1)
+    # each column's offset in flat, for a whole slice (a broadcast add is slower)
+    offsets = np.broadcast_to(np.arange(width) * KS_COUNTS, (min(step, rows), width)).copy()
+    with np.errstate(over="ignore"):  # 1024 x past 1.7e308: inf, the upper tail
+        for lo in range(0, rows, step):
+            t = np.multiply(block[lo : lo + step], _KS_PER_UNIT)
+            t += KS_REACH * _KS_PER_UNIT + 1.0
+            np.clip(t, 0.0, KS_BINS + 1.0, out=t)
+            np.copyto(t, KS_BINS + 2.0, where=np.isnan(t))  # a bare cast would not keep them
+            at = t.astype(np.intp)
+            at += offsets[: len(at)]
+            np.add.at(flat, at.reshape(-1), 1)
+
+
+@functools.cache
+def _ks_edge_cdf() -> np.ndarray:
+    """Phi at -inf, at the KS_BINS + 1 edges of the count grid and at inf."""
+    edges = np.arange(KS_BINS + 1) / _KS_PER_UNIT - KS_REACH  # exact
+    cdf = np.concatenate(([0.0], normal_cdf_points(edges), [1.0]))
+    cdf.flags.writeable = False
+    return cdf
+
+
+def kolmogorov_from_counts(counts: np.ndarray, delta: float = DEFAULT_DELTA) -> DistanceEstimate:
+    """The Kolmogorov distance from the standard normal of the N values
+    whose counts on the grid of ``add_ks_counts`` are the row ``counts``,
+    bracketed from both sides, with DKW slack.
+
+    With F_N(t-) the fraction of values below t, read off the counts at
+    each edge t_j, and with t_(-1) = -inf and t_(KS_BINS + 1) = inf:
+
+    * the point estimate K_lo = max_j |F_N(t_j-) - Phi(t_j)| is at most the
+      exact statistic sup_t |F_N(t) - Phi(t)|, as Phi is continuous;
+    * ``upper_estimate`` K_hi = max over the cells [t_j, t_(j+1)) and the
+      two tails of max(F_N(t_(j+1)-) - Phi(t_j), Phi(t_(j+1)) - F_N(t_j-))
+      is at least it, as F_N and Phi are both nondecreasing.
+
+    Both hold up to the binning's rounding (``add_ks_counts``), below 1e-15.
+    The gate K_lo - slack <= bound therefore fails only where the exact
+    statistic fails too.  A NaN among the values gives NaN for both.
+    """
+    N = int(counts.sum())
+    if N < KS_MIN_SAMPLES:
+        raise InsufficientDataError(f"need at least {KS_MIN_SAMPLES} samples, got {N}")
+    if counts[-1]:
+        lower = upper = math.nan
+    else:
+        below = np.empty(KS_COUNTS)  # F_N(t-) at -inf, at each edge and at inf
+        below[0] = 0.0
+        np.cumsum(counts[: KS_BINS + 1], out=below[1:-1])
+        below[-1] = N
+        below /= N
+        cdf = _ks_edge_cdf()
+        lower = float(np.abs(below[1:-1] - cdf[1:-1]).max())
+        upper = float(max((below[1:] - cdf[:-1]).max(), (cdf[1:] - below[:-1]).max()))
+    return DistanceEstimate(
+        kind=KOLMOGOROV,
+        point_estimate=lower,
+        n_samples=N,
+        dkw_slack=dkw_slack(N, delta),
+        delta=delta,
+        upper_estimate=upper,
+        grid_bins=KS_BINS,
+        grid_reach=KS_REACH,
+    )
 
 
 def conditional_second_moment(batch: SampleBatch) -> float:

@@ -133,26 +133,30 @@ def derive_seed(seed: int, *path: int) -> int:
     return z
 
 
-def _block_rngs(N: int, seed: int) -> Iterator[tuple[int, int, np.random.Generator]]:
-    """(first row, row count, substream) of every block of an N-row draw."""
+def _block_seeds(N: int, seed: int) -> Iterator[tuple[int, int, int]]:
+    """(first row, row count, substream seed) of every block of an N-row draw."""
     if N < 1:
         raise ValueError(f"sample count must be positive, got {N}")
     return (
-        (lo, min(BLOCK_ROWS, N - lo), np.random.default_rng(block_seed(seed, block)))
+        (lo, min(BLOCK_ROWS, N - lo), block_seed(seed, block))
         for block, lo in enumerate(range(0, N, BLOCK_ROWS))
     )
 
 
 def _map_blocks(fill, blocks, fn: Callable[[slice, np.ndarray], None], workers: int = 1,
                 index: np.ndarray | None = None) -> None:
-    """fn(rows, fill(rng, count)), rows = slice(lo, lo + count), for every
-    (lo, count, rng) of ``_block_rngs``, or fn(rows, fill(rng, count,
-    index[rows])) given frame indices: the one loop over the blocks of every
-    sampled stream.  Each block is filled on the thread that hands it to fn
-    and freed when fn returns; at one worker the blocks arrive in order."""
+    """fn(rows, fill(rng, count)), rows = slice(lo, lo + count) and rng the
+    block's Generator, for every (lo, count, seed) of ``_block_seeds``, or
+    fn(rows, fill(rng, count, index[rows])) given frame indices: the one
+    loop over the blocks of every sampled stream.  Each block's Generator
+    is built, and the block filled, on the thread that hands it to fn (the
+    pool takes every job up front on the calling thread, where neighbouring
+    blocks' generator states would share cache lines); the block is freed
+    when fn returns, and at one worker the blocks arrive in order."""
 
-    def run(job: tuple[int, int, np.random.Generator]) -> None:
-        lo, count, rng = job
+    def run(job: tuple[int, int, int]) -> None:
+        lo, count, seed = job
+        rng = np.random.default_rng(seed)
         rows = slice(lo, lo + count)
         fn(rows, fill(rng, count) if index is None else fill(rng, count, index[rows]))
 
@@ -605,7 +609,7 @@ def map_sample_blocks(
     """Call fn(rows, block) for every block of the N-row draw of spec, rows
     being the block's slice of the draw; each block is freed when fn returns,
     and at one worker the blocks arrive in order."""
-    _map_blocks(_filler(spec), _block_rngs(N, seed), fn, workers)
+    _map_blocks(_filler(spec), _block_seeds(N, seed), fn, workers)
 
 
 def map_frame_blocks(
@@ -623,7 +627,7 @@ def map_frame_blocks(
     rounding, drawn ``CHUNK_ROWS`` at a time: no (count, n) block is held.
     Each projection is its own matrix-vector product, so a direction's
     column does not depend on the others."""
-    _map_blocks(_filler(spec, np.asarray(directions, dtype=float)), _block_rngs(len(index), seed),
+    _map_blocks(_filler(spec, np.asarray(directions, dtype=float)), _block_seeds(len(index), seed),
                 fn, workers, index)
 
 
@@ -658,7 +662,7 @@ def map_projection_blocks(
     directions = np.asarray(directions, dtype=float)
     if directions.ndim != 2 or directions.shape[0] != n:
         raise ValueError(f"directions must be an (n={n}, D) matrix, got {directions.shape}")
-    _map_blocks(_filler(group, directions), _block_rngs(N, seed), fn)
+    _map_blocks(_filler(group, directions), _block_seeds(N, seed), fn)
 
 
 def sample_projections(
@@ -698,7 +702,7 @@ def _surface_weights(spec: DistributionSpec, block: np.ndarray) -> np.ndarray:
 def sample(spec: DistributionSpec, N: int, seed: int) -> SampleBatch:
     """Materialize N samples of the law described by spec; lp surface
     batches carry self-normalized weights, computed block by block."""
-    blocks = _block_rngs(N, seed)  # checks N before the batch is allocated
+    blocks = _block_seeds(N, seed)  # checks N before the batch is allocated
     out = np.empty((N, spec.n), dtype=float)
     weights = np.empty(N) if spec.kind is Kind.LP_SURFACE else None
 

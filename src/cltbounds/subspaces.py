@@ -12,16 +12,18 @@ import numpy as np
 
 from .contract import InsufficientDataError, SymmetryError
 from .core import BLOCK_ROWS, as_unit_vector, thread_map
-from .empirical import KS_MIN_SAMPLES, _equal_count_bins, _ks_statistic
+from .empirical import (KS_COUNTS, KS_MIN_SAMPLES, _equal_count_bins, _ks_statistic,
+                        add_ks_counts, kolmogorov_from_counts)
 from .exact import D_K, SPHERICAL_KINDS, UNCONDITIONAL_KINDS, Kind, exact_kolmogorov, exact_law
 from .frames import LABEL_SIMPLEX_EDGES, LABEL_STANDARD, simplex_edges, simplex_projections
 from .samplers import (
-    _block_rngs,
+    _block_seeds,
     _map_blocks,
     _reduced_spherical_block,
     block_seed,
     derive_seed,
     map_frame_blocks,
+    map_projection_blocks,
     sample_projections,
 )
 
@@ -117,7 +119,7 @@ def uniform_directions(k: int, count: int, rng: np.random.Generator) -> np.ndarr
 
 # what AnkEstimate.sup_distances hold on each path of estimate_Ank
 LABEL_EXACT = "certified upper bound on each line's Kolmogorov distance"
-LABEL_LINE = "sampled Kolmogorov distance of each line"
+LABEL_LINE = "sampled Kolmogorov distance of each line, read from its counts (K_lo)"
 LABEL_DIRECTIONS = "direction-sampled lower approximation of the sup"
 
 
@@ -129,7 +131,9 @@ class AnkEstimate:
 
     At k = 1 the sup is one line's distance: a certified upper bound where
     the law has an exact one (``LABEL_EXACT``), else the line's sampled KS
-    statistic, which sampling noise biases upward (``LABEL_LINE``).  At
+    statistic read from its counts on the Kolmogorov grid, K_lo of
+    ``empirical.kolmogorov_from_counts``, which sampling noise biases
+    upward and the grid by at most a few 1e-5 downward (``LABEL_LINE``).  At
     k >= 2 it is a max over sampled directions, a lower approximation of the
     sup over the sphere (``LABEL_DIRECTIONS``).  ``n_dirs`` and ``N`` count
     what was used: no direction is drawn at k = 1 (``n_dirs`` 0), and the
@@ -184,13 +188,17 @@ def estimate_Ank(
     directions (default 50 k) in each subspace (at k = 1, onto the line);
     ``check_ank_samples`` raises before any draw when N is too small.
 
-    One ``sample_projections`` pass writes the projections Y = X L
-    onto the stacked (n, n_subspaces k) basis matrix L; a direction with
-    coefficients c in subspace s is then Y_s c.  Memory: Y takes
-    N n_subspaces k 8 bytes, plus one (DIRECTION_CHUNK, N) product per worker
-    at k >= 2, and the (N, n) batch is never held (spherically
-    symmetric specs draw Y from its exact reduced law).  The exact path holds
-    no sample: per worker, one line's quadrature tables, a few hundred kB at
+    One pass of ``samplers.map_projection_blocks`` projects the samples,
+    Y = X L, onto the stacked (n, n_subspaces k) basis matrix L, and the
+    (N, n) batch is never held (spherically symmetric specs draw Y from its
+    exact reduced law).  At k = 1 each block of Y is added to the lines'
+    counts on the Kolmogorov grid (``empirical.add_ks_counts``) as it is
+    drawn, and each line's distance is read from its counts: they take
+    n_subspaces ``KS_COUNTS`` 8 bytes (4 MB at 32 lines), whatever N.  At
+    k >= 2 Y is kept (``sample_projections``, N n_subspaces k 8 bytes), a
+    direction with coefficients c in subspace s is Y_s c, and each worker
+    holds one (DIRECTION_CHUNK, N) product.  The exact path holds no
+    sample: per worker, one line's quadrature tables, a few hundred kB at
     n = 100.  The fill is serial; the subspaces' statistics run on
     ``workers`` threads, each subspace with its own direction stream, so the
     result does not depend on ``workers``.
@@ -206,13 +214,18 @@ def estimate_Ank(
     exact = check_ank_samples(spec, k, N)
     n = spec.n
     bases = [random_subspace(n, k, derive_seed(seed, s)) for s in range(n_subspaces)]
-    proj = None if exact else sample_projections(spec, np.concatenate(bases).T, N, seed)
+    if not exact and k == 1:
+        counts = np.zeros((n_subspaces, KS_COUNTS), dtype=np.int64)
+        map_projection_blocks(spec, np.concatenate(bases).T, N, seed,
+                              lambda rows, block: add_ks_counts(counts, block))
+    elif not exact:
+        proj = sample_projections(spec, np.concatenate(bases).T, N, seed)
 
     def sup_distance(s: int) -> float:
         if exact:
             return exact_kolmogorov(spec, bases[s][0])
         if k == 1:
-            return _ks_statistic(proj[s], overwrite=True)  # proj[s] is not read again
+            return kolmogorov_from_counts(counts[s]).point_estimate
         rng = np.random.default_rng(derive_seed(seed, s, 1))
         coeffs = uniform_directions(k, n_dirs, rng)
         y_s = proj[s * k : (s + 1) * k]
@@ -457,7 +470,7 @@ def rotation_pair_diagnostics(
             raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
 
     n = spec.n
-    blocks = _block_rngs(N, seed)  # checks N before the sums are allocated
+    blocks = _block_seeds(N, seed)  # checks N before the sums are allocated
     frame_seed = derive_seed(pair_seed, 0)
     shrinks = [1.0 - math.sqrt(1.0 - eps * eps) for eps in eps_list]
     # per block: D, DW, D^2, |D|^3, D^4, |D|^6 for each angle, then W, W^2, X_1^2

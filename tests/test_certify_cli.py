@@ -41,9 +41,12 @@ from cltbounds.cli import (
 from cltbounds.core import CHUNK_ROWS, InsufficientDataError
 from cltbounds.empirical import (
     HISTOGRAM_MIN_SAMPLES,
+    KS_COUNTS,
     KS_MIN_SAMPLES,
+    add_ks_counts,
     histogram_counts,
     histogram_edges,
+    kolmogorov_from_counts,
     kolmogorov_vs_normal,
     tv_from_counts,
     tv_vs_normal_histogram,
@@ -64,6 +67,22 @@ from cltbounds.samplers import (
     sample_projections,
 )
 from cltbounds.subspaces import SymmetryError, reflection_pair_diagnostics
+
+
+def count_statistic(values, delta):
+    """The Kolmogorov estimate of one materialized projection row from its
+    counts on the Kolmogorov grid, as certification reads it."""
+    counts = np.zeros((1, KS_COUNTS), dtype=np.int64)
+    add_ks_counts(counts, np.asarray(values)[:, None])
+    return kolmogorov_from_counts(counts[0], delta)
+
+
+def assert_brackets(estimate, values):
+    """The count estimate's K_lo and K_hi bracket the exact statistic of
+    ``values``, up to the binning's rounding."""
+    exact = kolmogorov_vs_normal(values, delta=estimate.delta).point_estimate
+    assert estimate.point_estimate <= exact + 1e-14
+    assert exact <= estimate.upper_estimate + 1e-14
 
 
 def zero_bound(*args, **kwargs):
@@ -311,7 +330,8 @@ class TestCertifyGrid:
         directions = np.column_stack([resolve_theta(theta, 7)[0] for theta in thetas])
         values = sample_projections(spec, directions, n_samples, cells[0].seed)
         for report, row in zip(cells, values):
-            assert report.empirical == kolmogorov_vs_normal(row, delta=report.delta)
+            assert report.empirical == count_statistic(row, report.delta)
+            assert_brackets(report.empirical, row)
 
     def test_largest_n_first(self, monkeypatch):
         # a stable sort on n: the jobs in this order, the reports in config order
@@ -340,7 +360,6 @@ class TestCertifyGrid:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before checking every spec")
 
-        monkeypatch.setattr("cltbounds.certify.sample_projections", no_sampling)
         monkeypatch.setattr("cltbounds.certify.map_projection_blocks", no_sampling)
         cube = DistributionSpec(Kind.LP_BALL, 9, p=math.inf)
         with pytest.raises(InsufficientDataError):
@@ -357,7 +376,6 @@ class TestCertifyGrid:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before resolving every theta")
 
-        monkeypatch.setattr("cltbounds.certify.sample_projections", no_sampling)
         monkeypatch.setattr("cltbounds.certify.map_projection_blocks", no_sampling)
         specs = [DistributionSpec(Kind.LP_BALL, n, p=math.inf) for n in (9, 5)]
         with pytest.raises(ValueError, match="length 5"):
@@ -453,8 +471,12 @@ class TestStreaming:
             values = (sample(spec, n_samples, reports[0].seed).data @ directions).T
         for report, theta_spec, (_, label), row in zip(reports, thetas, resolved, values):
             if report.bound.kind == KOLMOGOROV:
-                expected = kolmogorov_vs_normal(row, delta=report.delta)
+                expected = count_statistic(row, report.delta)
                 adjusted = expected.point_estimate - expected.dkw_slack
+                assert report.empirical.upper_estimate == pytest.approx(
+                    expected.upper_estimate, rel=0.0, abs=1e-12
+                )
+                assert_brackets(report.empirical, row)
             else:
                 expected = tv_vs_normal_histogram(row)
                 adjusted = expected.point_estimate - TV_ESTIMATOR_ALLOWANCE
@@ -535,6 +557,40 @@ class TestStreaming:
         finally:
             tracemalloc.stop()
         assert peak < 8 * n_samples * spec.n, f"peak {peak / 1e6:.1f} MB"
+
+    def test_kolmogorov_group_peak_does_not_grow_with_N(self):
+        # an lp pair group keeps its (8, KS_COUNTS) counts and one block of
+        # projections, not its (8, N) projections: 64 MB at N = 1e6
+        specs = [DistributionSpec(Kind.LP_BALL, 5, p=4.0), DistributionSpec(Kind.LP_CONE, 5, p=4.0)]
+        thetas = ["diagonal", "random(1)", "random(2)", "random(3)"]
+        certify_grid(specs, thetas, N=1000, seed=3)  # first-call setup
+        peaks = []
+        for n_samples in (200_000, 1_000_000):
+            tracemalloc.start()
+            try:
+                certify_grid(specs, thetas, N=n_samples, seed=3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 1e6, f"peaks {[p / 1e6 for p in peaks]} MB"
+
+    def test_nan_projection_fails_its_cell(self, monkeypatch):
+        # a NaN projection gives a NaN estimate, which no bound passes
+        def with_nan(specs, directions, N, seed, fn):
+            def poisoned(rows, block):
+                if rows.start == 0:
+                    block[5, 1] = np.nan
+                fn(rows, block)
+
+            map_projection_blocks(specs, directions, N, seed, poisoned)
+
+        monkeypatch.setattr("cltbounds.certify.map_projection_blocks", with_nan)
+        spec = DistributionSpec(Kind.LP_BALL, 6, p=math.inf)
+        clean, poisoned = certify_grid([spec], ["e1", "diagonal"], N=5_000, seed=4)
+        assert math.isnan(poisoned.empirical.point_estimate)
+        assert math.isnan(poisoned.empirical.upper_estimate)
+        assert not poisoned.passed and math.isnan(poisoned.margin)
+        assert clean.passed and not math.isnan(clean.empirical.point_estimate)
 
     @pytest.mark.parametrize("run", SIMPLEX_RUNS, ids=SIMPLEX_RUN_IDS)
     def test_simplex_never_builds_the_edge_frame(self, run):
@@ -714,7 +770,6 @@ class TestCliCertify:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before the thetas were validated")
 
-        monkeypatch.setattr("cltbounds.certify.sample_projections", no_sampling)
         monkeypatch.setattr("cltbounds.certify.map_projection_blocks", no_sampling)
         monkeypatch.setattr("cltbounds.samplers.sample", no_sampling)
         for theta in ("diagonl", [1.0, 2.0], [math.nan, 1.0, 0.0, 0.0, 0.0, 0.0]):
@@ -748,7 +803,6 @@ class TestCliCertify:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before N was checked")
 
-        monkeypatch.setattr("cltbounds.certify.sample_projections", no_sampling)
         monkeypatch.setattr("cltbounds.certify.map_projection_blocks", no_sampling)
         cfg = write_config(
             tmp_path,
@@ -996,7 +1050,7 @@ class TestExitCodes:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before the thread count was read")
 
-        monkeypatch.setattr("cltbounds.samplers._block_rngs", no_sampling)
+        monkeypatch.setattr("cltbounds.samplers._block_seeds", no_sampling)
         monkeypatch.setenv("CLTBOUNDS_THREADS", threads)
         cfg = write_config(tmp_path, "c.json", {"command": command, **payload})
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == (
@@ -1023,7 +1077,7 @@ class TestExitCodes:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before the output path was checked")
 
-        monkeypatch.setattr("cltbounds.samplers._block_rngs", no_sampling)
+        monkeypatch.setattr("cltbounds.samplers._block_seeds", no_sampling)
         blocker = tmp_path / "file"
         blocker.write_text("")
         out = blocker / "sub"

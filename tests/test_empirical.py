@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,17 +12,22 @@ from scipy.special import ndtr, ndtri
 from cltbounds.core import CHUNK_ROWS, InsufficientDataError, normal_cdf_points
 from cltbounds.empirical import (
     _GAP_ROWS,
+    KS_BINS,
+    KS_COUNTS,
+    KS_REACH,
     _approximate_gaps,
     _ks_statistic,
+    add_ks_counts,
     conditional_second_moment,
     dkw_slack,
+    kolmogorov_from_counts,
     kolmogorov_vs_normal,
     project,
     streaming_pair_square_covariance,
     tv_vs_normal_histogram,
 )
 from cltbounds.exact import DistributionSpec, Kind
-from cltbounds.samplers import BLOCK_ROWS, SampleBatch, sample
+from cltbounds.samplers import BLOCK_ROWS, SampleBatch, sample, sample_projections
 
 
 def normal_cdf(t):
@@ -251,6 +257,103 @@ class TestKolmogorov:
         base = kolmogorov_vs_normal(values).point_estimate
         bumped = kolmogorov_vs_normal(np.append(values, 1e9)).point_estimate
         assert abs(bumped - base) <= 1.0 / 400 + 1.0 / 401 + 1e-12
+
+
+def counts_of(columns):
+    """The Kolmogorov counts of each column of the (N, R) array ``columns``."""
+    counts = np.zeros((columns.shape[1], KS_COUNTS), dtype=np.int64)
+    add_ks_counts(counts, columns)
+    return counts
+
+
+def reference_counts(values):
+    """The counts by the grid's definition: each value's position is the
+    number of edges t_j = -KS_REACH + j 2^-10 at or below it, NaN last."""
+    edges = np.arange(KS_BINS + 1) / 1024.0 - KS_REACH
+    finite = values[~np.isnan(values)]
+    counts = np.bincount(np.searchsorted(edges, finite, side="right"), minlength=KS_COUNTS)
+    counts[-1] = len(values) - len(finite)
+    return counts
+
+
+def _projected(spec):
+    """One row of spec's projections onto random(7)."""
+    theta = np.random.default_rng(7).standard_normal(spec.n)
+    theta /= np.linalg.norm(theta)
+    return lambda n_samples, seed: sample_projections(spec, theta[:, None], n_samples, seed)[0]
+
+
+# rows whose counted statistics must bracket the exact one: the cube, the
+# p = 4 ball, the simplex, and Cauchy values far beyond the grid's reach
+COUNT_ROWS = {
+    "cube": _projected(DistributionSpec(Kind.LP_BALL, 20, p=math.inf)),
+    "lp4": _projected(DistributionSpec(Kind.LP_BALL, 20, p=4.0)),
+    "simplex": _projected(DistributionSpec(Kind.SIMPLEX, 20)),
+    "cauchy": lambda n_samples, seed: np.random.default_rng(seed).standard_cauchy(n_samples),
+    # every value exactly on an edge, some beyond the reach on either side
+    "edges": lambda n_samples, seed: np.random.default_rng(seed).integers(
+        -KS_BINS // 2 - 300, KS_BINS // 2 + 300, n_samples) / 1024.0,
+}
+
+
+class TestKolmogorovCounts:
+    @pytest.mark.parametrize("n_samples", [100, 200_000])
+    @pytest.mark.parametrize("row", sorted(COUNT_ROWS))
+    def test_brackets_the_exact_statistic(self, row, n_samples):
+        values = COUNT_ROWS[row](n_samples, 40 + n_samples)
+        if row == "cauchy":
+            assert np.abs(values).max() > KS_REACH
+        counts = counts_of(values[:, None])
+        np.testing.assert_array_equal(counts[0], reference_counts(values))
+        estimate = kolmogorov_from_counts(counts[0], delta=0.01)
+        exact = _ks_statistic(values)
+        assert estimate.point_estimate <= exact + 1e-14
+        assert exact <= estimate.upper_estimate + 1e-14
+        assert estimate.n_samples == n_samples
+        assert estimate.dkw_slack == dkw_slack(n_samples, 0.01)
+        assert (estimate.grid_bins, estimate.grid_reach) == (KS_BINS, KS_REACH)
+
+    def test_edge_values_count_in_the_cell_they_open(self):
+        # t_j counts in position j + 1, its cell [t_j, t_(j+1)); beyond the
+        # reach, and the infinities, in the tails; NaN last
+        values = np.array([-KS_REACH, -KS_REACH + 2.0**-10, 0.0, KS_REACH - 2.0**-10, KS_REACH,
+                           -np.inf, np.inf, -1e300, 1e308, np.nan, -KS_REACH - 1e-12])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            counts = counts_of(values[:, None])[0]
+        expected = {1: 1, 2: 1, KS_BINS // 2 + 1: 1, KS_BINS: 1, KS_BINS + 1: 3, 0: 3,
+                    KS_BINS + 2: 1}
+        assert {int(i): int(counts[i]) for i in np.flatnonzero(counts)} == expected
+
+    def test_blocks_and_columns_add_up(self):
+        # counted in blocks, in any order, column by column: the same counts
+        columns = np.random.default_rng(41).standard_normal((70_001, 3)) * 3.0
+        whole = counts_of(columns)
+        parts = np.zeros_like(whole)
+        for rows in (slice(40_000, 65_536), slice(0, 40_000), slice(65_536, None)):
+            add_ks_counts(parts, columns[rows])
+        np.testing.assert_array_equal(parts, whole)
+        for row, column in zip(whole, columns.T):
+            np.testing.assert_array_equal(row, reference_counts(column))
+
+    @pytest.mark.parametrize("at", [0, 57, 8191, 40_000])
+    def test_nan_gives_nan(self, at):
+        columns = np.random.default_rng(at).standard_normal((50_000, 2))
+        columns[at, 1] = np.nan
+        clean, dirty = (kolmogorov_from_counts(row) for row in counts_of(columns))
+        assert math.isnan(dirty.point_estimate) and math.isnan(dirty.upper_estimate)
+        assert dirty.n_samples == 50_000
+        assert clean.point_estimate <= _ks_statistic(columns[:, 0]) <= clean.upper_estimate
+
+    def test_needs_100_samples(self):
+        with pytest.raises(InsufficientDataError):
+            kolmogorov_from_counts(counts_of(np.zeros((99, 1)))[0])
+
+    def test_refuses_a_strided_table(self):
+        # a strided table's flat view is a copy: the counts would be lost
+        counts = np.zeros((KS_COUNTS, 2), dtype=np.int64).T
+        with pytest.raises(ValueError, match="C-contiguous"):
+            add_ks_counts(counts, np.zeros((10, 2)))
 
 
 class TestTvHistogram:

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -218,6 +219,28 @@ class TestDeterminism:
 
         map_sample_blocks(spec, total, 5, take, workers)
         assert out.tobytes() == sample(spec, total, 5).data.tobytes()
+
+    def test_generator_built_on_the_filling_thread(self, monkeypatch):
+        # each block's Generator is built on the thread that fills the block
+        # and hands it over, not on the thread that queues the blocks
+        built = {}  # seed -> the thread that built its Generator
+        real = np.random.default_rng
+
+        def recording(seed):
+            built[seed] = threading.get_ident()
+            return real(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        filled = {}  # block -> the thread that handed it over
+
+        def take(rows, block):
+            filled[rows.start // BLOCK_ROWS] = threading.get_ident()
+
+        spec = DistributionSpec(Kind.LP_BALL, 4, p=4.0)
+        map_sample_blocks(spec, 6 * BLOCK_ROWS, 5, take, workers=2)
+        assert sorted(filled) == list(range(6))
+        assert all(built[block_seed(5, b)] == thread for b, thread in filled.items())
+        assert threading.get_ident() not in filled.values()
 
     def test_block_seeds_differ(self):
         seeds = {block_seed(12345, k) for k in range(100)}

@@ -22,7 +22,7 @@ SUBSPACE_STAGES = {"ank_fill_s", "ank_project_s", "ank_ks_s", "ank_ks_threaded_s
 # case -> (mode, spec options, stages reported)
 MODES = {
     "certify": ("certify", ["--kind", "lp_ball", "--p", "2"],
-                {"fill_s", "project_s", "ks_s", "hist_s", "projections_s",
+                {"fill_s", "project_s", "counts_s", "hist_s", "projections_s",
                  "projections_peak_mb"}),
     # the cube's lines are evaluated exactly as well
     "subspace": ("subspace", ["--kind", "lp_ball", "--p", "inf"], SUBSPACE_STAGES | {"ank_exact_s"}),

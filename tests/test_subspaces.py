@@ -12,10 +12,13 @@ from cltbounds.cli import EXIT_CONFIG_ERROR, main
 from cltbounds.core import InsufficientDataError
 from cltbounds.empirical import (
     _GAP_ROWS,
+    KS_COUNTS,
     KS_MIN_SAMPLES,
     _equal_count_bin_means,
     _ks_statistic,
+    add_ks_counts,
     dkw_slack,
+    kolmogorov_from_counts,
 )
 from cltbounds.exact import DistributionSpec, Kind, exact_kolmogorov
 from cltbounds.frames import simplex_geometry
@@ -540,7 +543,9 @@ class TestEstimateAnk:
     @pytest.mark.parametrize("k", [1, 2])
     def test_streamed_equals_given_batch(self, k):
         # 70000 rows cross the first block boundary; the reference projects
-        # the materialized batch onto each subspace and its sampled directions
+        # the materialized batch onto each subspace and its sampled directions.
+        # A line's distance is read from its counts on the Kolmogorov grid:
+        # the counts of the materialized line, which bracket its exact statistic
         spec = DistributionSpec(Kind.LP_BALL, 9, p=4.0)
         n_samples, seed, n_subspaces, n_dirs = 70_000, 35, 3, 20
         streamed = estimate_Ank(
@@ -551,10 +556,17 @@ class TestEstimateAnk:
         for s in range(n_subspaces):
             basis = random_subspace(spec.n, k, derive_seed(seed, s))
             if k == 1:
-                coeffs = np.array([[1.0], [-1.0]])
+                values = data @ basis[0]
+                counts = np.zeros((1, KS_COUNTS), dtype=np.int64)
+                add_ks_counts(counts, values[:, None])
+                line = kolmogorov_from_counts(counts[0])
+                exact = _ks_statistic(values)
+                assert line.point_estimate <= exact + 1e-14
+                assert exact <= line.upper_estimate + 1e-14
+                given.append(line.point_estimate)
             else:
                 coeffs = uniform_directions(k, n_dirs, np.random.default_rng(derive_seed(seed, s, 1)))
-            given.append(max(_ks_statistic(data @ (c @ basis)) for c in coeffs))
+                given.append(max(_ks_statistic(data @ (c @ basis)) for c in coeffs))
         np.testing.assert_allclose(streamed.sup_distances, given, rtol=0, atol=1e-12)
         assert streamed.N == n_samples
         assert streamed.n_dirs == (0 if k == 1 else n_dirs)  # a line draws no direction
