@@ -13,9 +13,8 @@ blocks (``samplers.map_sample_blocks`` at one worker) that times each
 block's fill (the time between two blocks) apart from its projection onto
 the grid's four thetas, and apart from the count pass that certification
 runs on each block of projections, ``empirical.add_ks_counts``, plus
-``kolmogorov_from_counts`` of each row's counts (``counts_s``); then every
-projection row goes through ``tv_vs_normal_histogram``.  Before that pass
-it times the projections as certification draws them, one
+``kolmogorov_from_counts`` of each row's counts (``counts_s``).  Before
+that pass it times the projections as certification draws them, one
 ``samplers.map_projection_blocks`` pass on the same spec and thetas that
 keeps no block (``projections_s``), and the tracemalloc peak in MB of a
 second, traced pass (``projections_peak_mb``; the timed pass runs
@@ -29,9 +28,9 @@ no row scaling) that pass has its own fill, so it is not
 ``fill_s + project_s``.
 
 ``--mode subspace`` times scan-ank at k = 1 the same way: the fill, the
-projection onto the 32 stacked subspace lines and ``_ks_statistic`` of every
-line, one after another (``ank_*_s``) and again on ``CLTBOUNDS_THREADS``
-threads (``ank_ks_threaded_s``), then the whole ``estimate_Ank`` call
+projection onto the 32 stacked subspace lines and the lines' count pass,
+``add_ks_counts`` of each block plus ``kolmogorov_from_counts`` of each
+line (``ank_*_s``), then the whole ``estimate_Ank`` call
 (``ank_total_s``).  On a law whose lines ``estimate_Ank`` evaluates exactly
 (the cube), that call runs no sampled stage: ``ank_exact_s`` times
 ``exact.exact_kolmogorov`` on the 32 lines one after another, and the
@@ -96,7 +95,6 @@ import sys
 import tempfile
 import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -106,13 +104,11 @@ from cltbounds import subspaces
 from cltbounds.certify import certify_grid, resolve_theta
 from cltbounds.empirical import (
     KS_COUNTS,
-    _ks_statistic,
     add_ks_counts,
     histogram_counts,
     histogram_edges,
     kolmogorov_from_counts,
     tv_from_counts,
-    tv_vs_normal_histogram,
 )
 from cltbounds.exact import (
     SPHERICAL_KINDS,
@@ -172,20 +168,18 @@ assert code == 0, code
 
 def stream(spec: DistributionSpec, n_samples: int, seed: int, directions: np.ndarray,
            times: dict[str, float], prefix: str = "",
-           counts: np.ndarray | None = None) -> np.ndarray:
-    """(D, N) projections onto the (n, D) directions; adds the fill time (from
-    the end of one block's projection to the arrival of the next) and the
-    projection time to ``times``, and, given a (D, KS_COUNTS) table
-    ``counts``, adds each block of projections to it, timed as
-    ``counts_s``."""
-    out = np.empty((directions.shape[1], n_samples))
+           counts: np.ndarray | None = None) -> None:
+    """Projects every sample block onto the (n, D) directions, keeping none;
+    adds the fill time (from the end of one block's projection to the
+    arrival of the next) and the projection time to ``times``, and, given a
+    (D, KS_COUNTS) table ``counts``, adds each block of projections to it,
+    timed as ``counts_s``."""
     mark = [time.perf_counter()]
 
     def take(rows: slice, block: np.ndarray) -> None:
         start = time.perf_counter()
         times[prefix + "fill_s"] += start - mark[0]
         projected = block @ directions
-        out[:, rows] = projected.T
         mark[0] = time.perf_counter()
         times[prefix + "project_s"] += mark[0] - start
         if counts is not None:
@@ -195,12 +189,19 @@ def stream(spec: DistributionSpec, n_samples: int, seed: int, directions: np.nda
             times[prefix + "counts_s"] += mark[0] - start
 
     map_sample_blocks(spec, n_samples, seed, take)  # one worker: blocks in order
-    return out
+
+
+def read_counts(counts: np.ndarray, times: dict[str, float], key: str) -> None:
+    """``kolmogorov_from_counts`` of each row of ``counts``, timed into ``key``."""
+    start = time.perf_counter()
+    for row in counts:
+        kolmogorov_from_counts(row)
+    times[key] += time.perf_counter() - start
 
 
 def certify_pass(spec: DistributionSpec, n_samples: int, seed: int) -> dict[str, float]:
     thetas = np.column_stack([resolve_theta(t, spec.n)[0] for t in THETAS])
-    times = dict.fromkeys(("fill_s", "project_s", "counts_s", "hist_s"), 0.0)
+    times = dict.fromkeys(("fill_s", "project_s", "counts_s"), 0.0)
     start = time.perf_counter()
     map_projection_blocks(spec, thetas, n_samples, seed, lambda rows, block: None)
     times["projections_s"] = time.perf_counter() - start
@@ -211,15 +212,8 @@ def certify_pass(spec: DistributionSpec, n_samples: int, seed: int) -> dict[str,
     finally:
         tracemalloc.stop()
     counts = np.zeros((thetas.shape[1], KS_COUNTS), dtype=np.int64)
-    rows = stream(spec, n_samples, seed, thetas, times, counts=counts)
-    start = time.perf_counter()
-    for row in counts:
-        kolmogorov_from_counts(row)
-    times["counts_s"] += time.perf_counter() - start
-    for row in rows:
-        start = time.perf_counter()
-        tv_vs_normal_histogram(row)
-        times["hist_s"] += time.perf_counter() - start
+    stream(spec, n_samples, seed, thetas, times, counts=counts)
+    read_counts(counts, times, "counts_s")
     return times
 
 
@@ -254,21 +248,14 @@ def spherical_pass(spec: DistributionSpec, n_samples: int, seed: int) -> dict[st
 
 
 def subspace_pass(spec: DistributionSpec, n_samples: int, seed: int) -> dict[str, float]:
-    times = dict.fromkeys(("ank_fill_s", "ank_project_s", "ank_ks_s"), 0.0)
+    times = dict.fromkeys(("ank_fill_s", "ank_project_s", "ank_counts_s"), 0.0)
     lines = np.column_stack([
         subspaces.random_subspace(spec.n, 1, derive_seed(seed, s))[0]
         for s in range(N_SUBSPACES)
     ])
-    rows = stream(spec, n_samples, seed, lines, times, prefix="ank_")
-    for row in rows:
-        start = time.perf_counter()
-        _ks_statistic(row)
-        times["ank_ks_s"] += time.perf_counter() - start
-    start = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=WORKERS) as pool:
-        list(pool.map(_ks_statistic, rows))
-    times["ank_ks_threaded_s"] = time.perf_counter() - start
-    del rows
+    counts = np.zeros((N_SUBSPACES, KS_COUNTS), dtype=np.int64)
+    stream(spec, n_samples, seed, lines, times, prefix="ank_", counts=counts)
+    read_counts(counts, times, "ank_counts_s")
     if subspaces.check_ank_samples(spec, 1, n_samples):
         start = time.perf_counter()
         for line in lines.T:

@@ -1,7 +1,7 @@
-"""Empirical distance estimation: projection of an unweighted batch, exact
-Kolmogorov statistics of the projections with DKW confidence slack, the
-Kolmogorov bracket of streamed counts, histogram total-variation lower
-bounds, and conditional second-moment estimation."""
+"""Empirical distance estimation: projection of an unweighted batch, the
+Kolmogorov statistic of projections read from their counts on one fixed
+grid, bracketed from both sides, with DKW confidence slack, histogram
+total-variation lower bounds, and conditional second-moment estimation."""
 
 from __future__ import annotations
 
@@ -110,113 +110,6 @@ def project(batch: SampleBatch, theta) -> np.ndarray:
     if batch.weights is not None:
         raise ValueError("batch carries weights; the estimators take unweighted samples only")
     return batch.data @ as_unit_vector(theta, batch.n)
-
-
-# rows per step of the Kolmogorov gap pass: its two 32 KB buffers come from
-# the allocator's heap, where full-length temporaries (8 MB each at N = 1e6)
-# are mapped afresh on every call; on scan-ank's two threads those raised
-# the peak RSS by 30-45 MB
-_GAP_ROWS = 1 << 12
-_RANKS = np.arange(1.0, _GAP_ROWS + 1.0)  # 1, ..., _GAP_ROWS: the ranks of a step
-
-# Abramowitz and Stegun 7.1.26 (Hastings): for z >= 0,
-# erfc(z) = t (a1 + t (a2 + ... + t a5)) exp(-z^2) + e(z), t = 1 / (1 + p z),
-# |e(z)| <= 1.5e-7.  Halved, and with z = |x| / sqrt 2, it gives Phi within
-# 7.5e-8; _PHI_SLACK adds the rounding and the 2.2e-16 of normal_cdf_points.
-_AS_P = 0.3275911 / math.sqrt(2.0)
-_AS_A = tuple(0.5 * a for a in (  # a5, ..., a1, halved
-    1.061405429, -1.453152027, 1.421413741, -0.284496736, 0.254829592))
-_PHI_SLACK = 1e-7
-
-
-def _approximate_gaps(x: np.ndarray, lo: int, n: int, zero: int,
-                      bufs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """F_N just after each point of the sorted chunk ``x`` (global ranks
-    lo + 1, ...) minus the Hastings Phi there, in one of ``bufs``: the
-    points before ``zero`` are negative.  Each gap is within _PHI_SLACK of
-    the gap with the exact Phi; F_N just before is 1/n below F_N just after,
-    so the other side's gap is 1/n minus this one."""
-    m = len(x)
-    t, q = (b[:m] for b in bufs)
-    np.abs(x, out=t)
-    t *= _AS_P
-    t += 1.0
-    np.reciprocal(t, out=t)
-    np.multiply(t, _AS_A[0], out=q)
-    for a in _AS_A[1:]:  # Horner
-        q += a
-        q *= t
-    e = np.multiply(x, x, out=t)  # t is spent
-    e *= -0.5
-    np.exp(e, out=e)
-    q *= e  # Phi at the negative points, 1 - Phi at the others
-    split = min(max(zero - lo, 0), m)
-    np.subtract(1.0, q[split:], out=q[split:])
-    np.add(_RANKS[:m], lo, out=t)
-    t /= n
-    return np.subtract(t, q, out=t)
-
-
-def _ks_statistic(values: np.ndarray, overwrite: bool = False) -> float:
-    """Exact sup_t |F_N(t) - Phi(t)| over the sorted sample: both one-sided
-    gaps at every order statistic, the largest of them with Phi from
-    ``normal_cdf_points``.
-
-    One pass takes every gap with the Hastings Phi (within _PHI_SLACK),
-    ``_GAP_ROWS`` points at a time in two reused buffers, and keeps each
-    step's largest gap on either side.  Only a point whose approximate gap
-    lies within 2 _PHI_SLACK of the largest can hold the supremum; those few
-    points get the exact Phi, in one call, so the result equals the
-    statistic with the exact Phi at every point.  A NaN among the values
-    gives NaN.
-
-    The statistic of -W equals that of W: the gaps of -W at its order
-    statistic n + 1 - i are those of W at i, sides swapped, so one sign
-    suffices.  With ``overwrite`` the sort runs in the float array ``values``
-    itself instead of a copy.
-    """
-    x = values if overwrite else np.array(values, dtype=float)
-    x.sort()
-    n = x.shape[0]
-    if np.isnan(x[-1]):  # the sort puts NaN last
-        return math.nan
-    zero = int(np.searchsorted(x, 0.0))
-    bufs = tuple(np.empty(min(n, _GAP_ROWS)) for _ in range(2))
-    starts = range(0, n, _GAP_ROWS)
-    with np.errstate(over="ignore"):  # x * x past 1e154: exp(-inf) = 0, as it should
-        largest = []  # each step's largest approximate gap, either side
-        for lo in starts:
-            gaps = _approximate_gaps(x[lo : lo + _GAP_ROWS], lo, n, zero, bufs)
-            largest.append(max(gaps.max(), 1.0 / n - gaps.min()))
-        floor = max(largest) - 2.0 * _PHI_SLACK
-        near = []  # the points whose approximate gap reaches the floor
-        for lo, step_largest in zip(starts, largest):
-            if step_largest >= floor:
-                gaps = _approximate_gaps(x[lo : lo + _GAP_ROWS], lo, n, zero, bufs)
-                near.append(lo + np.flatnonzero((gaps >= floor) | (gaps <= 1.0 / n - floor)))
-    at = np.concatenate(near)
-    cdf = normal_cdf_points(x[at])
-    after = (at + 1.0) / n  # F_N just after each, as (rank + lo) / n in the pass
-    return float(max((after - cdf).max(), (cdf - (after - 1.0 / n)).max()))
-
-
-def kolmogorov_vs_normal(values: np.ndarray, delta: float = DEFAULT_DELTA,
-                         overwrite: bool = False) -> DistanceEstimate:
-    """Exact Kolmogorov distance of the empirical law of ``values`` from the standard normal.
-
-    The supremum is evaluated at every order statistic (both one-sided gaps),
-    so there is no grid error.  ``overwrite`` sorts the float array ``values`` in place.
-    """
-    N = len(values)
-    if N < KS_MIN_SAMPLES:
-        raise InsufficientDataError(f"need at least {KS_MIN_SAMPLES} samples, got {N}")
-    return DistanceEstimate(
-        kind=KOLMOGOROV,
-        point_estimate=_ks_statistic(values, overwrite),
-        n_samples=N,
-        dkw_slack=dkw_slack(N, delta),
-        delta=delta,
-    )
 
 
 def histogram_edges(N: int, bins: int | None = None) -> np.ndarray:
@@ -347,6 +240,16 @@ def kolmogorov_from_counts(counts: np.ndarray, delta: float = DEFAULT_DELTA) -> 
         grid_bins=KS_BINS,
         grid_reach=KS_REACH,
     )
+
+
+def kolmogorov_vs_normal(values: np.ndarray, delta: float = DEFAULT_DELTA) -> DistanceEstimate:
+    """The Kolmogorov distance of the empirical law of ``values`` from the
+    standard normal: ``kolmogorov_from_counts`` of their counts on the grid
+    of ``add_ks_counts``.  K_lo is below the exact statistic by at most the
+    largest rise of Phi over one cell, 2^-10 phi(0) (3.9e-4)."""
+    counts = np.zeros((1, KS_COUNTS), dtype=np.int64)
+    add_ks_counts(counts, np.asarray(values, dtype=float).reshape(-1, 1))
+    return kolmogorov_from_counts(counts[0], delta)
 
 
 def conditional_second_moment(batch: SampleBatch) -> float:

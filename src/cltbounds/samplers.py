@@ -670,7 +670,8 @@ def sample_projections(
     N: int, seed: int,
 ) -> np.ndarray:
     """The (k D, N) projections of ``map_projection_blocks``, each row
-    contiguous for the Kolmogorov sort."""
+    contiguous: consecutive rows, such as a subspace's k basis lines in
+    ``subspaces.estimate_Ank``, form one (rows, N) block."""
     out = None
 
     def put(rows: slice, block: np.ndarray) -> None:

@@ -12,8 +12,8 @@ import numpy as np
 
 from .contract import InsufficientDataError, SymmetryError
 from .core import BLOCK_ROWS, as_unit_vector, thread_map
-from .empirical import (KS_COUNTS, KS_MIN_SAMPLES, _equal_count_bins, _ks_statistic,
-                        add_ks_counts, kolmogorov_from_counts)
+from .empirical import (KS_COUNTS, KS_MIN_SAMPLES, _equal_count_bins, add_ks_counts,
+                        kolmogorov_from_counts)
 from .exact import D_K, SPHERICAL_KINDS, UNCONDITIONAL_KINDS, Kind, exact_kolmogorov, exact_law
 from .frames import LABEL_SIMPLEX_EDGES, LABEL_STANDARD, simplex_edges, simplex_projections
 from .samplers import (
@@ -47,8 +47,9 @@ __all__ = [
 ]
 
 # directions per product in estimate_Ank at k >= 2: each worker holds one
-# (DIRECTION_CHUNK, N) product.  Four rows give the same bits as sixteen,
-# one row (a matrix-vector product) does not
+# (N, DIRECTION_CHUNK) product and its (DIRECTION_CHUNK, KS_COUNTS) count
+# table.  Four rows give the same bits as sixteen, one row (a matrix-vector
+# product) does not
 DIRECTION_CHUNK = 4
 
 
@@ -134,10 +135,10 @@ class AnkEstimate:
     statistic read from its counts on the Kolmogorov grid, K_lo of
     ``empirical.kolmogorov_from_counts``, which sampling noise biases
     upward and the grid by at most a few 1e-5 downward (``LABEL_LINE``).  At
-    k >= 2 it is a max over sampled directions, a lower approximation of the
-    sup over the sphere (``LABEL_DIRECTIONS``).  ``n_dirs`` and ``N`` count
-    what was used: no direction is drawn at k = 1 (``n_dirs`` 0), and the
-    exact path samples no row (``N`` 0).
+    k >= 2 it is the max of the same K_lo over sampled directions, a lower
+    approximation of the sup over the sphere (``LABEL_DIRECTIONS``).
+    ``n_dirs`` and ``N`` count what was used: no direction is drawn at k = 1
+    (``n_dirs`` 0), and the exact path samples no row (``N`` 0).
     """
 
     fraction: float
@@ -197,7 +198,9 @@ def estimate_Ank(
     n_subspaces ``KS_COUNTS`` 8 bytes (4 MB at 32 lines), whatever N.  At
     k >= 2 Y is kept (``sample_projections``, N n_subspaces k 8 bytes), a
     direction with coefficients c in subspace s is Y_s c, and each worker
-    holds one (DIRECTION_CHUNK, N) product.  The exact path holds no
+    holds one (N, DIRECTION_CHUNK) product (32 MB at N = 1e6) and its
+    (DIRECTION_CHUNK, ``KS_COUNTS``) counts (0.5 MB); each direction's
+    distance is read from its counts as at k = 1.  The exact path holds no
     sample: per worker, one line's quadrature tables, a few hundred kB at
     n = 100.  The fill is serial; the subspaces' statistics run on
     ``workers`` threads, each subspace with its own direction stream, so the
@@ -229,12 +232,15 @@ def estimate_Ank(
         rng = np.random.default_rng(derive_seed(seed, s, 1))
         coeffs = uniform_directions(k, n_dirs, rng)
         y_s = proj[s * k : (s + 1) * k]
-        # the inner generator drops each product before the next is formed
-        return max(
-            max(_ks_statistic(values, overwrite=True)
-                for values in coeffs[lo : lo + DIRECTION_CHUNK] @ y_s)
-            for lo in range(0, n_dirs, DIRECTION_CHUNK)
-        )
+        distances = []
+        for lo in range(0, n_dirs, DIRECTION_CHUNK):
+            # (N, c) and C-contiguous, as add_ks_counts reads it fastest
+            products = y_s.T @ coeffs[lo : lo + DIRECTION_CHUNK].T
+            table = np.zeros((products.shape[1], KS_COUNTS), dtype=np.int64)
+            add_ks_counts(table, products)
+            del products  # dropped before the next is formed: one per worker
+            distances += [kolmogorov_from_counts(row).point_estimate for row in table]
+        return max(distances)
 
     sups = np.array(thread_map(sup_distance, range(n_subspaces), workers))
     return AnkEstimate(

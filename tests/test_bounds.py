@@ -9,6 +9,8 @@ from scipy import integrate, optimize
 from scipy.special import ndtr
 from scipy.stats import binom
 
+from conftest import brute_force_ks
+
 from cltbounds import exact as exact_module
 from cltbounds.bounds import (
     BoundInputs,
@@ -30,7 +32,7 @@ from cltbounds.bounds import (
     bound_unconditional_bounded,
 )
 from cltbounds.certify import _gating_bound, applicable_route, resolve_theta
-from cltbounds.empirical import _ks_statistic, dkw_slack
+from cltbounds.empirical import dkw_slack
 from cltbounds.exact import (
     D_K,
     EXACT_LAWS,
@@ -708,7 +710,7 @@ class TestExactKolmogorov:
         spec, n_samples, seed = cube_spec(n), 200_000, 710 + n
         theta = random_subspace(n, 1, seed)[0]
         w = sample_projections(spec, theta[:, None], n_samples, seed)[0]
-        gap = _ks_statistic(w) - exact_kolmogorov(spec, theta)
+        gap = brute_force_ks(w, ndtr) - exact_kolmogorov(spec, theta)
         assert abs(gap) <= dkw_slack(n_samples, 1e-6)
 
     @pytest.mark.parametrize("n, theta_spec", [(20, "diagonal"), (100, "random(101)")])
@@ -720,7 +722,8 @@ class TestExactKolmogorov:
         theta, _ = resolve_theta(theta_spec, n)
         d_k = exact_kolmogorov(spec, theta)
         gaps = np.array([
-            abs(_ks_statistic(sample_projections(spec, theta[:, None], n_samples, 20_000 + r)[0]) - d_k)
+            abs(brute_force_ks(sample_projections(spec, theta[:, None], n_samples, 20_000 + r)[0],
+                               ndtr) - d_k)
             for r in range(runs)
         ])
         for delta in (0.1, 0.01):

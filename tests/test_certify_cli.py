@@ -6,6 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import assert_brackets
+
 import cltbounds.contract as contract_module
 from cltbounds import __version__
 from cltbounds.bounds import (
@@ -43,10 +45,8 @@ from cltbounds.empirical import (
     HISTOGRAM_MIN_SAMPLES,
     KS_COUNTS,
     KS_MIN_SAMPLES,
-    add_ks_counts,
     histogram_counts,
     histogram_edges,
-    kolmogorov_from_counts,
     kolmogorov_vs_normal,
     tv_from_counts,
     tv_vs_normal_histogram,
@@ -67,22 +67,6 @@ from cltbounds.samplers import (
     sample_projections,
 )
 from cltbounds.subspaces import SymmetryError, reflection_pair_diagnostics
-
-
-def count_statistic(values, delta):
-    """The Kolmogorov estimate of one materialized projection row from its
-    counts on the Kolmogorov grid, as certification reads it."""
-    counts = np.zeros((1, KS_COUNTS), dtype=np.int64)
-    add_ks_counts(counts, np.asarray(values)[:, None])
-    return kolmogorov_from_counts(counts[0], delta)
-
-
-def assert_brackets(estimate, values):
-    """The count estimate's K_lo and K_hi bracket the exact statistic of
-    ``values``, up to the binning's rounding."""
-    exact = kolmogorov_vs_normal(values, delta=estimate.delta).point_estimate
-    assert estimate.point_estimate <= exact + 1e-14
-    assert exact <= estimate.upper_estimate + 1e-14
 
 
 def zero_bound(*args, **kwargs):
@@ -330,7 +314,7 @@ class TestCertifyGrid:
         directions = np.column_stack([resolve_theta(theta, 7)[0] for theta in thetas])
         values = sample_projections(spec, directions, n_samples, cells[0].seed)
         for report, row in zip(cells, values):
-            assert report.empirical == count_statistic(row, report.delta)
+            assert report.empirical == kolmogorov_vs_normal(row, report.delta)
             assert_brackets(report.empirical, row)
 
     def test_largest_n_first(self, monkeypatch):
@@ -471,7 +455,7 @@ class TestStreaming:
             values = (sample(spec, n_samples, reports[0].seed).data @ directions).T
         for report, theta_spec, (_, label), row in zip(reports, thetas, resolved, values):
             if report.bound.kind == KOLMOGOROV:
-                expected = count_statistic(row, report.delta)
+                expected = kolmogorov_vs_normal(row, report.delta)
                 adjusted = expected.point_estimate - expected.dkw_slack
                 assert report.empirical.upper_estimate == pytest.approx(
                     expected.upper_estimate, rel=0.0, abs=1e-12

@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 
 from scipy.special import ndtr, ndtri
 
-from cltbounds.core import CHUNK_ROWS, InsufficientDataError, normal_cdf_points
+from conftest import assert_brackets, brute_force_ks
+
+from cltbounds.core import CHUNK_ROWS, InsufficientDataError
 from cltbounds.empirical import (
-    _GAP_ROWS,
     KS_BINS,
     KS_COUNTS,
     KS_REACH,
-    _approximate_gaps,
-    _ks_statistic,
     add_ks_counts,
     conditional_second_moment,
     dkw_slack,
@@ -41,31 +40,6 @@ def gaussian_ps(n_samples, seed):
     return rng.standard_normal(n_samples)
 
 
-def _sup_gap(cdf, cum, jump):
-    """sup_t |F_N(t) - Phi(t)| from Phi at the order statistics, F_N just
-    after each of them and its jumps there: both one-sided gaps."""
-    return float(np.maximum(cum - cdf, cdf - (cum - jump)).max())
-
-
-def brute_force_ks(values, cdf):
-    """Both one-sided gaps at every order statistic, with ``cdf`` for Phi at
-    every point."""
-    x = np.sort(values)
-    return _sup_gap(cdf(x), np.arange(1, len(x) + 1) / len(x), 1.0 / len(x))
-
-
-def hastings_cdf(x):
-    """The kernel's approximate Phi at the sorted points ``x``, read back from
-    its gaps: F_N just after each point minus its gap."""
-    n, zero = len(x), int(np.searchsorted(x, 0.0))
-    bufs = tuple(np.empty(_GAP_ROWS) for _ in range(2))
-    cdf = []
-    for lo in range(0, n, _GAP_ROWS):
-        gaps = _approximate_gaps(x[lo : lo + _GAP_ROWS], lo, n, zero, bufs)
-        cdf.append(np.arange(lo + 1, lo + 1 + len(gaps)) / n - gaps)
-    return np.concatenate(cdf)
-
-
 def _normal(n):
     return lambda rng: 0.9 * rng.standard_normal(n)
 
@@ -76,13 +50,13 @@ def _with_infinities(rng):
     return values
 
 
-# the Kolmogorov kernel's inputs beside plain normal samples: across a step
-# boundary, tied, constant, heavy-tailed past |x| = 38 where Phi leaves
-# (0, 1), and infinite
+# the Kolmogorov statistic's inputs beside plain normal samples: tied (some
+# on the grid's edges), constant, heavy-tailed past the grid's reach and past
+# |x| = 38 where Phi leaves (0, 1), and infinite
 KS_INPUTS = {
     **{f"normal-{n}": _normal(n) for n in (100, 8191, 8192, 8193)},
     "ties": lambda rng: np.round(rng.standard_normal(20_000), 1),
-    "all-equal": lambda rng: np.full(_GAP_ROWS + 7, -0.3),
+    "all-equal": lambda rng: np.full(4103, -0.3),
     "all-zero": lambda rng: np.zeros(500),
     "cauchy": lambda rng: rng.standard_cauchy(20_000),
     "infinities": _with_infinities,
@@ -168,67 +142,47 @@ class TestKolmogorov:
 
     @pytest.mark.parametrize("ties", [False, True])
     def test_sign_invariant(self, ties):
-        # the gaps of -W at order statistic n + 1 - i are those of W at i
+        # the grid is symmetric about 0: with no value on an edge the counts
+        # of -W are those of W mirrored, and K_lo is the same.  Tied values
+        # on edges (0.5, 1.0, ...) count in the cell above them, which moves
+        # K_lo, but the bracket of -W still holds the statistic of W
         values = np.random.default_rng(13).standard_normal(3001) * 1.1 + 0.05
         if ties:
             values = np.round(values, 1)  # about 60 distinct values
-        assert _ks_statistic(-values) == pytest.approx(
-            _ks_statistic(values), rel=0.0, abs=1e-15
-        )
-
-    @pytest.mark.parametrize("n_samples", [100, 3001, 70_000])
-    def test_fused_equals_two_sided_gap(self, n_samples):
-        # the refined maximum is the gap with the program's Phi at every point
-        values = np.random.default_rng(n_samples).standard_normal(n_samples) * 0.9
-        reference = brute_force_ks(values, normal_cdf_points)
-        kept = values.copy()
-        assert _ks_statistic(values) == reference
-        np.testing.assert_array_equal(values, kept)  # a copy was sorted
-        assert _ks_statistic(values, overwrite=True) == reference
+        plus, minus = kolmogorov_vs_normal(values), kolmogorov_vs_normal(-values)
+        if not ties:
+            assert minus.point_estimate == pytest.approx(
+                plus.point_estimate, rel=0.0, abs=1e-15
+            )
+        for estimate in (plus, minus):
+            assert_brackets(estimate, values)
 
     @pytest.mark.parametrize("inputs", sorted(KS_INPUTS))
     def test_equals_the_gap_with_exact_phi(self, inputs):
+        # the bracket holds the exact gap, taken with scipy's Phi at every
+        # order statistic
         values = KS_INPUTS[inputs](np.random.default_rng(17))
         if inputs == "cauchy":
             assert np.abs(values).max() > 38.0
-        statistic = _ks_statistic(values)
-        assert statistic == brute_force_ks(values, normal_cdf_points)
-        assert statistic == pytest.approx(brute_force_ks(values, ndtr), rel=0.0, abs=4.4e-16)
+        estimate = kolmogorov_vs_normal(values)
+        assert estimate.n_samples == len(values)
+        assert_brackets(estimate, values)
 
     def test_quantile_grid_refines_every_point(self):
-        # Phi(x_i) = (i - 1/2) / N: every gap is 1/(2N), so every point lies
-        # within the Hastings slack of the maximum and is refined, in one
-        # normal_cdf_points call (about 0.05 s at N = 2e5 on a 2-vCPU VM)
+        # Phi(x_i) = (i - 1/2) / N: every gap is 1/(2N), each order statistic
+        # attains the supremum, and the bracket holds it
         n_samples = 200_000
         values = ndtri((np.arange(1, n_samples + 1) - 0.5) / n_samples)
-        statistic = _ks_statistic(values)
-        assert statistic == brute_force_ks(values, normal_cdf_points)
-        assert statistic == pytest.approx(0.5 / n_samples, rel=0.0, abs=4.4e-16)
+        exact = brute_force_ks(values, ndtr)
+        assert exact == pytest.approx(0.5 / n_samples, rel=0.0, abs=4.4e-16)
+        assert_brackets(kolmogorov_vs_normal(values), values)
 
     @pytest.mark.parametrize("at", [0, 57, 8191, 8192, 19_999])
     def test_nan_gives_nan(self, at):
         values = np.random.default_rng(at).standard_normal(20_000)
         values[at] = np.nan
-        assert math.isnan(_ks_statistic(values))
-        assert math.isnan(kolmogorov_vs_normal(values).point_estimate)
-
-    def test_hastings_phi_within_its_bound(self):
-        # Abramowitz and Stegun 7.1.26: |erf error| <= 1.5e-7, so Phi within 7.5e-8
-        grid = np.linspace(-40.0, 40.0, 800_001)
-        error = np.abs(hastings_cdf(grid) - normal_cdf_points(grid)).max()
-        assert error <= 7.5e-8
-
-    def test_holds_its_gap_buffers_only(self):
-        # two _GAP_ROWS buffers beside the sorted array: no N-length temporary
-        values = np.random.default_rng(18).standard_normal(200_000)
-        _ks_statistic(values[:1000])  # first-call setup
-        tracemalloc.start()
-        try:
-            _ks_statistic(values, overwrite=True)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * 8 * _GAP_ROWS, f"peak {peak / 1e3:.0f} kB"
+        estimate = kolmogorov_vs_normal(values)
+        assert math.isnan(estimate.point_estimate) and math.isnan(estimate.upper_estimate)
 
     def test_exact_supremum_against_brute_force(self):
         rng = np.random.default_rng(11)
@@ -238,7 +192,8 @@ class TestKolmogorov:
         grid = np.concatenate([np.linspace(-5, 5, 200001), values, values - 1e-9])
         ecdf = np.searchsorted(np.sort(values), grid, side="right") / len(values)
         brute = np.abs(ecdf - normal_cdf(grid)).max()
-        assert est.point_estimate == pytest.approx(brute, abs=1e-8)
+        assert brute == pytest.approx(brute_force_ks(values, ndtr), abs=1e-8)
+        assert_brackets(est, values)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
@@ -306,9 +261,7 @@ class TestKolmogorovCounts:
         counts = counts_of(values[:, None])
         np.testing.assert_array_equal(counts[0], reference_counts(values))
         estimate = kolmogorov_from_counts(counts[0], delta=0.01)
-        exact = _ks_statistic(values)
-        assert estimate.point_estimate <= exact + 1e-14
-        assert exact <= estimate.upper_estimate + 1e-14
+        assert_brackets(estimate, values)
         assert estimate.n_samples == n_samples
         assert estimate.dkw_slack == dkw_slack(n_samples, 0.01)
         assert (estimate.grid_bins, estimate.grid_reach) == (KS_BINS, KS_REACH)
@@ -343,7 +296,7 @@ class TestKolmogorovCounts:
         clean, dirty = (kolmogorov_from_counts(row) for row in counts_of(columns))
         assert math.isnan(dirty.point_estimate) and math.isnan(dirty.upper_estimate)
         assert dirty.n_samples == 50_000
-        assert clean.point_estimate <= _ks_statistic(columns[:, 0]) <= clean.upper_estimate
+        assert_brackets(clean, columns[:, 0])
 
     def test_needs_100_samples(self):
         with pytest.raises(InsufficientDataError):

@@ -15,15 +15,14 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "benchmarks" / "stage_split.py"
 
-SUBSPACE_STAGES = {"ank_fill_s", "ank_project_s", "ank_ks_s", "ank_ks_threaded_s", "ank_total_s",
+SUBSPACE_STAGES = {"ank_fill_s", "ank_project_s", "ank_counts_s", "ank_total_s",
                    "reflection_total_s", "reflection_peak_mb", "rotation_frames_s",
                    "rotation_total_s"}
 
 # case -> (mode, spec options, stages reported)
 MODES = {
     "certify": ("certify", ["--kind", "lp_ball", "--p", "2"],
-                {"fill_s", "project_s", "counts_s", "hist_s", "projections_s",
-                 "projections_peak_mb"}),
+                {"fill_s", "project_s", "counts_s", "projections_s", "projections_peak_mb"}),
     # the cube's lines are evaluated exactly as well
     "subspace": ("subspace", ["--kind", "lp_ball", "--p", "inf"], SUBSPACE_STAGES | {"ank_exact_s"}),
     "subspace-simplex": ("subspace", ["--kind", "simplex"], SUBSPACE_STAGES),

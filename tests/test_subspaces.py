@@ -6,16 +6,18 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import ndtr
+
+from conftest import brute_force_ks
 
 from cltbounds import subspaces
 from cltbounds.cli import EXIT_CONFIG_ERROR, main
 from cltbounds.core import InsufficientDataError
 from cltbounds.empirical import (
-    _GAP_ROWS,
+    _KS_SLICE,
     KS_COUNTS,
     KS_MIN_SAMPLES,
     _equal_count_bin_means,
-    _ks_statistic,
     add_ks_counts,
     dkw_slack,
     kolmogorov_from_counts,
@@ -543,9 +545,10 @@ class TestEstimateAnk:
     @pytest.mark.parametrize("k", [1, 2])
     def test_streamed_equals_given_batch(self, k):
         # 70000 rows cross the first block boundary; the reference projects
-        # the materialized batch onto each subspace and its sampled directions.
-        # A line's distance is read from its counts on the Kolmogorov grid:
-        # the counts of the materialized line, which bracket its exact statistic
+        # the materialized batch onto each subspace's line or sampled
+        # directions, and reads each distance from its counts on the
+        # Kolmogorov grid.  Per subspace the largest K_lo and K_hi bracket
+        # the largest exact statistic
         spec = DistributionSpec(Kind.LP_BALL, 9, p=4.0)
         n_samples, seed, n_subspaces, n_dirs = 70_000, 35, 3, 20
         streamed = estimate_Ank(
@@ -556,17 +559,19 @@ class TestEstimateAnk:
         for s in range(n_subspaces):
             basis = random_subspace(spec.n, k, derive_seed(seed, s))
             if k == 1:
-                values = data @ basis[0]
-                counts = np.zeros((1, KS_COUNTS), dtype=np.int64)
-                add_ks_counts(counts, values[:, None])
-                line = kolmogorov_from_counts(counts[0])
-                exact = _ks_statistic(values)
-                assert line.point_estimate <= exact + 1e-14
-                assert exact <= line.upper_estimate + 1e-14
-                given.append(line.point_estimate)
+                directions = basis
             else:
                 coeffs = uniform_directions(k, n_dirs, np.random.default_rng(derive_seed(seed, s, 1)))
-                given.append(max(_ks_statistic(data @ (c @ basis)) for c in coeffs))
+                directions = coeffs @ basis
+            values = data @ directions.T
+            counts = np.zeros((len(directions), KS_COUNTS), dtype=np.int64)
+            add_ks_counts(counts, values)
+            estimates = [kolmogorov_from_counts(row) for row in counts]
+            lower = max(e.point_estimate for e in estimates)
+            exact = max(brute_force_ks(column, ndtr) for column in values.T)
+            assert lower <= exact + 1e-14
+            assert exact <= max(e.upper_estimate for e in estimates) + 1e-14
+            given.append(lower)
         np.testing.assert_allclose(streamed.sup_distances, given, rtol=0, atol=1e-12)
         assert streamed.N == n_samples
         assert streamed.n_dirs == (0 if k == 1 else n_dirs)  # a line draws no direction
@@ -640,9 +645,12 @@ class TestWorkerCount:
 
     def test_estimate_Ank_memory_level(self, monkeypatch):
         # k >= 2: beside the projections, each worker of the statistics holds
-        # one (DIRECTION_CHUNK, N) direction product and the statistic's two
-        # _GAP_ROWS buffers, plus a step's masks and indices (two buffers'
-        # worth); the peak is taken over the statistics alone, not the fill
+        # one (N, DIRECTION_CHUNK) direction product, its count table and
+        # add_ks_counts's temporaries (a slice's offsets, scaled values and
+        # positions, and np.add.at's own: four _KS_SLICE arrays), with one
+        # more _KS_SLICE for the small objects, 8.2 MB here; a second product
+        # would add 6.4 MB.  The peak is taken over the statistics alone, not
+        # the fill
         spec = DistributionSpec(Kind.LP_BALL, 30, p=4.0)
         n_samples = 200_000
         run_statistics = subspaces.thread_map
@@ -663,7 +671,7 @@ class TestWorkerCount:
                              n_dirs=2 * DIRECTION_CHUNK, workers=workers)
             finally:
                 tracemalloc.stop()
-        per_worker = 8 * (DIRECTION_CHUNK * n_samples + 4 * _GAP_ROWS)
+        per_worker = 8 * (DIRECTION_CHUNK * (n_samples + KS_COUNTS) + 5 * _KS_SLICE)
         assert extras[0] <= per_worker, f"{extras[0] / 1e6} MB"
         assert extras[1] <= 2 * per_worker, f"{extras[1] / 1e6} MB"
 
