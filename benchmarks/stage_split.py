@@ -39,8 +39,8 @@ sampled stages show what the sampled path would cost.  Every
 whole reflection step of ``diagnose`` (``reflection_total_s``: the three
 thetas e1, diagonal and random(42) of criterion 05 on the given spec, in
 the frame of its law), and the tracemalloc peak in MB of a second, traced
-call (``reflection_peak_mb``; the timed call runs untraced): the kept W
-per theta, coefficient and index, plus a chunk and a block of
+call (``reflection_peak_mb``; the timed call runs untraced): the frame
+index, the per-block sums and bin totals, plus a chunk and a block of
 projections per worker.  For the rotation diagnostics it times the two-frame draws
 (``rotation_frames_s``: ``subspaces._rotation_frames``, one per block on the
 block's substream, shared by the three angles, as the rotation pass draws them)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .contract import InsufficientDataError, SymmetryError
 from .core import BLOCK_ROWS, as_unit_vector, thread_map
-from .empirical import (KS_COUNTS, KS_MIN_SAMPLES, _equal_count_bins, add_ks_counts,
+from .empirical import (KS_COUNTS, KS_MIN_SAMPLES, add_ks_counts, bin_totals,
                         kolmogorov_from_counts)
 from .exact import D_K, SPHERICAL_KINDS, UNCONDITIONAL_KINDS, Kind, exact_kolmogorov, exact_law
 from .frames import LABEL_SIMPLEX_EDGES, LABEL_STANDARD, simplex_edges, simplex_projections
@@ -206,7 +206,7 @@ def estimate_Ank(
     ``workers`` threads, each subspace with its own direction stream, so the
     result does not depend on ``workers``.
     """
-    if eps <= 0.0:
+    if not eps > 0.0:  # NaN too
         raise ValueError(f"eps must be positive, got {eps}")
     if n_subspaces < 1:
         raise ValueError("need at least one subspace")
@@ -276,8 +276,8 @@ class PairDiagnostics:
     """Sampled ingredients of the exchangeable-pair bound for one batch.
 
     ``slope`` regresses W - W' on W (the linearity condition predicts
-    exactly 2/n); ``var_conditional`` is the equal-count-binned estimate of
-    Var E[(W-W')^2 | W]; ``third_abs`` and ``sup_abs`` are the
+    exactly 2/n); ``var_conditional`` estimates Var E[(W-W')^2 | W] over
+    the bins of ``empirical.bin_totals``; ``third_abs`` and ``sup_abs`` are the
     sample mean of |W-W'|^3 and the sample max of |W-W'|.  The same bound on
     exact moments is ``bounds.bound_frame_general``.
     """
@@ -314,15 +314,13 @@ def reflection_pair_diagnostics(
     order, from one stream.  One pass of ``samplers.map_frame_blocks``, on
     ``workers`` threads, draws each row's W per theta and its coefficient
     X_(I), ``CHUNK_ROWS`` rows at a time, and keeps per block the sums of
-    W, W^2, D, D W, D^2 and |D|^3 and the max of |D|, D = W - W' =
-    2 X_(I) theta_(I), added in block order, so the results do not depend
-    on ``workers``.  Memory: the kept W per theta, coefficient and index,
-    (8 T + 8 + k) N bytes with k the itemsize of the smallest unsigned type
+    W, W^2, D, D W, D^2 and |D|^3, the max of |D|, D = W - W' =
+    2 X_(I) theta_(I), and the ``empirical.bin_totals`` of D^2 over W, added
+    in block order, so the results do not depend on ``workers``.  Memory:
+    the index, k N bytes with k the itemsize of the smallest unsigned type
     that holds m - 1 (1, 2 or 4: the simplex's m = n (n + 1) needs 2 from
-    n = 16 and 4 from n = 256), and per worker a chunk and a
-    (BLOCK_ROWS, T + 1) block while drawing; then the equal-count binning
-    of ``var_conditional`` argsorts W, 8 N bytes per worker, and rebuilds D
-    bin by bin, never as an N-long array.
+    n = 16 and 4 from n = 256), a few kB of sums and totals, and per worker
+    a chunk and a (BLOCK_ROWS, T + 1) block: no N-long float, no sort.
     """
     simplex = reflection_frame(spec.kind) == LABEL_SIMPLEX_EDGES
     _require_two_samples(N)
@@ -338,53 +336,48 @@ def reflection_pair_diagnostics(
     index = np.empty(N, dtype=np.min_scalar_type(m - 1))
     for lo in range(0, N, BLOCK_ROWS):
         index[lo : lo + BLOCK_ROWS] = rng.integers(0, m, min(BLOCK_ROWS, N - lo))
-    w, coeff = np.empty((len(thetas), N)), np.empty(N)
-    # per block and theta: W, W^2, D, D W, D^2, |D|^3, then max |D|
+    # per block and theta: W, W^2, D, D W, D^2, |D|^3, then max |D|; D^2's bin totals
     sums = np.empty((-(-N // BLOCK_ROWS), len(thetas), 7))
-
-    def diff(t: int, rows) -> np.ndarray:
-        """D = W - W' of theta t on rows (a slice or indices)."""
-        if not simplex:
-            return 2.0 * coeff[rows] * thetas[t][index[rows]]
-        heads, tails = simplex_edges(index[rows], n)
-        return 2.0 * coeff[rows] * (edge_scale * (vertex_t[t][heads] - vertex_t[t][tails]))
+    binned = [None] * len(sums)
 
     def take(rows: slice, block: np.ndarray) -> None:
-        coeff[rows] = block[:, -1]
+        b = rows.start // BLOCK_ROWS
+        if simplex:
+            heads, tails = simplex_edges(index[rows], n)
+        binned[b] = []
         for t in range(len(thetas)):
-            w_t = w[t, rows]
-            w_t[:] = block[:, t]
-            d = diff(t, rows)
-            d_abs = np.abs(d)
-            sums[rows.start // BLOCK_ROWS, t] = [
-                w_t.sum(), (w_t * w_t).sum(), d.sum(), (d * w_t).sum(), (d * d).sum(),
+            w_t = block[:, t]
+            theta_at = (edge_scale * (vertex_t[t][heads] - vertex_t[t][tails]) if simplex
+                        else thetas[t][index[rows]])  # theta_(I) of each row
+            d = 2.0 * block[:, -1] * theta_at
+            d_sq, d_abs = d * d, np.abs(d)
+            sums[b, t] = [
+                w_t.sum(), (w_t * w_t).sum(), d.sum(), (d * w_t).sum(), d_sq.sum(),
                 (d_abs**3).sum(), d_abs.max(),
             ]
+            binned[b].append(bin_totals(w_t, d_sq, N))
 
     map_frame_blocks(spec, np.column_stack(thetas), index, seed, take, workers)
     means = sums[..., :6].sum(axis=0) / N
+    totals = np.sum(binned, axis=0)
 
     def diagnose(t: int) -> PairDiagnostics:
         w_mean, w_sq_mean, d_mean, dw_mean, dsq_mean, a3_mean = means[t].tolist()
         w_var = w_sq_mean - w_mean * w_mean
         slope = (dw_mean - d_mean * w_mean) / w_var
         resid_var = max((dsq_mean - d_mean * d_mean) - slope * slope * w_var, 0.0)
-
-        bins = _equal_count_bins(w[t])
-        means_t = np.array([float(np.square(diff(t, idx)).mean()) for idx in bins])
-        weights = np.array([len(idx) for idx in bins]) / N
-        var_conditional = float(weights @ (means_t - float(weights @ means_t)) ** 2)
-
+        sizes, bin_sums = totals[t][:, totals[t][0] > 0]  # the nonempty bins
+        weights, bin_means = sizes / N, bin_sums / sizes
         return PairDiagnostics(
             slope=slope,
             intercept=d_mean - slope * w_mean,
             slope_se=math.sqrt(resid_var) / (math.sqrt(N) * math.sqrt(w_var)),
-            var_conditional=var_conditional,
+            var_conditional=float(weights @ (bin_means - float(weights @ bin_means)) ** 2),
             third_abs=a3_mean,
             sup_abs=float(sums[:, t, 6].max()),
         )
 
-    return thread_map(diagnose, range(len(thetas)), workers)
+    return [diagnose(t) for t in range(len(thetas))]
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import pytest
 from conftest import assert_brackets
 
 import cltbounds.contract as contract_module
+import cltbounds.samplers as samplers_module
 from cltbounds import __version__
 from cltbounds.bounds import (
     KOLMOGOROV,
@@ -704,6 +705,32 @@ class TestCliCertify:
                 "N": 20000,
                 "seed": 7,
                 "delta": 0.5,
+            },
+        )
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path / "out")]) == (
+            EXIT_CERTIFICATION_FAILED
+        )
+
+    def test_nan_on_the_spherical_route_exits_1(self, tmp_path, monkeypatch):
+        # the histogram drops a NaN projection: its cells' estimates are NaN,
+        # as on the Kolmogorov route, and fail (they pass without the NaN)
+        draw = samplers_module._reduced_spherical_block
+
+        def one_nan_per_block(*args, **kwargs):
+            y, rest_sq = draw(*args, **kwargs)
+            y[0, 0] = np.nan
+            return y, rest_sq
+
+        monkeypatch.setattr(samplers_module, "_reduced_spherical_block", one_nan_per_block)
+        cfg = write_config(
+            tmp_path,
+            "nan.json",
+            {
+                "command": "certify",
+                "distributions": [{"kind": "sphere_shell", "n": 10}],
+                "theta": ["e1", "diagonal"],
+                "N": 20000,
+                "seed": 7,
             },
         )
         assert main(["certify", "--config", cfg, "--out", str(tmp_path / "out")]) == (

@@ -17,6 +17,7 @@ from cltbounds.empirical import (
     KS_COUNTS,
     KS_REACH,
     add_ks_counts,
+    bin_totals,
     conditional_second_moment,
     dkw_slack,
     kolmogorov_from_counts,
@@ -25,8 +26,10 @@ from cltbounds.empirical import (
     streaming_pair_square_covariance,
     tv_vs_normal_histogram,
 )
+from cltbounds.certify import certify_grid
 from cltbounds.exact import DistributionSpec, Kind
 from cltbounds.samplers import BLOCK_ROWS, SampleBatch, sample, sample_projections
+from cltbounds.subspaces import estimate_Ank, reflection_pair_diagnostics
 
 
 def normal_cdf(t):
@@ -345,6 +348,15 @@ class TestTvHistogram:
         with pytest.raises(InsufficientDataError):
             tv_vs_normal_histogram(np.zeros(9999))
 
+    @pytest.mark.parametrize("nans", [1, 50_000])
+    def test_nan_gives_nan(self, nans):
+        # the histogram drops NaN: the counts hold fewer than N values, and
+        # the estimate is NaN, as the Kolmogorov statistic's is
+        values = gaussian_ps(10**5, 16)
+        values[:nans] = np.nan
+        assert math.isnan(tv_vs_normal_histogram(values).point_estimate)
+        assert math.isnan(kolmogorov_vs_normal(values).point_estimate)
+
 
 class TestConditionalSecondMoment:
     def test_sphere_matches_closed_form(self):
@@ -381,6 +393,63 @@ class TestConditionalSecondMoment:
         batch = sample(DistributionSpec(Kind.SPHERE_SHELL, 4), 10**4, 19)
         with pytest.raises(InsufficientDataError):
             conditional_second_moment(batch)
+
+
+class TestBinTotals:
+    def test_equals_the_normal_quantile_reference(self):
+        # ceil(N^(1/3)) bins [q_(j-1), q_j) between the normal's j/B quantiles
+        x, y = gaussian_ps(10**5, 20), gaussian_ps(10**5, 21)
+        bins = 47  # ceil(1e5^(1/3))
+        at = np.digitize(x, ndtri(np.arange(1, bins) / bins))
+        totals = bin_totals(x, y, len(x))
+        np.testing.assert_array_equal(totals[0], np.bincount(at, minlength=bins))
+        np.testing.assert_allclose(totals[1], [y[at == j].sum() for j in range(bins)],
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_each_edge_is_a_normal_quantile(self):
+        # a value just above the j/B quantile counts in bin j, just below in j - 1
+        bins = 10  # ceil(1000^(1/3))
+        edges = ndtri(np.arange(1, bins) / bins)
+        above = bin_totals(edges + 1e-9, np.ones(bins - 1), bins**3)[0]
+        below = bin_totals(edges - 1e-9, np.ones(bins - 1), bins**3)[0]
+        np.testing.assert_array_equal(above, [0] + [1] * (bins - 1))
+        np.testing.assert_array_equal(below, [1] * (bins - 1) + [0])
+
+    def test_block_totals_sum_to_the_whole(self):
+        x, y = gaussian_ps(70_001, 22), gaussian_ps(70_001, 23) ** 2
+        whole = bin_totals(x, y, len(x))
+        parts = sum(bin_totals(x[lo : lo + 4096], y[lo : lo + 4096], len(x))
+                    for lo in range(0, len(x), 4096))
+        np.testing.assert_array_equal(parts[0], whole[0])
+        np.testing.assert_allclose(parts[1], whole[1], rtol=1e-12)
+
+
+class TestNothingSortsAProjection:
+    @pytest.fixture(autouse=True)
+    def no_sort(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sorted a projection")
+
+        for name in ("argsort", "sort", "partition"):
+            monkeypatch.setattr(np, name, refuse)
+
+    @pytest.mark.parametrize("spec", [DistributionSpec(Kind.LP_BALL, 6, p=math.inf),
+                                      DistributionSpec(Kind.SIMPLEX, 6)], ids=["cube", "simplex"])
+    def test_reflection_pair(self, spec):
+        thetas = [np.eye(6)[0], np.full(6, 6**-0.5)]
+        reflection_pair_diagnostics(spec, thetas, 20_000, 24, pair_seed=25)
+
+    def test_conditional_second_moment(self):
+        conditional_second_moment(sample(DistributionSpec(Kind.SPHERE_SHELL, 6), 10**5, 26))
+
+    def test_certify_grid(self):
+        specs = [DistributionSpec(Kind.LP_BALL, 6, p=4.0), DistributionSpec(Kind.SPHERE_SHELL, 6)]
+        certify_grid(specs, ["e1", "diagonal"], N=20_000, seed=27)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_estimate_ank(self, k):
+        spec = DistributionSpec(Kind.LP_BALL, 6, p=4.0)
+        estimate_Ank(spec, k=k, eps=0.1, n_subspaces=2, N=5000, seed=28, n_dirs=4)
 
 
 class TestStreamingPairSquareCovariance:

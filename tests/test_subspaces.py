@@ -17,14 +17,13 @@ from cltbounds.empirical import (
     _KS_SLICE,
     KS_COUNTS,
     KS_MIN_SAMPLES,
-    _equal_count_bin_means,
     add_ks_counts,
     dkw_slack,
     kolmogorov_from_counts,
 )
 from cltbounds.exact import DistributionSpec, Kind, exact_kolmogorov
 from cltbounds.frames import simplex_geometry
-from cltbounds.samplers import BLOCK_ROWS, derive_seed, sample
+from cltbounds.samplers import BLOCK_ROWS, CHUNK_ROWS, derive_seed, sample
 from cltbounds.subspaces import (
     DIRECTION_CHUNK,
     LABEL_DIRECTIONS,
@@ -62,8 +61,12 @@ def pair_diagnostics_of(w, diff):
     slope = np.mean((diff - d_mean) * (w - w_mean)) / w_var
     intercept = d_mean - slope * w_mean
     resid = diff - slope * w - intercept
-    means, sizes = _equal_count_bin_means(w, diff * diff)
-    weights = sizes / n_samples
+    # ceil(N^(1/3)) bins [q_(j-1), q_j) between the normal's j/B quantiles
+    bins = math.ceil(n_samples ** (1 / 3))
+    at = np.digitize(w, stats.norm.ppf(np.arange(1, bins) / bins))
+    occupied = [at == j for j in range(bins) if (at == j).any()]
+    means = np.array([np.mean(diff[inside] ** 2) for inside in occupied])
+    weights = np.array([np.mean(inside) for inside in occupied])
     return {
         "slope": slope,
         "intercept": intercept,
@@ -231,6 +234,20 @@ class TestReflectionPair:
             for field, value in expected.items():
                 assert getattr(diag, field) == pytest.approx(value, rel=1e-12, abs=0.0), field
 
+    def test_empty_bins_are_skipped(self):
+        # the cube's W = X_1 lies in [-sqrt 3, sqrt 3], inside the normal's
+        # 1/B and (B - 1)/B quantiles (B = 28 at N = 2e4): the outer bins stay
+        # empty and var_conditional weighs the occupied ones alone
+        n, n_samples, seed, pair_seed = 4, 20_000, 26, 27
+        theta = np.eye(n)[0]
+        [diag] = reflection_pair_diagnostics(cube(n), [theta], n_samples, seed, pair_seed)
+        rows = sample(cube(n), n_samples, seed).data
+        index = np.random.default_rng(pair_seed).integers(0, n, n_samples)  # one block
+        assert np.abs(rows[:, 0]).max() < stats.norm.ppf(27 / 28)
+        coeff = rows[np.arange(n_samples), index]
+        expected = pair_diagnostics_of(rows[:, 0], 2.0 * coeff * theta[index])
+        assert diag.var_conditional == pytest.approx(expected["var_conditional"], rel=1e-12)
+
     @pytest.mark.parametrize(
         "kind, p, frame",
         [
@@ -300,21 +317,21 @@ class TestReflectionPair:
             tracemalloc.stop()
         assert peak < 8 * n_samples * n, f"peak {peak / 1e6:.1f} MB"
 
-    def test_keeps_only_w_the_coefficient_and_the_index(self):
-        # the pass draws its rows CHUNK_ROWS at a time: beside the kept W per
-        # theta, coefficient and uint8 index, one worker holds a (CHUNK_ROWS,
-        # n) chunk and a (BLOCK_ROWS, T + 1) block, far less than one
-        # (BLOCK_ROWS, n) block, 105 MB at n = 200
-        n, n_samples = 200, BLOCK_ROWS + 4321
+    def test_keeps_only_the_index_and_per_block_sums(self):
+        # beside the uint8 index and a few kB of per-block sums and bin
+        # totals, one worker holds a (CHUNK_ROWS, n) chunk, a (BLOCK_ROWS,
+        # T + 1) block and a few block-long temporaries; a kept W per theta
+        # and coefficient would take 32 MB here
+        n, n_samples = 10, 10**6
         thetas = [np.eye(n)[0], np.full(n, n**-0.5), haar_orthogonal(n, 42)[0]]
-        kept = (8 * len(thetas) + 8 + 1) * n_samples
+        per_worker = 8 * (CHUNK_ROWS * n + BLOCK_ROWS * (len(thetas) + 1))
         tracemalloc.start()
         try:
             reflection_pair_diagnostics(cube(n), thetas, n_samples, 40, pair_seed=41)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < kept + 16e6, f"peak {peak / 1e6:.1f} MB, kept {kept / 1e6:.1f} MB"
+        assert peak < n_samples + per_worker + 8e6, f"peak {peak / 1e6:.1f} MB"
 
 
 SHELL = DistributionSpec(Kind.SPHERE_SHELL, 50)
@@ -528,6 +545,13 @@ class TestEstimateAnk:
         spec = DistributionSpec(Kind.SPHERE_SHELL, 10)
         est = estimate_Ank(spec, k=2, eps=2.0, n_subspaces=1, N=200, seed=32)
         assert est.n_dirs == 100
+
+    @pytest.mark.parametrize("eps", [0.0, -0.1, math.nan])
+    def test_rejects_eps_that_is_not_positive(self, monkeypatch, eps):
+        # NaN compares false with everything: every fraction would read 0
+        monkeypatch.setattr("cltbounds.subspaces.random_subspace", no_sampling)
+        with pytest.raises(ValueError, match="eps must be positive"):
+            estimate_Ank(cube(6), k=1, eps=eps, n_subspaces=2, N=2000, seed=34)
 
     @pytest.mark.parametrize("n_dirs", [0, -1])
     def test_rejects_no_directions(self, n_dirs):
