@@ -50,11 +50,11 @@ rotation step (``rotation_total_s``).
 
 ``--mode spherical`` takes a spherically symmetric kind and the spherical
 workload's two thetas (e1 and diagonal): it times the full fill of every
-n-dimensional row and its projection, as above, then the histogram cells
-as certification streams them: the reduced-law draw of each block of
+n-dimensional row and its projection, as above, then the histogram as
+certification streams it: the reduced-law draw of each block of
 projections through ``samplers.map_projection_blocks`` (``reduced_draw_s``,
 the time between two blocks) apart from the block's
-``empirical.histogram_counts`` added to the (2, bins) count table, plus
+``empirical.add_ks_counts`` into the (2, ``KS_COUNTS``) count table, plus
 ``tv_from_counts`` of each row (``hist_s``).  Last it takes the tracemalloc
 peak in MB of a traced ``certify_grid`` call on the spec and thetas
 (``certify_peak_mb``): its count table, a block of projections and the
@@ -105,8 +105,6 @@ from cltbounds.certify import certify_grid, resolve_theta
 from cltbounds.empirical import (
     KS_COUNTS,
     add_ks_counts,
-    histogram_counts,
-    histogram_edges,
     kolmogorov_from_counts,
     tv_from_counts,
 )
@@ -221,22 +219,20 @@ def spherical_pass(spec: DistributionSpec, n_samples: int, seed: int) -> dict[st
     thetas = np.column_stack([resolve_theta(t, spec.n)[0] for t in SPHERICAL_THETAS])
     times = dict.fromkeys(("fill_s", "project_s", "reduced_draw_s", "hist_s"), 0.0)
     stream(spec, n_samples, seed, thetas, times)
-    edges = histogram_edges(n_samples)
-    counts = np.zeros((thetas.shape[1], len(edges) - 1), dtype=np.int64)
+    counts = np.zeros((thetas.shape[1], KS_COUNTS), dtype=np.int64)
     mark = [time.perf_counter()]
 
     def add(rows: slice, block: np.ndarray) -> None:
         start = time.perf_counter()
         times["reduced_draw_s"] += start - mark[0]
-        for row, column in zip(counts, block.T):
-            row += histogram_counts(column, edges)
+        add_ks_counts(counts, block)
         mark[0] = time.perf_counter()
         times["hist_s"] += mark[0] - start
 
     map_projection_blocks(spec, thetas, n_samples, seed, add)
     start = time.perf_counter()
     for row in counts:
-        tv_from_counts(row, edges, n_samples)
+        tv_from_counts(row)
     times["hist_s"] += time.perf_counter() - start
     tracemalloc.start()  # a traced certification of the same draw: tracing slows every allocation
     try:

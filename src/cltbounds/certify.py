@@ -4,11 +4,11 @@ theoretical bound, measure the empirical distance, and record a verdict.
 Each spec's projections onto the grid's thetas are drawn once, block by
 block, through ``samplers.map_projection_blocks``; neither the (N, n) batch
 nor the (D, N) projections are held.  Each block's projections are added
-to a count table as they are drawn, and the estimates are read from the
-counts: a Kolmogorov spec keeps the (D, ``empirical.KS_COUNTS``) counts of
-the Kolmogorov grid (``empirical.add_ks_counts``), a spherical spec the (D,
-bins) counts of its histogram cells, so what a group holds does not grow
-with N.  Spherically symmetric specs, and the lp ball and cone at p = 2,
+to the (D, ``empirical.KS_COUNTS``) counts of the one count grid
+(``empirical.add_ks_counts``) as they are drawn, so what a group holds
+does not grow with N, and each estimate is read from a row of counts: the
+Kolmogorov statistic, or on a spherical spec the histogram total
+variation.  Spherically symmetric specs, and the lp ball and cone at p = 2,
 draw the projections from their exact reduced law (r = min(n, T) normals,
 a chi-square and a radius per row) and never fill an n-dimensional row;
 the simplex projects its exponentials before forming the point; the other
@@ -63,8 +63,6 @@ from .empirical import (
     KS_MIN_SAMPLES,
     DistanceEstimate,
     add_ks_counts,
-    histogram_counts,
-    histogram_edges,
     kolmogorov_from_counts,
     tv_from_counts,
 )
@@ -262,13 +260,14 @@ def certify_grid(
     the group's first spec, the ``seed`` their reports carry; each spec's
     projections are those of ``sample_projections(spec, thetas, N, seed)``
     at that seed, so the grid is reproducible regardless of evaluation
-    order.  Only their counts are kept, summed block by block: on the
-    Kolmogorov grid (``kolmogorov_from_counts``), or on a spherical spec's
-    histogram cells (``tv_from_counts``).  The groups are evaluated largest
-    n first (a stable sort), on a thread pool when ``workers > 1``; the
-    reports come back in the order of specs, bit for bit those of the
-    serial run.  Before any draw, each spec
-    in turn checks its route and N against the minimum of the route's
+    order.  Only their counts on the grid of ``empirical.add_ks_counts``
+    are kept, one (k T, ``KS_COUNTS``) table per group summed block by
+    block, and each row is read by its route's reader: ``tv_from_counts``
+    on a spherical spec, else ``kolmogorov_from_counts``.  The groups are
+    evaluated largest n first (a stable sort), on a thread pool when
+    ``workers > 1``; the reports come back in the order of specs, bit for
+    bit those of the serial run.  Before any draw, each spec in turn
+    checks its route and N against the minimum of the route's
     estimator (``InsufficientDataError``), and then every theta is resolved
     at every n of the grid (``resolve_theta``'s ValueError).
     """
@@ -291,27 +290,12 @@ def certify_grid(
         members = [specs[pos] for pos in group]
         resolved = thetas_of[members[0].n]
         thetas = np.column_stack([theta for theta, _ in resolved])
-        if routes[group[0]] == ROUTE_SPHERICAL:  # a group of one spec
-            edges = histogram_edges(N)
-            counts = np.zeros((len(resolved), len(edges) - 1), dtype=np.int64)
-
-            def add(rows: slice, block: np.ndarray) -> None:
-                for row, column in zip(counts, block.T):
-                    row += histogram_counts(column, edges)
-
-            def estimate(row: np.ndarray) -> DistanceEstimate:
-                return tv_from_counts(row, edges, N)
-        else:
-            counts = np.zeros((len(members) * len(resolved), KS_COUNTS), dtype=np.int64)
-
-            def add(rows: slice, block: np.ndarray) -> None:
-                add_ks_counts(counts, block)
-
-            def estimate(row: np.ndarray) -> DistanceEstimate:
-                return kolmogorov_from_counts(row, delta)
-
-        map_projection_blocks(members, thetas, N, cell_seed, add)
-        estimates = [[estimate(row) for row in rows]
+        counts = np.zeros((len(members) * len(resolved), KS_COUNTS), dtype=np.int64)
+        map_projection_blocks(members, thetas, N, cell_seed,
+                              lambda rows, block: add_ks_counts(counts, block))
+        spherical = routes[group[0]] == ROUTE_SPHERICAL  # a group of one spec
+        estimates = [[tv_from_counts(row) if spherical else kolmogorov_from_counts(row, delta)
+                      for row in rows]
                      for rows in counts.reshape(len(members), len(resolved), -1)]
         return [
             [

@@ -1,7 +1,7 @@
-"""Empirical distance estimation: projection of an unweighted batch, the
-Kolmogorov statistic of projections read from their counts on one fixed
-grid, bracketed from both sides, with DKW confidence slack, histogram
-total-variation lower bounds, and conditional second-moment estimation."""
+"""Empirical distance estimation: projection of an unweighted batch, and
+every sampled statistic read from counts on one fixed grid: the Kolmogorov
+statistic, bracketed from both sides, with DKW confidence slack, histogram
+total-variation lower bounds, and conditional means over quantile bins."""
 
 from __future__ import annotations
 
@@ -28,8 +28,6 @@ __all__ = [
     "bin_totals",
     "conditional_second_moment",
     "dkw_slack",
-    "histogram_counts",
-    "histogram_edges",
     "kolmogorov_from_counts",
     "kolmogorov_vs_normal",
     "project",
@@ -113,54 +111,6 @@ def project(batch: SampleBatch, theta) -> np.ndarray:
     return batch.data @ as_unit_vector(theta, batch.n)
 
 
-def histogram_edges(N: int, bins: int | None = None) -> np.ndarray:
-    """The bin edges of the histogram of N values: ``bins``, by default
-    ceil(N^(1/3)), equal bins over [-HISTOGRAM_SUPPORT, HISTOGRAM_SUPPORT].
-    Refuses N below ``HISTOGRAM_MIN_SAMPLES``."""
-    if N < HISTOGRAM_MIN_SAMPLES:
-        raise InsufficientDataError(f"need at least {HISTOGRAM_MIN_SAMPLES} samples, got {N}")
-    if bins is None:
-        bins = math.ceil(N ** (1.0 / 3.0))
-    return np.linspace(-HISTOGRAM_SUPPORT, HISTOGRAM_SUPPORT, bins + 1)
-
-
-def histogram_counts(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """The int64 counts of ``values`` over the B equal bins ``edges`` of
-    ``histogram_edges``: x counts in bin trunc(clip(B (x / (2 S) + 1 / 2), 0,
-    B - 1)), S = ``HISTOGRAM_SUPPORT``, so the edge bins absorb the tails,
-    NaN is dropped and nothing sorts; rounding can move only an x within a
-    few ulps of an edge.  The counts of a stream are its blocks' counts summed."""
-    bins = len(edges) - 1
-    with np.errstate(over="ignore"):  # past 1e307: inf, the upper tail
-        t = np.clip(bins * (np.multiply(values, 0.5 / HISTOGRAM_SUPPORT) + 0.5), 0, bins - 1)
-    np.copyto(t, bins, where=np.isnan(t))  # counted past the last bin, then dropped
-    return np.bincount(t.astype(np.intp), minlength=bins + 1)[:bins]
-
-
-def tv_from_counts(counts: np.ndarray, edges: np.ndarray, N: int) -> DistanceEstimate:
-    """The histogram total-variation estimate of N values with bin counts
-    ``counts`` over ``edges`` against the standard normal, whose edge bins
-    absorb its tails too: a genuine lower bound of the true total variation,
-    as both measures live on the same finite partition (coarsening never
-    increases L1), hence the qualifier; NaN if the counts miss a value."""
-    cdf = normal_cdf_points(edges)
-    cdf[0], cdf[-1] = 0.0, 1.0  # edge bins absorb the tails
-    tv = float(np.abs(counts / N - np.diff(cdf)).sum())
-    return DistanceEstimate(
-        kind=TOTAL_VARIATION,
-        point_estimate=tv if counts.sum() == N else math.nan,
-        n_samples=N,
-        qualifiers=(QUALIFIER_HISTOGRAM,),
-    )
-
-
-def tv_vs_normal_histogram(values: np.ndarray, bins: int | None = None) -> DistanceEstimate:
-    """Histogram total-variation estimate of ``values`` against the standard
-    normal: their ``histogram_counts``, then ``tv_from_counts``."""
-    edges = histogram_edges(len(values), bins)
-    return tv_from_counts(histogram_counts(values, edges), edges, len(values))
-
-
 def add_ks_counts(counts: np.ndarray, block: np.ndarray) -> None:
     """Add each column of the (m, R) float ``block`` to the matching row of
     the C-contiguous (R, ``KS_COUNTS``) int64 table ``counts``: the
@@ -185,15 +135,26 @@ def add_ks_counts(counts: np.ndarray, block: np.ndarray) -> None:
     flat = counts.reshape(-1)
     # each column's offset in flat, for a whole slice (a broadcast add is slower)
     offsets = np.broadcast_to(np.arange(width) * KS_COUNTS, (min(step, rows), width)).copy()
+    for lo in range(0, rows, step):
+        at = _ks_positions(block[lo : lo + step])
+        at += offsets[: len(at)]
+        np.add.at(flat, at.reshape(-1), 1)
+
+
+def _ks_positions(values: np.ndarray) -> np.ndarray:
+    """The position of each of ``values`` in a row of ``add_ks_counts``."""
     with np.errstate(over="ignore"):  # 1024 x past 1.7e308: inf, the upper tail
-        for lo in range(0, rows, step):
-            t = np.multiply(block[lo : lo + step], _KS_PER_UNIT)
-            t += KS_REACH * _KS_PER_UNIT + 1.0
-            np.clip(t, 0.0, KS_BINS + 1.0, out=t)
-            np.copyto(t, KS_BINS + 2.0, where=np.isnan(t))  # a bare cast would not keep them
-            at = t.astype(np.intp)
-            at += offsets[: len(at)]
-            np.add.at(flat, at.reshape(-1), 1)
+        t = np.multiply(values, _KS_PER_UNIT)
+    t += KS_REACH * _KS_PER_UNIT + 1.0
+    np.clip(t, 0.0, KS_BINS + 1.0, out=t)
+    np.copyto(t, KS_BINS + 2.0, where=np.isnan(t))  # a bare cast would not keep them
+    return t.astype(np.intp)
+
+
+def _edge_positions(edges) -> np.ndarray:
+    """The position of the cell opened by the grid edge nearest each of
+    ``edges`` in [-KS_REACH, KS_REACH]: the first position at or above it."""
+    return np.rint(np.multiply(edges, _KS_PER_UNIT)).astype(np.intp) + (KS_BINS // 2 + 1)
 
 
 @functools.cache
@@ -203,6 +164,12 @@ def _ks_edge_cdf() -> np.ndarray:
     cdf = np.concatenate(([0.0], normal_cdf_points(edges), [1.0]))
     cdf.flags.writeable = False
     return cdf
+
+
+def _ks_below(counts: np.ndarray) -> np.ndarray:
+    """F_N(t-), the fraction of a NaN-free row ``counts`` counted before each
+    position: at -inf, at the KS_BINS + 1 edges and at inf, as ``_ks_edge_cdf``."""
+    return np.concatenate(([0], np.cumsum(counts[:-1]))) / counts.sum()
 
 
 def kolmogorov_from_counts(counts: np.ndarray, delta: float = DEFAULT_DELTA) -> DistanceEstimate:
@@ -229,12 +196,7 @@ def kolmogorov_from_counts(counts: np.ndarray, delta: float = DEFAULT_DELTA) -> 
     if counts[-1]:
         lower = upper = math.nan
     else:
-        below = np.empty(KS_COUNTS)  # F_N(t-) at -inf, at each edge and at inf
-        below[0] = 0.0
-        np.cumsum(counts[: KS_BINS + 1], out=below[1:-1])
-        below[-1] = N
-        below /= N
-        cdf = _ks_edge_cdf()
+        below, cdf = _ks_below(counts), _ks_edge_cdf()
         lower = float(np.abs(below[1:-1] - cdf[1:-1]).max())
         upper = float(max((below[1:] - cdf[:-1]).max(), (cdf[1:] - below[:-1]).max()))
     return DistanceEstimate(
@@ -259,13 +221,50 @@ def kolmogorov_vs_normal(values: np.ndarray, delta: float = DEFAULT_DELTA) -> Di
     return kolmogorov_from_counts(counts[0], delta)
 
 
+def tv_from_counts(counts: np.ndarray, bins: int | None = None) -> DistanceEstimate:
+    """The histogram total-variation estimate against the standard normal
+    of the N values counted in the row ``counts`` of ``add_ks_counts``: the
+    L1 distance between the increments of F_N and Phi over the grid edges
+    nearest -6 + 12 j / B, 0 < j < B (``HISTOGRAM_SUPPORT`` = 6), B =
+    ``bins``, by default ceil(N^(1/3)), the outer two bins taking the tails.
+    It is a lower bound of the true total variation, as coarsening never
+    increases L1, hence the qualifier.  Refuses N below
+    ``HISTOGRAM_MIN_SAMPLES``; NaN if a value is NaN."""
+    N = int(counts.sum())
+    if N < HISTOGRAM_MIN_SAMPLES:
+        raise InsufficientDataError(f"need at least {HISTOGRAM_MIN_SAMPLES} samples, got {N}")
+    if bins is None:
+        bins = math.ceil(N ** (1.0 / 3.0))
+    inner = -HISTOGRAM_SUPPORT + 2.0 * HISTOGRAM_SUPPORT * np.arange(1, bins) / bins
+    at = np.concatenate(([0], _edge_positions(inner), [KS_COUNTS - 1]))
+    tv = float(np.abs(np.diff(_ks_below(counts)[at]) - np.diff(_ks_edge_cdf()[at])).sum())
+    return DistanceEstimate(
+        kind=TOTAL_VARIATION,
+        point_estimate=math.nan if counts[-1] else tv,
+        n_samples=N,
+        qualifiers=(QUALIFIER_HISTOGRAM,),
+        grid_bins=KS_BINS,
+        grid_reach=KS_REACH,
+    )
+
+
+def tv_vs_normal_histogram(values: np.ndarray, bins: int | None = None) -> DistanceEstimate:
+    """Histogram total-variation estimate of ``values`` against the standard
+    normal: ``tv_from_counts`` of their counts on the grid of
+    ``add_ks_counts``."""
+    counts = np.zeros((1, KS_COUNTS), dtype=np.int64)
+    add_ks_counts(counts, np.asarray(values, dtype=float).reshape(-1, 1))
+    return tv_from_counts(counts[0], bins)
+
+
 def conditional_second_moment(batch: SampleBatch) -> float:
     """Estimate E|1 - E[X_2^2 | X_1]| for a spherically symmetric batch.
 
     Uses the identity E[X_2^2 | X_1] = (E[||X||^2 | X_1] - X_1^2)/(n-1) of
     spherically symmetric laws, estimating the conditional mean over the
-    ``bin_totals`` of X_1 (ceil(N^(1/3)) bins, bias O(N^(-1/3))).
-    Refuses a batch whose spec is missing or not spherically symmetric.
+    ``bin_totals`` of X_1 (ceil(N^(1/3)) bins, bias O(N^(-1/3))); NaN if
+    an X_1 is NaN.  Refuses a batch whose spec is missing or not
+    spherically symmetric.
     """
     if batch.spec is None or batch.spec.kind not in SPHERICAL_KINDS:
         raise ValueError(
@@ -276,20 +275,33 @@ def conditional_second_moment(batch: SampleBatch) -> float:
     x1 = batch.data[:, 0]
     rowsq = np.einsum("ij,ij->i", batch.data, batch.data)
     sizes, sums = bin_totals(x1, (rowsq - x1 * x1) / (batch.n - 1), batch.N)
-    return float(np.abs(sizes - sums).sum()) / batch.N  # sum over bins of size |1 - mean|
+    # the sum over bins of size |1 - mean|; a NaN X_1 is in no bin
+    return float(np.abs(sizes - sums).sum()) / batch.N if sizes.sum() == batch.N else math.nan
 
 
 def bin_totals(x: np.ndarray, y: np.ndarray, N: int) -> np.ndarray:
     """The (2, B) count and sum of y over the x in each of the B = ceil(N^(1/3))
-    bins [q_(j-1), q_j) of a stream of N values, q_j the standard normal's j/B
-    quantile: x is an isotropic projection, close to N(0, 1), so these are
-    the equal-count bins of its limit law.  A stream's totals are its blocks'."""
+    bins [c_(j-1), c_j) of a stream of N values, c_j the grid edge nearest the
+    standard normal's j/B quantile: x is an isotropic projection, close to
+    N(0, 1), so these are near the equal-count bins of its limit law.  Each x
+    is binned by its ``add_ks_counts`` position, with no search; a NaN x is
+    dropped.  A stream's totals are its blocks'."""
+    bins = math.ceil(N ** (1.0 / 3.0))
+    at = _quantile_bin_of(bins)[_ks_positions(x)]
+    return np.stack([np.bincount(at, minlength=bins + 1),
+                     np.bincount(at, y, minlength=bins + 1)])[:, :bins]
+
+
+@functools.cache
+def _quantile_bin_of(bins: int) -> np.ndarray:
+    """The bin of ``bin_totals`` that each grid position falls in, and
+    ``bins``, dropped, for the NaN position."""
     from statistics import NormalDist  # 0.5 MB that certification does not load
 
-    bins = math.ceil(N ** (1.0 / 3.0))
-    edges = [NormalDist().inv_cdf(j / bins) for j in range(1, bins)]
-    at = np.searchsorted(edges, x, side="right")
-    return np.stack([np.bincount(at, minlength=bins), np.bincount(at, y, minlength=bins)])
+    cuts = _edge_positions([NormalDist().inv_cdf(j / bins) for j in range(1, bins)])
+    table = np.repeat(np.arange(bins + 1), np.diff([0, *cuts, KS_COUNTS - 1, KS_COUNTS]))
+    table.flags.writeable = False
+    return table
 
 
 def streaming_pair_square_covariance(spec, n_samples: int, seed: int) -> tuple[float, float]:

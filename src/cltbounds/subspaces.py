@@ -277,9 +277,9 @@ class PairDiagnostics:
 
     ``slope`` regresses W - W' on W (the linearity condition predicts
     exactly 2/n); ``var_conditional`` estimates Var E[(W-W')^2 | W] over
-    the bins of ``empirical.bin_totals``; ``third_abs`` and ``sup_abs`` are the
-    sample mean of |W-W'|^3 and the sample max of |W-W'|.  The same bound on
-    exact moments is ``bounds.bound_frame_general``.
+    the bins of ``empirical.bin_totals``, NaN if a W is NaN; ``third_abs``
+    and ``sup_abs`` are the sample mean of |W-W'|^3 and the sample max of
+    |W-W'|.  The same bound on exact moments is ``bounds.bound_frame_general``.
     """
 
     slope: float
@@ -368,11 +368,12 @@ def reflection_pair_diagnostics(
         resid_var = max((dsq_mean - d_mean * d_mean) - slope * slope * w_var, 0.0)
         sizes, bin_sums = totals[t][:, totals[t][0] > 0]  # the nonempty bins
         weights, bin_means = sizes / N, bin_sums / sizes
+        spread = float(weights @ (bin_means - float(weights @ bin_means)) ** 2)
         return PairDiagnostics(
             slope=slope,
             intercept=d_mean - slope * w_mean,
             slope_se=math.sqrt(resid_var) / (math.sqrt(N) * math.sqrt(w_var)),
-            var_conditional=float(weights @ (bin_means - float(weights @ bin_means)) ** 2),
+            var_conditional=spread if sizes.sum() == N else math.nan,  # a NaN W is in no bin
             third_abs=a3_mean,
             sup_abs=float(sums[:, t, 6].max()),
         )

@@ -46,8 +46,7 @@ from cltbounds.empirical import (
     HISTOGRAM_MIN_SAMPLES,
     KS_COUNTS,
     KS_MIN_SAMPLES,
-    histogram_counts,
-    histogram_edges,
+    add_ks_counts,
     kolmogorov_vs_normal,
     tv_from_counts,
     tv_vs_normal_histogram,
@@ -476,7 +475,7 @@ class TestStreaming:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_histogram_cells_equal_their_materialized_rows(self, workers):
-        # a spherical spec holds only its bin counts, summed block by block:
+        # a spherical spec holds only its grid counts, summed block by block:
         # each cell's estimate is exactly that of its whole projection row
         specs = [DistributionSpec(Kind.SPHERE_SHELL, 12), DistributionSpec(Kind.BALL_UNIFORM, 9),
                  DistributionSpec(Kind.SPHERICAL_EXPONENTIAL, 30)]
@@ -500,16 +499,16 @@ class TestStreaming:
         # the summed counts of the blocks give the estimate of each whole row
         directions = np.column_stack([resolve_theta(t, spec.n)[0] for t in ("diagonal", "e1")])
         n_samples, seed = BLOCK_ROWS + 4321, 19
-        edges = histogram_edges(n_samples)
         per_block = {}
 
         def take(rows, block):
-            per_block[rows.start] = [histogram_counts(column, edges) for column in block.T]
+            per_block[rows.start] = np.zeros((block.shape[1], KS_COUNTS), dtype=np.int64)
+            add_ks_counts(per_block[rows.start], block)
 
         map_projection_blocks(spec, directions, n_samples, seed, take)
         counts = np.sum(list(per_block.values()), axis=0)
         for row_counts, row in zip(counts, sample_projections(spec, directions, n_samples, seed)):
-            assert tv_from_counts(row_counts, edges, n_samples) == tv_vs_normal_histogram(row)
+            assert tv_from_counts(row_counts) == tv_vs_normal_histogram(row)
 
     def test_spherical_grid_holds_counts_not_projections(self):
         # its (2, N) projections alone would take 16 MB
@@ -712,8 +711,8 @@ class TestCliCertify:
         )
 
     def test_nan_on_the_spherical_route_exits_1(self, tmp_path, monkeypatch):
-        # the histogram drops a NaN projection: its cells' estimates are NaN,
-        # as on the Kolmogorov route, and fail (they pass without the NaN)
+        # a NaN projection lands in the grid's NaN bin: its cells' estimates
+        # are NaN, as on the Kolmogorov route, and fail (they pass without it)
         draw = samplers_module._reduced_spherical_block
 
         def one_nan_per_block(*args, **kwargs):

@@ -105,8 +105,10 @@ class TestNormalCdfPoints:
 
     @pytest.mark.parametrize("n_samples", [10**4, 2 * 10**5, 10**6])
     def test_matches_ndtr_on_histogram_edges(self, n_samples):
-        # the edges of tv_vs_normal_histogram at its default bins and support
-        edges = np.linspace(-6.0, 6.0, math.ceil(n_samples ** (1.0 / 3.0)) + 1)
+        # the edges tv_from_counts reads at its default bins: the count grid's
+        # edges (multiples of 2^-10) nearest -6 + 12 j / B
+        bins = math.ceil(n_samples ** (1.0 / 3.0))
+        edges = np.rint(np.linspace(-6.0, 6.0, bins + 1) * 1024.0) / 1024.0
         np.testing.assert_allclose(
             normal_cdf_points(edges), normal_cdf(edges), rtol=0.0, atol=5e-16
         )

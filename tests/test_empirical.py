@@ -24,6 +24,7 @@ from cltbounds.empirical import (
     kolmogorov_vs_normal,
     project,
     streaming_pair_square_covariance,
+    tv_from_counts,
     tv_vs_normal_histogram,
 )
 from cltbounds.certify import certify_grid
@@ -312,7 +313,41 @@ class TestKolmogorovCounts:
             add_ks_counts(counts, np.zeros((10, 2)))
 
 
+def snapped(edges):
+    """The grid edge nearest each of ``edges``."""
+    return np.rint(np.asarray(edges) * 1024.0) / 1024.0
+
+
+# the histogram's inputs: normal, heavy-tailed past the support and the
+# grid's reach, every value on a grid edge, and infinities
+TV_INPUTS = {
+    "normal": lambda rng: rng.standard_normal(30_000),
+    "cauchy": lambda rng: rng.standard_cauchy(30_000),
+    "edges": lambda rng: rng.integers(-7000, 7000, 30_000) / 1024.0,
+    "infinities": lambda rng: np.concatenate([_with_infinities(rng), rng.standard_normal(10_000)]),
+}
+
+
 class TestTvHistogram:
+    @pytest.mark.parametrize("bins", [None, 7, 100])
+    @pytest.mark.parametrize("name", sorted(TV_INPUTS))
+    def test_equals_the_digitize_reference(self, name, bins):
+        # B bins whose inner edges are the grid edges nearest -6 + 12 j / B,
+        # the outer two taking the tails, against scipy's Phi at those edges
+        values = TV_INPUTS[name](np.random.default_rng(29))
+        n_samples = len(values)
+        b = math.ceil(n_samples ** (1 / 3)) if bins is None else bins
+        edges = snapped(np.linspace(-6.0, 6.0, b + 1)[1:-1])
+        mass = np.bincount(np.digitize(values, edges), minlength=b) / n_samples
+        expected = np.abs(mass - np.diff(ndtr(np.concatenate(([-np.inf], edges, [np.inf]))))).sum()
+        counts = np.zeros((1, KS_COUNTS), dtype=np.int64)
+        add_ks_counts(counts, values[:, None])
+        estimate = tv_from_counts(counts[0], bins)
+        assert estimate.point_estimate == pytest.approx(expected, rel=0.0, abs=1e-14)
+        assert estimate == tv_vs_normal_histogram(values, bins)
+        assert estimate.n_samples == n_samples
+        assert (estimate.grid_bins, estimate.grid_reach) == (KS_BINS, KS_REACH)
+
     def test_normal_samples_small(self):
         ps = gaussian_ps(10**6, 12)
         est = tv_vs_normal_histogram(ps, bins=100)
@@ -350,8 +385,8 @@ class TestTvHistogram:
 
     @pytest.mark.parametrize("nans", [1, 50_000])
     def test_nan_gives_nan(self, nans):
-        # the histogram drops NaN: the counts hold fewer than N values, and
-        # the estimate is NaN, as the Kolmogorov statistic's is
+        # a NaN is counted in the grid's NaN bin, and the estimate is NaN,
+        # as the Kolmogorov statistic's is
         values = gaussian_ps(10**5, 16)
         values[:nans] = np.nan
         assert math.isnan(tv_vs_normal_histogram(values).point_estimate)
@@ -394,26 +429,44 @@ class TestConditionalSecondMoment:
         with pytest.raises(InsufficientDataError):
             conditional_second_moment(batch)
 
+    def test_nan_gives_nan(self):
+        # a NaN X_1 falls in no bin: the bins hold fewer than N values
+        batch = sample(DistributionSpec(Kind.SPHERE_SHELL, 4), 10**5, 19)
+        batch.data[7, 0] = np.nan
+        assert math.isnan(conditional_second_moment(batch))
+
 
 class TestBinTotals:
     def test_equals_the_normal_quantile_reference(self):
-        # ceil(N^(1/3)) bins [q_(j-1), q_j) between the normal's j/B quantiles
+        # ceil(N^(1/3)) bins [c_(j-1), c_j), c_j the grid edge nearest the
+        # normal's j/B quantile
         x, y = gaussian_ps(10**5, 20), gaussian_ps(10**5, 21)
         bins = 47  # ceil(1e5^(1/3))
-        at = np.digitize(x, ndtri(np.arange(1, bins) / bins))
+        at = np.digitize(x, snapped(ndtri(np.arange(1, bins) / bins)))
         totals = bin_totals(x, y, len(x))
         np.testing.assert_array_equal(totals[0], np.bincount(at, minlength=bins))
         np.testing.assert_allclose(totals[1], [y[at == j].sum() for j in range(bins)],
                                    rtol=1e-12, atol=1e-12)
 
     def test_each_edge_is_a_normal_quantile(self):
-        # a value just above the j/B quantile counts in bin j, just below in j - 1
-        bins = 10  # ceil(1000^(1/3))
-        edges = ndtri(np.arange(1, bins) / bins)
-        above = bin_totals(edges + 1e-9, np.ones(bins - 1), bins**3)[0]
-        below = bin_totals(edges - 1e-9, np.ones(bins - 1), bins**3)[0]
-        np.testing.assert_array_equal(above, [0] + [1] * (bins - 1))
-        np.testing.assert_array_equal(below, [1] * (bins - 1) + [0])
+        # each edge is the grid edge nearest the j/B quantile, within half a
+        # cell of it: a value on it counts in bin j, 1e-9 below it in j - 1
+        for bins in (10, 47, 100):  # ceil(N^(1/3)) at N = bins^3
+            quantiles = ndtri(np.arange(1, bins) / bins)
+            edges = snapped(quantiles)
+            assert np.abs(edges - quantiles).max() <= 2.0**-11
+            on = bin_totals(edges, np.ones(bins - 1), bins**3)[0]
+            below = bin_totals(edges - 1e-9, np.ones(bins - 1), bins**3)[0]
+            np.testing.assert_array_equal(on, [0] + [1] * (bins - 1))
+            np.testing.assert_array_equal(below, [1] * (bins - 1) + [0])
+
+    def test_nan_is_in_no_bin(self):
+        # a NaN x is dropped with its y: the other values' totals are unchanged
+        x, y = gaussian_ps(10**4, 30), np.ones(10**4)
+        x[[3, 9000]] = np.nan
+        totals = bin_totals(x, y, len(x))
+        assert totals[0].sum() == totals[1].sum() == len(x) - 2
+        np.testing.assert_array_equal(totals, bin_totals(np.delete(x, [3, 9000]), y[2:], len(x)))
 
     def test_block_totals_sum_to_the_whole(self):
         x, y = gaussian_ps(70_001, 22), gaussian_ps(70_001, 23) ** 2
@@ -428,9 +481,9 @@ class TestNothingSortsAProjection:
     @pytest.fixture(autouse=True)
     def no_sort(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("sorted a projection")
+            raise AssertionError("sorted or searched a projection")
 
-        for name in ("argsort", "sort", "partition"):
+        for name in ("argsort", "sort", "partition", "searchsorted", "digitize", "histogram"):
             monkeypatch.setattr(np, name, refuse)
 
     @pytest.mark.parametrize("spec", [DistributionSpec(Kind.LP_BALL, 6, p=math.inf),

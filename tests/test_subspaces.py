@@ -61,9 +61,10 @@ def pair_diagnostics_of(w, diff):
     slope = np.mean((diff - d_mean) * (w - w_mean)) / w_var
     intercept = d_mean - slope * w_mean
     resid = diff - slope * w - intercept
-    # ceil(N^(1/3)) bins [q_(j-1), q_j) between the normal's j/B quantiles
+    # ceil(N^(1/3)) bins [c_(j-1), c_j), c_j the grid edge (a multiple of
+    # 2^-10) nearest the normal's j/B quantile
     bins = math.ceil(n_samples ** (1 / 3))
-    at = np.digitize(w, stats.norm.ppf(np.arange(1, bins) / bins))
+    at = np.digitize(w, np.rint(stats.norm.ppf(np.arange(1, bins) / bins) * 1024) / 1024)
     occupied = [at == j for j in range(bins) if (at == j).any()]
     means = np.array([np.mean(diff[inside] ** 2) for inside in occupied])
     weights = np.array([np.mean(inside) for inside in occupied])
@@ -233,6 +234,26 @@ class TestReflectionPair:
             expected = pair_diagnostics_of(rows @ theta, 2.0 * coeff * (frame_rows @ theta))
             for field, value in expected.items():
                 assert getattr(diag, field) == pytest.approx(value, rel=1e-12, abs=0.0), field
+
+    def test_nan_w_gives_nan(self, monkeypatch):
+        # a NaN W falls in no bin, so the bins hold fewer than N values: that
+        # theta's var_conditional is NaN, and the other theta's is unchanged
+        draw = subspaces.map_frame_blocks
+
+        def nan_w_in_first_block(spec, thetas, index, seed, take, workers=1):
+            def poisoned(rows, block):
+                if rows.start == 0:
+                    block[5, 0] = np.nan  # W of the first theta; X_(I) stays finite
+                take(rows, block)
+
+            draw(spec, thetas, index, seed, poisoned, workers)
+
+        spec, thetas = cube(4), [np.eye(4)[0], np.full(4, 0.5)]
+        clean = reflection_pair_diagnostics(spec, thetas, 20_000, 26, pair_seed=27)
+        monkeypatch.setattr(subspaces, "map_frame_blocks", nan_w_in_first_block)
+        dirty = reflection_pair_diagnostics(spec, thetas, 20_000, 26, pair_seed=27)
+        assert math.isnan(dirty[0].var_conditional)
+        assert dirty[1] == clean[1]
 
     def test_empty_bins_are_skipped(self):
         # the cube's W = X_1 lies in [-sqrt 3, sqrt 3], inside the normal's
