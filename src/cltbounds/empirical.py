@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import KOLMOGOROV, TOTAL_VARIATION
-from .core import InsufficientDataError, as_unit_vector, normal_cdf_points
+from .core import SLICE_VALUES, InsufficientDataError, as_unit_vector, normal_cdf_points
 from .exact import SPHERICAL_KINDS
 from .samplers import SampleBatch, map_projection_blocks
 
@@ -52,8 +52,6 @@ KS_BINS = 1 << 14
 _KS_PER_UNIT = KS_BINS / (2.0 * KS_REACH)  # 1024, a power of two
 # a row of counts: the lower tail, the KS_BINS cells, the upper tail, then the NaNs
 KS_COUNTS = KS_BINS + 3
-# values binned per step of ``add_ks_counts``: a few 256 KB temporaries
-_KS_SLICE = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -126,12 +124,12 @@ def add_ks_counts(counts: np.ndarray, block: np.ndarray) -> None:
     8e-16.  Each value is counted on its own and integer sums do not depend
     on their order, so the counts of a stream are the sums of its blocks'
     counts, bit for bit in any block order.  The block is taken
-    ``_KS_SLICE`` values at a time.
+    ``core.SLICE_VALUES`` values at a time.
     """
     if not counts.flags.c_contiguous:  # its flat view would be a copy, and stay empty
         raise ValueError("the count table must be C-contiguous")
     rows, width = block.shape
-    step = max(1, _KS_SLICE // width)
+    step = max(1, SLICE_VALUES // width)
     flat = counts.reshape(-1)
     # each column's offset in flat, for a whole slice (a broadcast add is slower)
     offsets = np.broadcast_to(np.arange(width) * KS_COUNTS, (min(step, rows), width)).copy()
@@ -310,16 +308,16 @@ def streaming_pair_square_covariance(spec, n_samples: int, seed: int) -> tuple[f
     Returns (covariance, standard error); the standard error comes from the
     spread of per-block covariance estimates.
     """
-    per_block = []  # (sum a, sum b, sum ab, covariance) of each block, in order
 
-    def take(rows: slice, block: np.ndarray) -> None:
+    def take(rows: slice, block: np.ndarray) -> tuple:
+        """(sum a, sum b, sum ab, covariance) of the block."""
         a = block[:, 0] ** 2
         b = block[:, 1] ** 2
         ab = a * b
-        per_block.append((a.sum(), b.sum(), ab.sum(), float(ab.mean() - a.mean() * b.mean())))
+        return a.sum(), b.sum(), ab.sum(), float(ab.mean() - a.mean() * b.mean())
 
-    map_projection_blocks(spec, np.eye(spec.n, 2), n_samples, seed, take)
-    s1, s2, s12, block_covs = zip(*per_block)
+    s1, s2, s12, block_covs = zip(*map_projection_blocks(spec, np.eye(spec.n, 2), n_samples,
+                                                         seed, take))
     cov = sum(s12) / n_samples - (sum(s1) / n_samples) * (sum(s2) / n_samples)
     if len(block_covs) > 1:
         spread = np.asarray(block_covs)

@@ -27,7 +27,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .core import BLOCK_ROWS, CHUNK_ROWS, thread_map
+from .core import BLOCK_ROWS, CHUNK_ROWS, SLICE_VALUES, thread_map
 from .exact import (_LP_KINDS, _PANELS, SPHERICAL_KINDS, DistributionSpec, Kind, _adjacent_floats,
                     _linf_rate, _panel_rule)
 from .frames import simplex_edges, simplex_projections, simplex_vertices
@@ -48,7 +48,8 @@ __all__ = [
 
 
 # lp kinds whose law at p = 2 is a spherically symmetric kind's, up to scale
-_P2_SPHERICAL = {Kind.LP_BALL: Kind.BALL_UNIFORM, Kind.LP_CONE: Kind.SPHERE_SHELL}
+_P2_SPHERICAL = {Kind.LP_BALL: Kind.BALL_UNIFORM, Kind.LP_CONE: Kind.SPHERE_SHELL,
+                 Kind.LP_SURFACE: Kind.SPHERE_SHELL}
 # the two bodies of one generalized-Gaussian stream at finite p != 2 (``_lp_fill``)
 _PAIRED = {Kind.LP_BALL: Kind.LP_CONE, Kind.LP_CONE: Kind.LP_BALL}
 
@@ -143,29 +144,29 @@ def _block_seeds(N: int, seed: int) -> Iterator[tuple[int, int, int]]:
     )
 
 
-def _map_blocks(fill, blocks, fn: Callable[[slice, np.ndarray], None], workers: int = 1,
-                index: np.ndarray | None = None) -> None:
-    """fn(rows, fill(rng, count)), rows = slice(lo, lo + count) and rng the
+def _map_blocks(fill, blocks, fn: Callable[[slice, np.ndarray], object], workers: int = 1,
+                index: np.ndarray | None = None) -> list:
+    """[fn(rows, fill(rng, count))], rows = slice(lo, lo + count) and rng the
     block's Generator, for every (lo, count, seed) of ``_block_seeds``, or
     fn(rows, fill(rng, count, index[rows])) given frame indices: the one
     loop over the blocks of every sampled stream.  Each block's Generator
     is built, and the block filled, on the thread that hands it to fn (the
     pool takes every job up front on the calling thread, where neighbouring
     blocks' generator states would share cache lines); the block is freed
-    when fn returns, and at one worker the blocks arrive in order."""
+    when fn returns, and at one worker the blocks arrive in order.  fn's
+    values come back in block order at any worker count."""
 
-    def run(job: tuple[int, int, int]) -> None:
+    def run(job: tuple[int, int, int]):
         lo, count, seed = job
         rng = np.random.default_rng(seed)
         rows = slice(lo, lo + count)
-        fn(rows, fill(rng, count) if index is None else fill(rng, count, index[rows]))
+        return fn(rows, fill(rng, count) if index is None else fill(rng, count, index[rows]))
 
-    thread_map(run, blocks, workers)
+    return thread_map(run, blocks, workers)
 
 
-# the ziggurat: layers under exp(-t^p), and values per slice (256 KB per float array;
-# slices of 2^16 left a 2-worker grid's peak RSS about 1 MB higher, at the same speed)
-_LAYERS, _SLICE = 256, 1 << 15
+# the ziggurat's layers under exp(-t^p)
+_LAYERS = 256
 
 
 def _generalized_gaussian_block(rng: np.random.Generator, p: float, g: np.ndarray) -> np.ndarray:
@@ -173,16 +174,15 @@ def _generalized_gaussian_block(rng: np.random.Generator, p: float, g: np.ndarra
     proportional to exp(-|t|^p), and return the sums of |g|^p along each
     row: one chunk of an lp fill.
 
-    p = 2 is the law N(0, 1/2): sqrt(1/2) times standard normals.  p = 1 is
-    sign * E with E standard exponential.  Draw order: the exponentials of
-    g, row-major, then ceil(g.size / 64) ``bit_generator.random_raw``
-    words; bit k (least significant first) of word j, when set, negates
-    value 64 j + k of g.  Beside g it allocates one byte per value and a
-    slice of words.
+    p = 1 is sign * E with E standard exponential.  Draw order: the
+    exponentials of g, row-major, then ceil(g.size / 64)
+    ``bit_generator.random_raw`` words; bit k (least significant first) of
+    word j, when set, negates value 64 j + k of g.  Beside g it allocates
+    one byte per value and a slice of words.
 
     Any other p draws |g| by the ziggurat of ``_ziggurat(p)`` (Marsaglia and
     Tsang, J. Stat. Softw. 5(8), 2000) in whole-row slices of
-    max(1, ``_SLICE`` // n) rows.  Draw order, per slice:
+    max(1, ``SLICE_VALUES`` // n) rows.  Draw order, per slice:
 
     * one ``bit_generator.random_raw`` word per value, row-major.  Bits 0-7
       pick the layer i, bit 8 the sign (set: negative), and bits 11-63 the
@@ -203,10 +203,6 @@ def _generalized_gaussian_block(rng: np.random.Generator, p: float, g: np.ndarra
     as two squarings; then each value takes the sign of the last word it
     drew.  Beside g it allocates about three slices of 8-byte values.
     """
-    if p == 2.0:
-        rng.standard_normal(out=g)
-        g *= math.sqrt(0.5)
-        return np.einsum("ij,ij->i", g, g)
     if p == 1.0:
         rng.standard_exponential(out=g)
         sums = g.sum(axis=1)
@@ -214,12 +210,12 @@ def _generalized_gaussian_block(rng: np.random.Generator, p: float, g: np.ndarra
         words = rng.bit_generator.random_raw(-(-g.size // 64)).astype("<u8", copy=False)
         signs = np.unpackbits(words.view(np.uint8), count=g.size, bitorder="little")
         bits = g.reshape(-1).view(np.uint64)
-        for lo in range(0, g.size, _SLICE):
-            bits[lo : lo + _SLICE] ^= np.left_shift(signs[lo : lo + _SLICE], 63, dtype=np.uint64)
+        for at in (slice(lo, lo + SLICE_VALUES) for lo in range(0, g.size, SLICE_VALUES)):
+            bits[at] ^= np.left_shift(signs[at], 63, dtype=np.uint64)
         return sums
     table = _ziggurat(p)
     count, n = g.shape
-    rows = max(1, _SLICE // n)
+    rows = max(1, SLICE_VALUES // n)
     size = min(rows, count) * n
     layer, work = np.empty(size, dtype=np.int64), np.empty(size)
     sums = np.empty(count)
@@ -508,9 +504,9 @@ def _filler(
       ``_reduced_spherical_block`` at r = n.  Its plain projections draw
       that block's reduced law: for the reduced QR directions = Q Rq, with
       r = min(n, D) orthonormal columns in Q, the Q^T X of the block times
-      Rq.  The lp ball and cone at p = 2 are the Euclidean ball and sphere
-      (Barthe, Guedon, Mendelson and Naor, Ann. Probab. 2005) and take
-      this fill at their own scale.
+      Rq.  At p = 2 the lp ball is the Euclidean ball and the cone and
+      surface measures the sphere (Barthe, Guedon, Mendelson and Naor, Ann.
+      Probab. 2005): they take this fill at their own scale.
     * Every other law draws through ``_chunked``, ``CHUNK_ROWS`` rows at a
       time, with one chunk fill (put) that serves its rows and its
       projections alike.  The simplex point is c (E / sum E) @ V, V its
@@ -520,7 +516,7 @@ def _filler(
       divided by sum E; the coefficient s <X, v_h - v_t> of edge (h, t) =
       ``frames.simplex_edges`` is sqrt((n + 1)(n + 2) / 2) (E_h - E_t) / sum E,
       as <v_i, v_j> = -1/n.
-    * The lp ball, cone and surface measure at finite p draw from
+    * The lp ball, cone and surface measure at finite p != 2 draw from
       ``_lp_fill``, which takes the unscaled chunks and their row sums from
       ``_scaled`` and scales the block once; the ball and the cone of one
       group share its stream.
@@ -603,21 +599,21 @@ def _filler(
 
 
 def map_sample_blocks(
-    spec: DistributionSpec, N: int, seed: int, fn: Callable[[slice, np.ndarray], None],
+    spec: DistributionSpec, N: int, seed: int, fn: Callable[[slice, np.ndarray], object],
     workers: int = 1,
-) -> None:
-    """Call fn(rows, block) for every block of the N-row draw of spec, rows
-    being the block's slice of the draw; each block is freed when fn returns,
-    and at one worker the blocks arrive in order."""
-    _map_blocks(_filler(spec), _block_seeds(N, seed), fn, workers)
+) -> list:
+    """The list of fn(rows, block), in block order, over every block of the
+    N-row draw of spec, rows being the block's slice of the draw; each block
+    is freed when fn returns, and at one worker the blocks arrive in order."""
+    return _map_blocks(_filler(spec), _block_seeds(N, seed), fn, workers)
 
 
 def map_frame_blocks(
     spec: DistributionSpec, directions: np.ndarray, index: np.ndarray, seed: int,
-    fn: Callable[[slice, np.ndarray], None], workers: int = 1,
-) -> None:
-    """Call fn(rows, block) for every block of the len(index)-row draw of
-    spec with seed, block being the (count, D + 1) array of each row's
+    fn: Callable[[slice, np.ndarray], object], workers: int = 1,
+) -> list:
+    """The list of fn(rows, block), in block order, over every block of the
+    len(index)-row draw of spec with seed, block being the (count, D + 1) array of each row's
     projections X @ directions and its coefficient X_(k) in the law's
     reflection frame at its index k = index[row]: the coordinate X_k in the
     standard frame, and on the simplex s <X, v_h - v_t> with (h, t) =
@@ -627,16 +623,16 @@ def map_frame_blocks(
     rounding, drawn ``CHUNK_ROWS`` at a time: no (count, n) block is held.
     Each projection is its own matrix-vector product, so a direction's
     column does not depend on the others."""
-    _map_blocks(_filler(spec, np.asarray(directions, dtype=float)), _block_seeds(len(index), seed),
+    return _map_blocks(_filler(spec, np.asarray(directions, dtype=float)), _block_seeds(len(index), seed),
                 fn, workers, index)
 
 
 def map_projection_blocks(
     specs: DistributionSpec | tuple[DistributionSpec, ...], directions: np.ndarray,
-    N: int, seed: int, fn: Callable[[slice, np.ndarray], None],
-) -> None:
-    """Call fn(rows, block) for every block of the N-row draw of spec with
-    seed, in order, block being the (count, D) projections X @ directions
+    N: int, seed: int, fn: Callable[[slice, np.ndarray], object],
+) -> list:
+    """The list of fn(rows, block) over every block of the N-row draw of
+    spec with seed, called in block order, block being the (count, D) projections X @ directions
     of its rows onto the columns of the (n, D) direction matrix, from
     ``_filler(spec, directions)``, once every input is checked: the (N, n)
     batch is never held, and a block is valid until fn returns.
@@ -645,9 +641,9 @@ def map_projection_blocks(
     ``CHUNK_ROWS``-row chunk of the rows of ``sample(spec, N, seed)`` as
     ``_chunked`` draws it: exactly ``data[chunk] @ directions`` per chunk,
     and ``data @ directions`` up to rounding; the simplex, and the lp laws
-    that ``_lp_fill`` draws (finite p, but the ball and cone at p = 2),
-    which project before they scale, give it up to rounding.  A spherical
-    law (and the lp ball and cone at p = 2) draws its reduced law at
+    that ``_lp_fill`` draws (finite p != 2), which project before they
+    scale, give it up to rounding.  A spherical law (and the lp ball, cone
+    and surface measure at p = 2) draws its reduced law at
     r = min(n, D): for D < n a stream other than that of ``sample``, with
     the same law.
 
@@ -662,7 +658,7 @@ def map_projection_blocks(
     directions = np.asarray(directions, dtype=float)
     if directions.ndim != 2 or directions.shape[0] != n:
         raise ValueError(f"directions must be an (n={n}, D) matrix, got {directions.shape}")
-    _map_blocks(_filler(group, directions), _block_seeds(N, seed), fn)
+    return _map_blocks(_filler(group, directions), _block_seeds(N, seed), fn)
 
 
 def sample_projections(

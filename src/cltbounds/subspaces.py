@@ -271,6 +271,17 @@ def ank_to_csv(estimates, path) -> None:
             ])
 
 
+def _pair_regression(w_mean: float, w_sq_mean: float, d_mean: float, dw_mean: float,
+                     dsq_mean: float, N: int) -> tuple[float, float, float]:
+    """(slope, intercept, slope standard error) of the least-squares line of
+    D = W - W' on W over N pairs, from the sample means of W, W^2, D, D W and
+    D^2: the linearity condition E[D | W] = lambda W of either pair."""
+    w_var = w_sq_mean - w_mean * w_mean
+    slope = (dw_mean - d_mean * w_mean) / w_var
+    resid_var = max((dsq_mean - d_mean * d_mean) - slope * slope * w_var, 0.0)
+    return slope, d_mean - slope * w_mean, math.sqrt(resid_var) / (math.sqrt(N) * math.sqrt(w_var))
+
+
 @dataclass(frozen=True)
 class PairDiagnostics:
     """Sampled ingredients of the exchangeable-pair bound for one batch.
@@ -313,14 +324,14 @@ def reflection_pair_diagnostics(
     Checks run before any draw.  The indices are drawn first, in block
     order, from one stream.  One pass of ``samplers.map_frame_blocks``, on
     ``workers`` threads, draws each row's W per theta and its coefficient
-    X_(I), ``CHUNK_ROWS`` rows at a time, and keeps per block the sums of
-    W, W^2, D, D W, D^2 and |D|^3, the max of |D|, D = W - W' =
-    2 X_(I) theta_(I), and the ``empirical.bin_totals`` of D^2 over W, added
-    in block order, so the results do not depend on ``workers``.  Memory:
-    the index, k N bytes with k the itemsize of the smallest unsigned type
-    that holds m - 1 (1, 2 or 4: the simplex's m = n (n + 1) needs 2 from
-    n = 16 and 4 from n = 256), a few kB of sums and totals, and per worker
-    a chunk and a (BLOCK_ROWS, T + 1) block: no N-long float, no sort.
+    X_(I), ``CHUNK_ROWS`` rows at a time; each block returns the sums of W,
+    W^2, D, D W, D^2 and |D|^3, the max of |D|, D = W - W' = 2 X_(I) theta_(I),
+    and the ``empirical.bin_totals`` of D^2 over W, added in block order, so
+    the results do not depend on ``workers``.  Memory: the index, k N bytes
+    with k the itemsize of the smallest unsigned type that holds m - 1 (1, 2
+    or 4: the simplex's m = n (n + 1) needs 2 from n = 16 and 4 from
+    n = 256), per block a few kB of sums and totals, and per worker a chunk
+    and a (BLOCK_ROWS, T + 1) block: no N-long float, no sort.
     """
     simplex = reflection_frame(spec.kind) == LABEL_SIMPLEX_EDGES
     _require_two_samples(N)
@@ -336,43 +347,38 @@ def reflection_pair_diagnostics(
     index = np.empty(N, dtype=np.min_scalar_type(m - 1))
     for lo in range(0, N, BLOCK_ROWS):
         index[lo : lo + BLOCK_ROWS] = rng.integers(0, m, min(BLOCK_ROWS, N - lo))
-    # per block and theta: W, W^2, D, D W, D^2, |D|^3, then max |D|; D^2's bin totals
-    sums = np.empty((-(-N // BLOCK_ROWS), len(thetas), 7))
-    binned = [None] * len(sums)
 
-    def take(rows: slice, block: np.ndarray) -> None:
-        b = rows.start // BLOCK_ROWS
+    def take(rows: slice, block: np.ndarray) -> tuple[list, list]:
+        """Per theta: the sums of W, W^2, D, D W, D^2, |D|^3, then max |D|; D^2's bin totals."""
         if simplex:
             heads, tails = simplex_edges(index[rows], n)
-        binned[b] = []
+        sums, binned = [], []
         for t in range(len(thetas)):
             w_t = block[:, t]
             theta_at = (edge_scale * (vertex_t[t][heads] - vertex_t[t][tails]) if simplex
                         else thetas[t][index[rows]])  # theta_(I) of each row
             d = 2.0 * block[:, -1] * theta_at
             d_sq, d_abs = d * d, np.abs(d)
-            sums[b, t] = [
+            sums.append([
                 w_t.sum(), (w_t * w_t).sum(), d.sum(), (d * w_t).sum(), d_sq.sum(),
                 (d_abs**3).sum(), d_abs.max(),
-            ]
-            binned[b].append(bin_totals(w_t, d_sq, N))
+            ])
+            binned.append(bin_totals(w_t, d_sq, N))
+        return sums, binned
 
-    map_frame_blocks(spec, np.column_stack(thetas), index, seed, take, workers)
+    sums, binned = zip(*map_frame_blocks(spec, np.column_stack(thetas), index, seed, take,
+                                         workers))
+    sums = np.array(sums)  # (blocks, thetas, 7)
     means = sums[..., :6].sum(axis=0) / N
     totals = np.sum(binned, axis=0)
 
     def diagnose(t: int) -> PairDiagnostics:
-        w_mean, w_sq_mean, d_mean, dw_mean, dsq_mean, a3_mean = means[t].tolist()
-        w_var = w_sq_mean - w_mean * w_mean
-        slope = (dw_mean - d_mean * w_mean) / w_var
-        resid_var = max((dsq_mean - d_mean * d_mean) - slope * slope * w_var, 0.0)
+        *moments, a3_mean = means[t].tolist()  # W, W^2, D, D W, D^2, then |D|^3
         sizes, bin_sums = totals[t][:, totals[t][0] > 0]  # the nonempty bins
         weights, bin_means = sizes / N, bin_sums / sizes
         spread = float(weights @ (bin_means - float(weights @ bin_means)) ** 2)
         return PairDiagnostics(
-            slope=slope,
-            intercept=d_mean - slope * w_mean,
-            slope_se=math.sqrt(resid_var) / (math.sqrt(N) * math.sqrt(w_var)),
+            *_pair_regression(*moments, N),  # slope, intercept and slope_se
             var_conditional=spread if sizes.sum() == N else math.nan,  # a NaN W is in no bin
             third_abs=a3_mean,
             sup_abs=float(sums[:, t, 6].max()),
@@ -455,11 +461,11 @@ def rotation_pair_diagnostics(
     hold for that angle alone.
 
     Checks run before any draw.  One pass over the blocks, on ``workers``
-    threads, keeps per block the sums of D = W_eps - W, D W, D^2, |D|^3, D^4
-    and |D|^6 for every angle, and of W, W^2 and X_1^2; each block's sums
-    depend only on its seeds and are added in block order, so the results
-    do not depend on ``workers``.  Memory: a few block-sized arrays per
-    worker, whatever N.
+    threads, in which each block returns the sums of D = W_eps - W, D W,
+    D^2, |D|^3, D^4 and |D|^6 for every angle, and of W, W^2 and X_1^2;
+    each block's sums depend only on its seeds and are added in block
+    order, so the results do not depend on ``workers``.  Memory: per block
+    a few hundred bytes of sums, and a few block-sized arrays per worker.
     """
     if spec.kind not in SPHERICAL_KINDS:
         raise SymmetryError(f"the rotation pair needs a spherical law, got {spec.kind.value}")
@@ -470,41 +476,36 @@ def rotation_pair_diagnostics(
             raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
 
     n = spec.n
-    blocks = _block_seeds(N, seed)  # checks N before the sums are allocated
     frame_seed = derive_seed(pair_seed, 0)
     shrinks = [1.0 - math.sqrt(1.0 - eps * eps) for eps in eps_list]
-    # per block: D, DW, D^2, |D|^3, D^4, |D|^6 for each angle, then W, W^2, X_1^2
-    sums = np.empty((-(-N // BLOCK_ROWS), 6 * len(eps_list) + 3))
 
-    def take(rows: slice, block: np.ndarray) -> None:
-        b = rows.start // BLOCK_ROWS
+    def take(rows: slice, block: np.ndarray) -> list:
+        """D, DW, D^2, |D|^3, D^4, |D|^6 summed for each angle, then W, W^2, X_1^2."""
         x0, x1, r_perp = block
-        out = sums[b]
-        rng = np.random.default_rng(block_seed(frame_seed, b))
+        rng = np.random.default_rng(block_seed(frame_seed, rows.start // BLOCK_ROWS))
         q1_0, s1, q2_0, s2 = _rotation_frames(rng, x0, r_perp, n)
         rotational = q1_0 * s2 - q2_0 * s1
         radial = q1_0 * s1 + q2_0 * s2
-        for i, (eps, shrink) in enumerate(zip(eps_list, shrinks)):
+        sums = []
+        for eps, shrink in zip(eps_list, shrinks):
             d = -eps * rotational + shrink * radial
             d_sq = d * d
             a_cube = np.abs(d) * d_sq
-            out[6 * i : 6 * i + 6] = [
+            sums += [
                 d.sum(), (d * x0).sum(), d_sq.sum(), a_cube.sum(), (d_sq * d_sq).sum(),
                 (a_cube * a_cube).sum(),
             ]
-        out[-3:] = [x0.sum(), (x0 * x0).sum(), (x1 * x1).sum()]
+        return [*sums, x0.sum(), (x0 * x0).sum(), (x1 * x1).sum()]
 
-    _map_blocks(lambda rng, count: _rotation_rows(rng, spec, count), blocks, take, workers)
-    means = (sums.sum(axis=0) / N).tolist()
+    sums = np.sum(_map_blocks(lambda rng, count: _rotation_rows(rng, spec, count),
+                              _block_seeds(N, seed), take, workers), axis=0)
+    means = (sums / N).tolist()
     w_mean, w_sq_mean, x2_sq_mean = means[-3:]
-    w_var = w_sq_mean - w_mean * w_mean
 
     def diagnose(i: int) -> RotationDiagnostics:
         eps = eps_list[i]
         d_mean, dw_mean, dsq_mean, a3_mean, d4_mean, a6_mean = means[6 * i : 6 * i + 6]
-        slope = (dw_mean - d_mean * w_mean) / w_var
-        resid_var = max((dsq_mean - d_mean**2) - slope**2 * w_var, 0.0)
-        slope_se = math.sqrt(resid_var / (N * w_var))
+        slope, _, slope_se = _pair_regression(w_mean, w_sq_mean, d_mean, dw_mean, dsq_mean, N)
         unit = eps * eps / n
         r1, r1_se = slope / unit, slope_se / unit
         r2_denom = 2.0 * unit * x2_sq_mean

@@ -13,6 +13,7 @@ from conftest import assert_brackets, brute_force_ks
 
 from cltbounds.core import CHUNK_ROWS, InsufficientDataError
 from cltbounds.empirical import (
+    _ks_edge_cdf,
     KS_BINS,
     KS_COUNTS,
     KS_REACH,
@@ -269,6 +270,19 @@ class TestKolmogorovCounts:
         assert estimate.n_samples == n_samples
         assert estimate.dkw_slack == dkw_slack(n_samples, 0.01)
         assert (estimate.grid_bins, estimate.grid_reach) == (KS_BINS, KS_REACH)
+
+    def test_edge_cdf_holds_no_list_of_floats(self):
+        # Phi at the 16385 edges is filled without a Python list of the edges
+        # or of their values (two such lists took 1.2 MB): beside the 131 kB
+        # result the build holds the edges and one more array of their length
+        tracemalloc.start()
+        try:
+            cdf = _ks_edge_cdf.__wrapped__()  # uncached
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cdf.shape == (KS_COUNTS,)
+        assert peak <= 4 * cdf.nbytes, f"peak {peak / 1e3:.0f} kB"
 
     def test_edge_values_count_in_the_cell_they_open(self):
         # t_j counts in position j + 1, its cell [t_j, t_(j+1)); beyond the

@@ -1,5 +1,6 @@
 import math
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -43,12 +44,10 @@ def assert_within_se(observed, expected, se, k=3.0, floor=1e-12):
 def generalized_gaussian_draws(rng, p, shape):
     """The generalized Gaussian of density ~ exp(-|t|^p) as documented, a
     (count, n) array of draws (count of them for an integer shape, n = 1):
-    sqrt(1/2) standard normals at p = 2; at p = 1 exponentials, then
-    ceil(size / 64) raw words, bit k of word j negating value 64 j + k when
-    set; at any other p the ziggurat draws of ``ziggurat_draws``, whole-row
-    slice by slice of 2^15 // n rows (at least one)."""
-    if p == 2.0:
-        return math.sqrt(0.5) * rng.standard_normal(shape)
+    at p = 1 exponentials, then ceil(size / 64) raw words, bit k of word j
+    negating value 64 j + k when set; at any other p (2 included) the
+    ziggurat draws of ``ziggurat_draws``, whole-row slice by slice of
+    2^15 // n rows (at least one)."""
     if p == 1.0:
         g = rng.standard_exponential(shape)
         words = rng.bit_generator.random_raw(-(-g.size // 64))
@@ -219,6 +218,23 @@ class TestDeterminism:
 
         map_sample_blocks(spec, total, 5, take, workers)
         assert out.tobytes() == sample(spec, total, 5).data.tobytes()
+
+    def test_blocks_return_in_block_order(self):
+        # the driver returns each block's value in block order, whichever
+        # block finishes first: block b sleeps longer the smaller b is
+        blocks = 4
+        finished = []
+
+        def take(rows, block):
+            b = rows.start // BLOCK_ROWS
+            time.sleep(0.1 * (blocks - 1 - b))
+            finished.append(b)
+            return b, len(block)
+
+        spec = DistributionSpec(Kind.SPHERE_SHELL, 2)
+        got = map_sample_blocks(spec, blocks * BLOCK_ROWS, 5, take, workers=2)
+        assert got == [(b, BLOCK_ROWS) for b in range(blocks)]
+        assert finished != sorted(finished)
 
     def test_generator_built_on_the_filling_thread(self, monkeypatch):
         # each block's Generator is built on the thread that fills the block
@@ -860,6 +876,13 @@ class TestLpSurface:
         batch = sample(DistributionSpec(Kind.LP_SURFACE, 5, p=2.0), 20000, 30)
         w = batch.weights
         assert (w.max() - w.min()) / w.mean() <= 1e-10
+
+    def test_p2_draws_the_sphere(self):
+        # at p = 2 the cone measure is the normalized surface measure, uniform
+        # on the sphere: the surface measure draws the l2 cone's rows bit for bit
+        surface, cone = (sample(DistributionSpec(kind, 5, p=2.0), 20000, 30)
+                         for kind in (Kind.LP_SURFACE, Kind.LP_CONE))
+        assert surface.data.tobytes() == cone.data.tobytes()
 
     def test_weights_positive_finite_normalized(self):
         batch = sample(DistributionSpec(Kind.LP_SURFACE, 6, p=4.0), 20000, 31)

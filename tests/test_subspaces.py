@@ -12,9 +12,8 @@ from conftest import brute_force_ks
 
 from cltbounds import subspaces
 from cltbounds.cli import EXIT_CONFIG_ERROR, main
-from cltbounds.core import InsufficientDataError
+from cltbounds.core import SLICE_VALUES, InsufficientDataError
 from cltbounds.empirical import (
-    _KS_SLICE,
     KS_COUNTS,
     KS_MIN_SAMPLES,
     add_ks_counts,
@@ -38,6 +37,7 @@ from cltbounds.subspaces import (
     reflection_frame,
     reflection_pair_diagnostics,
     rotation_pair_diagnostics,
+    _pair_regression,
     _rotation_frames,
     _rotation_rows,
     uniform_directions,
@@ -144,6 +144,24 @@ class TestRandomSubspace:
         np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=1e-12)
 
 
+class TestPairRegression:
+    def test_matches_lstsq(self):
+        # the line of D on W from five sample means is the least-squares fit of
+        # D on (W, 1), and its standard error sqrt(RSS / N) / (sqrt(N) sd(W))
+        rng = np.random.default_rng(90)
+        n_samples = 5000
+        w = rng.standard_normal(n_samples) + 0.3
+        d = -0.2 * w + 0.05 + 0.1 * rng.standard_normal(n_samples)
+        means = [w.mean(), (w * w).mean(), d.mean(), (d * w).mean(), (d * d).mean()]
+        slope, intercept, slope_se = _pair_regression(*means, n_samples)
+        (fit_slope, fit_intercept), (rss,), _, _ = np.linalg.lstsq(
+            np.column_stack([w, np.ones(n_samples)]), d, rcond=None)
+        assert slope == pytest.approx(fit_slope, rel=1e-12)
+        assert intercept == pytest.approx(fit_intercept, rel=1e-10)
+        expected_se = math.sqrt(rss / n_samples) / (math.sqrt(n_samples) * w.std())
+        assert slope_se == pytest.approx(expected_se, rel=1e-9)
+
+
 class TestReflectionPair:
     def test_cube_slope(self):
         n, n_samples = 10, 10**6
@@ -244,9 +262,9 @@ class TestReflectionPair:
             def poisoned(rows, block):
                 if rows.start == 0:
                     block[5, 0] = np.nan  # W of the first theta; X_(I) stays finite
-                take(rows, block)
+                return take(rows, block)
 
-            draw(spec, thetas, index, seed, poisoned, workers)
+            return draw(spec, thetas, index, seed, poisoned, workers)
 
         spec, thetas = cube(4), [np.eye(4)[0], np.full(4, 0.5)]
         clean = reflection_pair_diagnostics(spec, thetas, 20_000, 26, pair_seed=27)
@@ -692,8 +710,8 @@ class TestWorkerCount:
         # k >= 2: beside the projections, each worker of the statistics holds
         # one (N, DIRECTION_CHUNK) direction product, its count table and
         # add_ks_counts's temporaries (a slice's offsets, scaled values and
-        # positions, and np.add.at's own: four _KS_SLICE arrays), with one
-        # more _KS_SLICE for the small objects, 8.2 MB here; a second product
+        # positions, and np.add.at's own: four SLICE_VALUES arrays), with one
+        # more SLICE_VALUES for the small objects, 8.2 MB here; a second product
         # would add 6.4 MB.  The peak is taken over the statistics alone, not
         # the fill
         spec = DistributionSpec(Kind.LP_BALL, 30, p=4.0)
@@ -716,7 +734,7 @@ class TestWorkerCount:
                              n_dirs=2 * DIRECTION_CHUNK, workers=workers)
             finally:
                 tracemalloc.stop()
-        per_worker = 8 * (DIRECTION_CHUNK * (n_samples + KS_COUNTS) + 5 * _KS_SLICE)
+        per_worker = 8 * (DIRECTION_CHUNK * (n_samples + KS_COUNTS) + 5 * SLICE_VALUES)
         assert extras[0] <= per_worker, f"{extras[0] / 1e6} MB"
         assert extras[1] <= 2 * per_worker, f"{extras[1] / 1e6} MB"
 
