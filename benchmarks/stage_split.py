@@ -39,11 +39,12 @@ sampled stages show what the sampled path would cost.  Every
 whole reflection step of ``diagnose`` (``reflection_total_s``: the three
 thetas e1, diagonal and random(42) of criterion 05 on the given spec, in
 the frame of its law), and the tracemalloc peak in MB of a second, traced
-call (``reflection_peak_mb``; the timed call runs untraced): the frame
-index, the per-block sums and bin totals, plus a chunk and a block of
+call (``reflection_peak_mb``; the timed call runs untraced): the per-block
+sums and bin totals, plus a chunk, a block of frame indices and a block of
 projections per worker.  For the rotation diagnostics it times the two-frame draws
-(``rotation_frames_s``: ``subspaces._rotation_frames``, one per block on the
-block's substream, shared by the three angles, as the rotation pass draws them)
+(``rotation_frames_s``: ``subspaces._rotation_frames``, one per block, drawn
+after the block's rows from the block's Generator and shared by the three
+angles, as the rotation pass draws them)
 over the reduced sphere-shell rows of the same n and N
 (``subspaces._rotation_rows``, untimed, one block at a time), and the whole
 rotation step (``rotation_total_s``).
@@ -264,28 +265,26 @@ def subspace_pass(spec: DistributionSpec, n_samples: int, seed: int) -> dict[str
 
     thetas = [resolve_theta(t, spec.n)[0] for t in REFLECTION_THETAS]
     start = time.perf_counter()
-    subspaces.reflection_pair_diagnostics(spec, thetas, n_samples, seed, seed, workers=WORKERS)
+    subspaces.reflection_pair_diagnostics(spec, thetas, n_samples, seed, workers=WORKERS)
     times["reflection_total_s"] = time.perf_counter() - start
     tracemalloc.start()  # a second, traced call: tracing slows every allocation
     try:
-        subspaces.reflection_pair_diagnostics(spec, thetas, n_samples, seed, seed,
-                                              workers=WORKERS)
+        subspaces.reflection_pair_diagnostics(spec, thetas, n_samples, seed, workers=WORKERS)
         times["reflection_peak_mb"] = tracemalloc.get_traced_memory()[1] / 1e6
     finally:
         tracemalloc.stop()
 
     shell = DistributionSpec(kind=Kind.SPHERE_SHELL, n=spec.n)
-    frame_seed = derive_seed(seed, 0)
     times["rotation_frames_s"] = 0.0
     for block, lo in enumerate(range(0, n_samples, BLOCK_ROWS)):
+        # each block's frames follow its rows on the block's Generator, as in the pass
         rng = np.random.default_rng(block_seed(seed, block))
         x0, _, r_perp = subspaces._rotation_rows(rng, shell, min(BLOCK_ROWS, n_samples - lo))
         start = time.perf_counter()
-        frame_rng = np.random.default_rng(block_seed(frame_seed, block))
-        subspaces._rotation_frames(frame_rng, x0, r_perp, spec.n)
+        subspaces._rotation_frames(rng, x0, r_perp, spec.n)
         times["rotation_frames_s"] += time.perf_counter() - start
     start = time.perf_counter()
-    subspaces.rotation_pair_diagnostics(shell, ANGLES, n_samples, seed, seed, workers=WORKERS)
+    subspaces.rotation_pair_diagnostics(shell, ANGLES, n_samples, seed, workers=WORKERS)
     times["rotation_total_s"] = time.perf_counter() - start
     return times
 

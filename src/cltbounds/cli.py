@@ -168,7 +168,8 @@ def _cmd_sample(cfg: dict) -> int:
     seed = _seed(cfg)
     out = _out_dir(cfg)
     batch = sample(spec, n_samples, seed)
-    stem = f"{spec.kind.value}_n{spec.n}_N{n_samples}_seed{seed}"
+    exponent = "" if spec.p is None else f"_p{float(spec.p)}"  # one file per lp exponent
+    stem = f"{spec.kind.value}_n{spec.n}{exponent}_N{n_samples}_seed{seed}"
     batch.save(out / f"{stem}.bin")
     summary = summarize(batch)
     payload = {
@@ -258,7 +259,7 @@ def _cmd_scan_ank(cfg: dict) -> int:
     for spec in specs:  # fail fast, before any sampling or quadrature
         if k > spec.n:
             raise ConfigError(f"'k' must not exceed n, got k={k}, n={spec.n}")
-        check_ank_samples(spec, k, n_samples)  # InsufficientDataError: exit 2
+        check_ank_samples(spec, k, n_samples)  # InsufficientDataError, SymmetryError: exit 2
     workers = _workers()
     _check_out_dir(cfg)
     results = []
@@ -281,7 +282,6 @@ def _cmd_scan_ank(cfg: dict) -> int:
 def _cmd_diagnose(cfg: dict) -> int:
     from .empirical import streaming_pair_square_covariance
     from .exact import Kind
-    from .samplers import derive_seed
     from .subspaces import (
         reflection_frame,
         reflection_pair_diagnostics,
@@ -302,8 +302,7 @@ def _cmd_diagnose(cfg: dict) -> int:
         theta_specs = _nonempty_list(cfg.get("theta", ["e1"]), "theta")
         thetas = [_theta(theta_spec, spec.n) for theta_spec in theta_specs]
         diags = reflection_pair_diagnostics(
-            spec, [theta for theta, _ in thetas], n_samples, seed, derive_seed(seed, 1),
-            workers=workers,
+            spec, [theta for theta, _ in thetas], n_samples, seed, workers=workers
         )
         name = "reflection_diagnostics.csv"
         header = ["theta", "slope", "expected_slope", "slope_over_expected", "slope_se",
@@ -323,9 +322,7 @@ def _cmd_diagnose(cfg: dict) -> int:
         n_samples = _positive_int(cfg, "N")
         eps_list = _nonempty_list(cfg.get("eps_list", [0.2, 0.1, 0.05]), "eps_list")
         eps_list = [_number(eps, "'eps_list' entry", 0.0, 0.5) for eps in eps_list]
-        diags = rotation_pair_diagnostics(
-            spec, eps_list, n_samples, seed, derive_seed(seed, 1), workers=workers
-        )
+        diags = rotation_pair_diagnostics(spec, eps_list, n_samples, seed, workers=workers)
         name = "rotation_diagnostics.csv"
         header = ["eps", "r1", "r1_se", "r2", "r2_se", "r3", "r3_se"]
         rows = [[d.eps, d.r1, d.r1_se, d.r2, d.r2_se, d.r3, d.r3_se] for d in diags]

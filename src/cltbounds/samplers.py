@@ -13,7 +13,8 @@ block ``CHUNK_ROWS`` rows at a time: rows straight into the block, and rows
 to be projected into one chunk buffer, so beside its (count, k D)
 projections a fill holds a chunk, not a block.  ``map_projection_blocks``
 hands over each block of projections, and ``map_frame_blocks`` adds to each
-row's projections its reflection-frame coefficient, read from the same chunk.
+row's projections its reflection-frame coefficient, read from the same chunk,
+at a frame index drawn from the block's Generator jumped ahead.
 """
 
 from __future__ import annotations
@@ -144,12 +145,10 @@ def _block_seeds(N: int, seed: int) -> Iterator[tuple[int, int, int]]:
     )
 
 
-def _map_blocks(fill, blocks, fn: Callable[[slice, np.ndarray], object], workers: int = 1,
-                index: np.ndarray | None = None) -> list:
+def _map_blocks(fill, blocks, fn: Callable[[slice, object], object], workers: int = 1) -> list:
     """[fn(rows, fill(rng, count))], rows = slice(lo, lo + count) and rng the
-    block's Generator, for every (lo, count, seed) of ``_block_seeds``, or
-    fn(rows, fill(rng, count, index[rows])) given frame indices: the one
-    loop over the blocks of every sampled stream.  Each block's Generator
+    block's Generator, for every (lo, count, seed) of ``_block_seeds``: the
+    one loop over the blocks of every sampled stream.  Each block's Generator
     is built, and the block filled, on the thread that hands it to fn (the
     pool takes every job up front on the calling thread, where neighbouring
     blocks' generator states would share cache lines); the block is freed
@@ -158,9 +157,7 @@ def _map_blocks(fill, blocks, fn: Callable[[slice, np.ndarray], object], workers
 
     def run(job: tuple[int, int, int]):
         lo, count, seed = job
-        rng = np.random.default_rng(seed)
-        rows = slice(lo, lo + count)
-        return fn(rows, fill(rng, count) if index is None else fill(rng, count, index[rows]))
+        return fn(slice(lo, lo + count), fill(np.random.default_rng(seed), count))
 
     return thread_map(run, blocks, workers)
 
@@ -609,22 +606,32 @@ def map_sample_blocks(
 
 
 def map_frame_blocks(
-    spec: DistributionSpec, directions: np.ndarray, index: np.ndarray, seed: int,
-    fn: Callable[[slice, np.ndarray], object], workers: int = 1,
+    spec: DistributionSpec, directions: np.ndarray, N: int, seed: int,
+    fn: Callable[[slice, np.ndarray, np.ndarray], object], workers: int = 1,
 ) -> list:
-    """The list of fn(rows, block), in block order, over every block of the
-    len(index)-row draw of spec with seed, block being the (count, D + 1) array of each row's
-    projections X @ directions and its coefficient X_(k) in the law's
-    reflection frame at its index k = index[row]: the coordinate X_k in the
-    standard frame, and on the simplex s <X, v_h - v_t> with (h, t) =
-    ``frames.simplex_edges(k, n)`` and s = sqrt(n / (2 (n + 1))).
+    """The list of fn(rows, index, block), in block order, over every block
+    of the N-row draw of spec with seed: index holds each row's frame index
+    k, uniform over the law's m reflection-frame vectors, and block the
+    (count, D + 1) array of each row's projections X @ directions and its
+    coefficient X_(k) in that frame: the coordinate X_k in the standard
+    frame (m = n), and on the simplex (m = n (n + 1)) s <X, v_h - v_t> with
+    (h, t) = ``frames.simplex_edges(k, n)`` and s = sqrt(n / (2 (n + 1))).
 
-    The rows are those of ``sample(spec, len(index), seed)``, up to
-    rounding, drawn ``CHUNK_ROWS`` at a time: no (count, n) block is held.
-    Each projection is its own matrix-vector product, so a direction's
-    column does not depend on the others."""
-    return _map_blocks(_filler(spec, np.asarray(directions, dtype=float)), _block_seeds(len(index), seed),
-                fn, workers, index)
+    Block b draws its indices from its Generator jumped ahead
+    (``bit_generator.jumped()``), so its own stream is untouched: the rows
+    are those of ``sample(spec, N, seed)``, up to rounding, drawn
+    ``CHUNK_ROWS`` at a time, and no (count, n) block is held.  Each
+    projection is its own matrix-vector product, so a direction's column
+    does not depend on the others."""
+    m = spec.n * (spec.n + 1) if spec.kind is Kind.SIMPLEX else spec.n  # edges or coordinates
+    fill = _filler(spec, np.asarray(directions, dtype=float))
+
+    def frame_fill(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
+        index = np.random.Generator(rng.bit_generator.jumped()).integers(0, m, count)
+        return index, fill(rng, count, index)
+
+    return _map_blocks(frame_fill, _block_seeds(N, seed), lambda rows, drawn: fn(rows, *drawn),
+                       workers)
 
 
 def map_projection_blocks(

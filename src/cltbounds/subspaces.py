@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contract import InsufficientDataError, SymmetryError
-from .core import BLOCK_ROWS, as_unit_vector, thread_map
+from .core import as_unit_vector, thread_map
 from .empirical import (KS_COUNTS, KS_MIN_SAMPLES, add_ks_counts, bin_totals,
                         kolmogorov_from_counts)
 from .exact import D_K, SPHERICAL_KINDS, UNCONDITIONAL_KINDS, Kind, exact_kolmogorov, exact_law
@@ -20,7 +20,6 @@ from .samplers import (
     _block_seeds,
     _map_blocks,
     _reduced_spherical_block,
-    block_seed,
     derive_seed,
     map_frame_blocks,
     map_projection_blocks,
@@ -156,7 +155,10 @@ class AnkEstimate:
 def check_ank_samples(spec, k: int, N: int) -> bool:
     """Whether ``estimate_Ank`` takes the exact line distances (k = 1) of a
     law that has them in ``exact.EXACT_LAWS`` instead of sampling; a sampled
-    spec with N < ``KS_MIN_SAMPLES`` raises."""
+    spec with N < ``KS_MIN_SAMPLES`` raises, and so does the lp surface
+    measure, whose weights no projection applies (SymmetryError)."""
+    if spec.kind is Kind.LP_SURFACE:
+        raise SymmetryError("no subspace scan applies the lp_surface weights")
     try:
         exact = k == 1 and bool(exact_law(D_K, spec.kind, spec.n, spec.p))
     except ValueError:
@@ -187,7 +189,8 @@ def estimate_Ank(
     ``exact.exact_kolmogorov``: nothing is sampled, so the result does not
     depend on N.  Otherwise N samples are projected onto ``n_dirs`` uniform
     directions (default 50 k) in each subspace (at k = 1, onto the line);
-    ``check_ank_samples`` raises before any draw when N is too small.
+    ``check_ank_samples`` raises before any draw when N is too small or the
+    law is the lp surface measure.
 
     One pass of ``samplers.map_projection_blocks`` projects the samples,
     Y = X L, onto the stacked (n, n_subspaces k) basis matrix L, and the
@@ -302,61 +305,47 @@ class PairDiagnostics:
 
 
 def reflection_pair_diagnostics(
-    spec,
-    thetas,
-    N: int,
-    seed: int,
-    pair_seed: int,
-    workers: int = 1,
+    spec, thetas, N: int, seed: int, workers: int = 1
 ) -> list[PairDiagnostics]:
     """Diagnostics for the random-reflection exchangeable pair, one per theta.
 
     The pair reflects in the law's frame (``reflection_frame``).  For each
     of N samples of spec (drawn with ``seed``) an index I is drawn uniformly
-    over the frame's m vectors (from ``pair_seed``) and
-    W' = W - 2 X_(I) theta_(I) is formed; all thetas share the rows and I.
+    over the frame's m vectors (from its block's Generator jumped ahead, see
+    ``samplers.map_frame_blocks``) and W' = W - 2 X_(I) theta_(I) is formed;
+    all thetas share the rows and I.
     In the standard frame (m = n) the coefficients are the coordinates.  On
     the simplex (m = n(n+1)) index k is the edge (i, j) =
     ``frames.simplex_edges(k, n)``, X_(k) = s <X, v_i - v_j> with
     s = sqrt(n/(2(n+1))), theta_(k) = s (t_i - t_j), t = V theta, and no
     frame or vertex matrix is built.  Every field is a sampled estimate.
 
-    Checks run before any draw.  The indices are drawn first, in block
-    order, from one stream.  One pass of ``samplers.map_frame_blocks``, on
-    ``workers`` threads, draws each row's W per theta and its coefficient
+    Checks run before any draw.  One pass of ``samplers.map_frame_blocks``,
+    on ``workers`` threads, draws each row's I, W per theta and coefficient
     X_(I), ``CHUNK_ROWS`` rows at a time; each block returns the sums of W,
     W^2, D, D W, D^2 and |D|^3, the max of |D|, D = W - W' = 2 X_(I) theta_(I),
     and the ``empirical.bin_totals`` of D^2 over W, added in block order, so
-    the results do not depend on ``workers``.  Memory: the index, k N bytes
-    with k the itemsize of the smallest unsigned type that holds m - 1 (1, 2
-    or 4: the simplex's m = n (n + 1) needs 2 from n = 16 and 4 from
-    n = 256), per block a few kB of sums and totals, and per worker a chunk
-    and a (BLOCK_ROWS, T + 1) block: no N-long float, no sort.
+    the results do not depend on ``workers``.  Memory: per block a few kB of
+    sums and totals, and per worker a chunk, a block of indices and a
+    (BLOCK_ROWS, T + 1) block: nothing N-long, no sort.
     """
     simplex = reflection_frame(spec.kind) == LABEL_SIMPLEX_EDGES
     _require_two_samples(N)
     n = spec.n
     thetas = [as_unit_vector(theta, n) for theta in thetas]
-    m = n * (n + 1) if simplex else n
     if simplex:
         edge_scale = math.sqrt(n / (2.0 * (n + 1)))
         vertex_t = [simplex_projections(theta) for theta in thetas]
 
-    # one pair_seed stream feeds every block's frame indices: draw them in order
-    rng = np.random.default_rng(pair_seed)
-    index = np.empty(N, dtype=np.min_scalar_type(m - 1))
-    for lo in range(0, N, BLOCK_ROWS):
-        index[lo : lo + BLOCK_ROWS] = rng.integers(0, m, min(BLOCK_ROWS, N - lo))
-
-    def take(rows: slice, block: np.ndarray) -> tuple[list, list]:
+    def take(rows: slice, index: np.ndarray, block: np.ndarray) -> tuple[list, list]:
         """Per theta: the sums of W, W^2, D, D W, D^2, |D|^3, then max |D|; D^2's bin totals."""
         if simplex:
-            heads, tails = simplex_edges(index[rows], n)
+            heads, tails = simplex_edges(index, n)
         sums, binned = [], []
         for t in range(len(thetas)):
             w_t = block[:, t]
             theta_at = (edge_scale * (vertex_t[t][heads] - vertex_t[t][tails]) if simplex
-                        else thetas[t][index[rows]])  # theta_(I) of each row
+                        else thetas[t][index])  # theta_(I) of each row
             d = 2.0 * block[:, -1] * theta_at
             d_sq, d_abs = d * d, np.abs(d)
             sums.append([
@@ -366,8 +355,7 @@ def reflection_pair_diagnostics(
             binned.append(bin_totals(w_t, d_sq, N))
         return sums, binned
 
-    sums, binned = zip(*map_frame_blocks(spec, np.column_stack(thetas), index, seed, take,
-                                         workers))
+    sums, binned = zip(*map_frame_blocks(spec, np.column_stack(thetas), N, seed, take, workers))
     sums = np.array(sums)  # (blocks, thetas, 7)
     means = sums[..., :6].sum(axis=0) / N
     totals = np.sum(binned, axis=0)
@@ -444,7 +432,7 @@ def _rotation_rows(rng: np.random.Generator, spec, count: int) -> np.ndarray:
 
 
 def rotation_pair_diagnostics(
-    spec, eps_list, N: int, seed: int, pair_seed: int, workers: int = 1
+    spec, eps_list, N: int, seed: int, workers: int = 1
 ) -> list[RotationDiagnostics]:
     """Diagnostics for the random two-plane rotation pair.
 
@@ -455,15 +443,14 @@ def rotation_pair_diagnostics(
     ``seed`` takes them from the reduced spherical law (``_rotation_rows``),
     and the two-frame's first coordinates and projections of X from their
     exact law under Gram-Schmidt on two Gaussian vectors, five normals and
-    two chi-squares per row (``_rotation_frames``); block b draws its
-    frames from ``block_seed(derive_seed(pair_seed, 0), b)``.  Sharing the
-    frames correlates the angles' estimates; each angle's standard errors
-    hold for that angle alone.
+    two chi-squares per row (``_rotation_frames``), drawn after the block's
+    rows from the same Generator.  Sharing the frames correlates the angles'
+    estimates; each angle's standard errors hold for that angle alone.
 
     Checks run before any draw.  One pass over the blocks, on ``workers``
-    threads, in which each block returns the sums of D = W_eps - W, D W,
+    threads, in which each block returns the sums of D = W - W_eps, D W,
     D^2, |D|^3, D^4 and |D|^6 for every angle, and of W, W^2 and X_1^2;
-    each block's sums depend only on its seeds and are added in block
+    each block's sums depend only on its seed and are added in block
     order, so the results do not depend on ``workers``.  Memory: per block
     a few hundred bytes of sums, and a few block-sized arrays per worker.
     """
@@ -476,14 +463,16 @@ def rotation_pair_diagnostics(
             raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
 
     n = spec.n
-    frame_seed = derive_seed(pair_seed, 0)
     shrinks = [1.0 - math.sqrt(1.0 - eps * eps) for eps in eps_list]
 
-    def take(rows: slice, block: np.ndarray) -> list:
+    def fill(rng: np.random.Generator, count: int) -> tuple[np.ndarray, tuple]:
+        """The block's rows X_0, X_1, |X - X_0 e_1|, then its two-frames."""
+        block = _rotation_rows(rng, spec, count)
+        return block, _rotation_frames(rng, block[0], block[2], n)
+
+    def take(rows: slice, drawn: tuple[np.ndarray, tuple]) -> list:
         """D, DW, D^2, |D|^3, D^4, |D|^6 summed for each angle, then W, W^2, X_1^2."""
-        x0, x1, r_perp = block
-        rng = np.random.default_rng(block_seed(frame_seed, rows.start // BLOCK_ROWS))
-        q1_0, s1, q2_0, s2 = _rotation_frames(rng, x0, r_perp, n)
+        (x0, x1, _), (q1_0, s1, q2_0, s2) = drawn
         rotational = q1_0 * s2 - q2_0 * s1
         radial = q1_0 * s1 + q2_0 * s2
         sums = []
@@ -497,8 +486,7 @@ def rotation_pair_diagnostics(
             ]
         return [*sums, x0.sum(), (x0 * x0).sum(), (x1 * x1).sum()]
 
-    sums = np.sum(_map_blocks(lambda rng, count: _rotation_rows(rng, spec, count),
-                              _block_seeds(N, seed), take, workers), axis=0)
+    sums = np.sum(_map_blocks(fill, _block_seeds(N, seed), take, workers), axis=0)
     means = (sums / N).tolist()
     w_mean, w_sq_mean, x2_sq_mean = means[-3:]
 

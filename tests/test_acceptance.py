@@ -220,8 +220,7 @@ def test_criterion_05_reflection_pair_linearity():
             random_theta = rng.standard_normal(n)
             random_theta /= np.linalg.norm(random_theta)
             diags = reflection_pair_diagnostics(
-                spec, (e1_analog, np.full(n, n**-0.5), random_theta),
-                n_samples, sample_seed, pair_seed=seed + n + 4,
+                spec, (e1_analog, np.full(n, n**-0.5), random_theta), n_samples, sample_seed
             )
             for diag in diags:
                 ratio = diag.slope * n / 2.0
@@ -302,7 +301,7 @@ def test_criterion_07_spherically_symmetric_family():
 def test_criterion_08_infinitesimal_rotation_limits():
     eps_list = [0.2, 0.1, 0.05]
     diags = rotation_pair_diagnostics(
-        DistributionSpec(Kind.SPHERE_SHELL, 50), eps_list, 10**6, 80_000, pair_seed=80_001
+        DistributionSpec(Kind.SPHERE_SHELL, 50), eps_list, 10**6, 80_000
     )
     ok = True
     for d in diags:

@@ -643,6 +643,22 @@ class TestCliSample:
         name = "simplex_n3_N500_seed11.bin"
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_exponents_write_their_own_files(self, tmp_path):
+        # an lp kind's stem names its p, so one out directory keeps every exponent
+        out = tmp_path / "out"
+        for p in (1.0, 4.0, "inf"):
+            cfg = write_config(tmp_path, "sample.json", {
+                "command": "sample", "distribution": {"kind": "lp_ball", "p": p, "n": 5},
+                "N": 100, "seed": 0,
+            })
+            assert main(["sample", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        stems = [f"lp_ball_n5_p{p}_N100_seed0" for p in ("1.0", "4.0", "inf")]
+        assert sorted(path.name for path in out.iterdir()) == sorted(
+            stem + suffix for stem in stems for suffix in (".bin", ".json"))
+        for stem, p in zip(stems, (1.0, 4.0, "inf")):
+            assert json.loads((out / f"{stem}.json").read_text())["spec"]["p"] == p
+        assert len({(out / f"{stem}.bin").read_bytes() for stem in stems}) == 3
+
     def test_invalid_n_exits_2(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -1325,6 +1341,24 @@ class TestCliScanAnk:
             EXIT_CONFIG_ERROR
         )
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_surface_law_exits_2_before_any_draw(self, tmp_path, monkeypatch, capsys, k):
+        # no projection applies the lp surface weights: an unweighted scan
+        # would report the cone measure under the surface law's name
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("estimated the surface law from unweighted draws")
+
+        monkeypatch.setattr("cltbounds.subspaces.estimate_Ank", no_estimate)
+        cfg = write_config(tmp_path, "ank.json", {
+            "command": "scan-ank", **_SMALL_SCAN, "distribution": {"kind": "lp_surface", "p": 4.0},
+            "k": k,
+        })
+        assert main(["scan-ank", "--config", cfg, "--out", str(tmp_path / "out")]) == (
+            EXIT_CONFIG_ERROR
+        )
+        assert not (tmp_path / "out").exists()
+        assert "lp_surface" in capsys.readouterr().err
 
     def test_cube_lines_need_no_samples(self, tmp_path):
         # at k = 1 the cube's lines are evaluated exactly, so N is not read

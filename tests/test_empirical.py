@@ -504,7 +504,7 @@ class TestNothingSortsAProjection:
                                       DistributionSpec(Kind.SIMPLEX, 6)], ids=["cube", "simplex"])
     def test_reflection_pair(self, spec):
         thetas = [np.eye(6)[0], np.full(6, 6**-0.5)]
-        reflection_pair_diagnostics(spec, thetas, 20_000, 24, pair_seed=25)
+        reflection_pair_diagnostics(spec, thetas, 20_000, 24)
 
     def test_conditional_second_moment(self):
         conditional_second_moment(sample(DistributionSpec(Kind.SPHERE_SHELL, 6), 10**5, 26))

@@ -609,13 +609,15 @@ class TestFrameBlocks:
                 geometry.vertices[heads] - geometry.vertices[tails])
         else:
             frame = np.eye(n)
-        index = np.random.default_rng(83).integers(0, len(frame), n_samples).astype(np.uint8)
+        index = np.empty(n_samples, dtype=np.int64)
         got = np.empty((n_samples, 4))
 
-        def take(rows, block):
+        def take(rows, drawn, block):
+            index[rows] = drawn
             got[rows] = block
 
-        map_frame_blocks(spec, directions, index, seed, take, workers=2)
+        map_frame_blocks(spec, directions, n_samples, seed, take, workers=2)
+        assert set(np.unique(index)) == set(range(len(frame)))  # every frame vector is drawn
         rows = sample(spec, n_samples, seed).data
         expected = np.column_stack([rows @ directions, np.einsum("ij,ij->i", rows, frame[index])])
         error = np.abs(got - expected).max(axis=1) / np.linalg.norm(rows, axis=1)

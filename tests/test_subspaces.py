@@ -22,7 +22,7 @@ from cltbounds.empirical import (
 )
 from cltbounds.exact import DistributionSpec, Kind, exact_kolmogorov
 from cltbounds.frames import simplex_geometry
-from cltbounds.samplers import BLOCK_ROWS, CHUNK_ROWS, derive_seed, sample
+from cltbounds.samplers import BLOCK_ROWS, CHUNK_ROWS, block_seed, derive_seed, sample
 from cltbounds.subspaces import (
     DIRECTION_CHUNK,
     LABEL_DIRECTIONS,
@@ -52,6 +52,16 @@ def cube(n):
 
 def no_sampling(*args, **kwargs):
     raise AssertionError("sampled before the law was checked")
+
+
+def frame_indices(m, n_samples, seed):
+    """The reflection pair's frame indices of an n_samples-row draw with
+    seed: block b's come from its Generator jumped ahead."""
+    return np.concatenate([
+        np.random.Generator(np.random.default_rng(block_seed(seed, b)).bit_generator.jumped())
+        .integers(0, m, min(BLOCK_ROWS, n_samples - lo))
+        for b, lo in enumerate(range(0, n_samples, BLOCK_ROWS))
+    ])
 
 
 def pair_diagnostics_of(w, diff):
@@ -167,7 +177,7 @@ class TestReflectionPair:
         n, n_samples = 10, 10**6
         theta = np.full(n, n**-0.5)
         [diag] = reflection_pair_diagnostics(
-            cube(n), [theta], n_samples, 10, pair_seed=11
+            cube(n), [theta], n_samples, 10
         )
         ratio = diag.slope * n / 2.0
         ratio_se = diag.slope_se * n / 2.0
@@ -178,7 +188,7 @@ class TestReflectionPair:
         theta = np.zeros(n)
         theta[0] = 1.0
         [diag] = reflection_pair_diagnostics(
-            cube(n), [theta], n_samples, 12, pair_seed=13
+            cube(n), [theta], n_samples, 12
         )
         d_se = math.sqrt(4.0 / n / n_samples)  # sd(W - W') ~ 2/sqrt(n)
         assert abs(diag.intercept) <= 4 * d_se
@@ -187,7 +197,7 @@ class TestReflectionPair:
         n, n_samples = 10, 10**6
         theta = np.full(n, n**-0.5)
         [diag] = reflection_pair_diagnostics(
-            cube(n), [theta], n_samples, 14, pair_seed=15
+            cube(n), [theta], n_samples, 14
         )
         # E|W-W'|^3 = (8/m) sum |theta_i|^3 E|X_i|^3 with equality for
         # exchangeable symmetric coordinates: 8 E|X|^3 n^(-1/2) / n here
@@ -200,7 +210,7 @@ class TestReflectionPair:
         geom = simplex_geometry(n)
         theta = geom.vertices[0]
         [diag] = reflection_pair_diagnostics(
-            DistributionSpec(Kind.SIMPLEX, n), [theta], n_samples, 16, pair_seed=17
+            DistributionSpec(Kind.SIMPLEX, n), [theta], n_samples, 16
         )
         ratio = diag.slope * n / 2.0
         assert abs(ratio - 1.0) <= 3 * diag.slope_se * n / 2.0
@@ -209,7 +219,7 @@ class TestReflectionPair:
         n = 6
         theta = np.full(n, n**-0.5)
         [diag] = reflection_pair_diagnostics(
-            cube(n), [theta], 10**5, 18, pair_seed=19
+            cube(n), [theta], 10**5, 18
         )
         # condition-on-X proxy (16/m^2) S - 16/n^2 with S = sum qq E[X^2 X^2]
         # = 1 + (EX^4 - 1) sum theta^4, so radicand = 0.8/n
@@ -225,10 +235,10 @@ class TestReflectionPair:
         ramp = np.arange(1.0, n + 1)
         thetas = [np.eye(n)[0], np.full(n, n**-0.5), ramp / np.linalg.norm(ramp)]
         together = reflection_pair_diagnostics(
-            spec, thetas, 70_000, 38, pair_seed=39
+            spec, thetas, 70_000, 38
         )
         alone = [
-            reflection_pair_diagnostics(spec, [t], 70_000, 38, pair_seed=39)[0]
+            reflection_pair_diagnostics(spec, [t], 70_000, 38)[0]
             for t in thetas
         ]
         assert together == alone
@@ -236,15 +246,13 @@ class TestReflectionPair:
     @pytest.mark.parametrize("n", [5, 20])
     def test_simplex_equals_the_edge_frame_reference(self, n):
         # the vertex path against the drawn rows of the built edge frame,
-        # on the same rows and the same index stream
+        # on the same rows and the same block-by-block index streams
         geom = simplex_geometry(n)
         spec = DistributionSpec(Kind.SIMPLEX, n)
         thetas = [geom.vertices[0], np.full(n, n**-0.5), haar_orthogonal(n, 60)[0]]
-        n_samples, seed, pair_seed = BLOCK_ROWS + 4321, 61, 62  # a partial last block
-        diags = reflection_pair_diagnostics(spec, thetas, n_samples, seed, pair_seed)
-        rng = np.random.default_rng(pair_seed)
-        index = np.concatenate([rng.integers(0, geom.m, min(BLOCK_ROWS, n_samples - lo))
-                                for lo in range(0, n_samples, BLOCK_ROWS)])
+        n_samples, seed = BLOCK_ROWS + 4321, 61  # a partial last block
+        diags = reflection_pair_diagnostics(spec, thetas, n_samples, seed)
+        index = frame_indices(geom.m, n_samples, seed)
         rows = sample(spec, n_samples, seed).data
         frame_rows = geom.edge_frame.vectors[index]
         coeff = np.einsum("ij,ij->i", rows, frame_rows)
@@ -258,18 +266,18 @@ class TestReflectionPair:
         # theta's var_conditional is NaN, and the other theta's is unchanged
         draw = subspaces.map_frame_blocks
 
-        def nan_w_in_first_block(spec, thetas, index, seed, take, workers=1):
-            def poisoned(rows, block):
+        def nan_w_in_first_block(spec, thetas, N, seed, take, workers=1):
+            def poisoned(rows, index, block):
                 if rows.start == 0:
                     block[5, 0] = np.nan  # W of the first theta; X_(I) stays finite
-                return take(rows, block)
+                return take(rows, index, block)
 
-            return draw(spec, thetas, index, seed, poisoned, workers)
+            return draw(spec, thetas, N, seed, poisoned, workers)
 
         spec, thetas = cube(4), [np.eye(4)[0], np.full(4, 0.5)]
-        clean = reflection_pair_diagnostics(spec, thetas, 20_000, 26, pair_seed=27)
+        clean = reflection_pair_diagnostics(spec, thetas, 20_000, 26)
         monkeypatch.setattr(subspaces, "map_frame_blocks", nan_w_in_first_block)
-        dirty = reflection_pair_diagnostics(spec, thetas, 20_000, 26, pair_seed=27)
+        dirty = reflection_pair_diagnostics(spec, thetas, 20_000, 26)
         assert math.isnan(dirty[0].var_conditional)
         assert dirty[1] == clean[1]
 
@@ -277,11 +285,11 @@ class TestReflectionPair:
         # the cube's W = X_1 lies in [-sqrt 3, sqrt 3], inside the normal's
         # 1/B and (B - 1)/B quantiles (B = 28 at N = 2e4): the outer bins stay
         # empty and var_conditional weighs the occupied ones alone
-        n, n_samples, seed, pair_seed = 4, 20_000, 26, 27
+        n, n_samples, seed = 4, 20_000, 26
         theta = np.eye(n)[0]
-        [diag] = reflection_pair_diagnostics(cube(n), [theta], n_samples, seed, pair_seed)
+        [diag] = reflection_pair_diagnostics(cube(n), [theta], n_samples, seed)
         rows = sample(cube(n), n_samples, seed).data
-        index = np.random.default_rng(pair_seed).integers(0, n, n_samples)  # one block
+        index = frame_indices(n, n_samples, seed)  # one block
         assert np.abs(rows[:, 0]).max() < stats.norm.ppf(27 / 28)
         coeff = rows[np.arange(n_samples), index]
         expected = pair_diagnostics_of(rows[:, 0], 2.0 * coeff * theta[index])
@@ -314,8 +322,7 @@ class TestReflectionPair:
         monkeypatch.setattr("cltbounds.subspaces.map_frame_blocks", no_sampling)
         with pytest.raises(SymmetryError):
             reflection_pair_diagnostics(
-                DistributionSpec(Kind.LP_SURFACE, 4, p=3.0), [np.eye(4)[0]], 1000, 20,
-                pair_seed=21,
+                DistributionSpec(Kind.LP_SURFACE, 4, p=3.0), [np.eye(4)[0]], 1000, 20
             )
 
     @pytest.mark.parametrize(
@@ -335,13 +342,13 @@ class TestReflectionPair:
         n = 4
         assert reflection_frame(kind) == frame
         [diag] = reflection_pair_diagnostics(
-            DistributionSpec(kind, n, p=p), [np.eye(n)[0]], 1000, 20, pair_seed=21
+            DistributionSpec(kind, n, p=p), [np.eye(n)[0]], 1000, 20
         )
         assert math.isfinite(diag.slope)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            reflection_pair_diagnostics(cube(4), [np.eye(5)[0]], 1000, 22, pair_seed=23)
+            reflection_pair_diagnostics(cube(4), [np.eye(5)[0]], 1000, 22)
 
     def test_never_holds_the_batch(self):
         n, n_samples = 100, 200_000
@@ -349,28 +356,44 @@ class TestReflectionPair:
         tracemalloc.start()
         try:
             reflection_pair_diagnostics(
-                cube(n), thetas, n_samples, 40, pair_seed=41
+                cube(n), thetas, n_samples, 40
             )
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 8 * n_samples * n, f"peak {peak / 1e6:.1f} MB"
 
-    def test_keeps_only_the_index_and_per_block_sums(self):
-        # beside the uint8 index and a few kB of per-block sums and bin
-        # totals, one worker holds a (CHUNK_ROWS, n) chunk, a (BLOCK_ROWS,
-        # T + 1) block and a few block-long temporaries; a kept W per theta
-        # and coefficient would take 32 MB here
+    def test_keeps_only_per_block_sums(self):
+        # beside a few kB of per-block sums and bin totals, one worker holds
+        # a (CHUNK_ROWS, n) chunk, a block of int64 frame indices, a
+        # (BLOCK_ROWS, T + 1) block and a few block-long temporaries; a kept
+        # W per theta and coefficient would take 32 MB here
         n, n_samples = 10, 10**6
         thetas = [np.eye(n)[0], np.full(n, n**-0.5), haar_orthogonal(n, 42)[0]]
-        per_worker = 8 * (CHUNK_ROWS * n + BLOCK_ROWS * (len(thetas) + 1))
+        per_worker = 8 * (CHUNK_ROWS * n + BLOCK_ROWS * (len(thetas) + 2))
         tracemalloc.start()
         try:
-            reflection_pair_diagnostics(cube(n), thetas, n_samples, 40, pair_seed=41)
+            reflection_pair_diagnostics(cube(n), thetas, n_samples, 40)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < n_samples + per_worker + 8e6, f"peak {peak / 1e6:.1f} MB"
+        assert peak < per_worker + 8e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_memory_does_not_grow_with_N(self):
+        # each block draws its own frame indices: no N-long index is held
+        # (an index of one byte per row would add 1.8 MB between these N)
+        n, thetas = 10, [np.full(10, 10**-0.5)]
+        reflection_pair_diagnostics(cube(n), thetas, 1000, 46)  # first-call setup
+        peaks = []
+        for n_samples in (200_000, 2_000_000):
+            tracemalloc.start()
+            try:
+                reflection_pair_diagnostics(cube(n), thetas, n_samples, 46)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # 28 more blocks add their sums and bin totals, a few kB each
+        assert peaks[1] < peaks[0] + 1e6, f"peaks {[p / 1e6 for p in peaks]} MB"
 
 
 SHELL = DistributionSpec(Kind.SPHERE_SHELL, 50)
@@ -384,13 +407,13 @@ def shell_result():
 
 class TestRotationPair:
     def test_ratios_near_one(self):
-        diags = rotation_pair_diagnostics(SHELL, [0.2, 0.05], 4 * 10**5, 24, pair_seed=25)
+        diags = rotation_pair_diagnostics(SHELL, [0.2, 0.05], 4 * 10**5, 24)
         for d in diags:
             assert abs(d.r1 - 1.0) <= max(3 * d.r1_se, 0.05)
             assert abs(d.r2 - 1.0) <= max(3 * d.r2_se, 0.1)
 
     def test_r3_bounded_across_eps(self):
-        diags = rotation_pair_diagnostics(SHELL, [0.1, 0.05], 4 * 10**5, 24, pair_seed=26)
+        diags = rotation_pair_diagnostics(SHELL, [0.1, 0.05], 4 * 10**5, 24)
         assert 0.5 <= diags[0].r3 / diags[1].r3 <= 2.0
 
     def test_rejects_bad_eps(self, monkeypatch):
@@ -399,7 +422,7 @@ class TestRotationPair:
 
         monkeypatch.setattr("cltbounds.subspaces._reduced_spherical_block", no_sampling)
         with pytest.raises(ValueError):
-            rotation_pair_diagnostics(SHELL, [0.6], 4 * 10**5, 24, pair_seed=27)
+            rotation_pair_diagnostics(SHELL, [0.6], 4 * 10**5, 24)
 
     def test_rejects_non_spherical(self, monkeypatch):
         def no_sampling(*args, **kwargs):
@@ -409,14 +432,14 @@ class TestRotationPair:
         for spec in (cube(5), DistributionSpec(Kind.LP_SURFACE, 5, p=2.0),
                      DistributionSpec(Kind.SIMPLEX, 5)):
             with pytest.raises(SymmetryError):
-                rotation_pair_diagnostics(spec, [0.1], 10**4, 28, pair_seed=29)
+                rotation_pair_diagnostics(spec, [0.1], 10**4, 28)
 
     def test_never_holds_the_batch(self):
         n, n_samples = 100, 200_000
         tracemalloc.start()
         try:
             rotation_pair_diagnostics(
-                DistributionSpec(Kind.SPHERE_SHELL, n), [0.2, 0.05], n_samples, 42, pair_seed=43
+                DistributionSpec(Kind.SPHERE_SHELL, n), [0.2, 0.05], n_samples, 42
             )
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -425,13 +448,12 @@ class TestRotationPair:
 
     def test_memory_does_not_grow_with_N(self):
         spec = DistributionSpec(Kind.SPHERE_SHELL, 100)
-        rotation_pair_diagnostics(spec, [0.1], 1000, 46, pair_seed=47)  # first-call setup
+        rotation_pair_diagnostics(spec, [0.1], 1000, 46)  # first-call setup
         peaks = []
         for blocks in (2, 8):
             tracemalloc.start()
             try:
-                rotation_pair_diagnostics(spec, [0.2, 0.05], blocks * BLOCK_ROWS, 46,
-                                          pair_seed=47)
+                rotation_pair_diagnostics(spec, [0.2, 0.05], blocks * BLOCK_ROWS, 46)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -470,10 +492,10 @@ class TestRotationRows:
 def test_pair_diagnostics_reject_nonpositive_count(n_samples):
     with pytest.raises(ValueError):
         reflection_pair_diagnostics(
-            cube(4), [np.eye(4)[0]], n_samples, 44, pair_seed=45
+            cube(4), [np.eye(4)[0]], n_samples, 44
         )
     with pytest.raises(ValueError):
-        rotation_pair_diagnostics(SHELL, [0.1], n_samples, 44, pair_seed=45)
+        rotation_pair_diagnostics(SHELL, [0.1], n_samples, 44)
 
 
 def explicit_rotation_frames(rng, x, draws):
@@ -513,14 +535,14 @@ class TestRotationFrames:
     @pytest.mark.parametrize("n", [2, 3])
     def test_low_dimensions_give_finite_ratios(self, n):
         spec = DistributionSpec(Kind.SPHERE_SHELL, n)
-        for d in rotation_pair_diagnostics(spec, [0.2, 0.05], 10**4, 60 + n, pair_seed=61):
+        for d in rotation_pair_diagnostics(spec, [0.2, 0.05], 10**4, 60 + n):
             values = [d.r1, d.r1_se, d.r2, d.r2_se, d.r3, d.r3_se]
             assert all(math.isfinite(v) for v in values)
 
     def test_same_seed_same_diagnostics(self):
         spec = DistributionSpec(Kind.SPHERE_SHELL, 20)
-        a = rotation_pair_diagnostics(spec, [0.2, 0.1], 10**5, 62, pair_seed=63)
-        b = rotation_pair_diagnostics(spec, [0.2, 0.1], 10**5, 62, pair_seed=63)
+        a = rotation_pair_diagnostics(spec, [0.2, 0.1], 10**5, 62)
+        b = rotation_pair_diagnostics(spec, [0.2, 0.1], 10**5, 62)
         assert a == b
 
 
@@ -576,6 +598,19 @@ class TestEstimateAnk:
             monkeypatch.setattr(f"cltbounds.subspaces.{name}", no_draw)
         with pytest.raises(InsufficientDataError, match=f"at least {KS_MIN_SAMPLES}"):
             estimate_Ank(spec, k=k, eps=0.1, n_subspaces=2, N=KS_MIN_SAMPLES - 1, seed=39)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_surface_law_raises_before_any_draw(self, monkeypatch, k):
+        # its draws are the cone's: without the weights the scan would
+        # measure the cone, so the law is refused
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew the surface law unweighted")
+
+        for name in ("random_subspace", "map_projection_blocks", "sample_projections"):
+            monkeypatch.setattr(f"cltbounds.subspaces.{name}", no_draw)
+        with pytest.raises(SymmetryError, match="lp_surface"):
+            estimate_Ank(DistributionSpec(Kind.LP_SURFACE, 5, p=4.0), k=k, eps=0.1,
+                         n_subspaces=2, N=10_000, seed=39)
 
     def test_label_at_k2(self, shell_result):
         assert shell_result.label == LABEL_DIRECTIONS
@@ -742,17 +777,14 @@ class TestWorkerCount:
         n = 9
         thetas = [np.eye(n)[0], np.full(n, n**-0.5), haar_orthogonal(n, 46)[0]]
         serial, threaded = (
-            reflection_pair_diagnostics(
-                cube(n), thetas, 70_000, 47, pair_seed=48, workers=workers,
-            )
+            reflection_pair_diagnostics(cube(n), thetas, 70_000, 47, workers=workers)
             for workers in (1, 2)
         )
         assert serial == threaded
 
     def test_rotation(self):
         serial, threaded = (
-            rotation_pair_diagnostics(SHELL, [0.2, 0.1, 0.05], 70_000, 49, pair_seed=50,
-                                      workers=workers)
+            rotation_pair_diagnostics(SHELL, [0.2, 0.1, 0.05], 70_000, 49, workers=workers)
             for workers in (1, 2)
         )
         assert serial == threaded
@@ -764,8 +796,7 @@ class TestWorkerCount:
         # N is not a multiple of BLOCK_ROWS: the last block is short
         spec = DistributionSpec(kind, 7)
         one, two, three = (
-            rotation_pair_diagnostics(spec, [0.2, 0.05], 3 * BLOCK_ROWS + 17, 56, pair_seed=57,
-                                      workers=workers)
+            rotation_pair_diagnostics(spec, [0.2, 0.05], 3 * BLOCK_ROWS + 17, 56, workers=workers)
             for workers in (1, 2, 3)
         )
         assert one == two == three
@@ -781,10 +812,8 @@ class TestWorkerCount:
             return (
                 estimate_Ank(spec, k=1, eps=0.05, n_subspaces=6, N=70_000, seed=51,
                              workers=workers).sup_distances.tolist(),
-                reflection_pair_diagnostics(cube(n), thetas, 70_000, 52,
-                                            pair_seed=53, workers=workers),
-                rotation_pair_diagnostics(SHELL, [0.2, 0.1, 0.05], 70_000, 54, pair_seed=55,
-                                          workers=workers),
+                reflection_pair_diagnostics(cube(n), thetas, 70_000, 52, workers=workers),
+                rotation_pair_diagnostics(SHELL, [0.2, 0.1, 0.05], 70_000, 54, workers=workers),
             )
 
         serial = run(1)
