@@ -41,25 +41,27 @@ thetas e1, diagonal and random(42) of criterion 05 on the given spec, in
 the frame of its law), and the tracemalloc peak in MB of a second, traced
 call (``reflection_peak_mb``; the timed call runs untraced): the per-block
 sums and bin totals, plus a chunk, a block of frame indices and a block of
-projections per worker.  For the rotation diagnostics it times the two-frame draws
-(``rotation_frames_s``: ``subspaces._rotation_frames``, one per block, drawn
-after the block's rows from the block's Generator and shared by the three
-angles, as the rotation pass draws them)
-over the reduced sphere-shell rows of the same n and N
-(``subspaces._rotation_rows``, untimed, one block at a time), and the whole
-rotation step (``rotation_total_s``).
+projections per worker, each block read a chunk at a time.  For the rotation
+diagnostics it times the two-frame draws (``rotation_frames_s``:
+``subspaces._rotation_frames``, one per ``CHUNK_ROWS``-row chunk, drawn after
+that chunk's rows from the block's Generator and shared by the three angles,
+as the rotation pass draws them) over the reduced sphere-shell rows of the
+same n and N (``subspaces._rotation_rows``, untimed, one chunk at a time), and
+the whole rotation step (``rotation_total_s``).
 
 ``--mode spherical`` takes a spherically symmetric kind and the spherical
 workload's two thetas (e1 and diagonal): it times the full fill of every
 n-dimensional row and its projection, as above, then the histogram as
 certification streams it: the reduced-law draw of each block of
-projections through ``samplers.map_projection_blocks`` (``reduced_draw_s``,
-the time between two blocks) apart from the block's
-``empirical.add_ks_counts`` into the (2, ``KS_COUNTS``) count table, plus
-``tv_from_counts`` of each row (``hist_s``).  Last it takes the tracemalloc
+projections through ``samplers.map_projection_blocks``, ``CHUNK_ROWS`` rows
+at a time into the block (``reduced_draw_s``, the time between two blocks),
+apart from the block's ``empirical.add_ks_counts`` into the (2,
+``KS_COUNTS``) count table, plus ``tv_from_counts`` of each row
+(``hist_s``).  Last it takes the tracemalloc
 peak in MB of a traced ``certify_grid`` call on the spec and thetas
-(``certify_peak_mb``): its count table, a block of projections and the
-temporaries of one block's counts, never the (2, N) projections.
+(``certify_peak_mb``): its count table, a block of projections, a chunk of
+the reduced draw and the temporaries of one block's counts, never the (2, N)
+projections.
 
 ``--mode startup`` measures what each command pays before its work: the
 wall time of a fresh interpreter that imports ``cltbounds.cli``
@@ -118,6 +120,7 @@ from cltbounds.exact import (
 )
 from cltbounds.samplers import (
     BLOCK_ROWS,
+    CHUNK_ROWS,
     block_seed,
     derive_seed,
     map_projection_blocks,
@@ -277,12 +280,14 @@ def subspace_pass(spec: DistributionSpec, n_samples: int, seed: int) -> dict[str
     shell = DistributionSpec(kind=Kind.SPHERE_SHELL, n=spec.n)
     times["rotation_frames_s"] = 0.0
     for block, lo in enumerate(range(0, n_samples, BLOCK_ROWS)):
-        # each block's frames follow its rows on the block's Generator, as in the pass
+        # each chunk's frames follow its rows on the block's Generator, as in the pass
         rng = np.random.default_rng(block_seed(seed, block))
-        x0, _, r_perp = subspaces._rotation_rows(rng, shell, min(BLOCK_ROWS, n_samples - lo))
-        start = time.perf_counter()
-        subspaces._rotation_frames(rng, x0, r_perp, spec.n)
-        times["rotation_frames_s"] += time.perf_counter() - start
+        count = min(BLOCK_ROWS, n_samples - lo)
+        for m in (min(CHUNK_ROWS, count - at) for at in range(0, count, CHUNK_ROWS)):
+            x0, _, r_perp = subspaces._rotation_rows(rng, shell, m)
+            start = time.perf_counter()
+            subspaces._rotation_frames(rng, x0, r_perp, spec.n)
+            times["rotation_frames_s"] += time.perf_counter() - start
     start = time.perf_counter()
     subspaces.rotation_pair_diagnostics(shell, ANGLES, n_samples, seed, workers=WORKERS)
     times["rotation_total_s"] = time.perf_counter() - start

@@ -10,14 +10,15 @@ does not grow with N, and each estimate is read from a row of counts: the
 Kolmogorov statistic, or on a spherical spec the histogram total
 variation.  Spherically symmetric specs, and the lp ball and cone at p = 2,
 draw the projections from their exact reduced law (r = min(n, T) normals,
-a chi-square and a radius per row) and never fill an n-dimensional row;
-the simplex projects its exponentials before forming the point; the other
-lp specs at finite p project their generalized-Gaussian rows before
-scaling them; every other spec projects its sample rows.  Each of these
-fills goes through the samplers' one chunk driver, which draws and projects
-``CHUNK_ROWS`` rows at a time, so beside its counts and one block of
-projections a worker holds two (CHUNK_ROWS, n) chunks at most, not a block
-of rows.
+a chi-square and a radius per row), ``CHUNK_ROWS`` rows at a time into one
+reused chunk, and never fill an n-dimensional row; the simplex projects its
+exponentials before forming the point; the other lp specs at finite p
+project their generalized-Gaussian rows before scaling them; every other
+spec projects its sample rows.  Each of these other fills goes through the
+samplers' one chunk driver, which draws and projects ``CHUNK_ROWS`` rows at
+a time, so beside its counts and one block of projections a worker holds
+two (CHUNK_ROWS, n) chunks at most, and a spherical spec a (CHUNK_ROWS, r)
+chunk and chunk-long temporaries, never a block of rows.
 
 An lp ball and an lp cone at the same n and the same finite p != 2 are
 one stream (``samplers.stream_groups``): their generalized-Gaussian block

@@ -10,7 +10,8 @@ fixed documented order; ``stream_groups`` says which specs of a grid share
 one stream (the lp ball and cone of one n and finite p != 2).  Every fill
 of n-wide rows goes through one chunk driver, ``_chunked``, which draws a
 block ``CHUNK_ROWS`` rows at a time: rows straight into the block, and rows
-to be projected into one chunk buffer, so beside its (count, k D)
+to be projected into one chunk buffer; the spherical laws' reduced
+projection draw takes the same chunks, so beside its (count, k D)
 projections a fill holds a chunk, not a block.  ``map_projection_blocks``
 hands over each block of projections, and ``map_frame_blocks`` adds to each
 row's projections its reflection-frame coefficient, read from the same chunk,
@@ -334,6 +335,10 @@ def _reduced_spherical_block(
     (0 at r = n, which draws nothing), then the radius: none (R = 1) for the
     sphere shell, random()^(1/n) for the ball, standard_gamma(n)/sqrt(n + 1)
     for the spherical exponential.  Y is written into ``out`` when given.
+    The spherical projection fill (``_filler``) and the rotation pair
+    (``subspaces._rotation_rows``) call it once per ``CHUNK_ROWS``-row chunk
+    of a block, so their block streams are the chunks' draws in turn: m r
+    normals, then m chi-squares, then m radii for a chunk of m rows.
     """
     g = np.empty((count, r)) if out is None else out
     norm_sq = _normals(rng, g)
@@ -499,11 +504,14 @@ def _filler(
       read every coordinate), through ``_scaled``: G chunk by chunk, then
       each row's radius R after the last chunk, the stream of
       ``_reduced_spherical_block`` at r = n.  Its plain projections draw
-      that block's reduced law: for the reduced QR directions = Q Rq, with
-      r = min(n, D) orthonormal columns in Q, the Q^T X of the block times
-      Rq.  At p = 2 the lp ball is the Euclidean ball and the cone and
-      surface measures the sphere (Barthe, Guedon, Mendelson and Naor, Ann.
-      Probab. 2005): they take this fill at their own scale.
+      the reduced law ``CHUNK_ROWS`` rows at a time: for the reduced QR
+      directions = Q Rq, with r = min(n, D) orthonormal columns in Q, each
+      chunk of m rows draws its Q^T X (``_reduced_spherical_block``: m r
+      normals, then m chi-squares, then m radii) into one reused chunk
+      buffer and writes it times Rq into the block.  At p = 2 the lp ball
+      is the Euclidean ball and the cone and surface measures the sphere
+      (Barthe, Guedon, Mendelson and Naor, Ann. Probab. 2005): they take
+      this fill at their own scale.
     * Every other law draws through ``_chunked``, ``CHUNK_ROWS`` rows at a
       time, with one chunk fill (put) that serves its rows and its
       projections alike.  The simplex point is c (E / sum E) @ V, V its
@@ -531,9 +539,10 @@ def _filler(
         rows = _scaled(_normals, n, directions,
                        lambda rng, norm_sq: [_radial(rng, kind, n, scale, norm_sq)])
 
-        # the reduced draw reuses its normals and block (one thread draws them,
-        # in map_projection_blocks): the allocator would map and unmap fresh
-        # 1 MB arrays on every block unless a larger one came first
+        # the reduced draw reuses its chunk of normals and its block (one
+        # thread draws them, in map_projection_blocks): the allocator would
+        # map and unmap a fresh 1 MB block on every block unless a larger one
+        # came first
         y = block = None
 
         def fill(rng, count, index=None):
@@ -541,9 +550,13 @@ def _filler(
             if factor is None or index is not None:
                 return rows(rng, count, index)
             if y is None:
-                y, block = (np.empty((BLOCK_ROWS, k)) for k in factor.shape)
-            _reduced_spherical_block(rng, kind, n, len(factor), scale, count, y[:count])
-            return np.matmul(y[:count], factor, out=block[:count])
+                y = np.empty((CHUNK_ROWS, len(factor)))
+                block = np.empty((BLOCK_ROWS, factor.shape[1]))
+            for lo in range(0, count, CHUNK_ROWS):
+                m = min(CHUNK_ROWS, count - lo)
+                _reduced_spherical_block(rng, kind, n, len(factor), scale, m, y[:m])
+                np.matmul(y[:m], factor, out=block[lo : lo + m])
+            return block[:count]
 
         return fill
 
@@ -651,8 +664,9 @@ def map_projection_blocks(
     that ``_lp_fill`` draws (finite p != 2), which project before they
     scale, give it up to rounding.  A spherical law (and the lp ball, cone
     and surface measure at p = 2) draws its reduced law at
-    r = min(n, D): for D < n a stream other than that of ``sample``, with
-    the same law.
+    r = min(n, D), one ``CHUNK_ROWS``-row chunk of m rows at a time: m r
+    normals, then m chi-squares, then m radii (``_reduced_spherical_block``),
+    for D < n a stream other than that of ``sample``, with the same law.
 
     Given the k specs of one group of ``stream_groups``, the (count, k D)
     projections of all of them from their one stream: columns i D to

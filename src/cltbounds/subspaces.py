@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contract import InsufficientDataError, SymmetryError
-from .core import as_unit_vector, thread_map
+from .core import CHUNK_ROWS, as_unit_vector, thread_map
 from .empirical import (KS_COUNTS, KS_MIN_SAMPLES, add_ks_counts, bin_totals,
                         kolmogorov_from_counts)
 from .exact import D_K, SPHERICAL_KINDS, UNCONDITIONAL_KINDS, Kind, exact_kolmogorov, exact_law
@@ -278,7 +278,8 @@ def _pair_regression(w_mean: float, w_sq_mean: float, d_mean: float, dw_mean: fl
                      dsq_mean: float, N: int) -> tuple[float, float, float]:
     """(slope, intercept, slope standard error) of the least-squares line of
     D = W - W' on W over N pairs, from the sample means of W, W^2, D, D W and
-    D^2: the linearity condition E[D | W] = lambda W of either pair."""
+    D^2: the linearity condition E[D | W] = lambda W of either pair (the
+    rotation pair passes D's radial part, the whole of E[D | X])."""
     w_var = w_sq_mean - w_mean * w_mean
     slope = (dw_mean - d_mean * w_mean) / w_var
     resid_var = max((dsq_mean - d_mean * d_mean) - slope * slope * w_var, 0.0)
@@ -322,12 +323,13 @@ def reflection_pair_diagnostics(
 
     Checks run before any draw.  One pass of ``samplers.map_frame_blocks``,
     on ``workers`` threads, draws each row's I, W per theta and coefficient
-    X_(I), ``CHUNK_ROWS`` rows at a time; each block returns the sums of W,
-    W^2, D, D W, D^2 and |D|^3, the max of |D|, D = W - W' = 2 X_(I) theta_(I),
-    and the ``empirical.bin_totals`` of D^2 over W, added in block order, so
-    the results do not depend on ``workers``.  Memory: per block a few kB of
-    sums and totals, and per worker a chunk, a block of indices and a
-    (BLOCK_ROWS, T + 1) block: nothing N-long, no sort.
+    X_(I), ``CHUNK_ROWS`` rows at a time; each block, read a chunk at a
+    time, returns the sums of W, W^2, D, D W, D^2 and |D|^3, the max of |D|,
+    D = W - W' = 2 X_(I) theta_(I), and the ``empirical.bin_totals`` of D^2
+    over W, added in block order, so the results do not depend on
+    ``workers``.  Memory: per block a few kB of sums and totals, and per
+    worker a block of indices, a (BLOCK_ROWS, T + 1) block and a chunk with
+    its chunk-long temporaries: nothing N-long, no sort.
     """
     simplex = reflection_frame(spec.kind) == LABEL_SIMPLEX_EDGES
     _require_two_samples(N)
@@ -337,22 +339,24 @@ def reflection_pair_diagnostics(
         edge_scale = math.sqrt(n / (2.0 * (n + 1)))
         vertex_t = [simplex_projections(theta) for theta in thetas]
 
-    def take(rows: slice, index: np.ndarray, block: np.ndarray) -> tuple[list, list]:
-        """Per theta: the sums of W, W^2, D, D W, D^2, |D|^3, then max |D|; D^2's bin totals."""
-        if simplex:
-            heads, tails = simplex_edges(index, n)
-        sums, binned = [], []
-        for t in range(len(thetas)):
-            w_t = block[:, t]
-            theta_at = (edge_scale * (vertex_t[t][heads] - vertex_t[t][tails]) if simplex
-                        else thetas[t][index])  # theta_(I) of each row
-            d = 2.0 * block[:, -1] * theta_at
-            d_sq, d_abs = d * d, np.abs(d)
-            sums.append([
-                w_t.sum(), (w_t * w_t).sum(), d.sum(), (d * w_t).sum(), d_sq.sum(),
-                (d_abs**3).sum(), d_abs.max(),
-            ])
-            binned.append(bin_totals(w_t, d_sq, N))
+    def take(rows: slice, index: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, list]:
+        """Per theta: the sums of W, W^2, D, D W, D^2, |D|^3, then max |D|; D^2's
+        bin totals: each chunk's sums and totals added, the largest |D| kept."""
+        sums, binned = np.zeros((len(thetas), 7)), [0.0] * len(thetas)
+        for lo in range(0, len(block), CHUNK_ROWS):
+            chunk, at = block[lo : lo + CHUNK_ROWS], index[lo : lo + CHUNK_ROWS]
+            if simplex:
+                heads, tails = simplex_edges(at, n)
+            twice = 2.0 * chunk[:, -1]
+            for t in range(len(thetas)):
+                w_t = chunk[:, t]
+                theta_at = (edge_scale * (vertex_t[t][heads] - vertex_t[t][tails]) if simplex
+                            else thetas[t][at])  # theta_(I) of each row
+                d = twice * theta_at
+                d_sq, d_abs = d * d, np.abs(d)
+                sums[t, :6] += [w_t.sum(), w_t @ w_t, d.sum(), d @ w_t, d_sq.sum(), d_sq @ d_abs]
+                sums[t, 6] = np.maximum(sums[t, 6], d_abs.max())  # NaN if a D is
+                binned[t] += bin_totals(w_t, d_sq, N)
         return sums, binned
 
     sums, binned = zip(*map_frame_blocks(spec, np.column_stack(thetas), N, seed, take, workers))
@@ -379,8 +383,9 @@ def reflection_pair_diagnostics(
 class RotationDiagnostics:
     """Small-angle rotation-pair ratios at one angle parameter eps.
 
-    r1 -> 1 (linearity), r2 -> 1 (conditional second moment), r3 bounded
-    (third moment scales like eps^3)."""
+    r1 -> 1 (linearity, read from the radial part of D), r2 -> 1
+    (conditional second moment), r3 bounded (third moment scales like
+    eps^3)."""
 
     eps: float
     r1: float
@@ -438,21 +443,31 @@ def rotation_pair_diagnostics(
 
     Each of N draws X of spec gets a fresh Haar two-frame (q1, q2), shared
     by every eps, and W_eps = <R X, e_1> for the rotation R by angle
-    arcsin(eps) in that plane.  Only X_0 = W, X_1 and |X - X_0 e_1| enter,
-    so no n-dimensional row is formed: each block of the N-row draw with
+    arcsin(eps) in that plane, so D = W - W_eps = -eps rot + (1 - sqrt(1 -
+    eps^2)) rad, with rot = q1_0 s2 - q2_0 s1 and rad = q1_0 s1 + q2_0 s2,
+    s_i = <q_i, X>.  Swapping q1 and q2 leaves the two-frame's law unchanged,
+    negates rot and keeps rad, so E[rot | X] = 0 and E[D | X] is the
+    radial part's: r1 and r1_se regress (1 - sqrt(1 - eps^2)) rad alone on
+    W, which leaves out the rotational noise (its standard error would grow
+    like 1/eps), and the exact limit of r1 is 2 (1 - sqrt(1 - eps^2)) / eps^2.
+    r2 and r3 read the full D.
+
+    Only X_0 = W, X_1 and |X - X_0 e_1| enter, so no n-dimensional row is
+    formed: each ``CHUNK_ROWS``-row chunk of a block of the N-row draw with
     ``seed`` takes them from the reduced spherical law (``_rotation_rows``),
-    and the two-frame's first coordinates and projections of X from their
+    then the two-frame's first coordinates and projections of X from their
     exact law under Gram-Schmidt on two Gaussian vectors, five normals and
-    two chi-squares per row (``_rotation_frames``), drawn after the block's
-    rows from the same Generator.  Sharing the frames correlates the angles'
+    two chi-squares per row (``_rotation_frames``), from the block's
+    Generator, chunk after chunk.  Sharing the frames correlates the angles'
     estimates; each angle's standard errors hold for that angle alone.
 
     Checks run before any draw.  One pass over the blocks, on ``workers``
-    threads, in which each block returns the sums of D = W - W_eps, D W,
-    D^2, |D|^3, D^4 and |D|^6 for every angle, and of W, W^2 and X_1^2;
-    each block's sums depend only on its seed and are added in block
-    order, so the results do not depend on ``workers``.  Memory: per block
-    a few hundred bytes of sums, and a few block-sized arrays per worker.
+    threads, in which each block returns the sums of D^2, |D|^3, D^4 and
+    |D|^6 for every angle, and of W, W^2, X_1^2, rad, rad W and rad^2, its
+    chunks' sums added in turn; each block's sums depend only on its seed
+    and are added in block order, so the results do not depend on
+    ``workers``.  Memory: per block a few hundred bytes of sums, and per
+    worker a few dozen chunk-long arrays.
     """
     if spec.kind not in SPHERICAL_KINDS:
         raise SymmetryError(f"the rotation pair needs a spherical law, got {spec.kind.value}")
@@ -465,14 +480,12 @@ def rotation_pair_diagnostics(
     n = spec.n
     shrinks = [1.0 - math.sqrt(1.0 - eps * eps) for eps in eps_list]
 
-    def fill(rng: np.random.Generator, count: int) -> tuple[np.ndarray, tuple]:
-        """The block's rows X_0, X_1, |X - X_0 e_1|, then its two-frames."""
-        block = _rotation_rows(rng, spec, count)
-        return block, _rotation_frames(rng, block[0], block[2], n)
-
-    def take(rows: slice, drawn: tuple[np.ndarray, tuple]) -> list:
-        """D, DW, D^2, |D|^3, D^4, |D|^6 summed for each angle, then W, W^2, X_1^2."""
-        (x0, x1, _), (q1_0, s1, q2_0, s2) = drawn
+    def chunk_sums(rng: np.random.Generator, count: int) -> np.ndarray:
+        """A chunk's rows X_0, X_1, |X - X_0 e_1|, then its two-frames; D^2,
+        |D|^3, D^4, |D|^6 summed for each angle, then W, W^2, X_1^2, rad,
+        rad W and rad^2."""
+        x0, x1, r_perp = _rotation_rows(rng, spec, count)
+        q1_0, s1, q2_0, s2 = _rotation_frames(rng, x0, r_perp, n)
         rotational = q1_0 * s2 - q2_0 * s1
         radial = q1_0 * s1 + q2_0 * s2
         sums = []
@@ -480,20 +493,25 @@ def rotation_pair_diagnostics(
             d = -eps * rotational + shrink * radial
             d_sq = d * d
             a_cube = np.abs(d) * d_sq
-            sums += [
-                d.sum(), (d * x0).sum(), d_sq.sum(), a_cube.sum(), (d_sq * d_sq).sum(),
-                (a_cube * a_cube).sum(),
-            ]
-        return [*sums, x0.sum(), (x0 * x0).sum(), (x1 * x1).sum()]
+            sums += [d_sq.sum(), a_cube.sum(), (d_sq * d_sq).sum(), (a_cube * a_cube).sum()]
+        return np.array([*sums, x0.sum(), (x0 * x0).sum(), (x1 * x1).sum(), radial.sum(),
+                         (radial * x0).sum(), (radial * radial).sum()])
 
-    sums = np.sum(_map_blocks(fill, _block_seeds(N, seed), take, workers), axis=0)
+    def block_sums(rng: np.random.Generator, count: int) -> np.ndarray:
+        return sum(chunk_sums(rng, min(CHUNK_ROWS, count - lo))
+                   for lo in range(0, count, CHUNK_ROWS))
+
+    sums = np.sum(_map_blocks(block_sums, _block_seeds(N, seed), lambda rows, sums: sums,
+                              workers), axis=0)
     means = (sums / N).tolist()
-    w_mean, w_sq_mean, x2_sq_mean = means[-3:]
+    w_mean, w_sq_mean, x2_sq_mean, rad_mean, rad_w_mean, rad_sq_mean = means[-6:]
 
     def diagnose(i: int) -> RotationDiagnostics:
-        eps = eps_list[i]
-        d_mean, dw_mean, dsq_mean, a3_mean, d4_mean, a6_mean = means[6 * i : 6 * i + 6]
-        slope, _, slope_se = _pair_regression(w_mean, w_sq_mean, d_mean, dw_mean, dsq_mean, N)
+        eps, shrink = eps_list[i], shrinks[i]
+        dsq_mean, a3_mean, d4_mean, a6_mean = means[4 * i : 4 * i + 4]
+        # shrink rad, not D: the rotational part adds noise and no mean
+        slope, _, slope_se = _pair_regression(w_mean, w_sq_mean, shrink * rad_mean,
+                                              shrink * rad_w_mean, shrink**2 * rad_sq_mean, N)
         unit = eps * eps / n
         r1, r1_se = slope / unit, slope_se / unit
         r2_denom = 2.0 * unit * x2_sq_mean

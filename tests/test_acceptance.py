@@ -20,6 +20,7 @@ from cltbounds.bounds import (
     VARIANT_STD_DEV,
 )
 from cltbounds.certify import certify_grid
+from cltbounds.core import CHUNK_ROWS
 from cltbounds.empirical import (
     conditional_second_moment,
     project,
@@ -112,14 +113,30 @@ def _multi_indices(n_coords: int, max_total: int):
 
 def _simplex_moment_scan(n: int, n_samples: int, seed: int):
     """Blockwise sample means (and standard errors) of every embedded-coordinate
-    moment with total degree <= 4, plus the three edge pair-moment classes."""
+    moment with total degree <= 4, plus the three edge pair-moment classes.
+
+    Every monomial of degree <= 4 is a product a b of two monomials of degree
+    <= 2, with 1 among them: with Z holding those per row, Z^T Z holds every
+    sum and (Z o Z)^T (Z o Z) every sum of squares, as (a b)^2 = a^2 b^2."""
     geom = simplex_geometry(n)
     back = math.sqrt(n / (n + 1))
     shift = math.sqrt((n + 2) / (n + 1))
     indices = _multi_indices(n + 1, 4)
-    sparse = [tuple(zip(*[(c, p) for c, p in enumerate(r) if p > 0])) for r in indices]
-    sums = np.zeros(len(indices))
-    sumsq = np.zeros(len(indices))
+
+    def factors(r):  # the coordinates a monomial multiplies, in order: () for 1
+        return sum(((c,) * p for c, p in enumerate(r)), ())
+
+    low = [()] + [factors(r) for r in _multi_indices(n + 1, 2)]
+    # column j of Z is Y1[:, first[j]] * Y1[:, second[j]], Y1 = [1, Y]
+    first = [1 + c[0] if len(c) == 2 else 0 for c in low]
+    second = [1 + c[-1] if c else 0 for c in low]
+    split = {}
+    for a, left in enumerate(low):
+        for b in range(a, len(low)):
+            split.setdefault(tuple(sorted(left + low[b])), (a, b))
+    pick = tuple(np.array(ab) for ab in zip(*(split[factors(r)] for r in indices)))
+    gram = np.zeros((len(low), len(low)))
+    gram_sq = np.zeros((len(low), len(low)))
     pair_defs = {"ov2": ((0, 1), (0, 1)), "ov1": ((0, 1), (1, 2))}
     if n >= 3:
         pair_defs["ov0"] = ((0, 1), (2, 3))
@@ -130,16 +147,15 @@ def _simplex_moment_scan(n: int, n_samples: int, seed: int):
 
     def take(rows, block):
         y = back * (block @ geom.vertices.T) + shift
+        y1 = np.column_stack([np.ones(len(y)), y])
+        for lo in range(0, len(y1), CHUNK_ROWS):  # Z a chunk at a time: 2.6 MB at n = 10
+            chunk = y1[lo : lo + CHUNK_ROWS]
+            z = chunk[:, first]
+            z *= chunk[:, second]
+            gram[...] += z.T @ z
+            z *= z
+            gram_sq[...] += z.T @ z
         cols = np.ascontiguousarray(y.T)
-        powers = [cols]
-        for _ in range(3):
-            powers.append(powers[-1] * cols)
-        for pos, (coords, pows) in enumerate(sparse):
-            prod = powers[pows[0] - 1][coords[0]]
-            for c, p in zip(coords[1:], pows[1:]):
-                prod = prod * powers[p - 1][c]
-            sums[pos] += prod.sum()
-            sumsq[pos] += float(prod @ prod)
         for key, ((i, j), (k, l)) in pair_defs.items():
             prod = 0.25 * (cols[i] - cols[j]) ** 2 * (cols[k] - cols[l]) ** 2
             pair_sums[key] += prod.sum()
@@ -147,8 +163,8 @@ def _simplex_moment_scan(n: int, n_samples: int, seed: int):
 
     map_sample_blocks(spec, n_samples, seed, take)
 
-    means = sums / n_samples
-    ses = np.sqrt(np.maximum(sumsq / n_samples - means**2, 0.0) / n_samples)
+    means = gram[pick] / n_samples
+    ses = np.sqrt(np.maximum(gram_sq[pick] / n_samples - means**2, 0.0) / n_samples)
     pair_stats = {}
     for key, ((i, j), (k, l)) in pair_defs.items():
         m = pair_sums[key] / n_samples

@@ -92,25 +92,27 @@ def write_config(tmp_path, name, payload):
 
 def reduced_law_projections(spec, thetas, n_samples, seed):
     """(T, N) projections of a spherically symmetric spec onto the (n, T)
-    thetas, rebuilt block by block from the documented reduced-law draws:
-    r = min(n, T) normals, 2 standard_gamma((n - r)/2), then the radius."""
+    thetas, rebuilt block by block, CHUNK_ROWS rows at a time, from the
+    documented reduced-law draws of each chunk of m rows: m r normals,
+    r = min(n, T), then m values 2 standard_gamma((n - r)/2), then m radii."""
     n = spec.n
     _, r_factor = np.linalg.qr(thetas)
     r = r_factor.shape[0]
-    blocks = []
+    chunks = []
     for block, lo in enumerate(range(0, n_samples, BLOCK_ROWS)):
         count = min(BLOCK_ROWS, n_samples - lo)
         rng = np.random.default_rng(block_seed(seed, block))
-        g = rng.standard_normal((count, r))
-        chi2 = 2.0 * rng.standard_gamma((n - r) / 2.0, count)
-        radius = np.ones(count)
-        if spec.kind is Kind.BALL_UNIFORM:
-            radius = rng.random(count) ** (1.0 / n)
-        elif spec.kind is Kind.SPHERICAL_EXPONENTIAL:
-            radius = rng.standard_gamma(float(n), count) / math.sqrt(n + 1)
-        u = g / np.sqrt(np.sum(g * g, axis=1) + chi2)[:, None]
-        blocks.append((spec.scale * radius[:, None] * u) @ r_factor)
-    return np.vstack(blocks).T
+        for m in (min(CHUNK_ROWS, count - at) for at in range(0, count, CHUNK_ROWS)):
+            g = rng.standard_normal((m, r))
+            chi2 = 2.0 * rng.standard_gamma((n - r) / 2.0, m)
+            radius = np.ones(m)
+            if spec.kind is Kind.BALL_UNIFORM:
+                radius = rng.random(m) ** (1.0 / n)
+            elif spec.kind is Kind.SPHERICAL_EXPONENTIAL:
+                radius = rng.standard_gamma(float(n), m) / math.sqrt(n + 1)
+            u = g / np.sqrt(np.sum(g * g, axis=1) + chi2)[:, None]
+            chunks.append((spec.scale * radius[:, None] * u) @ r_factor)
+    return np.vstack(chunks).T
 
 
 class TestRouting:
@@ -443,7 +445,7 @@ class TestStreaming:
     )
     def test_streamed_equals_materialized(self, spec):
         # spherically symmetric specs stream their reduced law, which the
-        # per-block reconstruction materializes; other specs project sample()
+        # chunk-by-chunk reconstruction materializes; other specs project sample()
         thetas = ["diagonal", "e1", "random(3)"]
         n_samples, seed = BLOCK_ROWS + 4321, 17  # crosses a block boundary
         reports = certify_grid([spec], thetas, N=n_samples, seed=seed)

@@ -17,6 +17,7 @@ from cltbounds.samplers import (
     derive_seed,
     calibrate_isotropic,
     map_frame_blocks,
+    map_projection_blocks,
     map_sample_blocks,
     sample,
     sample_projections,
@@ -569,19 +570,35 @@ class TestProjectionBlocks:
     )
     def test_p2_lp_laws_take_the_spherical_fill(self, kind, spherical):
         # the l2 ball and cone are the Euclidean ball and sphere: the
-        # spherical law's reduced-law fill at the lp scale gives the same bits
+        # spherical law's reduced-law fill at the lp scale, CHUNK_ROWS rows
+        # at a time, gives the same bits
         lp = DistributionSpec(kind, 9, p=2.0)
         directions = np.random.default_rng(1).standard_normal((9, 4))
         _, r_factor = np.linalg.qr(directions)
         for n_samples, seed in ((BLOCK_ROWS + 300, 73), (5_000, 74)):
-            blocks = []
+            chunks = []
             for block, lo in enumerate(range(0, n_samples, BLOCK_ROWS)):
                 rng = np.random.default_rng(block_seed(seed, block))
                 count = min(BLOCK_ROWS, n_samples - lo)
-                y = _reduced_spherical_block(rng, spherical, 9, 4, lp.scale, count)[0]
-                blocks.append(y @ r_factor)
+                for m in (min(CHUNK_ROWS, count - at) for at in range(0, count, CHUNK_ROWS)):
+                    y = _reduced_spherical_block(rng, spherical, 9, 4, lp.scale, m)[0]
+                    chunks.append(y @ r_factor)
             np.testing.assert_array_equal(sample_projections(lp, directions, n_samples, seed),
-                                          np.vstack(blocks).T)
+                                          np.vstack(chunks).T)
+
+    def test_spherical_pass_holds_a_chunk_of_the_reduced_draw(self):
+        # beside its (BLOCK_ROWS, T) block of projections the reduced draw
+        # holds a chunk of normals and chunk-long temporaries (32 kB each);
+        # block-long normals and temporaries took 4.2 MB here
+        spec, T = DistributionSpec(Kind.SPHERE_SHELL, 100), 2
+        directions = np.column_stack([np.eye(100)[0], np.full(100, 0.1)])
+        tracemalloc.start()
+        try:
+            map_projection_blocks(spec, directions, 10**6, 3, lambda rows, block: None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (BLOCK_ROWS * T + 24 * CHUNK_ROWS), f"peak {peak / 1e6:.2f} MB"
 
 
 FRAME_LAWS = [
