@@ -9,22 +9,23 @@ cltbounds checkout on PYTHONPATH.
         --mode spherical --kind sphere_shell --n 100 --N 1000000 --repeats 5
 
 ``--mode certify`` (the default) makes one streamed pass over the sample
-blocks (``samplers.map_sample_blocks`` at one worker) that times each
-block's fill (the time between two blocks) apart from its projection onto
-the grid's four thetas, and apart from the count pass that certification
-runs on each block of projections, ``empirical.add_ks_counts``, plus
+pieces (``samplers.map_sample_blocks`` at one worker) that times each
+piece's fill (the time between two pieces: a chunk of rows, or a
+spherical law's block) apart from its projection onto the grid's four
+thetas, and apart from the count pass that certification runs on each
+piece of projections, ``empirical.add_ks_counts``, plus
 ``kolmogorov_from_counts`` of each row's counts (``counts_s``).  Before
 that pass it times the projections as certification draws them, one
 ``samplers.map_projection_blocks`` pass on the same spec and thetas that
-keeps no block (``projections_s``), and the tracemalloc peak in MB of a
+keeps no piece (``projections_s``), and the tracemalloc peak in MB of a
 second, traced pass (``projections_peak_mb``; the timed pass runs
 untraced): every fill of n-wide rows, its rows and its projections alike,
-goes through the
-samplers' one chunk driver, ``CHUNK_ROWS`` rows at a time, so that peak
-does not grow with N, and for the simplex, the p = 2 lp laws and
-the lp laws at any other finite p (which project their unscaled
-exponentials or generalized-Gaussian chunks and scale the projections, with
-no row scaling) that pass has its own fill, so it is not
+goes through the samplers' one chunk driver, which hands over each chunk
+of at most ``CHUNK_ROWS`` rows and ``CHUNK_VALUES`` values as it is drawn,
+so that peak grows neither with N nor with n, and for the simplex, the
+p = 2 lp laws and the lp laws at any other finite p (which project their
+unscaled exponentials or generalized-Gaussian chunks and scale the
+projections, with no row scaling) that pass has its own fill, so it is not
 ``fill_s + project_s``.
 
 ``--mode subspace`` times scan-ank at k = 1 the same way: the fill, the
@@ -40,8 +41,8 @@ whole reflection step of ``diagnose`` (``reflection_total_s``: the three
 thetas e1, diagonal and random(42) of criterion 05 on the given spec, in
 the frame of its law), and the tracemalloc peak in MB of a second, traced
 call (``reflection_peak_mb``; the timed call runs untraced): the per-block
-sums and bin totals, plus a chunk, a block of frame indices and a block of
-projections per worker, each block read a chunk at a time.  For the rotation
+sums and bin totals, plus a chunk of rows, its frame indices and its
+projections per worker.  For the rotation
 diagnostics it times the two-frame draws (``rotation_frames_s``:
 ``subspaces._rotation_frames``, one per ``CHUNK_ROWS``-row chunk, drawn after
 that chunk's rows from the block's Generator and shared by the three angles,
@@ -54,7 +55,8 @@ workload's two thetas (e1 and diagonal): it times the full fill of every
 n-dimensional row and its projection, as above, then the histogram as
 certification streams it: the reduced-law draw of each block of
 projections through ``samplers.map_projection_blocks``, ``CHUNK_ROWS`` rows
-at a time into the block (``reduced_draw_s``, the time between two blocks),
+at a time into the block (``reduced_draw_s``, the time between two pieces,
+each a block),
 apart from the block's ``empirical.add_ks_counts`` into the (2,
 ``KS_COUNTS``) count table, plus ``tv_from_counts`` of each row
 (``hist_s``).  Last it takes the tracemalloc
@@ -171,17 +173,17 @@ assert code == 0, code
 def stream(spec: DistributionSpec, n_samples: int, seed: int, directions: np.ndarray,
            times: dict[str, float], prefix: str = "",
            counts: np.ndarray | None = None) -> None:
-    """Projects every sample block onto the (n, D) directions, keeping none;
-    adds the fill time (from the end of one block's projection to the
+    """Projects every sample piece onto the (n, D) directions, keeping none;
+    adds the fill time (from the end of one piece's projection to the
     arrival of the next) and the projection time to ``times``, and, given a
-    (D, KS_COUNTS) table ``counts``, adds each block of projections to it,
+    (D, KS_COUNTS) table ``counts``, adds each piece of projections to it,
     timed as ``counts_s``."""
     mark = [time.perf_counter()]
 
-    def take(rows: slice, block: np.ndarray) -> None:
+    def take(rows: slice, piece: np.ndarray) -> None:
         start = time.perf_counter()
         times[prefix + "fill_s"] += start - mark[0]
-        projected = block @ directions
+        projected = piece @ directions
         mark[0] = time.perf_counter()
         times[prefix + "project_s"] += mark[0] - start
         if counts is not None:
@@ -190,7 +192,7 @@ def stream(spec: DistributionSpec, n_samples: int, seed: int, directions: np.nda
             mark[0] = time.perf_counter()
             times[prefix + "counts_s"] += mark[0] - start
 
-    map_sample_blocks(spec, n_samples, seed, take)  # one worker: blocks in order
+    map_sample_blocks(spec, n_samples, seed, take)  # one worker: pieces in order
 
 
 def read_counts(counts: np.ndarray, times: dict[str, float], key: str) -> None:
@@ -205,11 +207,11 @@ def certify_pass(spec: DistributionSpec, n_samples: int, seed: int) -> dict[str,
     thetas = np.column_stack([resolve_theta(t, spec.n)[0] for t in THETAS])
     times = dict.fromkeys(("fill_s", "project_s", "counts_s"), 0.0)
     start = time.perf_counter()
-    map_projection_blocks(spec, thetas, n_samples, seed, lambda rows, block: None)
+    map_projection_blocks(spec, thetas, n_samples, seed, lambda rows, piece: None)
     times["projections_s"] = time.perf_counter() - start
     tracemalloc.start()  # a second, traced pass: tracing slows every allocation
     try:
-        map_projection_blocks(spec, thetas, n_samples, seed, lambda rows, block: None)
+        map_projection_blocks(spec, thetas, n_samples, seed, lambda rows, piece: None)
         times["projections_peak_mb"] = tracemalloc.get_traced_memory()[1] / 1e6
     finally:
         tracemalloc.stop()

@@ -1,11 +1,11 @@
 """The certification predicate: pair each distribution with its applicable
 theoretical bound, measure the empirical distance, and record a verdict.
 
-Each spec's projections onto the grid's thetas are drawn once, block by
-block, through ``samplers.map_projection_blocks``; neither the (N, n) batch
-nor the (D, N) projections are held.  Each block's projections are added
+Each spec's projections onto the grid's thetas are drawn once, piece by
+piece, through ``samplers.map_projection_blocks``; neither the (N, n) batch
+nor the (D, N) projections are held.  Each piece of projections is added
 to the (D, ``empirical.KS_COUNTS``) counts of the one count grid
-(``empirical.add_ks_counts``) as they are drawn, so what a group holds
+(``empirical.add_ks_counts``) as it is drawn, so what a group holds
 does not grow with N, and each estimate is read from a row of counts: the
 Kolmogorov statistic, or on a spherical spec the histogram total
 variation.  Spherically symmetric specs, and the lp ball and cone at p = 2,
@@ -15,14 +15,16 @@ reused chunk, and never fill an n-dimensional row; the simplex projects its
 exponentials before forming the point; the other lp specs at finite p
 project their generalized-Gaussian rows before scaling them; every other
 spec projects its sample rows.  Each of these other fills goes through the
-samplers' one chunk driver, which draws and projects ``CHUNK_ROWS`` rows at
-a time, so beside its counts and one block of projections a worker holds
-two (CHUNK_ROWS, n) chunks at most, and a spherical spec a (CHUNK_ROWS, r)
-chunk and chunk-long temporaries, never a block of rows.
+samplers' one chunk driver, which draws, projects and hands over one chunk
+at a time, of at most ``CHUNK_ROWS`` rows and ``CHUNK_VALUES`` values in
+its widest row-long array (``core.chunk_rows``), so beside its counts a
+worker holds about two such chunks (1 MB each) whatever n, and a spherical
+spec one block of projections beside a (CHUNK_ROWS, r) chunk and
+chunk-long temporaries, never a block of rows.
 
 An lp ball and an lp cone at the same n and the same finite p != 2 are
-one stream (``samplers.stream_groups``): their generalized-Gaussian block
-is filled and projected once, and both sample with ``derive_seed(seed,
+one stream (``samplers.stream_groups``): each chunk of their
+generalized-Gaussian rows is drawn and projected once, and both sample with ``derive_seed(seed,
 pos)`` at the position of whichever of the two the grid lists first.
 Every other spec samples with the seed of its own position.  The streams are evaluated
 largest n first, and the reports keep the order of the specs.
@@ -262,8 +264,8 @@ def certify_grid(
     projections are those of ``sample_projections(spec, thetas, N, seed)``
     at that seed, so the grid is reproducible regardless of evaluation
     order.  Only their counts on the grid of ``empirical.add_ks_counts``
-    are kept, one (k T, ``KS_COUNTS``) table per group summed block by
-    block, and each row is read by its route's reader: ``tv_from_counts``
+    are kept, one (k T, ``KS_COUNTS``) table per group summed piece by
+    piece, and each row is read by its route's reader: ``tv_from_counts``
     on a spherical spec, else ``kolmogorov_from_counts``.  The groups are
     evaluated largest n first (a stable sort), on a thread pool when
     ``workers > 1``; the reports come back in the order of specs, bit for

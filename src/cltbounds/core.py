@@ -33,13 +33,23 @@ __all__ = [
 
 # rows per block: the sampler substream unit and every blockwise accumulation
 BLOCK_ROWS = 1 << 16
-# rows per chunk of an n-wide fill or gather within a block, a divisor of BLOCK_ROWS
+# rows per chunk of a fill within a block, at most: the piece a sampled pass receives
 CHUNK_ROWS = 1 << 12
 # values per slice of the ziggurat and of the count grid's binning: 256 KB temporaries
 # (slices of 2^16 left a 2-worker grid's peak RSS about 1 MB higher, at the same speed)
 SLICE_VALUES = 1 << 15
+# values of a chunk's widest row-long array, at most (1 MB), so that no chunk grows with n
+CHUNK_VALUES = 4 * SLICE_VALUES
 
 _SQRT2 = math.sqrt(2.0)
+
+
+def chunk_rows(width: int) -> int:
+    """Rows per chunk of a fill whose widest row-long array holds ``width``
+    values: ``CHUNK_ROWS`` up to width 32, then four whole slices of
+    ``SLICE_VALUES // width`` rows, so that the ziggurat slices an n-wide
+    chunk evenly and the chunk holds at most ``CHUNK_VALUES`` values."""
+    return max(1, min(CHUNK_ROWS, CHUNK_VALUES // SLICE_VALUES * (SLICE_VALUES // width)))
 
 
 def thread_map(fn: Callable, items: Iterable, workers: int = 1) -> list:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import KOLMOGOROV, TOTAL_VARIATION
-from .core import SLICE_VALUES, InsufficientDataError, as_unit_vector, normal_cdf_points
+from .core import BLOCK_ROWS, SLICE_VALUES, InsufficientDataError, as_unit_vector, normal_cdf_points
 from .exact import SPHERICAL_KINDS
 from .samplers import SampleBatch, map_projection_blocks
 
@@ -303,25 +303,25 @@ def _quantile_bin_of(bins: int) -> np.ndarray:
 
 
 def streaming_pair_square_covariance(spec, n_samples: int, seed: int) -> tuple[float, float]:
-    """Sample Cov(X_1^2, X_2^2) from the blocks of projections onto e_1 and e_2.
+    """Sample Cov(X_1^2, X_2^2) from the pieces of projections onto e_1 and e_2.
 
     Returns (covariance, standard error); the standard error comes from the
-    spread of per-block covariance estimates.
+    spread of per-block covariance estimates, each from the sums of its
+    block's pieces.
     """
+    sums = np.zeros((-(-n_samples // BLOCK_ROWS), 4))  # per block: rows, sum a, sum b, sum ab
 
-    def take(rows: slice, block: np.ndarray) -> tuple:
-        """(sum a, sum b, sum ab, covariance) of the block."""
-        a = block[:, 0] ** 2
-        b = block[:, 1] ** 2
-        ab = a * b
-        return a.sum(), b.sum(), ab.sum(), float(ab.mean() - a.mean() * b.mean())
+    def take(rows: slice, piece: np.ndarray) -> None:
+        a = piece[:, 0] ** 2
+        b = piece[:, 1] ** 2
+        sums[rows.start // BLOCK_ROWS] += [len(a), a.sum(), b.sum(), a @ b]
 
-    s1, s2, s12, block_covs = zip(*map_projection_blocks(spec, np.eye(spec.n, 2), n_samples,
-                                                         seed, take))
-    cov = sum(s12) / n_samples - (sum(s1) / n_samples) * (sum(s2) / n_samples)
-    if len(block_covs) > 1:
-        spread = np.asarray(block_covs)
-        se = float(spread.std(ddof=1) / math.sqrt(len(spread)))
+    map_projection_blocks(spec, np.eye(spec.n, 2), n_samples, seed, take)
+    count, s1, s2, s12 = sums.T
+    cov = s12.sum() / n_samples - (s1.sum() / n_samples) * (s2.sum() / n_samples)
+    if len(sums) > 1:
+        block_covs = s12 / count - (s1 / count) * (s2 / count)
+        se = float(block_covs.std(ddof=1) / math.sqrt(len(block_covs)))
     else:
         se = 0.0
     return float(cov), se

@@ -6,16 +6,20 @@ fixed blocks of ``BLOCK_ROWS``; block b draws from an independent substream
 seeded with ``seed XOR mix64(b)``, so splitting blocks across workers in
 contiguous ranges reproduces the serial output bit for bit.  One per-law
 block fill, ``_filler``, draws every stream, rows or projections, in a
-fixed documented order; ``stream_groups`` says which specs of a grid share
-one stream (the lp ball and cone of one n and finite p != 2).  Every fill
-of n-wide rows goes through one chunk driver, ``_chunked``, which draws a
-block ``CHUNK_ROWS`` rows at a time: rows straight into the block, and rows
-to be projected into one chunk buffer; the spherical laws' reduced
-projection draw takes the same chunks, so beside its (count, k D)
-projections a fill holds a chunk, not a block.  ``map_projection_blocks``
-hands over each block of projections, and ``map_frame_blocks`` adds to each
-row's projections its reflection-frame coefficient, read from the same chunk,
-at a frame index drawn from the block's Generator jumped ahead.
+fixed documented order, and hands the block over in pieces, in draw order;
+``stream_groups`` says which specs of a grid share one stream (the lp ball
+and cone of one n and finite p != 2).  Every fill of n-wide rows goes
+through one chunk driver, ``_chunked``, which draws a block a chunk at a
+time and hands each chunk of rows, or of their projections, over as it is
+drawn.  A chunk holds at most ``CHUNK_ROWS`` rows and ``CHUNK_VALUES``
+values in its widest row-long array (``core.chunk_rows``), so what a pass
+holds does not grow with n.  The spherical laws hand over a block as one
+piece, as each row's radius is drawn after the block's last chunk; their
+reduced projection draw takes the same chunks, so beside its (count, k D)
+projections it holds a chunk, not a block of rows.  ``map_projection_blocks``
+hands over each piece of projections, and ``map_frame_blocks`` adds to each
+row's projections its reflection-frame coefficient, read from the same
+chunk, at a frame index drawn from the block's Generator jumped ahead.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .core import BLOCK_ROWS, CHUNK_ROWS, SLICE_VALUES, thread_map
+from .core import BLOCK_ROWS, CHUNK_ROWS, SLICE_VALUES, chunk_rows, thread_map
 from .exact import (_LP_KINDS, _PANELS, SPHERICAL_KINDS, DistributionSpec, Kind, _adjacent_floats,
                     _linf_rate, _panel_rule)
 from .frames import simplex_edges, simplex_projections, simplex_vertices
@@ -147,20 +151,24 @@ def _block_seeds(N: int, seed: int) -> Iterator[tuple[int, int, int]]:
 
 
 def _map_blocks(fill, blocks, fn: Callable[[slice, object], object], workers: int = 1) -> list:
-    """[fn(rows, fill(rng, count))], rows = slice(lo, lo + count) and rng the
-    block's Generator, for every (lo, count, seed) of ``_block_seeds``: the
-    one loop over the blocks of every sampled stream.  Each block's Generator
-    is built, and the block filled, on the thread that hands it to fn (the
-    pool takes every job up front on the calling thread, where neighbouring
-    blocks' generator states would share cache lines); the block is freed
-    when fn returns, and at one worker the blocks arrive in order.  fn's
-    values come back in block order at any worker count."""
+    """[fn(rows, piece)] for every piece that fill(rng, count) hands over,
+    in draw order, for every (lo, count, seed) of ``_block_seeds``, rng the
+    block's Generator: the one loop over the blocks of every sampled stream.
+    fill yields (at, piece), at the piece's slice of the block's rows, and
+    rows is that slice of the draw.  Each block's Generator is built, and its
+    pieces drawn, on the thread that hands them to fn (the pool takes every
+    job up front on the calling thread, where neighbouring blocks'
+    generator states would share cache lines); a piece is valid until fn
+    returns, as a fill may draw the next into the same buffer, and at one
+    worker the pieces arrive in order.  fn's values come back in draw order,
+    block by block, at any worker count."""
 
-    def run(job: tuple[int, int, int]):
+    def run(job: tuple[int, int, int]) -> list:
         lo, count, seed = job
-        return fn(slice(lo, lo + count), fill(np.random.default_rng(seed), count))
+        return [fn(slice(lo + at.start, lo + at.stop), piece)
+                for at, piece in fill(np.random.default_rng(seed), count)]
 
-    return thread_map(run, blocks, workers)
+    return [value for values in thread_map(run, blocks, workers) for value in values]
 
 
 # the ziggurat's layers under exp(-t^p)
@@ -320,12 +328,12 @@ def _finish(rng: np.random.Generator, p: float, table, words: np.ndarray, layer:
 def _reduced_spherical_block(
     rng: np.random.Generator, kind: Kind, n: int, r: int, scale: float, count: int,
     out: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(Y, C) for ``count`` draws of the spherical law X = scale R U of kind
-    in R^n, U uniform on the unit sphere and independent of the radius R: the
-    (count, r) coordinates Y = Q^T X along any r <= n orthonormal columns Q
-    (at r = n, Q = I gives the rows), and the squared norm C = |X - Q Y|^2
-    of the rest.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Y, C, F) for ``count`` draws of the spherical law X = scale R U of
+    kind in R^n, U uniform on the unit sphere and independent of the radius
+    R: the (count, r) coordinates Y = Q^T X along any r <= n orthonormal
+    columns Q (at r = n, Q = I gives the rows), and the chi-square C and
+    row factor F with which the rest has squared norm |X - Q Y|^2 = C F^2.
 
     Q^T U has the law of g / sqrt(|g|^2 + chi^2(n - r)), g ~ N(0, I_r)
     independent of the chi-square (Diaconis and Freedman, "A dozen de
@@ -335,9 +343,10 @@ def _reduced_spherical_block(
     (0 at r = n, which draws nothing), then the radius: none (R = 1) for the
     sphere shell, random()^(1/n) for the ball, standard_gamma(n)/sqrt(n + 1)
     for the spherical exponential.  Y is written into ``out`` when given.
-    The spherical projection fill (``_filler``) and the rotation pair
-    (``subspaces._rotation_rows``) call it once per ``CHUNK_ROWS``-row chunk
-    of a block, so their block streams are the chunks' draws in turn: m r
+    The spherical projection fill (``_filler``, ``core.chunk_rows`` rows at a
+    time) and the rotation pair (``subspaces._rotation_rows``, ``CHUNK_ROWS``
+    rows at a time) call it once per chunk of a block, so their block
+    streams are the chunks' draws in turn: m r
     normals, then m chi-squares, then m radii for a chunk of m rows.
     """
     g = np.empty((count, r)) if out is None else out
@@ -346,9 +355,7 @@ def _reduced_spherical_block(
     norm_sq += rest_sq
     radial = _radial(rng, kind, n, scale, norm_sq)
     g *= radial[:, None]
-    radial *= radial
-    rest_sq *= radial
-    return g, rest_sq
+    return g, rest_sq, radial
 
 
 def _normals(rng: np.random.Generator, g: np.ndarray) -> np.ndarray:
@@ -375,95 +382,95 @@ def _coordinates(x: np.ndarray, index: np.ndarray) -> np.ndarray:
     return x[np.arange(len(x)), index]
 
 
-def _chunked(put: Callable[[np.random.Generator, np.ndarray], np.ndarray | None], n: int,
-             directions: np.ndarray | None = None, pick=_coordinates):
-    """Block generator of (count, n) rows, or of their (count, D) projections
-    onto the columns of directions: the one chunk loop of every n-wide fill.
-    put(rng, x) draws each ``CHUNK_ROWS``-row chunk x of rows in place, in
-    turn, into the block or into one chunk buffer projected into the block;
-    a per-row array it returns divides the chunk's columns (the simplex's sums).
+def _frame_columns(x: np.ndarray, vectors: np.ndarray, index: np.ndarray, pick,
+                   out: np.ndarray) -> None:
+    """Write into out each row of x projected onto each of vectors, one
+    matrix-vector product per vector, so that no direction's column depends
+    on another, then each row's frame coefficient pick(x, index)."""
+    for t, vector in enumerate(vectors):
+        np.matmul(x, vector, out=out[:, t])
+    out[:, len(vectors)] = pick(x, index)
 
-    fill(rng, count, index=None, out=None) writes the first columns of out,
-    by default a new array of just those columns.  Given index, the frame
-    indices of the block's rows, the block is (count, D + 1): each
-    projection its own matrix-vector product, so that no direction's column
-    depends on another, then each row's frame coefficient pick(x, index),
-    read from its chunk x.
+
+def _chunked(put: Callable[[np.random.Generator, np.ndarray], np.ndarray | None], n: int,
+             directions: np.ndarray | None = None, pick=_coordinates,
+             finish: Callable[[np.random.Generator, np.ndarray, np.ndarray], None] | None = None,
+             bodies: int = 1):
+    """Block generator of (count, n) rows, or of their (count, D) projections
+    onto the columns of directions, handed over a chunk at a time: the one
+    chunk loop of every n-wide fill.  fill(rng, count, frames=None) yields
+    (at, piece) for each chunk of ``core.chunk_rows`` rows in turn, at its
+    slice of the block, so that no chunk holds more than
+    ``core.CHUNK_VALUES`` values in a row-long array, whatever n.
+    put(rng, x) draws the chunk x of rows in place, into the piece or into
+    one chunk buffer that is projected into it, and returns a per-row
+    statistic (or None) that finish(rng, piece, stat) then applies: the
+    simplex divides by its sums, and an lp fill draws its exponentials and
+    scales its bodies, whose columns stand side by side, the first body's
+    drawn or projected.
+
+    Given frames, the number m of the law's frame vectors, each chunk then
+    draws its rows' frame indices, uniform over them, from the block's
+    Generator jumped ahead (``map_frame_blocks``), a body is D + 1
+    columns (``_frame_columns``, with each row's frame coefficient
+    pick(x, index) read from its chunk x), and the fill yields
+    (at, (index, piece)).  One piece buffer and one chunk buffer serve every
+    chunk of the block: a piece is valid until the next is drawn.
     """
     width = n if directions is None else directions.shape[1]
     vectors = None if directions is None else np.ascontiguousarray(directions.T)
 
-    def fill(rng, count, index=None, out=None):
-        columns = width + (index is not None)
-        out = np.empty((count, columns)) if out is None else out
-        chunk = None if directions is None else np.empty((min(CHUNK_ROWS, count), n))
-        for lo in range(0, count, CHUNK_ROWS):
-            rows = out[lo : lo + CHUNK_ROWS, :columns]
-            x = rows if chunk is None else chunk[: len(rows)]
-            divisor = put(rng, x)
-            if index is not None:
-                for t, vector in enumerate(vectors):
-                    np.matmul(x, vector, out=rows[:, t])
-                rows[:, width] = pick(x, index[lo : lo + len(x)])
+    def fill(rng, count, frames=None):
+        columns = width + (frames is not None)
+        jumped = None if frames is None else np.random.Generator(rng.bit_generator.jumped())
+        step = chunk_rows(max(n, bodies * columns))
+        pieces = np.empty((min(step, count), bodies * columns))
+        chunk = None if directions is None else np.empty((len(pieces), n))
+        for lo in range(0, count, step):
+            piece = pieces[: min(step, count - lo)]
+            x = piece[:, :columns] if chunk is None else chunk[: len(piece)]
+            stat = put(rng, x)
+            if jumped is not None:
+                index = jumped.integers(0, frames, len(x))
+                _frame_columns(x, vectors, index, pick, piece)
             elif chunk is not None:
-                np.matmul(x, directions, out=rows)
-            if divisor is not None:
-                rows /= divisor[:, None]
-        return out
-
-    return fill
-
-
-def _scaled(put: Callable[[np.random.Generator, np.ndarray], np.ndarray], n: int,
-            directions: np.ndarray | None, factors, bodies: int = 1):
-    """Block generator of a law whose rows are unscaled draws G times a
-    per-row factor: put(rng, g) draws each chunk of G and returns a per-row
-    statistic of it, and after the last chunk factors(rng, stats) returns
-    each body's (count,) row factors, in order.  ``_chunked`` draws G, or
-    its projections and frame coefficients, into the first body's columns
-    of the block, and each body's columns are scaled once, side by side."""
-    width = n if directions is None else directions.shape[1]
-
-    def fill(rng, count, index=None):
-        stats = []
-        columns = width + (index is not None)
-        out = np.empty((count, bodies * columns))
-        _chunked(lambda rng, g: stats.append(put(rng, g)), n, directions)(rng, count, index, out)
-        unscaled = out[:, :columns]
-        for i, factor in reversed(list(enumerate(factors(rng, np.concatenate(stats))))):
-            np.multiply(unscaled, factor[:, None], out=out[:, i * columns : (i + 1) * columns])
-        return out
+                np.matmul(x, directions, out=piece[:, :columns])
+            if finish is not None:
+                finish(rng, piece, stat)
+            yield slice(lo, lo + len(piece)), piece if jumped is None else (index, piece)
 
     return fill
 
 
 def _lp_fill(
     p: float, specs: tuple[DistributionSpec, ...], directions: np.ndarray | None
-) -> Callable[[np.random.Generator, int], np.ndarray]:
+) -> Callable[[np.random.Generator, int], Iterator[tuple[slice, np.ndarray]]]:
     """Block generator of the lp cone (and surface measure) and ball of
     specs at one finite p, from generalized-Gaussian rows G with
     S = sum_i |G_i|^p: the cone's rows scale G / S^(1/p), the ball's
     scale G / (S + E)^(1/p) with E standard exponential (Barthe, Guedon,
-    Mendelson and Naor, Ann. Probab. 2005).  Block order: the
-    ``_generalized_gaussian_block`` draws of each ``CHUNK_ROWS``-row chunk
-    in turn (at p = 1 its exponentials, then its sign words; at any other
-    p != 2 the ziggurat's raw words and the draws that settle its misses,
-    slice by slice), then, for a ball, its ``count`` exponentials; so the
-    cone's stream is a prefix of the ball's, and one group's pair shares it.
-    ``_scaled`` draws G or G @ directions into the first spec's columns
-    and scales each body once: (count, k D) in the order of specs.
+    Mendelson and Naor, Ann. Probab. 2005).  Chunk order, for each chunk of
+    m rows in turn: its ``_generalized_gaussian_block`` draws (at p = 1 its
+    exponentials, then its sign words; at any other p != 2 the ziggurat's
+    raw words and the draws that settle its misses, slice by slice), then
+    its m exponentials E, which a cone draws too and drops: so the ball and
+    the cone draw one stream, and one group's pair shares it.  ``_chunked``
+    draws G or G @ directions into the first spec's columns of each chunk,
+    and each body's columns are scaled as the chunk is drawn: (m, k D) in the
+    order of specs.
     """
+    ball = [spec.kind is Kind.LP_BALL for spec in specs]
 
-    def factors(rng, sums):
-        scaled = {}
-        for spec in sorted(specs, key=lambda spec: spec.kind is Kind.LP_BALL):  # the cone first
-            if spec.kind is Kind.LP_BALL:
-                sums += rng.standard_exponential(len(sums))
-            scaled[spec] = spec.scale * sums ** (-1.0 / p)
-        return [scaled[spec] for spec in specs]
+    def finish(rng, piece, sums):
+        sums_e = sums + rng.standard_exponential(len(sums))
+        columns = piece.shape[1] // len(specs)
+        for i in reversed(range(len(specs))):  # the first body's columns are read last
+            factor = specs[i].scale * (sums_e if ball[i] else sums) ** (-1.0 / p)
+            np.multiply(piece[:, :columns], factor[:, None],
+                        out=piece[:, i * columns : (i + 1) * columns])
 
-    return _scaled(lambda rng, g: _generalized_gaussian_block(rng, p, g), specs[0].n,
-                   directions, factors, len(specs))
+    return _chunked(lambda rng, g: _generalized_gaussian_block(rng, p, g), specs[0].n,
+                    directions, finish=finish, bodies=len(specs))
 
 
 def stream_groups(specs) -> list[tuple[int, ...]]:
@@ -489,44 +496,47 @@ def stream_groups(specs) -> list[tuple[int, ...]]:
 
 def _filler(
     specs: DistributionSpec | tuple[DistributionSpec, ...], directions: np.ndarray | None = None
-) -> Callable[[np.random.Generator, int], np.ndarray]:
+) -> Callable[[np.random.Generator, int], Iterator[tuple[slice, np.ndarray]]]:
     """Per-law block generator of the (count, D) projections X @ directions,
     or of the (count, n) rows X when directions is None: the one place that
-    picks how each law is drawn.  ``specs`` is one spec or one group of
-    ``stream_groups``; a group's block stacks its specs' projections
-    side by side, (count, k D) in the order of specs.  fill(rng, count,
-    index) of one spec's projections adds the column of each row's
-    coefficient in the law's reflection frame at its index (see
+    picks how each law is drawn.  fill(rng, count) yields (at, piece), the
+    pieces of the block in draw order, at their slices of its rows.
+    ``specs`` is one spec or one group of ``stream_groups``; a group's
+    pieces stack its specs' projections side by side, (m, k D) in the order
+    of specs.  fill(rng, count, m) of one spec's projections draws each row's
+    index in the law's reflection frame of m vectors and adds the column of
+    its coefficient there, handing over (index, piece) (see
     ``map_frame_blocks``).
 
-    * A spherically symmetric law scale R G / |G|, G standard normal,
-      draws its rows, and its projections with frame coefficients (which
-      read every coordinate), through ``_scaled``: G chunk by chunk, then
-      each row's radius R after the last chunk, the stream of
-      ``_reduced_spherical_block`` at r = n.  Its plain projections draw
-      the reduced law ``CHUNK_ROWS`` rows at a time: for the reduced QR
-      directions = Q Rq, with r = min(n, D) orthonormal columns in Q, each
-      chunk of m rows draws its Q^T X (``_reduced_spherical_block``: m r
-      normals, then m chi-squares, then m radii) into one reused chunk
-      buffer and writes it times Rq into the block.  At p = 2 the lp ball
-      is the Euclidean ball and the cone and surface measures the sphere
-      (Barthe, Guedon, Mendelson and Naor, Ann. Probab. 2005): they take
-      this fill at their own scale.
-    * Every other law draws through ``_chunked``, ``CHUNK_ROWS`` rows at a
-      time, with one chunk fill (put) that serves its rows and its
-      projections alike.  The simplex point is c (E / sum E) @ V, V its
-      vertices, c = sqrt(n (n + 2)) and E standard exponentials: each chunk
-      of E is projected onto M = c V (``frames.simplex_vertices``) or, given
-      directions x, M = c V x (``frames.simplex_projections``, O(n D)), and
-      divided by sum E; the coefficient s <X, v_h - v_t> of edge (h, t) =
-      ``frames.simplex_edges`` is sqrt((n + 1)(n + 2) / 2) (E_h - E_t) / sum E,
-      as <v_i, v_j> = -1/n.
+    * A spherically symmetric law scale R G / |G|, G standard normal, fills
+      each block before it hands it over, as each row's radius R is drawn
+      after the block's last chunk.  Its rows are one piece,
+      ``_reduced_spherical_block`` at r = n; its projections with frame
+      coefficients (which read every coordinate) draw G chunk by chunk,
+      then the radii, and hand the block over in those chunks.  Its plain
+      projections draw the reduced law a chunk at a time: for the reduced
+      QR directions = Q Rq, with r = min(n, D) orthonormal columns in Q,
+      each chunk of m rows draws its Q^T X (``_reduced_spherical_block``: m
+      r normals, then m chi-squares, then m radii) into one reused chunk
+      buffer and writes it times Rq into the block, one piece.  At p = 2
+      the lp ball is the Euclidean ball and the cone and surface measures
+      the sphere (Barthe, Guedon, Mendelson and Naor, Ann. Probab. 2005):
+      they take this fill at their own scale.
+    * Every other law draws through ``_chunked``, which hands over each
+      chunk as it is drawn, with one chunk fill (put) that serves its rows
+      and its projections alike.  The simplex point is c (E / sum E) @ V, V
+      its vertices, c = sqrt(n (n + 2)) and E standard exponentials: each
+      chunk of E is projected onto M = c V (``frames.simplex_vertices``) or,
+      given directions x, M = c V x (``frames.simplex_projections``,
+      O(n D)), and divided by sum E; the coefficient s <X, v_h - v_t> of
+      edge (h, t) = ``frames.simplex_edges`` is
+      sqrt((n + 1)(n + 2) / 2) (E_h - E_t) / sum E, as <v_i, v_j> = -1/n.
     * The lp ball, cone and surface measure at finite p != 2 draw from
-      ``_lp_fill``, which takes the unscaled chunks and their row sums from
-      ``_scaled`` and scales the block once; the ball and the cone of one
+      ``_lp_fill``, which scales each chunk of generalized-Gaussian rows, or
+      of their projections, as it is drawn; the ball and the cone of one
       group share its stream.
     * The cube, its boundary and the sup-norm exponential (its radius, then
-      the boundary's draws) draw each chunk of rows in place, in the block
+      the boundary's draws) draw each chunk of rows in place, in the piece
       or in the chunk buffer that ``_chunked`` projects.
     """
     group = (specs,) if isinstance(specs, DistributionSpec) else tuple(specs)
@@ -535,30 +545,51 @@ def _filler(
     kind = _P2_SPHERICAL.get(spec.kind, spec.kind) if p == 2.0 else spec.kind
 
     if kind in SPHERICAL_KINDS:
-        factor = None if directions is None else np.linalg.qr(directions)[1]
-        rows = _scaled(_normals, n, directions,
-                       lambda rng, norm_sq: [_radial(rng, kind, n, scale, norm_sq)])
+        if directions is None:
 
+            def rows(rng, count):
+                yield slice(0, count), _reduced_spherical_block(rng, kind, n, n, scale, count)[0]
+
+            return rows
+
+        vectors = np.ascontiguousarray(directions.T)
+        factor = np.linalg.qr(directions)[1]
+        step = chunk_rows(factor.shape[1])
         # the reduced draw reuses its chunk of normals and its block (one
         # thread draws them, in map_projection_blocks): the allocator would
         # map and unmap a fresh 1 MB block on every block unless a larger one
         # came first
         y = block = None
 
-        def fill(rng, count, index=None):
+        def reduced(rng, count):
             nonlocal y, block
-            if factor is None or index is not None:
-                return rows(rng, count, index)
             if y is None:
-                y = np.empty((CHUNK_ROWS, len(factor)))
+                y = np.empty((step, len(factor)))
                 block = np.empty((BLOCK_ROWS, factor.shape[1]))
-            for lo in range(0, count, CHUNK_ROWS):
-                m = min(CHUNK_ROWS, count - lo)
+            for lo in range(0, count, step):
+                m = min(step, count - lo)
                 _reduced_spherical_block(rng, kind, n, len(factor), scale, m, y[:m])
                 np.matmul(y[:m], factor, out=block[lo : lo + m])
-            return block[:count]
+            yield slice(0, count), block[:count]
 
-        return fill
+        def framed(rng, count, m):
+            jumped = np.random.Generator(rng.bit_generator.jumped())
+            out, norm_sq = np.empty((count, len(vectors) + 1)), np.empty(count)
+            index = np.empty(count, dtype=np.int64)
+            rows = chunk_rows(max(n, len(vectors) + 1))
+            g = np.empty((min(rows, count), n))
+            for lo in range(0, count, rows):
+                at, x = slice(lo, lo + rows), g[: min(rows, count - lo)]
+                norm_sq[at] = _normals(rng, x)
+                index[at] = jumped.integers(0, m, len(x))
+                _frame_columns(x, vectors, index[at], _coordinates, out[at])
+            out *= _radial(rng, kind, n, scale, norm_sq)[:, None]
+            for lo in range(0, count, rows):  # the finished block, chunk by chunk
+                at = slice(lo, min(lo + rows, count))
+                yield at, (index[at], out[at])
+
+        return lambda rng, count, frames=None: (
+            reduced(rng, count) if frames is None else framed(rng, count, frames))
 
     if kind in _LP_KINDS and not math.isinf(p):
         return _lp_fill(p, group, directions)
@@ -577,7 +608,10 @@ def _filler(
             rows = np.arange(len(e))
             return edge_scale * (e[rows, heads] - e[rows, tails])
 
-        return _chunked(put, n + 1, m, edges)
+        def divide(rng, piece, sums):
+            piece /= sums[:, None]
+
+        return _chunked(put, n + 1, m, edges, divide)
 
     if kind is Kind.LP_BALL:  # the cube: uniform(-scale, scale)'s bits, 2 scale U - scale
 
@@ -612,9 +646,11 @@ def map_sample_blocks(
     spec: DistributionSpec, N: int, seed: int, fn: Callable[[slice, np.ndarray], object],
     workers: int = 1,
 ) -> list:
-    """The list of fn(rows, block), in block order, over every block of the
-    N-row draw of spec, rows being the block's slice of the draw; each block
-    is freed when fn returns, and at one worker the blocks arrive in order."""
+    """The list of fn(rows, piece), in draw order, over every piece of the
+    N-row draw of spec, rows being the piece's slice of the draw: a chunk of
+    rows as it is drawn, or a spherically symmetric law's whole block.  A
+    piece is valid until fn returns, and at one worker the pieces arrive in
+    order."""
     return _map_blocks(_filler(spec), _block_seeds(N, seed), fn, workers)
 
 
@@ -622,51 +658,51 @@ def map_frame_blocks(
     spec: DistributionSpec, directions: np.ndarray, N: int, seed: int,
     fn: Callable[[slice, np.ndarray, np.ndarray], object], workers: int = 1,
 ) -> list:
-    """The list of fn(rows, index, block), in block order, over every block
+    """The list of fn(rows, index, piece), in draw order, over every piece
     of the N-row draw of spec with seed: index holds each row's frame index
-    k, uniform over the law's m reflection-frame vectors, and block the
+    k, uniform over the law's m reflection-frame vectors, and piece the
     (count, D + 1) array of each row's projections X @ directions and its
     coefficient X_(k) in that frame: the coordinate X_k in the standard
     frame (m = n), and on the simplex (m = n (n + 1)) s <X, v_h - v_t> with
     (h, t) = ``frames.simplex_edges(k, n)`` and s = sqrt(n / (2 (n + 1))).
+    Both are valid until fn returns.
 
-    Block b draws its indices from its Generator jumped ahead
-    (``bit_generator.jumped()``), so its own stream is untouched: the rows
-    are those of ``sample(spec, N, seed)``, up to rounding, drawn
-    ``CHUNK_ROWS`` at a time, and no (count, n) block is held.  Each
-    projection is its own matrix-vector product, so a direction's column
-    does not depend on the others."""
+    Each chunk of block b draws its rows' indices in turn from the block's
+    Generator jumped ahead (``bit_generator.jumped()``, taken before the
+    block's first draw), so the block's own stream is untouched: the rows
+    are those of ``sample(spec, N, seed)``, up to rounding, drawn a chunk at
+    a time, and no (count, n) block is held.  Each projection is its own
+    matrix-vector product, so a direction's column does not depend on the
+    others."""
     m = spec.n * (spec.n + 1) if spec.kind is Kind.SIMPLEX else spec.n  # edges or coordinates
     fill = _filler(spec, np.asarray(directions, dtype=float))
-
-    def frame_fill(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
-        index = np.random.Generator(rng.bit_generator.jumped()).integers(0, m, count)
-        return index, fill(rng, count, index)
-
-    return _map_blocks(frame_fill, _block_seeds(N, seed), lambda rows, drawn: fn(rows, *drawn),
-                       workers)
+    return _map_blocks(lambda rng, count: fill(rng, count, m), _block_seeds(N, seed),
+                       lambda rows, drawn: fn(rows, *drawn), workers)
 
 
 def map_projection_blocks(
     specs: DistributionSpec | tuple[DistributionSpec, ...], directions: np.ndarray,
     N: int, seed: int, fn: Callable[[slice, np.ndarray], object],
 ) -> list:
-    """The list of fn(rows, block) over every block of the N-row draw of
-    spec with seed, called in block order, block being the (count, D) projections X @ directions
-    of its rows onto the columns of the (n, D) direction matrix, from
-    ``_filler(spec, directions)``, once every input is checked: the (N, n)
-    batch is never held, and a block is valid until fn returns.
+    """The list of fn(rows, piece) over every piece of the N-row draw of
+    spec with seed, called in draw order, piece being the (count, D)
+    projections X @ directions of its rows onto the columns of the (n, D)
+    direction matrix, from ``_filler(spec, directions)``, once every input
+    is checked: the (N, n) batch is never held, and a piece is valid until
+    fn returns.  Every fill of n-wide rows hands over each chunk of
+    ``core.chunk_rows`` rows as it is drawn, so what a pass holds does not
+    grow with n; a spherically symmetric law hands over its block.
 
-    The cube, its boundary and the sup-norm exponential project each
-    ``CHUNK_ROWS``-row chunk of the rows of ``sample(spec, N, seed)`` as
-    ``_chunked`` draws it: exactly ``data[chunk] @ directions`` per chunk,
-    and ``data @ directions`` up to rounding; the simplex, and the lp laws
-    that ``_lp_fill`` draws (finite p != 2), which project before they
-    scale, give it up to rounding.  A spherical law (and the lp ball, cone
-    and surface measure at p = 2) draws its reduced law at
-    r = min(n, D), one ``CHUNK_ROWS``-row chunk of m rows at a time: m r
-    normals, then m chi-squares, then m radii (``_reduced_spherical_block``),
-    for D < n a stream other than that of ``sample``, with the same law.
+    The cube, its boundary and the sup-norm exponential project each chunk
+    of the rows of ``sample(spec, N, seed)`` as ``_chunked`` draws it:
+    exactly ``data[chunk] @ directions`` per chunk, and
+    ``data @ directions`` up to rounding; the simplex, and the lp laws that
+    ``_lp_fill`` draws (finite p != 2), which project before they scale,
+    give it up to rounding.  A spherical law (and the lp ball, cone and
+    surface measure at p = 2) draws its reduced law at r = min(n, D), one
+    chunk of m rows at a time: m r normals, then m chi-squares, then m radii
+    (``_reduced_spherical_block``), for D < n a stream other than that of
+    ``sample``, with the same law.
 
     Given the k specs of one group of ``stream_groups``, the (count, k D)
     projections of all of them from their one stream: columns i D to
@@ -691,17 +727,17 @@ def sample_projections(
     ``subspaces.estimate_Ank``, form one (rows, N) block."""
     out = None
 
-    def put(rows: slice, block: np.ndarray) -> None:
+    def put(rows: slice, piece: np.ndarray) -> None:
         nonlocal out
-        if out is None:  # the first block: the inputs are checked
-            out = np.empty((block.shape[1], N))
-        out[:, rows] = block.T
+        if out is None:  # the first piece: the inputs are checked
+            out = np.empty((piece.shape[1], N))
+        out[:, rows] = piece.T
 
     map_projection_blocks(specs, directions, N, seed, put)
     return out
 
 
-def _surface_weights(spec: DistributionSpec, block: np.ndarray) -> np.ndarray:
+def _surface_weights(spec: DistributionSpec, rows: np.ndarray) -> np.ndarray:
     """Unnormalized importance weights retargeting cone draws to surface
     measure: (sum_i |x_i/scale|^(2(p-1)))^(1/2) per row.
 
@@ -710,8 +746,8 @@ def _surface_weights(spec: DistributionSpec, block: np.ndarray) -> np.ndarray:
     """
     p = spec.p
     if p == 1.0 or math.isinf(p):
-        return np.full(block.shape[0], 1.0)
-    z = np.abs(block)
+        return np.full(rows.shape[0], 1.0)
+    z = np.abs(rows)
     z /= spec.scale
     z **= 2.0 * (p - 1.0)
     return np.sqrt(np.sum(z, axis=1))
@@ -719,15 +755,15 @@ def _surface_weights(spec: DistributionSpec, block: np.ndarray) -> np.ndarray:
 
 def sample(spec: DistributionSpec, N: int, seed: int) -> SampleBatch:
     """Materialize N samples of the law described by spec; lp surface
-    batches carry self-normalized weights, computed block by block."""
+    batches carry self-normalized weights, computed piece by piece."""
     blocks = _block_seeds(N, seed)  # checks N before the batch is allocated
     out = np.empty((N, spec.n), dtype=float)
     weights = np.empty(N) if spec.kind is Kind.LP_SURFACE else None
 
-    def put(rows: slice, block: np.ndarray) -> None:
-        out[rows] = block
+    def put(rows: slice, piece: np.ndarray) -> None:
+        out[rows] = piece
         if weights is not None:
-            weights[rows] = _surface_weights(spec, block)
+            weights[rows] = _surface_weights(spec, piece)
 
     _map_blocks(_filler(spec), blocks, put)
     if weights is not None:

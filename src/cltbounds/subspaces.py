@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contract import InsufficientDataError, SymmetryError
-from .core import CHUNK_ROWS, as_unit_vector, thread_map
+from .core import BLOCK_ROWS, CHUNK_ROWS, as_unit_vector, thread_map
 from .empirical import (KS_COUNTS, KS_MIN_SAMPLES, add_ks_counts, bin_totals,
                         kolmogorov_from_counts)
 from .exact import D_K, SPHERICAL_KINDS, UNCONDITIONAL_KINDS, Kind, exact_kolmogorov, exact_law
@@ -195,7 +195,7 @@ def estimate_Ank(
     One pass of ``samplers.map_projection_blocks`` projects the samples,
     Y = X L, onto the stacked (n, n_subspaces k) basis matrix L, and the
     (N, n) batch is never held (spherically symmetric specs draw Y from its
-    exact reduced law).  At k = 1 each block of Y is added to the lines'
+    exact reduced law).  At k = 1 each piece of Y is added to the lines'
     counts on the Kolmogorov grid (``empirical.add_ks_counts``) as it is
     drawn, and each line's distance is read from its counts: they take
     n_subspaces ``KS_COUNTS`` 8 bytes (4 MB at 32 lines), whatever N.  At
@@ -279,11 +279,31 @@ def _pair_regression(w_mean: float, w_sq_mean: float, d_mean: float, dw_mean: fl
     """(slope, intercept, slope standard error) of the least-squares line of
     D = W - W' on W over N pairs, from the sample means of W, W^2, D, D W and
     D^2: the linearity condition E[D | W] = lambda W of either pair (the
-    rotation pair passes D's radial part, the whole of E[D | X])."""
+    rotation pair passes D's radial part, the whole of E[D | X]).  The
+    standard error takes the residual variance as constant in W, as the
+    rotation pair's does; the reflection pair's is not (``_robust_slope_se``)."""
     w_var = w_sq_mean - w_mean * w_mean
     slope = (dw_mean - d_mean * w_mean) / w_var
     resid_var = max((dsq_mean - d_mean * d_mean) - slope * slope * w_var, 0.0)
     return slope, d_mean - slope * w_mean, math.sqrt(resid_var) / (math.sqrt(N) * math.sqrt(w_var))
+
+
+def _robust_slope_se(m: np.ndarray, slope: float, intercept: float, N: int) -> float:
+    """The heteroskedasticity-consistent standard error (White, Econometrica
+    1980) of the slope of the least-squares line D = intercept + slope W over
+    N pairs: sqrt(mean((W - mean W)^2 R^2) / N) / Var W, R = D - intercept -
+    slope W, from m[k, j], the sample mean of W^k D^j for k + j <= 4.  The
+    reflection pair needs it: D vanishes unless the drawn frame vector meets
+    theta, so the residual's spread grows with |W|, and the constant-variance
+    error of ``_pair_regression`` read half the slopes' spread for the lp
+    ball at p = 1 along e_1."""
+    w_mean = m[1, 0]
+    # R^2 as a polynomial in W for each power j of D, times (W - mean W)^2
+    residual_sq = {2: [1.0], 1: [-2.0 * intercept, -2.0 * slope],
+                   0: [intercept * intercept, 2.0 * intercept * slope, slope * slope]}
+    spread = sum(coef * m[k, j] for j, poly in residual_sq.items()
+                 for k, coef in enumerate(np.convolve([w_mean * w_mean, -2.0 * w_mean, 1.0], poly)))
+    return float(math.sqrt(max(spread, 0.0) / N) / (m[2, 0] - w_mean * w_mean))
 
 
 @dataclass(frozen=True)
@@ -291,7 +311,8 @@ class PairDiagnostics:
     """Sampled ingredients of the exchangeable-pair bound for one batch.
 
     ``slope`` regresses W - W' on W (the linearity condition predicts
-    exactly 2/n); ``var_conditional`` estimates Var E[(W-W')^2 | W] over
+    exactly 2/n), with the heteroskedasticity-consistent standard error
+    ``slope_se``; ``var_conditional`` estimates Var E[(W-W')^2 | W] over
     the bins of ``empirical.bin_totals``, NaN if a W is NaN; ``third_abs``
     and ``sup_abs`` are the sample mean of |W-W'|^3 and the sample max of
     |W-W'|.  The same bound on exact moments is ``bounds.bound_frame_general``.
@@ -323,13 +344,15 @@ def reflection_pair_diagnostics(
 
     Checks run before any draw.  One pass of ``samplers.map_frame_blocks``,
     on ``workers`` threads, draws each row's I, W per theta and coefficient
-    X_(I), ``CHUNK_ROWS`` rows at a time; each block, read a chunk at a
-    time, returns the sums of W, W^2, D, D W, D^2 and |D|^3, the max of |D|,
-    D = W - W' = 2 X_(I) theta_(I), and the ``empirical.bin_totals`` of D^2
-    over W, added in block order, so the results do not depend on
-    ``workers``.  Memory: per block a few kB of sums and totals, and per
-    worker a block of indices, a (BLOCK_ROWS, T + 1) block and a chunk with
-    its chunk-long temporaries: nothing N-long, no sort.
+    X_(I) and hands them over a chunk at a time; each chunk adds to its
+    block's sums of W, W^2, D, D W, D^2 and |D|^3, max of |D|,
+    D = W - W' = 2 X_(I) theta_(I), and ``empirical.bin_totals`` of D^2
+    over W, and the blocks' are added in block order, so the results do not
+    depend on ``workers``; the slope's standard error is
+    ``_robust_slope_se``.  Memory: per block a few kB of sums and totals,
+    and per worker a chunk of rows with its frame indices and projections
+    (a spherical law's block of them) and chunk-long temporaries: nothing
+    N-long, no sort.
     """
     simplex = reflection_frame(spec.kind) == LABEL_SIMPLEX_EDGES
     _require_two_samples(N)
@@ -338,42 +361,53 @@ def reflection_pair_diagnostics(
     if simplex:
         edge_scale = math.sqrt(n / (2.0 * (n + 1)))
         vertex_t = [simplex_projections(theta) for theta in thetas]
+    blocks = -(-N // BLOCK_ROWS)
+    # per block and theta: the sums of W^k D^j at [k, j], k + j <= 4; of |D|^3,
+    # then the max of |D|; D^2's bin totals
+    moments = np.zeros((blocks, len(thetas), 5, 3))
+    absolute = np.zeros((blocks, len(thetas), 2))
+    binned = [[0.0] * len(thetas) for _ in range(blocks)]
 
-    def take(rows: slice, index: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, list]:
-        """Per theta: the sums of W, W^2, D, D W, D^2, |D|^3, then max |D|; D^2's
-        bin totals: each chunk's sums and totals added, the largest |D| kept."""
-        sums, binned = np.zeros((len(thetas), 7)), [0.0] * len(thetas)
-        for lo in range(0, len(block), CHUNK_ROWS):
-            chunk, at = block[lo : lo + CHUNK_ROWS], index[lo : lo + CHUNK_ROWS]
-            if simplex:
-                heads, tails = simplex_edges(at, n)
-            twice = 2.0 * chunk[:, -1]
-            for t in range(len(thetas)):
-                w_t = chunk[:, t]
-                theta_at = (edge_scale * (vertex_t[t][heads] - vertex_t[t][tails]) if simplex
-                            else thetas[t][at])  # theta_(I) of each row
-                d = twice * theta_at
-                d_sq, d_abs = d * d, np.abs(d)
-                sums[t, :6] += [w_t.sum(), w_t @ w_t, d.sum(), d @ w_t, d_sq.sum(), d_sq @ d_abs]
-                sums[t, 6] = np.maximum(sums[t, 6], d_abs.max())  # NaN if a D is
-                binned[t] += bin_totals(w_t, d_sq, N)
-        return sums, binned
+    def take(rows: slice, at: np.ndarray, chunk: np.ndarray) -> None:
+        """Per theta, add to the chunk's block its sums of W^k D^j and |D|^3
+        and D^2's bin totals, and keep the largest |D|."""
+        block = rows.start // BLOCK_ROWS
+        if simplex:
+            heads, tails = simplex_edges(at, n)
+        twice = 2.0 * chunk[:, -1]
+        for t in range(len(thetas)):
+            w_t = chunk[:, t]
+            theta_at = (edge_scale * (vertex_t[t][heads] - vertex_t[t][tails]) if simplex
+                        else thetas[t][at])  # theta_(I) of each row
+            d = twice * theta_at
+            d_sq, d_abs, w_sq, dw = d * d, np.abs(d), w_t * w_t, d * w_t
+            moments[block, t] += [[len(d), d.sum(), d_sq.sum()],
+                                  [w_t.sum(), d @ w_t, d_sq @ w_t],
+                                  [w_t @ w_t, dw @ w_t, dw @ dw],
+                                  [w_sq @ w_t, dw @ w_sq, 0.0],
+                                  [w_sq @ w_sq, 0.0, 0.0]]
+            absolute[block, t, 0] += d_sq @ d_abs
+            absolute[block, t, 1] = np.maximum(absolute[block, t, 1], d_abs.max())  # NaN if a D is
+            binned[block][t] += bin_totals(w_t, d_sq, N)
 
-    sums, binned = zip(*map_frame_blocks(spec, np.column_stack(thetas), N, seed, take, workers))
-    sums = np.array(sums)  # (blocks, thetas, 7)
-    means = sums[..., :6].sum(axis=0) / N
+    map_frame_blocks(spec, np.column_stack(thetas), N, seed, take, workers)
+    means = moments.sum(axis=0) / N  # m[k, j] of each theta
+    third_abs = absolute[..., 0].sum(axis=0) / N
     totals = np.sum(binned, axis=0)
 
     def diagnose(t: int) -> PairDiagnostics:
-        *moments, a3_mean = means[t].tolist()  # W, W^2, D, D W, D^2, then |D|^3
+        m = means[t]
+        slope, intercept, _ = _pair_regression(m[1, 0], m[2, 0], m[0, 1], m[1, 1], m[0, 2], N)
         sizes, bin_sums = totals[t][:, totals[t][0] > 0]  # the nonempty bins
         weights, bin_means = sizes / N, bin_sums / sizes
         spread = float(weights @ (bin_means - float(weights @ bin_means)) ** 2)
         return PairDiagnostics(
-            *_pair_regression(*moments, N),  # slope, intercept and slope_se
+            slope=float(slope),
+            intercept=float(intercept),
+            slope_se=_robust_slope_se(m, slope, intercept, N),
             var_conditional=spread if sizes.sum() == N else math.nan,  # a NaN W is in no bin
-            third_abs=a3_mean,
-            sup_abs=float(sums[:, t, 6].max()),
+            third_abs=float(third_abs[t]),
+            sup_abs=float(absolute[:, t, 1].max()),
         )
 
     return [diagnose(t) for t in range(len(thetas))]
@@ -430,7 +464,9 @@ def _rotation_rows(rng: np.random.Generator, spec, count: int) -> np.ndarray:
     the spherical spec, from its reduced law at r = 2: with g ~ N(0, I_2)
     and C ~ chi^2(n - 2), (X_0, X_1, |X - X_0 e_1|) has the law of
     scale R (g_0, g_1, sqrt(g_1^2 + C)) / sqrt(|g|^2 + C)."""
-    y, rest_sq = _reduced_spherical_block(rng, spec.kind, spec.n, 2, spec.scale, count)
+    y, rest_sq, radial = _reduced_spherical_block(rng, spec.kind, spec.n, 2, spec.scale, count)
+    radial *= radial
+    rest_sq *= radial
     x0, x1 = y.T
     rest_sq += x1 * x1
     return np.stack([x0, x1, np.sqrt(rest_sq, out=rest_sq)])
@@ -497,9 +533,9 @@ def rotation_pair_diagnostics(
         return np.array([*sums, x0.sum(), (x0 * x0).sum(), (x1 * x1).sum(), radial.sum(),
                          (radial * x0).sum(), (radial * radial).sum()])
 
-    def block_sums(rng: np.random.Generator, count: int) -> np.ndarray:
-        return sum(chunk_sums(rng, min(CHUNK_ROWS, count - lo))
-                   for lo in range(0, count, CHUNK_ROWS))
+    def block_sums(rng: np.random.Generator, count: int):
+        yield slice(0, count), sum(chunk_sums(rng, min(CHUNK_ROWS, count - lo))
+                                   for lo in range(0, count, CHUNK_ROWS))
 
     sums = np.sum(_map_blocks(block_sums, _block_seeds(N, seed), lambda rows, sums: sums,
                               workers), axis=0)

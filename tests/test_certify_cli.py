@@ -544,6 +544,35 @@ class TestStreaming:
             tracemalloc.stop()
         assert peak < 8 * n_samples * spec.n, f"peak {peak / 1e6:.1f} MB"
 
+    def test_lp_pair_holds_chunks_not_blocks(self):
+        # beside its (8, KS_COUNTS) counts (1 MB) the p = 4 pair holds one
+        # chunk of at most 2^17 values and the ziggurat's slices, about 3.3 MB;
+        # a (65536, 8) block of projections beside (4096, 100) chunks took 10.1 MB
+        specs = [DistributionSpec(Kind.LP_BALL, 100, p=4.0),
+                 DistributionSpec(Kind.LP_CONE, 100, p=4.0)]
+        thetas = ["diagonal", "random(1)", "random(2)", "random(3)"]
+        certify_grid(specs, thetas, N=1000, seed=3)  # first-call setup
+        tracemalloc.start()
+        try:
+            certify_grid(specs, thetas, N=200_000, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_cube_chunk_does_not_grow_with_n(self):
+        # a chunk holds at most 2^17 values (1 MB) whatever n: about 1.2 MB
+        # here, where a (4096, 2000) chunk took 65.7 MB
+        spec = DistributionSpec(Kind.LP_BALL, 2000, p=math.inf)
+        certify_grid([spec], ["diagonal"], N=1000, seed=3)  # first-call setup
+        tracemalloc.start()
+        try:
+            certify_grid([spec], ["diagonal"], N=5000, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
+
     def test_kolmogorov_group_peak_does_not_grow_with_N(self):
         # an lp pair group keeps its (8, KS_COUNTS) counts and one block of
         # projections, not its (8, N) projections: 64 MB at N = 1e6
@@ -734,9 +763,9 @@ class TestCliCertify:
         draw = samplers_module._reduced_spherical_block
 
         def one_nan_per_block(*args, **kwargs):
-            y, rest_sq = draw(*args, **kwargs)
+            y, *rest = draw(*args, **kwargs)
             y[0, 0] = np.nan
-            return y, rest_sq
+            return y, *rest
 
         monkeypatch.setattr(samplers_module, "_reduced_spherical_block", one_nan_per_block)
         cfg = write_config(

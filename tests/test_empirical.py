@@ -11,7 +11,7 @@ from scipy.special import ndtr, ndtri
 
 from conftest import assert_brackets, brute_force_ks
 
-from cltbounds.core import CHUNK_ROWS, InsufficientDataError
+from cltbounds.core import CHUNK_ROWS, CHUNK_VALUES, InsufficientDataError
 from cltbounds.empirical import (
     _ks_edge_cdf,
     KS_BINS,
@@ -521,9 +521,10 @@ class TestNothingSortsAProjection:
 
 class TestStreamingPairSquareCovariance:
     def test_holds_one_block_at_a_time(self):
-        # a rows block would be 52 MB here; the pass holds a block of the
-        # projections onto e_1 and e_2 and the (CHUNK_ROWS, n) chunk they are
-        # drawn from, freed before the next block is filled
+        # a rows block would be 52 MB here; the pass holds a chunk of at
+        # most CHUNK_VALUES values of rows, its projections onto e_1 and e_2
+        # and a few chunk-long temporaries, never a block (a block of
+        # projections beside a (CHUNK_ROWS, n) chunk took 4.5 MB here)
         spec = DistributionSpec(Kind.LINF_EXPONENTIAL, 100)
         n_samples = 200_000
         tracemalloc.start()
@@ -532,5 +533,5 @@ class TestStreamingPairSquareCovariance:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * (2 * CHUNK_ROWS * spec.n + 4 * BLOCK_ROWS), f"peak {peak / 1e6:.1f} MB"
+        assert peak < 8 * (CHUNK_VALUES + 8 * CHUNK_ROWS), f"peak {peak / 1e6:.2f} MB"
 

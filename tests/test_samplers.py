@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from cltbounds.core import CHUNK_ROWS, summarize
+from cltbounds.core import CHUNK_ROWS, CHUNK_VALUES, chunk_rows, summarize
 from cltbounds.frames import simplex_geometry
 from cltbounds.exact import DistributionSpec, Kind, exact_moments
 from cltbounds.samplers import (
@@ -105,10 +105,13 @@ def generalized_gaussian_block(rng, p, count, n):
 
 
 def lp_chunk_draws(rng, p, count, n):
-    """The generalized-Gaussian rows of one count-row block of an lp fill, as
-    a list of chunks: CHUNK_ROWS rows at a time, each chunk's draws in turn."""
-    return [generalized_gaussian_draws(rng, p, (min(CHUNK_ROWS, count - lo), n))
-            for lo in range(0, count, CHUNK_ROWS)]
+    """The generalized-Gaussian rows and exponentials of one count-row block
+    of an lp fill, as a list of (g, E): chunk_rows(n) rows at a time, each
+    chunk's generalized-Gaussian draws, then its exponentials, in turn."""
+    step = chunk_rows(n)
+    return [(generalized_gaussian_draws(rng, p, (min(step, count - lo), n)),
+             rng.standard_exponential(min(step, count - lo)))
+            for lo in range(0, count, step)]
 
 
 def sample_generalized_gaussian(p, N, seed, n=1):
@@ -221,20 +224,22 @@ class TestDeterminism:
         assert out.tobytes() == sample(spec, total, 5).data.tobytes()
 
     def test_blocks_return_in_block_order(self):
-        # the driver returns each block's value in block order, whichever
-        # block finishes first: block b sleeps longer the smaller b is
+        # the driver returns each piece's value in draw order, whichever
+        # block finishes first: the first piece of block b sleeps longer the
+        # smaller b is, and the cube hands over its rows a chunk at a time
         blocks = 4
         finished = []
 
-        def take(rows, block):
+        def take(rows, piece):
             b = rows.start // BLOCK_ROWS
-            time.sleep(0.1 * (blocks - 1 - b))
+            if rows.start % BLOCK_ROWS == 0:
+                time.sleep(0.1 * (blocks - 1 - b))
             finished.append(b)
-            return b, len(block)
+            return rows.start, len(piece)
 
-        spec = DistributionSpec(Kind.SPHERE_SHELL, 2)
+        spec = DistributionSpec(Kind.LP_BALL, 2, p=math.inf)
         got = map_sample_blocks(spec, blocks * BLOCK_ROWS, 5, take, workers=2)
-        assert got == [(b, BLOCK_ROWS) for b in range(blocks)]
+        assert got == [(lo, CHUNK_ROWS) for lo in range(0, blocks * BLOCK_ROWS, CHUNK_ROWS)]
         assert finished != sorted(finished)
 
     def test_generator_built_on_the_filling_thread(self, monkeypatch):
@@ -321,11 +326,11 @@ class TestDrawOrder:
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0, math.inf])
     @pytest.mark.parametrize("kind", [Kind.LP_BALL, Kind.LP_CONE])
     def test_lp_blocks_follow_documented_draws(self, kind, p):
-        # per block substream, CHUNK_ROWS rows at a time: each chunk's
+        # per block substream, chunk_rows(n) rows at a time: each chunk's
         # generalized-Gaussian draws g (at p = 1 exponential magnitudes then
         # sign bits packed 64 to a raw word; at any other p the ziggurat's
-        # raw words and the draws that settle its misses, slice by slice);
-        # after the last chunk the ball's exponential y; rows are g times
+        # raw words and the draws that settle its misses, slice by slice),
+        # then its exponentials y, which the cone drops; rows are g times
         # scale (sum |g|^p [+ y])^(-1/p), |g|^4 as two squarings, bit for
         # bit.  At p = 2 the l2 ball is the Euclidean ball: at its own
         # scale, the ball's reduced-law rows bit for bit, and the l2 cone's
@@ -358,11 +363,9 @@ class TestDrawOrder:
                 g = math.sqrt(0.5) * rng.standard_normal((count, n))
                 blocks.append(spec.scale * g / np.sum(g**2, axis=1)[:, None] ** 0.5)
                 continue
-            g = np.vstack(lp_chunk_draws(rng, p, count, n))
-            denom = power_sums(g, p)
-            if kind is Kind.LP_BALL:
-                denom += rng.standard_exponential(count)
-            blocks.append(g * (spec.scale * denom ** (-1.0 / p))[:, None])
+            for g, y in lp_chunk_draws(rng, p, count, n):
+                denom = power_sums(g, p) + (y if kind is Kind.LP_BALL else 0.0)
+                blocks.append(g * (spec.scale * denom ** (-1.0 / p))[:, None])
         data = sample(spec, n_samples, seed).data
         if kind is Kind.LP_CONE and p == 2.0:
             np.testing.assert_allclose(data, np.vstack(blocks), rtol=1e-14, atol=0.0)
@@ -480,28 +483,27 @@ class TestProjectionBlocks:
             DistributionSpec(Kind.LP_SURFACE, 7, p=1.5),
             DistributionSpec(Kind.LP_CONE, 7, p=4.0),
             DistributionSpec(Kind.LP_BALL, 7, p=1.0),
+            DistributionSpec(Kind.LP_BALL, 100, p=4.0),  # 1308-row chunks
         ],
         ids=lambda spec: f"{spec.kind.value}-{spec.p}",
     )
     def test_lp_projects_before_scaling(self, spec):
-        # per block substream: the generalized-Gaussian draws g of each
-        # CHUNK_ROWS-row chunk in turn (the ziggurat's draws; at p = 1
-        # exponentials, then packed signs), then the ball's exponential E; the
-        # projections are each chunk's g @ directions times the per-row
-        # factor scale (sum |g|^p [+ E])^(-1/p), bit for bit, and sample()
-        # rows times the directions up to rounding
+        # per block substream, each chunk_rows(n)-row chunk in turn: its
+        # generalized-Gaussian draws g (the ziggurat's draws; at p = 1
+        # exponentials, then packed signs), then its exponentials E, which
+        # the cone and surface measure drop; the projections are each
+        # chunk's g @ directions times the per-row factor
+        # scale (sum |g|^p [+ E])^(-1/p), bit for bit, and sample() rows
+        # times the directions up to rounding
         n_samples, seed, p = BLOCK_ROWS + CHUNK_ROWS + 300, 72, spec.p
         directions = np.random.default_rng(0).standard_normal((spec.n, 3))
         blocks = []
         for block, lo in enumerate(range(0, n_samples, BLOCK_ROWS)):
             count = min(BLOCK_ROWS, n_samples - lo)
             rng = np.random.default_rng(block_seed(seed, block))
-            chunks = lp_chunk_draws(rng, p, count, spec.n)
-            sums = np.concatenate([power_sums(g, p) for g in chunks])
-            if spec.kind is Kind.LP_BALL:
-                sums += rng.standard_exponential(count)
-            unscaled = np.vstack([g @ directions for g in chunks])
-            blocks.append(unscaled * (spec.scale * sums ** (-1.0 / p))[:, None])
+            for g, e in lp_chunk_draws(rng, p, count, spec.n):
+                sums = power_sums(g, p) + (e if spec.kind is Kind.LP_BALL else 0.0)
+                blocks.append((g @ directions) * (spec.scale * sums ** (-1.0 / p))[:, None])
         projections = sample_projections(spec, directions, n_samples, seed)
         np.testing.assert_array_equal(projections.T, np.vstack(blocks))
         expected = sample(spec, n_samples, seed).data @ directions
@@ -798,44 +800,47 @@ class TestGeneralizedGaussian:
              "cube-boundary", "lp_ball+lp_cone-p1", "simplex-rows", "cube-rows"],
     )
     def test_fill_holds_at_most_two_blocks(self, kinds, p, projected):
-        # beside the block it returns, a projection fill holds at most 2.2
-        # (CHUNK_ROWS, n) chunks: it draws and projects CHUNK_ROWS rows at a
-        # time (an lp chunk's gammas and uniforms, or exponentials and signs,
-        # are two chunks) and returns (count, k 4) projections; a rows fill
-        # draws each chunk in place into the block, beside at most one chunk
-        # (an lp body's uniforms, the simplex's exponentials; none for the
-        # cube), so it holds at most 1.2 chunks more
+        # a fill holds at most 2.2 chunks of CHUNK_VALUES values, whatever n:
+        # it draws, projects and hands over chunk_rows(n) rows at a time (an
+        # lp chunk's ziggurat words and layers, or exponentials and signs,
+        # are about one chunk; the simplex's exponentials are a chunk beside
+        # its rows), and never a block
         n, count = 300, 8 * CHUNK_ROWS
         specs = tuple(DistributionSpec(kind, n, p=p) for kind in kinds)
         fill = _filler(specs, np.ones((n, 4)) if projected else None)
+        for _ in fill(np.random.default_rng(22), 10):  # the ziggurat's tables, built once
+            pass
         rng = np.random.default_rng(23)
+        rows, step = 0, chunk_rows(n + (kinds[0] is Kind.SIMPLEX))  # the simplex draws n + 1
         tracemalloc.start()
         try:
-            block = fill(rng, count)
+            for at, piece in fill(rng, count):
+                assert at == slice(rows, rows + len(piece))
+                assert piece.shape == (min(step, count - rows), len(specs) * 4 if projected else n)
+                rows += len(piece)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        chunk = 8 * CHUNK_ROWS * n
-        assert block.shape == (count, len(specs) * 4 if projected else n)
-        extra = (peak - block.nbytes) / chunk
-        assert extra <= (2.2 if projected else 1.2), f"{extra:.2f} chunks beside the block"
+        assert rows == count
+        chunks = peak / (8 * CHUNK_VALUES)
+        assert chunks <= 2.2, f"{chunks:.2f} chunks"
 
     @pytest.mark.parametrize("kind, p", [(Kind.LP_CONE, math.inf), (Kind.LINF_EXPONENTIAL, None)],
                              ids=["cube-boundary", "linf_exponential"])
     def test_boundary_rows_are_drawn_in_place(self, kind, p):
-        # each chunk's rows are drawn into the block itself: beside it the
+        # each chunk's rows are drawn into the piece itself: beside it the
         # fill holds a chunk's facet indices, signs and radii, not a chunk
         n, count = 300, 8 * CHUNK_ROWS
         fill = _filler(DistributionSpec(kind, n, p=p))
         rng = np.random.default_rng(25)
         tracemalloc.start()
         try:
-            block = fill(rng, count)
+            size = max(piece.nbytes for _, piece in fill(rng, count))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        extra = (peak - block.nbytes) / (8 * CHUNK_ROWS * n)
-        assert extra <= 0.2, f"{extra:.2f} chunks beside the block"
+        extra = (peak - size) / (8 * CHUNK_VALUES)
+        assert extra <= 0.2, f"{extra:.2f} chunks beside the piece"
 
 
 class TestLpCone:

@@ -81,7 +81,8 @@ def pair_diagnostics_of(w, diff):
     return {
         "slope": slope,
         "intercept": intercept,
-        "slope_se": resid.std() / (math.sqrt(n_samples) * math.sqrt(w_var)),
+        # heteroskedasticity-consistent (White 1980): D = 0 unless the frame vector meets theta
+        "slope_se": math.sqrt(np.mean(((w - w_mean) * resid) ** 2) / n_samples) / w_var,
         "var_conditional": weights @ (means - weights @ means) ** 2,
         "third_abs": np.mean(np.abs(diff) ** 3),
         "sup_abs": np.abs(diff).max(),
@@ -365,13 +366,13 @@ class TestReflectionPair:
 
     def test_keeps_only_per_block_sums(self):
         # beside a few kB of per-block sums and bin totals, one worker holds
-        # a (CHUNK_ROWS, n) chunk, a block of int64 frame indices, a
-        # (BLOCK_ROWS, T + 1) block and chunk-long temporaries (block-long
-        # ones took 6.2 MB here); a kept W per theta and coefficient would
-        # take 32 MB
+        # a (CHUNK_ROWS, n) chunk, its frame indices, its (CHUNK_ROWS, T + 1)
+        # projections and chunk-long temporaries, and no block (a block of
+        # frame indices and one of projections took 2.1 MB more here); a
+        # kept W per theta and coefficient would take 32 MB
         n, n_samples = 10, 10**6
         thetas = [np.eye(n)[0], np.full(n, n**-0.5), haar_orthogonal(n, 42)[0]]
-        per_worker = 8 * (CHUNK_ROWS * n + BLOCK_ROWS * (len(thetas) + 2))
+        per_worker = 8 * CHUNK_ROWS * n
         tracemalloc.start()
         try:
             reflection_pair_diagnostics(cube(n), thetas, n_samples, 40)
